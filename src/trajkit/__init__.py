@@ -47,14 +47,9 @@ from .vecmap import (
     RoadLane,
     TrafficLightStatus,
     VectorMap,
-    get_closest_lane,
-    lanes_within,
     map_deserialize,
     map_serialize,
-    map_stats,
-    point_in_drivable_area,
     polygon_area,
-    traffic_light_status,
 )
 from .batching import (
     AgentBatch,

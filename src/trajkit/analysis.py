@@ -11,19 +11,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import AgentType, SceneFrame
+from .core import AgentMetadata, AgentType, SceneFrame, wrap_angle
 from .ingest import SceneCache
 from .kinematics import derive_derivative
 from .vecmap import DrivableAreaUnsupported, VectorMap
 
 GRAVITY = 9.81
 HARSH_ACCEL_DEFAULT = 3.924  # 0.4 g (0.4 * 9.81); kept as a literal so the contract value is exact
+OFFROAD_TYPES = ("vehicle", "motorcycle")
 
 METRIC_NAMES = (
     "population",
@@ -65,7 +66,7 @@ class AnalysisConfig:
     density_min_agents: int = 2
     per_timestep_rates: bool = False
     cumulative_heading: bool = False
-    offroad_types: tuple[str, ...] = ("vehicle", "motorcycle")
+    offroad_types: tuple[str, ...] = OFFROAD_TYPES
     histogram_bins: dict[str, list[float]] = field(default_factory=_default_bins)
 
     def __post_init__(self):
@@ -80,31 +81,16 @@ class AnalysisConfig:
         return np.asarray(self.histogram_bins[metric], dtype=np.float64)
 
     def to_dict(self) -> dict:
-        return {
-            "stationary_threshold": self.stationary_threshold,
-            "harsh_accel_threshold": self.harsh_accel_threshold,
-            "density_min_agents": self.density_min_agents,
-            "per_timestep_rates": self.per_timestep_rates,
-            "cumulative_heading": self.cumulative_heading,
-            "offroad_types": list(self.offroad_types),
-            "histogram_bins": self.histogram_bins,
-        }
+        return {**asdict(self), "offroad_types": list(self.offroad_types)}
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisConfig":
+        """Config from JSON; unknown keys are ignored and histogram_bins entries
+        override the default edges one metric at a time."""
         raw = json.loads(text)
-        kwargs = {}
-        for key in (
-            "stationary_threshold",
-            "harsh_accel_threshold",
-            "density_min_agents",
-            "per_timestep_rates",
-            "cumulative_heading",
-        ):
-            if key in raw:
-                kwargs[key] = raw[key]
-        if "offroad_types" in raw:
-            kwargs["offroad_types"] = tuple(raw["offroad_types"])
+        kwargs = {f.name: raw[f.name] for f in fields(cls) if f.name in raw and f.name != "histogram_bins"}
+        if "offroad_types" in kwargs:
+            kwargs["offroad_types"] = tuple(kwargs["offroad_types"])
         cfg = cls(**kwargs)
         for name, edges in raw.get("histogram_bins", {}).items():
             cfg.histogram_bins[name] = list(edges)
@@ -356,8 +342,6 @@ def heading_deltas(cache: SceneCache, tags: Sequence[str], cfg: AnalysisConfig) 
     Deltas are wrapped to (-pi, pi] by default; cfg.cumulative_heading switches
     to the unwrapped cumulative change.
     """
-    from .core import wrap_angle
-
     hists = []
     for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
         deltas: dict[str, list[np.ndarray]] = {}
@@ -449,40 +433,83 @@ def obb_intersect(corners_a: np.ndarray, corners_b: np.ndarray) -> bool:
     return True
 
 
-def _scene_collisions(scene: SceneFrame) -> tuple[dict[int, int], dict[int, int]]:
-    """Collision timestep counts per extent-bearing agent.
+def _agent_rows(scene: SceneFrame, keep: Callable[[AgentMetadata], bool]) -> np.ndarray:
+    """Row mask over the rows of every agent whose metadata passes keep."""
+    return np.array([bool(keep(m)) for m in scene.agents], dtype=bool)[scene.columns.agent_index]
 
-    Returns (colliding_ts_count, present_ts_count) keyed by agent index; only
-    agents with extents appear.
+
+def _agent_counts(scene: SceneFrame, rows: np.ndarray, events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(event rows, selected rows) per agent index; rows and events are row masks."""
+    idx, n = scene.columns.agent_index, scene.n_agents
+    return np.bincount(idx[rows & events], minlength=n), np.bincount(idx[rows], minlength=n)
+
+
+AgentCounter = Callable[[SceneFrame], tuple[np.ndarray, np.ndarray]]
+
+
+def _rates(scenes: Iterable[tuple[str, SceneFrame]], counts: AgentCounter, per_timestep: bool) -> dict:
+    """{dataset: {type: entry}} from counts(scene), its per-agent (event rows, selected rows).
+
+    Agents without a selected row are left out. By default an agent counts
+    once, as an event if any of its selected rows is one ("any timestep");
+    per_timestep counts rows. Every dataset seen gets an entry.
     """
+    num: dict[str, dict[str, int]] = {}
+    den: dict[str, dict[str, int]] = {}
+    for dataset, scene in scenes:
+        events, selected = counts(scene)
+        if not per_timestep:
+            events, selected = events > 0, selected > 0
+        n, d = num.setdefault(dataset, {}), den.setdefault(dataset, {})
+        for i in np.flatnonzero(selected):
+            t = str(scene.agents[i].agent_type)
+            d[t] = d.get(t, 0) + int(selected[i])
+            n[t] = n.get(t, 0) + int(events[i])
+    return {ds: {t: _rate_entry(num[ds][t], d[t]) for t in sorted(d)} for ds, d in sorted(den.items())}
+
+
+def _dataset_scenes(cache: SceneCache, tags: Sequence[str]) -> list[tuple[str, SceneFrame]]:
+    return [(ds, scene) for ds, scenes in sorted(_scenes_by_dataset(cache, tags).items()) for scene in scenes]
+
+
+def _scene_collisions(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray]:
+    """(colliding rows, rows) per agent index over the rows of extent-bearing
+    agents; an agent has one row per timestep, so these count timesteps."""
     cols = scene.columns
-    eligible = {i for i, m in enumerate(scene.agents) if m.extent is not None}
-    colliding_ts = {i: 0 for i in eligible}
-    present_ts = {i: 0 for i in eligible}
-    radius = {
-        i: 0.5 * math.hypot(scene.agents[i].extent.length, scene.agents[i].extent.width) for i in eligible
-    }
-    for _, rows in _rows_by_ts(scene).items():
-        pairs = [(int(cols.agent_index[r]), r) for r in rows if int(cols.agent_index[r]) in eligible]
+    rows = _agent_rows(scene, lambda m: m.extent is not None)
+    hit = np.zeros(len(cols), dtype=bool)
+    radius = [0.0 if m.extent is None else 0.5 * math.hypot(m.extent.length, m.extent.width) for m in scene.agents]
+    for ts_rows in _rows_by_ts(scene).values():
+        pairs = [(int(cols.agent_index[r]), r) for r in ts_rows if rows[r]]
         corners: dict[int, np.ndarray] = {}
-        hit_now: set[int] = set()
         for a in range(len(pairs)):
             ia, ra = pairs[a]
-            present_ts[ia] += 1
             for b in range(a + 1, len(pairs)):
                 ib, rb = pairs[b]
                 dist = math.hypot(cols.x[ra] - cols.x[rb], cols.y[ra] - cols.y[rb])
                 if dist > radius[ia] + radius[ib]:
                     continue
                 for i, r in ((ia, ra), (ib, rb)):
-                    if i not in corners:
+                    if r not in corners:
                         ext = scene.agents[i].extent
-                        corners[i] = obb_corners(cols.x[r], cols.y[r], cols.heading[r], ext.length, ext.width)
-                if obb_intersect(corners[ia], corners[ib]):
-                    hit_now.update((ia, ib))
-        for i in hit_now:
-            colliding_ts[i] += 1
-    return colliding_ts, present_ts
+                        corners[r] = obb_corners(cols.x[r], cols.y[r], cols.heading[r], ext.length, ext.width)
+                if obb_intersect(corners[ra], corners[rb]):
+                    hit[ra] = hit[rb] = True
+    return _agent_counts(scene, rows, hit)
+
+
+def _offroad_rows(scene: SceneFrame, types: Iterable[str]) -> np.ndarray:
+    allowed = set(types)
+    return _agent_rows(scene, lambda m: str(m.agent_type) in allowed)
+
+
+def _offroad_counts(scene: SceneFrame, vmap: VectorMap, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(off-road rows, selected rows) per agent index; a row is off-road when
+    its center lies outside the drivable area."""
+    cols = scene.columns
+    off = np.zeros(len(cols), dtype=bool)
+    off[rows] = [not vmap.point_in_drivable_area((x, y)) for x, y in zip(cols.x[rows], cols.y[rows])]
+    return _agent_counts(scene, rows, off)
 
 
 def collision_rate(cache: SceneCache, tags: Sequence[str], cfg: AnalysisConfig) -> tuple[dict, dict]:
@@ -490,52 +517,20 @@ def collision_rate(cache: SceneCache, tags: Sequence[str], cfg: AnalysisConfig) 
 
     Extent-less agents are excluded from numerator and denominator and tallied.
     """
-    out: dict[str, dict] = {}
-    no_extent = 0
-    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
-        num: dict[str, int] = {}
-        den: dict[str, int] = {}
-        for scene in scenes:
-            no_extent += sum(1 for m in scene.agents if m.extent is None)
-            colliding_ts, present_ts = _scene_collisions(scene)
-            for i in colliding_ts:
-                t = str(scene.agents[i].agent_type)
-                if cfg.per_timestep_rates:
-                    den[t] = den.get(t, 0) + present_ts[i]
-                    num[t] = num.get(t, 0) + colliding_ts[i]
-                else:
-                    den[t] = den.get(t, 0) + 1
-                    if colliding_ts[i] > 0:
-                        num[t] = num.get(t, 0) + 1
-        out[dataset] = {t: _rate_entry(num.get(t, 0), den[t]) for t in sorted(den)}
-    return out, {"collision_agents_without_extent": no_extent}
+    scenes = _dataset_scenes(cache, tags)
+    no_extent = sum(1 for _, scene in scenes for m in scene.agents if m.extent is None)
+    return _rates(scenes, _scene_collisions, cfg.per_timestep_rates), {"collision_agents_without_extent": no_extent}
 
 
 def harsh_accel_rate(cache: SceneCache, tags: Sequence[str], cfg: AnalysisConfig) -> dict:
     """Fraction of agents exceeding the harsh-acceleration threshold at any
     observed timestep (strict inequality at the threshold)."""
-    out: dict[str, dict] = {}
-    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
-        num: dict[str, int] = {}
-        den: dict[str, int] = {}
-        for scene in scenes:
-            cols = scene.columns
-            for i, meta in enumerate(scene.agents):
-                sl = scene.rows_for_agent(i)
-                obs = cols.observed[sl]
-                if not obs.any():
-                    continue
-                mag = np.hypot(cols.ax[sl][obs], cols.ay[sl][obs])
-                t = str(meta.agent_type)
-                if cfg.per_timestep_rates:
-                    den[t] = den.get(t, 0) + int(obs.sum())
-                    num[t] = num.get(t, 0) + int(np.count_nonzero(mag > cfg.harsh_accel_threshold))
-                else:
-                    den[t] = den.get(t, 0) + 1
-                    if np.any(mag > cfg.harsh_accel_threshold):
-                        num[t] = num.get(t, 0) + 1
-        out[dataset] = {t: _rate_entry(num.get(t, 0), den[t]) for t in sorted(den)}
-    return out
+
+    def counts(scene: SceneFrame):
+        cols = scene.columns
+        return _agent_counts(scene, cols.observed, np.hypot(cols.ax, cols.ay) > cfg.harsh_accel_threshold)
+
+    return _rates(_dataset_scenes(cache, tags), counts, cfg.per_timestep_rates)
 
 
 def offroad_rate(
@@ -545,37 +540,14 @@ def offroad_rate(
     drivable area at any observed timestep. None when no usable map is given."""
     if vmap is None:
         return None, {}
-    allowed = set(cfg.offroad_types)
-    out: dict[str, dict] = {}
+
+    def counts(scene: SceneFrame):
+        return _offroad_counts(scene, vmap, scene.columns.observed & _offroad_rows(scene, cfg.offroad_types))
+
     try:
-        for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
-            num: dict[str, int] = {}
-            den: dict[str, int] = {}
-            for scene in scenes:
-                cols = scene.columns
-                for i, meta in enumerate(scene.agents):
-                    if str(meta.agent_type) not in allowed:
-                        continue
-                    sl = scene.rows_for_agent(i)
-                    obs = cols.observed[sl]
-                    if not obs.any():
-                        continue
-                    offroad_flags = [
-                        not vmap.point_in_drivable_area((x, y))
-                        for x, y in zip(cols.x[sl][obs], cols.y[sl][obs])
-                    ]
-                    t = str(meta.agent_type)
-                    if cfg.per_timestep_rates:
-                        den[t] = den.get(t, 0) + len(offroad_flags)
-                        num[t] = num.get(t, 0) + sum(offroad_flags)
-                    else:
-                        den[t] = den.get(t, 0) + 1
-                        if any(offroad_flags):
-                            num[t] = num.get(t, 0) + 1
-            out[dataset] = {t: _rate_entry(num.get(t, 0), den[t]) for t in sorted(den)}
+        return _rates(_dataset_scenes(cache, tags), counts, cfg.per_timestep_rates), {}
     except DrivableAreaUnsupported:
         return None, {"offroad_unsupported_map": 1}
-    return out, {}
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import METRIC_NAMES, AnalysisConfig, emit_report, run_analysis
@@ -43,16 +42,6 @@ EXIT_IO = 5
 EXIT_USAGE = 64
 
 CACHE_ENV_VAR = "TRAJKIT_CACHE"
-
-
-@dataclass
-class CliConfig:
-    """Resolved common options for one invocation."""
-
-    cache_dir: Path | None
-    map_path: Path | None = None
-    config_path: Path | None = None
-    verbosity: int = 0
 
 
 class _UsageError(Exception):
@@ -119,20 +108,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cli_config(args) -> CliConfig:
-    return CliConfig(
-        cache_dir=Path(args.cache) if getattr(args, "cache", None) else None,
-        map_path=Path(args.map) if getattr(args, "map", None) else None,
-        config_path=Path(args.config) if getattr(args, "config", None) else None,
-        verbosity=getattr(args, "verbose", 0),
-    )
-
-
 def _require_cache(args) -> SceneCache:
-    cfg = _cli_config(args)
-    if cfg.cache_dir is None:
+    if not args.cache:
         raise _UsageError(f"--cache is required (or set {CACHE_ENV_VAR})")
-    return SceneCache(cfg.cache_dir)
+    return SceneCache(args.cache)
 
 
 def _parse_pair(text: str, flag: str) -> tuple[float, float]:
@@ -169,9 +148,7 @@ def cmd_analyze(args) -> int:
     cfg = AnalysisConfig()
     if args.config:
         cfg = AnalysisConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
-    vmap = None
-    if args.map:
-        vmap = map_deserialize(Path(args.map).read_bytes())
+    vmap = _load_map(args) if args.map else None
     report = run_analysis(cache, tags, metrics, cfg, vmap=vmap, ego_id=args.ego_id)
     written = emit_report(report, args.out)
     for name in report.unavailable:
@@ -238,14 +215,10 @@ def cmd_sim_replay(args) -> int:
         m.agent_id for m in scene.agents if m.first_ts <= args.init_ts and m.last_ts >= end_ts
     ]
     state, _ = sim_reset(scene, args.init_ts, controlled)
+    cols = scene.columns
     for ts in range(args.init_ts + 1, end_ts + 1):
-        new_states = {}
-        for agent_id in controlled:
-            i = next(j for j, m in enumerate(scene.agents) if m.agent_id == agent_id)
-            row = scene.row_at(i, ts)
-            cols = scene.columns
-            new_states[agent_id] = (cols.x[row], cols.y[row], cols.heading[row])
-        state, _ = sim_step(state, new_states)
+        rows = {agent_id: scene.row_at(i, ts) for agent_id, i in state.controlled_idx.items()}
+        state, _ = sim_step(state, {a: (cols.x[r], cols.y[r], cols.heading[r]) for a, r in rows.items()})
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

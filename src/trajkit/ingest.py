@@ -524,6 +524,15 @@ def scene_from_bytes(data: bytes) -> SceneFrame:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CacheError(f"unreadable cache header: {exc}") from exc
 
+    try:
+        return _scene_from_header(header, data, pos)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CacheError(f"cache header does not match the scene schema: {exc!r}") from exc
+
+
+def _scene_from_header(header: dict, data: bytes, pos: int) -> SceneFrame:
+    """Decode the column payload at pos as the header directs; a header lacking
+    a key or holding a wrong-typed value raises KeyError, TypeError or ValueError."""
     n_rows = int(header["n_rows"])
     expected = pos
     for col in header["columns"]:

@@ -11,17 +11,17 @@ and are held at their last state (masked invalid) past their lifetime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .analysis import AnalysisConfig, _scene_collisions
+from .analysis import OFFROAD_TYPES, AgentCounter, _offroad_counts, _offroad_rows, _rates, _scene_collisions
 from .core import AgentMetadata, SceneFrame, wrap_angle
 from .ingest import SceneMetaRecord, write_canonical_csv
 from .kinematics import derive_derivative
-from .vecmap import DrivableAreaUnsupported, VectorMap
+from .vecmap import VectorMap
 
 OBS_STATE_LAYOUT = ("x", "y", "z", "vx", "vy", "ax", "ay", "heading")
 
@@ -59,12 +59,7 @@ class SimMetrics:
     accel_distance: float
 
     def to_dict(self) -> dict:
-        return {
-            "collision_rate": self.collision_rate,
-            "offroad_rate": self.offroad_rate,
-            "speed_distance": self.speed_distance,
-            "accel_distance": self.accel_distance,
-        }
+        return asdict(self)
 
 
 def wasserstein_1d(a, b) -> float:
@@ -130,25 +125,6 @@ def sim_step(state: SimState, new_states: Mapping[str, tuple[float, float, float
     return state, _observe(state)
 
 
-def _controlled_series(state: SimState, agent_id: str, end_ts: int) -> dict[str, np.ndarray]:
-    """Pose series for a controlled agent over [first_ts, end_ts] with derived kinematics."""
-    scene = state.scene
-    idx = state.controlled_idx[agent_id]
-    meta = scene.agents[idx]
-    sl = scene.rows_for_agent(idx)
-    cols = scene.columns
-    n_real = state.init_ts - meta.first_ts + 1
-    xs = list(cols.x[sl][:n_real])
-    ys = list(cols.y[sl][:n_real])
-    hs = list(cols.heading[sl][:n_real])
-    for x, y, h in state.poses[agent_id][: end_ts - state.init_ts]:
-        xs.append(x)
-        ys.append(y)
-        hs.append(h)
-    z0 = float(cols.z[sl][n_real - 1])
-    return _pose_series_kinematics(xs, ys, hs, z0, scene.dt)
-
-
 def _observe(state: SimState) -> SimObservation:
     scene = state.scene
     cols = scene.columns
@@ -158,8 +134,8 @@ def _observe(state: SimState) -> SimObservation:
     valid = np.zeros(n, dtype=bool)
     for i, meta in enumerate(scene.agents):
         if meta.agent_id in state.controlled_idx:
-            series = _controlled_series(state, meta.agent_id, ts)
-            states[i] = [series[k][-1] for k in OBS_STATE_LAYOUT]
+            _, track = _controlled_track(state, i, ts, simulated=True)
+            states[i] = [track[k][-1] for k in OBS_STATE_LAYOUT]
             valid[i] = True
             continue
         clamped = min(max(ts, meta.first_ts), meta.last_ts)
@@ -169,23 +145,46 @@ def _observe(state: SimState) -> SimObservation:
     return SimObservation(ts=ts, agent_ids=tuple(m.agent_id for m in scene.agents), states=states, valid=valid)
 
 
-def _pose_series_kinematics(xs, ys, hs, z0: float, dt: float) -> dict[str, np.ndarray]:
-    """Full kinematic track from a pose series, velocities/accelerations derived."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    vx = derive_derivative(xs, dt)
-    vy = derive_derivative(ys, dt)
-    return {
+def _controlled_track(state: SimState, i: int, lo: int, simulated: bool) -> tuple[int, dict[str, np.ndarray]]:
+    """Track of controlled agent i from timestep lo to its end in the rollout window.
+
+    The pose series is the agent's recording up to init_ts followed by the
+    provided poses (simulated) or by the rest of its recording, clipped to its
+    real lifetime (replay). Velocities and accelerations are derived over that
+    series. Returns (last timestep, track).
+
+    The derivative stencil is three samples wide, so the derivation starts at
+    most two samples before lo and still matches a derivation over the whole
+    series bit for bit.
+    """
+    scene = state.scene
+    cols = scene.columns
+    meta = scene.agents[i]
+    base = scene.rows_for_agent(i).start - meta.first_ts  # row of timestep t is base + t
+    ctx = max(lo - 2, meta.first_ts)
+    if simulated:
+        end, recorded_end = state.current_ts, state.init_ts
+        poses = state.poses[meta.agent_id][max(ctx - state.init_ts - 1, 0) :]
+    else:
+        end = recorded_end = min(state.current_ts, meta.last_ts)
+        poses = []
+    rec = slice(base + ctx, base + recorded_end + 1)
+    provided = np.asarray(poses, dtype=np.float64).reshape(-1, 3)
+    xs = np.concatenate([cols.x[rec], provided[:, 0]])
+    ys = np.concatenate([cols.y[rec], provided[:, 1]])
+    vx, vy = derive_derivative(xs, scene.dt), derive_derivative(ys, scene.dt)
+    track = {
         "x": xs,
         "y": ys,
-        "z": np.full(len(xs), z0),
+        "z": np.full(len(xs), cols.z[base + state.init_ts]),
         "vx": vx,
         "vy": vy,
-        "ax": derive_derivative(vx, dt),
-        "ay": derive_derivative(vy, dt),
-        "heading": np.asarray(hs, dtype=np.float64),
+        "ax": derive_derivative(vx, scene.dt),
+        "ay": derive_derivative(vy, scene.dt),
+        "heading": np.concatenate([cols.heading[rec], provided[:, 2]]),
         "observed": np.ones(len(xs), dtype=bool),
     }
+    return end, {k: v[lo - ctx :] for k, v in track.items()}
 
 
 def _window_scene(state: SimState, simulated: bool) -> SceneFrame:
@@ -204,34 +203,15 @@ def _window_scene(state: SimState, simulated: bool) -> SceneFrame:
     agents: list[AgentMetadata] = []
     tracks: list[dict[str, np.ndarray]] = []
     for i, meta in enumerate(scene.agents):
-        sl = scene.rows_for_agent(i)
         if meta.agent_id in state.controlled_idx:
-            n_to_init = lo - meta.first_ts + 1
-            z0 = float(cols.z[sl][n_to_init - 1])
-            xs = list(cols.x[sl][:n_to_init])
-            ys = list(cols.y[sl][:n_to_init])
-            hs = list(cols.heading[sl][:n_to_init])
-            if simulated:
-                end = hi
-                for x, y, h in state.poses[meta.agent_id]:
-                    xs.append(x)
-                    ys.append(y)
-                    hs.append(h)
-            else:
-                end = min(hi, meta.last_ts)
-                n_to_end = end - meta.first_ts + 1
-                xs = list(cols.x[sl][:n_to_end])
-                ys = list(cols.y[sl][:n_to_end])
-                hs = list(cols.heading[sl][:n_to_end])
-            series = _pose_series_kinematics(xs, ys, hs, z0, scene.dt)
-            offset = lo - meta.first_ts
-            tracks.append({k: np.asarray(v[offset:]) for k, v in series.items()})
+            end, track = _controlled_track(state, i, lo, simulated)
             agents.append(AgentMetadata(meta.agent_id, meta.agent_type, meta.extent, lo, end))
+            tracks.append(track)
         else:
             a, b = max(lo, meta.first_ts), min(hi, meta.last_ts)
             if a > b:
                 continue
-            start = sl.start + (a - meta.first_ts)
+            start = scene.rows_for_agent(i).start + (a - meta.first_ts)
             n = b - a + 1
             track = {
                 k: np.array(getattr(cols, k)[start : start + n])
@@ -255,21 +235,24 @@ def rollout_scene(state: SimState) -> SceneFrame:
     return _window_scene(state, simulated=True)
 
 
-def sim_score(state: SimState, vmap: VectorMap | None, real_scene: SceneFrame | None = None) -> SimMetrics:
+def _pooled_rate(scene: SceneFrame, counts: AgentCounter) -> float | None:
+    """Any-timestep rate of counts(scene) pooled over agent types; None when
+    no agent is selected."""
+    entries = _rates([("", scene)], counts, per_timestep=False)[""].values()
+    den = sum(e["den"] for e in entries)
+    return sum(e["num"] for e in entries) / den if den else None
+
+
+def sim_score(state: SimState, vmap: VectorMap | None) -> SimMetrics:
     """Collision/off-road rates of the rollout plus Wasserstein-1 distances of
     its speed and |acceleration| samples against the recorded data over the
-    same window."""
+    same window.
+
+    The rates use the analysis collision and off-road counters over every
+    rollout row, interpolated rows of log-replayed agents included.
+    """
     if state.current_ts - state.init_ts + 1 < 2:
         raise ValueError("rollout must span at least 2 timesteps to score")
-    if real_scene is not None and real_scene is not state.scene:
-        state = SimState(
-            scene=real_scene,
-            init_ts=state.init_ts,
-            current_ts=state.current_ts,
-            controlled=state.controlled,
-            controlled_idx={a: i for i, m in enumerate(real_scene.agents) for a in [m.agent_id] if a in state.controlled_idx},
-            poses=state.poses,
-        )
     sim = _window_scene(state, simulated=True)
     real = _window_scene(state, simulated=False)
 
@@ -280,33 +263,12 @@ def sim_score(state: SimState, vmap: VectorMap | None, real_scene: SceneFrame | 
     sim_speed, sim_accel = _samples(sim)
     real_speed, real_accel = _samples(real)
 
-    colliding_ts, _ = _scene_collisions(sim)
-    if colliding_ts:
-        collision = sum(1 for v in colliding_ts.values() if v > 0) / len(colliding_ts)
-    else:
-        collision = None
-
     offroad: float | None = None
     if vmap is not None and vmap.has_drivable_area:
-        allowed = set(AnalysisConfig().offroad_types)
-        num = den = 0
-        c = sim.columns
-        for i, meta in enumerate(sim.agents):
-            if str(meta.agent_type) not in allowed:
-                continue
-            sl = sim.rows_for_agent(i)
-            den += 1
-            try:
-                if any(not vmap.point_in_drivable_area((x, y)) for x, y in zip(c.x[sl], c.y[sl])):
-                    num += 1
-            except DrivableAreaUnsupported:
-                den = 0
-                break
-        if den:
-            offroad = num / den
+        offroad = _pooled_rate(sim, lambda s: _offroad_counts(s, vmap, _offroad_rows(s, OFFROAD_TYPES)))
 
     return SimMetrics(
-        collision_rate=collision,
+        collision_rate=_pooled_rate(sim, _scene_collisions),
         offroad_rate=offroad,
         speed_distance=wasserstein_1d(sim_speed, real_speed),
         accel_distance=wasserstein_1d(sim_accel, real_accel),

@@ -174,11 +174,16 @@ class PolygonArea:
         return [self.exterior, *self.holes]
 
 
+def _ring_edges(ring: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(x0, y0, x1, y1): start and end of every edge of a closed ring."""
+    x0, y0 = ring[:, 0], ring[:, 1]
+    return x0, y0, np.concatenate((x0[1:], x0[:1])), np.concatenate((y0[1:], y0[:1]))
+
+
 def _ring_area(ring: np.ndarray) -> float:
     if len(np.unique(ring, axis=0)) < 3:
         raise DegenerateRingError(f"ring with {len(ring)} points has fewer than 3 distinct vertices")
-    x, y = ring[:, 0], ring[:, 1]
-    x1, y1 = np.roll(x, -1), np.roll(y, -1)
+    x, y, x1, y1 = _ring_edges(ring)
     return 0.5 * abs(float(np.sum(x * y1 - x1 * y)))
 
 
@@ -191,8 +196,7 @@ def polygon_area(area: PolygonArea) -> float:
 
 
 def _point_on_ring_boundary(px: float, py: float, ring: np.ndarray) -> bool:
-    x0, y0 = ring[:, 0], ring[:, 1]
-    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    x0, y0, x1, y1 = _ring_edges(ring)
     cross = (x1 - x0) * (py - y0) - (px - x0) * (y1 - y0)
     within_x = (px >= np.minimum(x0, x1)) & (px <= np.maximum(x0, x1))
     within_y = (py >= np.minimum(y0, y1)) & (py <= np.maximum(y0, y1))
@@ -200,8 +204,7 @@ def _point_on_ring_boundary(px: float, py: float, ring: np.ndarray) -> bool:
 
 
 def _ring_crossings(px: float, py: float, ring: np.ndarray) -> int:
-    x0, y0 = ring[:, 0], ring[:, 1]
-    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    x0, y0, x1, y1 = _ring_edges(ring)
     straddles = ((y0 <= py) & (y1 > py)) | ((y1 <= py) & (y0 > py))
     if not straddles.any():
         return 0
@@ -359,24 +362,27 @@ class _SegmentIndex:
         return best
 
     def within_dist2(self, px: float, py: float, r2: float) -> np.ndarray:
-        """Ordinals (into the permuted segment arrays) with distance^2 <= r2."""
-        hits: list[np.ndarray] = []
+        """Ordinals (into the permuted segment arrays) with distance^2 <= r2.
+
+        Walks the hierarchy one level at a time, testing every surviving
+        node's children in one array call.
+        """
         top = len(self.levels) - 1
-        stack = [(top, 0)]
-        while stack:
-            level, node = stack.pop()
+        nodes = np.arange(len(self.levels[top][0]))
+        for level in range(top, -1, -1):
             minx, miny, maxx, maxy, starts, ends = self.levels[level]
-            if float(_box_dist2(px, py, minx[node], miny[node], maxx[node], maxy[node])) > r2:
-                continue
-            s, e = int(starts[node]), int(ends[node])
-            if level == 0:
-                d2 = segment_dist2(px, py, self.ax[s:e], self.ay[s:e], self.bx[s:e], self.by[s:e])
-                hits.append(np.nonzero(d2 <= r2)[0] + s)
-            else:
-                stack.extend((level - 1, i) for i in range(s, e))
-        if not hits:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(hits)
+            lb = _box_dist2(px, py, minx[nodes], miny[nodes], maxx[nodes], maxy[nodes])
+            nodes = nodes[~(lb > r2)]
+            nodes = _expand_ranges(starts[nodes], ends[nodes])
+        d2 = segment_dist2(px, py, self.ax[nodes], self.ay[nodes], self.bx[nodes], self.by[nodes])
+        return nodes[d2 <= r2]
+
+
+def _expand_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, e) over the paired starts and ends."""
+    lengths = ends - starts
+    shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return np.arange(int(lengths.sum()), dtype=np.int64) + shift
 
 
 class VectorMap:
@@ -526,37 +532,9 @@ class VectorMap:
         return MapStats(total_lane_length=lane_length / 1000.0, road_area=road, pedestrian_area=ped)
 
 
-# Functional forms of the map operations.
-
-def get_closest_lane(vmap: VectorMap, point) -> str:
-    return vmap.get_closest_lane(point)
-
-
-def lanes_within(vmap: VectorMap, point, radius: float) -> set[str]:
-    return vmap.lanes_within(point, radius)
-
-
-def point_in_drivable_area(vmap: VectorMap, point) -> bool:
-    return vmap.point_in_drivable_area(point)
-
-
-def traffic_light_status(vmap: VectorMap, lane_id: str, scene_ts: int) -> TrafficLightStatus:
-    return vmap.traffic_light_status(lane_id, scene_ts)
-
-
-def map_stats(vmap: VectorMap) -> MapStats:
-    return vmap.stats()
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-def _ring_to_polyline(ring: np.ndarray) -> Polyline:
-    pts3 = np.zeros((len(ring), 3))
-    pts3[:, :2] = ring
-    return Polyline(pts3)
-
 
 def _encode_ring(ring: np.ndarray, cached: bytes | None) -> bytes:
     if cached is not None:
@@ -658,6 +636,16 @@ def map_deserialize(data: bytes) -> VectorMap:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MapFormatError(f"unreadable map directory: {exc}") from exc
 
+    try:
+        return _map_from_header(header, data, pos)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MapFormatError(f"map directory does not match the map schema: {exc!r}") from exc
+
+
+def _map_from_header(header: dict, data: bytes, pos: int) -> VectorMap:
+    """Decode the geometry payload at pos as the directory directs; a directory
+    lacking a key or holding a wrong-typed value raises KeyError, TypeError or
+    ValueError."""
     lanes = []
     for entry in header["lanes"]:
         centerline, pos = Polyline.decode(data, pos, int(entry["n_center"]))

@@ -1,3 +1,7 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -85,3 +89,18 @@ def tiny_traffic_map() -> VectorMap:
         [straight_lane("L1", 0.0, half_width=2.0), straight_lane("L2", 10.0)],
         traffic_lights={("L1", 5): TrafficLightStatus.RED},
     )
+
+
+def rewrite_json_header(data: bytes, edit, crc: bool) -> bytes:
+    """Apply edit to the JSON header of a .tksc or .tkmap blob (6-byte magic,
+    u32 version, u64 header length, header, payload). With crc the blob ends
+    in a CRC-32 of everything before it, which is recomputed, so the result
+    still passes the checksum."""
+    head_len = 6 + 4 + 8
+    (header_len,) = struct.unpack_from("<Q", data, 10)
+    header = json.loads(data[head_len : head_len + header_len])
+    edit(header)
+    new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    payload = data[head_len + header_len : len(data) - 4 if crc else len(data)]
+    out = data[:10] + struct.pack("<Q", len(new_header)) + new_header + payload
+    return out + struct.pack("<I", zlib.crc32(out) & 0xFFFFFFFF) if crc else out

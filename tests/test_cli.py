@@ -7,7 +7,7 @@ from trajkit.cli import main
 from trajkit.ingest import SceneCache, Straight, synth_scene
 from trajkit.vecmap import VectorMap, map_serialize
 
-from conftest import straight_lane
+from conftest import rewrite_json_header, straight_lane
 
 HEADER = "scene_id,agent_id,agent_type,frame,x,y,z,heading,length,width,height"
 
@@ -260,3 +260,19 @@ class TestUsage:
 
     def test_unknown_command_exit_64(self):
         assert main(["frobnicate"]) == 64
+
+
+class TestMalformedHeaders:
+    def test_scene_header_without_location_exit_2(self, workspace, capsys):
+        tmp_path, cache_dir = workspace
+        (path,) = cache_dir.glob("*/synth-0.tksc")
+        path.write_bytes(rewrite_json_header(path.read_bytes(), lambda h: h.pop("location"), crc=True))
+        code = main(["sim-replay", "--cache", str(cache_dir), "--scene", "synth-0", "--init-ts", "10", "--steps", "10", "--out", str(tmp_path / "sim")])
+        assert code == 2
+        assert "location" in capsys.readouterr().err
+
+    def test_map_directory_without_lanes_exit_2(self, tmp_path, capsys):
+        path = _map_file(tmp_path)
+        path.write_bytes(rewrite_json_header(path.read_bytes(), lambda h: h.pop("lanes"), crc=False))
+        assert main(["map", "--map", str(path), "stats"]) == 2
+        assert "lanes" in capsys.readouterr().err

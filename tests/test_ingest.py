@@ -6,6 +6,7 @@ import pytest
 from trajkit.core import AgentType, scene_validate
 from trajkit.ingest import (
     CacheChecksumError,
+    CacheError,
     CacheTruncatedError,
     CacheVersionError,
     Circle,
@@ -27,7 +28,7 @@ from trajkit.ingest import (
     write_canonical_csv,
 )
 
-from conftest import random_scene
+from conftest import random_scene, rewrite_json_header
 
 HEADER = "scene_id,agent_id,agent_type,frame,x,y,z,heading,length,width,height"
 
@@ -337,3 +338,23 @@ class TestCache:
         again = SceneMetaRecord.from_json(meta.to_json())
         assert again == meta
         assert json.loads(meta.to_json())["split"] == "train"
+
+
+class TestCacheHeaderSchema:
+    """A CRC-valid .tksc whose header breaks the schema raises CacheError, not KeyError."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.pop("location"),
+            lambda h: h.pop("n_rows"),
+            lambda h: h["agents"][0].pop("first_ts"),
+            lambda h: h.update(columns=7),
+        ],
+        ids=["no-location", "no-n_rows", "agent-without-first_ts", "columns-not-a-list"],
+    )
+    def test_schema_violation_raises_cache_error(self, tmp_path, edit):
+        path = cache_write(synth_scene(Straight(1.0), 1, 5, 0.1), tmp_path)
+        path.write_bytes(rewrite_json_header(path.read_bytes(), edit, crc=True))
+        with pytest.raises(CacheError, match="schema"):
+            cache_load(path)

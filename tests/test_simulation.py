@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from trajkit.core import SceneFrame
+from trajkit.core import AgentMetadata, AgentType, Extent, SceneFrame
 from trajkit.ingest import (
     Circle,
     SceneMetaRecord,
@@ -12,7 +13,9 @@ from trajkit.ingest import (
     synth_scene,
     write_canonical_csv,
 )
+from trajkit.kinematics import complete_track
 from trajkit.simulation import (
+    OBS_STATE_LAYOUT,
     SimState,
     rollout_scene,
     sim_export,
@@ -22,7 +25,10 @@ from trajkit.simulation import (
     wasserstein_1d,
 )
 
-from conftest import random_scene
+from trajkit.vecmap import PolygonArea, VectorMap
+
+from conftest import random_scene, straight_lane
+from oracles import crossing_number_inside, obb_overlap_by_sampling
 
 
 def _ingested(scene) -> SceneFrame:
@@ -288,3 +294,128 @@ class TestExport:
         p1 = sim_export(state, tmp_path / "a.csv")
         p2 = sim_export(state, tmp_path / "b.csv")
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestObservationMatchesRollout:
+    def test_controlled_rows_equal_rollout_last_row_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        scene = random_scene(rng, n_agents=6, n_timesteps=60, gap_prob=0.2)
+        init, steps = 12, 30
+        controlled = [m.agent_id for m in scene.agents if m.first_ts <= init <= m.last_ts]
+        assert controlled
+        by_id = {m.agent_id: i for i, m in enumerate(scene.agents)}
+
+        def check(state, obs):
+            roll = rollout_scene(state)
+            for j, meta in enumerate(roll.agents):
+                if meta.agent_id not in state.controlled_idx:
+                    continue
+                last = roll.rows_for_agent(j).stop - 1
+                want = np.array([getattr(roll.columns, k)[last] for k in OBS_STATE_LAYOUT])
+                assert obs.states[by_id[meta.agent_id]].tobytes() == want.tobytes()
+
+        state, obs = sim_reset(scene, init, controlled)
+        check(state, obs)
+        x, y, h = {}, {}, {}
+        for a in controlled:
+            row = scene.row_at(by_id[a], init)
+            x[a], y[a], h[a] = scene.columns.x[row], scene.columns.y[row], scene.columns.heading[row]
+        for step in range(steps):
+            poses = {}
+            for a in controlled:
+                jump = 7.0 if step == 10 else 0.0  # a teleport exercises the one-sided stencil ends
+                x[a] += 0.8 + rng.normal(0.0, 0.3) + jump
+                y[a] += rng.normal(0.0, 0.3)
+                h[a] += rng.normal(0.0, 0.2)
+                poses[a] = (x[a], y[a], h[a])
+            state, obs = sim_step(state, poses)
+            check(state, obs)
+
+
+def _derived_track(ts, xs, ys, dt):
+    """Imputed track with derived kinematics from observed positions."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    first_ts, track, _ = complete_track(np.asarray(ts), xs, ys, np.zeros(len(xs)), dt)
+    return first_ts, track
+
+
+class TestScoreMatchesOracles:
+    """sim_score's rates against brute-force overlap and point-in-polygon oracles."""
+
+    DT = 0.1
+    INIT, STEPS = 5, 30
+
+    def _map(self):
+        # An L-shaped road: east along y = 0 for x in [0, 52], then north along x = 50.
+        east = PolygonArea(np.array([(0.0, -2.0), (52.0, -2.0), (52.0, 2.0), (0.0, 2.0)]))
+        north = PolygonArea(np.array([(48.0, -2.0), (52.0, -2.0), (52.0, 50.0), (48.0, 50.0)]))
+        return VectorMap("toy:flat", [straight_lane("L1", 0.0, length=52.0)], road_areas=[east, north])
+
+    def _scene(self):
+        n = 41
+        ts = np.arange(n)
+        car = Extent(4.0, 2.0, 1.5)
+        specs = [
+            # a: controlled vehicle; its rollout rams c, then leaves the road.
+            ("a", AgentType.VEHICLE, car, ts, 5.0 + 0.5 * ts, np.zeros(n)),
+            # b: log-replayed vehicle observed on both legs of the L; the
+            # interpolated rows between cut the corner, off the road.
+            ("b", AgentType.VEHICLE, car, np.array([0, 1, 2, 30, 31, 32]),
+             [30.0, 30.5, 31.0, 50.0, 50.0, 50.0], [0.0, 0.0, 0.0, 20.0, 20.5, 21.0]),
+            # c: parked vehicle on the road, in a's path.
+            ("c", AgentType.VEHICLE, car, ts, np.full(n, 12.2), np.full(n, 0.5)),
+            # d: pedestrian off the road, far from everyone: no off-road type.
+            ("d", AgentType.PEDESTRIAN, Extent(0.6, 0.6, 1.8), ts, np.full(n, 5.0), 10.0 + 0.05 * ts),
+            # e: extent-less vehicle on the road: no collision candidate.
+            ("e", AgentType.VEHICLE, None, ts, np.full(n, 45.0), np.zeros(n)),
+        ]
+        agents, tracks = [], []
+        for agent_id, agent_type, extent, obs_ts, xs, ys in specs:
+            first_ts, track = _derived_track(obs_ts, xs, ys, self.DT)
+            agents.append(AgentMetadata(agent_id, agent_type, extent, first_ts, first_ts + len(track["x"]) - 1))
+            tracks.append(track)
+        return SceneFrame.from_tracks("oracle", "toy", "flat", self.DT, agents, tracks)
+
+    def _rollout(self, scene):
+        state, _ = sim_reset(scene, self.INIT, ["a"])
+        for ts in range(self.INIT + 1, self.INIT + self.STEPS + 1):
+            y = 0.0 if ts <= 20 else 0.4 * (ts - 20)
+            state, _ = sim_step(state, {"a": (5.0 + 0.5 * ts, y, 0.0)})
+        return state
+
+    def test_rates_match_oracles(self):
+        vmap = self._map()
+        scene = self._scene()
+        state = self._rollout(scene)
+        metrics = sim_score(state, vmap)
+        roll = rollout_scene(state)
+        cols = roll.columns
+
+        def box(r):
+            ext = roll.agents[cols.agent_index[r]].extent
+            return (cols.x[r], cols.y[r], cols.heading[r], ext.length, ext.width)
+
+        boxed = [i for i, m in enumerate(roll.agents) if m.extent is not None]
+        collided = set()
+        for i, j in itertools.combinations(boxed, 2):
+            lo = max(roll.agents[i].first_ts, roll.agents[j].first_ts)
+            hi = min(roll.agents[i].last_ts, roll.agents[j].last_ts)
+            boxes = ((box(roll.row_at(i, t)), box(roll.row_at(j, t))) for t in range(lo, hi + 1))
+            if any(obb_overlap_by_sampling(box_i, box_j, n_side=40) for box_i, box_j in boxes):
+                collided |= {i, j}
+        polygons = [poly.rings() for poly in vmap.drivable_polygons()]
+        road = [i for i, m in enumerate(roll.agents) if str(m.agent_type) in ("vehicle", "motorcycle")]
+        off_rows = {
+            i: [r for r in range(roll.rows_for_agent(i).start, roll.rows_for_agent(i).stop)
+                if not any(crossing_number_inside(cols.x[r], cols.y[r], rings) for rings in polygons)]
+            for i in road
+        }
+        offroad = {i for i in road if off_rows[i]}
+
+        ids = [m.agent_id for m in roll.agents]
+        assert {ids[i] for i in collided} == {"a", "c"}
+        assert {ids[i] for i in offroad} == {"a", "b"}
+        b = ids.index("b")
+        assert not cols.observed[off_rows[b]].any()  # b is off the road only on interpolated rows
+        assert metrics.collision_rate == len(collided) / len(boxed)
+        assert metrics.offroad_rate == len(offroad) / len(road)

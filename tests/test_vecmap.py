@@ -23,7 +23,7 @@ from trajkit.vecmap import (
 )
 from trajkit.vecmap import _decode_points, _encode_points
 
-from conftest import convex_polygon, random_lane_map, square_area, straight_lane, tiny_traffic_map
+from conftest import convex_polygon, random_lane_map, rewrite_json_header, square_area, straight_lane, tiny_traffic_map
 from oracles import brute_closest_lanes, brute_lanes_within, crossing_number_inside, fan_triangulation_area
 
 
@@ -346,3 +346,21 @@ class TestSerialization:
         patched = data[:10] + struct.pack("<Q", len(new_header)) + new_header + data[head_len + header_len :]
         with pytest.raises(DanglingLaneError):
             map_deserialize(patched)
+
+
+class TestMapDirectorySchema:
+    """A .tkmap whose directory breaks the schema raises MapFormatError, not KeyError."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.pop("lanes"),
+            lambda h: h.pop("traffic_lights"),
+            lambda h: h["lanes"][0].pop("n_center"),
+        ],
+        ids=["no-lanes", "no-traffic_lights", "lane-without-n_center"],
+    )
+    def test_schema_violation_raises_map_format_error(self, edit):
+        data = rewrite_json_header(map_serialize(_rich_map()), edit, crc=False)
+        with pytest.raises(MapFormatError, match="schema"):
+            map_deserialize(data)
