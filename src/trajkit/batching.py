@@ -13,7 +13,7 @@ import io
 import json
 import math
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -45,8 +45,8 @@ class WindowSpec:
 
     def __post_init__(self):
         for name, (lo, hi) in (("history", self.history), ("future", self.future)):
-            if not (0.0 <= lo <= hi):
-                raise ValueError(f"{name} window must satisfy 0 <= min <= max, got {(lo, hi)}")
+            if not (0.0 <= lo <= hi < math.inf):
+                raise ValueError(f"{name} window must be finite with 0 <= min <= max, got {(lo, hi)}")
 
 
 @dataclass(frozen=True)
@@ -147,6 +147,17 @@ class _SceneContext:
     f_steps: int
     h_min: int
     f_min: int
+    first_ts: np.ndarray = field(init=False)  # (agents,) lifetime bounds
+    last_ts: np.ndarray = field(init=False)
+    row0: np.ndarray = field(init=False)      # row of (agent j, ts) is row0[j] + ts
+    states: np.ndarray = field(init=False)    # (rows, 7): x, y, vx, vy, ax, ay, heading
+
+    def __post_init__(self):
+        cols = self.scene.columns
+        self.first_ts = np.array([m.first_ts for m in self.scene.agents], dtype=np.int64)
+        self.last_ts = np.array([m.last_ts for m in self.scene.agents], dtype=np.int64)
+        self.row0 = self.scene._agent_offsets[:-1] - self.first_ts
+        self.states = np.column_stack([cols.x, cols.y, cols.vx, cols.vy, cols.ax, cols.ay, cols.heading])
 
 
 @dataclass
@@ -249,44 +260,27 @@ def build_index(
     return ElementIndex(centric=centric, window=window, filter=filt, entries=entries, contexts=contexts)
 
 
-def _gather_window(scene: SceneFrame, agent_index: int, ts_values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """World-frame (x, y, vx, vy, ax, ay) rows, headings, and a validity mask
-    for the given timesteps; slots outside the agent's lifetime are zero."""
-    meta = scene.agents[agent_index]
-    cols = scene.columns
-    start = scene.rows_for_agent(agent_index).start
-    mask = (ts_values >= meta.first_ts) & (ts_values <= meta.last_ts)
-    rows = start + (np.where(mask, ts_values, meta.first_ts) - meta.first_ts)
-    out = np.zeros((len(ts_values), 6))
-    heading = np.zeros(len(ts_values))
-    if mask.any():
-        idx = rows[mask]
-        out[mask, 0] = cols.x[idx]
-        out[mask, 1] = cols.y[idx]
-        out[mask, 2] = cols.vx[idx]
-        out[mask, 3] = cols.vy[idx]
-        out[mask, 4] = cols.ax[idx]
-        out[mask, 5] = cols.ay[idx]
-        heading[mask] = cols.heading[idx]
-    return out, heading, mask
-
-
-def _standardize(raw: np.ndarray, heading: np.ndarray, mask: np.ndarray, origin: np.ndarray, yaw: float) -> np.ndarray:
-    """Rotate/translate gathered rows into the frame at (origin, yaw)."""
+def _window(ctx: _SceneContext, agents, ts_values: np.ndarray, origin: np.ndarray, yaw: float) -> tuple[np.ndarray, np.ndarray]:
+    """States (N, T, STATE_DIM) and validity mask (N, T) of N agents over the
+    timesteps ts_values, in the frame at (origin, yaw); slots outside an
+    agent's lifetime are zero and False."""
+    agents = np.asarray(agents, dtype=np.int64)[:, None]
+    first = ctx.first_ts[agents]
+    mask = (ts_values >= first) & (ts_values <= ctx.last_ts[agents])
+    raw = ctx.states[ctx.row0[agents] + np.where(mask, ts_values, first)]
     c, s = math.cos(yaw), math.sin(yaw)
     rot = np.array([[c, s], [-s, c]])  # rotation by -yaw
-    state = np.zeros((len(raw), STATE_DIM))
-    pos = (raw[:, 0:2] - origin) @ rot.T
-    vel = raw[:, 2:4] @ rot.T
-    acc = raw[:, 4:6] @ rot.T
-    h_std = wrap_angle(heading - yaw)
-    state[:, 0:2] = pos
-    state[:, 2:4] = vel
-    state[:, 4:6] = acc
-    state[:, 6] = np.sin(h_std)
-    state[:, 7] = np.cos(h_std)
+    # Rotate each agent's (T, 2) block as its own matmul: a flattened
+    # (N*T, 2) product can round differently in the last bit.
+    state = np.empty((*mask.shape, STATE_DIM))
+    state[..., 0:2] = (raw[..., 0:2] - origin) @ rot.T
+    state[..., 2:4] = raw[..., 2:4] @ rot.T
+    state[..., 4:6] = raw[..., 4:6] @ rot.T
+    h_std = wrap_angle(raw[..., 6] - yaw)
+    state[..., 6] = np.sin(h_std)
+    state[..., 7] = np.cos(h_std)
     state[~mask] = 0.0
-    return state
+    return state, mask
 
 
 def _build_agent_element(ctx: _SceneContext, agent_index: int, ts: int, filt: FilterSpec) -> AgentBatchElement:
@@ -297,31 +291,24 @@ def _build_agent_element(ctx: _SceneContext, agent_index: int, ts: int, filt: Fi
     origin = np.array([cols.x[ego_row], cols.y[ego_row]])
     yaw = float(cols.heading[ego_row])
 
-    hist_ts = np.arange(ts - ctx.h_steps, ts + 1)
-    fut_ts = np.arange(ts + 1, ts + ctx.f_steps + 1)
-    raw_h, head_h, mask_h = _gather_window(scene, agent_index, hist_ts)
-    raw_f, head_f, mask_f = _gather_window(scene, agent_index, fut_ts)
-
+    present = np.flatnonzero((ctx.first_ts <= ts) & (ctx.last_ts >= ts))
+    rows = ctx.row0[present] + ts
+    keep = (present != agent_index) & cols.observed[rows]
+    candidates, rows = present[keep], rows[keep]
     neighbors: list[tuple[float, str, int]] = []
-    for j in scene.agents_present_at(ts):
-        if j == agent_index:
-            continue
-        row = scene.row_at(j, ts)
-        if not cols.observed[row]:
-            continue
-        dist = math.hypot(cols.x[row] - origin[0], cols.y[row] - origin[1])
+    # math.hypot, not np.hypot: the two differ in the last bit on some
+    # inputs, which would reorder ties and move the max_neighbor_dist cut.
+    for j, x, y in zip(candidates.tolist(), cols.x[rows].tolist(), cols.y[rows].tolist()):
+        dist = math.hypot(x - origin[0], y - origin[1])
         if filt.max_neighbor_dist is not None and dist > filt.max_neighbor_dist:
             continue
         neighbors.append((dist, scene.agents[j].agent_id, j))
     neighbors.sort(key=lambda n: (n[0], n[1]))
 
-    n_hist = np.zeros((len(neighbors), ctx.h_steps + 1, STATE_DIM))
-    n_mask = np.zeros((len(neighbors), ctx.h_steps + 1), dtype=bool)
-    for slot, (_, _, j) in enumerate(neighbors):
-        raw_n, head_n, mask_n = _gather_window(scene, j, hist_ts)
-        n_hist[slot] = _standardize(raw_n, head_n, mask_n, origin, yaw)
-        n_mask[slot] = mask_n
-
+    # History and future take one call each, as the per-agent path did: a
+    # one-step future rotated inside a longer range rounds differently.
+    hist, hist_mask = _window(ctx, [agent_index] + [n[2] for n in neighbors], np.arange(ts - ctx.h_steps, ts + 1), origin, yaw)
+    fut, fut_mask = _window(ctx, [agent_index], np.arange(ts + 1, ts + ctx.f_steps + 1), origin, yaw)
     return AgentBatchElement(
         scene_id=scene.scene_id,
         dataset_tag=ctx.tag,
@@ -329,14 +316,14 @@ def _build_agent_element(ctx: _SceneContext, agent_index: int, ts: int, filt: Fi
         agent_type=meta.agent_type,
         current_ts=ts,
         dt=scene.dt,
-        history=_standardize(raw_h, head_h, mask_h, origin, yaw),
-        history_mask=mask_h,
-        future=_standardize(raw_f, head_f, mask_f, origin, yaw),
-        future_mask=mask_f,
+        history=hist[0],
+        history_mask=hist_mask[0],
+        future=fut[0],
+        future_mask=fut_mask[0],
         neighbor_ids=tuple(n[1] for n in neighbors),
         neighbor_types=tuple(scene.agents[n[2]].agent_type for n in neighbors),
-        neighbor_histories=n_hist,
-        neighbor_masks=n_mask,
+        neighbor_histories=hist[1:],
+        neighbor_masks=hist_mask[1:],
         translation=origin,
         rotation=yaw,
     )
@@ -344,21 +331,8 @@ def _build_agent_element(ctx: _SceneContext, agent_index: int, ts: int, filt: Fi
 
 def _build_scene_element(ctx: _SceneContext, ts: int, agent_indices: tuple[int, ...]) -> SceneBatchElement:
     scene = ctx.scene
-    hist_ts = np.arange(ts - ctx.h_steps, ts + 1)
-    fut_ts = np.arange(ts + 1, ts + ctx.f_steps + 1)
-    a = len(agent_indices)
-    histories = np.zeros((a, ctx.h_steps + 1, STATE_DIM))
-    history_masks = np.zeros((a, ctx.h_steps + 1), dtype=bool)
-    futures = np.zeros((a, ctx.f_steps, STATE_DIM))
-    future_masks = np.zeros((a, ctx.f_steps), dtype=bool)
-    origin = np.zeros(2)
-    for slot, j in enumerate(agent_indices):
-        raw_h, head_h, mask_h = _gather_window(scene, j, hist_ts)
-        histories[slot] = _standardize(raw_h, head_h, mask_h, origin, 0.0)
-        history_masks[slot] = mask_h
-        raw_f, head_f, mask_f = _gather_window(scene, j, fut_ts)
-        futures[slot] = _standardize(raw_f, head_f, mask_f, origin, 0.0)
-        future_masks[slot] = mask_f
+    hist, hist_mask = _window(ctx, agent_indices, np.arange(ts - ctx.h_steps, ts + 1), np.zeros(2), 0.0)
+    fut, fut_mask = _window(ctx, agent_indices, np.arange(ts + 1, ts + ctx.f_steps + 1), np.zeros(2), 0.0)
     return SceneBatchElement(
         scene_id=scene.scene_id,
         dataset_tag=ctx.tag,
@@ -366,10 +340,10 @@ def _build_scene_element(ctx: _SceneContext, ts: int, agent_indices: tuple[int, 
         dt=scene.dt,
         agent_ids=tuple(scene.agents[j].agent_id for j in agent_indices),
         agent_types=tuple(scene.agents[j].agent_type for j in agent_indices),
-        histories=histories,
-        history_masks=history_masks,
-        futures=futures,
-        future_masks=future_masks,
+        histories=hist,
+        history_masks=hist_mask,
+        futures=fut,
+        future_masks=fut_mask,
     )
 
 
@@ -438,6 +412,15 @@ class AgentBatch:
         return out
 
 
+def _pad(parts: Sequence[np.ndarray], dtype=None) -> np.ndarray:
+    """Stack arrays that differ only in their first dimension, zero-filling
+    each up to the longest."""
+    out = np.zeros((len(parts), max(len(p) for p in parts), *parts[0].shape[1:]), dtype=dtype or parts[0].dtype)
+    for i, p in enumerate(parts):
+        out[i, : len(p)] = p
+    return out
+
+
 def collate(elements: Sequence[AgentBatchElement]) -> AgentBatch:
     """Stack elements into one padded batch; padded neighbor slots are masked False.
 
@@ -452,15 +435,6 @@ def collate(elements: Sequence[AgentBatchElement]) -> AgentBatch:
             raise ValueError(
                 f"mixed window shapes: {el.history.shape}/{el.future.shape} vs {h_shape}/{f_shape}"
             )
-    b = len(elements)
-    n_max = max(len(el.neighbor_ids) for el in elements)
-    neighbor_histories = np.zeros((b, n_max, h_shape[0], STATE_DIM))
-    neighbor_masks = np.zeros((b, n_max, h_shape[0]), dtype=bool)
-    for i, el in enumerate(elements):
-        n = len(el.neighbor_ids)
-        if n:
-            neighbor_histories[i, :n] = el.neighbor_histories
-            neighbor_masks[i, :n] = el.neighbor_masks
     return AgentBatch(
         scene_ids=tuple(el.scene_id for el in elements),
         dataset_tags=tuple(el.dataset_tag for el in elements),
@@ -472,8 +446,8 @@ def collate(elements: Sequence[AgentBatchElement]) -> AgentBatch:
         history_mask=np.stack([el.history_mask for el in elements]),
         future=np.stack([el.future for el in elements]),
         future_mask=np.stack([el.future_mask for el in elements]),
-        neighbor_histories=neighbor_histories,
-        neighbor_masks=neighbor_masks,
+        neighbor_histories=_pad([el.neighbor_histories for el in elements]),
+        neighbor_masks=_pad([el.neighbor_masks for el in elements]),
         neighbor_counts=np.array([len(el.neighbor_ids) for el in elements], dtype=np.int64),
         neighbor_ids=tuple(el.neighbor_ids for el in elements),
         neighbor_types=tuple(el.neighbor_types for el in elements),
@@ -527,6 +501,8 @@ def export_batches(index: ElementIndex, out_dir: str | Path, batch_size: int = 3
     Returns the manifest path. Containers are .npz files readable by
     ``numpy.load``; dtypes and dimension names are listed in the manifest.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     batches_meta = []
@@ -552,24 +528,12 @@ def export_batches(index: ElementIndex, out_dir: str | Path, batch_size: int = 3
                 {"scene_id": el.scene_id, "agent_id": el.agent_id, "ts": el.current_ts} for el in elements
             ]
         else:
-            a_max = max(len(el.agent_ids) for el in elements)
-            histories = np.zeros((len(elements), a_max, *elements[0].histories.shape[1:]), dtype=np.float32)
-            history_masks = np.zeros((len(elements), a_max, elements[0].histories.shape[1]), dtype=bool)
-            futures = np.zeros((len(elements), a_max, *elements[0].futures.shape[1:]), dtype=np.float32)
-            future_masks = np.zeros((len(elements), a_max, elements[0].futures.shape[1]), dtype=bool)
-            counts = np.array([len(el.agent_ids) for el in elements], dtype=np.int64)
-            for i, el in enumerate(elements):
-                n = len(el.agent_ids)
-                histories[i, :n] = el.histories
-                history_masks[i, :n] = el.history_masks
-                futures[i, :n] = el.futures
-                future_masks[i, :n] = el.future_masks
             arrays = {
-                "histories": histories,
-                "history_masks": history_masks,
-                "futures": futures,
-                "future_masks": future_masks,
-                "agent_counts": counts,
+                "histories": _pad([el.histories for el in elements], np.float32),
+                "history_masks": _pad([el.history_masks for el in elements]),
+                "futures": _pad([el.futures for el in elements], np.float32),
+                "future_masks": _pad([el.future_masks for el in elements]),
+                "agent_counts": np.array([len(el.agent_ids) for el in elements], dtype=np.int64),
             }
             provenance = [
                 {"scene_id": el.scene_id, "agent_ids": list(el.agent_ids), "ts": el.current_ts} for el in elements

@@ -185,6 +185,8 @@ def cmd_map_stats(args) -> int:
 
 def cmd_batch(args) -> int:
     cache = _require_cache(args)
+    if args.batch_size < 1:
+        raise _UsageError("--batch-size must be >= 1")
     tags = [t for t in args.tags.split(",") if t]
     window = WindowSpec(history=_parse_pair(args.history, "--history"), future=_parse_pair(args.future, "--future"))
     index = build_index(cache, tags, centric=args.centric, window=window, filt=FilterSpec(), desired_dt=args.dt)

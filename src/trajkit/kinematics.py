@@ -9,6 +9,7 @@ self-consistent with the position columns.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ class ResamplePlan:
 
 
 def plan_resample(native_dt: float, desired_dt: float, tol: float = 1e-9) -> ResamplePlan:
-    if not native_dt > 0.0 or not desired_dt > 0.0:
-        raise ValueError(f"timesteps must be positive, got {native_dt} and {desired_dt}")
+    if not (0.0 < native_dt < math.inf and 0.0 < desired_dt < math.inf):
+        raise ValueError(f"timesteps must be positive and finite, got {native_dt} and {desired_dt}")
     if abs(native_dt - desired_dt) <= tol:
         return ResamplePlan(native_dt, desired_dt, "identity", 1)
     if native_dt > desired_dt:

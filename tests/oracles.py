@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 
+from trajkit.batching import STATE_DIM, AgentBatchElement, SceneBatchElement
+from trajkit.core import wrap_angle
+
 
 def lane_segment_arrays(vmap):
     """Flatten a map's centerlines into parallel segment arrays (sorted lane order)."""
@@ -190,6 +193,112 @@ def enumerate_qualifying(scene, h_min, f_min, allowed_types=None):
             if ts - h_min >= meta.first_ts and ts + f_min <= meta.last_ts:
                 triples.append((meta.agent_id, ts))
     return triples
+
+
+def _reference_window(scene, agent_index, ts_values, origin, yaw):
+    """One agent's window gathered slot by slot and rotated on its own: the
+    per-agent path the batched window kernel replaced."""
+    meta = scene.agents[agent_index]
+    cols = scene.columns
+    start = scene.rows_for_agent(agent_index).start
+    mask = (ts_values >= meta.first_ts) & (ts_values <= meta.last_ts)
+    rows = start + (np.where(mask, ts_values, meta.first_ts) - meta.first_ts)
+    raw = np.zeros((len(ts_values), 6))
+    heading = np.zeros(len(ts_values))
+    if mask.any():
+        idx = rows[mask]
+        for k, name in enumerate(("x", "y", "vx", "vy", "ax", "ay")):
+            raw[mask, k] = getattr(cols, name)[idx]
+        heading[mask] = cols.heading[idx]
+    c, s = math.cos(yaw), math.sin(yaw)
+    rot = np.array([[c, s], [-s, c]])  # rotation by -yaw
+    state = np.zeros((len(raw), STATE_DIM))
+    state[:, 0:2] = (raw[:, 0:2] - origin) @ rot.T
+    state[:, 2:4] = raw[:, 2:4] @ rot.T
+    state[:, 4:6] = raw[:, 4:6] @ rot.T
+    h_std = wrap_angle(heading - yaw)
+    state[:, 6] = np.sin(h_std)
+    state[:, 7] = np.cos(h_std)
+    state[~mask] = 0.0
+    return state, mask
+
+
+def reference_element(index, i):
+    """``batching.get_element`` rebuilt one agent at a time: neighbours by a
+    scan over every agent present at the anchor, each window gathered and
+    standardized separately."""
+    entry = index.entries[i]
+    ctx = index.contexts[(entry[0], entry[1])]
+    scene, cols = ctx.scene, ctx.scene.columns
+    if index.centric == "scene":
+        _, _, ts, agent_indices = entry
+        hist_ts = np.arange(ts - ctx.h_steps, ts + 1)
+        fut_ts = np.arange(ts + 1, ts + ctx.f_steps + 1)
+        a = len(agent_indices)
+        histories = np.zeros((a, ctx.h_steps + 1, STATE_DIM))
+        history_masks = np.zeros((a, ctx.h_steps + 1), dtype=bool)
+        futures = np.zeros((a, ctx.f_steps, STATE_DIM))
+        future_masks = np.zeros((a, ctx.f_steps), dtype=bool)
+        for slot, j in enumerate(agent_indices):
+            histories[slot], history_masks[slot] = _reference_window(scene, j, hist_ts, np.zeros(2), 0.0)
+            futures[slot], future_masks[slot] = _reference_window(scene, j, fut_ts, np.zeros(2), 0.0)
+        return SceneBatchElement(
+            scene_id=scene.scene_id,
+            dataset_tag=ctx.tag,
+            current_ts=ts,
+            dt=scene.dt,
+            agent_ids=tuple(scene.agents[j].agent_id for j in agent_indices),
+            agent_types=tuple(scene.agents[j].agent_type for j in agent_indices),
+            histories=histories,
+            history_masks=history_masks,
+            futures=futures,
+            future_masks=future_masks,
+        )
+
+    _, _, agent_index, ts = entry
+    max_dist = index.filter.max_neighbor_dist
+    ego_row = scene.row_at(agent_index, ts)
+    origin = np.array([cols.x[ego_row], cols.y[ego_row]])
+    yaw = float(cols.heading[ego_row])
+    hist_ts = np.arange(ts - ctx.h_steps, ts + 1)
+    fut_ts = np.arange(ts + 1, ts + ctx.f_steps + 1)
+    neighbors = []
+    for j in scene.agents_present_at(ts):
+        if j == agent_index:
+            continue
+        row = scene.row_at(j, ts)
+        if not cols.observed[row]:
+            continue
+        dist = math.hypot(cols.x[row] - origin[0], cols.y[row] - origin[1])
+        if max_dist is not None and dist > max_dist:
+            continue
+        neighbors.append((dist, scene.agents[j].agent_id, j))
+    neighbors.sort(key=lambda n: (n[0], n[1]))
+    n_hist = np.zeros((len(neighbors), ctx.h_steps + 1, STATE_DIM))
+    n_mask = np.zeros((len(neighbors), ctx.h_steps + 1), dtype=bool)
+    for slot, (_, _, j) in enumerate(neighbors):
+        n_hist[slot], n_mask[slot] = _reference_window(scene, j, hist_ts, origin, yaw)
+    history, history_mask = _reference_window(scene, agent_index, hist_ts, origin, yaw)
+    future, future_mask = _reference_window(scene, agent_index, fut_ts, origin, yaw)
+    meta = scene.agents[agent_index]
+    return AgentBatchElement(
+        scene_id=scene.scene_id,
+        dataset_tag=ctx.tag,
+        agent_id=meta.agent_id,
+        agent_type=meta.agent_type,
+        current_ts=ts,
+        dt=scene.dt,
+        history=history,
+        history_mask=history_mask,
+        future=future,
+        future_mask=future_mask,
+        neighbor_ids=tuple(n[1] for n in neighbors),
+        neighbor_types=tuple(scene.agents[n[2]].agent_type for n in neighbors),
+        neighbor_histories=n_hist,
+        neighbor_masks=n_mask,
+        translation=origin,
+        rotation=yaw,
+    )
 
 
 def wasserstein_by_quantile_grid(a, b, n_grid=200001):

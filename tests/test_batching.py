@@ -1,6 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
+from trajkit import batching
 from trajkit.batching import (
     AgentBatchElement,
     EmptyIndexError,
@@ -17,7 +21,7 @@ from trajkit.core import AgentType
 from trajkit.ingest import SceneCache, SceneMetaRecord, Straight, UnknownTagError, parse_canonical_csv, synth_scene
 
 from conftest import random_scene
-from oracles import enumerate_qualifying
+from oracles import enumerate_qualifying, reference_element
 
 HEADER = "scene_id,agent_id,agent_type,frame,x,y,z,heading,length,width,height"
 
@@ -38,6 +42,11 @@ class TestWindowAndFilter:
             WindowSpec((3.0, 1.0), (0.0, 0.0))
         with pytest.raises(ValueError):
             WindowSpec((-1.0, 1.0), (0.0, 0.0))
+
+    @pytest.mark.parametrize("history, future", [((0.0, math.inf), (0.0, 0.0)), ((0.0, 1.0), (math.inf, math.inf))])
+    def test_non_finite_window_rejected(self, history, future):
+        with pytest.raises(ValueError, match="finite"):
+            WindowSpec(history, future)
 
     def test_empty_type_set_invalid(self):
         with pytest.raises(ValueError):
@@ -367,3 +376,79 @@ class TestExport:
         assert meta["centric"] == "scene"
         arrays = np.load(tmp_path / "sc" / meta["batches"][0]["file"])
         assert arrays["histories"].ndim == 4
+        sizes = [len(entry[3]) for entry in index.entries]
+        assert len(set(sizes)) > 1  # some elements are padded
+        for b, batch in enumerate(meta["batches"]):
+            arrays = np.load(tmp_path / "sc" / batch["file"])
+            counts = arrays["agent_counts"]
+            assert counts.tolist() == sizes[b * 16 : b * 16 + len(counts)]
+            for name in ("histories", "history_masks", "futures", "future_masks"):
+                assert arrays[name].shape[1] == counts.max()
+                for i, n in enumerate(counts):
+                    assert not arrays[name][i, n:].any()
+                    if name.endswith("masks"):
+                        assert arrays[name][i, :n].any(axis=1).all()
+
+    def test_batch_size_below_one_rejected(self, cache, tmp_path):
+        cache.write(synth_scene(Straight(10.0), 1, 30, 0.1))
+        index = build_index(cache, ["synth"], "agent", WindowSpec((0.0, 0.0), (0.0, 0.0)))
+        for size in (0, -3):
+            with pytest.raises(ValueError, match="batch_size"):
+                export_batches(index, tmp_path / "out", batch_size=size)
+        assert not (tmp_path / "out").exists()
+
+def _assert_same_bits(got, want):
+    # AgentBatchElement.__eq__ uses array_equal, which takes -0.0 == 0.0.
+    assert type(got) is type(want)
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        else:
+            assert a == b, f.name
+
+
+class TestWindowKernelEquivalence:
+    """The batched window kernel against the per-agent reference in oracles.py."""
+
+    WINDOW = WindowSpec((0.2, 0.8), (0.1, 0.5))
+    # One-slot windows take numpy's matrix-vector path, not the matrix one.
+    ONE_STEP = WindowSpec((0.0, 0.0), (0.1, 0.1))
+
+    def _gappy_cache(self, cache, seed):
+        rng = np.random.default_rng(seed)
+        for i in range(2):
+            cache.write(random_scene(rng, n_agents=6, n_timesteps=50, gap_prob=0.3, scene_id=f"s{i}"))
+        return cache
+
+    @pytest.mark.parametrize("centric", ["agent", "scene"])
+    @pytest.mark.parametrize("desired_dt", [None, 0.2, 0.05])
+    @pytest.mark.parametrize("max_dist", [None, 25.0])
+    @pytest.mark.parametrize("seed, window", [(41, WINDOW), (42, ONE_STEP)])
+    def test_elements_bit_identical(self, cache, centric, desired_dt, max_dist, seed, window):
+        self._gappy_cache(cache, seed)
+        filt = FilterSpec(max_neighbor_dist=max_dist)
+        index = build_index(cache, ["rand"], centric, window, filt, desired_dt=desired_dt)
+        for i in range(len(index)):
+            _assert_same_bits(get_element(index, i), reference_element(index, i))
+
+    def test_distance_cut_drops_neighbors(self, cache):
+        self._gappy_cache(cache, 41)
+        filt = FilterSpec(max_neighbor_dist=25.0)
+        near = build_index(cache, ["rand"], "agent", self.WINDOW, filt)
+        far = build_index(cache, ["rand"], "agent", self.WINDOW)
+        n_near = sum(len(get_element(near, i).neighbor_ids) for i in range(len(near)))
+        n_far = sum(len(get_element(far, i).neighbor_ids) for i in range(len(far)))
+        assert 0 < n_near < n_far
+
+    @pytest.mark.parametrize("centric", ["agent", "scene"])
+    def test_export_bytes_identical(self, cache, tmp_path, monkeypatch, centric):
+        self._gappy_cache(cache, 43)
+        index = build_index(cache, ["rand"], centric, self.WINDOW, desired_dt=0.2)
+        export_batches(index, tmp_path / "kernel", batch_size=7)
+        monkeypatch.setattr(batching, "get_element", reference_element)
+        export_batches(index, tmp_path / "reference", batch_size=7)
+        names = sorted(p.name for p in (tmp_path / "kernel").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "reference").iterdir())
+        for name in names:
+            assert (tmp_path / "kernel" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()

@@ -207,6 +207,30 @@ class TestBatchCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_batch_size_below_one_exit_64(self, workspace, size):
+        tmp_path, cache_dir = workspace
+        code = main(
+            ["batch", "--cache", str(cache_dir), "--tags", "synth",
+             "--history", "1,3", "--future", "4,4", "--batch-size", size, "--out", str(tmp_path / "b")]
+        )
+        assert code == 64
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            ["--history", "0,inf", "--future", "4,4"],
+            ["--history", "1,3", "--future", "inf,inf"],
+            ["--history", "1,3", "--future", "4,4", "--dt", "inf"],
+        ],
+    )
+    def test_non_finite_seconds_exit_2(self, workspace, window):
+        tmp_path, cache_dir = workspace
+        code = main(["batch", "--cache", str(cache_dir), "--tags", "synth", *window, "--out", str(tmp_path / "b")])
+        assert code == 2
+        assert not (tmp_path / "b").exists()
+
     def test_bad_window_exit_64(self, workspace):
         tmp_path, cache_dir = workspace
         code = main(

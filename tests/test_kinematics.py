@@ -152,6 +152,11 @@ class TestResamplePlan:
         plan = plan_resample(0.1, 0.4)
         assert plan.mode == "downsample" and plan.factor == 4
 
+    @pytest.mark.parametrize("native, desired", [(0.1, math.inf), (math.inf, 0.1), (0.1, math.nan)])
+    def test_non_finite_dt_rejected(self, native, desired):
+        with pytest.raises(ValueError, match="positive and finite"):
+            plan_resample(native, desired)
+
     def test_non_integer_ratio_names_both_dts(self):
         with pytest.raises(ResampleRatioError, match="0.1.*0.25"):
             plan_resample(0.1, 0.25)
