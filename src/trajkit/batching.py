@@ -60,8 +60,9 @@ class FilterSpec:
     def __post_init__(self):
         if not self.agent_types:
             raise ValueError("allowed agent-type set must not be empty")
-        if self.max_neighbor_dist is not None and self.max_neighbor_dist < 0.0:
-            raise ValueError("max_neighbor_dist must be >= 0")
+        # Written so that NaN fails too: it would otherwise mean "no cut".
+        if self.max_neighbor_dist is not None and not self.max_neighbor_dist >= 0.0:
+            raise ValueError(f"max_neighbor_dist must be >= 0, got {self.max_neighbor_dist}")
 
 
 @dataclass(eq=False)

@@ -640,6 +640,9 @@ class SceneCache:
         if resolved in self._memo:
             return self._memo[resolved]
         scene = scene_from_bytes(resolved.read_bytes())
+        # Every caller shares the memoized arrays, so none may write to them.
+        for column in scene.columns.as_dict().values():
+            column.flags.writeable = False
         self._memo[resolved] = scene
         return scene
 

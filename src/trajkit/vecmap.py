@@ -195,33 +195,74 @@ def polygon_area(area: PolygonArea) -> float:
     return total
 
 
-def _point_on_ring_boundary(px: float, py: float, ring: np.ndarray) -> bool:
-    x0, y0, x1, y1 = _ring_edges(ring)
-    cross = (x1 - x0) * (py - y0) - (px - x0) * (y1 - y0)
-    within_x = (px >= np.minimum(x0, x1)) & (px <= np.maximum(x0, x1))
-    within_y = (py >= np.minimum(y0, y1)) & (py <= np.maximum(y0, y1))
-    return bool(np.any((cross == 0.0) & within_x & within_y))
+class _EdgeTable:
+    """Every edge of every ring of a list of polygons, grouped by polygon,
+    plus each polygon's bounding box widened by a relative margin.
 
+    ``contains`` runs the even-odd test over all polygons at once: the boxes
+    pick the candidate polygons and one pass over their edges does the
+    boundary and crossing tests. Skipping the other polygons is exact. A
+    point outside a polygon's y-range touches and straddles none of its
+    edges. Where ``y0 <= py < y1`` the crossing abscissa ``x_at`` stays within
+    a few ULPs of the edge's x-range, far inside the margin, so a point left
+    of the box crosses every straddled edge (an even number per ring) and a
+    point right of it crosses none.
+    """
 
-def _ring_crossings(px: float, py: float, ring: np.ndarray) -> int:
-    x0, y0, x1, y1 = _ring_edges(ring)
-    straddles = ((y0 <= py) & (y1 > py)) | ((y1 <= py) & (y0 > py))
-    if not straddles.any():
-        return 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (py - y0) / (y1 - y0)
-        x_at = x0 + t * (x1 - x0)
-    return int(np.count_nonzero(straddles & (px < x_at)))
+    def __init__(self, polygons: Sequence[PolygonArea]):
+        edges, counts = [], []
+        # A polygon without points is never a candidate.
+        self._lo = np.full((2, len(polygons)), np.inf)
+        self._hi = np.full((2, len(polygons)), -np.inf)
+        for k, area in enumerate(polygons):
+            edges += [np.stack(_ring_edges(ring)) for ring in area.rings()]
+            pts = np.concatenate(area.rings())
+            counts.append(len(pts))
+            if not len(pts):
+                continue
+            reach = np.abs(pts).max()
+            if reach < 1e300:
+                margin = 1e-9 * (1.0 + reach)
+                self._lo[:, k] = pts.min(axis=0) - margin
+                self._hi[:, k] = pts.max(axis=0) + margin
+            else:  # NaN, infinite or near-overflow coordinates: always test the edges
+                self._lo[:, k] = -np.inf
+                self._hi[:, k] = np.inf
+        x0, y0, x1, y1 = np.concatenate(edges, axis=1) if edges else np.zeros((4, 0))
+        self._edges = np.stack(
+            [x0, y0, x1 - x0, y1 - y0, np.minimum(x0, x1), np.maximum(x0, x1), np.minimum(y0, y1), np.maximum(y0, y1)]
+        )
+        self._owner = np.repeat(np.arange(len(polygons)), counts)
+        self._end = np.cumsum(np.asarray(counts, dtype=np.int64))
+        self._start = self._end - counts
+
+    def contains(self, px: float, py: float) -> bool:
+        """True iff (px, py) lies in any polygon; boundary points count as inside."""
+        lo, hi = self._lo, self._hi
+        cand = np.flatnonzero((lo[0] <= px) & (px <= hi[0]) & (lo[1] <= py) & (py <= hi[1]))
+        if len(cand) == 0:
+            return False
+        if len(cand) == 1:
+            sel = slice(self._start[cand[0]], self._end[cand[0]])
+        else:
+            sel = _expand_ranges(self._start[cand], self._end[cand])
+        x0, y0, dx, dy, min_x, max_x, min_y, max_y = self._edges[:, sel]
+        on_line = dx * (py - y0) - (px - x0) * dy == 0.0
+        if on_line.any() and np.any(on_line & (px >= min_x) & (px <= max_x) & (py >= min_y) & (py <= max_y)):
+            return True
+        straddle = np.flatnonzero((min_y <= py) & (py < max_y))
+        if len(straddle) == 0:
+            return False
+        x_at = x0[straddle] + (py - y0[straddle]) / dy[straddle] * dx[straddle]
+        crossed = straddle[px < x_at]
+        if len(cand) == 1:
+            return len(crossed) % 2 == 1
+        return bool(np.any(np.bincount(self._owner[sel][crossed]) & 1))
 
 
 def point_in_polygon(px: float, py: float, area: PolygonArea) -> bool:
     """Even-odd membership over exterior and holes; boundary points count as inside."""
-    crossings = 0
-    for ring in area.rings():
-        if _point_on_ring_boundary(px, py, ring):
-            return True
-        crossings += _ring_crossings(px, py, ring)
-    return crossings % 2 == 1
+    return _EdgeTable([area]).contains(px, py)
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +426,21 @@ def _expand_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.arange(int(lengths.sum()), dtype=np.int64) + shift
 
 
+def _finite_xy(point) -> tuple[float, float]:
+    """The point's x and y as floats; ValueError unless both are finite."""
+    px, py = float(point[0]), float(point[1])
+    if not (math.isfinite(px) and math.isfinite(py)):
+        raise ValueError(f"query point must be finite, got ({px}, {py})")
+    return px, py
+
+
 class VectorMap:
     """Immutable vector map; all queries are safe to run concurrently.
 
     Construction finalizes the map: lane references are validated,
     successor/predecessor symmetry is closed (with a warning when source data
-    was asymmetric), lane polygons are built, and the spatial index is packed.
+    was asymmetric), lane polygons are built, the spatial index is packed, and
+    the edges and bounding boxes of the drivable polygons are tabulated.
     """
 
     def __init__(
@@ -425,6 +475,7 @@ class VectorMap:
             if poly is not None
         }
         self._index = self._build_index()
+        self._drivable = _EdgeTable(self.drivable_polygons())
 
     def _validate_references(self) -> None:
         for lane in self.lanes.values():
@@ -479,7 +530,7 @@ class VectorMap:
         """
         if self._index is None:
             raise NoLanesError(f"map {self.map_id} has no lanes")
-        px, py = float(point[0]), float(point[1])
+        px, py = _finite_xy(point)
         d2 = self._index.nearest_dist2(px, py)
         ords = self._index.within_dist2(px, py, d2)
         exact = segment_dist2(px, py, self._index.ax[ords], self._index.ay[ords], self._index.bx[ords], self._index.by[ords])
@@ -492,11 +543,11 @@ class VectorMap:
 
     def lanes_within(self, point, radius: float) -> set[str]:
         """Lane ids whose centerline xy-distance to the point is <= radius."""
-        if radius < 0.0:
+        if not radius >= 0.0:
             raise ValueError(f"radius must be >= 0, got {radius}")
+        px, py = _finite_xy(point)
         if self._index is None:
             return set()
-        px, py = float(point[0]), float(point[1])
         ords = self._index.within_dist2(px, py, radius * radius)
         return {self._lane_ids[i] for i in np.unique(self._index.lane_ord[ords])}
 
@@ -515,8 +566,7 @@ class VectorMap:
         """
         if not self.has_drivable_area:
             raise DrivableAreaUnsupported(f"map {self.map_id} has no road areas and no bounded lanes")
-        px, py = float(point[0]), float(point[1])
-        return any(point_in_polygon(px, py, poly) for poly in self.drivable_polygons())
+        return self._drivable.contains(float(point[0]), float(point[1]))
 
     def traffic_light_status(self, lane_id: str, scene_ts: int) -> TrafficLightStatus:
         if lane_id not in self.lanes:

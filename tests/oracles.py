@@ -89,6 +89,49 @@ def crossing_number_inside(px, py, rings):
     return crossings % 2 == 1
 
 
+def _reference_ring_edges(ring):
+    x0, y0 = ring[:, 0], ring[:, 1]
+    return x0, y0, np.concatenate((x0[1:], x0[:1])), np.concatenate((y0[1:], y0[:1]))
+
+
+def _reference_on_ring_boundary(px, py, ring):
+    x0, y0, x1, y1 = _reference_ring_edges(ring)
+    cross = (x1 - x0) * (py - y0) - (px - x0) * (y1 - y0)
+    within_x = (px >= np.minimum(x0, x1)) & (px <= np.maximum(x0, x1))
+    within_y = (py >= np.minimum(y0, y1)) & (py <= np.maximum(y0, y1))
+    return bool(np.any((cross == 0.0) & within_x & within_y))
+
+
+def _reference_ring_crossings(px, py, ring):
+    x0, y0, x1, y1 = _reference_ring_edges(ring)
+    straddles = ((y0 <= py) & (y1 > py)) | ((y1 <= py) & (y0 > py))
+    if not straddles.any():
+        return 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (py - y0) / (y1 - y0)
+        x_at = x0 + t * (x1 - x0)
+    return int(np.count_nonzero(straddles & (px < x_at)))
+
+
+def reference_point_in_polygon(px, py, area):
+    """Even-odd membership one ring at a time, boundary first: the
+    per-polygon path the drivable-area edge table replaced."""
+    crossings = 0
+    # An infinite coordinate meets a horizontal edge as inf * 0 in the cross product.
+    with np.errstate(invalid="ignore"):
+        for ring in area.rings():
+            if _reference_on_ring_boundary(px, py, ring):
+                return True
+            crossings += _reference_ring_crossings(px, py, ring)
+    return crossings % 2 == 1
+
+
+def reference_in_drivable_area(vmap, point):
+    """``VectorMap.point_in_drivable_area`` as a scan over every drivable polygon."""
+    px, py = float(point[0]), float(point[1])
+    return any(reference_point_in_polygon(px, py, poly) for poly in vmap.drivable_polygons())
+
+
 def fan_triangulation_area(ring):
     """Polygon area via fan triangulation from vertex 0 (vs. the shoelace)."""
     ring = np.asarray(ring, dtype=float)

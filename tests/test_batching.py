@@ -17,7 +17,7 @@ from trajkit.batching import (
     get_element,
     seconds_to_steps,
 )
-from trajkit.core import AgentType
+from trajkit.core import AgentMetadata, AgentType, SceneFrame
 from trajkit.ingest import SceneCache, SceneMetaRecord, Straight, UnknownTagError, parse_canonical_csv, synth_scene
 
 from conftest import random_scene
@@ -51,6 +51,11 @@ class TestWindowAndFilter:
     def test_empty_type_set_invalid(self):
         with pytest.raises(ValueError):
             FilterSpec(agent_types=frozenset())
+
+    @pytest.mark.parametrize("dist", [-1.0, float("nan")])
+    def test_negative_or_nan_neighbor_dist_rejected(self, dist):
+        with pytest.raises(ValueError, match="max_neighbor_dist"):
+            FilterSpec(max_neighbor_dist=dist)
 
 
 class TestBuildIndex:
@@ -212,6 +217,25 @@ class TestGetElement:
         index2 = build_index(cache, ["synth"], "agent", window, FilterSpec(max_neighbor_dist=7.0))
         el2 = get_element(index2, 0)
         assert el2.neighbor_ids == ("a1",)
+
+    def test_distance_cut_uses_math_hypot(self, cache):
+        # math.hypot of this offset is 33.09559067173917 and np.hypot one bit
+        # more (...174), so a cut at the math.hypot value keeps the neighbour
+        # only when the distance is computed as math.hypot computes it.
+        nx, ny = 20.479036776742994, -25.998599473973915
+        cut = math.hypot(nx, ny)
+        assert cut == 33.09559067173917 and float(np.hypot(nx, ny)) > cut
+        agents, tracks = [], []
+        for k, (x, y) in enumerate([(0.0, 0.0), (nx, ny)]):
+            agents.append(AgentMetadata(f"a{k}", AgentType.VEHICLE, None, 0, 2))
+            track = {name: np.zeros(3) for name in ("z", "vx", "vy", "ax", "ay", "heading")}
+            tracks.append(dict(track, x=np.full(3, x), y=np.full(3, y), observed=np.ones(3, dtype=bool)))
+        cache.write(SceneFrame.from_tracks("s0", "rand", "nowhere", 0.1, agents, tracks))
+        index = build_index(cache, ["rand"], "agent", WindowSpec((0.0, 0.0), (0.0, 0.0)), FilterSpec(max_neighbor_dist=cut))
+        ego = [i for i in range(len(index)) if get_element(index, i).agent_id == "a0"]
+        assert len(ego) == 3
+        for i in ego:
+            assert get_element(index, i).neighbor_ids == ("a1",)
 
     def test_out_of_range(self, cache):
         _cached(cache, synth_scene(Straight(10.0), 1, 30, 0.1))

@@ -178,6 +178,14 @@ class TestMapCommand:
         map_path = _map_file(tmp_path)
         assert main(["map", "--map", str(map_path), "closest-lane", "--point", "x,y"]) == 64
 
+    @pytest.mark.parametrize("point", ["nan,0", "0,nan", "inf,0", "-inf,0", "0,inf,0"])
+    def test_non_finite_point_exit_2(self, tmp_path, capsys, point):
+        map_path = _map_file(tmp_path)
+        assert main(["map", "--map", str(map_path), "closest-lane", f"--point={point}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
 
 class TestBatchCommand:
     def test_manifest_reports_50_elements(self, workspace):

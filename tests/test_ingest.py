@@ -333,6 +333,19 @@ class TestCache:
         cache.rebuild_index("dsa")
         assert index_path.read_bytes() == before
 
+    def test_cached_scene_is_read_only(self, tmp_path):
+        cache = SceneCache(tmp_path)
+        path = cache.write(synth_scene(Straight(1.0), 2, 5, 0.1, dataset="dsa"))
+        scene = cache.load_path(path)
+        before = scene.columns.x.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            scene.columns.x[:] = 999
+        for name, column in scene.columns.as_dict().items():
+            assert not column.flags.writeable, name
+        again = cache.load_path(path)
+        assert np.array_equal(again.columns.x, before)
+        assert again == cache_load(path)
+
     def test_meta_record_json_round_trip(self):
         meta = _meta(split="train")
         again = SceneMetaRecord.from_json(meta.to_json())

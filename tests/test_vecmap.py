@@ -24,7 +24,14 @@ from trajkit.vecmap import (
 from trajkit.vecmap import _decode_points, _encode_points
 
 from conftest import convex_polygon, random_lane_map, rewrite_json_header, square_area, straight_lane, tiny_traffic_map
-from oracles import brute_closest_lanes, brute_lanes_within, crossing_number_inside, fan_triangulation_area
+from oracles import (
+    brute_closest_lanes,
+    brute_lanes_within,
+    crossing_number_inside,
+    fan_triangulation_area,
+    reference_in_drivable_area,
+    reference_point_in_polygon,
+)
 
 
 class TestPolyline:
@@ -174,6 +181,115 @@ class TestDrivableArea:
         for px, py in points:
             want = any(crossing_number_inside(px, py, a.rings()) for a in areas)
             assert vmap.point_in_drivable_area((px, py)) == want
+
+
+def _random_drivable_map(rng) -> VectorMap:
+    """Bands of adjacent bounded lanes (neighbours share their edges) plus
+    road areas with holes; on a 0.5 m grid about half of the time, so that
+    horizontal edges, collinear vertices and exact boundary hits are common."""
+    grid = rng.random() < 0.5
+    snap = (lambda a: np.round(2.0 * a) / 2.0) if grid else (lambda a: a)
+    lanes = []
+    for band in range(int(rng.integers(1, 4))):
+        n = int(rng.integers(3, 12))
+        steps = np.stack([rng.uniform(1.0, 8.0, n - 1), rng.uniform(-3.0, 3.0, n - 1)], axis=1)
+        base = snap(np.vstack([rng.uniform(-60, 60, 2), steps]).cumsum(axis=0))
+        width = snap(rng.uniform(2.0, 4.0))
+        for j in range(int(rng.integers(1, 4))):
+            edge = lambda k: Polyline(np.column_stack([base[:, 0], base[:, 1] + k * width, np.zeros(n)]))
+            lanes.append(RoadLane(f"b{band}l{j}", edge(j), left_edge=edge(j + 0.5), right_edge=edge(j - 0.5)))
+    areas = []
+    for _ in range(int(rng.integers(1, 5))):
+        ring = snap(convex_polygon(rng, rng.uniform(-60, 60, 2), rng.uniform(5, 30), n_pts=int(rng.integers(3, 14))))
+        holes = []
+        if rng.random() < 0.6:
+            holes.append(snap(0.3 * (ring - ring.mean(axis=0)) + ring.mean(axis=0)))
+        areas.append(PolygonArea(ring, holes))
+    return VectorMap("rand:flat", lanes, road_areas=areas)
+
+
+def _probe_points(rng, vmap: VectorMap) -> np.ndarray:
+    """Random points, every vertex and edge midpoint, and points on and one
+    ULP outside each side of every polygon's widened bounding box."""
+    polys = vmap.drivable_polygons()
+    lo, hi = vmap._drivable._lo, vmap._drivable._hi
+    out = [rng.uniform(-90, 90, size=(400, 2))]
+    for k, poly in enumerate(polys):
+        for ring in poly.rings():
+            out += [ring, 0.5 * (ring + np.roll(ring, -1, axis=0))]
+        verts = np.concatenate(poly.rings())
+        xs, ys = verts[rng.integers(0, len(verts), 5), 0], verts[rng.integers(0, len(verts), 5), 1]
+        for edge_x in (lo[0, k], np.nextafter(lo[0, k], -np.inf), hi[0, k], np.nextafter(hi[0, k], np.inf)):
+            out.append(np.column_stack([np.full(5, edge_x), ys]))
+        for edge_y in (lo[1, k], np.nextafter(lo[1, k], -np.inf), hi[1, k], np.nextafter(hi[1, k], np.inf)):
+            out.append(np.column_stack([xs, np.full(5, edge_y)]))
+    return np.vstack(out)
+
+
+NON_FINITE_POINTS = [(np.nan, 0.0), (0.0, np.nan), (np.nan, np.nan), (np.inf, 0.0), (-np.inf, 0.0), (0.0, np.inf), (0.0, -np.inf), (np.inf, -np.inf)]
+
+
+class TestDrivableAreaEquivalence:
+    """The edge table against the per-polygon reference in oracles.py."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_polygon_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        vmap = _random_drivable_map(rng)
+        points = _probe_points(rng, vmap)
+        got = np.array([vmap.point_in_drivable_area(p) for p in points])
+        want = np.array([reference_in_drivable_area(vmap, p) for p in points])
+        assert np.array_equal(got, want), f"{np.count_nonzero(got != want)} of {len(points)} differ"
+        assert 0 < got.sum() < len(points)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_point_in_polygon_matches_reference(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        vmap = _random_drivable_map(rng)
+        points = _probe_points(rng, vmap)
+        for poly in vmap.drivable_polygons():
+            for px, py in points[rng.integers(0, len(points), 150)]:
+                assert point_in_polygon(px, py, poly) == reference_point_in_polygon(px, py, poly)
+
+    @pytest.mark.parametrize("point", NON_FINITE_POINTS)
+    def test_non_finite_point_is_outside(self, point):
+        vmap = _random_drivable_map(np.random.default_rng(5))
+        assert vmap.point_in_drivable_area(point) is False
+        assert reference_in_drivable_area(vmap, point) is False
+        assert point_in_polygon(*point, vmap.drivable_polygons()[0]) is False
+
+    def test_polygon_with_non_finite_vertex_matches_reference(self):
+        # Such a polygon has no usable box, so its edges are always tested.
+        ring = np.array([(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (np.nan, 5.0), (0.0, 10.0)])
+        vmap = VectorMap("toy:flat", [straight_lane("L1", 500.0)], road_areas=[PolygonArea(ring)])
+        assert np.isinf(vmap._drivable._lo[:, 0]).all()
+        for p in [(5.0, 2.0), (5.0, 8.0), (10.0, 5.0), (-1.0, 5.0), (20.0, 20.0), (np.inf, 5.0), (-np.inf, 5.0)]:
+            # An infinite point meets the horizontal edge as inf * 0, as in the reference.
+            with np.errstate(invalid="ignore"):
+                assert vmap.point_in_drivable_area(p) == reference_in_drivable_area(vmap, p)
+
+
+class TestNonFiniteLaneQueries:
+    @pytest.mark.parametrize("point", NON_FINITE_POINTS)
+    def test_closest_lane_rejects(self, point):
+        vmap = VectorMap("toy:flat", [straight_lane("L1", 0.0)])
+        with pytest.raises(ValueError, match="finite"):
+            vmap.closest_lane_with_distance(point)
+
+    @pytest.mark.parametrize("point", NON_FINITE_POINTS)
+    def test_lanes_within_rejects_point(self, point):
+        vmap = VectorMap("toy:flat", [straight_lane("L1", 0.0)])
+        with pytest.raises(ValueError, match="finite"):
+            vmap.lanes_within(point, 5.0)
+
+    def test_lanes_within_rejects_nan_radius(self):
+        vmap = VectorMap("toy:flat", [straight_lane("L1", 0.0)])
+        with pytest.raises(ValueError, match="radius"):
+            vmap.lanes_within((5.0, 0.0), float("nan"))
+
+    def test_infinite_radius_reaches_every_lane(self):
+        vmap = VectorMap("toy:flat", [straight_lane("L1", 0.0), straight_lane("L2", 1e6)])
+        assert vmap.lanes_within((5.0, 0.0), float("inf")) == {"L1", "L2"}
 
 
 class TestMapModel:
