@@ -20,7 +20,7 @@ import numpy as np
 from .core import AgentMetadata, AgentType, SceneFrame, wrap_angle
 from .ingest import SceneCache
 from .kinematics import derive_derivative
-from .vecmap import DrivableAreaUnsupported, VectorMap
+from .vecmap import VectorMap
 
 GRAVITY = 9.81
 HARSH_ACCEL_DEFAULT = 3.924  # 0.4 g (0.4 * 9.81); kept as a literal so the contract value is exact
@@ -183,39 +183,40 @@ def agent_population(cache: SceneCache, tags: Sequence[str]) -> dict:
     return out
 
 
-def _presence_counts(scene: SceneFrame) -> np.ndarray:
-    counts = np.zeros(scene.n_timesteps, dtype=np.int64)
-    for meta in scene.agents:
-        counts[meta.first_ts : meta.last_ts + 1] += 1
-    return counts
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal values in keys."""
+    change = np.ones(len(keys), dtype=bool)
+    change[1:] = keys[1:] != keys[:-1]
+    return np.flatnonzero(change)
+
+
+def _ts_groups(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray]:
+    """The scene's rows ordered by timestep (by agent within one timestep)
+    and the start of each timestep's run in that order."""
+    ts = scene.columns.ts
+    order = np.argsort(ts, kind="stable")
+    return order, _run_starts(ts[order])
+
+
+def _observed_runs(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scene's observed rows, and the start and end (exclusive) of each
+    agent's run of them."""
+    rows = np.flatnonzero(scene.columns.observed)
+    starts = _run_starts(scene.columns.agent_index[rows])
+    return rows, starts, np.append(starts[1:], len(rows))
 
 
 def simultaneous_agents(cache: SceneCache, tags: Sequence[str], cfg: AnalysisConfig) -> list[Histogram]:
-    """Per-(scene, ts) simultaneous-agent counts and per-scene maxima."""
+    """Per-(scene, ts) simultaneous-agent counts (an agent has one row per
+    lifetime timestep, so rows per timestep) and per-scene maxima."""
     hists = []
     for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
-        per_ts: list[np.ndarray] = []
-        maxima: list[int] = []
-        for scene in scenes:
-            counts = _presence_counts(scene)
-            per_ts.append(counts)
-            maxima.append(int(counts.max()) if len(counts) else 0)
+        per_ts = [np.bincount(s.columns.ts, minlength=s.n_timesteps)[: s.n_timesteps] for s in scenes]
+        maxima = [int(counts.max()) if len(counts) else 0 for counts in per_ts]
         edges = cfg.edges("simultaneous")
         hists.append(Histogram.from_samples("simultaneous_per_ts", dataset, "all", np.concatenate(per_ts), edges))
         hists.append(Histogram.from_samples("simultaneous_scene_max", dataset, "all", maxima, edges))
     return hists
-
-
-def _rows_by_ts(scene: SceneFrame) -> dict[int, np.ndarray]:
-    ts = scene.columns.ts
-    order = np.argsort(ts, kind="stable")
-    sorted_ts = ts[order]
-    uniq, starts = np.unique(sorted_ts, return_index=True)
-    out = {}
-    for i, t in enumerate(uniq):
-        end = starts[i + 1] if i + 1 < len(starts) else len(order)
-        out[int(t)] = order[starts[i] : end]
-    return out
 
 
 def agent_density(
@@ -229,19 +230,19 @@ def agent_density(
     hists = []
     skipped = 0
     for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
-        samples: list[float] = []
+        samples: list[np.ndarray] = []
         for scene in scenes:
-            cols = scene.columns
-            for _, rows in sorted(_rows_by_ts(scene).items()):
-                if len(rows) < cfg.density_min_agents:
-                    continue
-                xs, ys = cols.x[rows], cols.y[rows]
-                area = float((xs.max() - xs.min()) * (ys.max() - ys.min()))
-                if area <= 0.0:
-                    skipped += 1
-                    continue
-                samples.append(len(rows) / area)
-        hists.append(Histogram.from_samples("density", dataset, "all", samples, cfg.edges("density")))
+            order, starts = _ts_groups(scene)
+            n = np.diff(np.append(starts, len(order)))
+            xs, ys = scene.columns.x[order], scene.columns.y[order]
+            width = np.maximum.reduceat(xs, starts) - np.minimum.reduceat(xs, starts)
+            height = np.maximum.reduceat(ys, starts) - np.minimum.reduceat(ys, starts)
+            enough = n >= cfg.density_min_agents
+            n, area = n[enough], (width * height)[enough]
+            degenerate = area <= 0.0
+            skipped += int(np.count_nonzero(degenerate))
+            samples.append(n[~degenerate] / area[~degenerate])
+        hists.append(Histogram.from_samples("density", dataset, "all", np.concatenate(samples), cfg.edges("density")))
     return hists, {"density_skipped_degenerate": skipped}
 
 
@@ -258,22 +259,10 @@ def ego_agent_distances(
             if ego_idx is None:
                 missing_ego += 1
                 continue
-            cols = scene.columns
-            ego = scene.agents[ego_idx]
-            ego_sl = scene.rows_for_agent(ego_idx)
-            for j, meta in enumerate(scene.agents):
-                if j == ego_idx:
-                    continue
-                lo = max(ego.first_ts, meta.first_ts)
-                hi = min(ego.last_ts, meta.last_ts)
-                if lo > hi:
-                    continue
-                er = ego_sl.start + (lo - ego.first_ts)
-                jr = scene.rows_for_agent(j).start + (lo - meta.first_ts)
-                n = hi - lo + 1
-                dx = cols.x[jr : jr + n] - cols.x[er : er + n]
-                dy = cols.y[jr : jr + n] - cols.y[er : er + n]
-                samples.append(np.hypot(dx, dy))
+            ego, cols, ts = scene.agents[ego_idx], scene.columns, scene.columns.ts
+            rows = np.flatnonzero((cols.agent_index != ego_idx) & (ts >= ego.first_ts) & (ts <= ego.last_ts))
+            ego_rows = scene.rows_for_agent(ego_idx).start + (ts[rows] - ego.first_ts)
+            samples.append(np.hypot(cols.x[rows] - cols.x[ego_rows], cols.y[rows] - cols.y[ego_rows]))
         pooled = np.concatenate(samples) if samples else np.zeros(0)
         hists.append(Histogram.from_samples("ego_distance", dataset, "all", pooled, cfg.edges("ego_distance")))
     return hists, {"ego_distance_scenes_missing_ego": missing_ego}
@@ -283,20 +272,31 @@ def ego_agent_distances(
 # Motion complexity
 # ---------------------------------------------------------------------------
 
-def _pooled_by_type(scenes: Iterable[SceneFrame]) -> dict[str, dict[str, list[np.ndarray]]]:
-    """speed/accel/jerk magnitude samples pooled per agent type."""
-    pools: dict[str, dict[str, list[np.ndarray]]] = {}
-    for scene in scenes:
-        cols = scene.columns
-        for i, meta in enumerate(scene.agents):
-            sl = scene.rows_for_agent(i)
-            pool = pools.setdefault(str(meta.agent_type), {"speed": [], "accel": [], "jerk": []})
-            pool["speed"].append(np.hypot(cols.vx[sl], cols.vy[sl]))
-            pool["accel"].append(np.hypot(cols.ax[sl], cols.ay[sl]))
-            jx = derive_derivative(cols.ax[sl], scene.dt)
-            jy = derive_derivative(cols.ay[sl], scene.dt)
-            pool["jerk"].append(np.hypot(jx, jy))
-    return pools
+_TYPE_NAMES = tuple(sorted(str(t) for t in AgentType))
+_Pool = dict[str, list[np.ndarray]]  # type name -> sample arrays
+
+
+def _type_codes(scene: SceneFrame) -> np.ndarray:
+    """Per-agent index into _TYPE_NAMES (the type names, sorted)."""
+    return np.array([_TYPE_NAMES.index(str(m.agent_type)) for m in scene.agents], dtype=np.int64)
+
+
+def _pool_by_type(pool: _Pool, codes: np.ndarray, samples: np.ndarray) -> None:
+    """Append each type's share of samples to pool[type]; codes[k] is the
+    type code of samples[k]."""
+    for code in np.unique(codes):
+        pool.setdefault(_TYPE_NAMES[code], []).append(samples[codes == code])
+
+
+def _type_histograms(dataset: str, pools: dict[str, _Pool], cfg: AnalysisConfig) -> list[Histogram]:
+    """For each pooled type in sorted order, one histogram per metric of
+    pools (metric -> pool, every pool over the same types)."""
+    types = sorted(next(iter(pools.values())))
+    return [
+        Histogram.from_samples(metric, dataset, t, np.concatenate(pool[t]), cfg.edges(metric))
+        for t in types
+        for metric, pool in pools.items()
+    ]
 
 
 def dynamics_distributions(cache: SceneCache, tags: Sequence[str], cfg: AnalysisConfig) -> list[Histogram]:
@@ -306,10 +306,16 @@ def dynamics_distributions(cache: SceneCache, tags: Sequence[str], cfg: Analysis
     """
     hists = []
     for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
-        for agent_type, pool in sorted(_pooled_by_type(scenes).items()):
-            for metric in ("speed", "accel", "jerk"):
-                samples = np.concatenate(pool[metric]) if pool[metric] else np.zeros(0)
-                hists.append(Histogram.from_samples(metric, dataset, agent_type, samples, cfg.edges(metric)))
+        pools: dict[str, _Pool] = {"speed": {}, "accel": {}, "jerk": {}}
+        for scene in scenes:
+            cols = scene.columns
+            codes = _type_codes(scene)[cols.agent_index]
+            jx = derive_derivative(cols.ax, scene.dt, scene._agent_offsets)
+            jy = derive_derivative(cols.ay, scene.dt, scene._agent_offsets)
+            _pool_by_type(pools["speed"], codes, np.hypot(cols.vx, cols.vy))
+            _pool_by_type(pools["accel"], codes, np.hypot(cols.ax, cols.ay))
+            _pool_by_type(pools["jerk"], codes, np.hypot(jx, jy))
+        hists += _type_histograms(dataset, pools, cfg)
     return hists
 
 
@@ -321,16 +327,11 @@ def stationary_fraction(cache: SceneCache, tags: Sequence[str], cfg: AnalysisCon
         num = den = 0
         for scene in scenes:
             cols = scene.columns
-            for i in range(scene.n_agents):
-                sl = scene.rows_for_agent(i)
-                obs = cols.observed[sl]
-                if not obs.any():
-                    continue
-                xs, ys = cols.x[sl][obs], cols.y[sl][obs]
-                disp = np.hypot(xs - xs[0], ys - ys[0])
-                den += 1
-                if float(disp.max()) < cfg.stationary_threshold:
-                    num += 1
+            rows, starts, ends = _observed_runs(scene)
+            first = np.repeat(rows[starts], ends - starts)
+            disp = np.hypot(cols.x[rows] - cols.x[first], cols.y[rows] - cols.y[first])
+            den += len(starts)
+            num += int(np.count_nonzero(np.maximum.reduceat(disp, starts) < cfg.stationary_threshold))
         if den:
             out[dataset] = _rate_entry(num, den)
     return out
@@ -344,30 +345,19 @@ def heading_deltas(cache: SceneCache, tags: Sequence[str], cfg: AnalysisConfig) 
     """
     hists = []
     for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
-        deltas: dict[str, list[np.ndarray]] = {}
-        raws: dict[str, list[np.ndarray]] = {}
+        pools: dict[str, _Pool] = {"heading_delta": {}, "heading_raw": {}}
         for scene in scenes:
-            cols = scene.columns
-            for i, meta in enumerate(scene.agents):
-                sl = scene.rows_for_agent(i)
-                h = cols.heading[sl]
-                if cfg.cumulative_heading:
-                    dh = np.unwrap(h) - h[0]
-                else:
-                    dh = wrap_angle(h - h[0])
-                deltas.setdefault(str(meta.agent_type), []).append(dh)
-                raws.setdefault(str(meta.agent_type), []).append(h)
-        for agent_type in sorted(deltas):
-            hists.append(
-                Histogram.from_samples(
-                    "heading_delta", dataset, agent_type, np.concatenate(deltas[agent_type]), cfg.edges("heading_delta")
-                )
-            )
-            hists.append(
-                Histogram.from_samples(
-                    "heading_raw", dataset, agent_type, np.concatenate(raws[agent_type]), cfg.edges("heading_raw")
-                )
-            )
+            cols, off = scene.columns, scene._agent_offsets
+            h = cols.heading
+            if cfg.cumulative_heading:
+                parts = [np.unwrap(h[a:b]) - h[a] for a, b in zip(off[:-1], off[1:])]
+                dh = np.concatenate(parts) if parts else h
+            else:
+                dh = wrap_angle(h - h[off[cols.agent_index]])
+            codes = _type_codes(scene)[cols.agent_index]
+            _pool_by_type(pools["heading_delta"], codes, dh)
+            _pool_by_type(pools["heading_raw"], codes, h)
+        hists += _type_histograms(dataset, pools, cfg)
     return hists
 
 
@@ -382,28 +372,22 @@ def path_efficiency(
     hists = []
     zero_path = 0
     for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
-        per_type: dict[str, list[float]] = {}
+        pool: _Pool = {}
         for scene in scenes:
             cols = scene.columns
-            for i, meta in enumerate(scene.agents):
-                sl = scene.rows_for_agent(i)
-                obs = cols.observed[sl]
-                if np.count_nonzero(obs) < 2:
-                    continue
-                xs, ys = cols.x[sl][obs], cols.y[sl][obs]
-                path = float(np.sum(np.hypot(np.diff(xs), np.diff(ys))))
-                if path < 1e-6:
-                    zero_path += 1
-                    eff = 100.0
-                else:
-                    eff = 100.0 * math.hypot(xs[-1] - xs[0], ys[-1] - ys[0]) / path
-                per_type.setdefault(str(meta.agent_type), []).append(eff)
-        for agent_type in sorted(per_type):
-            hists.append(
-                Histogram.from_samples(
-                    "path_efficiency", dataset, agent_type, per_type[agent_type], cfg.edges("path_efficiency")
-                )
-            )
+            rows, starts, ends = _observed_runs(scene)
+            xs, ys = cols.x[rows], cols.y[rows]
+            steps = np.hypot(np.diff(xs), np.diff(ys))
+            enough = ends - starts >= 2
+            lo, hi = starts[enough], ends[enough] - 1  # first and last observed row of each agent
+            # Per-agent sums: np.add.reduceat does not add in np.sum's order.
+            path = np.array([np.sum(steps[a:b]) for a, b in zip(lo, hi)])
+            direct = np.array([math.hypot(xs[b] - xs[a], ys[b] - ys[a]) for a, b in zip(lo, hi)])
+            still = path < 1e-6
+            zero_path += int(np.count_nonzero(still))
+            eff = np.where(still, 100.0, 100.0 * direct / np.where(still, 1.0, path))
+            _pool_by_type(pool, _type_codes(scene)[cols.agent_index[rows[lo]]], eff)
+        hists += _type_histograms(dataset, {"path_efficiency": pool}, cfg)
     return hists, {"path_efficiency_zero_path_agents": zero_path}
 
 
@@ -479,7 +463,8 @@ def _scene_collisions(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray]:
     rows = _agent_rows(scene, lambda m: m.extent is not None)
     hit = np.zeros(len(cols), dtype=bool)
     radius = [0.0 if m.extent is None else 0.5 * math.hypot(m.extent.length, m.extent.width) for m in scene.agents]
-    for ts_rows in _rows_by_ts(scene).values():
+    order, starts = _ts_groups(scene)
+    for ts_rows in np.split(order, starts[1:]):
         pairs = [(int(cols.agent_index[r]), r) for r in ts_rows if rows[r]]
         corners: dict[int, np.ndarray] = {}
         for a in range(len(pairs)):
@@ -537,17 +522,17 @@ def offroad_rate(
     cache: SceneCache, tags: Sequence[str], vmap: VectorMap | None, cfg: AnalysisConfig
 ) -> tuple[dict | None, dict]:
     """Fraction of (by default) vehicles/motorcycles whose center leaves the
-    drivable area at any observed timestep. None when no usable map is given."""
+    drivable area at any observed timestep. None when no map is given or it
+    has no drivable area (tallied), whatever agent types the data holds."""
     if vmap is None:
         return None, {}
+    if not vmap.has_drivable_area:
+        return None, {"offroad_unsupported_map": 1}
 
     def counts(scene: SceneFrame):
         return _offroad_counts(scene, vmap, scene.columns.observed & _offroad_rows(scene, cfg.offroad_types))
 
-    try:
-        return _rates(_dataset_scenes(cache, tags), counts, cfg.per_timestep_rates), {}
-    except DrivableAreaUnsupported:
-        return None, {"offroad_unsupported_map": 1}
+    return _rates(_dataset_scenes(cache, tags), counts, cfg.per_timestep_rates), {}
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -49,7 +50,15 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reports usage problems as exit code 64, not 2."""
+    """ArgumentParser that reports usage problems as exit code 64, not 2.
+
+    An argument that starts with a minus and a number ("-5,3", "-.5,2",
+    "-inf,0") is a value, not an option, so negative coordinates need no "=".
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise _UsageError(message)

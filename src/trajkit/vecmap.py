@@ -99,9 +99,7 @@ def _decode_points(buf: bytes, offset: int, n: int) -> tuple[np.ndarray, bytes, 
         raise MapFormatError(f"geometry payload truncated: wanted {nbytes} bytes at offset {offset}")
     base = struct.unpack_from("<3d", blob, 0)
     deltas = np.frombuffer(blob, dtype="<f4", offset=24).astype(np.float64).reshape(n - 1, 3)
-    pts = np.empty((n, 3))
-    for j in range(3):
-        pts[:, j] = np.cumsum(np.concatenate(([base[j]], deltas[:, j])))
+    pts = np.cumsum(np.vstack([base, deltas]), axis=0)
     return pts, bytes(blob), offset + nbytes
 
 
@@ -333,23 +331,16 @@ class _SegmentIndex:
         self.ax, self.ay = ax[order], ay[order]
         self.bx, self.by = bx[order], by[order]
         self.lane_ord = lane_ord[order]
-        n = len(ax)
-
-        minx = np.minimum(self.ax, self.bx)
-        miny = np.minimum(self.ay, self.by)
-        maxx = np.maximum(self.ax, self.bx)
-        maxy = np.maximum(self.ay, self.by)
+        boxes = (
+            np.minimum(self.ax, self.bx),
+            np.minimum(self.ay, self.by),
+            np.maximum(self.ax, self.bx),
+            np.maximum(self.ay, self.by),
+        )
         self.levels: list[tuple[np.ndarray, ...]] = []
-        starts = np.arange(0, n, _NODE_CAPACITY)
-        ends = np.minimum(starts + _NODE_CAPACITY, n)
-        level = self._pack_level(minx, miny, maxx, maxy, starts, ends)
-        self.levels.append(level)
-        while len(self.levels[-1][0]) > 1:
-            lminx, lminy, lmaxx, lmaxy, _, _ = self.levels[-1]
-            m = len(lminx)
-            starts = np.arange(0, m, _NODE_CAPACITY)
-            ends = np.minimum(starts + _NODE_CAPACITY, m)
-            self.levels.append(self._pack_level(lminx, lminy, lmaxx, lmaxy, starts, ends))
+        while not self.levels or len(boxes[0]) > 1:
+            self.levels.append(self._pack_level(*boxes))
+            boxes = self.levels[-1][:4]
 
     @staticmethod
     def _str_order(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
@@ -365,18 +356,19 @@ class _SegmentIndex:
         return np.concatenate(out)
 
     @staticmethod
-    def _pack_level(minx, miny, maxx, maxy, starts, ends):
-        k = len(starts)
-        nminx = np.empty(k)
-        nminy = np.empty(k)
-        nmaxx = np.empty(k)
-        nmaxy = np.empty(k)
-        for i, (s, e) in enumerate(zip(starts, ends)):
-            nminx[i] = minx[s:e].min()
-            nminy[i] = miny[s:e].min()
-            nmaxx[i] = maxx[s:e].max()
-            nmaxy[i] = maxy[s:e].max()
-        return (nminx, nminy, nmaxx, nmaxy, starts, ends)
+    def _pack_level(minx, miny, maxx, maxy):
+        """One level up: nodes of up to _NODE_CAPACITY consecutive boxes, as
+        (min x, min y, max x, max y, first box, end box) arrays."""
+        n = len(minx)
+        starts = np.arange(0, n, _NODE_CAPACITY)
+        return (
+            np.minimum.reduceat(minx, starts),
+            np.minimum.reduceat(miny, starts),
+            np.maximum.reduceat(maxx, starts),
+            np.maximum.reduceat(maxy, starts),
+            starts,
+            np.minimum(starts + _NODE_CAPACITY, n),
+        )
 
     def nearest_dist2(self, px: float, py: float) -> float:
         top = len(self.levels) - 1

@@ -9,6 +9,15 @@ import math
 
 import numpy as np
 
+from trajkit.analysis import (
+    Histogram,
+    _agent_counts,
+    _agent_rows,
+    _rate_entry,
+    _scenes_by_dataset,
+    obb_corners,
+    obb_intersect,
+)
 from trajkit.batching import STATE_DIM, AgentBatchElement, SceneBatchElement
 from trajkit.core import wrap_angle
 
@@ -342,6 +351,228 @@ def reference_element(index, i):
         translation=origin,
         rotation=yaw,
     )
+
+
+def reference_derivative(series, dt):
+    """Central differences inside, one-sided at the ends, zero for a single
+    sample: the one-series stencil the segment form of
+    ``kinematics.derive_derivative`` replaced."""
+    s = np.asarray(series, dtype=np.float64)
+    n = len(s)
+    if n < 2:
+        return np.zeros(n)
+    out = np.empty(n)
+    out[0] = (s[1] - s[0]) / dt
+    out[-1] = (s[-1] - s[-2]) / dt
+    if n > 2:
+        out[1:-1] = (s[2:] - s[:-2]) / (2.0 * dt)
+    return out
+
+
+# The analysis metrics one agent or one timestep at a time: the loops the
+# per-scene array passes of ``trajkit.analysis`` replaced. Each takes the
+# arguments of the public function it stands for.
+
+def _reference_rows_by_ts(scene):
+    ts = scene.columns.ts
+    order = np.argsort(ts, kind="stable")
+    uniq, starts = np.unique(ts[order], return_index=True)
+    out = {}
+    for i, t in enumerate(uniq):
+        end = starts[i + 1] if i + 1 < len(starts) else len(order)
+        out[int(t)] = order[starts[i] : end]
+    return out
+
+
+def reference_simultaneous_agents(cache, tags, cfg):
+    hists = []
+    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
+        per_ts, maxima = [], []
+        for scene in scenes:
+            counts = np.zeros(scene.n_timesteps, dtype=np.int64)
+            for meta in scene.agents:
+                counts[meta.first_ts : meta.last_ts + 1] += 1
+            per_ts.append(counts)
+            maxima.append(int(counts.max()) if len(counts) else 0)
+        edges = cfg.edges("simultaneous")
+        hists.append(Histogram.from_samples("simultaneous_per_ts", dataset, "all", np.concatenate(per_ts), edges))
+        hists.append(Histogram.from_samples("simultaneous_scene_max", dataset, "all", maxima, edges))
+    return hists
+
+
+def reference_agent_density(cache, tags, cfg):
+    hists = []
+    skipped = 0
+    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
+        samples = []
+        for scene in scenes:
+            cols = scene.columns
+            for _, rows in sorted(_reference_rows_by_ts(scene).items()):
+                if len(rows) < cfg.density_min_agents:
+                    continue
+                xs, ys = cols.x[rows], cols.y[rows]
+                area = float((xs.max() - xs.min()) * (ys.max() - ys.min()))
+                if area <= 0.0:
+                    skipped += 1
+                    continue
+                samples.append(len(rows) / area)
+        hists.append(Histogram.from_samples("density", dataset, "all", samples, cfg.edges("density")))
+    return hists, {"density_skipped_degenerate": skipped}
+
+
+def reference_ego_agent_distances(cache, tags, cfg, ego_id="ego"):
+    hists = []
+    missing_ego = 0
+    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
+        samples = []
+        for scene in scenes:
+            ego_idx = next((i for i, m in enumerate(scene.agents) if m.agent_id == ego_id), None)
+            if ego_idx is None:
+                missing_ego += 1
+                continue
+            cols = scene.columns
+            ego = scene.agents[ego_idx]
+            ego_sl = scene.rows_for_agent(ego_idx)
+            for j, meta in enumerate(scene.agents):
+                if j == ego_idx:
+                    continue
+                lo = max(ego.first_ts, meta.first_ts)
+                hi = min(ego.last_ts, meta.last_ts)
+                if lo > hi:
+                    continue
+                er = ego_sl.start + (lo - ego.first_ts)
+                jr = scene.rows_for_agent(j).start + (lo - meta.first_ts)
+                n = hi - lo + 1
+                dx = cols.x[jr : jr + n] - cols.x[er : er + n]
+                dy = cols.y[jr : jr + n] - cols.y[er : er + n]
+                samples.append(np.hypot(dx, dy))
+        pooled = np.concatenate(samples) if samples else np.zeros(0)
+        hists.append(Histogram.from_samples("ego_distance", dataset, "all", pooled, cfg.edges("ego_distance")))
+    return hists, {"ego_distance_scenes_missing_ego": missing_ego}
+
+
+def reference_dynamics_distributions(cache, tags, cfg):
+    hists = []
+    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
+        pools = {}
+        for scene in scenes:
+            cols = scene.columns
+            for i, meta in enumerate(scene.agents):
+                sl = scene.rows_for_agent(i)
+                pool = pools.setdefault(str(meta.agent_type), {"speed": [], "accel": [], "jerk": []})
+                pool["speed"].append(np.hypot(cols.vx[sl], cols.vy[sl]))
+                pool["accel"].append(np.hypot(cols.ax[sl], cols.ay[sl]))
+                jx = reference_derivative(cols.ax[sl], scene.dt)
+                jy = reference_derivative(cols.ay[sl], scene.dt)
+                pool["jerk"].append(np.hypot(jx, jy))
+        for agent_type, pool in sorted(pools.items()):
+            for metric in ("speed", "accel", "jerk"):
+                samples = np.concatenate(pool[metric]) if pool[metric] else np.zeros(0)
+                hists.append(Histogram.from_samples(metric, dataset, agent_type, samples, cfg.edges(metric)))
+    return hists
+
+
+def reference_stationary_fraction(cache, tags, cfg):
+    out = {}
+    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
+        num = den = 0
+        for scene in scenes:
+            cols = scene.columns
+            for i in range(scene.n_agents):
+                sl = scene.rows_for_agent(i)
+                obs = cols.observed[sl]
+                if not obs.any():
+                    continue
+                xs, ys = cols.x[sl][obs], cols.y[sl][obs]
+                disp = np.hypot(xs - xs[0], ys - ys[0])
+                den += 1
+                if float(disp.max()) < cfg.stationary_threshold:
+                    num += 1
+        if den:
+            out[dataset] = _rate_entry(num, den)
+    return out
+
+
+def reference_heading_deltas(cache, tags, cfg):
+    hists = []
+    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
+        deltas, raws = {}, {}
+        for scene in scenes:
+            cols = scene.columns
+            for i, meta in enumerate(scene.agents):
+                h = cols.heading[scene.rows_for_agent(i)]
+                dh = np.unwrap(h) - h[0] if cfg.cumulative_heading else wrap_angle(h - h[0])
+                deltas.setdefault(str(meta.agent_type), []).append(dh)
+                raws.setdefault(str(meta.agent_type), []).append(h)
+        for agent_type in sorted(deltas):
+            hists.append(Histogram.from_samples(
+                "heading_delta", dataset, agent_type, np.concatenate(deltas[agent_type]), cfg.edges("heading_delta")
+            ))
+            hists.append(Histogram.from_samples(
+                "heading_raw", dataset, agent_type, np.concatenate(raws[agent_type]), cfg.edges("heading_raw")
+            ))
+    return hists
+
+
+def reference_path_efficiency(cache, tags, cfg):
+    hists = []
+    zero_path = 0
+    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
+        per_type = {}
+        for scene in scenes:
+            cols = scene.columns
+            for i, meta in enumerate(scene.agents):
+                sl = scene.rows_for_agent(i)
+                obs = cols.observed[sl]
+                if np.count_nonzero(obs) < 2:
+                    continue
+                xs, ys = cols.x[sl][obs], cols.y[sl][obs]
+                path = float(np.sum(np.hypot(np.diff(xs), np.diff(ys))))
+                if path < 1e-6:
+                    zero_path += 1
+                    eff = 100.0
+                else:
+                    eff = 100.0 * math.hypot(xs[-1] - xs[0], ys[-1] - ys[0]) / path
+                per_type.setdefault(str(meta.agent_type), []).append(eff)
+        for agent_type in sorted(per_type):
+            hists.append(Histogram.from_samples(
+                "path_efficiency", dataset, agent_type, per_type[agent_type], cfg.edges("path_efficiency")
+            ))
+    return hists, {"path_efficiency_zero_path_agents": zero_path}
+
+
+def reference_scene_collisions(scene):
+    """``analysis._scene_collisions`` over timestep groups from a dict of rows."""
+    cols = scene.columns
+    rows = _agent_rows(scene, lambda m: m.extent is not None)
+    hit = np.zeros(len(cols), dtype=bool)
+    radius = [0.0 if m.extent is None else 0.5 * math.hypot(m.extent.length, m.extent.width) for m in scene.agents]
+    for ts_rows in _reference_rows_by_ts(scene).values():
+        pairs = [(int(cols.agent_index[r]), r) for r in ts_rows if rows[r]]
+        for a in range(len(pairs)):
+            ia, ra = pairs[a]
+            for b in range(a + 1, len(pairs)):
+                ib, rb = pairs[b]
+                if math.hypot(cols.x[ra] - cols.x[rb], cols.y[ra] - cols.y[rb]) > radius[ia] + radius[ib]:
+                    continue
+                ea, eb = scene.agents[ia].extent, scene.agents[ib].extent
+                ca = obb_corners(cols.x[ra], cols.y[ra], cols.heading[ra], ea.length, ea.width)
+                cb = obb_corners(cols.x[rb], cols.y[rb], cols.heading[rb], eb.length, eb.width)
+                if obb_intersect(ca, cb):
+                    hit[ra] = hit[rb] = True
+    return _agent_counts(scene, rows, hit)
+
+
+REFERENCE_METRICS = {
+    "simultaneous_agents": reference_simultaneous_agents,
+    "agent_density": reference_agent_density,
+    "ego_agent_distances": reference_ego_agent_distances,
+    "dynamics_distributions": reference_dynamics_distributions,
+    "stationary_fraction": reference_stationary_fraction,
+    "heading_deltas": reference_heading_deltas,
+    "path_efficiency": reference_path_efficiency,
+    "_scene_collisions": reference_scene_collisions,
+}
 
 
 def wasserstein_by_quantile_grid(a, b, n_grid=200001):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from trajkit import analysis
 from trajkit.analysis import (
     HARSH_ACCEL_DEFAULT,
     METRIC_NAMES,
@@ -26,11 +27,12 @@ from trajkit.analysis import (
     stationary_fraction,
 )
 from trajkit.core import AgentMetadata, AgentType, Extent, SceneFrame
-from trajkit.ingest import Circle, StopAndGo, Straight, synth_scene
+from trajkit.ingest import Circle, SceneCache, StopAndGo, Straight, synth_scene
+from trajkit.kinematics import complete_track
 from trajkit.vecmap import VectorMap
 
 from conftest import random_scene, straight_lane
-from oracles import crossing_number_inside, obb_margin, obb_overlap_by_sampling
+from oracles import REFERENCE_METRICS, crossing_number_inside, obb_margin, obb_overlap_by_sampling
 
 def _track(x, y, heading=None, observed=None):
     n = len(x)
@@ -349,6 +351,15 @@ class TestPathEfficiency:
         assert tallies["path_efficiency_zero_path_agents"] == 1
         assert hists[0].counts[-1] == 1
 
+    def test_endpoint_distance_uses_math_hypot(self, cache):
+        # math.hypot rounds this endpoint distance one ulp above np.hypot, which
+        # measures the path, so the straight two-row agent reads just over 100%.
+        dx, dy = 90.0 / 7.0, 26.0 / 3.0
+        assert math.hypot(dx, dy) > np.hypot(dx, dy)
+        cache.write(_scene_from_tracks([_track([0.0, dx], [0.0, dy])]))
+        hists, _ = path_efficiency(cache, ["toy"], AnalysisConfig())
+        assert hists[0].n_overflow == 1
+
     def test_never_exceeds_100(self, cache):
         rng = np.random.default_rng(19)
         for i in range(5):
@@ -495,6 +506,123 @@ class TestOffroad:
         rings = [vmap.drivable_polygons()[0].rings()[0]]
         want_any_off = any(not crossing_number_inside(x, y, rings) for x, y in zip(xs, ys))
         assert (rates["toy"]["vehicle"]["rate"] == 1.0) == want_any_off
+
+
+class TestOffroadWithoutDrivableArea:
+    """A map of centerline-only lanes has no drivable area, whatever the data holds."""
+
+    def _map(self):
+        return VectorMap("toy:flat", [straight_lane("L1", 0.0)])
+
+    @pytest.mark.parametrize("agent_type", [AgentType.PEDESTRIAN, AgentType.VEHICLE])
+    def test_unavailable_and_tallied(self, cache, agent_type):
+        cache.write(_scene_from_tracks([_track([50.0, 50.0], [50.0, 50.0])], types=[agent_type]))
+        assert offroad_rate(cache, ["toy"], self._map(), AnalysisConfig()) == (None, {"offroad_unsupported_map": 1})
+
+    def test_pedestrians_only_report_lists_offroad(self, cache):
+        cache.write(_scene_from_tracks([_track([0.0, 1.0], [0.0, 0.0])], types=[AgentType.PEDESTRIAN]))
+        report = run_analysis(cache, ["toy"], ["offroad"], vmap=self._map())
+        assert report.unavailable == ["offroad"]
+        assert "offroad" not in report.rates
+        assert report.tallies == {"offroad_unsupported_map": 1}
+
+
+def _analysis_scene(rng, scene_id, dataset, ego_id):
+    """A random cached-scene stand-in for the analysis catalogue: up to 60% of
+    rows imputed, agents with one row, with one observed row, standing still
+    or on a coarse grid (degenerate density rectangles), lifetimes long
+    enough for blocked summation, some agents without extent, and an agent
+    named ego_id when one is given."""
+    dt = float(rng.choice([0.1, 0.04, 0.5]))
+    n_ts = int(rng.integers(3, 320))
+    gap = rng.uniform(0.0, 0.6)
+    n_agents = int(rng.integers(1, 8))
+    ego_slot = int(rng.integers(n_agents)) if ego_id is not None else -1
+    agents, tracks = [], []
+    for k in range(n_agents):
+        kind = rng.choice(["walk", "walk", "one_row", "one_observed", "still", "grid"])
+        first = int(rng.integers(0, n_ts))
+        last = first if kind == "one_row" else int(rng.integers(first, n_ts))
+        ts_all = np.arange(first, last + 1)
+        keep = rng.random(len(ts_all)) > gap
+        keep[0] = keep[-1] = True
+        ts_obs = ts_all[keep]
+        start = rng.uniform(-40.0, 40.0, size=2)
+        if kind == "still":
+            pos = np.tile(start, (len(ts_obs), 1))
+        else:
+            pos = start + np.cumsum(rng.normal(0.0, rng.choice([0.01, 0.3, 2.0]), size=(len(ts_obs), 2)), axis=0)
+            if kind == "grid":
+                pos = np.round(pos / 5.0) * 5.0
+        first_ts, track, _ = complete_track(ts_obs, pos[:, 0], pos[:, 1], np.zeros(len(ts_obs)), dt)
+        if kind == "one_observed":
+            track["observed"] = np.zeros(len(track["x"]), dtype=bool)
+            track["observed"][rng.integers(len(track["x"]))] = True
+        extent = None if rng.random() < 0.2 else Extent(float(rng.uniform(1.0, 5.0)), float(rng.uniform(0.5, 2.5)))
+        agent_id = ego_id if k == ego_slot else f"a{k}"
+        agent_type = AgentType(str(rng.choice([t.value for t in AgentType])))
+        agents.append(AgentMetadata(agent_id, agent_type, extent, first_ts, first_ts + len(track["x"]) - 1))
+        tracks.append(track)
+    return SceneFrame.from_tracks(scene_id, dataset, "nowhere", dt, agents, tracks)
+
+
+class TestArrayPassEquivalence:
+    """run_analysis reports, byte for byte, what the per-agent and
+    per-timestep reference loops in oracles.py report."""
+
+    METRICS = [m for m in METRIC_NAMES if m != "offroad"]
+
+    def _emit(self, cache, tags, cfg, out, patch):
+        """Report files by name, and the sorted samples of every histogram
+        (a sample can change in its last bit without changing a count)."""
+        samples = {}
+        from_samples = Histogram.from_samples
+
+        def recording(name, dataset, agent_type, values, edges):
+            samples[(name, dataset, agent_type)] = np.sort(np.asarray(values, dtype=np.float64)).tobytes()
+            return from_samples(name, dataset, agent_type, values, edges)
+
+        patch.setattr(Histogram, "from_samples", recording)
+        emit_report(run_analysis(cache, tags, self.METRICS, cfg, ego_id="ego"), out)
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}, samples
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_report_bytes_match_reference(self, tmp_path, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        cache = SceneCache(tmp_path / "cache")
+        for dataset in ("rand", "mix"):
+            for s in range(int(rng.integers(1, 4))):
+                ego_id = "ego" if rng.random() < 0.6 else None
+                cache.write(_analysis_scene(rng, f"{dataset}{s}", dataset, ego_id))
+        for cumulative in (False, True):
+            for per_timestep in (False, True):
+                cfg = AnalysisConfig(
+                    cumulative_heading=cumulative,
+                    per_timestep_rates=per_timestep,
+                    density_min_agents=int(rng.integers(1, 4)),
+                    stationary_threshold=float(rng.choice([0.5, 1.0, 5.0])),
+                )
+                tag = f"c{int(cumulative)}p{int(per_timestep)}"
+                with monkeypatch.context() as patch:
+                    got, got_samples = self._emit(cache, ["rand", "mix"], cfg, tmp_path / f"got-{tag}", patch)
+                with monkeypatch.context() as patch:
+                    for name, fn in REFERENCE_METRICS.items():
+                        patch.setattr(analysis, name, fn)
+                    want, want_samples = self._emit(cache, ["rand", "mix"], cfg, tmp_path / f"want-{tag}", patch)
+                assert list(got) == list(want)
+                for name in want:
+                    assert got[name] == want[name], (tag, name)
+                assert got_samples == want_samples
+
+    def test_reference_is_patched_in(self, tmp_path, monkeypatch):
+        """The comparison above runs the reference, not the library twice."""
+        cache = SceneCache(tmp_path / "cache")
+        cache.write(_analysis_scene(np.random.default_rng(0), "s0", "rand", "ego"))
+        calls = []
+        for name, fn in REFERENCE_METRICS.items():
+            monkeypatch.setattr(analysis, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+        run_analysis(cache, ["rand"], self.METRICS)
+        assert sorted(set(calls)) == sorted(REFERENCE_METRICS)
 
 
 class TestReport:

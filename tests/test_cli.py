@@ -178,6 +178,24 @@ class TestMapCommand:
         map_path = _map_file(tmp_path)
         assert main(["map", "--map", str(map_path), "closest-lane", "--point", "x,y"]) == 64
 
+    @pytest.mark.parametrize("point", ["-5,3", "-5.5,-3", "-.5,2,-1", "-5e1,3"])
+    def test_negative_point_as_separate_argument(self, tmp_path, capsys, point):
+        map_path = _map_file(tmp_path)
+        assert main(["map", "--map", str(map_path), "closest-lane", f"--point={point}"]) == 0
+        joined = capsys.readouterr()
+        assert main(["map", "--map", str(map_path), "closest-lane", "--point", point]) == 0
+        assert capsys.readouterr() == joined
+
+    def test_negative_infinity_as_separate_argument_exit_2(self, tmp_path, capsys):
+        map_path = _map_file(tmp_path)
+        assert main(["map", "--map", str(map_path), "closest-lane", "--point", "-inf,0"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_single_negative_number_exit_64(self, tmp_path, capsys):
+        map_path = _map_file(tmp_path)
+        assert main(["map", "--map", str(map_path), "closest-lane", "--point", "-5"]) == 64
+        assert "--point expects x,y" in capsys.readouterr().err
+
     @pytest.mark.parametrize("point", ["nan,0", "0,nan", "inf,0", "-inf,0", "0,inf,0"])
     def test_non_finite_point_exit_2(self, tmp_path, capsys, point):
         map_path = _map_file(tmp_path)

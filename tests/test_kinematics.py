@@ -15,6 +15,36 @@ from trajkit.kinematics import (
 )
 
 from conftest import random_scene
+from oracles import reference_derivative
+
+
+class TestSegmentDerivative:
+    """derive_derivative with offsets differentiates each segment on its own."""
+
+    def test_one_two_three_row_segments(self):
+        s = np.array([7.0, 1.0, 3.0, 2.0, 6.0, 5.0, 4.0, 9.0])
+        offsets = [0, 1, 3, 6, 7, 8]  # rows 1, 2, 3, 1, 1
+        got = derive_derivative(s, 0.5, offsets)
+        want = [0.0, 4.0, 4.0, 8.0, 3.0, -2.0, 0.0, 0.0]
+        assert got.tolist() == want
+
+    def test_matches_per_segment_calls(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            lengths = rng.choice([0, 1, 2, 3, 4, 9], size=int(rng.integers(1, 9)))
+            offsets = np.concatenate([[0], np.cumsum(lengths)])
+            s = rng.normal(size=int(offsets[-1])) * rng.choice([1e-6, 1.0, 1e6])
+            dt = float(rng.choice([0.1, 0.04, 1.0 / 3.0]))
+            got = derive_derivative(s, dt, offsets)
+            parts = [(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
+            per_call = np.concatenate([np.zeros(0)] + [derive_derivative(s[a:b], dt) for a, b in parts])
+            reference = np.concatenate([np.zeros(0)] + [reference_derivative(s[a:b], dt) for a, b in parts])
+            assert got.tobytes() == per_call.tobytes() == reference.tobytes()
+
+    def test_whole_series_is_one_segment(self):
+        s = np.random.default_rng(2).normal(size=50)
+        for n in range(6):
+            assert derive_derivative(s[:n], 0.1).tobytes() == derive_derivative(s[:n], 0.1, [0, n]).tobytes()
 
 
 class TestDeriveDerivative:
