@@ -259,9 +259,10 @@ def ego_agent_distances(
             if ego_idx is None:
                 missing_ego += 1
                 continue
-            ego, cols, ts = scene.agents[ego_idx], scene.columns, scene.columns.ts
-            rows = np.flatnonzero((cols.agent_index != ego_idx) & (ts >= ego.first_ts) & (ts <= ego.last_ts))
-            ego_rows = scene.rows_for_agent(ego_idx).start + (ts[rows] - ego.first_ts)
+            cols = scene.columns
+            ego_rows, alive = scene.lifetime_rows(ego_idx, cols.ts)
+            rows = np.flatnonzero(alive & (cols.agent_index != ego_idx))
+            ego_rows = ego_rows[rows]
             samples.append(np.hypot(cols.x[rows] - cols.x[ego_rows], cols.y[rows] - cols.y[ego_rows]))
         pooled = np.concatenate(samples) if samples else np.zeros(0)
         hists.append(Histogram.from_samples("ego_distance", dataset, "all", pooled, cfg.edges("ego_distance")))

@@ -148,16 +148,10 @@ class _SceneContext:
     f_steps: int
     h_min: int
     f_min: int
-    first_ts: np.ndarray = field(init=False)  # (agents,) lifetime bounds
-    last_ts: np.ndarray = field(init=False)
-    row0: np.ndarray = field(init=False)      # row of (agent j, ts) is row0[j] + ts
-    states: np.ndarray = field(init=False)    # (rows, 7): x, y, vx, vy, ax, ay, heading
+    states: np.ndarray = field(init=False)  # (rows, 7): x, y, vx, vy, ax, ay, heading
 
     def __post_init__(self):
         cols = self.scene.columns
-        self.first_ts = np.array([m.first_ts for m in self.scene.agents], dtype=np.int64)
-        self.last_ts = np.array([m.last_ts for m in self.scene.agents], dtype=np.int64)
-        self.row0 = self.scene._agent_offsets[:-1] - self.first_ts
         self.states = np.column_stack([cols.x, cols.y, cols.vx, cols.vy, cols.ax, cols.ay, cols.heading])
 
 
@@ -173,24 +167,6 @@ class ElementIndex:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def _qualifying_ts(scene: SceneFrame, agent_index: int, h_min: int, f_min: int) -> np.ndarray:
-    """Global timesteps where the agent is observed at the anchor step and its
-    data covers h_min steps behind and f_min ahead.
-
-    Coverage is lifetime-based: imputation and resampling never extrapolate,
-    so every in-lifetime step interpolates real observations and the lifetime
-    endpoints are themselves observed. Anchoring at an imputed row is not
-    allowed; on upsampled scenes the anchors are the original frames.
-    """
-    meta = scene.agents[agent_index]
-    sl = scene.rows_for_agent(agent_index)
-    obs = scene.columns.observed[sl]
-    n = len(obs)
-    t = np.arange(n)
-    ok = obs & (t >= h_min) & (t + f_min <= n - 1)
-    return meta.first_ts + t[ok]
 
 
 def build_index(
@@ -235,11 +211,16 @@ def build_index(
             f_min=seconds_to_steps(window.future[0], dt),
         )
         contexts[(entry.tag, scene.scene_id)] = ctx
-        for agent_index, meta in enumerate(scene.agents):
-            if meta.agent_type not in filt.agent_types:
-                continue
-            for ts in _qualifying_ts(scene, agent_index, ctx.h_min, ctx.f_min):
-                triples.append((entry.tag, scene.scene_id, meta.agent_id, agent_index, int(ts)))
+        # Anchors: observed rows of allowed agents whose lifetime reaches h_min
+        # steps behind and f_min ahead. Imputation and resampling never
+        # extrapolate, so every in-lifetime step interpolates real observations;
+        # on upsampled scenes the anchors are the original (observed) frames.
+        cols, j = scene.columns, scene.columns.agent_index
+        allowed = np.array([m.agent_type in filt.agent_types for m in scene.agents], dtype=bool)
+        ok = cols.observed & allowed[j] & (cols.ts - scene._first_ts[j] >= ctx.h_min) & (scene._last_ts[j] - cols.ts >= ctx.f_min)
+        triples += [
+            (entry.tag, scene.scene_id, scene.agents[a].agent_id, a, ts) for a, ts in zip(j[ok].tolist(), cols.ts[ok].tolist())
+        ]
 
     triples.sort(key=lambda t: (t[0], t[1], t[2], t[4]))
     if centric == "agent":
@@ -265,10 +246,8 @@ def _window(ctx: _SceneContext, agents, ts_values: np.ndarray, origin: np.ndarra
     """States (N, T, STATE_DIM) and validity mask (N, T) of N agents over the
     timesteps ts_values, in the frame at (origin, yaw); slots outside an
     agent's lifetime are zero and False."""
-    agents = np.asarray(agents, dtype=np.int64)[:, None]
-    first = ctx.first_ts[agents]
-    mask = (ts_values >= first) & (ts_values <= ctx.last_ts[agents])
-    raw = ctx.states[ctx.row0[agents] + np.where(mask, ts_values, first)]
+    rows, mask = ctx.scene.lifetime_rows(np.asarray(agents, dtype=np.int64)[:, None], ts_values)
+    raw = ctx.states[rows]
     c, s = math.cos(yaw), math.sin(yaw)
     rot = np.array([[c, s], [-s, c]])  # rotation by -yaw
     # Rotate each agent's (T, 2) block as its own matmul: a flattened
@@ -288,14 +267,14 @@ def _build_agent_element(ctx: _SceneContext, agent_index: int, ts: int, filt: Fi
     scene = ctx.scene
     meta = scene.agents[agent_index]
     cols = scene.columns
-    ego_row = scene.row_at(agent_index, ts)
+    everyone = np.arange(scene.n_agents)
+    rows, present = scene.lifetime_rows(everyone, ts)
+    ego_row = rows[agent_index]
     origin = np.array([cols.x[ego_row], cols.y[ego_row]])
     yaw = float(cols.heading[ego_row])
 
-    present = np.flatnonzero((ctx.first_ts <= ts) & (ctx.last_ts >= ts))
-    rows = ctx.row0[present] + ts
-    keep = (present != agent_index) & cols.observed[rows]
-    candidates, rows = present[keep], rows[keep]
+    keep = present & (everyone != agent_index) & cols.observed[rows]
+    candidates, rows = everyone[keep], rows[keep]
     neighbors: list[tuple[float, str, int]] = []
     # math.hypot, not np.hypot: the two differ in the last bit on some
     # inputs, which would reorder ties and move the max_neighbor_dist cut.

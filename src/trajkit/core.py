@@ -213,10 +213,16 @@ class SceneFrame:
     columns: SceneColumns
     heading_derived: bool = True
     _agent_offsets: np.ndarray = field(init=False, repr=False)
+    _first_ts: np.ndarray = field(init=False, repr=False)  # (agents,) lifetime bounds
+    _last_ts: np.ndarray = field(init=False, repr=False)
+    _row0: np.ndarray = field(init=False, repr=False)  # row of (agent j, ts) is _row0[j] + ts
 
     def __post_init__(self):
         idx = self.columns.agent_index
         self._agent_offsets = np.searchsorted(idx, np.arange(len(self.agents) + 1))
+        self._first_ts = np.array([m.first_ts for m in self.agents], dtype=np.int64)
+        self._last_ts = np.array([m.last_ts for m in self.agents], dtype=np.int64)
+        self._row0 = self._agent_offsets[:-1] - self._first_ts
 
     @classmethod
     def from_tracks(
@@ -279,6 +285,18 @@ class SceneFrame:
         if ts < meta.first_ts or ts > meta.last_ts:
             return None
         return int(self._agent_offsets[agent_index]) + (ts - meta.first_ts)
+
+    def lifetime_rows(self, agents, ts) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of the broadcast (agent, ts) pairs, with each ts clamped into
+        that agent's lifetime, and the mask of pairs inside the lifetime
+        (where clamping left ts unchanged).
+
+        A pair outside the lifetime gets the agent's first or last row, so
+        callers can gather with the rows and mask the result afterwards.
+        """
+        agents = np.asarray(agents, dtype=np.int64)
+        clamped = np.minimum(np.maximum(ts, self._first_ts[agents]), self._last_ts[agents])
+        return self._row0[agents] + clamped, clamped == ts
 
     def agents_present_at(self, ts: int) -> list[int]:
         return [i for i, meta in enumerate(self.agents) if meta.first_ts <= ts <= meta.last_ts]
@@ -384,9 +402,4 @@ def scene_validate(scene: SceneFrame) -> list[str]:
 def extract_agent_rows(scene: SceneFrame, agent_index: int) -> dict[str, np.ndarray]:
     """Per-agent view of the scene columns (copies), keyed like COLUMN_NAMES minus agent_index."""
     sl = scene.rows_for_agent(agent_index)
-    out = {}
-    for name in COLUMN_NAMES:
-        if name == "agent_index":
-            continue
-        out[name] = np.array(getattr(scene.columns, name)[sl])
-    return out
+    return {name: np.array(getattr(scene.columns, name)[sl]) for name in COLUMN_NAMES if name != "agent_index"}

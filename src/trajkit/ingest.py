@@ -11,13 +11,16 @@ footer plus one JSON index per dataset directory.
 from __future__ import annotations
 
 import csv
+import fcntl
 import io
 import json
 import logging
 import math
 import os
 import struct
+import uuid
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -574,6 +577,22 @@ def _scene_from_header(header: dict, data: bytes, pos: int) -> SceneFrame:
     )
 
 
+def _replace_file(path: Path, data: bytes) -> None:
+    """Write data under a temporary name unique to this call, then rename it
+    over path: readers see the old file or the new one, never a torn one."""
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _index_entry(scene: SceneFrame, path: Path) -> dict:
+    return {"scene_id": scene.scene_id, "path": path.name, "n_agents": scene.n_agents, "n_timesteps": scene.n_timesteps}
+
+
 @dataclass(frozen=True)
 class CacheEntry:
     tag: str
@@ -608,31 +627,33 @@ class SceneCache:
         for entries in scenes.values():
             entries.sort(key=lambda e: e["scene_id"])
         payload = json.dumps({"version": 1, "scenes": scenes}, sort_keys=True, indent=1)
-        path = self._index_path(dataset)
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(payload, encoding="utf-8")
-        os.replace(tmp, path)
+        _replace_file(self._index_path(dataset), payload.encode("utf-8"))
+
+    @contextmanager
+    def _index_lock(self, dataset: str):
+        """Exclusive lock for an index read-modify-write. It is taken on the
+        dataset directory itself: a lock file would add a file to the cache."""
+        fd = os.open(self._dataset_dir(dataset), os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(fd)  # releases the lock
 
     def write(self, scene: SceneFrame) -> Path:
         tag = scene.scene_tag()
         ddir = self._dataset_dir(tag.dataset)
         ddir.mkdir(parents=True, exist_ok=True)
         path = ddir / f"{scene.scene_id}.tksc"
-        path.write_bytes(scene_to_bytes(scene))
+        _replace_file(path, scene_to_bytes(scene))
         self._memo.pop(path.resolve(), None)
 
-        scenes = self._load_index(tag.dataset)
-        entries = scenes.setdefault(tag.render(), [])
-        entries[:] = [e for e in entries if e["scene_id"] != scene.scene_id]
-        entries.append(
-            {
-                "scene_id": scene.scene_id,
-                "path": path.name,
-                "n_agents": scene.n_agents,
-                "n_timesteps": scene.n_timesteps,
-            }
-        )
-        self._store_index(tag.dataset, scenes)
+        with self._index_lock(tag.dataset):
+            scenes = self._load_index(tag.dataset)
+            entries = scenes.setdefault(tag.render(), [])
+            entries[:] = [e for e in entries if e["scene_id"] != scene.scene_id]
+            entries.append(_index_entry(scene, path))
+            self._store_index(tag.dataset, scenes)
         return path
 
     def load_path(self, path: str | Path) -> SceneFrame:
@@ -674,13 +695,11 @@ class SceneCache:
         """Regenerate a dataset's index from its scene files (idempotent)."""
         ddir = self._dataset_dir(dataset)
         scenes: dict[str, list[dict]] = {}
-        for path in sorted(ddir.glob("*.tksc")):
-            scene = scene_from_bytes(path.read_bytes())
-            render = scene.scene_tag().render()
-            scenes.setdefault(render, []).append(
-                {"scene_id": scene.scene_id, "path": path.name, "n_agents": scene.n_agents, "n_timesteps": scene.n_timesteps}
-            )
-        self._store_index(dataset, scenes)
+        with self._index_lock(dataset):
+            for path in sorted(ddir.glob("*.tksc")):
+                scene = scene_from_bytes(path.read_bytes())
+                scenes.setdefault(scene.scene_tag().render(), []).append(_index_entry(scene, path))
+            self._store_index(dataset, scenes)
 
 
 def cache_write(scene: SceneFrame, cache_dir: str | Path) -> Path:

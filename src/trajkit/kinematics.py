@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AgentMetadata, SceneFrame, wrap_angle
+from .core import AgentMetadata, SceneFrame, extract_agent_rows, wrap_angle
 
 log = logging.getLogger(__name__)
 
@@ -227,8 +227,6 @@ def resample_scene(scene: SceneFrame, desired_dt: float) -> SceneFrame:
     plan = plan_resample(scene.dt, desired_dt)
     if plan.mode == "identity":
         return scene
-
-    from .core import extract_agent_rows  # local to avoid cycle noise at import time
 
     new_agents: list[AgentMetadata] = []
     new_tracks: list[dict[str, np.ndarray]] = []

@@ -5,20 +5,21 @@ rollout against the recording.
 Controlled agents supply (x, y, heading) only; velocities and accelerations
 are re-derived by finite differences over the rollout (with the agent's real
 pre-init history as context). Non-controlled agents replay the log verbatim
-and are held at their last state (masked invalid) past their lifetime.
+and are held at their first state before their lifetime and at their last
+state after it, masked invalid.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .analysis import OFFROAD_TYPES, AgentCounter, _offroad_counts, _offroad_rows, _rates, _scene_collisions
-from .core import AgentMetadata, SceneFrame, wrap_angle
+from .core import AgentMetadata, SceneColumns, SceneFrame, wrap_angle
 from .ingest import SceneMetaRecord, write_canonical_csv
 from .kinematics import derive_derivative
 from .vecmap import VectorMap
@@ -45,8 +46,20 @@ class SimState:
     current_ts: int
     controlled: tuple[str, ...]
     controlled_idx: dict[str, int]
-    # Provided poses per controlled agent for ts init_ts+1 .. current_ts.
-    poses: dict[str, list[tuple[float, float, float]]] = field(default_factory=dict)
+    # (C, capacity, 3): x, y, heading of the controlled agents, in
+    # `controlled` order; slot k holds timestep init_ts - 2 + k. Slots up to
+    # init_ts hold the recording (at the first row before birth), slots up
+    # to current_ts the provided poses, later slots are spare capacity.
+    poses: np.ndarray
+    _table: np.ndarray = field(init=False, repr=False)  # (rows, 8): scene columns in OBS_STATE_LAYOUT order
+    _ctrl: np.ndarray = field(init=False, repr=False)   # (C,) scene index of each controlled agent
+    _z: np.ndarray = field(init=False, repr=False)      # (C,) z of each controlled agent at init_ts
+
+    def __post_init__(self):
+        cols = self.scene.columns
+        self._table = np.column_stack([getattr(cols, k) for k in OBS_STATE_LAYOUT])
+        self._ctrl = np.fromiter(self.controlled_idx.values(), np.int64, len(self.controlled_idx))
+        self._z = cols.z[self.scene.lifetime_rows(self._ctrl, self.init_ts)[0]]
 
 
 @dataclass
@@ -83,13 +96,19 @@ def wasserstein_1d(a, b) -> float:
 
 def sim_reset(scene: SceneFrame, init_ts: int, controlled: Sequence[str]) -> tuple[SimState, SimObservation]:
     """Start a rollout at init_ts with the given agents under external control."""
+    if not isinstance(init_ts, numbers.Integral):
+        raise ValueError(f"init_ts must be an integer, got {init_ts!r}")
+    init_ts = int(init_ts)
     if not 0 <= init_ts < scene.n_timesteps:
         raise ValueError(f"init_ts {init_ts} outside scene range [0, {scene.n_timesteps})")
+    controlled = tuple(controlled)
     by_id = {meta.agent_id: i for i, meta in enumerate(scene.agents)}
     controlled_idx: dict[str, int] = {}
     for agent_id in controlled:
         if agent_id not in by_id:
             raise ValueError(f"controlled agent {agent_id!r} not in scene")
+        if agent_id in controlled_idx:
+            raise ValueError(f"controlled agent {agent_id!r} listed more than once")
         meta = scene.agents[by_id[agent_id]]
         if not meta.first_ts <= init_ts <= meta.last_ts:
             raise ValueError(
@@ -97,14 +116,11 @@ def sim_reset(scene: SceneFrame, init_ts: int, controlled: Sequence[str]) -> tup
                 f"(lifetime [{meta.first_ts}, {meta.last_ts}])"
             )
         controlled_idx[agent_id] = by_id[agent_id]
-    state = SimState(
-        scene=scene,
-        init_ts=init_ts,
-        current_ts=init_ts,
-        controlled=tuple(controlled),
-        controlled_idx=controlled_idx,
-        poses={agent_id: [] for agent_id in controlled},
-    )
+    # Capacity up to the scene's last timestep; sim_step grows it past that.
+    poses = np.zeros((len(controlled_idx), scene.n_timesteps - init_ts + 2, 3))
+    state = SimState(scene, init_ts, init_ts, controlled, controlled_idx, poses)
+    rows, _ = scene.lifetime_rows(state._ctrl[:, None], np.arange(init_ts - 2, init_ts + 1))
+    poses[:, :3] = state._table[rows][..., [0, 1, 7]]
     return state, _observe(state)
 
 
@@ -116,118 +132,99 @@ def sim_step(state: SimState, new_states: Mapping[str, tuple[float, float, float
         missing = sorted(expected - given)
         extra = sorted(given - expected)
         raise ValueError(f"new_states mismatch: missing {missing}, unexpected {extra}")
-    for agent_id, pose in new_states.items():
-        x, y, heading = float(pose[0]), float(pose[1]), float(pose[2])
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(heading)):
+    column = np.zeros((len(state.controlled), 3))
+    for c, agent_id in enumerate(state.controlled):
+        pose = new_states[agent_id]
+        try:
+            xyh = np.asarray(pose, dtype=np.float64)
+        except (TypeError, ValueError):
+            xyh = None
+        if xyh is None or xyh.shape != (3,):
+            raise ValueError(f"agent {agent_id!r}: pose must be three numbers (x, y, heading), got {pose!r}")
+        if not np.isfinite(xyh).all():
             raise ValueError(f"agent {agent_id!r}: non-finite pose {pose!r}")
-        state.poses[agent_id].append((x, y, wrap_angle(heading)))
+        column[c] = xyh
+    column[:, 2] = wrap_angle(column[:, 2])
+    slot = state.current_ts - state.init_ts + 3
+    if slot == state.poses.shape[1]:
+        state.poses = np.concatenate([state.poses, np.zeros_like(state.poses)], axis=1)
+    state.poses[:, slot] = column
     state.current_ts += 1
     return state, _observe(state)
 
 
 def _observe(state: SimState) -> SimObservation:
-    scene = state.scene
-    cols = scene.columns
     ts = state.current_ts
-    n = scene.n_agents
-    states = np.zeros((n, len(OBS_STATE_LAYOUT)))
-    valid = np.zeros(n, dtype=bool)
-    for i, meta in enumerate(scene.agents):
-        if meta.agent_id in state.controlled_idx:
-            _, track = _controlled_track(state, i, ts, simulated=True)
-            states[i] = [track[k][-1] for k in OBS_STATE_LAYOUT]
-            valid[i] = True
-            continue
-        clamped = min(max(ts, meta.first_ts), meta.last_ts)
-        row = scene.row_at(i, clamped)
-        states[i] = [getattr(cols, k)[row] for k in OBS_STATE_LAYOUT]
-        valid[i] = meta.first_ts <= ts <= meta.last_ts
-    return SimObservation(ts=ts, agent_ids=tuple(m.agent_id for m in scene.agents), states=states, valid=valid)
+    grid, _, valid = _grid(state, ts, ts, simulated=True)
+    return SimObservation(ts=ts, agent_ids=tuple(m.agent_id for m in state.scene.agents), states=grid[:, 0], valid=valid[:, 0])
 
 
-def _controlled_track(state: SimState, i: int, lo: int, simulated: bool) -> tuple[int, dict[str, np.ndarray]]:
-    """Track of controlled agent i from timestep lo to its end in the rollout window.
+def _grid(state: SimState, lo: int, hi: int, simulated: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """States (A, T, 8) in OBS_STATE_LAYOUT order, observed flags and
+    validity mask (A, T) of every scene agent over timesteps lo..hi.
 
-    The pose series is the agent's recording up to init_ts followed by the
-    provided poses (simulated) or by the rest of its recording, clipped to its
-    real lifetime (replay). Velocities and accelerations are derived over that
-    series. Returns (last timestep, track).
-
-    The derivative stencil is three samples wide, so the derivation starts at
-    most two samples before lo and still matches a derivation over the whole
-    series bit for bit.
+    Other agents replay the log, held at their first or last state and masked
+    outside their lifetime. A controlled agent follows the recording through
+    init_ts, then the provided poses (simulated) or its recording clipped to
+    its lifetime (replay); velocities and accelerations are derived over that
+    series, z keeps its init_ts value, and every row counts as observed. The
+    stencil is three samples wide, so deriving from two samples before lo (or
+    from birth) gives the bits of a derivation over the whole series.
     """
-    scene = state.scene
-    cols = scene.columns
-    meta = scene.agents[i]
-    base = scene.rows_for_agent(i).start - meta.first_ts  # row of timestep t is base + t
-    ctx = max(lo - 2, meta.first_ts)
+    scene, ctrl = state.scene, state._ctrl
+    ts = np.arange(lo - 2, hi + 1)
+    rows, inside = scene.lifetime_rows(np.arange(scene.n_agents)[:, None], ts)
     if simulated:
-        end, recorded_end = state.current_ts, state.init_ts
-        poses = state.poses[meta.agent_id][max(ctx - state.init_ts - 1, 0) :]
+        series = state.poses[:, lo - state.init_ts : hi - state.init_ts + 3]
+        sel = ts >= scene._first_ts[ctrl][:, None]
     else:
-        end = recorded_end = min(state.current_ts, meta.last_ts)
-        poses = []
-    rec = slice(base + ctx, base + recorded_end + 1)
-    provided = np.asarray(poses, dtype=np.float64).reshape(-1, 3)
-    xs = np.concatenate([cols.x[rec], provided[:, 0]])
-    ys = np.concatenate([cols.y[rec], provided[:, 1]])
-    vx, vy = derive_derivative(xs, scene.dt), derive_derivative(ys, scene.dt)
-    track = {
-        "x": xs,
-        "y": ys,
-        "z": np.full(len(xs), cols.z[base + state.init_ts]),
-        "vx": vx,
-        "vy": vy,
-        "ax": derive_derivative(vx, scene.dt),
-        "ay": derive_derivative(vy, scene.dt),
-        "heading": np.concatenate([cols.heading[rec], provided[:, 2]]),
-        "observed": np.ones(len(xs), dtype=bool),
-    }
-    return end, {k: v[lo - ctx :] for k, v in track.items()}
+        series = state._table[rows[ctrl]][..., [0, 1, 7]]
+        sel = inside[ctrl]
+    # x then y of every controlled agent as one series of segments, each
+    # from the agent's first selected sample.
+    n = sel.sum(axis=1)
+    offsets = np.cumsum(np.concatenate([[0], n, n]))
+    vel = derive_derivative(series[sel][:, :2].T.ravel(), scene.dt, offsets)
+    block = np.zeros((*sel.shape, len(OBS_STATE_LAYOUT)))
+    block[..., [0, 1, 7]] = series
+    block[..., 2] = state._z[:, None]
+    block[sel, 3:7] = np.concatenate([vel, derive_derivative(vel, scene.dt, offsets)]).reshape(4, -1).T
+
+    grid = state._table[rows[:, 2:]]
+    observed = scene.columns.observed[rows[:, 2:]]
+    mask = inside[:, 2:]
+    grid[ctrl] = block[:, 2:]
+    observed[ctrl] = True
+    mask[ctrl] = sel[:, 2:]
+    return grid, observed, mask
 
 
 def _window_scene(state: SimState, simulated: bool) -> SceneFrame:
-    """Rollout as a SceneFrame over [init_ts, current_ts].
+    """The valid rows of the _grid over [init_ts, current_ts] as a scene.
 
-    With simulated=True, controlled agents take their provided poses; with
-    False they replay the recording (clipped to their real lifetime), which is
-    the like-for-like baseline for distribution scoring. Frozen agents
-    contribute their recorded rows clipped to the window either way. Both
-    sides run the controlled pose series through the same derivation, so an
-    exact replay produces bit-identical kinematics.
+    The replay (simulated=False) is the like-for-like baseline for
+    distribution scoring: both sides run the controlled pose series through
+    the same derivation, so an exact replay gives bit-identical kinematics.
     """
     scene = state.scene
-    cols = scene.columns
     lo, hi = state.init_ts, state.current_ts
-    agents: list[AgentMetadata] = []
-    tracks: list[dict[str, np.ndarray]] = []
-    for i, meta in enumerate(scene.agents):
-        if meta.agent_id in state.controlled_idx:
-            end, track = _controlled_track(state, i, lo, simulated)
-            agents.append(AgentMetadata(meta.agent_id, meta.agent_type, meta.extent, lo, end))
-            tracks.append(track)
-        else:
-            a, b = max(lo, meta.first_ts), min(hi, meta.last_ts)
-            if a > b:
-                continue
-            start = scene.rows_for_agent(i).start + (a - meta.first_ts)
-            n = b - a + 1
-            track = {
-                k: np.array(getattr(cols, k)[start : start + n])
-                for k in ("x", "y", "z", "vx", "vy", "ax", "ay", "heading", "observed")
-            }
-            agents.append(AgentMetadata(meta.agent_id, meta.agent_type, meta.extent, a, b))
-            tracks.append(track)
-    return SceneFrame.from_tracks(
-        scene_id=f"{scene.scene_id}_sim",
-        dataset_tag=scene.dataset_tag,
-        location=scene.location,
-        dt=scene.dt,
-        agents=agents,
-        tracks=tracks,
-        heading_derived=False,
+    grid, observed, mask = _grid(state, lo, hi, simulated)
+    n = mask.sum(axis=1)
+    kept = np.flatnonzero(n)
+    first = lo + mask.argmax(axis=1)[kept]
+    last = first + n[kept] - 1
+    agents = [
+        AgentMetadata(scene.agents[j].agent_id, scene.agents[j].agent_type, scene.agents[j].extent, a, b)
+        for j, a, b in zip(kept.tolist(), first.tolist(), last.tolist())
+    ]
+    columns = SceneColumns(
+        np.repeat(np.arange(len(kept)), n[kept]),
+        np.broadcast_to(np.arange(lo, hi + 1), mask.shape)[mask],
+        *np.ascontiguousarray(grid[mask].T),
+        observed[mask],
     )
+    n_timesteps = max((m.last_ts for m in agents), default=-1) + 1
+    return replace(scene, scene_id=f"{scene.scene_id}_sim", n_timesteps=n_timesteps, agents=agents, columns=columns, heading_derived=False)
 
 
 def rollout_scene(state: SimState) -> SceneFrame:
@@ -254,15 +251,7 @@ def sim_score(state: SimState, vmap: VectorMap | None) -> SimMetrics:
     if state.current_ts - state.init_ts + 1 < 2:
         raise ValueError("rollout must span at least 2 timesteps to score")
     sim = _window_scene(state, simulated=True)
-    real = _window_scene(state, simulated=False)
-
-    def _samples(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray]:
-        c = scene.columns
-        return np.hypot(c.vx, c.vy), np.hypot(c.ax, c.ay)
-
-    sim_speed, sim_accel = _samples(sim)
-    real_speed, real_accel = _samples(real)
-
+    sim_cols, real_cols = sim.columns, _window_scene(state, simulated=False).columns
     offroad: float | None = None
     if vmap is not None and vmap.has_drivable_area:
         offroad = _pooled_rate(sim, lambda s: _offroad_counts(s, vmap, _offroad_rows(s, OFFROAD_TYPES)))
@@ -270,8 +259,8 @@ def sim_score(state: SimState, vmap: VectorMap | None) -> SimMetrics:
     return SimMetrics(
         collision_rate=_pooled_rate(sim, _scene_collisions),
         offroad_rate=offroad,
-        speed_distance=wasserstein_1d(sim_speed, real_speed),
-        accel_distance=wasserstein_1d(sim_accel, real_accel),
+        speed_distance=wasserstein_1d(np.hypot(sim_cols.vx, sim_cols.vy), np.hypot(real_cols.vx, real_cols.vy)),
+        accel_distance=wasserstein_1d(np.hypot(sim_cols.ax, sim_cols.ay), np.hypot(real_cols.ax, real_cols.ay)),
     )
 
 

@@ -10,16 +10,20 @@ import math
 import numpy as np
 
 from trajkit.analysis import (
+    OFFROAD_TYPES,
     Histogram,
     _agent_counts,
     _agent_rows,
+    _offroad_counts,
+    _offroad_rows,
     _rate_entry,
     _scenes_by_dataset,
     obb_corners,
     obb_intersect,
 )
 from trajkit.batching import STATE_DIM, AgentBatchElement, SceneBatchElement
-from trajkit.core import wrap_angle
+from trajkit.core import AgentMetadata, SceneFrame, wrap_angle
+from trajkit.simulation import OBS_STATE_LAYOUT, SimMetrics, SimObservation, _pooled_rate, wasserstein_1d
 
 
 def lane_segment_arrays(vmap):
@@ -581,3 +585,138 @@ def wasserstein_by_quantile_grid(a, b, n_grid=200001):
     qa = np.quantile(np.asarray(a, dtype=float), q, method="inverted_cdf")
     qb = np.quantile(np.asarray(b, dtype=float), q, method="inverted_cdf")
     return float(np.mean(np.abs(qa - qb)))
+
+
+class ReferenceSimState:
+    """A rollout held agent by agent: the recorded scene plus, per controlled
+    agent, the list of provided (x, y, heading) poses after init_ts."""
+
+    def __init__(self, scene, init_ts, controlled):
+        self.scene = scene
+        self.init_ts = init_ts
+        self.current_ts = init_ts
+        self.controlled_idx = {
+            agent_id: next(i for i, m in enumerate(scene.agents) if m.agent_id == agent_id) for agent_id in controlled
+        }
+        self.poses = {agent_id: [] for agent_id in controlled}
+
+
+def reference_sim_reset(scene, init_ts, controlled):
+    """``simulation.sim_reset`` on the per-agent state, for valid input."""
+    state = ReferenceSimState(scene, init_ts, controlled)
+    return state, reference_observe(state)
+
+
+def reference_sim_step(state, new_states):
+    """``simulation.sim_step`` on the per-agent state, for valid input."""
+    for agent_id, pose in new_states.items():
+        x, y, heading = float(pose[0]), float(pose[1]), float(pose[2])
+        state.poses[agent_id].append((x, y, wrap_angle(heading)))
+    state.current_ts += 1
+    return state, reference_observe(state)
+
+
+def reference_observe(state):
+    """The observation at current_ts, one scene agent at a time."""
+    scene = state.scene
+    cols = scene.columns
+    ts = state.current_ts
+    n = scene.n_agents
+    states = np.zeros((n, len(OBS_STATE_LAYOUT)))
+    valid = np.zeros(n, dtype=bool)
+    for i, meta in enumerate(scene.agents):
+        if meta.agent_id in state.controlled_idx:
+            _, track = _reference_controlled_track(state, i, ts, simulated=True)
+            states[i] = [track[k][-1] for k in OBS_STATE_LAYOUT]
+            valid[i] = True
+            continue
+        clamped = min(max(ts, meta.first_ts), meta.last_ts)
+        row = scene.row_at(i, clamped)
+        states[i] = [getattr(cols, k)[row] for k in OBS_STATE_LAYOUT]
+        valid[i] = meta.first_ts <= ts <= meta.last_ts
+    return SimObservation(ts=ts, agent_ids=tuple(m.agent_id for m in scene.agents), states=states, valid=valid)
+
+
+def _reference_controlled_track(state, i, lo, simulated):
+    """Track of controlled agent i from timestep lo to its end in the rollout
+    window, derived over its own pose series: the recording up to init_ts,
+    then the provided poses (simulated) or the rest of its recording clipped
+    to its lifetime (replay). Returns (last timestep, track)."""
+    scene = state.scene
+    cols = scene.columns
+    meta = scene.agents[i]
+    base = scene.rows_for_agent(i).start - meta.first_ts
+    ctx = max(lo - 2, meta.first_ts)
+    if simulated:
+        end, recorded_end = state.current_ts, state.init_ts
+        poses = state.poses[meta.agent_id][max(ctx - state.init_ts - 1, 0) :]
+    else:
+        end = recorded_end = min(state.current_ts, meta.last_ts)
+        poses = []
+    rec = slice(base + ctx, base + recorded_end + 1)
+    provided = np.asarray(poses, dtype=np.float64).reshape(-1, 3)
+    xs = np.concatenate([cols.x[rec], provided[:, 0]])
+    ys = np.concatenate([cols.y[rec], provided[:, 1]])
+    vx, vy = reference_derivative(xs, scene.dt), reference_derivative(ys, scene.dt)
+    track = {
+        "x": xs,
+        "y": ys,
+        "z": np.full(len(xs), cols.z[base + state.init_ts]),
+        "vx": vx,
+        "vy": vy,
+        "ax": reference_derivative(vx, scene.dt),
+        "ay": reference_derivative(vy, scene.dt),
+        "heading": np.concatenate([cols.heading[rec], provided[:, 2]]),
+        "observed": np.ones(len(xs), dtype=bool),
+    }
+    return end, {k: v[lo - ctx :] for k, v in track.items()}
+
+
+def reference_window_scene(state, simulated):
+    """The rollout (simulated) or its replay baseline over [init_ts,
+    current_ts], assembled from per-agent tracks."""
+    scene = state.scene
+    cols = scene.columns
+    lo, hi = state.init_ts, state.current_ts
+    agents, tracks = [], []
+    for i, meta in enumerate(scene.agents):
+        if meta.agent_id in state.controlled_idx:
+            end, track = _reference_controlled_track(state, i, lo, simulated)
+            agents.append(AgentMetadata(meta.agent_id, meta.agent_type, meta.extent, lo, end))
+            tracks.append(track)
+            continue
+        a, b = max(lo, meta.first_ts), min(hi, meta.last_ts)
+        if a > b:
+            continue
+        start = scene.rows_for_agent(i).start + (a - meta.first_ts)
+        n = b - a + 1
+        tracks.append({
+            k: np.array(getattr(cols, k)[start : start + n])
+            for k in ("x", "y", "z", "vx", "vy", "ax", "ay", "heading", "observed")
+        })
+        agents.append(AgentMetadata(meta.agent_id, meta.agent_type, meta.extent, a, b))
+    return SceneFrame.from_tracks(
+        scene_id=f"{scene.scene_id}_sim",
+        dataset_tag=scene.dataset_tag,
+        location=scene.location,
+        dt=scene.dt,
+        agents=agents,
+        tracks=tracks,
+        heading_derived=False,
+    )
+
+
+def reference_sim_score(state, vmap):
+    """``simulation.sim_score`` over the reference rollout and baseline."""
+    sim = reference_window_scene(state, simulated=True)
+    real = reference_window_scene(state, simulated=False)
+    offroad = None
+    if vmap is not None and vmap.has_drivable_area:
+        offroad = _pooled_rate(sim, lambda s: _offroad_counts(s, vmap, _offroad_rows(s, OFFROAD_TYPES)))
+    sc, rc = sim.columns, real.columns
+    return SimMetrics(
+        collision_rate=_pooled_rate(sim, reference_scene_collisions),
+        offroad_rate=offroad,
+        speed_distance=wasserstein_1d(np.hypot(sc.vx, sc.vy), np.hypot(rc.vx, rc.vy)),
+        accel_distance=wasserstein_1d(np.hypot(sc.ax, sc.ay), np.hypot(rc.ax, rc.ay)),
+    )

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trajkit
+from trajkit import ingest
 from trajkit.core import AgentType, scene_validate
 from trajkit.ingest import (
     CacheChecksumError,
@@ -351,6 +358,76 @@ class TestCache:
         again = SceneMetaRecord.from_json(meta.to_json())
         assert again == meta
         assert json.loads(meta.to_json())["split"] == "train"
+
+
+# Builds n one-agent scenes, reports ready, waits for the go file, then
+# writes them all into one dataset of the cache.
+_WRITER = """
+import sys, time
+from pathlib import Path
+import numpy as np
+from trajkit.core import AgentMetadata, AgentType, SceneFrame
+from trajkit.ingest import SceneCache
+
+cache_dir, name, n = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+track = {k: np.zeros(3) for k in ("x", "y", "z", "vx", "vy", "ax", "ay", "heading")}
+track["observed"] = np.ones(3, dtype=bool)
+agents = [AgentMetadata("a", AgentType.VEHICLE, None, 0, 2)]
+scenes = [SceneFrame.from_tracks(f"{name}-{k:03d}", "race", "", 0.1, agents, [track]) for k in range(n)]
+cache = SceneCache(cache_dir)
+(cache_dir.parent / f"ready-{name}").touch()
+while not (cache_dir.parent / "go").exists():
+    time.sleep(0.001)
+for scene in scenes:
+    cache.write(scene)
+"""
+
+
+class TestConcurrentWriters:
+    N_SCENES = 40
+
+    def test_two_processes_lose_no_index_entries(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        names = ("p", "q")
+        env = dict(os.environ, PYTHONPATH=str(Path(trajkit.__file__).parents[1]))
+        procs = [
+            subprocess.Popen([sys.executable, "-c", _WRITER, str(cache_dir), name, str(self.N_SCENES)], env=env)
+            for name in names
+        ]
+        try:
+            deadline = time.monotonic() + 60.0
+            while not all((tmp_path / f"ready-{name}").exists() for name in names):
+                assert all(p.poll() is None for p in procs), "a writer exited before writing"
+                assert time.monotonic() < deadline, "writers did not start"
+                time.sleep(0.01)
+            (tmp_path / "go").touch()
+            codes = [p.wait(timeout=60.0) for p in procs]
+        finally:
+            for p in procs:
+                if p.poll() is None:
+                    p.kill()
+                    p.wait()
+        assert codes == [0, 0]
+        written = sorted(f"{name}-{k:03d}" for name in names for k in range(self.N_SCENES))
+        assert [e.scene_id for e in SceneCache(cache_dir).resolve(["race"])] == written
+        assert sorted(p.name for p in (cache_dir / "race").iterdir()) == sorted([f"{s}.tksc" for s in written] + ["index.json"])
+
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
+        cache = SceneCache(tmp_path)
+        old = synth_scene(Straight(1.0), 1, 5, 0.1, scene_id="s", dataset="dsa")
+        path = cache.write(old)
+        index = (tmp_path / "dsa" / "index.json").read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ingest.os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            cache.write(synth_scene(Straight(2.0), 2, 9, 0.1, scene_id="s", dataset="dsa"))
+        monkeypatch.undo()
+        assert cache_load(path) == old
+        assert sorted(p.name for p in (tmp_path / "dsa").iterdir()) == ["index.json", "s.tksc"]
+        assert (tmp_path / "dsa" / "index.json").read_bytes() == index
 
 
 class TestCacheHeaderSchema:

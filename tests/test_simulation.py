@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from trajkit.core import AgentMetadata, AgentType, Extent, SceneFrame
+from trajkit.core import AgentMetadata, AgentType, Extent, SceneColumns, SceneFrame
 from trajkit.ingest import (
     Circle,
     SceneMetaRecord,
@@ -17,6 +18,7 @@ from trajkit.kinematics import complete_track
 from trajkit.simulation import (
     OBS_STATE_LAYOUT,
     SimState,
+    _window_scene,
     rollout_scene,
     sim_export,
     sim_reset,
@@ -27,8 +29,15 @@ from trajkit.simulation import (
 
 from trajkit.vecmap import PolygonArea, VectorMap
 
-from conftest import random_scene, straight_lane
-from oracles import crossing_number_inside, obb_overlap_by_sampling
+from conftest import random_scene, square_area, straight_lane
+from oracles import (
+    crossing_number_inside,
+    obb_overlap_by_sampling,
+    reference_sim_reset,
+    reference_sim_score,
+    reference_sim_step,
+    reference_window_scene,
+)
 
 
 def _ingested(scene) -> SceneFrame:
@@ -121,6 +130,25 @@ class TestReset:
         with pytest.raises(ValueError, match="not in scene"):
             sim_reset(scene, 0, ["ghost"])
 
+    def test_duplicate_controlled_agent(self):
+        scene = _ingested(synth_scene(Straight(10.0), 2, 20, 0.1))
+        with pytest.raises(ValueError, match="'a0' listed more than once"):
+            sim_reset(scene, 0, ["a0", "a1", "a0"])
+
+    @pytest.mark.parametrize("init_ts", [5.5, 5.0, "5", None])
+    def test_non_integral_init_ts(self, init_ts):
+        scene = _ingested(synth_scene(Straight(10.0), 1, 20, 0.1))
+        with pytest.raises(ValueError, match="init_ts must be an integer"):
+            sim_reset(scene, init_ts, ["a0"])
+
+    @pytest.mark.parametrize("init_ts", [np.int64(5), np.int32(5), np.uint8(5)])
+    def test_numpy_integer_init_ts(self, init_ts):
+        scene = _ingested(synth_scene(Straight(10.0), 1, 20, 0.1))
+        state, obs = sim_reset(scene, init_ts, ["a0"])
+        _, want = sim_reset(scene, 5, ["a0"])
+        assert state.init_ts == 5 and obs.ts == 5
+        assert obs.states.tobytes() == want.states.tobytes()
+
 
 class TestStep:
     def test_exact_agent_set_required(self):
@@ -137,6 +165,15 @@ class TestStep:
         with pytest.raises(ValueError, match="non-finite"):
             sim_step(state, {"a0": (math.nan, 0.0, 0.0)})
 
+    @pytest.mark.parametrize(
+        "pose", [(1.0, 2.0), None, (1.0, 2.0, 3.0, 4.0), ("east", 0.0, 0.0), 7.0, (1.0, 2.0, 3j), "123", [[1.0, 2.0, 3.0]]]
+    )
+    def test_malformed_pose_rejected(self, pose):
+        scene = _ingested(synth_scene(Straight(10.0), 2, 30, 0.1))
+        state, _ = sim_reset(scene, 0, ["a0", "a1"])
+        with pytest.raises(ValueError, match="agent 'a1': pose must be three numbers"):
+            sim_step(state, {"a0": (0.0, 0.0, 0.0), "a1": pose})
+
     def test_ts_strictly_increments(self):
         scene = _ingested(synth_scene(Straight(10.0), 2, 30, 0.1))
         state, _ = sim_reset(scene, 3, ["a0", "a1"])
@@ -144,8 +181,11 @@ class TestStep:
             state, obs = sim_step(state, {"a0": (float(k), 0.0, 0.0), "a1": (float(k), 5.0, 0.0)})
             assert obs.ts == 4 + k
         assert state.current_ts == 8
-        # rollout row count = controlled agents x steps
-        assert sum(len(p) for p in state.poses.values()) == 2 * 5
+        # rollout row count = controlled agents x steps; slot k of the pose
+        # buffer holds timestep init_ts - 2 + k
+        provided = state.poses[:, 3 : state.current_ts - state.init_ts + 3]
+        assert provided.shape == (2, 5, 3)
+        np.testing.assert_array_equal(provided[:, :, 0], [np.arange(5.0)] * 2)
 
     def test_constant_pose_speed_zero(self):
         scene = _ingested(synth_scene(Straight(10.0), 1, 60, 0.1))
@@ -174,6 +214,27 @@ class TestStep:
         last_row = scene.row_at(list(m.agent_id for m in scene.agents).index(early.agent_id), early.last_ts)
         assert not obs.valid[idx]
         assert obs.states[idx, 0] == scene.columns.x[last_row]
+
+    def test_rollout_past_scene_end(self):
+        scene = _ingested(synth_scene(Straight(10.0), 3, 20, 0.1))
+        end = scene.n_timesteps - 1
+        state, _ = sim_reset(scene, 15, ["a0"])
+        cols = scene.columns
+        for k in range(12):  # to timestep 27; the pose buffer grows twice on the way
+            state, obs = sim_step(state, {"a0": (100.0 + k, 1.0, 0.5)})
+            assert obs.valid[0] and obs.states[0, 0] == 100.0 + k
+            for i in (1, 2):
+                row = scene.row_at(i, min(obs.ts, end))
+                assert obs.valid[i] == (obs.ts <= end)
+                assert obs.states[i].tolist() == [getattr(cols, name)[row] for name in OBS_STATE_LAYOUT]
+        assert state.current_ts == 27
+        roll = rollout_scene(state)
+        assert roll.n_timesteps == 28 > scene.n_timesteps
+        assert [(m.agent_id, m.first_ts, m.last_ts) for m in roll.agents] == [("a0", 15, 27), ("a1", 15, end), ("a2", 15, end)]
+        np.testing.assert_array_equal(roll.columns.x[roll.rows_for_agent(0)][1:], 100.0 + np.arange(12))
+        real = _window_scene(state, simulated=False)
+        assert [(m.first_ts, m.last_ts) for m in real.agents] == [(15, end)] * 3
+        assert sim_score(state, None).speed_distance > 0.0
 
 
 def _real_poses_alive(scene, ts, agent_id):
@@ -281,7 +342,7 @@ class TestExport:
 
     def test_empty_rollout_header_only(self, tmp_path):
         empty = SceneFrame.from_tracks("void", "toy", "nowhere", 0.1, [], [])
-        state = SimState(scene=empty, init_ts=0, current_ts=0, controlled=(), controlled_idx={}, poses={})
+        state = SimState(scene=empty, init_ts=0, current_ts=0, controlled=(), controlled_idx={}, poses=np.zeros((0, 3, 3)))
         path = sim_export(state, tmp_path / "empty.csv")
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("scene_id,")
@@ -419,3 +480,74 @@ class TestScoreMatchesOracles:
         assert not cols.observed[off_rows[b]].any()  # b is off the road only on interpolated rows
         assert metrics.collision_rate == len(collided) / len(boxed)
         assert metrics.offroad_rate == len(offroad) / len(road)
+
+
+class TestArrayStateEquivalence:
+    """Observations, rollout, replay baseline, scores and export against the
+    per-agent reference in tests/oracles.py, bit for bit."""
+
+    BLOCKS, PER_BLOCK = 4, 30
+
+    def _case(self, seed):
+        rng = np.random.default_rng(seed)
+        scene = random_scene(
+            rng,
+            n_agents=int(rng.integers(1, 7)),
+            n_timesteps=int(rng.integers(6, 40)),
+            gap_prob=float(rng.choice([0.0, 0.3, 0.6])),
+            with_extent=bool(rng.random() < 0.8),
+            scene_id=f"eq-{seed}",
+        )
+        # A varying z: controlled agents must keep their init_ts value.
+        z = np.cumsum(rng.normal(0.0, 0.1, size=len(scene.columns)))
+        scene = dataclasses.replace(scene, columns=SceneColumns(**{**scene.columns.as_dict(), "z": z}))
+        # Starts at 0, 1, and at or one step after some agent's birth.
+        births = [m.first_ts for m in scene.agents]
+        init_ts = min(int(rng.choice([0, 1] + births + [b + 1 for b in births])), scene.n_timesteps - 1)
+        alive = [m.agent_id for m in scene.agents if m.first_ts <= init_ts <= m.last_ts]
+        controlled = [] if seed % 5 == 0 else [a for a in alive if rng.random() < 0.7]
+        # Some rollouts stop at or before the scene's end, others run past it.
+        steps = int(rng.integers(0, scene.n_timesteps - init_ts + 6))
+        return rng, scene, init_ts, controlled, steps
+
+    def _poses(self, rng, scene, ts, controlled, last, style):
+        by_id = {m.agent_id: i for i, m in enumerate(scene.agents)}
+        cols = scene.columns
+        poses = {}
+        for a in controlled:
+            row = scene.row_at(by_id[a], ts)
+            if style == "replay" and row is not None:
+                poses[a] = (cols.x[row], cols.y[row], cols.heading[row])
+                continue
+            x, y, h = last[a]
+            jump = 60.0 if rng.random() < 0.1 else 0.0  # a teleport
+            # Headings beyond (-pi, pi] exercise the wrap.
+            poses[a] = (x + rng.normal(0.0, 0.5) + jump, y + rng.normal(0.0, 0.5), h + rng.normal(0.0, 3.0))
+        return poses
+
+    @pytest.mark.parametrize("block", range(BLOCKS))
+    def test_matches_reference(self, block, tmp_path):
+        vmap = VectorMap("toy:flat", [straight_lane("L1", 0.0)], road_areas=[square_area(-30.0, -30.0, 60.0)])
+        for seed in range(block * self.PER_BLOCK, (block + 1) * self.PER_BLOCK):
+            rng, scene, init_ts, controlled, steps = self._case(seed)
+            style = "replay" if seed % 3 == 0 else "walk"
+            state, obs = sim_reset(scene, init_ts, controlled)
+            ref, ref_obs = reference_sim_reset(scene, init_ts, controlled)
+            last = {a: obs.states[i][[0, 1, 7]] for i, a in enumerate(obs.agent_ids) if a in controlled}
+            for _ in range(steps + 1):
+                assert obs.ts == ref_obs.ts and obs.agent_ids == ref_obs.agent_ids, seed
+                assert obs.states.tobytes() == ref_obs.states.tobytes(), seed
+                assert obs.valid.tobytes() == ref_obs.valid.tobytes(), seed
+                assert rollout_scene(state) == reference_window_scene(ref, True), seed
+                assert _window_scene(state, False) == reference_window_scene(ref, False), seed
+                if state.current_ts == init_ts + steps:
+                    break
+                poses = self._poses(rng, scene, state.current_ts + 1, controlled, last, style)
+                last = {a: np.array(p) for a, p in poses.items()}
+                state, obs = sim_step(state, poses)
+                ref, ref_obs = reference_sim_step(ref, poses)
+            if steps:
+                m = vmap if seed % 2 else None
+                assert sim_score(state, m).to_dict() == reference_sim_score(ref, m).to_dict(), seed
+            path = sim_export(state, tmp_path / f"{seed}.csv")
+            assert path.read_bytes() == write_canonical_csv(reference_window_scene(ref, True)).encode(), seed
