@@ -206,14 +206,10 @@ def cmd_batch(args) -> int:
 
 def cmd_sim_replay(args) -> int:
     cache = _require_cache(args)
-    scene = None
-    for dataset_dir in sorted(cache.cache_dir.iterdir()):
-        candidate = dataset_dir / f"{args.scene}.tksc"
-        if candidate.exists():
-            scene = cache.load_path(candidate)
-            break
-    if scene is None:
+    path = cache.locate(args.scene)
+    if path is None:
         raise ParseError(f"scene {args.scene!r} not found in cache {cache.cache_dir}")
+    scene = cache.load_path(path)
     if args.steps < 1:
         raise _UsageError("--steps must be >= 1")
     end_ts = args.init_ts + args.steps

@@ -322,6 +322,16 @@ class SceneFrame:
         return all(getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in COLUMN_NAMES)
 
 
+# Per-agent row rules, in the order scene_validate reports them for one agent.
+_ROW_RULES = (
+    "agent {name}: no rows for lifetime [{first}, {last}] (gap)",
+    "agent {name}: timesteps out of order (row-order)",
+    "agent {name}: duplicate row at ts {ts} (duplicate-row)",
+    "agent {name}: missing row at ts {ts} (gap)",
+    "agent {name}: row at ts {ts} outside lifetime (ts-range)",
+)
+
+
 def scene_validate(scene: SceneFrame) -> list[str]:
     """Check all SceneFrame invariants; return one description per violation.
 
@@ -356,25 +366,32 @@ def scene_validate(scene: SceneFrame) -> list[str]:
     if not order_ok:
         violations.append(f"scene {scene.scene_id}: rows not grouped by agent_index (row-order)")
 
-    for i, meta in enumerate(scene.agents):
-        mask = idx == i
-        ts = cols.ts[mask]
-        name = meta.agent_id
-        if ts.size == 0:
-            violations.append(f"agent {name}: no rows for lifetime [{meta.first_ts}, {meta.last_ts}] (gap)")
-            continue
-        if np.any(np.diff(ts) < 0):
-            violations.append(f"agent {name}: timesteps out of order (row-order)")
-            ts = np.sort(ts)
-        dup = ts[:-1][np.diff(ts) == 0]
-        for t in np.unique(dup):
-            violations.append(f"agent {name}: duplicate row at ts {int(t)} (duplicate-row)")
-        expected = np.arange(meta.first_ts, meta.last_ts + 1)
-        present = np.unique(ts)
-        for t in np.setdiff1d(expected, present):
-            violations.append(f"agent {name}: missing row at ts {int(t)} (gap)")
-        for t in np.setdiff1d(present, expected):
-            violations.append(f"agent {name}: row at ts {int(t)} outside lifetime (ts-range)")
+    # Per-agent row rules, linear in rows up to one stable sort by agent.
+    first = np.array([m.first_ts for m in scene.agents], dtype=np.int64)
+    last = np.array([m.last_ts for m in scene.agents], dtype=np.int64)
+    order = np.argsort(idx, kind="stable")
+    agent, ts = idx[order], cols.ts[order]
+    same = agent[1:] == agent[:-1]
+    unordered = np.unique(agent[1:][same & (ts[1:] < ts[:-1])])
+    pairs, counts = np.unique(np.stack([agent, ts], axis=1), axis=0, return_counts=True)
+    present, present_ts = pairs[:, 0], pairs[:, 1]
+    inside = (present_ts >= first[present]) & (present_ts <= last[present])
+    # One slot per lifetime timestep of every agent that has rows.
+    has_rows = np.bincount(idx, minlength=scene.n_agents) > 0
+    span = np.where(has_rows, np.maximum(last - first + 1, 0), 0)
+    start = np.cumsum(span) - span
+    slot_agent = np.repeat(np.arange(scene.n_agents), span)
+    slot_ts = np.arange(len(slot_agent)) - start[slot_agent] + first[slot_agent]
+    covered = np.zeros(len(slot_agent), dtype=bool)
+    covered[start[present[inside]] + present_ts[inside] - first[present[inside]]] = True
+    no_rows = np.flatnonzero(~has_rows)
+    found = [  # (agents, ts) per rule of _ROW_RULES; the first two rules show no ts
+        (no_rows, no_rows), (unordered, unordered), (present[counts > 1], present_ts[counts > 1]),
+        (slot_agent[~covered], slot_ts[~covered]), (present[~inside], present_ts[~inside]),
+    ]
+    for a, rule, t in sorted((a, rule, t) for rule, (agents, at) in enumerate(found) for a, t in zip(agents.tolist(), at.tolist())):
+        meta = scene.agents[a]
+        violations.append(_ROW_RULES[rule].format(name=meta.agent_id, first=meta.first_ts, last=meta.last_ts, ts=t))
 
     if cols.ts.size and (cols.ts.min() < 0 or cols.ts.max() >= scene.n_timesteps):
         violations.append(
@@ -397,9 +414,3 @@ def scene_validate(scene: SceneFrame) -> list[str]:
             )
 
     return violations
-
-
-def extract_agent_rows(scene: SceneFrame, agent_index: int) -> dict[str, np.ndarray]:
-    """Per-agent view of the scene columns (copies), keyed like COLUMN_NAMES minus agent_index."""
-    sl = scene.rows_for_agent(agent_index)
-    return {name: np.array(getattr(scene.columns, name)[sl]) for name in COLUMN_NAMES if name != "agent_index"}

@@ -23,7 +23,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,7 +37,8 @@ from .core import (
     scene_validate,
     wrap_angle,
 )
-from .kinematics import complete_track
+# complete_track stays importable here: the traced benchmark run (bench/spans.py) wraps it by this path.
+from .kinematics import complete_track, complete_tracks  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -160,9 +161,12 @@ def _read_canonical_rows(table_text: str) -> dict[str, list[tuple]]:
             frame = int(frame_cell)
         except ValueError:
             raise ParseError(f"line {line_no}: frame {frame_cell!r} is not an integer") from None
+        if not -(2**63) <= frame < 2**63:
+            raise ParseError(f"line {line_no}: frame {frame_cell!r} does not fit in int64")
         x = _parse_float(row[4].strip(), line_no, "x")
         y = _parse_float(row[5].strip(), line_no, "y")
         z = _parse_optional_float(row[6], line_no, "z")
+        z = 0.0 if z is None else z
         heading = _parse_optional_float(row[7], line_no, "heading")
         length = _parse_optional_float(row[8], line_no, "length")
         width = _parse_optional_float(row[9], line_no, "width")
@@ -175,49 +179,46 @@ def _read_canonical_rows(table_text: str) -> dict[str, list[tuple]]:
     return scenes
 
 
+def _agent_tracks(agent_ids: Sequence, frames: Sequence[int], lines: Sequence[int]) -> tuple:
+    """Rows ordered by (agent id, frame): (sorted distinct ids, row order, ordered
+    frame offsets from the smallest frame, agent offsets into the ordered rows,
+    agent and ordered row of the first repeated frame, or len(ids) and len(rows)).
+    An offset beyond int64 wraps negative: ParseError naming the first such line."""
+    frames = np.array(frames, dtype=np.int64)
+    ts = frames - frames.min()
+    if np.any(ts < 0):
+        row = int(np.argmax(ts < 0))
+        raise ParseError(f"line {lines[row]}: frame {frames[row]} is more than 2**63 - 1 frames after {frames.min()}")
+    ids, agent = np.unique(np.array(agent_ids, dtype=object), return_inverse=True)
+    order = np.lexsort((ts, agent))
+    agent, ts = agent[order], ts[order]
+    repeats = 1 + np.flatnonzero((agent[1:] == agent[:-1]) & (ts[1:] == ts[:-1]))
+    repeat = int(repeats[0]) if repeats.size else len(order)
+    offsets = np.searchsorted(agent, np.arange(len(ids) + 1))
+    return ids.tolist(), order, ts, offsets, int(np.append(agent, len(ids))[repeat]), repeat
+
+
 def _build_scene(scene_id: str, raw_rows: list[tuple], meta: SceneMetaRecord) -> SceneFrame:
-    by_agent: dict[str, list[tuple]] = {}
-    for row in raw_rows:
-        by_agent.setdefault(row[1], []).append(row)
-
-    min_frame = min(row[3] for row in raw_rows)
-    headings_given = all(row[7] is not None for row in raw_rows)
-
-    agents: list[AgentMetadata] = []
-    tracks: list[dict[str, np.ndarray]] = []
-    for agent_id in sorted(by_agent):
-        rows = sorted(by_agent[agent_id], key=lambda r: r[3])
-        frames = np.array([r[3] - min_frame for r in rows], dtype=np.int64)
-        dup = np.nonzero(np.diff(frames) == 0)[0]
-        if dup.size:
-            raise ParseError(
-                f"agent {agent_id}: non-monotone frames (duplicate frame {int(frames[dup[0]]) + min_frame})"
-            )
-        xs = np.array([r[4] for r in rows])
-        ys = np.array([r[5] for r in rows])
-        zs = np.array([0.0 if r[6] is None else r[6] for r in rows])
-        heading = np.array([r[7] for r in rows]) if headings_given else None
-        first_ts, track, heading_derived = complete_track(frames, xs, ys, zs, meta.dt, heading)
-        extent = None
-        for r in rows:
-            if r[8] is not None:
-                extent = Extent(r[8], r[9], r[10])
-                break
-        agent_type = rows[0][2]
-        last_ts = first_ts + len(track["x"]) - 1
-        agents.append(AgentMetadata(agent_id, agent_type, extent, first_ts, last_ts))
-        tracks.append(track)
-
-    scene = SceneFrame.from_tracks(
-        scene_id=scene_id,
-        dataset_tag=meta.dataset_tag(),
-        location=meta.location,
-        dt=meta.dt,
-        agents=agents,
-        tracks=tracks,
-        heading_derived=not headings_given,
+    lines, agent_ids, types, frames, x, y, z, heading, length, width, height = zip(*raw_rows)
+    ids, order, ts, offsets, repeat_agent, repeat = _agent_tracks(agent_ids, frames, lines)
+    # An agent's extent comes from its first row (in frame order) that has one.
+    has_extent = np.array([v is not None for v in length], dtype=bool)[order]
+    first_with = np.minimum.reduceat(np.where(has_extent, np.arange(len(order)), len(order)), offsets[:-1])
+    extent_rows = np.append(order, -1)[first_with]
+    # Agents are checked in order, a repeated frame before the extent.
+    extents = [None if r < 0 else Extent(length[r], width[r], height[r]) for r in extent_rows[:repeat_agent].tolist()]
+    if repeat_agent < len(ids):
+        raise ParseError(f"agent {ids[repeat_agent]}: non-monotone frames (duplicate frame {frames[order[repeat]]})")
+    headings_given = all(h is not None for h in heading)
+    first, last, columns = complete_tracks(
+        offsets, ts, np.array(x)[order], np.array(y)[order], np.array(z)[order], meta.dt,
+        np.array(heading, dtype=np.float64)[order] if headings_given else None,
     )
-    return scene
+    agents = [AgentMetadata(agent_id, types[r], extent, f, l) for agent_id, r, extent, f, l
+              in zip(ids, order[offsets[:-1]].tolist(), extents, first.tolist(), last.tolist())]
+    return SceneFrame(
+        scene_id, meta.dataset_tag(), meta.location, float(meta.dt), int(last.max()) + 1, agents, columns, not headings_given
+    )
 
 
 def parse_canonical_csv_many(table_text: str, meta: SceneMetaRecord) -> list[SceneFrame]:
@@ -281,7 +282,7 @@ def parse_frame_text(text: str, meta: SceneMetaRecord) -> SceneFrame:
     skip at a fixed stride; frames are folded onto a contiguous grid starting
     at ts 0, with one grid step lasting meta.dt seconds.
     """
-    records: list[tuple[int, int, float, float]] = []
+    records = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
         if not fields:
@@ -293,47 +294,24 @@ def parse_frame_text(text: str, meta: SceneMetaRecord) -> SceneFrame:
             x, y = float(fields[2]), float(fields[3])
         except ValueError:
             raise ParseError(f"line {line_no}: non-numeric field in {line.strip()!r}") from None
-        if frame_f != int(frame_f) or id_f != int(id_f):
+        if not (frame_f.is_integer() and id_f.is_integer()):
             raise ParseError(f"line {line_no}: frame and id must be integral")
-        records.append((int(frame_f), int(id_f), x, y))
+        if not -(2**63) <= frame_f < 2**63:
+            raise ParseError(f"line {line_no}: frame {fields[0]!r} does not fit in int64")
+        records.append((line_no, int(frame_f), int(id_f), x, y))
     if not records:
         raise ParseError("no agents: input has no data lines")
 
-    min_frame = min(r[0] for r in records)
-    offsets = sorted({r[0] - min_frame for r in records})
-    step = 0
-    for off in offsets:
-        step = math.gcd(step, off)
-    if step == 0:
-        step = 1
-
-    by_agent: dict[int, list[tuple[int, float, float]]] = {}
-    for frame, agent, x, y in records:
-        by_agent.setdefault(agent, []).append(((frame - min_frame) // step, x, y))
-
-    agents: list[AgentMetadata] = []
-    tracks: list[dict[str, np.ndarray]] = []
-    for agent in sorted(by_agent):
-        rows = sorted(by_agent[agent])
-        ts = np.array([r[0] for r in rows], dtype=np.int64)
-        if np.any(np.diff(ts) == 0):
-            raise ParseError(f"agent {agent}: duplicate frame")
-        xs = np.array([r[1] for r in rows])
-        ys = np.array([r[2] for r in rows])
-        first_ts, track, _ = complete_track(ts, xs, ys, np.zeros(len(ts)), meta.dt)
-        last_ts = first_ts + len(track["x"]) - 1
-        agents.append(AgentMetadata(str(agent), AgentType.PEDESTRIAN, None, first_ts, last_ts))
-        tracks.append(track)
-
-    return SceneFrame.from_tracks(
-        scene_id=meta.scene_id,
-        dataset_tag=meta.dataset_tag(),
-        location=meta.location,
-        dt=meta.dt,
-        agents=agents,
-        tracks=tracks,
-        heading_derived=True,
+    lines, frames, agent_ids, x, y = zip(*records)
+    ids, order, ts, offsets, repeat_agent, _ = _agent_tracks(agent_ids, frames, lines)
+    if repeat_agent < len(ids):
+        raise ParseError(f"agent {ids[repeat_agent]}: duplicate frame")
+    ts //= np.gcd.reduce(ts) or 1  # frames may skip at a fixed stride
+    first, last, columns = complete_tracks(
+        offsets, ts, np.array(x)[order], np.array(y)[order], np.zeros(len(order)), meta.dt
     )
+    agents = [AgentMetadata(str(a), AgentType.PEDESTRIAN, None, f, l) for a, f, l in zip(ids, first.tolist(), last.tolist())]
+    return SceneFrame(meta.scene_id, meta.dataset_tag(), meta.location, float(meta.dt), int(last.max()) + 1, agents, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +567,13 @@ def _replace_file(path: Path, data: bytes) -> None:
         raise
 
 
+def _plain_name(name: str, what: str) -> str:
+    """name, if it can name one file or directory inside the cache."""
+    if name in ("", ".", "..") or "/" in name or "\0" in name:
+        raise ValueError(f"{what} {name!r} cannot name a cache file: it must be a plain name without '/'")
+    return name
+
+
 def _index_entry(scene: SceneFrame, path: Path) -> dict:
     return {"scene_id": scene.scene_id, "path": path.name, "n_agents": scene.n_agents, "n_timesteps": scene.n_timesteps}
 
@@ -611,21 +596,21 @@ class SceneCache:
         self._memo: dict[Path, SceneFrame] = {}
 
     def _dataset_dir(self, dataset: str) -> Path:
-        return self.cache_dir / dataset
+        return self.cache_dir / _plain_name(dataset, "dataset")
 
     def _index_path(self, dataset: str) -> Path:
         return self._dataset_dir(dataset) / "index.json"
 
-    def _load_index(self, dataset: str) -> dict[str, list[dict]]:
+    def _load_index(self, dataset: str) -> dict[str, dict[str, dict]]:
+        """Index entries by scene tag, then by scene id."""
         path = self._index_path(dataset)
         if not path.exists():
             return {}
         raw = json.loads(path.read_text(encoding="utf-8"))
-        return raw.get("scenes", {})
+        return {render: {e["scene_id"]: e for e in entries} for render, entries in raw.get("scenes", {}).items()}
 
-    def _store_index(self, dataset: str, scenes: dict[str, list[dict]]) -> None:
-        for entries in scenes.values():
-            entries.sort(key=lambda e: e["scene_id"])
+    def _store_index(self, dataset: str, index: dict[str, dict[str, dict]]) -> None:
+        scenes = {render: [entries[scene_id] for scene_id in sorted(entries)] for render, entries in index.items()}
         payload = json.dumps({"version": 1, "scenes": scenes}, sort_keys=True, indent=1)
         _replace_file(self._index_path(dataset), payload.encode("utf-8"))
 
@@ -641,20 +626,35 @@ class SceneCache:
             os.close(fd)  # releases the lock
 
     def write(self, scene: SceneFrame) -> Path:
-        tag = scene.scene_tag()
-        ddir = self._dataset_dir(tag.dataset)
-        ddir.mkdir(parents=True, exist_ok=True)
-        path = ddir / f"{scene.scene_id}.tksc"
-        _replace_file(path, scene_to_bytes(scene))
-        self._memo.pop(path.resolve(), None)
+        return self.write_many([scene])[0]
 
-        with self._index_lock(tag.dataset):
-            scenes = self._load_index(tag.dataset)
-            entries = scenes.setdefault(tag.render(), [])
-            entries[:] = [e for e in entries if e["scene_id"] != scene.scene_id]
-            entries.append(_index_entry(scene, path))
-            self._store_index(tag.dataset, scenes)
-        return path
+    def write_many(self, scenes: Iterable[SceneFrame]) -> list[Path]:
+        """Write the scene files, then update each dataset's index once. Every
+        id is checked before anything is written."""
+        scenes = list(scenes)
+        paths = [self._dataset_dir(s.scene_tag().dataset) / f"{_plain_name(s.scene_id, 'scene id')}.tksc" for s in scenes]
+        for scene, path in zip(scenes, paths):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            _replace_file(path, scene_to_bytes(scene))
+            self._memo.pop(path.resolve(), None)
+
+        for dataset in dict.fromkeys(path.parent.name for path in paths):
+            with self._index_lock(dataset):
+                index = self._load_index(dataset)
+                for scene, path in zip(scenes, paths):
+                    if path.parent.name == dataset:
+                        index.setdefault(scene.scene_tag().render(), {})[scene.scene_id] = _index_entry(scene, path)
+                self._store_index(dataset, index)
+        return paths
+
+    def locate(self, scene_id: str) -> Path | None:
+        """Cached file of the scene with this id, looked up in the dataset
+        indexes; when several datasets hold it, the first in sorted order wins."""
+        for ddir in sorted(p for p in self.cache_dir.iterdir() if p.is_dir()):
+            for _, entries in sorted(self._load_index(ddir.name).items()):
+                if scene_id in entries:
+                    return ddir / entries[scene_id]["path"]
+        return None
 
     def load_path(self, path: str | Path) -> SceneFrame:
         resolved = Path(path).resolve()
@@ -676,7 +676,7 @@ class SceneCache:
             for render, entries in sorted(scenes.items()):
                 if not query.matches(SceneTag.parse(render)):
                     continue
-                for e in entries:
+                for e in entries.values():
                     matched.append(
                         CacheEntry(render, e["scene_id"], self._dataset_dir(query.dataset) / e["path"], e["n_agents"], e["n_timesteps"])
                     )
@@ -694,11 +694,11 @@ class SceneCache:
     def rebuild_index(self, dataset: str) -> None:
         """Regenerate a dataset's index from its scene files (idempotent)."""
         ddir = self._dataset_dir(dataset)
-        scenes: dict[str, list[dict]] = {}
+        scenes: dict[str, dict[str, dict]] = {}
         with self._index_lock(dataset):
             for path in sorted(ddir.glob("*.tksc")):
                 scene = scene_from_bytes(path.read_bytes())
-                scenes.setdefault(scene.scene_tag().render(), []).append(_index_entry(scene, path))
+                scenes.setdefault(scene.scene_tag().render(), {})[scene.scene_id] = _index_entry(scene, path)
             self._store_index(dataset, scenes)
 
 
@@ -713,12 +713,11 @@ def cache_load(path: str | Path) -> SceneFrame:
 
 
 def ingest_scenes(scenes: Iterable[SceneFrame], cache_dir: str | Path) -> list[Path]:
-    """Validate and cache a batch of parsed scenes."""
-    cache = SceneCache(cache_dir)
-    paths = []
+    """Validate a batch of parsed scenes, then cache them all; an invalid
+    scene leaves the cache unchanged."""
+    scenes = list(scenes)
     for scene in scenes:
         violations = scene_validate(scene)
         if violations:
             raise ValidationError(scene.scene_id, violations)
-        paths.append(cache.write(scene))
-    return paths
+    return SceneCache(cache_dir).write_many(scenes)

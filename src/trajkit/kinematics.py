@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import AgentMetadata, SceneFrame, extract_agent_rows, wrap_angle
+from .core import COLUMN_NAMES, AgentMetadata, SceneColumns, SceneFrame, wrap_angle
 
 log = logging.getLogger(__name__)
 
@@ -89,37 +89,42 @@ def derive_derivative(series: np.ndarray, dt: float, offsets: np.ndarray | None 
 
 
 def derive_heading(
-    vx: np.ndarray, vy: np.ndarray, speed_floor: float = DEFAULT_SPEED_FLOOR
-) -> tuple[np.ndarray, bool]:
+    vx: np.ndarray, vy: np.ndarray, speed_floor: float = DEFAULT_SPEED_FLOOR, offsets: np.ndarray | None = None
+) -> tuple[np.ndarray, bool | np.ndarray]:
     """Headings from velocity, holding the last well-defined value through slow motion.
 
     Where speed >= speed_floor the heading is atan2(vy, vx); below the floor
     the previous defined heading carries forward, and a leading low-speed
     prefix takes the first defined heading. Returns (headings, degenerate);
     degenerate is True when the agent never moves above the floor, in which
-    case all headings are 0.
+    case all headings are 0. With ``offsets`` (as for derive_derivative) each
+    segment is one agent, and degenerate holds one flag per segment.
     """
     vx = np.asarray(vx, dtype=np.float64)
     vy = np.asarray(vy, dtype=np.float64)
     if vx.shape != vy.shape:
         raise ValueError(f"vx and vy must have equal length, got {vx.shape} and {vy.shape}")
-    speed = np.hypot(vx, vy)
-    defined = speed >= speed_floor
-    if not defined.any():
-        return np.zeros(len(vx)), True
-    heading = np.zeros(len(vx))
-    heading[defined] = wrap_angle(np.arctan2(vy[defined], vx[defined]))
-    # Forward-fill from defined entries; backfill the leading prefix.
-    defined_idx = np.nonzero(defined)[0]
-    fill_src = np.maximum.accumulate(np.where(defined, np.arange(len(vx)), -1))
-    fill_src[fill_src < 0] = defined_idx[0]
-    return heading[fill_src], False
+    n = len(vx)
+    bounds = np.array([0, n]) if offsets is None else np.asarray(offsets, dtype=np.int64)
+    segment = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    defined = np.hypot(vx, vy) >= speed_floor
+    heading = np.zeros(n + 1)  # row n: the 0 of an agent that never moves
+    heading[:n][defined] = wrap_angle(np.arctan2(vy[defined], vx[defined]))
+    # Fills by row index, so they copy values exactly: the last defined row
+    # at or before each row, else the first defined row of its segment.
+    rows = np.arange(n)
+    first_defined = np.full(len(bounds) - 1, n)
+    np.minimum.at(first_defined, segment[defined], rows[defined])
+    last_defined = np.maximum.accumulate(np.where(defined, rows, -1))
+    fill = np.where(last_defined >= bounds[:-1][segment], last_defined, first_defined[segment])
+    return heading[fill], (bool(first_defined[0] == n) if offsets is None else first_defined == n)
 
 
 def impute_linear(
     ts: np.ndarray,
     values: dict[str, np.ndarray],
     angular: tuple[str, ...] = ("heading",),
+    offsets: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
     """Fill interior timestep gaps of one agent by per-axis linear interpolation.
 
@@ -127,26 +132,72 @@ def impute_linear(
     ``values`` maps column name to an array aligned with ts. Angular columns
     are interpolated along the shortest arc and re-wrapped. Returns
     (full_ts, full_values, observed) where observed is False exactly on the
-    imputed rows. No extrapolation happens beyond first/last.
+    imputed rows. No extrapolation happens beyond first/last. With
+    ``offsets`` (as for derive_derivative) each segment is one agent, and
+    the outputs hold every agent's lifetime in turn.
     """
     ts = np.asarray(ts, dtype=np.int64)
-    if ts.size == 0:
+    bounds = np.array([0, len(ts)]) if offsets is None else np.asarray(offsets, dtype=np.int64)
+    if np.any(np.diff(bounds) <= 0):
         raise ValueError("need at least one observed row to impute")
-    if np.any(np.diff(ts) <= 0):
+    steps = np.diff(ts)
+    steps[bounds[1:-1] - 1] = 1  # from one agent to the next is no step
+    if np.any(steps <= 0):
         raise ValueError("observed timesteps must be strictly increasing")
-    full_ts = np.arange(ts[0], ts[-1] + 1, dtype=np.int64)
-    observed = np.isin(full_ts, ts)
+    first = ts[bounds[:-1]]
+    length = ts[bounds[1:] - 1] - first + 1
+    row0 = np.cumsum(length) - length - first  # output row of (agent k, ts t) is row0[k] + t
+    segment = np.repeat(np.arange(len(length)), length)
+    # One np.interp over all agents, output rows as abscissae: an agent's knots
+    # bracket only its rows, and row differences equal timestep differences, so
+    # values equal per-agent calls' (np.interp returns a knot's value exactly).
+    knots = row0[np.repeat(np.arange(len(length)), np.diff(bounds))] + ts
+    observed = np.zeros(len(segment), dtype=bool)
+    observed[knots] = True
+    gaps = length > np.diff(bounds)
     full_values: dict[str, np.ndarray] = {}
     for name, arr in values.items():
-        arr = np.asarray(arr, dtype=np.float64)
-        if observed.all():
-            full_values[name] = arr.copy()
-        elif name in angular:
-            unwrapped = np.unwrap(arr)
-            full_values[name] = wrap_angle(np.interp(full_ts, ts, unwrapped))
-        else:
-            full_values[name] = np.interp(full_ts, ts, arr)
-    return full_ts, full_values, observed
+        arr = np.array(arr, dtype=np.float64)
+        if gaps.any():
+            if name in angular:
+                # Agent by agent: np.unwrap's cumsum must add in agent order.
+                for k in np.flatnonzero(gaps).tolist():
+                    arr[bounds[k] : bounds[k + 1]] = np.unwrap(arr[bounds[k] : bounds[k + 1]])
+            arr = np.interp(np.arange(len(segment)), knots, arr)
+            if name in angular:
+                arr[gaps[segment]] = wrap_angle(arr[gaps[segment]])
+        full_values[name] = arr
+    return np.arange(len(segment)) - row0[segment], full_values, observed
+
+
+def complete_tracks(
+    offsets: np.ndarray, ts: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray, dt: float,
+    heading: np.ndarray | None = None, speed_floor: float = DEFAULT_SPEED_FLOOR,
+) -> tuple[np.ndarray, np.ndarray, SceneColumns]:
+    """Impute every agent's gaps and derive its kinematic state, all agents at once.
+
+    Agent k is rows offsets[k]:offsets[k + 1], with ts strictly increasing.
+    Returns (first_ts, last_ts, columns): per-agent lifetimes, and columns
+    over every lifetime timestep (agent_index k for agent k; observed False
+    on imputed rows). Velocities and accelerations come from the positions.
+    A given ``heading`` is wrapped to (-pi, pi] and kept, interpolated along
+    the shortest arc at imputed rows; otherwise headings come from velocities.
+    """
+    values = {"x": x, "y": y, "z": z}
+    if heading is not None:
+        values["heading"] = wrap_angle(np.asarray(heading, dtype=np.float64))
+    full_ts, full, observed = impute_linear(ts, values, ("heading",), offsets)
+    first, last = ts[offsets[:-1]], ts[np.asarray(offsets[1:]) - 1]
+    out_offsets = np.concatenate([[0], np.cumsum(last - first + 1)])
+    vx = derive_derivative(full["x"], dt, out_offsets)
+    vy = derive_derivative(full["y"], dt, out_offsets)
+    if heading is None:
+        full["heading"], _ = derive_heading(vx, vy, speed_floor, out_offsets)
+    return first, last, SceneColumns(
+        agent_index=np.repeat(np.arange(len(first)), last - first + 1), ts=full_ts, x=full["x"], y=full["y"],
+        z=full["z"], vx=vx, vy=vy, ax=derive_derivative(vx, dt, out_offsets), ay=derive_derivative(vy, dt, out_offsets),
+        heading=full["heading"], observed=observed,
+    )
 
 
 def complete_track(
@@ -163,55 +214,11 @@ def complete_track(
     Returns (first_ts, columns, heading_derived) where columns holds x, y, z,
     vx, vy, ax, ay, heading, observed aligned to [first_ts, last_ts]. When
     ``heading`` is given it is kept (interpolated at imputed rows); otherwise
-    it is derived from the velocities.
+    it is derived from the velocities. The one-agent case of complete_tracks.
     """
-    values = {"x": x, "y": y, "z": z}
-    if heading is not None:
-        values["heading"] = wrap_angle(np.asarray(heading, dtype=np.float64))
-    full_ts, full, observed = impute_linear(ts, values)
-    full["vx"] = derive_derivative(full["x"], dt)
-    full["vy"] = derive_derivative(full["y"], dt)
-    full["ax"] = derive_derivative(full["vx"], dt)
-    full["ay"] = derive_derivative(full["vy"], dt)
-    heading_derived = heading is None
-    if heading_derived:
-        full["heading"], _ = derive_heading(full["vx"], full["vy"], speed_floor)
-    full["observed"] = observed
-    return int(full_ts[0]), full, heading_derived
-
-
-def _resample_agent_up(
-    meta: AgentMetadata, rows: dict[str, np.ndarray], factor: int
-) -> tuple[AgentMetadata, dict[str, np.ndarray]]:
-    old_ts = np.arange(meta.first_ts, meta.last_ts + 1, dtype=np.int64)
-    new_first = meta.first_ts * factor
-    new_last = meta.last_ts * factor
-    new_ts = np.arange(new_first, new_last + 1, dtype=np.int64)
-    knots = old_ts * factor
-    out: dict[str, np.ndarray] = {}
-    for name in ("x", "y", "z"):
-        out[name] = np.interp(new_ts, knots, rows[name])
-    unwrapped = np.unwrap(rows["heading"])
-    out["heading"] = wrap_angle(np.interp(new_ts, knots, unwrapped))
-    on_grid = new_ts % factor == 0
-    observed = np.zeros(len(new_ts), dtype=bool)
-    observed[on_grid] = rows["observed"]
-    out["observed"] = observed
-    new_meta = AgentMetadata(meta.agent_id, meta.agent_type, meta.extent, int(new_first), int(new_last))
-    return new_meta, out
-
-
-def _resample_agent_down(
-    meta: AgentMetadata, rows: dict[str, np.ndarray], factor: int
-) -> tuple[AgentMetadata, dict[str, np.ndarray]] | None:
-    old_ts = np.arange(meta.first_ts, meta.last_ts + 1, dtype=np.int64)
-    keep = old_ts % factor == 0
-    if not keep.any():
-        return None
-    kept_ts = old_ts[keep] // factor
-    out = {name: rows[name][keep] for name in ("x", "y", "z", "heading", "observed")}
-    new_meta = AgentMetadata(meta.agent_id, meta.agent_type, meta.extent, int(kept_ts[0]), int(kept_ts[-1]))
-    return new_meta, out
+    ts = np.asarray(ts, dtype=np.int64)
+    first, _, columns = complete_tracks(np.array([0, len(ts)]), ts, x, y, z, dt, heading, speed_floor)
+    return int(first[0]), {name: getattr(columns, name) for name in COLUMN_NAMES[2:]}, heading is None
 
 
 def resample_scene(scene: SceneFrame, desired_dt: float) -> SceneFrame:
@@ -228,36 +235,21 @@ def resample_scene(scene: SceneFrame, desired_dt: float) -> SceneFrame:
     if plan.mode == "identity":
         return scene
 
-    new_agents: list[AgentMetadata] = []
-    new_tracks: list[dict[str, np.ndarray]] = []
-    for i, meta in enumerate(scene.agents):
-        rows = extract_agent_rows(scene, i)
-        if plan.mode == "upsample":
-            resampled = _resample_agent_up(meta, rows, plan.factor)
-        else:
-            resampled = _resample_agent_down(meta, rows, plan.factor)
-            if resampled is None:
-                log.warning(
-                    "agent %s dropped by downsampling: lifetime [%d, %d] has no frame on the ts%%%d grid",
-                    meta.agent_id, meta.first_ts, meta.last_ts, plan.factor,
-                )
-                continue
-        new_meta, track = resampled
-        track["vx"] = derive_derivative(track["x"], desired_dt)
-        track["vy"] = derive_derivative(track["y"], desired_dt)
-        track["ax"] = derive_derivative(track["vx"], desired_dt)
-        track["ay"] = derive_derivative(track["vy"], desired_dt)
-        if scene.heading_derived:
-            track["heading"], _ = derive_heading(track["vx"], track["vy"])
-        new_agents.append(new_meta)
-        new_tracks.append(track)
-
-    return SceneFrame.from_tracks(
-        scene_id=scene.scene_id,
-        dataset_tag=scene.dataset_tag,
-        location=scene.location,
-        dt=desired_dt,
-        agents=new_agents,
-        tracks=new_tracks,
-        heading_derived=scene.heading_derived,
-    )
+    cols = scene.columns
+    # Upsampling is imputation on the finer grid, with the old rows as knots.
+    keep = np.ones(len(cols), dtype=bool) if plan.mode == "upsample" else cols.ts % plan.factor == 0
+    ts = cols.ts * plan.factor if plan.mode == "upsample" else cols.ts[keep] // plan.factor
+    kept_rows = np.bincount(cols.agent_index[keep], minlength=scene.n_agents)
+    for i in np.flatnonzero(kept_rows == 0):
+        meta = scene.agents[i]
+        log.warning(
+            "agent %s dropped by downsampling: lifetime [%d, %d] has no frame on the ts%%%d grid",
+            meta.agent_id, meta.first_ts, meta.last_ts, plan.factor,
+        )
+    offsets = np.concatenate([[0], np.cumsum(kept_rows[kept_rows > 0])])
+    heading = None if scene.heading_derived else cols.heading[keep]
+    first, last, columns = complete_tracks(offsets, ts, cols.x[keep], cols.y[keep], cols.z[keep], desired_dt, heading)
+    columns.observed[columns.observed] = cols.observed[keep]  # each knot keeps its source row's flag
+    kept = [meta for meta, n in zip(scene.agents, kept_rows.tolist()) if n]
+    agents = [AgentMetadata(m.agent_id, m.agent_type, m.extent, f, l) for m, f, l in zip(kept, first.tolist(), last.tolist())]
+    return replace(scene, dt=float(desired_dt), n_timesteps=int(last.max(initial=-1)) + 1, agents=agents, columns=columns)

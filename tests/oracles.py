@@ -22,7 +22,9 @@ from trajkit.analysis import (
     obb_intersect,
 )
 from trajkit.batching import STATE_DIM, AgentBatchElement, SceneBatchElement
-from trajkit.core import AgentMetadata, SceneFrame, wrap_angle
+from trajkit.core import COLUMN_NAMES, AgentMetadata, AgentType, Extent, SceneFrame, wrap_angle
+from trajkit.ingest import ParseError, _read_canonical_rows
+from trajkit.kinematics import DEFAULT_SPEED_FLOOR, plan_resample
 from trajkit.simulation import OBS_STATE_LAYOUT, SimMetrics, SimObservation, _pooled_rate, wasserstein_1d
 
 
@@ -720,3 +722,253 @@ def reference_sim_score(state, vmap):
         speed_distance=wasserstein_1d(np.hypot(sc.vx, sc.vy), np.hypot(rc.vx, rc.vy)),
         accel_distance=wasserstein_1d(np.hypot(sc.ax, sc.ay), np.hypot(rc.ax, rc.ay)),
     )
+
+
+# Track completion, parsing, resampling and validation one agent at a time:
+# the loops the segmented kernel of ``trajkit.kinematics`` and the row
+# ordering of ``core.scene_validate`` replaced.
+
+def reference_derive_heading(vx, vy, speed_floor=DEFAULT_SPEED_FLOOR):
+    vx = np.asarray(vx, dtype=np.float64)
+    vy = np.asarray(vy, dtype=np.float64)
+    speed = np.hypot(vx, vy)
+    defined = speed >= speed_floor
+    if not defined.any():
+        return np.zeros(len(vx)), True
+    heading = np.zeros(len(vx))
+    heading[defined] = wrap_angle(np.arctan2(vy[defined], vx[defined]))
+    defined_idx = np.nonzero(defined)[0]
+    fill_src = np.maximum.accumulate(np.where(defined, np.arange(len(vx)), -1))
+    fill_src[fill_src < 0] = defined_idx[0]
+    return heading[fill_src], False
+
+
+def reference_impute_linear(ts, values, angular=("heading",)):
+    ts = np.asarray(ts, dtype=np.int64)
+    if ts.size == 0:
+        raise ValueError("need at least one observed row to impute")
+    if np.any(np.diff(ts) <= 0):
+        raise ValueError("observed timesteps must be strictly increasing")
+    full_ts = np.arange(ts[0], ts[-1] + 1, dtype=np.int64)
+    observed = np.isin(full_ts, ts)
+    full_values = {}
+    for name, arr in values.items():
+        arr = np.asarray(arr, dtype=np.float64)
+        if observed.all():
+            full_values[name] = arr.copy()
+        elif name in angular:
+            full_values[name] = wrap_angle(np.interp(full_ts, ts, np.unwrap(arr)))
+        else:
+            full_values[name] = np.interp(full_ts, ts, arr)
+    return full_ts, full_values, observed
+
+
+def reference_complete_track(ts, x, y, z, dt, heading=None, speed_floor=DEFAULT_SPEED_FLOOR):
+    values = {"x": x, "y": y, "z": z}
+    if heading is not None:
+        values["heading"] = wrap_angle(np.asarray(heading, dtype=np.float64))
+    full_ts, full, observed = reference_impute_linear(ts, values)
+    full["vx"] = reference_derivative(full["x"], dt)
+    full["vy"] = reference_derivative(full["y"], dt)
+    full["ax"] = reference_derivative(full["vx"], dt)
+    full["ay"] = reference_derivative(full["vy"], dt)
+    heading_derived = heading is None
+    if heading_derived:
+        full["heading"], _ = reference_derive_heading(full["vx"], full["vy"], speed_floor)
+    full["observed"] = observed
+    return int(full_ts[0]), full, heading_derived
+
+
+def _reference_build_scene(scene_id, raw_rows, meta):
+    by_agent = {}
+    for row in raw_rows:
+        by_agent.setdefault(row[1], []).append(row)
+    min_frame = min(row[3] for row in raw_rows)
+    headings_given = all(row[7] is not None for row in raw_rows)
+    agents, tracks = [], []
+    for agent_id in sorted(by_agent):
+        rows = sorted(by_agent[agent_id], key=lambda r: r[3])
+        frames = np.array([r[3] - min_frame for r in rows], dtype=np.int64)
+        dup = np.nonzero(np.diff(frames) == 0)[0]
+        if dup.size:
+            raise ParseError(
+                f"agent {agent_id}: non-monotone frames (duplicate frame {int(frames[dup[0]]) + min_frame})"
+            )
+        xs = np.array([r[4] for r in rows])
+        ys = np.array([r[5] for r in rows])
+        zs = np.array([0.0 if r[6] is None else r[6] for r in rows])
+        heading = np.array([r[7] for r in rows]) if headings_given else None
+        first_ts, track, _ = reference_complete_track(frames, xs, ys, zs, meta.dt, heading)
+        extent = None
+        for r in rows:
+            if r[8] is not None:
+                extent = Extent(r[8], r[9], r[10])
+                break
+        last_ts = first_ts + len(track["x"]) - 1
+        agents.append(AgentMetadata(agent_id, rows[0][2], extent, first_ts, last_ts))
+        tracks.append(track)
+    return SceneFrame.from_tracks(
+        scene_id, meta.dataset_tag(), meta.location, meta.dt, agents, tracks, heading_derived=not headings_given
+    )
+
+
+def reference_parse_canonical_csv_many(table_text, meta):
+    """The per-agent build over the library's own line reader."""
+    groups = _read_canonical_rows(table_text)
+    return [_reference_build_scene(scene_id, rows, meta) for scene_id, rows in sorted(groups.items())]
+
+
+def reference_parse_frame_text(text, meta):
+    records = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) < 4:
+            raise ParseError(f"line {line_no}: expected at least 4 fields, got {len(fields)}")
+        try:
+            frame_f, id_f = float(fields[0]), float(fields[1])
+            x, y = float(fields[2]), float(fields[3])
+        except ValueError:
+            raise ParseError(f"line {line_no}: non-numeric field in {line.strip()!r}") from None
+        if frame_f != int(frame_f) or id_f != int(id_f):
+            raise ParseError(f"line {line_no}: frame and id must be integral")
+        records.append((int(frame_f), int(id_f), x, y))
+    if not records:
+        raise ParseError("no agents: input has no data lines")
+    min_frame = min(r[0] for r in records)
+    step = 0
+    for off in sorted({r[0] - min_frame for r in records}):
+        step = math.gcd(step, off)
+    step = step or 1
+    by_agent = {}
+    for frame, agent, x, y in records:
+        by_agent.setdefault(agent, []).append(((frame - min_frame) // step, x, y))
+    agents, tracks = [], []
+    for agent in sorted(by_agent):
+        rows = sorted(by_agent[agent])
+        ts = np.array([r[0] for r in rows], dtype=np.int64)
+        if np.any(np.diff(ts) == 0):
+            raise ParseError(f"agent {agent}: duplicate frame")
+        xs = np.array([r[1] for r in rows])
+        ys = np.array([r[2] for r in rows])
+        first_ts, track, _ = reference_complete_track(ts, xs, ys, np.zeros(len(ts)), meta.dt)
+        last_ts = first_ts + len(track["x"]) - 1
+        agents.append(AgentMetadata(str(agent), AgentType.PEDESTRIAN, None, first_ts, last_ts))
+        tracks.append(track)
+    return SceneFrame.from_tracks(
+        meta.scene_id, meta.dataset_tag(), meta.location, meta.dt, agents, tracks, heading_derived=True
+    )
+
+
+def extract_agent_rows(scene, agent_index):
+    """Per-agent copies of the scene columns, keyed like COLUMN_NAMES minus agent_index."""
+    sl = scene.rows_for_agent(agent_index)
+    return {name: np.array(getattr(scene.columns, name)[sl]) for name in COLUMN_NAMES if name != "agent_index"}
+
+
+def _reference_resample_agent_up(meta, rows, factor):
+    old_ts = np.arange(meta.first_ts, meta.last_ts + 1, dtype=np.int64)
+    new_first = meta.first_ts * factor
+    new_last = meta.last_ts * factor
+    new_ts = np.arange(new_first, new_last + 1, dtype=np.int64)
+    knots = old_ts * factor
+    out = {name: np.interp(new_ts, knots, rows[name]) for name in ("x", "y", "z")}
+    out["heading"] = wrap_angle(np.interp(new_ts, knots, np.unwrap(rows["heading"])))
+    observed = np.zeros(len(new_ts), dtype=bool)
+    observed[new_ts % factor == 0] = rows["observed"]
+    out["observed"] = observed
+    return AgentMetadata(meta.agent_id, meta.agent_type, meta.extent, int(new_first), int(new_last)), out
+
+
+def _reference_resample_agent_down(meta, rows, factor):
+    old_ts = np.arange(meta.first_ts, meta.last_ts + 1, dtype=np.int64)
+    keep = old_ts % factor == 0
+    if not keep.any():
+        return None
+    kept_ts = old_ts[keep] // factor
+    out = {name: rows[name][keep] for name in ("x", "y", "z", "heading", "observed")}
+    return AgentMetadata(meta.agent_id, meta.agent_type, meta.extent, int(kept_ts[0]), int(kept_ts[-1])), out
+
+
+def reference_resample_scene(scene, desired_dt):
+    plan = plan_resample(scene.dt, desired_dt)
+    if plan.mode == "identity":
+        return scene
+    new_agents, new_tracks = [], []
+    for i, meta in enumerate(scene.agents):
+        rows = extract_agent_rows(scene, i)
+        if plan.mode == "upsample":
+            resampled = _reference_resample_agent_up(meta, rows, plan.factor)
+        else:
+            resampled = _reference_resample_agent_down(meta, rows, plan.factor)
+            if resampled is None:
+                continue
+        new_meta, track = resampled
+        track["vx"] = reference_derivative(track["x"], desired_dt)
+        track["vy"] = reference_derivative(track["y"], desired_dt)
+        track["ax"] = reference_derivative(track["vx"], desired_dt)
+        track["ay"] = reference_derivative(track["vy"], desired_dt)
+        if scene.heading_derived:
+            track["heading"], _ = reference_derive_heading(track["vx"], track["vy"])
+        new_agents.append(new_meta)
+        new_tracks.append(track)
+    return SceneFrame.from_tracks(
+        scene.scene_id, scene.dataset_tag, scene.location, desired_dt, new_agents, new_tracks, scene.heading_derived
+    )
+
+
+def reference_scene_validate(scene):
+    violations = []
+    if not scene.dt > 0.0:
+        violations.append(f"scene {scene.scene_id}: dt {scene.dt} not positive (dt-positive)")
+    seen_ids = set()
+    for meta in scene.agents:
+        if meta.agent_id in seen_ids:
+            violations.append(f"agent {meta.agent_id}: duplicate agent_id (agent-id-unique)")
+        seen_ids.add(meta.agent_id)
+        if meta.first_ts > meta.last_ts:
+            violations.append(
+                f"agent {meta.agent_id}: first_ts {meta.first_ts} > last_ts {meta.last_ts} (lifetime-order)"
+            )
+    cols = scene.columns
+    if len(cols) == 0:
+        return violations
+    idx = cols.agent_index
+    if idx.min() < 0 or idx.max() >= scene.n_agents:
+        violations.append(f"scene {scene.scene_id}: agent_index outside [0, {scene.n_agents}) (agent-index-range)")
+        return violations
+    if not np.all(np.diff(idx) >= 0):
+        violations.append(f"scene {scene.scene_id}: rows not grouped by agent_index (row-order)")
+    for i, meta in enumerate(scene.agents):
+        ts = cols.ts[idx == i]
+        name = meta.agent_id
+        if ts.size == 0:
+            violations.append(f"agent {name}: no rows for lifetime [{meta.first_ts}, {meta.last_ts}] (gap)")
+            continue
+        if np.any(np.diff(ts) < 0):
+            violations.append(f"agent {name}: timesteps out of order (row-order)")
+            ts = np.sort(ts)
+        dup = ts[:-1][np.diff(ts) == 0]
+        for t in np.unique(dup):
+            violations.append(f"agent {name}: duplicate row at ts {int(t)} (duplicate-row)")
+        expected = np.arange(meta.first_ts, meta.last_ts + 1)
+        present = np.unique(ts)
+        for t in np.setdiff1d(expected, present):
+            violations.append(f"agent {name}: missing row at ts {int(t)} (gap)")
+        for t in np.setdiff1d(present, expected):
+            violations.append(f"agent {name}: row at ts {int(t)} outside lifetime (ts-range)")
+    if cols.ts.size and (cols.ts.min() < 0 or cols.ts.max() >= scene.n_timesteps):
+        violations.append(f"scene {scene.scene_id}: ts outside [0, {scene.n_timesteps}) (ts-range)")
+    bad_heading = ~((cols.heading > -math.pi) & (cols.heading <= math.pi))
+    for row in np.nonzero(bad_heading)[0]:
+        meta = scene.agents[int(idx[row])]
+        violations.append(
+            f"agent {meta.agent_id}: heading {cols.heading[row]!r} outside (-pi, pi] at ts {int(cols.ts[row])} (heading-range)"
+        )
+    for col_name in ("x", "y", "z", "vx", "vy", "ax", "ay"):
+        col = getattr(cols, col_name)
+        for row in np.nonzero(~np.isfinite(col))[0]:
+            meta = scene.agents[int(idx[row])]
+            violations.append(f"agent {meta.agent_id}: non-finite {col_name} at ts {int(cols.ts[row])} (non-finite)")
+    return violations

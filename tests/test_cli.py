@@ -95,6 +95,37 @@ class TestIngestCommand:
         assert code == 5
 
 
+    def _ingest(self, tmp_path, rows, dataset="toy"):
+        csv_path, meta_path = _write_inputs(tmp_path, rows=rows)
+        meta_path.write_text(json.dumps({"scene_id": "s0", "dt": 0.1, "location": "loc", "dataset": dataset}))
+        cache = tmp_path / "inner" / "cache"
+        code = main(["ingest", "--input", str(csv_path), "--format", "canonical-csv", "--meta", str(meta_path), "--cache", str(cache)])
+        return code, cache
+
+    def test_scene_id_cannot_leave_the_cache_exit_2(self, tmp_path, capsys):
+        rows = ["s0,a,vehicle,0,0.0,0.0,,,,,", "../../escaped,a,vehicle,0,0.0,0.0,,,,,"]
+        code, cache = self._ingest(tmp_path, rows)
+        assert code == 2
+        assert "plain name" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["in.csv", "meta.json"]
+
+    def test_dataset_cannot_leave_the_cache_exit_2(self, tmp_path):
+        code, cache = self._ingest(tmp_path, ["s0,a,vehicle,0,0.0,0.0,,,,,"], dataset="..")
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["in.csv", "meta.json"]
+
+    def test_frame_beyond_int64_exit_2(self, tmp_path, capsys):
+        code, _ = self._ingest(tmp_path, ["s0,a,vehicle,0,0.0,0.0,,,,,", "s0,a,vehicle,99999999999999999999999,1.0,0.0,,,,,"])
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
+
+    def test_multi_scene_file_with_invalid_scene_writes_nothing_exit_3(self, tmp_path):
+        rows = ["s0,a,vehicle,0,0.0,0.0,,,,,", "s1,a,vehicle,0,nan,0.0,,,,,", "s2,a,vehicle,0,0.0,0.0,,,,,"]
+        code, cache = self._ingest(tmp_path, rows)
+        assert code == 3
+        assert not cache.exists() or not any(cache.rglob("*"))
+
+
 class TestAnalyzeCommand:
     def test_two_metrics(self, workspace, capsys):
         tmp_path, cache_dir = workspace
@@ -285,6 +316,28 @@ class TestSimReplayCommand:
         tmp_path, cache_dir = workspace
         code = main(["sim-replay", "--cache", str(cache_dir), "--scene", "ghost", "--init-ts", "0", "--steps", "5", "--out", str(tmp_path / "sim")])
         assert code == 2
+
+    def test_scene_found_through_the_index(self, workspace):
+        tmp_path, cache_dir = workspace
+        # A scene file that no index lists is not found.
+        (path,) = cache_dir.glob("*/synth-0.tksc")
+        stray = cache_dir / "aaa"
+        stray.mkdir()
+        (stray / "ghost.tksc").write_bytes(path.read_bytes())
+        code = main(["sim-replay", "--cache", str(cache_dir), "--scene", "ghost", "--init-ts", "0", "--steps", "5", "--out", str(tmp_path / "sim")])
+        assert code == 2
+
+    def test_first_dataset_in_sorted_order_wins(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        cache = SceneCache(cache_dir)
+        cache.write(synth_scene(Straight(20.0), 1, 40, 0.1, scene_id="twin", dataset="zeta"))
+        cache.write(synth_scene(Straight(10.0), 1, 40, 0.1, scene_id="twin", dataset="alpha"))
+        assert cache.locate("twin") == cache_dir / "alpha" / "twin.tksc"
+        assert cache.locate("ghost") is None
+        out = tmp_path / "sim"
+        assert main(["sim-replay", "--cache", str(cache_dir), "--scene", "twin", "--init-ts", "1", "--steps", "2", "--out", str(out)]) == 0
+        last = (out / "rollout.csv").read_text().strip().splitlines()[-1].split(",")
+        assert float(last[4]) == pytest.approx(3.0)  # 10 m/s for 0.3 s: alpha's scene, not zeta's
 
     def test_unwritable_out_exit_5(self, workspace):
         tmp_path, cache_dir = workspace

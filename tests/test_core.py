@@ -12,7 +12,6 @@ from trajkit.core import (
     SceneFrame,
     SceneTag,
     agent_lifetime_seconds,
-    extract_agent_rows,
     scene_validate,
     wrap_angle,
 )
@@ -160,11 +159,11 @@ class TestSceneFrame:
 
     def test_round_trip_tracks(self):
         scene = _two_agent_scene()
-        rows0 = extract_agent_rows(scene, 0)
-        assert np.array_equal(rows0["ts"], np.arange(0, 5))
-        assert np.array_equal(rows0["x"], np.arange(5, dtype=float))
-        rows1 = extract_agent_rows(scene, 1)
-        assert np.array_equal(rows1["ts"], np.arange(2, 7))
+        rows0 = scene.rows_for_agent(0)
+        assert np.array_equal(scene.columns.ts[rows0], np.arange(0, 5))
+        assert np.array_equal(scene.columns.x[rows0], np.arange(5, dtype=float))
+        rows1 = scene.rows_for_agent(1)
+        assert np.array_equal(scene.columns.ts[rows1], np.arange(2, 7))
 
     def test_row_at(self):
         scene = _two_agent_scene()

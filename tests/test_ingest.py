@@ -187,6 +187,23 @@ class TestCanonicalCsv:
             assert np.array_equal(re.columns.y[re.columns.observed], scene.columns.y[obs])
 
 
+    @pytest.mark.parametrize("frame", ["99999999999999999999999", "-9223372036854775809"])
+    def test_frame_beyond_int64_names_line(self, frame):
+        text = _csv(["s0,a,vehicle,0,0.0,0.0,,,,,", f"s0,a,vehicle,{frame},1.0,0.0,,,,,"])
+        with pytest.raises(ParseError, match="line 3.*int64"):
+            parse_canonical_csv(text, _meta())
+
+    def test_frames_spanning_more_than_int64_name_line(self):
+        text = _csv(["s0,a,vehicle,-9223372036854775808,0.0,0.0,,,,,", "s0,b,vehicle,9223372036854775807,1.0,0.0,,,,,"])
+        with pytest.raises(ParseError, match="line 3: frame 9223372036854775807 is more than"):
+            parse_canonical_csv(text, _meta())
+
+    def test_int64_extreme_frames_parse(self):
+        text = _csv(["s0,a,vehicle,9223372036854775806,0.0,0.0,,,,,", "s0,a,vehicle,9223372036854775807,1.0,0.0,,,,,"])
+        scene = parse_canonical_csv(text, _meta())
+        assert (scene.agents[0].first_ts, scene.agents[0].last_ts) == (0, 1)
+
+
 class TestFrameText:
     def test_two_lines_speed(self):
         scene = parse_frame_text("0 1 0.0 0.0\n1 1 1.0 0.0\n", _meta(dt=0.4))
@@ -218,6 +235,22 @@ class TestFrameText:
     def test_fractional_frame_rejected(self):
         with pytest.raises(ParseError, match="integral"):
             parse_frame_text("0.5 1 0.0 0.0\n", _meta())
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1 0.0 0.0\ninf 1 1.0 0.0\n", "line 2: frame and id must be integral"),
+            ("0 1 0.0 0.0\nnan 1 1.0 0.0\n", "line 2: frame and id must be integral"),
+            ("0 1 0.0 0.0\n1 -inf 1.0 0.0\n", "line 2: frame and id must be integral"),
+            ("0 1 0.0 0.0\n1 1 1.0 0.0\n1e300 1 2.0 0.0\n", "line 3: frame '1e300' does not fit in int64"),
+            ("-9.3e18 1 0.0 0.0\n", "line 1: frame '-9.3e18' does not fit in int64"),
+            ("-9e18 1 0.0 0.0\n9e18 1 1.0 0.0\n", "line 2: frame 9000000000000000000 is more than"),
+        ],
+        ids=["inf-frame", "nan-frame", "inf-id", "1e300-frame", "below-int64", "span-beyond-int64"],
+    )
+    def test_frame_not_finite_or_beyond_int64_names_line(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_frame_text(text, _meta())
 
     def test_extra_fields_ignored(self):
         scene = parse_frame_text("0 1 0.0 0.0 99 98\n1 1 1.0 0.0 99 98\n", _meta())
@@ -358,6 +391,72 @@ class TestCache:
         again = SceneMetaRecord.from_json(meta.to_json())
         assert again == meta
         assert json.loads(meta.to_json())["split"] == "train"
+
+
+class TestCacheIds:
+    @pytest.mark.parametrize("scene_id", ["../../escaped", "..", ".", "", "a/b", "nul\0byte"])
+    def test_scene_id_must_be_a_plain_name(self, tmp_path, scene_id):
+        cache = SceneCache(tmp_path / "cache")
+        with pytest.raises(ValueError, match="plain name"):
+            cache.write(synth_scene(Straight(1.0), 1, 5, 0.1, scene_id=scene_id, dataset="dsa"))
+        assert list(tmp_path.rglob("*")) == [tmp_path / "cache"]
+
+    def test_dataset_must_be_a_plain_name(self, tmp_path):
+        with pytest.raises(ValueError, match="plain name"):
+            ingest_scenes([synth_scene(Straight(1.0), 1, 5, 0.1, scene_id="ok", dataset="..")], tmp_path / "cache")
+        assert list(tmp_path.rglob("*")) == [tmp_path / "cache"]
+
+    def test_ids_checked_before_any_write(self, tmp_path):
+        scenes = [synth_scene(Straight(1.0), 1, 5, 0.1, scene_id=name, dataset="dsa") for name in ("ok", "../bad")]
+        with pytest.raises(ValueError):
+            SceneCache(tmp_path / "cache").write_many(scenes)
+        assert list(tmp_path.rglob("*")) == [tmp_path / "cache"]
+
+
+class TestWriteMany:
+    def _scenes(self):
+        return [
+            synth_scene(Straight(1.0 + k), 1, 5, 0.1, scene_id=f"s{k:02d}", dataset=dataset, location=f"loc{k % 2}")
+            for k, dataset in enumerate(["dsa", "dsb", "dsa", "dsa", "dsb"])
+        ]
+
+    def _count_index_writes(self, monkeypatch):
+        replaced = []
+        real = ingest._replace_file
+
+        def counting(path, data):
+            replaced.append(path.name)
+            real(path, data)
+
+        monkeypatch.setattr(ingest, "_replace_file", counting)
+        return replaced
+
+    def test_one_index_write_per_dataset(self, tmp_path, monkeypatch):
+        one_by_one = SceneCache(tmp_path / "seq")
+        one_by_one.write(self._scenes()[3])
+        for scene in self._scenes():
+            one_by_one.write(scene)
+        replaced = self._count_index_writes(monkeypatch)
+        cache = SceneCache(tmp_path / "many")
+        cache.write(self._scenes()[3])
+        paths = ingest_scenes(self._scenes(), tmp_path / "many")
+        assert replaced.count("index.json") == 1 + 2
+        assert [p.name for p in paths] == [f"s{k:02d}.tksc" for k in range(5)]
+        for dataset in ("dsa", "dsb"):
+            assert (tmp_path / "many" / dataset / "index.json").read_bytes() == (tmp_path / "seq" / dataset / "index.json").read_bytes()
+        assert sorted(e.scene_id for e in cache.resolve(["dsa", "dsb"])) == [f"s{k:02d}" for k in range(5)]
+
+    def test_invalid_scene_leaves_cache_unchanged(self, tmp_path, monkeypatch):
+        cache = SceneCache(tmp_path / "cache")
+        cache.write(synth_scene(Straight(1.0), 1, 5, 0.1, scene_id="old", dataset="dsa"))
+        before = {p: p.read_bytes() for p in (tmp_path / "cache").rglob("*") if p.is_file()}
+        scenes = self._scenes()
+        scenes[3].dt = 0.0
+        replaced = self._count_index_writes(monkeypatch)
+        with pytest.raises(ValidationError, match="s03"):
+            ingest_scenes(scenes, tmp_path / "cache")
+        assert replaced == []
+        assert {p: p.read_bytes() for p in (tmp_path / "cache").rglob("*") if p.is_file()} == before
 
 
 # Builds n one-agent scenes, reports ready, waits for the go file, then
