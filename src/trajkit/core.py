@@ -34,10 +34,10 @@ def wrap_angle(angle):
     a = np.asarray(angle, dtype=np.float64)
     in_range = (a > -math.pi) & (a <= math.pi)
     wrapped = math.pi - np.mod(math.pi - a, TWO_PI)
+    # np.mod rounds the remainder of pi's successor up to 2pi, which would give -pi.
+    wrapped = np.where(wrapped == -math.pi, math.pi, wrapped)
     out = np.where(in_range, a, wrapped)
-    if np.isscalar(angle) or np.ndim(angle) == 0:
-        return float(out)
-    return out
+    return float(out) if a.ndim == 0 else out
 
 
 class AgentType(enum.Enum):
@@ -54,11 +54,14 @@ class AgentType(enum.Enum):
 
     @classmethod
     def from_string(cls, text: str) -> "AgentType":
-        for member in cls:
-            if member.value == text:
-                return member
-        valid = ", ".join(m.value for m in cls)
-        raise ValueError(f"unknown agent type {text!r} (valid: {valid})")
+        member = _AGENT_TYPES.get(text)
+        if member is None:
+            valid = ", ".join(m.value for m in cls)
+            raise ValueError(f"unknown agent type {text!r} (valid: {valid})")
+        return member
+
+
+_AGENT_TYPES = {m.value: m for m in AgentType}
 
 
 @dataclass(frozen=True)
@@ -402,7 +405,7 @@ def scene_validate(scene: SceneFrame) -> list[str]:
     for row in np.nonzero(bad_heading)[0]:
         meta = scene.agents[int(idx[row])]
         violations.append(
-            f"agent {meta.agent_id}: heading {cols.heading[row]!r} outside (-pi, pi] at ts {int(cols.ts[row])} (heading-range)"
+            f"agent {meta.agent_id}: heading {float(cols.heading[row])!r} outside (-pi, pi] at ts {int(cols.ts[row])} (heading-range)"
         )
 
     for col_name in ("x", "y", "z", "vx", "vy", "ax", "ay"):

@@ -10,7 +10,6 @@ without overlap resolution and over-count where they overlap.
 from __future__ import annotations
 
 import enum
-import heapq
 import json
 import logging
 import math
@@ -63,10 +62,13 @@ class TrafficLightStatus(enum.Enum):
 
     @classmethod
     def from_string(cls, text: str) -> "TrafficLightStatus":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ValueError(f"unknown traffic light status {text!r}")
+        member = _LIGHT_STATUSES.get(text)
+        if member is None:
+            raise ValueError(f"unknown traffic light status {text!r}")
+        return member
+
+
+_LIGHT_STATUSES = {m.value: m for m in TrafficLightStatus}
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +326,8 @@ def segment_dist2(px: float, py: float, ax, ay, bx, by):
 
 
 class _SegmentIndex:
-    """Static STR-packed bounding-box hierarchy over lane centerline segments."""
+    """Static STR-packed bounding-box hierarchy over lane centerline segments;
+    both lane queries walk it a level at a time (`walk`)."""
 
     def __init__(self, ax, ay, bx, by, lane_ord):
         order = self._str_order(0.5 * (ax + bx), 0.5 * (ay + by))
@@ -370,45 +373,32 @@ class _SegmentIndex:
             np.minimum(starts + _NODE_CAPACITY, n),
         )
 
-    def nearest_dist2(self, px: float, py: float) -> float:
-        top = len(self.levels) - 1
-        best = math.inf
-        heap: list[tuple[float, int, int]] = [(0.0, top, 0)]
-        root = self.levels[top]
-        heap[0] = (float(_box_dist2(px, py, root[0][0], root[1][0], root[2][0], root[3][0])), top, 0)
-        while heap:
-            lb, level, node = heapq.heappop(heap)
-            if lb >= best:
-                break
-            minx, miny, maxx, maxy, starts, ends = self.levels[level]
-            s, e = int(starts[node]), int(ends[node])
-            if level == 0:
-                d2 = segment_dist2(px, py, self.ax[s:e], self.ay[s:e], self.bx[s:e], self.by[s:e])
-                best = min(best, float(d2.min()))
-            else:
-                child = self.levels[level - 1]
-                lbs = _box_dist2(px, py, child[0][s:e], child[1][s:e], child[2][s:e], child[3][s:e])
-                for i in range(s, e):
-                    lb_i = float(lbs[i - s])
-                    if lb_i < best:
-                        heapq.heappush(heap, (lb_i, level - 1, i))
-        return best
+    def walk(self, px: float, py: float, r2: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Ordinals (into the permuted segment arrays) of every segment under a
+        surviving leaf, and their squared distances to the point.
 
-    def within_dist2(self, px: float, py: float, r2: float) -> np.ndarray:
-        """Ordinals (into the permuted segment arrays) with distance^2 <= r2.
-
-        Walks the hierarchy one level at a time, testing every surviving
-        node's children in one array call.
+        Walks the hierarchy one level at a time, testing every surviving node
+        in one array call and dropping those whose box lies farther than r2.
+        Given no r2 the walk is a nearest search from r2 = inf: at each level
+        r2 shrinks to the smallest farthest-corner distance of any surviving
+        node, widened by a relative 1e-9 (far above float64 rounding) so that
+        rounding cannot prune a winner. Every box holds a segment no farther
+        than its farthest corner, which bounds the MINMAXDIST of Roussopoulos,
+        Kelley and Vincent (SIGMOD 1995) from above.
         """
-        top = len(self.levels) - 1
-        nodes = np.arange(len(self.levels[top][0]))
-        for level in range(top, -1, -1):
-            minx, miny, maxx, maxy, starts, ends = self.levels[level]
-            lb = _box_dist2(px, py, minx[nodes], miny[nodes], maxx[nodes], maxy[nodes])
-            nodes = nodes[~(lb > r2)]
+        nearest = r2 is None
+        if nearest:
+            r2 = math.inf
+        nodes = np.arange(len(self.levels[-1][0]))
+        for minx, miny, maxx, maxy, starts, ends in reversed(self.levels):
+            x0, y0, x1, y1 = minx[nodes], miny[nodes], maxx[nodes], maxy[nodes]
+            if nearest:
+                fx = np.maximum(px - x0, x1 - px)
+                fy = np.maximum(py - y0, y1 - py)
+                r2 = min(r2, float((fx * fx + fy * fy).min()) * (1.0 + 1e-9))
+            nodes = nodes[~(_box_dist2(px, py, x0, y0, x1, y1) > r2)]
             nodes = _expand_ranges(starts[nodes], ends[nodes])
-        d2 = segment_dist2(px, py, self.ax[nodes], self.ay[nodes], self.bx[nodes], self.by[nodes])
-        return nodes[d2 <= r2]
+        return nodes, segment_dist2(px, py, self.ax[nodes], self.ay[nodes], self.bx[nodes], self.by[nodes])
 
 
 def _expand_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -523,12 +513,11 @@ class VectorMap:
         if self._index is None:
             raise NoLanesError(f"map {self.map_id} has no lanes")
         px, py = _finite_xy(point)
-        d2 = self._index.nearest_dist2(px, py)
-        ords = self._index.within_dist2(px, py, d2)
-        exact = segment_dist2(px, py, self._index.ax[ords], self._index.ay[ords], self._index.bx[ords], self._index.by[ords])
-        winners = ords[exact == d2]
-        lane_ord = int(self._index.lane_ord[winners].min())
-        return self._lane_ids[lane_ord], math.sqrt(d2)
+        ords, d2 = self._index.walk(px, py)
+        # fmin skips the NaN that segment_dist2 gives where far points overflow.
+        best = np.fmin.reduce(d2)
+        lane_ord = int(self._index.lane_ord[ords[d2 == best]].min())
+        return self._lane_ids[lane_ord], math.sqrt(best)
 
     def get_closest_lane(self, point) -> str:
         return self.closest_lane_with_distance(point)[0]
@@ -540,8 +529,9 @@ class VectorMap:
         px, py = _finite_xy(point)
         if self._index is None:
             return set()
-        ords = self._index.within_dist2(px, py, radius * radius)
-        return {self._lane_ids[i] for i in np.unique(self._index.lane_ord[ords])}
+        r2 = radius * radius
+        ords, d2 = self._index.walk(px, py, r2)
+        return {self._lane_ids[i] for i in np.unique(self._index.lane_ord[ords[d2 <= r2]])}
 
     def drivable_polygons(self) -> list[PolygonArea]:
         return [*self.road_areas, *self._lane_polygons.values()]

@@ -964,7 +964,7 @@ def reference_scene_validate(scene):
     for row in np.nonzero(bad_heading)[0]:
         meta = scene.agents[int(idx[row])]
         violations.append(
-            f"agent {meta.agent_id}: heading {cols.heading[row]!r} outside (-pi, pi] at ts {int(cols.ts[row])} (heading-range)"
+            f"agent {meta.agent_id}: heading {float(cols.heading[row])!r} outside (-pi, pi] at ts {int(cols.ts[row])} (heading-range)"
         )
     for col_name in ("x", "y", "z", "vx", "vy", "ax", "ay"):
         col = getattr(cols, col_name)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trajkit.cli import main
-from trajkit.ingest import SceneCache, Straight, synth_scene
+from trajkit.ingest import SceneCache, Straight, cache_load, synth_scene
 from trajkit.vecmap import VectorMap, map_serialize
 
 from conftest import rewrite_json_header, straight_lane
@@ -118,6 +118,13 @@ class TestIngestCommand:
         code, _ = self._ingest(tmp_path, ["s0,a,vehicle,0,0.0,0.0,,,,,", "s0,a,vehicle,99999999999999999999999,1.0,0.0,,,,,"])
         assert code == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_heading_just_above_pi_wraps_and_ingests(self, tmp_path):
+        h = repr(float(np.nextafter(np.pi, 4.0)))
+        code, cache = self._ingest(tmp_path, [f"s0,a,vehicle,{f},{f}.0,0.0,,{h},,," for f in range(3)])
+        assert code == 0
+        (entry,) = SceneCache(cache).resolve(["toy"])
+        assert np.all(cache_load(entry.path).columns.heading == np.pi)
 
     def test_multi_scene_file_with_invalid_scene_writes_nothing_exit_3(self, tmp_path):
         rows = ["s0,a,vehicle,0,0.0,0.0,,,,,", "s1,a,vehicle,0,nan,0.0,,,,,", "s2,a,vehicle,0,0.0,0.0,,,,,"]

@@ -151,13 +151,13 @@ class TestParsersMatchReference:
         assert _outcome(parse_canonical_csv_many, text, _meta()) == want
 
     def test_kept_heading_is_wrapped_once(self):
-        # wrap_angle takes pi's successor to -pi and -pi to pi, so a kept
-        # heading must not be wrapped a second time; agent b has a gap.
+        # wrap_angle takes pi's successor to pi; agent b has a gap, so its
+        # kept headings pass through the imputing kernel too.
         h = repr(float(np.nextafter(math.pi, 4.0)))
         rows = [f"s,{a},vehicle,{f},{f},0,,{h},,," for a, frames in (("a", (0, 1, 2)), ("b", (0, 2))) for f in frames]
         text = HEADER + "\n" + "\n".join(rows) + "\n"
         (want,) = reference_parse_canonical_csv_many(text, _meta())
-        assert want.columns.heading[0] == -math.pi
+        assert want.columns.heading[0] == math.pi
         assert parse_canonical_csv_many(text, _meta()) == [want]
 
     def test_first_scene_in_sorted_order_wins(self):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from trajkit.core import (
     AgentMetadata,
@@ -28,7 +28,8 @@ class TestAgentType:
         assert AgentType.from_string("unknown") is AgentType.UNKNOWN
 
     def test_bad_string_raises(self):
-        with pytest.raises(ValueError, match="truck"):
+        valid = r"\(valid: vehicle, pedestrian, bicycle, motorcycle, unknown\)"
+        with pytest.raises(ValueError, match=rf"^unknown agent type 'truck' {valid}$"):
             AgentType.from_string("truck")
 
 
@@ -78,11 +79,13 @@ class TestWrapAngle:
         assert np.array_equal(wrap_angle(vals), vals)
 
     @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+    @example(float(np.nextafter(math.pi, 4.0)))
     def test_range(self, angle):
         w = wrap_angle(angle)
         assert -math.pi < w <= math.pi
 
     @given(st.floats(min_value=-100.0, max_value=100.0))
+    @example(float(np.nextafter(math.pi, 4.0)))
     def test_idempotent(self, angle):
         assert wrap_angle(wrap_angle(angle)) == wrap_angle(angle)
 
@@ -225,6 +228,13 @@ class TestSceneValidate:
         heading[0] = -math.pi  # open boundary
         bad = _mutate(scene, heading=heading)
         assert any("heading-range" in v for v in violations_of(bad))
+
+    def test_heading_message_prints_a_plain_float(self):
+        scene = _two_agent_scene()
+        heading = np.array(scene.columns.heading)
+        heading[0] = 4.0
+        bad = _mutate(scene, heading=heading)
+        assert "agent a0: heading 4.0 outside (-pi, pi] at ts 0 (heading-range)" in violations_of(bad)
 
     def test_nonpositive_dt(self):
         scene = _two_agent_scene()

@@ -151,6 +151,31 @@ class TestLaneQueries:
             for p, want in zip(points, expected_sets):
                 assert vmap.lanes_within(p, radius) == want
 
+    def test_lattice_ties_match_brute_force(self):
+        # Lanes on a 4 m integer lattice with unit vertices, each drawn twice
+        # under different ids (one copy reversed), so nearly every query ties;
+        # beside it a diagonal lane, whose boxes have empty corners.
+        run = np.arange(25.0)
+        lanes = [RoadLane("d", Polyline(np.stack([run + 28.0, 24.0 - run, np.zeros(25)], axis=1)))]
+        for k in range(7):
+            for lane_id, xs, ys in (
+                (f"h{k}", run, np.full(25, 4.0 * k)),
+                (f"a_h{k}", run[::-1], np.full(25, 4.0 * k)),
+                (f"v{k}", np.full(25, 4.0 * k), run),
+                (f"z_v{k}", np.full(25, 4.0 * k), run),
+            ):
+                lanes.append(RoadLane(lane_id, Polyline(np.stack([xs, ys, np.zeros(25)], axis=1))))
+        vmap = VectorMap("toy:lattice", lanes)
+        assert len(vmap._index.levels) >= 3
+        # Vertices, midlines between lanes and points outside the lattice.
+        grid = np.arange(-2.0, 34.0)
+        points = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
+        for p, (lane, dist) in zip(points, brute_closest_lanes(vmap, points)):
+            assert vmap.closest_lane_with_distance(p) == (lane, dist)
+        for radius in (0.0, 1.0, 2.0):
+            for p, want in zip(points, brute_lanes_within(vmap, points, radius)):
+                assert vmap.lanes_within(p, radius) == want
+
 
 class TestDrivableArea:
     def test_unsupported_distinct_from_false(self):
@@ -290,6 +315,14 @@ class TestNonFiniteLaneQueries:
     def test_infinite_radius_reaches_every_lane(self):
         vmap = VectorMap("toy:flat", [straight_lane("L1", 0.0), straight_lane("L2", 1e6)])
         assert vmap.lanes_within((5.0, 0.0), float("inf")) == {"L1", "L2"}
+
+    def test_far_point_skips_overflowed_distances(self):
+        # From this point the diagonal lane's distance overflows to NaN, the
+        # straight lane's to inf.
+        diagonal = RoadLane("A", Polyline([(0.0, 0.0, 0.0), (10.0, 10.0, 0.0)]))
+        vmap = VectorMap("toy:flat", [diagonal, straight_lane("B", 20.0)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert vmap.closest_lane_with_distance((1e308, -1e308)) == ("B", float("inf"))
 
 
 class TestMapModel:
