@@ -13,12 +13,12 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .core import AgentMetadata, AgentType, SceneFrame, wrap_angle
-from .ingest import SceneCache
+from .ingest import SceneCache, _checked_object
 from .kinematics import derive_derivative
 from .vecmap import VectorMap
 
@@ -57,6 +57,18 @@ def _default_bins() -> dict[str, list[float]]:
     }
 
 
+# AnalysisConfig fields and the JSON types they take.
+_CONFIG_KINDS = {
+    "stationary_threshold": (int, float),
+    "harsh_accel_threshold": (int, float),
+    "density_min_agents": int,
+    "per_timestep_rates": bool,
+    "cumulative_heading": bool,
+    "offroad_types": list,
+    "histogram_bins": dict,
+}
+
+
 @dataclass
 class AnalysisConfig:
     """Thresholds and histogram bin edges for an analysis run."""
@@ -85,9 +97,15 @@ class AnalysisConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisConfig":
-        """Config from JSON; unknown keys are ignored and histogram_bins entries
-        override the default edges one metric at a time."""
-        raw = json.loads(text)
+        """Config from a JSON object; unknown keys are ignored and histogram_bins
+        entries override the default edges one metric at a time. ValueError
+        names a field whose value has the wrong type."""
+        raw = _checked_object(json.loads(text), _CONFIG_KINDS, (), "analysis config")
+        if not all(isinstance(t, str) for t in raw.get("offroad_types", [])):
+            raise ValueError(f"analysis config key 'offroad_types' must list type names, got {raw['offroad_types']!r}")
+        for name, edges in raw.get("histogram_bins", {}).items():
+            if not isinstance(edges, list) or not all(isinstance(e, (int, float)) and not isinstance(e, bool) for e in edges):
+                raise ValueError(f"analysis config key 'histogram_bins' must map {name!r} to a list of numbers, got {edges!r}")
         kwargs = {f.name: raw[f.name] for f in fields(cls) if f.name in raw and f.name != "histogram_bins"}
         if "offroad_types" in kwargs:
             kwargs["offroad_types"] = tuple(kwargs["offroad_types"])
@@ -144,7 +162,11 @@ class MetricReport:
     unavailable: list[str] = field(default_factory=list)
 
 
+Datasets = Mapping[str, Sequence[SceneFrame]]  # dataset name -> its scenes
+
+
 def _scenes_by_dataset(cache: SceneCache, tags: Sequence[str]) -> dict[str, list[SceneFrame]]:
+    """The scenes the tags select, each loaded once, grouped by dataset."""
     out: dict[str, list[SceneFrame]] = {}
     for scene in cache.iter_scenes(tags):
         out.setdefault(scene.scene_tag().dataset, []).append(scene)
@@ -159,14 +181,14 @@ def _rate_entry(num: int, den: int) -> dict:
 # Population / density / duration
 # ---------------------------------------------------------------------------
 
-def agent_population(cache: SceneCache, tags: Sequence[str]) -> dict:
+def agent_population(datasets: Datasets) -> dict:
     """Unique-agent counts and per-type proportions per dataset.
 
     Agents are deduplicated by agent_id within a dataset, so a recurring id
     (like a data-collection ego vehicle) counts once.
     """
     out: dict[str, dict] = {}
-    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
+    for dataset, scenes in sorted(datasets.items()):
         types: dict[str, AgentType] = {}
         for scene in scenes:
             for meta in scene.agents:
@@ -206,11 +228,11 @@ def _observed_runs(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return rows, starts, np.append(starts[1:], len(rows))
 
 
-def simultaneous_agents(cache: SceneCache, tags: Sequence[str], cfg: AnalysisConfig) -> list[Histogram]:
+def simultaneous_agents(datasets: Datasets, cfg: AnalysisConfig) -> list[Histogram]:
     """Per-(scene, ts) simultaneous-agent counts (an agent has one row per
     lifetime timestep, so rows per timestep) and per-scene maxima."""
     hists = []
-    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
+    for dataset, scenes in sorted(datasets.items()):
         per_ts = [np.bincount(s.columns.ts, minlength=s.n_timesteps)[: s.n_timesteps] for s in scenes]
         maxima = [int(counts.max()) if len(counts) else 0 for counts in per_ts]
         edges = cfg.edges("simultaneous")
@@ -219,9 +241,7 @@ def simultaneous_agents(cache: SceneCache, tags: Sequence[str], cfg: AnalysisCon
     return hists
 
 
-def agent_density(
-    cache: SceneCache, tags: Sequence[str], cfg: AnalysisConfig
-) -> tuple[list[Histogram], dict]:
+def agent_density(datasets: Datasets, cfg: AnalysisConfig) -> tuple[list[Histogram], dict]:
     """Agents per m^2 of their axis-aligned bounding rectangle, per (scene, ts).
 
     Timesteps with fewer than density_min_agents agents or a degenerate
@@ -229,7 +249,7 @@ def agent_density(
     """
     hists = []
     skipped = 0
-    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
+    for dataset, scenes in sorted(datasets.items()):
         samples: list[np.ndarray] = []
         for scene in scenes:
             order, starts = _ts_groups(scene)
@@ -246,13 +266,11 @@ def agent_density(
     return hists, {"density_skipped_degenerate": skipped}
 
 
-def ego_agent_distances(
-    cache: SceneCache, tags: Sequence[str], cfg: AnalysisConfig, ego_id: str = "ego"
-) -> tuple[list[Histogram], dict]:
+def ego_agent_distances(datasets: Datasets, cfg: AnalysisConfig, ego_id: str = "ego") -> tuple[list[Histogram], dict]:
     """Euclidean xy distances from the ego agent to every other agent at shared timesteps."""
     hists = []
     missing_ego = 0
-    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
+    for dataset, scenes in sorted(datasets.items()):
         samples: list[np.ndarray] = []
         for scene in scenes:
             ego_idx = next((i for i, m in enumerate(scene.agents) if m.agent_id == ego_id), None)
@@ -300,13 +318,13 @@ def _type_histograms(dataset: str, pools: dict[str, _Pool], cfg: AnalysisConfig)
     ]
 
 
-def dynamics_distributions(cache: SceneCache, tags: Sequence[str], cfg: AnalysisConfig) -> list[Histogram]:
+def dynamics_distributions(datasets: Datasets, cfg: AnalysisConfig) -> list[Histogram]:
     """Speed, |acceleration|, and |jerk| distributions per (dataset, type).
 
     Jerk is derived on the fly by finite-differencing the acceleration columns.
     """
     hists = []
-    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
+    for dataset, scenes in sorted(datasets.items()):
         pools: dict[str, _Pool] = {"speed": {}, "accel": {}, "jerk": {}}
         for scene in scenes:
             cols = scene.columns
@@ -320,11 +338,11 @@ def dynamics_distributions(cache: SceneCache, tags: Sequence[str], cfg: Analysis
     return hists
 
 
-def stationary_fraction(cache: SceneCache, tags: Sequence[str], cfg: AnalysisConfig) -> dict:
+def stationary_fraction(datasets: Datasets, cfg: AnalysisConfig) -> dict:
     """Fraction of agents whose displacement from their first observed position
     never reaches stationary_threshold."""
     out: dict[str, dict] = {}
-    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
+    for dataset, scenes in sorted(datasets.items()):
         num = den = 0
         for scene in scenes:
             cols = scene.columns
@@ -338,14 +356,14 @@ def stationary_fraction(cache: SceneCache, tags: Sequence[str], cfg: AnalysisCon
     return out
 
 
-def heading_deltas(cache: SceneCache, tags: Sequence[str], cfg: AnalysisConfig) -> list[Histogram]:
+def heading_deltas(datasets: Datasets, cfg: AnalysisConfig) -> list[Histogram]:
     """Heading change relative to each agent's first timestep, plus raw headings.
 
     Deltas are wrapped to (-pi, pi] by default; cfg.cumulative_heading switches
     to the unwrapped cumulative change.
     """
     hists = []
-    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
+    for dataset, scenes in sorted(datasets.items()):
         pools: dict[str, _Pool] = {"heading_delta": {}, "heading_raw": {}}
         for scene in scenes:
             cols, off = scene.columns, scene._agent_offsets
@@ -362,9 +380,7 @@ def heading_deltas(cache: SceneCache, tags: Sequence[str], cfg: AnalysisConfig) 
     return hists
 
 
-def path_efficiency(
-    cache: SceneCache, tags: Sequence[str], cfg: AnalysisConfig
-) -> tuple[list[Histogram], dict]:
+def path_efficiency(datasets: Datasets, cfg: AnalysisConfig) -> tuple[list[Histogram], dict]:
     """100 * endpoint distance / traveled length per agent, pooled per type.
 
     Agents whose observed path length is under 1e-6 m are defined stationary,
@@ -372,7 +388,7 @@ def path_efficiency(
     """
     hists = []
     zero_path = 0
-    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
+    for dataset, scenes in sorted(datasets.items()):
         pool: _Pool = {}
         for scene in scenes:
             cols = scene.columns
@@ -432,29 +448,27 @@ def _agent_counts(scene: SceneFrame, rows: np.ndarray, events: np.ndarray) -> tu
 AgentCounter = Callable[[SceneFrame], tuple[np.ndarray, np.ndarray]]
 
 
-def _rates(scenes: Iterable[tuple[str, SceneFrame]], counts: AgentCounter, per_timestep: bool) -> dict:
+def _rates(datasets: Datasets, counts: AgentCounter, per_timestep: bool) -> dict:
     """{dataset: {type: entry}} from counts(scene), its per-agent (event rows, selected rows).
 
     Agents without a selected row are left out. By default an agent counts
     once, as an event if any of its selected rows is one ("any timestep");
-    per_timestep counts rows. Every dataset seen gets an entry.
+    per_timestep counts rows. Every dataset of datasets gets an entry.
     """
-    num: dict[str, dict[str, int]] = {}
-    den: dict[str, dict[str, int]] = {}
-    for dataset, scene in scenes:
-        events, selected = counts(scene)
-        if not per_timestep:
-            events, selected = events > 0, selected > 0
-        n, d = num.setdefault(dataset, {}), den.setdefault(dataset, {})
-        for i in np.flatnonzero(selected):
-            t = str(scene.agents[i].agent_type)
-            d[t] = d.get(t, 0) + int(selected[i])
-            n[t] = n.get(t, 0) + int(events[i])
-    return {ds: {t: _rate_entry(num[ds][t], d[t]) for t in sorted(d)} for ds, d in sorted(den.items())}
-
-
-def _dataset_scenes(cache: SceneCache, tags: Sequence[str]) -> list[tuple[str, SceneFrame]]:
-    return [(ds, scene) for ds, scenes in sorted(_scenes_by_dataset(cache, tags).items()) for scene in scenes]
+    out: dict[str, dict] = {}
+    for dataset, scenes in sorted(datasets.items()):
+        num: dict[str, int] = {}
+        den: dict[str, int] = {}
+        for scene in scenes:
+            events, selected = counts(scene)
+            if not per_timestep:
+                events, selected = events > 0, selected > 0
+            for i in np.flatnonzero(selected):
+                t = str(scene.agents[i].agent_type)
+                den[t] = den.get(t, 0) + int(selected[i])
+                num[t] = num.get(t, 0) + int(events[i])
+        out[dataset] = {t: _rate_entry(num[t], den[t]) for t in sorted(den)}
+    return out
 
 
 def _scene_collisions(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray]:
@@ -498,17 +512,16 @@ def _offroad_counts(scene: SceneFrame, vmap: VectorMap, rows: np.ndarray) -> tup
     return _agent_counts(scene, rows, off)
 
 
-def collision_rate(cache: SceneCache, tags: Sequence[str], cfg: AnalysisConfig) -> tuple[dict, dict]:
+def collision_rate(datasets: Datasets, cfg: AnalysisConfig) -> tuple[dict, dict]:
     """Fraction of extent-bearing agents whose oriented box ever intersects another's.
 
     Extent-less agents are excluded from numerator and denominator and tallied.
     """
-    scenes = _dataset_scenes(cache, tags)
-    no_extent = sum(1 for _, scene in scenes for m in scene.agents if m.extent is None)
-    return _rates(scenes, _scene_collisions, cfg.per_timestep_rates), {"collision_agents_without_extent": no_extent}
+    no_extent = sum(1 for scenes in datasets.values() for scene in scenes for m in scene.agents if m.extent is None)
+    return _rates(datasets, _scene_collisions, cfg.per_timestep_rates), {"collision_agents_without_extent": no_extent}
 
 
-def harsh_accel_rate(cache: SceneCache, tags: Sequence[str], cfg: AnalysisConfig) -> dict:
+def harsh_accel_rate(datasets: Datasets, cfg: AnalysisConfig) -> dict:
     """Fraction of agents exceeding the harsh-acceleration threshold at any
     observed timestep (strict inequality at the threshold)."""
 
@@ -516,12 +529,10 @@ def harsh_accel_rate(cache: SceneCache, tags: Sequence[str], cfg: AnalysisConfig
         cols = scene.columns
         return _agent_counts(scene, cols.observed, np.hypot(cols.ax, cols.ay) > cfg.harsh_accel_threshold)
 
-    return _rates(_dataset_scenes(cache, tags), counts, cfg.per_timestep_rates)
+    return _rates(datasets, counts, cfg.per_timestep_rates)
 
 
-def offroad_rate(
-    cache: SceneCache, tags: Sequence[str], vmap: VectorMap | None, cfg: AnalysisConfig
-) -> tuple[dict | None, dict]:
+def offroad_rate(datasets: Datasets, vmap: VectorMap | None, cfg: AnalysisConfig) -> tuple[dict | None, dict]:
     """Fraction of (by default) vehicles/motorcycles whose center leaves the
     drivable area at any observed timestep. None when no map is given or it
     has no drivable area (tallied), whatever agent types the data holds."""
@@ -533,7 +544,7 @@ def offroad_rate(
     def counts(scene: SceneFrame):
         return _offroad_counts(scene, vmap, scene.columns.observed & _offroad_rows(scene, cfg.offroad_types))
 
-    return _rates(_dataset_scenes(cache, tags), counts, cfg.per_timestep_rates), {}
+    return _rates(datasets, counts, cfg.per_timestep_rates), {}
 
 
 # ---------------------------------------------------------------------------
@@ -556,37 +567,38 @@ def run_analysis(
     report = MetricReport(config=cfg.to_dict(), tags=list(tags))
 
     wanted = set(metrics)
+    datasets = _scenes_by_dataset(cache, tags)
     if "population" in wanted:
-        report.population = agent_population(cache, tags)
+        report.population = agent_population(datasets)
     if "simultaneous" in wanted:
-        report.histograms += simultaneous_agents(cache, tags, cfg)
+        report.histograms += simultaneous_agents(datasets, cfg)
     if "density" in wanted:
-        hists, tallies = agent_density(cache, tags, cfg)
+        hists, tallies = agent_density(datasets, cfg)
         report.histograms += hists
         report.tallies.update(tallies)
     if "ego_distances" in wanted:
-        hists, tallies = ego_agent_distances(cache, tags, cfg, ego_id)
+        hists, tallies = ego_agent_distances(datasets, cfg, ego_id)
         report.histograms += hists
         report.tallies.update(tallies)
     dyn_wanted = wanted & {"speed", "accel", "jerk"}
     if dyn_wanted:
-        report.histograms += [h for h in dynamics_distributions(cache, tags, cfg) if h.name in dyn_wanted]
+        report.histograms += [h for h in dynamics_distributions(datasets, cfg) if h.name in dyn_wanted]
     if "stationary" in wanted:
-        report.rates["stationary"] = {ds: {"all": entry} for ds, entry in stationary_fraction(cache, tags, cfg).items()}
+        report.rates["stationary"] = {ds: {"all": entry} for ds, entry in stationary_fraction(datasets, cfg).items()}
     if "heading_deltas" in wanted:
-        report.histograms += heading_deltas(cache, tags, cfg)
+        report.histograms += heading_deltas(datasets, cfg)
     if "path_efficiency" in wanted:
-        hists, tallies = path_efficiency(cache, tags, cfg)
+        hists, tallies = path_efficiency(datasets, cfg)
         report.histograms += hists
         report.tallies.update(tallies)
     if "collision" in wanted:
-        rates, tallies = collision_rate(cache, tags, cfg)
+        rates, tallies = collision_rate(datasets, cfg)
         report.rates["collision"] = rates
         report.tallies.update(tallies)
     if "harsh_accel" in wanted:
-        report.rates["harsh_accel"] = harsh_accel_rate(cache, tags, cfg)
+        report.rates["harsh_accel"] = harsh_accel_rate(datasets, cfg)
     if "offroad" in wanted:
-        rates, tallies = offroad_rate(cache, tags, vmap, cfg)
+        rates, tallies = offroad_rate(datasets, vmap, cfg)
         report.tallies.update(tallies)
         if rates is None:
             report.unavailable.append("offroad")

@@ -81,6 +81,25 @@ class UnknownTagError(KeyError):
     """A requested scene tag matched nothing in the cache."""
 
 
+def _checked_object(raw, kinds: dict, required: Iterable[str], what: str) -> dict:
+    """raw, if it is a JSON object that holds every required key and, under
+    each key of kinds that it holds, a value of that type (true and false
+    pass only as bool); ValueError naming the key otherwise."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(raw).__name__}")
+    for key in required:
+        if key not in raw:
+            raise ValueError(f"{what} lacks the key {key!r}")
+    for key, kind in kinds.items():
+        if key in raw and (not isinstance(raw[key], kind) or isinstance(raw[key], bool) and kind is not bool):
+            raise ValueError(f"{what} key {key!r} has the wrong type: {raw[key]!r}")
+    return raw
+
+
+# Sidecar keys and the JSON types they take; the first three are required.
+_META_KINDS = {"scene_id": str, "dt": (int, float), "dataset": str, "location": str, "split": (str, type(None))}
+
+
 @dataclass
 class SceneMetaRecord:
     """Sidecar metadata describing one scene source."""
@@ -100,7 +119,9 @@ class SceneMetaRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "SceneMetaRecord":
-        raw = json.loads(text)
+        """Record from a JSON object; ValueError names a required key that is
+        missing or a key whose value has the wrong type."""
+        raw = _checked_object(json.loads(text), _META_KINDS, ("scene_id", "dt", "dataset"), "scene metadata")
         return cls(
             scene_id=raw["scene_id"],
             dt=float(raw["dt"]),
@@ -578,6 +599,17 @@ def _index_entry(scene: SceneFrame, path: Path) -> dict:
     return {"scene_id": scene.scene_id, "path": path.name, "n_agents": scene.n_agents, "n_timesteps": scene.n_timesteps}
 
 
+_ENTRY_KINDS = {"scene_id": str, "path": str, "n_agents": int, "n_timesteps": int}
+
+
+def _checked_entry(entry) -> dict:
+    """entry, if it holds each key _index_entry writes, with its type, and a
+    path that names a file inside the dataset directory."""
+    _checked_object(entry, _ENTRY_KINDS, _ENTRY_KINDS, "index entry")
+    _plain_name(entry["path"], "index path")
+    return entry
+
+
 @dataclass(frozen=True)
 class CacheEntry:
     tag: str
@@ -593,7 +625,6 @@ class SceneCache:
     def __init__(self, cache_dir: str | Path):
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self._memo: dict[Path, SceneFrame] = {}
 
     def _dataset_dir(self, dataset: str) -> Path:
         return self.cache_dir / _plain_name(dataset, "dataset")
@@ -602,12 +633,18 @@ class SceneCache:
         return self._dataset_dir(dataset) / "index.json"
 
     def _load_index(self, dataset: str) -> dict[str, dict[str, dict]]:
-        """Index entries by scene tag, then by scene id."""
+        """Index entries by scene tag, then by scene id; CacheError when the
+        index is not shaped as _store_index writes it."""
         path = self._index_path(dataset)
         if not path.exists():
             return {}
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        return {render: {e["scene_id"]: e for e in entries} for render, entries in raw.get("scenes", {}).items()}
+        try:
+            raw = _checked_object(json.loads(path.read_text(encoding="utf-8")), {"scenes": dict}, (), "cache index")
+            scenes = raw.get("scenes", {})
+            _checked_object(scenes, dict.fromkeys(scenes, list), (), "cache index scenes")
+            return {render: {e["scene_id"]: _checked_entry(e) for e in entries} for render, entries in scenes.items()}
+        except ValueError as exc:
+            raise CacheError(f"malformed cache index {path}: {exc}") from exc
 
     def _store_index(self, dataset: str, index: dict[str, dict[str, dict]]) -> None:
         scenes = {render: [entries[scene_id] for scene_id in sorted(entries)] for render, entries in index.items()}
@@ -636,7 +673,6 @@ class SceneCache:
         for scene, path in zip(scenes, paths):
             path.parent.mkdir(parents=True, exist_ok=True)
             _replace_file(path, scene_to_bytes(scene))
-            self._memo.pop(path.resolve(), None)
 
         for dataset in dict.fromkeys(path.parent.name for path in paths):
             with self._index_lock(dataset):
@@ -657,14 +693,11 @@ class SceneCache:
         return None
 
     def load_path(self, path: str | Path) -> SceneFrame:
-        resolved = Path(path).resolve()
-        if resolved in self._memo:
-            return self._memo[resolved]
-        scene = scene_from_bytes(resolved.read_bytes())
-        # Every caller shares the memoized arrays, so none may write to them.
+        """Decode the scene file at path; every call reads it afresh."""
+        scene = scene_from_bytes(Path(path).read_bytes())
+        # Every metric of an analysis run shares one loaded scene, so none may write to its columns.
         for column in scene.columns.as_dict().values():
             column.flags.writeable = False
-        self._memo[resolved] = scene
         return scene
 
     def resolve(self, tags: Iterable[str]) -> list[CacheEntry]:

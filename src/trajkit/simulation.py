@@ -235,7 +235,7 @@ def rollout_scene(state: SimState) -> SceneFrame:
 def _pooled_rate(scene: SceneFrame, counts: AgentCounter) -> float | None:
     """Any-timestep rate of counts(scene) pooled over agent types; None when
     no agent is selected."""
-    entries = _rates([("", scene)], counts, per_timestep=False)[""].values()
+    entries = _rates({"": [scene]}, counts, per_timestep=False)[""].values()
     den = sum(e["den"] for e in entries)
     return sum(e["num"] for e in entries) / den if den else None
 

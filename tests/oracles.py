@@ -17,7 +17,6 @@ from trajkit.analysis import (
     _offroad_counts,
     _offroad_rows,
     _rate_entry,
-    _scenes_by_dataset,
     obb_corners,
     obb_intersect,
 )
@@ -390,9 +389,9 @@ def _reference_rows_by_ts(scene):
     return out
 
 
-def reference_simultaneous_agents(cache, tags, cfg):
+def reference_simultaneous_agents(datasets, cfg):
     hists = []
-    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
+    for dataset, scenes in sorted(datasets.items()):
         per_ts, maxima = [], []
         for scene in scenes:
             counts = np.zeros(scene.n_timesteps, dtype=np.int64)
@@ -406,10 +405,10 @@ def reference_simultaneous_agents(cache, tags, cfg):
     return hists
 
 
-def reference_agent_density(cache, tags, cfg):
+def reference_agent_density(datasets, cfg):
     hists = []
     skipped = 0
-    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
+    for dataset, scenes in sorted(datasets.items()):
         samples = []
         for scene in scenes:
             cols = scene.columns
@@ -426,10 +425,10 @@ def reference_agent_density(cache, tags, cfg):
     return hists, {"density_skipped_degenerate": skipped}
 
 
-def reference_ego_agent_distances(cache, tags, cfg, ego_id="ego"):
+def reference_ego_agent_distances(datasets, cfg, ego_id="ego"):
     hists = []
     missing_ego = 0
-    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
+    for dataset, scenes in sorted(datasets.items()):
         samples = []
         for scene in scenes:
             ego_idx = next((i for i, m in enumerate(scene.agents) if m.agent_id == ego_id), None)
@@ -457,9 +456,9 @@ def reference_ego_agent_distances(cache, tags, cfg, ego_id="ego"):
     return hists, {"ego_distance_scenes_missing_ego": missing_ego}
 
 
-def reference_dynamics_distributions(cache, tags, cfg):
+def reference_dynamics_distributions(datasets, cfg):
     hists = []
-    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
+    for dataset, scenes in sorted(datasets.items()):
         pools = {}
         for scene in scenes:
             cols = scene.columns
@@ -478,9 +477,9 @@ def reference_dynamics_distributions(cache, tags, cfg):
     return hists
 
 
-def reference_stationary_fraction(cache, tags, cfg):
+def reference_stationary_fraction(datasets, cfg):
     out = {}
-    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
+    for dataset, scenes in sorted(datasets.items()):
         num = den = 0
         for scene in scenes:
             cols = scene.columns
@@ -499,9 +498,9 @@ def reference_stationary_fraction(cache, tags, cfg):
     return out
 
 
-def reference_heading_deltas(cache, tags, cfg):
+def reference_heading_deltas(datasets, cfg):
     hists = []
-    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
+    for dataset, scenes in sorted(datasets.items()):
         deltas, raws = {}, {}
         for scene in scenes:
             cols = scene.columns
@@ -520,10 +519,10 @@ def reference_heading_deltas(cache, tags, cfg):
     return hists
 
 
-def reference_path_efficiency(cache, tags, cfg):
+def reference_path_efficiency(datasets, cfg):
     hists = []
     zero_path = 0
-    for dataset, scenes in sorted(_scenes_by_dataset(cache, tags).items()):
+    for dataset, scenes in sorted(datasets.items()):
         per_type = {}
         for scene in scenes:
             cols = scene.columns

@@ -10,6 +10,7 @@ from trajkit.analysis import (
     METRIC_NAMES,
     AnalysisConfig,
     Histogram,
+    _scenes_by_dataset,
     agent_density,
     agent_population,
     collision_rate,
@@ -102,7 +103,7 @@ class TestPopulation:
             types=[AgentType.VEHICLE] * 3 + [AgentType.PEDESTRIAN],
         )
         cache.write(scene)
-        pop = agent_population(cache, ["toy"])
+        pop = agent_population(_scenes_by_dataset(cache, ["toy"]))
         assert pop["toy"]["unique_agents"] == 4
         assert pop["toy"]["type_fractions"] == {"pedestrian": 0.25, "vehicle": 0.75}
 
@@ -113,14 +114,14 @@ class TestPopulation:
         s2.agents[1].agent_id = "b1"
         cache.write(s1)
         cache.write(s2)
-        assert agent_population(cache, ["toy"])["toy"]["unique_agents"] == 3
+        assert agent_population(_scenes_by_dataset(cache, ["toy"]))["toy"]["unique_agents"] == 3
 
     def test_shared_id_counts_once(self, cache):
         s1 = _scene_from_tracks([_track([0, 1], [0, 0])], scene_id="s1")
         s2 = _scene_from_tracks([_track([0, 1], [0, 0])], scene_id="s2")
         cache.write(s1)
         cache.write(s2)
-        assert agent_population(cache, ["toy"])["toy"]["unique_agents"] == 1
+        assert agent_population(_scenes_by_dataset(cache, ["toy"]))["toy"]["unique_agents"] == 1
 
 
 class TestSimultaneous:
@@ -135,13 +136,13 @@ class TestSimultaneous:
 
     def test_disjoint_lifetimes(self, cache):
         cache.write(self._scene([(0, 4), (5, 9)]))
-        hists = simultaneous_agents(cache, ["toy"], AnalysisConfig())
+        hists = simultaneous_agents(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
         per_max = next(h for h in hists if h.name == "simultaneous_scene_max")
         assert per_max.counts[1] == 1  # one scene whose max is 1
 
     def test_overlap(self, cache):
         cache.write(self._scene([(0, 4), (3, 9)]))
-        hists = simultaneous_agents(cache, ["toy"], AnalysisConfig())
+        hists = simultaneous_agents(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
         per_max = next(h for h in hists if h.name == "simultaneous_scene_max")
         assert per_max.counts[2] == 1
 
@@ -149,7 +150,7 @@ class TestSimultaneous:
         rng = np.random.default_rng(6)
         scene = random_scene(rng, n_agents=6, n_timesteps=40)
         cache.write(scene)
-        hists = simultaneous_agents(cache, ["rand"], AnalysisConfig())
+        hists = simultaneous_agents(_scenes_by_dataset(cache, ["rand"]), AnalysisConfig())
         per_ts = next(h for h in hists if h.name == "simultaneous_per_ts")
         # O(agents * ts) recount
         counts = [
@@ -169,7 +170,7 @@ class TestDensity:
             _track([0.0, 0.0], [10.0, 10.0]),
         ]
         cache.write(_scene_from_tracks(tracks))
-        hists, tallies = agent_density(cache, ["toy"], AnalysisConfig())
+        hists, tallies = agent_density(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
         h = hists[0]
         # all samples are 4 agents / 100 m^2
         bin_idx = np.searchsorted(h.edges, 0.04, side="right") - 1
@@ -179,7 +180,7 @@ class TestDensity:
     def test_collinear_skipped(self, cache):
         tracks = [_track([0.0, 0.0], [0.0, 0.0]), _track([5.0, 5.0], [0.0, 0.0])]
         cache.write(_scene_from_tracks(tracks))
-        hists, tallies = agent_density(cache, ["toy"], AnalysisConfig())
+        hists, tallies = agent_density(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
         assert hists[0].n_samples == 0
         assert tallies["density_skipped_degenerate"] == 2
 
@@ -188,7 +189,7 @@ class TestDensity:
         scene = random_scene(rng, n_agents=5, n_timesteps=30, gap_prob=0.0)
         cache.write(scene)
         cfg = AnalysisConfig()
-        hists, _ = agent_density(cache, ["rand"], cfg)
+        hists, _ = agent_density(_scenes_by_dataset(cache, ["rand"]), cfg)
         samples = []
         for ts in range(scene.n_timesteps):
             pts = []
@@ -212,7 +213,7 @@ class TestEgoDistances:
         scene = _scene_from_tracks([_track(np.zeros(5), np.zeros(5)), _track(np.full(5, 10.0), np.zeros(5))])
         scene.agents[0].agent_id = "ego"
         cache.write(scene)
-        hists, tallies = ego_agent_distances(cache, ["toy"], AnalysisConfig())
+        hists, tallies = ego_agent_distances(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
         h = hists[0]
         assert h.n_samples == 5
         bin_idx = np.searchsorted(h.edges, 10.0, side="right") - 1
@@ -222,19 +223,19 @@ class TestEgoDistances:
         scene = _scene_from_tracks([_track(np.zeros(5), np.zeros(5))])
         scene.agents[0].agent_id = "ego"
         cache.write(scene)
-        hists, _ = ego_agent_distances(cache, ["toy"], AnalysisConfig())
+        hists, _ = ego_agent_distances(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
         assert hists[0].n_samples == 0
 
     def test_missing_ego_tallied(self, cache):
         cache.write(_scene_from_tracks([_track(np.zeros(5), np.zeros(5))]))
-        hists, tallies = ego_agent_distances(cache, ["toy"], AnalysisConfig())
+        hists, tallies = ego_agent_distances(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
         assert tallies["ego_distance_scenes_missing_ego"] == 1
 
 
 class TestDynamics:
     def test_straight_speed(self, cache):
         cache.write(synth_scene(Straight(10.0), 1, 50, 0.1))
-        hists = dynamics_distributions(cache, ["synth"], AnalysisConfig())
+        hists = dynamics_distributions(_scenes_by_dataset(cache, ["synth"]), AnalysisConfig())
         speed = next(h for h in hists if h.name == "speed" and h.agent_type == "vehicle")
         bin_idx = np.searchsorted(speed.edges, 10.0, side="right") - 1
         assert speed.counts[bin_idx] == speed.n_samples == 50
@@ -245,14 +246,14 @@ class TestDynamics:
         scene = next(iter(cache.iter_scenes(["synth"])))
         accel = np.hypot(scene.columns.ax, scene.columns.ay)
         assert np.allclose(accel, r * w * w, rtol=1e-9)
-        hists = dynamics_distributions(cache, ["synth"], AnalysisConfig())
+        hists = dynamics_distributions(_scenes_by_dataset(cache, ["synth"]), AnalysisConfig())
         a_hist = next(h for h in hists if h.name == "accel")
         bin_idx = np.searchsorted(a_hist.edges, r * w * w, side="right") - 1
         assert a_hist.counts[bin_idx] == a_hist.n_samples
 
     def test_stationary_speed_zero(self, cache):
         cache.write(_scene_from_tracks([_track(np.zeros(10), np.zeros(10))]))
-        hists = dynamics_distributions(cache, ["toy"], AnalysisConfig())
+        hists = dynamics_distributions(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
         speed = next(h for h in hists if h.name == "speed")
         assert speed.counts[0] == speed.n_samples == 10
 
@@ -260,26 +261,26 @@ class TestDynamics:
 class TestStationary:
     def test_all_static(self, cache):
         cache.write(_scene_from_tracks([_track(np.zeros(10), np.zeros(10)) for _ in range(3)]))
-        rates = stationary_fraction(cache, ["toy"], AnalysisConfig())
+        rates = stationary_fraction(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
         assert rates["toy"]["rate"] == 1.0
 
     def test_all_movers(self, cache):
         cache.write(synth_scene(Straight(10.0), 3, 50, 0.1))
-        rates = stationary_fraction(cache, ["synth"], AnalysisConfig())
+        rates = stationary_fraction(_scenes_by_dataset(cache, ["synth"]), AnalysisConfig())
         assert rates["synth"]["rate"] == 0.0
         assert rates["synth"]["den"] == 3
 
     def test_threshold_strict(self, cache):
         # displacement exactly 1.0 m is not < 1.0 -> not stationary
         cache.write(_scene_from_tracks([_track([0.0, 1.0], [0.0, 0.0])]))
-        rates = stationary_fraction(cache, ["toy"], AnalysisConfig())
+        rates = stationary_fraction(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
         assert rates["toy"]["rate"] == 0.0
 
 
 class TestHeadingDeltas:
     def test_straight_mover_all_zero(self, cache):
         cache.write(synth_scene(Straight(10.0), 1, 50, 0.1))
-        hists = heading_deltas(cache, ["synth"], AnalysisConfig())
+        hists = heading_deltas(_scenes_by_dataset(cache, ["synth"]), AnalysisConfig())
         dh = next(h for h in hists if h.name == "heading_delta")
         mid = np.searchsorted(dh.edges, 0.0, side="right") - 1
         assert dh.counts[mid] == dh.n_samples
@@ -313,7 +314,7 @@ class TestHeadingDeltas:
         w = (2 * math.pi) / ((n - 1) * dt)  # full loop
         cache.write(synth_scene(Circle(10.0, w), 1, n, dt))
         cfg = AnalysisConfig(cumulative_heading=True)
-        hists = heading_deltas(cache, ["synth"], cfg)
+        hists = heading_deltas(_scenes_by_dataset(cache, ["synth"]), cfg)
         dh = next(h for h in hists if h.name == "heading_delta")
         assert dh.n_overflow > 0  # cumulative delta reaches 2*pi, beyond the wrapped range
 
@@ -321,7 +322,7 @@ class TestHeadingDeltas:
 class TestPathEfficiency:
     def test_straight_line_100(self, cache):
         cache.write(synth_scene(Straight(10.0), 1, 50, 0.1))
-        hists, _ = path_efficiency(cache, ["synth"], AnalysisConfig())
+        hists, _ = path_efficiency(_scenes_by_dataset(cache, ["synth"]), AnalysisConfig())
         h = hists[0]
         assert h.counts[-1] == h.n_samples  # last bin [99, 100]
 
@@ -342,12 +343,12 @@ class TestPathEfficiency:
         dt = 0.1
         w = 2 * math.pi / ((n - 1) * dt)
         cache.write(synth_scene(Circle(10.0, w), 1, n, dt))
-        hists, _ = path_efficiency(cache, ["synth"], AnalysisConfig())
+        hists, _ = path_efficiency(_scenes_by_dataset(cache, ["synth"]), AnalysisConfig())
         assert hists[0].counts[0] == 1  # first bin [0, 1)
 
     def test_static_agent_defined_100(self, cache):
         cache.write(_scene_from_tracks([_track(np.zeros(10), np.zeros(10))]))
-        hists, tallies = path_efficiency(cache, ["toy"], AnalysisConfig())
+        hists, tallies = path_efficiency(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
         assert tallies["path_efficiency_zero_path_agents"] == 1
         assert hists[0].counts[-1] == 1
 
@@ -357,14 +358,14 @@ class TestPathEfficiency:
         dx, dy = 90.0 / 7.0, 26.0 / 3.0
         assert math.hypot(dx, dy) > np.hypot(dx, dy)
         cache.write(_scene_from_tracks([_track([0.0, dx], [0.0, dy])]))
-        hists, _ = path_efficiency(cache, ["toy"], AnalysisConfig())
+        hists, _ = path_efficiency(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
         assert hists[0].n_overflow == 1
 
     def test_never_exceeds_100(self, cache):
         rng = np.random.default_rng(19)
         for i in range(5):
             cache.write(random_scene(rng, scene_id=f"s{i}"))
-        hists, _ = path_efficiency(cache, ["rand"], AnalysisConfig())
+        hists, _ = path_efficiency(_scenes_by_dataset(cache, ["rand"]), AnalysisConfig())
         for h in hists:
             assert h.n_overflow == 0
 
@@ -419,20 +420,20 @@ class TestCollisionRate:
     def test_deep_overlap_counts(self, cache):
         tracks = [_track([0.0, 0.0], [0.0, 0.0]), _track([1.0, 1.0], [0.0, 0.0])]
         cache.write(_scene_from_tracks(tracks))
-        rates, _ = collision_rate(cache, ["toy"], AnalysisConfig())
+        rates, _ = collision_rate(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
         assert rates["toy"]["vehicle"]["rate"] == 1.0
 
     def test_distant_boxes_do_not(self, cache):
         tracks = [_track([0.0, 0.0], [0.0, 0.0]), _track([10.0, 10.0], [0.0, 0.0])]
         cache.write(_scene_from_tracks(tracks))
-        rates, _ = collision_rate(cache, ["toy"], AnalysisConfig())
+        rates, _ = collision_rate(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
         assert rates["toy"]["vehicle"]["rate"] == 0.0
 
     def test_extent_less_excluded_and_tallied(self, cache):
         tracks = [_track([0.0, 0.0], [0.0, 0.0]), _track([1.0, 1.0], [0.0, 0.0]), _track([0.5, 0.5], [0.0, 0.0])]
         scene = _scene_from_tracks(tracks, extents=[Extent(4.0, 2.0), Extent(4.0, 2.0), None])
         cache.write(scene)
-        rates, tallies = collision_rate(cache, ["toy"], AnalysisConfig())
+        rates, tallies = collision_rate(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
         assert rates["toy"]["vehicle"]["den"] == 2
         assert tallies["collision_agents_without_extent"] == 1
 
@@ -440,7 +441,7 @@ class TestCollisionRate:
         # overlap on both timesteps for both agents
         tracks = [_track([0.0, 0.0], [0.0, 0.0]), _track([1.0, 1.0], [0.0, 0.0])]
         cache.write(_scene_from_tracks(tracks))
-        rates, _ = collision_rate(cache, ["toy"], AnalysisConfig(per_timestep_rates=True))
+        rates, _ = collision_rate(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig(per_timestep_rates=True))
         entry = rates["toy"]["vehicle"]
         assert entry["den"] == 4 and entry["num"] == 4
 
@@ -449,23 +450,23 @@ class TestHarshAccel:
     def test_half_g_plateau_flagged(self, cache):
         g = 9.81
         cache.write(synth_scene(StopAndGo(((0.0, 5), (0.5 * g, 10), (0.0, 20))), 1, 35, 0.1))
-        rates = harsh_accel_rate(cache, ["synth"], AnalysisConfig())
+        rates = harsh_accel_rate(_scenes_by_dataset(cache, ["synth"]), AnalysisConfig())
         assert rates["synth"]["vehicle"]["rate"] == 1.0
 
     def test_constant_velocity_not_flagged(self, cache):
         cache.write(synth_scene(Straight(30.0), 1, 35, 0.1))
-        rates = harsh_accel_rate(cache, ["synth"], AnalysisConfig())
+        rates = harsh_accel_rate(_scenes_by_dataset(cache, ["synth"]), AnalysisConfig())
         assert rates["synth"]["vehicle"]["rate"] == 0.0
 
     def test_exact_threshold_not_counted(self, cache):
         cache.write(synth_scene(StopAndGo(((3.924, 10),)), 1, 20, 0.1))
-        rates = harsh_accel_rate(cache, ["synth"], AnalysisConfig())
+        rates = harsh_accel_rate(_scenes_by_dataset(cache, ["synth"]), AnalysisConfig())
         assert rates["synth"]["vehicle"]["rate"] == 0.0
 
     def test_point_3_g_not_counted(self, cache):
         g = 9.81
         cache.write(synth_scene(StopAndGo(((0.3 * g, 10),)), 1, 20, 0.1))
-        rates = harsh_accel_rate(cache, ["synth"], AnalysisConfig())
+        rates = harsh_accel_rate(_scenes_by_dataset(cache, ["synth"]), AnalysisConfig())
         assert rates["synth"]["vehicle"]["rate"] == 0.0
 
 
@@ -475,24 +476,24 @@ class TestOffroad:
 
     def test_in_lane_zero(self, cache):
         cache.write(synth_scene(Straight(5.0), 1, 20, 0.1))  # along y=0 inside the lane polygon
-        rates, _ = offroad_rate(cache, ["synth"], self._map(), AnalysisConfig())
+        rates, _ = offroad_rate(_scenes_by_dataset(cache, ["synth"]), self._map(), AnalysisConfig())
         assert rates["synth"]["vehicle"]["rate"] == 0.0
 
     def test_far_outside_counted(self, cache):
         scene = _scene_from_tracks([_track([50.0, 50.0], [50.0, 50.0])])
         cache.write(scene)
-        rates, _ = offroad_rate(cache, ["toy"], self._map(), AnalysisConfig())
+        rates, _ = offroad_rate(_scenes_by_dataset(cache, ["toy"]), self._map(), AnalysisConfig())
         assert rates["toy"]["vehicle"]["rate"] == 1.0
 
     def test_pedestrians_excluded_by_default(self, cache):
         scene = _scene_from_tracks([_track([50.0, 50.0], [50.0, 50.0])], types=[AgentType.PEDESTRIAN])
         cache.write(scene)
-        rates, _ = offroad_rate(cache, ["toy"], self._map(), AnalysisConfig())
+        rates, _ = offroad_rate(_scenes_by_dataset(cache, ["toy"]), self._map(), AnalysisConfig())
         assert rates["toy"] == {}
 
     def test_no_map_unavailable(self, cache):
         cache.write(synth_scene(Straight(5.0), 1, 20, 0.1))
-        rates, _ = offroad_rate(cache, ["synth"], None, AnalysisConfig())
+        rates, _ = offroad_rate(_scenes_by_dataset(cache, ["synth"]), None, AnalysisConfig())
         assert rates is None
 
     def test_corner_clipping_matches_oracle(self, cache):
@@ -502,7 +503,7 @@ class TestOffroad:
         ys = rng.uniform(-6, 6, size=30)
         tracks = [_track(xs, ys)]
         cache.write(_scene_from_tracks(tracks))
-        rates, _ = offroad_rate(cache, ["toy"], vmap, AnalysisConfig())
+        rates, _ = offroad_rate(_scenes_by_dataset(cache, ["toy"]), vmap, AnalysisConfig())
         rings = [vmap.drivable_polygons()[0].rings()[0]]
         want_any_off = any(not crossing_number_inside(x, y, rings) for x, y in zip(xs, ys))
         assert (rates["toy"]["vehicle"]["rate"] == 1.0) == want_any_off
@@ -517,7 +518,7 @@ class TestOffroadWithoutDrivableArea:
     @pytest.mark.parametrize("agent_type", [AgentType.PEDESTRIAN, AgentType.VEHICLE])
     def test_unavailable_and_tallied(self, cache, agent_type):
         cache.write(_scene_from_tracks([_track([50.0, 50.0], [50.0, 50.0])], types=[agent_type]))
-        assert offroad_rate(cache, ["toy"], self._map(), AnalysisConfig()) == (None, {"offroad_unsupported_map": 1})
+        assert offroad_rate(_scenes_by_dataset(cache, ["toy"]), self._map(), AnalysisConfig()) == (None, {"offroad_unsupported_map": 1})
 
     def test_pedestrians_only_report_lists_offroad(self, cache):
         cache.write(_scene_from_tracks([_track([0.0, 1.0], [0.0, 0.0])], types=[AgentType.PEDESTRIAN]))
@@ -623,6 +624,35 @@ class TestArrayPassEquivalence:
             monkeypatch.setattr(analysis, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
         run_analysis(cache, ["rand"], self.METRICS)
         assert sorted(set(calls)) == sorted(REFERENCE_METRICS)
+
+
+class TestSingleLoad:
+    def test_run_analysis_resolves_once_and_loads_each_scene_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(4)
+        cache = SceneCache(tmp_path / "cache")
+        for dataset in ("rand", "mix"):
+            for s in range(2):
+                cache.write(_analysis_scene(rng, f"{dataset}{s}", dataset, "ego"))
+        paths = sorted(e.path for e in cache.resolve(["rand", "mix"]))
+        resolve, load_path = SceneCache.resolve, SceneCache.load_path
+        resolves, loads = [], []
+
+        def counting_resolve(self, tags):
+            resolves.append(tags)
+            return resolve(self, tags)
+
+        def counting_load_path(self, path):
+            loads.append(path)
+            return load_path(self, path)
+
+        monkeypatch.setattr(SceneCache, "resolve", counting_resolve)
+        monkeypatch.setattr(SceneCache, "load_path", counting_load_path)
+        vmap = VectorMap("toy:flat", [straight_lane("L1", 0.0, length=200.0, half_width=3.0)])
+        report = run_analysis(cache, ["rand", "mix"], METRIC_NAMES, vmap=vmap)
+        assert len(paths) == 4
+        assert len(resolves) == 1
+        assert sorted(loads) == paths
+        assert report.unavailable == [] and "offroad" in report.rates
 
 
 class TestReport:

@@ -386,3 +386,82 @@ class TestMalformedHeaders:
         path.write_bytes(rewrite_json_header(path.read_bytes(), lambda h: h.pop("lanes"), crc=False))
         assert main(["map", "--map", str(path), "stats"]) == 2
         assert "lanes" in capsys.readouterr().err
+
+
+# Each command that reads the cache through its dataset indexes.
+_CACHE_READERS = {
+    "analyze": lambda cache, out: ["analyze", "--cache", cache, "--tags", "synth", "--metrics", "speed", "--out", out],
+    "batch": lambda cache, out: ["batch", "--cache", cache, "--tags", "synth", "--history", "1,3", "--future", "4,4", "--out", out],
+    "sim-replay": lambda cache, out: ["sim-replay", "--cache", cache, "--scene", "synth-0", "--init-ts", "10", "--steps", "10", "--out", out],
+}
+
+
+def _edit_entry(edit):
+    def rewrite(index):
+        (entries,) = index["scenes"].values()
+        edit(entries[0])
+        return index
+    return rewrite
+
+
+class TestMalformedIndex:
+    CASES = {
+        "list": lambda index: [],
+        "scenes_list": lambda index: {"scenes": []},
+        "entry_without_path": _edit_entry(lambda e: e.pop("path")),
+        "path_outside_cache": _edit_entry(lambda e: e.update(path="../../etc/passwd")),
+    }
+
+    @pytest.mark.parametrize("command", sorted(_CACHE_READERS))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_2(self, workspace, capsys, command, case):
+        tmp_path, cache_dir = workspace
+        index_path = cache_dir / "synth" / "index.json"
+        index_path.write_text(json.dumps(self.CASES[case](json.loads(index_path.read_text()))))
+        assert main(_CACHE_READERS[command](str(cache_dir), str(tmp_path / "out"))) == 2
+        assert "malformed cache index" in capsys.readouterr().err
+
+    def test_well_formed_index_still_reads(self, workspace):
+        tmp_path, cache_dir = workspace
+        for command, argv in sorted(_CACHE_READERS.items()):
+            assert main(argv(str(cache_dir), str(tmp_path / command))) == 0, command
+
+
+class TestMalformedMeta:
+    @pytest.mark.parametrize("meta, named", [
+        ([], "object"),
+        ({"dt": 0.1, "dataset": "toy"}, "scene_id"),
+        ({"scene_id": "s0", "dt": 0.1}, "dataset"),
+        ({"scene_id": "s0", "dataset": "toy"}, "dt"),
+        ({"scene_id": "s0", "dt": [0.1], "dataset": "toy"}, "dt"),
+        ({"scene_id": 5, "dt": 0.1, "dataset": "toy"}, "scene_id"),
+        ({"scene_id": "s0", "dt": 0.1, "dataset": "toy", "location": None}, "location"),
+        ({"scene_id": "s0", "dt": 0.1, "dataset": "toy", "split": 3}, "split"),
+    ])
+    def test_exit_2_naming_the_key(self, tmp_path, capsys, meta, named):
+        csv_path, meta_path = _write_inputs(tmp_path)
+        meta_path.write_text(json.dumps(meta))
+        code = main(["ingest", "--input", str(csv_path), "--format", "canonical-csv", "--meta", str(meta_path), "--cache", str(tmp_path / "c")])
+        assert code == 2
+        assert named in capsys.readouterr().err
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("config, named", [
+        ([], "object"),
+        ({"stationary_threshold": "abc"}, "stationary_threshold"),
+        ({"density_min_agents": None}, "density_min_agents"),
+        ({"offroad_types": 3}, "offroad_types"),
+        ({"offroad_types": ["vehicle", 3]}, "offroad_types"),
+        ({"per_timestep_rates": "yes"}, "per_timestep_rates"),
+        ({"histogram_bins": []}, "histogram_bins"),
+        ({"histogram_bins": {"speed": 5}}, "histogram_bins"),
+        ({"histogram_bins": {"speed": [0, "1"]}}, "histogram_bins"),
+    ])
+    def test_exit_2_naming_the_field(self, workspace, capsys, config, named):
+        tmp_path, cache_dir = workspace
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code = main(["analyze", "--cache", str(cache_dir), "--tags", "synth", "--metrics", "stationary", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert named in capsys.readouterr().err
