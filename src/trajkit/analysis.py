@@ -412,26 +412,29 @@ def path_efficiency(datasets: Datasets, cfg: AnalysisConfig) -> tuple[list[Histo
 # Self-consistency: collisions, harsh acceleration, off-road
 # ---------------------------------------------------------------------------
 
-def obb_corners(cx: float, cy: float, yaw: float, length: float, width: float) -> np.ndarray:
-    """Corners of an oriented box: center, heading along +length."""
-    hl, hw = 0.5 * length, 0.5 * width
-    c, s = math.cos(yaw), math.sin(yaw)
-    local = np.array([(-hl, -hw), (-hl, hw), (hl, hw), (hl, -hw)])
-    rot = np.array([[c, -s], [s, c]])
-    return local @ rot.T + (cx, cy)
+def obb_corners(cx, cy, yaw, length, width) -> np.ndarray:
+    """Corners of oriented boxes: center, heading along +length; (n, 4, 2)
+    for arrays of n boxes, (4, 2) for one box."""
+    shape = np.shape(cx) + (4, 2)
+    cx, cy, yaw, hl, hw = (np.ravel(v) for v in (cx, cy, yaw, 0.5 * length, 0.5 * width))
+    c, s = (np.array(list(map(f, yaw.tolist())), dtype=np.float64) for f in (math.cos, math.sin))
+    local = np.stack((-hl, -hw, -hl, hw, hl, hw, hl, -hw), axis=-1).reshape(-1, 4, 2)
+    rot_t = np.stack((c, s, -s, c), axis=-1).reshape(-1, 2, 2)
+    return (local @ rot_t + np.stack((cx, cy), axis=-1)[:, None, :]).reshape(shape)
 
 
-def obb_intersect(corners_a: np.ndarray, corners_b: np.ndarray) -> bool:
-    """Separating-axis test for two convex quadrilaterals (touching counts as overlap)."""
-    for corners in (corners_a, corners_b):
-        edges = np.roll(corners, -1, axis=0) - corners
-        axes = np.stack([-edges[:2, 1], edges[:2, 0]], axis=1)  # two unique normals per rectangle
-        for axis in axes:
-            pa = corners_a @ axis
-            pb = corners_b @ axis
-            if pa.max() < pb.min() or pb.max() < pa.min():
-                return False
-    return True
+def obb_intersect(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray | bool:
+    """Separating-axis test for convex quadrilaterals (touching counts as
+    overlap): one bool per pair of (n, 4, 2) stacks, a bool for two (4, 2)."""
+    pts = np.concatenate((corners_a, corners_b), axis=-2)  # a's corners, then b's
+    edges = pts[..., [1, 2, 5, 6], :] - pts[..., [0, 1, 4, 5], :]  # two edges of each box
+    axes = np.stack((-edges[..., 1], edges[..., 0]), axis=-1)
+    # One matrix-vector product per axis rounds as one box's `corners @ axis`;
+    # a matrix product over all axes (BLAS gemm, not gemv) can differ in the last bit.
+    proj = (pts[..., None, :, :] @ axes[..., None])[..., 0]  # (..., axis, corner)
+    pa, pb = proj[..., :4], proj[..., 4:]
+    hit = ~((pa.max(-1) < pb.min(-1)) | (pb.max(-1) < pa.min(-1))).any(-1)
+    return hit if hit.ndim else bool(hit)
 
 
 def _agent_rows(scene: SceneFrame, keep: Callable[[AgentMetadata], bool]) -> np.ndarray:
@@ -477,24 +480,21 @@ def _scene_collisions(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray]:
     cols = scene.columns
     rows = _agent_rows(scene, lambda m: m.extent is not None)
     hit = np.zeros(len(cols), dtype=bool)
-    radius = [0.0 if m.extent is None else 0.5 * math.hypot(m.extent.length, m.extent.width) for m in scene.agents]
-    order, starts = _ts_groups(scene)
-    for ts_rows in np.split(order, starts[1:]):
-        pairs = [(int(cols.agent_index[r]), r) for r in ts_rows if rows[r]]
-        corners: dict[int, np.ndarray] = {}
-        for a in range(len(pairs)):
-            ia, ra = pairs[a]
-            for b in range(a + 1, len(pairs)):
-                ib, rb = pairs[b]
-                dist = math.hypot(cols.x[ra] - cols.x[rb], cols.y[ra] - cols.y[rb])
-                if dist > radius[ia] + radius[ib]:
-                    continue
-                for i, r in ((ia, ra), (ib, rb)):
-                    if r not in corners:
-                        ext = scene.agents[i].extent
-                        corners[r] = obb_corners(cols.x[r], cols.y[r], cols.heading[r], ext.length, ext.width)
-                if obb_intersect(corners[ra], corners[rb]):
-                    hit[ra] = hit[rb] = True
+    box = np.flatnonzero(rows)
+    box = box[np.argsort(cols.ts[box], kind="stable")]  # by timestep: offset k pairs each box with the k-th after it there
+    dims = np.array([(m.extent.length, m.extent.width) if m.extent else (0.0, 0.0) for m in scene.agents]).reshape(-1, 2)
+    agent, ts, x, y = cols.agent_index[box], cols.ts[box], cols.x[box], cols.y[box]
+    radius = 0.5 * np.array(list(map(math.hypot, *dims.T.tolist())), dtype=np.float64)[agent]
+    corners = obb_corners(x, y, cols.heading[box], dims[agent, 0], dims[agent, 1])
+    for k in range(1, len(box)):
+        a = np.flatnonzero(ts[k:] == ts[:-k])
+        if not len(a):
+            break
+        # Pairs (a, a + k); math.hypot, as the reference loop: np.hypot can differ in the last bit.
+        dist = np.array(list(map(math.hypot, (x[a] - x[a + k]).tolist(), (y[a] - y[a + k]).tolist())), dtype=np.float64)
+        a = a[~(dist > radius[a] + radius[a + k])]  # a NaN distance is tested, not skipped
+        meet = a[obb_intersect(corners[a], corners[a + k])]
+        hit[box[meet]] = hit[box[meet + k]] = True
     return _agent_counts(scene, rows, hit)
 
 

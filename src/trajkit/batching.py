@@ -13,7 +13,7 @@ import io
 import json
 import math
 import zipfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -99,29 +99,11 @@ class AgentBatchElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AgentBatchElement):
             return NotImplemented
-        scalar = (
-            self.scene_id == other.scene_id
-            and self.dataset_tag == other.dataset_tag
-            and self.agent_id == other.agent_id
-            and self.agent_type == other.agent_type
-            and self.current_ts == other.current_ts
-            and self.dt == other.dt
-            and self.neighbor_ids == other.neighbor_ids
-            and self.neighbor_types == other.neighbor_types
-            and self.rotation == other.rotation
-        )
-        if not scalar:
-            return False
-        pairs = (
-            (self.history, other.history),
-            (self.history_mask, other.history_mask),
-            (self.future, other.future),
-            (self.future_mask, other.future_mask),
-            (self.neighbor_histories, other.neighbor_histories),
-            (self.neighbor_masks, other.neighbor_masks),
-            (self.translation, other.translation),
-        )
-        return all(np.array_equal(a, b) for a, b in pairs)
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+                return False
+        return True
 
 
 @dataclass(eq=False)

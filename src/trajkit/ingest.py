@@ -32,6 +32,7 @@ from .core import (
     AgentMetadata,
     AgentType,
     Extent,
+    SceneColumns,
     SceneFrame,
     SceneTag,
     scene_validate,
@@ -562,8 +563,6 @@ def _scene_from_header(header: dict, data: bytes, pos: int) -> SceneFrame:
         agents.append(
             AgentMetadata(raw["agent_id"], AgentType.from_string(raw["agent_type"]), extent, int(raw["first_ts"]), int(raw["last_ts"]))
         )
-    from .core import SceneColumns
-
     return SceneFrame(
         scene_id=header["scene_id"],
         dataset_tag=header["dataset_tag"],

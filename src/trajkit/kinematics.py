@@ -63,7 +63,8 @@ def derive_derivative(series: np.ndarray, dt: float, offsets: np.ndarray | None 
     Central differences at interior points, one-sided at the ends. A
     single-sample series is degenerate and yields a zero derivative. With
     ``offsets`` (ascending, from 0 to len(series)) each segment
-    ``series[offsets[k]:offsets[k + 1]]`` is differentiated on its own.
+    ``series[offsets[k]:offsets[k + 1]]`` is differentiated on its own;
+    without, the whole series is one segment.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -71,18 +72,11 @@ def derive_derivative(series: np.ndarray, dt: float, offsets: np.ndarray | None 
     n = len(s)
     out = np.zeros(n)
     out[1:-1] = (s[2:] - s[:-2]) / (2.0 * dt)
-    if offsets is None:
-        if n == 1:
-            log.debug("derivative of single-sample series is degenerate, returning 0")
-        if n < 2:
-            return out
-        first, last = 0, n - 1  # scalars: per-track callers (ingest, simulation steps) stay cheap
-    else:
-        bounds = np.asarray(offsets)
-        first, last = bounds[:-1], bounds[1:] - 1
-        out[first[first == last]] = 0.0
-        long = first < last
-        first, last = first[long], last[long]
+    bounds = np.array([0, n]) if offsets is None else np.asarray(offsets)
+    first, last = bounds[:-1], bounds[1:] - 1
+    out[first[first == last]] = 0.0
+    long = first < last
+    first, last = first[long], last[long]
     out[first] = (s[first + 1] - s[first]) / dt
     out[last] = (s[last] - s[last - 1]) / dt
     return out

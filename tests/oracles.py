@@ -546,6 +546,26 @@ def reference_path_efficiency(datasets, cfg):
     return hists, {"path_efficiency_zero_path_agents": zero_path}
 
 
+def reference_obb_corners(cx, cy, yaw, length, width):
+    """One box's corners by the per-box rotation ``analysis.obb_corners`` replaced."""
+    hl, hw = 0.5 * length, 0.5 * width
+    c, s = math.cos(yaw), math.sin(yaw)
+    local = np.array([(-hl, -hw), (-hl, hw), (hl, hw), (hl, -hw)])
+    rot = np.array([[c, -s], [s, c]])
+    return local @ rot.T + (cx, cy)
+
+
+def reference_obb_intersect(corners_a, corners_b):
+    """The per-axis separating-axis loop ``analysis.obb_intersect`` replaced."""
+    for corners in (corners_a, corners_b):
+        edges = np.roll(corners, -1, axis=0) - corners
+        for axis in np.stack([-edges[:2, 1], edges[:2, 0]], axis=1):
+            pa, pb = corners_a @ axis, corners_b @ axis
+            if pa.max() < pb.min() or pb.max() < pa.min():
+                return False
+    return True
+
+
 def reference_scene_collisions(scene):
     """``analysis._scene_collisions`` over timestep groups from a dict of rows."""
     cols = scene.columns

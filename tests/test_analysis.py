@@ -10,6 +10,7 @@ from trajkit.analysis import (
     METRIC_NAMES,
     AnalysisConfig,
     Histogram,
+    _scene_collisions,
     _scenes_by_dataset,
     agent_density,
     agent_population,
@@ -33,7 +34,15 @@ from trajkit.kinematics import complete_track
 from trajkit.vecmap import VectorMap
 
 from conftest import random_scene, straight_lane
-from oracles import REFERENCE_METRICS, crossing_number_inside, obb_margin, obb_overlap_by_sampling
+from oracles import (
+    REFERENCE_METRICS,
+    crossing_number_inside,
+    obb_margin,
+    obb_overlap_by_sampling,
+    reference_obb_corners,
+    reference_obb_intersect,
+    reference_scene_collisions,
+)
 
 def _track(x, y, heading=None, observed=None):
     n = len(x)
@@ -444,6 +453,173 @@ class TestCollisionRate:
         rates, _ = collision_rate(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig(per_timestep_rates=True))
         entry = rates["toy"]["vehicle"]
         assert entry["den"] == 4 and entry["num"] == 4
+
+
+_HEADINGS = (0.0, math.pi / 2, -math.pi / 2, math.pi)
+
+
+def _grid_boxes(rng, n):
+    """(cx, cy, yaw, length, width) of n boxes on a 0.5 m grid, with lengths
+    and widths of whole and half metres, so neighbours touch and share
+    centres; half the headings are 0, +-pi/2 or pi."""
+    x, y = rng.integers(-8, 9, size=(2, n)) * 0.5
+    yaw = np.where(rng.random(n) < 0.5, rng.choice(_HEADINGS, n), rng.uniform(-math.pi, math.pi, n))
+    return x, y, yaw, rng.choice([1.0, 2.0, 3.5], n), rng.choice([0.5, 1.0, 2.0], n)
+
+
+class TestObbStack:
+    """Stacked obb_corners/obb_intersect equal their one-box calls and the
+    per-box code they replaced, byte for byte and verdict for verdict."""
+
+    def test_stacked_corners_equal_per_box_bytes(self):
+        boxes = _grid_boxes(np.random.default_rng(8), 2000)
+        stacked = obb_corners(*boxes)
+        assert stacked.shape == (2000, 4, 2)
+        per_box = np.array([obb_corners(*b) for b in zip(*(v.tolist() for v in boxes))])
+        reference = np.array([reference_obb_corners(*b) for b in zip(*(v.tolist() for v in boxes))])
+        assert stacked.tobytes() == per_box.tobytes() == reference.tobytes()
+
+    def test_stacked_intersect_equals_per_box(self):
+        rng = np.random.default_rng(9)
+        a, b = obb_corners(*_grid_boxes(rng, 3000)), obb_corners(*_grid_boxes(rng, 3000))
+        got = obb_intersect(a, b)
+        assert got.dtype == bool and got.shape == (3000,)
+        assert got.any() and not got.all()
+        assert got.tolist() == [obb_intersect(p, q) for p, q in zip(a, b)]
+        assert got.tolist() == [reference_obb_intersect(p, q) for p, q in zip(a, b)]
+
+    def test_touching_pairs_overlap_in_a_stack(self):
+        x, y, _, length, width = _grid_boxes(np.random.default_rng(10), 500)
+        yaw = np.zeros(500)
+        a = obb_corners(x, y, yaw, length, width)
+        for dx, dy in ((length, 0.0), (0.0, width), (length, width), (-length, width), (0.0, 0.0)):
+            b = obb_corners(x + dx, y + dy, yaw, length, width)
+            assert obb_intersect(a, b).all() and obb_intersect(b, a).all()
+            assert all(obb_intersect(p, q) and reference_obb_intersect(p, q) for p, q in zip(a, b))
+        assert not obb_intersect(a, obb_corners(x + length + 0.01, y, yaw, length, width)).any()
+
+    def test_rotated_touching_pairs_equal_per_box(self):
+        # Boxes moved by their own length or width along their axes touch
+        # up to rounding, so a verdict here turns on the projections' last bit.
+        rng = np.random.default_rng(11)
+        x, y = rng.uniform(-20.0, 20.0, size=(2, 2000))
+        yaw, length, width = rng.uniform(-math.pi, math.pi, 2000), rng.uniform(1.0, 5.0, 2000), rng.uniform(0.5, 2.0, 2000)
+        c, s = np.cos(yaw), np.sin(yaw)
+        a = obb_corners(x, y, yaw, length, width)
+        for dx, dy in ((length * c, length * s), (-width * s, width * c)):
+            b = obb_corners(x + dx, y + dy, yaw, length, width)
+            got = obb_intersect(a, b)
+            assert got.tolist() == [reference_obb_intersect(p, q) for p, q in zip(a, b)]
+            assert got.any() and not got.all()
+
+    def test_one_box_shapes(self):
+        a, b = obb_corners(0.0, 0.0, 0.0, 4.0, 2.0), obb_corners(1.0, 0.0, 0.0, 4.0, 2.0)
+        assert a.shape == (4, 2)
+        assert obb_intersect(a, b) is True
+        assert obb_intersect(a, obb_corners(9.0, 0.0, 0.0, 4.0, 2.0)) is False
+        assert obb_intersect(a[None], b[None]).tolist() == [True]
+        assert obb_intersect(np.zeros((0, 4, 2)), np.zeros((0, 4, 2))).shape == (0,)
+
+
+def _grid_scene(rng, scene_id, boxed=0.7, n_agents=14, n_ts=10):
+    """A crowded scene on the grid of _grid_boxes with headings from
+    _HEADINGS only: lifetimes of 1 to 5 steps, so timesteps hold 0, 1 or
+    many boxes, and extent-less agents (a 1 - boxed share) among boxed ones."""
+    agents, tracks = [], []
+    for k in range(n_agents):
+        first = int(rng.integers(0, n_ts))
+        last = min(first + int(rng.integers(0, 5)), n_ts - 1)
+        x, y, _, length, width = _grid_boxes(rng, last - first + 1)
+        tracks.append(_track(x, y, rng.choice(_HEADINGS, len(x))))
+        extent = Extent(float(length[0]), float(width[0])) if rng.random() < boxed else None
+        agent_type = AgentType.PEDESTRIAN if k % 3 == 0 else AgentType.VEHICLE
+        agents.append(AgentMetadata(f"a{k}", agent_type, extent, first, last))
+    return SceneFrame.from_tracks(scene_id, "grid", "nowhere", 0.1, agents, tracks)
+
+
+def _assert_collisions_match_reference(scene):
+    got, want = _scene_collisions(scene), reference_scene_collisions(scene)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    return got
+
+
+class TestCollisionKernel:
+    """The offset sweep of _scene_collisions against the per-pair loop in
+    oracles.py."""
+
+    def test_grid_scenes_match_reference(self):
+        rng = np.random.default_rng(12)
+        boxes_per_ts, events = [], 0
+        for seed in range(40):
+            scene = _grid_scene(rng, f"g{seed}", boxed=0.0 if seed == 0 else 0.7)
+            events += int(_assert_collisions_match_reference(scene)[0].sum())
+            boxed = np.array([m.extent is not None for m in scene.agents])[scene.columns.agent_index]
+            boxes_per_ts += np.bincount(scene.columns.ts[boxed], minlength=scene.n_timesteps).tolist()
+        assert events > 0
+        assert {0, 1} <= set(boxes_per_ts) and max(boxes_per_ts) >= 5
+
+    @pytest.mark.parametrize("per_timestep", [False, True])
+    def test_report_bytes_match_reference(self, tmp_path, monkeypatch, per_timestep):
+        rng = np.random.default_rng(13)
+        cache = SceneCache(tmp_path / "cache")
+        for s in range(8):
+            cache.write(_grid_scene(rng, f"g{s}", boxed=0.0 if s == 0 else 0.7))
+        cfg = AnalysisConfig(per_timestep_rates=per_timestep)
+        got = emit_report(run_analysis(cache, ["grid"], ["collision"], cfg), tmp_path / "got")
+        monkeypatch.setattr(analysis, "_scene_collisions", reference_scene_collisions)
+        want = emit_report(run_analysis(cache, ["grid"], ["collision"], cfg), tmp_path / "want")
+        assert [p.read_bytes() for p in got] == [p.read_bytes() for p in want]
+        rates = json.loads(got[-1].read_text())["rates"]["collision"]["grid"]
+        assert any(0 < e["num"] < e["den"] for e in rates.values())
+
+    @pytest.mark.parametrize(
+        "xy_b, hit",
+        [
+            ((2.0, 0.0), True),    # edge to edge
+            ((2.0, 1.0), True),    # corner to corner
+            ((0.0, 0.0), True),    # same centre
+            ((2.01, 0.0), False),  # 1 cm apart
+        ],
+    )
+    def test_touching_boxes(self, xy_b, hit):
+        tracks = [_track([0.0], [0.0]), _track([xy_b[0]], [xy_b[1]])]
+        events, rows = _assert_collisions_match_reference(_scene_from_tracks(tracks, extents=[Extent(2.0, 1.0)] * 2))
+        assert rows.tolist() == [1, 1] and events.tolist() == [int(hit)] * 2
+
+    def test_corner_touch_at_the_prefilter_bound(self):
+        # Equal boxes at heading 0 that touch corner to corner: the centre
+        # distance equals the sum of circumscribed radii, so the prefilter
+        # keeps the pair only if it measures that distance as math.hypot does.
+        rng = np.random.default_rng(14)
+        dims = rng.uniform(0.5, 6.0, size=(1000, 2))
+        agents, tracks = [], []
+        for k, (length, width) in enumerate(dims.tolist()):
+            for j, (x, y) in enumerate(((0.0, 0.0), (length, width))):
+                agents.append(AgentMetadata(f"a{k}_{j}", AgentType.VEHICLE, Extent(length, width), k, k))
+                tracks.append(_track([x], [y]))
+        events, rows = _assert_collisions_match_reference(SceneFrame.from_tracks("s0", "toy", "nowhere", 0.1, agents, tracks))
+        assert np.array_equal(events, rows) and rows.sum() == 2000
+
+    def test_extent_less_agents_between_boxes(self):
+        # a and c overlap only with each other, with extent-less b between
+        # them in every timestep; d's box is far away.
+        tracks = [_track([0.0, 0.0], [0.0, 0.0]), _track([0.5, 0.5], [0.0, 0.0]), _track([1.0, 1.0], [0.0, 0.0]), _track([9.0, 9.0], [0.0, 0.0])]
+        extents = [Extent(2.0, 1.0), None, Extent(2.0, 1.0), Extent(2.0, 1.0)]
+        events, rows = _assert_collisions_match_reference(_scene_from_tracks(tracks, extents=extents))
+        assert events.tolist() == [2, 0, 2, 0] and rows.tolist() == [2, 0, 2, 2]
+
+    def test_no_extents(self):
+        tracks = [_track([0.0, 0.0], [0.0, 0.0]), _track([0.0, 0.0], [0.0, 0.0])]
+        events, rows = _assert_collisions_match_reference(_scene_from_tracks(tracks, extents=[None, None]))
+        assert events.tolist() == rows.tolist() == [0, 0]
+
+    def test_nan_position_is_tested_not_skipped(self):
+        # Validation keeps NaN out of cached scenes; on a scene built in
+        # memory a NaN distance still reaches the box test, as in the loop.
+        tracks = [_track([0.0], [0.0]), _track([math.nan], [0.0])]
+        events, _ = _assert_collisions_match_reference(_scene_from_tracks(tracks))
+        assert events.tolist() == [1, 1]
 
 
 class TestHarshAccel:

@@ -168,20 +168,15 @@ class TestGetElement:
             rows.append(f"s0,north,vehicle,{ts},5.0,{4.0 + 0.5 * ts},,1.5707963267948966,,,")
         text = HEADER + "\n" + "\n".join(rows) + "\n"
         scene = parse_canonical_csv(text, SceneMetaRecord("s0", 0.1, "nowhere", "toy"))
-        cache = SceneCache.__new__(SceneCache)  # in-memory shortcut not needed; use tmp dir via fixture instead
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as d:
-            cache = SceneCache(d)
-            cache.write(scene)
-            index = build_index(cache, ["toy"], "agent", WindowSpec((0.1, 0.1), (0.1, 0.1)))
-            el = next(
-                get_element(index, i)
-                for i, e in enumerate(index.entries)
-                if index.contexts[(e[0], e[1])].scene.agents[e[2]].agent_id == "ego" and e[3] == 1
-            )
-            assert el.neighbor_ids == ("north",)
-            np.testing.assert_allclose(el.neighbor_histories[0, -1, 0:2], [1.0, 0.0], atol=1e-9)
+        cache.write(scene)
+        index = build_index(cache, ["toy"], "agent", WindowSpec((0.1, 0.1), (0.1, 0.1)))
+        el = next(
+            get_element(index, i)
+            for i, e in enumerate(index.entries)
+            if index.contexts[(e[0], e[1])].scene.agents[e[2]].agent_id == "ego" and e[3] == 1
+        )
+        assert el.neighbor_ids == ("north",)
+        np.testing.assert_allclose(el.neighbor_histories[0, -1, 0:2], [1.0, 0.0], atol=1e-9)
 
     def test_inverse_transform_recovers_world(self, cache):
         rng = np.random.default_rng(21)
