@@ -60,6 +60,7 @@ from .batching import (
     augment_noise,
     build_index,
     collate,
+    get_batch,
     get_element,
 )
 from .analysis import AnalysisConfig, Histogram, MetricReport, emit_report, run_analysis

@@ -484,6 +484,14 @@ def _scene_collisions(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray]:
     box = box[np.argsort(cols.ts[box], kind="stable")]  # by timestep: offset k pairs each box with the k-th after it there
     dims = np.array([(m.extent.length, m.extent.width) if m.extent else (0.0, 0.0) for m in scene.agents]).reshape(-1, 2)
     agent, ts, x, y = cols.agent_index[box], cols.ts[box], cols.x[box], cols.y[box]
+    # Validation keeps these out of cached scenes and rollouts; a scene built
+    # in memory would otherwise fail inside math.cos with no agent named.
+    bad = np.flatnonzero(~np.isfinite(cols.heading[box]))
+    if len(bad):
+        k = box[bad[0]]
+        raise ValueError(
+            f"agent {scene.agents[cols.agent_index[k]].agent_id!r}: non-finite heading {float(cols.heading[k])} at ts {int(cols.ts[k])}"
+        )
     radius = 0.5 * np.array(list(map(math.hypot, *dims.T.tolist())), dtype=np.float64)[agent]
     corners = obb_corners(x, y, cols.heading[box], dims[agent, 0], dims[agent, 1])
     for k in range(1, len(box)):

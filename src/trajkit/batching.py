@@ -5,6 +5,10 @@ fixed-size history/future window, zero-filled and masked where data is
 missing, standardized so the predicted agent sits at the origin with heading
 zero. The per-slot state layout is (x, y, vx, vy, ax, ay, sin h, cos h);
 heading as sin/cos avoids wrap discontinuities inside padded arrays.
+
+One kernel builds agent-centric batches: ``get_batch`` fills the padded
+arrays of a whole batch array-at-a-time, and ``get_element`` is its
+one-element case. Scene-centric elements share its window gather.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 import zipfile
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -131,10 +135,14 @@ class _SceneContext:
     h_min: int
     f_min: int
     states: np.ndarray = field(init=False)  # (rows, 7): x, y, vx, vy, ax, ay, heading
+    id_rank: np.ndarray = field(init=False)  # (agents,): each agent's place in agent-id order
 
     def __post_init__(self):
         cols = self.scene.columns
         self.states = np.column_stack([cols.x, cols.y, cols.vx, cols.vy, cols.ax, cols.ay, cols.heading])
+        ids = [m.agent_id for m in self.scene.agents]
+        self.id_rank = np.empty(len(ids), dtype=np.int64)
+        self.id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
 
 
 @dataclass
@@ -224,77 +232,156 @@ def build_index(
     return ElementIndex(centric=centric, window=window, filter=filt, entries=entries, contexts=contexts)
 
 
-def _window(ctx: _SceneContext, agents, ts_values: np.ndarray, origin: np.ndarray, yaw: float) -> tuple[np.ndarray, np.ndarray]:
-    """States (N, T, STATE_DIM) and validity mask (N, T) of N agents over the
-    timesteps ts_values, in the frame at (origin, yaw); slots outside an
+def _entry(index: ElementIndex, i: int) -> tuple:
+    if not 0 <= i < len(index.entries):
+        raise IndexError(f"element index {i} out of range [0, {len(index.entries)})")
+    return index.entries[i]
+
+
+def _window(
+    ctx: _SceneContext, agents: np.ndarray, element: np.ndarray, ts_values: np.ndarray, origins: np.ndarray, yaws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """States (K, T, STATE_DIM) and validity mask (K, T) of K agents: agent k
+    over the timesteps ts_values[e] (T of them) of its element e = element[k],
+    in that element's frame at (origins[e], yaws[e]). Slots outside an
     agent's lifetime are zero and False."""
-    rows, mask = ctx.scene.lifetime_rows(np.asarray(agents, dtype=np.int64)[:, None], ts_values)
+    rows, mask = ctx.scene.lifetime_rows(agents[:, None], ts_values[element])
     raw = ctx.states[rows]
-    c, s = math.cos(yaw), math.sin(yaw)
-    rot = np.array([[c, s], [-s, c]])  # rotation by -yaw
-    # Rotate each agent's (T, 2) block as its own matmul: a flattened
-    # (N*T, 2) product can round differently in the last bit.
+    # One rotation by -yaw per element from math.cos/math.sin. Each agent's
+    # (T, 2) blocks are their own matmul with the transposed matrix, as in the
+    # per-agent reference: a flattened product, a C-ordered matrix, or a
+    # one-step window inside a longer one can round differently in the last bit.
+    c, s = np.array([(math.cos(yaw), math.sin(yaw)) for yaw in yaws.tolist()]).T
+    rot_t = np.stack((c, s, -s, c), axis=-1).reshape(-1, 2, 2)[element].transpose(0, 2, 1)
+    # Column by column: a broadcast over the two-wide last axis is many times slower.
+    offset = np.empty((*mask.shape, 2))
+    for k in range(2):
+        np.subtract(raw[..., k], origins[element, k, None], out=offset[..., k])
     state = np.empty((*mask.shape, STATE_DIM))
-    state[..., 0:2] = (raw[..., 0:2] - origin) @ rot.T
-    state[..., 2:4] = raw[..., 2:4] @ rot.T
-    state[..., 4:6] = raw[..., 4:6] @ rot.T
-    h_std = wrap_angle(raw[..., 6] - yaw)
+    for k, xy in enumerate((offset, raw[..., 2:4], raw[..., 4:6])):
+        np.matmul(xy, rot_t, out=state[..., 2 * k : 2 * k + 2])
+    h_std = wrap_angle(raw[..., 6] - yaws[element, None])
     state[..., 6] = np.sin(h_std)
     state[..., 7] = np.cos(h_std)
     state[~mask] = 0.0
     return state, mask
 
 
-def _build_agent_element(ctx: _SceneContext, agent_index: int, ts: int, filt: FilterSpec) -> AgentBatchElement:
-    scene = ctx.scene
-    meta = scene.agents[agent_index]
-    cols = scene.columns
+def _neighbors(ctx: _SceneContext, egos: np.ndarray, ts: np.ndarray, origins: np.ndarray, max_dist: float | None):
+    """(element, agent) pairs of every element's neighbours: agents observed
+    at the element's ts other than its ego, within max_dist, ordered by
+    element, then distance, then agent id."""
+    scene, cols = ctx.scene, ctx.scene.columns
     everyone = np.arange(scene.n_agents)
-    rows, present = scene.lifetime_rows(everyone, ts)
-    ego_row = rows[agent_index]
-    origin = np.array([cols.x[ego_row], cols.y[ego_row]])
-    yaw = float(cols.heading[ego_row])
-
-    keep = present & (everyone != agent_index) & cols.observed[rows]
-    candidates, rows = everyone[keep], rows[keep]
-    neighbors: list[tuple[float, str, int]] = []
+    rows, present = scene.lifetime_rows(everyone[None, :], ts[:, None])
+    el, j = np.nonzero(present & cols.observed[rows] & (everyone[None, :] != egos[:, None]))
+    rows = rows[el, j]
     # math.hypot, not np.hypot: the two differ in the last bit on some
     # inputs, which would reorder ties and move the max_neighbor_dist cut.
-    for j, x, y in zip(candidates.tolist(), cols.x[rows].tolist(), cols.y[rows].tolist()):
-        dist = math.hypot(x - origin[0], y - origin[1])
-        if filt.max_neighbor_dist is not None and dist > filt.max_neighbor_dist:
-            continue
-        neighbors.append((dist, scene.agents[j].agent_id, j))
-    neighbors.sort(key=lambda n: (n[0], n[1]))
+    dx, dy = cols.x[rows] - origins[el, 0], cols.y[rows] - origins[el, 1]
+    dist = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), dtype=np.float64, count=len(rows))
+    if max_dist is not None:
+        near = ~(dist > max_dist)
+        el, j, dist = el[near], j[near], dist[near]
+    order = np.lexsort((ctx.id_rank[j], dist, el))
+    return el[order], j[order]
 
-    # History and future take one call each, as the per-agent path did: a
-    # one-step future rotated inside a longer range rounds differently.
-    hist, hist_mask = _window(ctx, [agent_index] + [n[2] for n in neighbors], np.arange(ts - ctx.h_steps, ts + 1), origin, yaw)
-    fut, fut_mask = _window(ctx, [agent_index], np.arange(ts + 1, ts + ctx.f_steps + 1), origin, yaw)
-    return AgentBatchElement(
-        scene_id=scene.scene_id,
-        dataset_tag=ctx.tag,
-        agent_id=meta.agent_id,
-        agent_type=meta.agent_type,
-        current_ts=ts,
-        dt=scene.dt,
-        history=hist[0],
-        history_mask=hist_mask[0],
-        future=fut[0],
-        future_mask=fut_mask[0],
-        neighbor_ids=tuple(n[1] for n in neighbors),
-        neighbor_types=tuple(scene.agents[n[2]].agent_type for n in neighbors),
-        neighbor_histories=hist[1:],
-        neighbor_masks=hist_mask[1:],
-        translation=origin,
-        rotation=yaw,
+
+def get_batch(index: ElementIndex, indices: Iterable[int]) -> AgentBatch:
+    """Build the agent-centric batch of the elements at indices, in order.
+
+    The result equals ``collate([get_element(index, i) for i in indices])``
+    bit for bit, but is filled array-at-a-time: per scene, one neighbour
+    search over all its elements and one gather each for the history and
+    future windows.
+    """
+    if index.centric != "agent":
+        raise ValueError("get_batch builds agent-centric batches; the index is scene-centric")
+    entries = [_entry(index, i) for i in indices]
+    if not entries:
+        raise ValueError("cannot build a batch from an empty index list")
+    groups: dict[tuple[str, str], list[int]] = {}
+    for b, (tag, scene_id, _, _) in enumerate(entries):
+        groups.setdefault((tag, scene_id), []).append(b)
+    ctxs = [index.contexts[key] for key in groups]
+    h_shape, f_shape = (ctxs[0].h_steps + 1, STATE_DIM), (ctxs[0].f_steps, STATE_DIM)
+    for ctx in ctxs[1:]:
+        if (ctx.h_steps + 1, STATE_DIM) != h_shape or (ctx.f_steps, STATE_DIM) != f_shape:
+            raise ValueError(
+                f"mixed window shapes: {(ctx.h_steps + 1, STATE_DIM)}/{(ctx.f_steps, STATE_DIM)} vs {h_shape}/{f_shape}"
+            )
+
+    n = len(entries)
+    egos = np.array([e[2] for e in entries], dtype=np.int64)
+    current_ts = np.array([e[3] for e in entries], dtype=np.int64)
+    translations, rotations = np.empty((n, 2)), np.empty(n)
+    counts = np.zeros(n, dtype=np.int64)
+    neighbor_ids, neighbor_types = [()] * n, [()] * n
+    found = []
+    for ctx, pos in zip(ctxs, groups.values()):
+        pos = np.array(pos)
+        cols = ctx.scene.columns
+        ego_rows, _ = ctx.scene.lifetime_rows(egos[pos], current_ts[pos])
+        translations[pos] = np.stack((cols.x[ego_rows], cols.y[ego_rows]), axis=-1)
+        rotations[pos] = cols.heading[ego_rows]
+        el, j = _neighbors(ctx, egos[pos], current_ts[pos], translations[pos], index.filter.max_neighbor_dist)
+        per_element = np.bincount(el, minlength=len(pos))
+        counts[pos] = per_element
+        ends = np.cumsum(per_element)
+        starts = ends - per_element
+        found.append((ctx, pos, el, np.arange(len(el)) - starts[el], j))
+        chosen = [ctx.scene.agents[k] for k in j.tolist()]
+        for b, lo, hi in zip(pos.tolist(), starts.tolist(), ends.tolist()):
+            neighbor_ids[b] = tuple(m.agent_id for m in chosen[lo:hi])
+            neighbor_types[b] = tuple(m.agent_type for m in chosen[lo:hi])
+
+    # Only real (element, neighbour) slots are gathered; padding stays zero.
+    history, history_mask = np.empty((n, *h_shape)), np.empty((n, h_shape[0]), dtype=bool)
+    future, future_mask = np.empty((n, *f_shape)), np.empty((n, f_shape[0]), dtype=bool)
+    neighbor_histories = np.zeros((n, int(counts.max()), *h_shape))
+    neighbor_masks = np.zeros(neighbor_histories.shape[:3], dtype=bool)
+    for ctx, pos, el, slot, j in found:
+        ts, origins, yaws, own = current_ts[pos], translations[pos], rotations[pos], np.arange(len(pos))
+        hist, hist_mask = _window(
+            ctx, np.concatenate((egos[pos], j)), np.concatenate((own, el)),
+            ts[:, None] + np.arange(-ctx.h_steps, 1), origins, yaws,
+        )
+        history[pos], history_mask[pos] = hist[: len(pos)], hist_mask[: len(pos)]
+        neighbor_histories[pos[el], slot], neighbor_masks[pos[el], slot] = hist[len(pos) :], hist_mask[len(pos) :]
+        future[pos], future_mask[pos] = _window(ctx, egos[pos], own, ts[:, None] + np.arange(1, ctx.f_steps + 1), origins, yaws)
+
+    contexts = [index.contexts[(e[0], e[1])] for e in entries]
+    metas = [ctx.scene.agents[a] for ctx, a in zip(contexts, egos.tolist())]
+    return AgentBatch(
+        scene_ids=tuple(ctx.scene.scene_id for ctx in contexts),
+        dataset_tags=tuple(ctx.tag for ctx in contexts),
+        agent_ids=tuple(m.agent_id for m in metas),
+        agent_types=tuple(m.agent_type for m in metas),
+        current_ts=current_ts,
+        dts=np.array([ctx.scene.dt for ctx in contexts]),
+        history=history,
+        history_mask=history_mask,
+        future=future,
+        future_mask=future_mask,
+        neighbor_histories=neighbor_histories,
+        neighbor_masks=neighbor_masks,
+        neighbor_counts=counts,
+        neighbor_ids=tuple(neighbor_ids),
+        neighbor_types=tuple(neighbor_types),
+        translations=translations,
+        rotations=rotations,
     )
 
 
-def _build_scene_element(ctx: _SceneContext, ts: int, agent_indices: tuple[int, ...]) -> SceneBatchElement:
+def _scene_element(index: ElementIndex, i: int) -> SceneBatchElement:
+    tag, scene_id, ts, agent_indices = _entry(index, i)
+    ctx = index.contexts[(tag, scene_id)]
     scene = ctx.scene
-    hist, hist_mask = _window(ctx, agent_indices, np.arange(ts - ctx.h_steps, ts + 1), np.zeros(2), 0.0)
-    fut, fut_mask = _window(ctx, agent_indices, np.arange(ts + 1, ts + ctx.f_steps + 1), np.zeros(2), 0.0)
+    # One element, in the world frame: origin 0 and yaw 0 for all its agents.
+    agents = np.array(agent_indices)
+    element, origin, yaw = np.zeros(len(agents), dtype=np.int64), np.zeros((1, 2)), np.zeros(1)
+    hist, hist_mask = _window(ctx, agents, element, np.arange(ts - ctx.h_steps, ts + 1)[None], origin, yaw)
+    fut, fut_mask = _window(ctx, agents, element, np.arange(ts + 1, ts + ctx.f_steps + 1)[None], origin, yaw)
     return SceneBatchElement(
         scene_id=scene.scene_id,
         dataset_tag=ctx.tag,
@@ -310,15 +397,11 @@ def _build_scene_element(ctx: _SceneContext, ts: int, agent_indices: tuple[int, 
 
 
 def get_element(index: ElementIndex, i: int):
-    """Materialize element i (AgentBatchElement or SceneBatchElement)."""
-    if not 0 <= i < len(index.entries):
-        raise IndexError(f"element index {i} out of range [0, {len(index.entries)})")
-    entry = index.entries[i]
+    """Materialize element i (AgentBatchElement or SceneBatchElement); an
+    agent-centric element is the one-element batch of get_batch, unpadded."""
     if index.centric == "agent":
-        tag, scene_id, agent_index, ts = entry
-        return _build_agent_element(index.contexts[(tag, scene_id)], agent_index, ts, index.filter)
-    tag, scene_id, ts, agent_indices = entry
-    return _build_scene_element(index.contexts[(tag, scene_id)], ts, agent_indices)
+        return get_batch(index, [i]).unpad()[0]
+    return _scene_element(index, i)
 
 
 @dataclass(eq=False)
@@ -471,10 +554,9 @@ def export_batches(index: ElementIndex, out_dir: str | Path, batch_size: int = 3
     n_batches = (len(index) + batch_size - 1) // batch_size
     for b in range(n_batches):
         lo, hi = b * batch_size, min((b + 1) * batch_size, len(index))
-        elements = [get_element(index, i) for i in range(lo, hi)]
         fname = f"batch_{b:05d}.npz"
         if index.centric == "agent":
-            batch = collate(elements)
+            batch = get_batch(index, range(lo, hi))
             arrays = {
                 "history": batch.history.astype(np.float32),
                 "history_mask": batch.history_mask,
@@ -487,9 +569,11 @@ def export_batches(index: ElementIndex, out_dir: str | Path, batch_size: int = 3
                 "rotations": batch.rotations.astype(np.float32),
             }
             provenance = [
-                {"scene_id": el.scene_id, "agent_id": el.agent_id, "ts": el.current_ts} for el in elements
+                {"scene_id": scene_id, "agent_id": agent_id, "ts": ts}
+                for scene_id, agent_id, ts in zip(batch.scene_ids, batch.agent_ids, batch.current_ts.tolist())
             ]
         else:
+            elements = [_scene_element(index, i) for i in range(lo, hi)]
             arrays = {
                 "histories": _pad([el.histories for el in elements], np.float32),
                 "history_masks": _pad([el.history_masks for el in elements]),

@@ -621,6 +621,13 @@ class TestCollisionKernel:
         events, _ = _assert_collisions_match_reference(_scene_from_tracks(tracks))
         assert events.tolist() == [1, 1]
 
+    @pytest.mark.parametrize("heading", [math.inf, -math.inf, math.nan])
+    def test_non_finite_heading_names_the_agent(self, heading):
+        # Far apart, so no pair reaches the box test: the check comes first.
+        tracks = [_track([0.0, 0.0], [0.0, 0.0]), _track([90.0, 90.0], [0.0, 0.0], heading=[0.0, heading])]
+        with pytest.raises(ValueError, match=r"agent 'a1': non-finite heading .* at ts 1$"):
+            _scene_collisions(_scene_from_tracks(tracks))
+
 
 class TestHarshAccel:
     def test_half_g_plateau_flagged(self, cache):

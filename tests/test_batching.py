@@ -14,6 +14,7 @@ from trajkit.batching import (
     build_index,
     collate,
     export_batches,
+    get_batch,
     get_element,
     seconds_to_steps,
 )
@@ -465,9 +466,97 @@ class TestWindowKernelEquivalence:
         self._gappy_cache(cache, 43)
         index = build_index(cache, ["rand"], centric, self.WINDOW, desired_dt=0.2)
         export_batches(index, tmp_path / "kernel", batch_size=7)
-        monkeypatch.setattr(batching, "get_element", reference_element)
+        # Export builds agent-centric batches with get_batch and scene-centric
+        # elements one at a time; the reference run swaps both for oracles.py.
+        monkeypatch.setattr(batching, "get_batch", lambda index, indices: collate([reference_element(index, i) for i in indices]))
+        monkeypatch.setattr(batching, "_scene_element", reference_element)
         export_batches(index, tmp_path / "reference", batch_size=7)
         names = sorted(p.name for p in (tmp_path / "kernel").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "reference").iterdir())
         for name in names:
             assert (tmp_path / "kernel" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
+
+
+class TestGetBatch:
+    """get_batch against collate of the per-agent reference in oracles.py."""
+
+    WINDOW = TestWindowKernelEquivalence.WINDOW
+    ONE_STEP = TestWindowKernelEquivalence.ONE_STEP
+
+    def _two_dataset_cache(self, cache, seed, dts=(0.1, 0.1)):
+        rng = np.random.default_rng(seed)
+        for dataset, dt in zip(("rand", "rand2"), dts):
+            for i in range(2):
+                cache.write(random_scene(rng, n_agents=6, n_timesteps=50, dt=dt, gap_prob=0.3, dataset=dataset, scene_id=f"s{i}"))
+        return cache
+
+    @staticmethod
+    def _assert_matches_reference(index, indices):
+        want = collate([reference_element(index, i) for i in indices])
+        _assert_same_bits(get_batch(index, indices), want)
+
+    @pytest.mark.parametrize("desired_dt", [None, 0.2, 0.05])
+    @pytest.mark.parametrize("max_dist", [None, 25.0])
+    @pytest.mark.parametrize("window", [WINDOW, ONE_STEP])
+    def test_index_lists_bit_identical(self, cache, desired_dt, max_dist, window):
+        self._two_dataset_cache(cache, 44)
+        index = build_index(cache, ["rand", "rand2"], "agent", window, FilterSpec(max_neighbor_dist=max_dist), desired_dt=desired_dt)
+        n = len(index)
+        spread = list(range(0, n, max(1, n // 40)))
+        assert len({index.entries[i][:2] for i in spread}) == 4  # two scenes in each of two datasets
+        for indices in (
+            spread,
+            list(range(n - 1, n - 30, -1)),
+            [5, 5, 2, 5, n - 1, 2],
+            [n - 1, 0],
+            [n // 2],
+        ):
+            self._assert_matches_reference(index, indices)
+
+    def test_distance_ties_ordered_by_agent_id(self, cache):
+        # Four neighbours 5 m from "e", inserted in reverse id order.
+        spots = {"e": (0.0, 0.0), "d": (3.0, 4.0), "c": (-3.0, 4.0), "b": (4.0, -3.0), "a": (-4.0, -3.0)}
+        agents, tracks = [], []
+        for agent_id, (x, y) in spots.items():
+            agents.append(AgentMetadata(agent_id, AgentType.PEDESTRIAN, None, 0, 9))
+            track = {name: np.zeros(10) for name in ("z", "vx", "vy", "ax", "ay", "heading")}
+            tracks.append(dict(track, x=np.full(10, x), y=np.full(10, y), observed=np.ones(10, dtype=bool)))
+        cache.write(SceneFrame.from_tracks("s0", "toy", "nowhere", 0.1, agents, tracks))
+        index = build_index(cache, ["toy"], "agent", WindowSpec((0.0, 0.3), (0.0, 0.2)))
+        self._assert_matches_reference(index, list(range(len(index))))
+        batch = get_batch(index, range(len(index)))
+        ego = batch.agent_ids.index("e")
+        assert batch.neighbor_ids[ego] == ("a", "b", "c", "d")
+
+    def test_mixed_window_shapes_rejected_as_collate_does(self, cache):
+        self._two_dataset_cache(cache, 45, dts=(0.1, 0.2))
+        index = build_index(cache, ["rand", "rand2"], "agent", self.WINDOW)
+        indices = [0, len(index) - 1]
+        with pytest.raises(ValueError, match="mixed window shapes") as want:
+            collate([reference_element(index, i) for i in indices])
+        with pytest.raises(ValueError, match="mixed window shapes") as got:
+            get_batch(index, indices)
+        assert str(got.value) == str(want.value)
+
+    def test_empty_index_list_rejected(self, cache):
+        self._two_dataset_cache(cache, 46)
+        index = build_index(cache, ["rand"], "agent", self.WINDOW)
+        with pytest.raises(ValueError, match="empty"):
+            get_batch(index, [])
+
+    @pytest.mark.parametrize("bad", [-1, "len"])
+    def test_out_of_range_matches_get_element(self, cache, bad):
+        self._two_dataset_cache(cache, 47)
+        index = build_index(cache, ["rand"], "agent", self.WINDOW)
+        bad = len(index) if bad == "len" else bad
+        with pytest.raises(IndexError) as want:
+            get_element(index, bad)
+        with pytest.raises(IndexError) as got:
+            get_batch(index, [0, bad])
+        assert str(got.value) == str(want.value) == f"element index {bad} out of range [0, {len(index)})"
+
+    def test_scene_centric_index_rejected(self, cache):
+        self._two_dataset_cache(cache, 48)
+        index = build_index(cache, ["rand"], "scene", self.WINDOW)
+        with pytest.raises(ValueError, match="agent-centric"):
+            get_batch(index, [0])
