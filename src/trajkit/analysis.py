@@ -498,9 +498,17 @@ def _scene_collisions(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray]:
         a = np.flatnonzero(ts[k:] == ts[:-k])
         if not len(a):
             break
-        # Pairs (a, a + k); math.hypot, as the reference loop: np.hypot can differ in the last bit.
-        dist = np.array(list(map(math.hypot, (x[a] - x[a + k]).tolist(), (y[a] - y[a + k]).tolist())), dtype=np.float64)
-        a = a[~(dist > radius[a] + radius[a + k])]  # a NaN distance is tested, not skipped
+        # Pairs (a, a + k). Beyond a relative 1e-9 band (far above the rounding
+        # of d2) a squared distance decides; an overflowed d2 is inf and far.
+        # Inside it, and where the band's square could be subnormal, math.hypot
+        # decides as in the reference loop: np.hypot can differ in the last bit.
+        dx, dy, rsum = x[a] - x[a + k], y[a] - y[a + k], radius[a] + radius[a + k]
+        with np.errstate(over="ignore"):
+            band = (rsum * (1.0 + 1e-9)) ** 2
+            near = ~((dx * dx + dy * dy > band) & (band > 1e-290))  # a NaN stays near
+        a, dx, dy, rsum = a[near], dx[near], dy[near], rsum[near]
+        dist = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())), dtype=np.float64)
+        a = a[~(dist > rsum)]  # a NaN distance is tested, not skipped
         meet = a[obb_intersect(corners[a], corners[a + k])]
         hit[box[meet]] = hit[box[meet + k]] = True
     return _agent_counts(scene, rows, hit)

@@ -5,6 +5,10 @@ Distance queries operate in the xy-plane (z is carried but ignored).
 Centerline-only lanes contribute lane length but no drivable area; lane
 polygons exist only where both edges are given. Area totals sum polygons
 without overlap resolution and over-count where they overlap.
+
+The constructor and the decoder finalize a map from the same columns: a (P, 3)
+point array and each lane's centerline rows. The decoder fills one array with
+every polyline of a file in one pass; loaded polylines are read-only views.
 """
 
 from __future__ import annotations
@@ -93,16 +97,42 @@ def _encode_points(points: np.ndarray) -> bytes:
     return bytes(out)
 
 
+def _decode_polylines(buf: bytes, offset: int, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of _encode_points over consecutive polylines of the given point
+    counts: their points as one (P, 3) array grouped by point count, each one's
+    first row, and whether it has identical consecutive points. A polyline of
+    n points takes n + 1 units of 12 bytes: the f64 base two, each f32 delta one.
+    One in-place cumsum per group adds in the order of a per-polyline cumsum,
+    so gives the same bits (a flat cumsum less each prefix does not)."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if not len(counts):
+        return np.zeros((0, 3)), counts, np.zeros(0, dtype=bool)
+    base = np.cumsum(counts + 1) - (counts + 1)  # the first unit of each polyline
+    n_units = int(base[-1] + counts[-1] + 1)
+    if len(buf) - offset < 12 * n_units:
+        raise MapFormatError(f"geometry payload truncated: wanted {12 * n_units} bytes at offset {offset}")
+    units = np.frombuffer(buf, dtype=np.uint8, count=12 * n_units, offset=offset).reshape(n_units, 12)
+    order = np.argsort(counts, kind="stable")
+    sizes = counts[order]
+    start = np.empty_like(counts)
+    start[order] = np.cumsum(sizes) - sizes
+    repeats = np.empty(len(counts), dtype=bool)
+    with np.errstate(all="ignore"):  # a payload may decode to NaN or inf
+        # Row 0 of a polyline first takes the second half of its base, then the base.
+        pts = units[_expand_ranges(base[order] + 1, base[order] + 1 + sizes)].view("<f4").astype(np.float64)
+        pts[start] = np.concatenate((units[base], units[base + 1]), axis=1).view("<f8")
+        for group in np.split(order, np.flatnonzero(np.diff(sizes)) + 1):
+            block = pts[start[group[0]] : start[group[-1]] + counts[group[0]]].reshape(len(group), -1, 3)
+            np.cumsum(block, axis=1, out=block)
+            same = block[:, 1:] == block[:, :-1]
+            repeats[group] = (same[..., 0] & same[..., 1] & same[..., 2]).any(axis=1)
+    return pts, start, repeats
+
+
 def _decode_points(buf: bytes, offset: int, n: int) -> tuple[np.ndarray, bytes, int]:
-    """Inverse of _encode_points; also returns the raw slice for canonical re-encoding."""
-    nbytes = 24 + 12 * (n - 1)
-    blob = buf[offset : offset + nbytes]
-    if len(blob) != nbytes:
-        raise MapFormatError(f"geometry payload truncated: wanted {nbytes} bytes at offset {offset}")
-    base = struct.unpack_from("<3d", blob, 0)
-    deltas = np.frombuffer(blob, dtype="<f4", offset=24).astype(np.float64).reshape(n - 1, 3)
-    pts = np.cumsum(np.vstack([base, deltas]), axis=0)
-    return pts, bytes(blob), offset + nbytes
+    """One polyline of _decode_polylines; also returns the raw slice for canonical re-encoding."""
+    end = offset + 12 * (n + 1)
+    return _decode_polylines(buf, offset, [n])[0], bytes(buf[offset:end]), end
 
 
 @dataclass(eq=False)
@@ -140,9 +170,11 @@ class Polyline:
         return self._encoded
 
     @classmethod
-    def decode(cls, buf: bytes, offset: int, n: int) -> tuple["Polyline", int]:
-        pts, blob, nxt = _decode_points(buf, offset, n)
-        return cls(pts, _encoded=blob), nxt
+    def _view(cls, points: np.ndarray, encoded: bytes) -> "Polyline":
+        """A decoded polyline over points already checked, without __post_init__."""
+        line = cls.__new__(cls)
+        line.points, line._encoded = points, encoded
+        return line
 
 
 def _normalize_ring(ring) -> np.ndarray:
@@ -174,17 +206,11 @@ class PolygonArea:
         return [self.exterior, *self.holes]
 
 
-def _ring_edges(ring: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(x0, y0, x1, y1): start and end of every edge of a closed ring."""
-    x0, y0 = ring[:, 0], ring[:, 1]
-    return x0, y0, np.concatenate((x0[1:], x0[:1])), np.concatenate((y0[1:], y0[:1]))
-
-
 def _ring_area(ring: np.ndarray) -> float:
     if len(np.unique(ring, axis=0)) < 3:
         raise DegenerateRingError(f"ring with {len(ring)} points has fewer than 3 distinct vertices")
-    x, y, x1, y1 = _ring_edges(ring)
-    return 0.5 * abs(float(np.sum(x * y1 - x1 * y)))
+    x, y = ring[:, 0], ring[:, 1]
+    return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
 
 
 def polygon_area(area: PolygonArea) -> float:
@@ -210,31 +236,31 @@ class _EdgeTable:
     """
 
     def __init__(self, polygons: Sequence[PolygonArea]):
-        edges, counts = [], []
-        # A polygon without points is never a candidate.
-        self._lo = np.full((2, len(polygons)), np.inf)
-        self._hi = np.full((2, len(polygons)), -np.inf)
-        for k, area in enumerate(polygons):
-            edges += [np.stack(_ring_edges(ring)) for ring in area.rings()]
-            pts = np.concatenate(area.rings())
-            counts.append(len(pts))
-            if not len(pts):
-                continue
-            reach = np.abs(pts).max()
-            if reach < 1e300:
-                margin = 1e-9 * (1.0 + reach)
-                self._lo[:, k] = pts.min(axis=0) - margin
-                self._hi[:, k] = pts.max(axis=0) + margin
-            else:  # NaN, infinite or near-overflow coordinates: always test the edges
-                self._lo[:, k] = -np.inf
-                self._hi[:, k] = np.inf
-        x0, y0, x1, y1 = np.concatenate(edges, axis=1) if edges else np.zeros((4, 0))
+        rings = [ring for area in polygons for ring in area.rings()]
+        ring_len = np.array([len(ring) for ring in rings], dtype=np.int64)
+        pts = np.concatenate(rings) if rings else np.zeros((0, 2))
+        # Each edge runs from a vertex to the next one of its ring, the last back to the first.
+        ring_end = np.cumsum(ring_len)
+        nxt = np.arange(1, len(pts) + 1)
+        nxt[ring_end[ring_len > 0] - 1] = (ring_end - ring_len)[ring_len > 0]
+        x0, y0, x1, y1 = pts[:, 0], pts[:, 1], pts[nxt, 0], pts[nxt, 1]
         self._edges = np.stack(
             [x0, y0, x1 - x0, y1 - y0, np.minimum(x0, x1), np.maximum(x0, x1), np.minimum(y0, y1), np.maximum(y0, y1)]
         )
+        counts = np.array([sum(map(len, area.rings())) for area in polygons], dtype=np.int64)
         self._owner = np.repeat(np.arange(len(polygons)), counts)
-        self._end = np.cumsum(np.asarray(counts, dtype=np.int64))
+        self._end = np.cumsum(counts)
         self._start = self._end - counts
+        # A polygon without points is never a candidate.
+        self._lo, self._hi = np.full((2, len(polygons)), np.inf), np.full((2, len(polygons)), -np.inf)
+        has = np.flatnonzero(counts)
+        if len(has):
+            first = self._start[has]
+            reach = np.maximum.reduceat(np.abs(pts).max(axis=1), first)[:, None]
+            near = reach < 1e300  # else NaN, infinite or near-overflow coordinates: always test the edges
+            margin = np.where(near, 1e-9 * (1.0 + reach), 0.0)
+            self._lo[:, has] = np.where(near, np.minimum.reduceat(pts, first) - margin, -np.inf).T
+            self._hi[:, has] = np.where(near, np.maximum.reduceat(pts, first) + margin, np.inf).T
 
     def contains(self, px: float, py: float) -> bool:
         """True iff (px, py) lies in any polygon; boundary points count as inside."""
@@ -434,6 +460,15 @@ class VectorMap:
         ped_walkways: Sequence[PolygonArea] = (),
         traffic_lights: Mapping[tuple[str, int], TrafficLightStatus] | None = None,
     ):
+        lanes = list(lanes)
+        lines = [lane.centerline.points for lane in lanes]
+        n = np.array([len(line) for line in lines], dtype=np.int64)
+        columns = (np.concatenate(lines) if lines else np.zeros((0, 3)), np.cumsum(n) - n, np.cumsum(n))
+        self._finalize(map_id, lanes, (road_areas, ped_crosswalks, ped_walkways), traffic_lights, columns)
+
+    def _finalize(self, map_id, lanes, areas, traffic_lights, centerlines) -> None:
+        """The one build of the constructor and the decoder. centerlines holds
+        columns (points, lo, hi): lane k's centerline is points[lo[k]:hi[k]]."""
         parts = map_id.split(":")
         if len(parts) != 2 or not all(parts):
             raise ValueError(f"map_id must be 'dataset:location', got {map_id!r}")
@@ -443,26 +478,24 @@ class VectorMap:
             if lane.lane_id in self.lanes:
                 raise ValueError(f"duplicate lane_id {lane.lane_id!r}")
             self.lanes[lane.lane_id] = lane
-        self.road_areas = list(road_areas)
-        self.ped_crosswalks = list(ped_crosswalks)
-        self.ped_walkways = list(ped_walkways)
+        self.road_areas, self.ped_crosswalks, self.ped_walkways = (list(kind) for kind in areas)
         self.traffic_light_frame: dict[tuple[str, int], TrafficLightStatus] = dict(traffic_lights or {})
 
         self._validate_references()
         self._close_connectivity()
-        self._lane_ids = sorted(self.lanes)
-        self._lane_polygons = {
-            lane_id: poly
-            for lane_id, poly in ((lid, self.lanes[lid].polygon()) for lid in self._lane_ids)
-            if poly is not None
-        }
-        self._index = self._build_index()
+        ids = list(self.lanes)
+        by_id = sorted(range(len(ids)), key=ids.__getitem__)
+        self._lane_ids = [ids[k] for k in by_id]
+        polygons = ((lane_id, self.lanes[lane_id].polygon()) for lane_id in self._lane_ids)
+        self._lane_polygons = {lane_id: poly for lane_id, poly in polygons if poly is not None}
+        points, lo, hi = centerlines
+        self._index = self._build_index(points, lo[by_id], hi[by_id]) if ids else None
         self._drivable = _EdgeTable(self.drivable_polygons())
 
     def _validate_references(self) -> None:
         for lane in self.lanes.values():
             refs = lane.adjacent_left | lane.adjacent_right | lane.successors | lane.predecessors
-            missing = refs - self.lanes.keys()
+            missing = refs.difference(self.lanes)  # linear; refs - keys() scans every key
             if missing:
                 raise DanglingLaneError(f"lane {lane.lane_id}: references to missing lanes {sorted(missing)}")
             if lane.lane_id in refs:
@@ -487,20 +520,12 @@ class VectorMap:
         if added:
             log.warning("map %s: closed %d asymmetric successor/predecessor links", self.map_id, added)
 
-    def _build_index(self) -> _SegmentIndex | None:
-        if not self.lanes:
-            return None
-        ax, ay, bx, by, lane_ord = [], [], [], [], []
-        for ord_, lane_id in enumerate(self._lane_ids):
-            xy = self.lanes[lane_id].centerline.xy
-            ax.append(xy[:-1, 0])
-            ay.append(xy[:-1, 1])
-            bx.append(xy[1:, 0])
-            by.append(xy[1:, 1])
-            lane_ord.append(np.full(len(xy) - 1, ord_, dtype=np.int64))
-        return _SegmentIndex(
-            np.concatenate(ax), np.concatenate(ay), np.concatenate(bx), np.concatenate(by), np.concatenate(lane_ord)
-        )
+    @staticmethod
+    def _build_index(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> _SegmentIndex:
+        """Index over the segments of the polylines points[lo[k]:hi[k]]."""
+        a = _expand_ranges(lo, hi - 1)  # the first row of every segment
+        x, y = points[:, 0], points[:, 1]
+        return _SegmentIndex(x[a], y[a], x[a + 1], y[a + 1], np.repeat(np.arange(len(lo)), hi - lo - 1))
 
     # -- queries ------------------------------------------------------------
 
@@ -568,38 +593,13 @@ class VectorMap:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _encode_ring(ring: np.ndarray, cached: bytes | None) -> bytes:
-    if cached is not None:
-        return cached
-    pts3 = np.zeros((len(ring), 3))
-    pts3[:, :2] = ring
-    return _encode_points(pts3)
-
-
-def _area_entry(area: PolygonArea) -> dict:
-    return {"n_exterior": len(area.exterior), "n_holes": [len(h) for h in area.holes]}
+_AREA_KINDS = ("road_areas", "ped_crosswalks", "ped_walkways")
 
 
 def _encode_area(area: PolygonArea) -> bytes:
-    cached = area._encoded
-    out = bytearray()
-    for i, ring in enumerate(area.rings()):
-        out += _encode_ring(ring, cached[i] if cached is not None else None)
-    return bytes(out)
-
-
-def _decode_area(buf: bytes, offset: int, entry: dict) -> tuple[PolygonArea, int]:
-    blobs: list[bytes] = []
-    pts, blob, offset = _decode_points(buf, offset, int(entry["n_exterior"]))
-    blobs.append(blob)
-    exterior = pts[:, :2]
-    holes = []
-    for n in entry["n_holes"]:
-        pts, blob, offset = _decode_points(buf, offset, int(n))
-        blobs.append(blob)
-        holes.append(pts[:, :2])
-    area = PolygonArea(exterior, holes, _encoded=blobs)
-    return area, offset
+    if area._encoded is not None:
+        return b"".join(area._encoded)
+    return b"".join(_encode_points(np.column_stack([ring, np.zeros(len(ring))])) for ring in area.rings())
 
 
 def map_serialize(vmap: VectorMap) -> bytes:
@@ -622,9 +622,10 @@ def map_serialize(vmap: VectorMap) -> bytes:
     header = {
         "map_id": vmap.map_id,
         "lanes": lanes_entry,
-        "road_areas": [_area_entry(a) for a in vmap.road_areas],
-        "ped_crosswalks": [_area_entry(a) for a in vmap.ped_crosswalks],
-        "ped_walkways": [_area_entry(a) for a in vmap.ped_walkways],
+        **{
+            kind: [{"n_exterior": len(a.exterior), "n_holes": [len(h) for h in a.holes]} for a in getattr(vmap, kind)]
+            for kind in _AREA_KINDS
+        },
         "traffic_lights": sorted(
             [lane_id, ts, str(status)] for (lane_id, ts), status in vmap.traffic_light_frame.items()
         ),
@@ -637,13 +638,10 @@ def map_serialize(vmap: VectorMap) -> bytes:
     out += header_bytes
     for lane_id in sorted(vmap.lanes):
         lane = vmap.lanes[lane_id]
-        out += lane.centerline.encode()
-        if lane.left_edge is not None:
-            out += lane.left_edge.encode()
-        if lane.right_edge is not None:
-            out += lane.right_edge.encode()
-    for areas in (vmap.road_areas, vmap.ped_crosswalks, vmap.ped_walkways):
-        for area in areas:
+        for line in (lane.centerline, lane.left_edge, lane.right_edge):
+            out += b"" if line is None else line.encode()
+    for kind in _AREA_KINDS:
+        for area in getattr(vmap, kind):
             out += _encode_area(area)
     return bytes(out)
 
@@ -669,54 +667,56 @@ def map_deserialize(data: bytes) -> VectorMap:
         raise MapFormatError(f"unreadable map directory: {exc}") from exc
 
     try:
-        return _map_from_header(header, data, pos)
-    except (KeyError, TypeError, ValueError) as exc:
+        with np.errstate(all="ignore"):  # decoded geometry may be NaN or inf
+            return _map_from_header(header, data, pos)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int() of an infinite ts
         raise MapFormatError(f"map directory does not match the map schema: {exc!r}") from exc
 
 
 def _map_from_header(header: dict, data: bytes, pos: int) -> VectorMap:
-    """Decode the geometry payload at pos as the directory directs; a directory
-    lacking a key or holding a wrong-typed value raises KeyError, TypeError or
-    ValueError."""
+    """Decode the geometry payload at pos as the directory directs: every point
+    count first, then every polyline in one pass. A directory lacking a key or
+    holding a wrong-typed value raises KeyError, TypeError or ValueError."""
+    counts, centers = [], []
+    for entry in header["lanes"]:
+        centers.append(len(counts))
+        counts += [entry["n_center"], *(entry[key] for key in ("n_left", "n_right") if entry[key] is not None)]
+    n_lane_lines = len(counts)
+    area_entries = [header[kind] for kind in _AREA_KINDS]
+    for entries in area_entries:
+        for entry in entries:
+            counts += [entry["n_exterior"], *entry["n_holes"]]
+    bad = [n for n in counts if type(n) is not int or n < 2]  # bool is an int subclass, so True fails too
+    if bad:
+        raise MapFormatError(f"bad point count {bad[0]!r}: expected an integer >= 2")
+    if counts and max(counts) > len(data):  # checked before any arithmetic can overflow
+        raise MapFormatError(f"geometry payload truncated: a polyline of {max(counts)} points in {len(data)} bytes")
+    points, start, repeats = _decode_polylines(data, pos, counts)
+    end = pos + 12 * (len(points) + len(counts))
+    if end != len(data):
+        raise MapFormatError(f"trailing bytes after geometry payload ({len(data) - end})")
+    if repeats[:n_lane_lines].any():
+        raise MapFormatError("a lane polyline has identical consecutive points")
+    points.flags.writeable = False
+
+    byte_end = (pos + 12 * np.cumsum(np.asarray(counts) + 1)).tolist()
+    line = iter([Polyline._view(points[a : a + n], data[e - 12 * n - 12 : e]) for a, n, e in zip(start.tolist(), counts, byte_end)])
     lanes = []
     for entry in header["lanes"]:
-        centerline, pos = Polyline.decode(data, pos, int(entry["n_center"]))
-        left = right = None
-        if entry["n_left"] is not None:
-            left, pos = Polyline.decode(data, pos, int(entry["n_left"]))
-        if entry["n_right"] is not None:
-            right, pos = Polyline.decode(data, pos, int(entry["n_right"]))
-        lanes.append(
-            RoadLane(
-                lane_id=entry["id"],
-                centerline=centerline,
-                left_edge=left,
-                right_edge=right,
-                adjacent_left=set(entry["adjacent_left"]),
-                adjacent_right=set(entry["adjacent_right"]),
-                successors=set(entry["successors"]),
-                predecessors=set(entry["predecessors"]),
-            )
-        )
-    areas: dict[str, list[PolygonArea]] = {}
-    for kind in ("road_areas", "ped_crosswalks", "ped_walkways"):
-        decoded = []
-        for entry in header[kind]:
-            area, pos = _decode_area(data, pos, entry)
-            decoded.append(area)
-        areas[kind] = decoded
-    if pos != len(data):
-        raise MapFormatError(f"trailing bytes after geometry payload ({len(data) - pos})")
+        center = next(line)
+        left = None if entry["n_left"] is None else next(line)
+        right = None if entry["n_right"] is None else next(line)
+        refs = entry["adjacent_left"], entry["adjacent_right"], entry["successors"], entry["predecessors"]
+        lanes.append(RoadLane(entry["id"], center, left, right, set(refs[0]), set(refs[1]), set(refs[2]), set(refs[3])))
+    areas = []
+    for entries in area_entries:
+        areas.append([])
+        for entry in entries:
+            rings = [next(line) for _ in range(1 + len(entry["n_holes"]))]
+            areas[-1].append(PolygonArea(rings[0].xy, [r.xy for r in rings[1:]], _encoded=[r._encoded for r in rings]))
 
-    lights = {}
-    for lane_id, ts, status in header["traffic_lights"]:
-        lights[(lane_id, int(ts))] = TrafficLightStatus.from_string(status)
-
-    return VectorMap(
-        map_id=header["map_id"],
-        lanes=lanes,
-        road_areas=areas["road_areas"],
-        ped_crosswalks=areas["ped_crosswalks"],
-        ped_walkways=areas["ped_walkways"],
-        traffic_lights=lights,
-    )
+    lights = {(lane_id, int(ts)): TrafficLightStatus.from_string(status) for lane_id, ts, status in header["traffic_lights"]}
+    vmap = VectorMap.__new__(VectorMap)
+    lo = start[centers]
+    vmap._finalize(header["map_id"], lanes, areas, lights, (points, lo, lo + np.asarray(counts)[centers]))
+    return vmap

@@ -5,7 +5,9 @@ library (exhaustive scans, scalar loops, dense sampling, alternative
 decompositions) so that agreement is evidence, not tautology.
 """
 
+import json
 import math
+import struct
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from trajkit.core import COLUMN_NAMES, AgentMetadata, AgentType, Extent, SceneFr
 from trajkit.ingest import ParseError, _read_canonical_rows
 from trajkit.kinematics import DEFAULT_SPEED_FLOOR, plan_resample
 from trajkit.simulation import OBS_STATE_LAYOUT, SimMetrics, SimObservation, _pooled_rate, wasserstein_1d
+from trajkit.vecmap import PolygonArea, Polyline, RoadLane, TrafficLightStatus, VectorMap
 
 
 def lane_segment_arrays(vmap):
@@ -85,6 +88,61 @@ def brute_lanes_within(vmap, points, radius):
     return out
 
 
+def reference_decode_points(buf, offset, n):
+    """One encoded polyline by struct and a per-polyline cumsum: the decode
+    the columnar map load replaced. Returns the points and the next offset."""
+    nbytes = 24 + 12 * (n - 1)
+    blob = buf[offset : offset + nbytes]
+    assert len(blob) == nbytes, "payload truncated"
+    base = struct.unpack_from("<3d", blob, 0)
+    deltas = np.frombuffer(blob, dtype="<f4", offset=24).astype(np.float64).reshape(n - 1, 3)
+    return np.cumsum(np.vstack([base, deltas]), axis=0), offset + nbytes
+
+
+def reference_map_polylines(data):
+    """Every polyline of a serialized map in payload order (each lane's
+    centerline, left and right edge, then the rings of each road area,
+    crosswalk and walkway), decoded one at a time."""
+    (header_len,) = struct.unpack_from("<Q", data, 10)
+    header = json.loads(data[18 : 18 + header_len])
+    counts = []
+    for entry in header["lanes"]:
+        counts += [entry[key] for key in ("n_center", "n_left", "n_right") if entry[key] is not None]
+    for kind in ("road_areas", "ped_crosswalks", "ped_walkways"):
+        for entry in header[kind]:
+            counts += [entry["n_exterior"], *entry["n_holes"]]
+    out, pos = [], 18 + header_len
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf payloads
+        for n in counts:
+            pts, pos = reference_decode_points(data, pos, n)
+            out.append(pts)
+    assert pos == len(data), "trailing bytes"
+    return out
+
+
+def reference_map_deserialize(data):
+    """``map_deserialize`` as the per-polyline decode it replaced, building the
+    map through the public constructors."""
+    (header_len,) = struct.unpack_from("<Q", data, 10)
+    header = json.loads(data[18 : 18 + header_len])
+    lines = iter(reference_map_polylines(data))
+    lanes = []
+    for entry in header["lanes"]:
+        center = Polyline(next(lines))
+        left, right = (None if entry[key] is None else Polyline(next(lines)) for key in ("n_left", "n_right"))
+        refs = (set(entry[key]) for key in ("adjacent_left", "adjacent_right", "successors", "predecessors"))
+        lanes.append(RoadLane(entry["id"], center, left, right, *refs))
+    areas = {}
+    for kind in ("road_areas", "ped_crosswalks", "ped_walkways"):
+        areas[kind] = []
+        for entry in header[kind]:
+            exterior = next(lines)[:, :2]
+            areas[kind].append(PolygonArea(exterior, [next(lines)[:, :2] for _ in entry["n_holes"]]))
+    lights = {(lane_id, ts): TrafficLightStatus.from_string(status) for lane_id, ts, status in header["traffic_lights"]}
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf geometry
+        return VectorMap(header["map_id"], lanes, traffic_lights=lights, **areas)
+
+
 def crossing_number_inside(px, py, rings):
     """Scalar-loop even-odd membership with boundary counted inside."""
     crossings = 0
@@ -138,6 +196,24 @@ def reference_point_in_polygon(px, py, area):
                 return True
             crossings += _reference_ring_crossings(px, py, ring)
     return crossings % 2 == 1
+
+
+def reference_polygon_boxes(polygons):
+    """(lo, hi) bounds, shape (2, n), of each polygon's points widened by
+    1e-9 * (1 + max |coordinate|), one polygon at a time: infinite for a
+    polygon with NaN, infinite or near-overflow coordinates, empty (lo = inf,
+    hi = -inf) for one without points."""
+    lo, hi = np.full((2, len(polygons)), np.inf), np.full((2, len(polygons)), -np.inf)
+    for k, area in enumerate(polygons):
+        pts = np.concatenate(area.rings())
+        if not len(pts):
+            continue
+        reach = np.abs(pts).max()
+        if reach < 1e300:
+            lo[:, k], hi[:, k] = pts.min(axis=0) - 1e-9 * (1.0 + reach), pts.max(axis=0) + 1e-9 * (1.0 + reach)
+        else:
+            lo[:, k], hi[:, k] = -np.inf, np.inf
+    return lo, hi
 
 
 def reference_in_drivable_area(vmap, point):

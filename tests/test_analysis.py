@@ -601,6 +601,35 @@ class TestCollisionKernel:
         events, rows = _assert_collisions_match_reference(SceneFrame.from_tracks("s0", "toy", "nowhere", 0.1, agents, tracks))
         assert np.array_equal(events, rows) and rows.sum() == 2000
 
+    def test_distance_stage_at_the_radius_sum(self, monkeypatch):
+        # One pair per timestep: at, one ULP inside or one ULP outside the sum
+        # of circumscribed radii along an axis; on a random diagonal nudged by
+        # one ULP, where d2 and math.hypot round apart; and one pair so far
+        # apart that its squared distance overflows. With every box test a
+        # hit, a pair collides exactly when math.hypot(dx, dy) <= rsum.
+        rng = np.random.default_rng(15)
+        agents, tracks, want = [], [], []
+        for k, (la, wa, lb, wb, angle) in enumerate(rng.uniform(0.5, 6.0, size=(601, 5)).tolist()):
+            rsum = 0.5 * math.hypot(la, wa) + 0.5 * math.hypot(lb, wb)
+            toward = (-math.inf, rsum, math.inf)[k % 3]
+            if k == 600:
+                xy_b = (1e200, 0.0)
+            elif k % 6 < 3:
+                d = math.nextafter(rsum, toward)
+                xy_b = (d, 0.0) if k % 2 else (0.0, d)
+            else:
+                xy_b = (math.nextafter(rsum * math.cos(angle), toward), rsum * math.sin(angle))
+            for j, (extent, (x, y)) in enumerate(((Extent(la, wa), (0.0, 0.0)), (Extent(lb, wb), xy_b))):
+                agents.append(AgentMetadata(f"a{k}_{j}", AgentType.VEHICLE, extent, k, k))
+                tracks.append(_track([x], [y]))
+            want += [int(math.hypot(0.0 - xy_b[0], 0.0 - xy_b[1]) <= rsum)] * 2
+        scene = SceneFrame.from_tracks("s0", "toy", "nowhere", 0.1, agents, tracks)
+        _assert_collisions_match_reference(scene)
+        monkeypatch.setattr(analysis, "obb_intersect", lambda a, b: np.ones(len(a), dtype=bool))
+        events, rows = _scene_collisions(scene)
+        assert events.tolist() == want and rows.sum() == 1202
+        assert 500 < sum(want) < 1000
+
     def test_extent_less_agents_between_boxes(self):
         # a and c overlap only with each other, with extent-less b between
         # them in every timestep; d's box is far away.

@@ -212,6 +212,17 @@ class TestMapCommand:
         code = main(["map", "--map", str(bad), "stats"])
         assert code == 2
 
+    @pytest.mark.parametrize("count", [0, -1, 2.5])
+    def test_bad_point_count_exit_2(self, tmp_path, capsys, count):
+        def edit(header):
+            header["lanes"][0]["n_center"] = count
+
+        bad = tmp_path / "bad.tkmap"
+        bad.write_bytes(rewrite_json_header(_map_file(tmp_path).read_bytes(), edit, crc=False))
+        assert main(["map", "--map", str(bad), "stats"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "point count" in err and "Traceback" not in err
+
     def test_bad_point_exit_64(self, tmp_path):
         map_path = _map_file(tmp_path)
         assert main(["map", "--map", str(map_path), "closest-lane", "--point", "x,y"]) == 64

@@ -9,6 +9,7 @@ from trajkit.vecmap import (
     DanglingLaneError,
     DegenerateRingError,
     DrivableAreaUnsupported,
+    MapError,
     MapFormatError,
     NoLanesError,
     PolygonArea,
@@ -21,7 +22,7 @@ from trajkit.vecmap import (
     point_in_polygon,
     polygon_area,
 )
-from trajkit.vecmap import _decode_points, _encode_points
+from trajkit.vecmap import _decode_points, _decode_polylines, _encode_points
 
 from conftest import convex_polygon, random_lane_map, rewrite_json_header, square_area, straight_lane, tiny_traffic_map
 from oracles import (
@@ -29,8 +30,12 @@ from oracles import (
     brute_lanes_within,
     crossing_number_inside,
     fan_triangulation_area,
+    reference_decode_points,
     reference_in_drivable_area,
+    reference_map_deserialize,
+    reference_map_polylines,
     reference_point_in_polygon,
+    reference_polygon_boxes,
 )
 
 
@@ -276,6 +281,12 @@ class TestDrivableAreaEquivalence:
             for px, py in points[rng.integers(0, len(points), 150)]:
                 assert point_in_polygon(px, py, poly) == reference_point_in_polygon(px, py, poly)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_boxes_match_per_polygon_reference(self, seed):
+        vmap = _random_drivable_map(np.random.default_rng(200 + seed))
+        lo, hi = reference_polygon_boxes(vmap.drivable_polygons())
+        assert vmap._drivable._lo.tobytes() == lo.tobytes() and vmap._drivable._hi.tobytes() == hi.tobytes()
+
     @pytest.mark.parametrize("point", NON_FINITE_POINTS)
     def test_non_finite_point_is_outside(self, point):
         vmap = _random_drivable_map(np.random.default_rng(5))
@@ -513,3 +524,225 @@ class TestMapDirectorySchema:
         data = rewrite_json_header(map_serialize(_rich_map()), edit, crc=False)
         with pytest.raises(MapFormatError, match="schema"):
             map_deserialize(data)
+
+
+def _set_count(path):
+    """An edit of the map directory that sets the point count at path (keys
+    and list indices below the header) to a value."""
+    def edit(header, value):
+        *parents, last = path
+        for key in parents:
+            header = header[key]
+        header[last] = value
+
+    return edit
+
+
+COUNT_PATHS = {
+    "n_center": ("lanes", 0, "n_center"),
+    "n_left": ("lanes", 0, "n_left"),
+    "n_right": ("lanes", 1, "n_right"),
+    "n_exterior": ("road_areas", 0, "n_exterior"),
+    "n_holes": ("road_areas", 0, "n_holes", 0),
+    "crosswalk_n_exterior": ("ped_crosswalks", 0, "n_exterior"),
+}
+
+
+class TestPointCounts:
+    """Every directory point count must be an int (not a bool) of at least 2."""
+
+    @pytest.mark.parametrize("value", [0, -1, 1, 2.5, True, "3"])
+    @pytest.mark.parametrize("key", ["n_center", "n_left", "n_exterior", "n_holes"])
+    def test_bad_count_raises_map_format_error(self, key, value):
+        edit = _set_count(COUNT_PATHS[key])
+        data = rewrite_json_header(map_serialize(_rich_map()), lambda h: edit(h, value), crc=False)
+        with pytest.raises(MapFormatError, match="bad point count"):
+            map_deserialize(data)
+
+    @pytest.mark.parametrize("value", [3, 10**6, 2**70])
+    def test_count_beyond_the_payload_is_truncation(self, value):
+        edit = _set_count(COUNT_PATHS["n_center"])
+        data = rewrite_json_header(map_serialize(_rich_map()), lambda h: edit(h, value), crc=False)
+        with pytest.raises(MapFormatError, match="truncated|trailing"):
+            map_deserialize(data)
+
+    def test_infinite_traffic_light_ts_is_a_schema_error(self):
+        def edit(header):
+            header["traffic_lights"][0][1] = float("inf")
+
+        with pytest.raises(MapFormatError, match="schema"):
+            map_deserialize(rewrite_json_header(map_serialize(_rich_map()), edit, crc=False))
+
+
+class TestMapFormatFuzz:
+    """Corrupt .tkmap files raise MapError subclasses only, and no numpy
+    warning escapes (the suite turns warnings into errors)."""
+
+    DATA = map_serialize(_rich_map())
+
+    @staticmethod
+    def _load(data: bytes) -> None:
+        try:
+            map_deserialize(data)
+        except MapError:
+            pass
+
+    def test_every_truncation(self):
+        for cut in range(len(self.DATA)):
+            with pytest.raises(MapFormatError):
+                map_deserialize(self.DATA[:cut])
+
+    @given(st.lists(st.integers(0, 8 * len(DATA) - 1), min_size=1, max_size=3))
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    def test_bit_flips(self, bits):
+        data = bytearray(self.DATA)
+        for bit in bits:
+            data[bit // 8] ^= 1 << (bit % 8)
+        self._load(bytes(data))
+
+    @given(
+        st.sampled_from(sorted(COUNT_PATHS)),
+        st.one_of(
+            st.integers(-3, 40), st.integers(2**62, 2**70), st.floats(), st.booleans(), st.none(),
+            st.text(max_size=2), st.lists(st.integers(0, 9), max_size=2),
+        ),
+    )
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    def test_count_edits(self, key, value):
+        edit = _set_count(COUNT_PATHS[key])
+        self._load(rewrite_json_header(self.DATA, lambda h: edit(h, value), crc=False))
+
+    @pytest.mark.parametrize(
+        "where, pattern, ring",
+        [
+            # The last dy of the walkway, the payload's last polyline: casting
+            # a signaling NaN raises numpy's invalid-value flag.
+            (slice(-8, -4), 0x7F800001, lambda m: m.ped_walkways[0].exterior),
+            # The first dx of the road area's 12-point hole, which precedes two
+            # 4-point squares: its later vertices are all +inf, so the
+            # drivable-area table subtracts inf from inf.
+            (slice(-252, -248), 0x7F800000, lambda m: m.road_areas[0].holes[0]),
+        ],
+        ids=["snan-walkway", "inf-drivable-hole"],
+    )
+    def test_non_finite_delta_decodes_silently(self, where, pattern, ring):
+        data = bytearray(self.DATA)
+        data[where] = pattern.to_bytes(4, "little")
+        assert not np.isfinite(ring(map_deserialize(bytes(data)))).all()
+
+    def test_trailing_bytes(self):
+        with pytest.raises(MapFormatError, match="trailing"):
+            map_deserialize(self.DATA + bytes(12))
+
+
+def _codec_map(rng, kind: str) -> VectorMap:
+    """A random map for the decoder oracle. kind: "centerline" (centerline-only
+    lanes, no areas), "edges" (every lane bounded), "holes" (areas with
+    holes), "same_length" (every polyline and ring of 7 points), "mixed"
+    (lengths 2 to 500), "nonfinite" (NaN and inf coordinates)."""
+    def length():
+        return {"same_length": 7, "mixed": int(rng.integers(2, 501))}.get(kind, int(rng.integers(2, 40)))
+
+    lanes = []
+    for k in range(int(rng.integers(1, 30))):
+        n = length()
+        center = np.vstack([rng.uniform(-300, 300, 3), rng.uniform(-5, 5, (n - 1, 3))]).cumsum(axis=0)
+        if kind == "nonfinite" and k < 2:
+            center[n - 1, k] = (np.nan, np.inf)[k]  # the last point, so no other point repeats it
+        # A bounded lane's polygon joins its edges' last points, which must not both be infinite.
+        bounded = kind == "edges" or (kind != "centerline" and rng.random() < 0.5 and not (kind == "nonfinite" and k < 2))
+        left, right = (Polyline(center + (0.0, 2.0, 0.0)), Polyline(center - (0.0, 2.0, 0.0))) if bounded else (None, None)
+        lanes.append(RoadLane(f"l{k:03d}", Polyline(center), left, right))
+    areas = []
+    for _ in range(0 if kind == "centerline" else int(rng.integers(1, 6))):
+        ring = convex_polygon(rng, rng.uniform(-200, 200, 2), rng.uniform(5, 40), n_pts=max(length(), 3))
+        holes = [0.3 * (ring - ring.mean(axis=0)) + ring.mean(axis=0)] if kind == "holes" or rng.random() < 0.3 else []
+        if kind == "nonfinite":
+            ring[0, 1] = np.nan
+        areas.append(PolygonArea(ring, holes))
+    return VectorMap("rand:codec", lanes, road_areas=areas[:2], ped_walkways=areas[2:])
+
+
+def _map_polylines(vmap: VectorMap) -> list[np.ndarray]:
+    """The polylines and rings of a map in payload order."""
+    out = []
+    for lane_id in sorted(vmap.lanes):
+        lane = vmap.lanes[lane_id]
+        out += [line.points for line in (lane.centerline, lane.left_edge, lane.right_edge) if line is not None]
+    for areas in (vmap.road_areas, vmap.ped_crosswalks, vmap.ped_walkways):
+        out += [ring for area in areas for ring in area.rings()]
+    return out
+
+
+class TestColumnarDecode:
+    """The one-pass decoder against the per-polyline decode in oracles.py."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ["centerline", "edges", "holes", "same_length", "mixed", "nonfinite"])
+    def test_matches_per_polyline_decode_bit_for_bit(self, kind, seed):
+        rng = np.random.default_rng(1000 * seed + len(kind))
+        data = map_serialize(_codec_map(rng, kind))
+        want = reference_map_polylines(data)
+        (header_len,) = struct.unpack_from("<Q", data, 10)
+        points, start, _ = _decode_polylines(data, 18 + header_len, [len(w) for w in want])
+        for w, a in zip(want, start):
+            assert points[a : a + len(w)].tobytes() == w.tobytes()
+        vmap = map_deserialize(data)
+        got = _map_polylines(vmap)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.tobytes() == np.ascontiguousarray(w[:, : g.shape[1]]).tobytes()
+            assert not g.flags.writeable and g.base is got[0].base
+        assert map_serialize(vmap) == data
+        if kind == "nonfinite":
+            assert np.isnan(points).any() and np.isinf(points).any()
+
+    def test_one_polyline_case(self):
+        rng = np.random.default_rng(3)
+        pts = np.vstack([rng.uniform(-1e3, 1e3, 3), rng.uniform(-5, 5, (99, 3))]).cumsum(axis=0)
+        blob = b"pad" + _encode_points(pts)
+        dec, raw, end = _decode_points(blob, 3, 100)
+        assert raw == blob[3:] and end == len(blob)
+        assert dec.tobytes() == reference_decode_points(blob, 3, 100)[0].tobytes()
+
+    def test_duplicate_point_in_a_ring_loads_but_not_in_a_lane(self):
+        # Only lane polylines reject identical consecutive points, as before.
+        ring = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        vmap = VectorMap("toy:flat", [straight_lane("L1", 0.0)], road_areas=[PolygonArea(ring)])
+        assert map_deserialize(map_serialize(vmap)).road_areas[0].exterior.tolist() == ring.tolist()
+        lane = RoadLane("L1", Polyline([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]), left_edge=Polyline([(0.0, 1.0, 0.0), (2.0, 1.0, 0.0)]))
+        data = map_serialize(VectorMap("toy:flat", [lane]))
+        patched = bytearray(data)
+        patched[-12:] = bytes(12)  # the left edge's one delta becomes zero
+        with pytest.raises(MapFormatError, match="identical consecutive"):
+            map_deserialize(bytes(patched))
+
+    def test_bench_sized_map_answers_match(self):
+        # 500 lanes of 20 points and 50 drivable polygons, every fifth with a
+        # hole, as in the analyze benchmark.
+        rng = np.random.default_rng(11)
+        lanes, areas = [], []
+        u = np.linspace(-85.0, 85.0, 20)
+        for r in range(50):
+            cx, cy, theta = (r % 10) * 240.0 + rng.uniform(-10, 10), (r // 10) * 120.0 + rng.uniform(-10, 10), rng.uniform(-0.3, 0.3)
+            rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+            for j in range(10):
+                local = np.stack([u, (j - 4.5) * 3.5 + 0.4 * np.sin(u / 25.0 + rng.uniform(0, 6.3))], axis=1)
+                pts = np.zeros((20, 3))
+                pts[:, :2] = local @ rot.T + (cx, cy)
+                lanes.append(RoadLane(f"r{r:02d}l{j}", Polyline(pts)))
+            xs = np.linspace(-91.0, 91.0, 8)
+            ring = np.vstack([np.stack([xs, np.full(8, -19.0)], 1), np.stack([xs[::-1], np.full(8, 19.0)], 1)])
+            hole = [np.array([(-12.0, -0.9), (12.0, -0.9), (12.0, 0.9), (-12.0, 0.9)]) @ rot.T + (cx, cy)] if r % 5 == 0 else []
+            areas.append(PolygonArea(ring @ rot.T + (cx, cy), hole))
+        data = map_serialize(VectorMap("bench:grid", lanes, road_areas=areas))
+        got, want = map_deserialize(data), reference_map_deserialize(data)
+        assert map_serialize(got) == data
+        points = np.column_stack([rng.uniform(-30, 2200, 500), rng.uniform(-30, 500, 500)])
+        assert [got.closest_lane_with_distance(p) for p in points] == [want.closest_lane_with_distance(p) for p in points]
+        chunks = [points[i : i + 100] for i in range(0, len(points), 100)]  # bounds the brute-force matrices
+        assert [got.closest_lane_with_distance(p) for p in points] == sum((brute_closest_lanes(got, c) for c in chunks), [])
+        assert [got.lanes_within(p, 12.0) for p in points] == sum((brute_lanes_within(want, c, 12.0) for c in chunks), [])
+        inside = [got.point_in_drivable_area(p) for p in points]
+        assert inside == [want.point_in_drivable_area(p) for p in points] == [reference_in_drivable_area(want, p) for p in points]
+        assert 0 < sum(inside) < len(points)
