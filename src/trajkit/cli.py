@@ -9,6 +9,7 @@ for scripting: 0 success, 2 input/parse, 3 validation, 4 empty result,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -64,7 +65,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and nothing in it reads the environment."""
     parser = _Parser(prog="trajkit", description=__doc__)
     parser.add_argument("-v", "--verbose", action="count", default=0, help="increase log verbosity (-v, -vv)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -73,11 +77,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="input data file")
     p.add_argument("--format", required=True, choices=["canonical-csv", "frame-text"])
     p.add_argument("--meta", required=True, help="scene metadata sidecar JSON")
-    p.add_argument("--cache", default=os.environ.get(CACHE_ENV_VAR))
+    p.add_argument("--cache")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("analyze", help="compute dataset metrics over cached scenes")
-    p.add_argument("--cache", default=os.environ.get(CACHE_ENV_VAR))
+    p.add_argument("--cache")
     p.add_argument("--tags", required=True, help="comma-separated scene tags")
     p.add_argument("--metrics", required=True, help=f"comma-separated metric names from: {', '.join(METRIC_NAMES)}")
     p.add_argument("--map", default=None, help="serialized vector map (needed by offroad)")
@@ -96,7 +100,7 @@ def _build_parser() -> _Parser:
     q.set_defaults(func=cmd_map_stats)
 
     p = sub.add_parser("batch", help="export padded batch containers")
-    p.add_argument("--cache", default=os.environ.get(CACHE_ENV_VAR))
+    p.add_argument("--cache")
     p.add_argument("--tags", required=True)
     p.add_argument("--centric", default="agent", choices=["agent", "scene"])
     p.add_argument("--history", required=True, help="history window seconds as min,max")
@@ -107,7 +111,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("sim-replay", help="replay a cached scene through the simulation interface")
-    p.add_argument("--cache", default=os.environ.get(CACHE_ENV_VAR))
+    p.add_argument("--cache")
     p.add_argument("--scene", required=True, help="scene_id to replay")
     p.add_argument("--init-ts", type=int, required=True)
     p.add_argument("--steps", type=int, required=True)
@@ -118,9 +122,12 @@ def _build_parser() -> _Parser:
 
 
 def _require_cache(args) -> SceneCache:
-    if not args.cache:
+    """The cache of --cache, else of $TRAJKIT_CACHE as it is at this call; an
+    empty --cache is a usage error even when the variable is set."""
+    cache_dir = args.cache if args.cache is not None else os.environ.get(CACHE_ENV_VAR)
+    if not cache_dir:
         raise _UsageError(f"--cache is required (or set {CACHE_ENV_VAR})")
-    return SceneCache(args.cache)
+    return SceneCache(cache_dir)
 
 
 def _parse_pair(text: str, flag: str) -> tuple[float, float]:

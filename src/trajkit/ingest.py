@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import fcntl
 import io
+import itertools
 import json
 import logging
 import math
@@ -23,7 +24,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -157,48 +158,164 @@ def _parse_optional_float(cell: str, line_no: int, column: str) -> float | None:
 
 
 def _read_canonical_rows(table_text: str) -> dict[str, list[tuple]]:
-    """Raw rows grouped by scene_id; each row is (line_no, agent_id, type, frame, x, y, z, heading, l, w, h)."""
+    """Raw rows grouped by scene_id; each row is (line_no, agent_id, type, frame, x, y, z, heading, l, w, h).
+
+    The row loop: it reads any text csv.reader reads and reports every read
+    error, the first in file order."""
     reader = csv.reader(io.StringIO(table_text, newline=""))
+    line_no = 0  # the last record read
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input: missing canonical header") from None
-    header = tuple(h.strip() for h in header)
-    if header != CANONICAL_HEADER:
-        raise ParseError(f"line 1: header {header!r} does not match canonical schema {CANONICAL_HEADER!r}")
-    scenes: dict[str, list[tuple]] = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(CANONICAL_HEADER):
-            raise ParseError(f"line {line_no}: expected {len(CANONICAL_HEADER)} fields, got {len(row)}")
-        scene_id = row[0].strip()
-        agent_id = row[1].strip()
         try:
-            agent_type = AgentType.from_string(row[2].strip())
-        except ValueError as exc:
-            raise ParseError(f"line {line_no}: {exc}") from None
-        frame_cell = row[3].strip()
-        try:
-            frame = int(frame_cell)
-        except ValueError:
-            raise ParseError(f"line {line_no}: frame {frame_cell!r} is not an integer") from None
-        if not -(2**63) <= frame < 2**63:
-            raise ParseError(f"line {line_no}: frame {frame_cell!r} does not fit in int64")
-        x = _parse_float(row[4].strip(), line_no, "x")
-        y = _parse_float(row[5].strip(), line_no, "y")
-        z = _parse_optional_float(row[6], line_no, "z")
-        z = 0.0 if z is None else z
-        heading = _parse_optional_float(row[7], line_no, "heading")
-        length = _parse_optional_float(row[8], line_no, "length")
-        width = _parse_optional_float(row[9], line_no, "width")
-        height = _parse_optional_float(row[10], line_no, "height")
-        if (length is None) != (width is None):
-            raise ParseError(f"line {line_no}: extent needs both length and width (or neither)")
-        scenes.setdefault(scene_id, []).append((line_no, agent_id, agent_type, frame, x, y, z, heading, length, width, height))
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("empty input: missing canonical header") from None
+        line_no = 1
+        header = tuple(h.strip() for h in header)
+        if header != CANONICAL_HEADER:
+            raise ParseError(f"line 1: header {header!r} does not match canonical schema {CANONICAL_HEADER!r}")
+        scenes: dict[str, list[tuple]] = {}
+        for line_no, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(CANONICAL_HEADER):
+                raise ParseError(f"line {line_no}: expected {len(CANONICAL_HEADER)} fields, got {len(row)}")
+            scene_id = row[0].strip()
+            agent_id = row[1].strip()
+            try:
+                agent_type = AgentType.from_string(row[2].strip())
+            except ValueError as exc:
+                raise ParseError(f"line {line_no}: {exc}") from None
+            frame_cell = row[3].strip()
+            try:
+                frame = int(frame_cell)
+            except ValueError:
+                raise ParseError(f"line {line_no}: frame {frame_cell!r} is not an integer") from None
+            if not -(2**63) <= frame < 2**63:
+                raise ParseError(f"line {line_no}: frame {frame_cell!r} does not fit in int64")
+            x = _parse_float(row[4].strip(), line_no, "x")
+            y = _parse_float(row[5].strip(), line_no, "y")
+            z = _parse_optional_float(row[6], line_no, "z")
+            z = 0.0 if z is None else z
+            heading = _parse_optional_float(row[7], line_no, "heading")
+            length = _parse_optional_float(row[8], line_no, "length")
+            width = _parse_optional_float(row[9], line_no, "width")
+            height = _parse_optional_float(row[10], line_no, "height")
+            if (length is None) != (width is None):
+                raise ParseError(f"line {line_no}: extent needs both length and width (or neither)")
+            scenes.setdefault(scene_id, []).append((line_no, agent_id, agent_type, frame, x, y, z, heading, length, width, height))
+    except csv.Error as exc:  # a field longer than csv.field_size_limit()
+        raise ParseError(f"line {line_no + 1}: {exc}") from None
     if not scenes:
         raise ParseError("no data rows after header")
     return scenes
+
+
+class _CsvColumns(NamedTuple):
+    """One scene's canonical CSV rows as columns, in file order. An optional
+    cell left empty reads NaN (z reads 0.0) and False in its mask."""
+
+    lines: np.ndarray
+    agent_ids: np.ndarray
+    types: np.ndarray
+    frames: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    heading: np.ndarray
+    length: np.ndarray
+    width: np.ndarray
+    height: np.ndarray
+    has_heading: np.ndarray
+    has_extent: np.ndarray
+    has_height: np.ndarray
+
+
+def _rows_to_columns(rows: list[tuple]) -> _CsvColumns:
+    """The columns of one scene's rows from _read_canonical_rows."""
+    lines, agent_ids, types, frames, x, y, z, heading, length, width, height = zip(*rows)
+    values = [np.array([math.nan if v is None else v for v in col], dtype=np.float64) for col in (heading, length, width, height)]
+    given = [np.array([v is not None for v in col], dtype=bool) for col in (heading, length, height)]
+    return _CsvColumns(
+        np.array(lines), np.array(agent_ids, dtype=object), np.array(types, dtype=object), np.array(frames, dtype=np.int64),
+        np.array(x), np.array(y), np.array(z), *values, *given,
+    )
+
+
+def _optional_column(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Values of a column, NaN where a cell is empty, and which cells are not;
+    ValueError if another cell is not a float (a blank one among them)."""
+    given = list(map(bool, cells))
+    values = np.full(len(cells), np.nan)
+    mask = np.array(given, dtype=bool)
+    values[mask] = np.fromiter(map(float, itertools.compress(cells, given)), dtype=np.float64)
+    return values, mask
+
+
+def _read_canonical_columns(table_text: str) -> dict[str, _CsvColumns] | None:
+    """The scenes of _read_canonical_rows as columns, read without a Python
+    object per row; None where the row loop must read the text instead.
+
+    It takes a text without a quote or CR whose first line is the canonical
+    header and whose every further line holds exactly 11 cells (a final LF
+    ends the last line), each within csv.field_size_limit(), that convert as
+    the row loop converts them, with both or neither extent cell given. Any
+    other text, among them every text the row loop rejects, it declines.
+    Only the text cells are stripped: int() and float() ignore the whitespace
+    the row loop strips or fail, and a failure declines."""
+    if '"' in table_text or "\r" in table_text:
+        return None
+    header, _, body = table_text.partition("\n")
+    body = body[:-1] if body.endswith("\n") else body
+    if not body or tuple(h.strip() for h in header.split(",")) != CANONICAL_HEADER:
+        return None
+    lines = body.split("\n")
+    n, n_cells = len(lines), len(CANONICAL_HEADER)
+    if list(map(str.count, lines, itertools.repeat(","))).count(n_cells - 1) != n:
+        return None
+    limit = csv.field_size_limit()
+    long_line = len(body) > limit and max(map(len, lines)) > limit
+    del lines
+    cells = body.replace("\n", ",").split(",")
+    if long_line and max(map(len, cells)) > limit:
+        return None
+    cols = [cells[k::n_cells] for k in range(n_cells)]
+    del cells  # the columns hold every cell; release the flat list before the arrays
+    try:
+        types = {cell: AgentType.from_string(cell.strip()) for cell in set(cols[2])}
+        frames = np.fromiter(map(int, cols[3]), dtype=np.int64, count=n)  # OverflowError beyond int64
+        x, y = (np.fromiter(map(float, col), dtype=np.float64, count=n) for col in cols[4:6])
+        (z, has_z), (heading, has_heading), (length, has_extent), (width, has_width), (height, has_height) = map(
+            _optional_column, cols[6:]
+        )
+    except (ValueError, OverflowError):
+        return None
+    if not np.array_equal(has_extent, has_width):
+        return None
+    z[~has_z] = 0.0
+    agent_ids = {cell: cell.strip() for cell in set(cols[1])}
+    table = _CsvColumns(
+        np.arange(2, n + 2), np.array(list(map(agent_ids.__getitem__, cols[1])), dtype=object),
+        np.array(list(map(types.__getitem__, cols[2])), dtype=object),
+        frames, x, y, z, heading, length, width, height, has_heading, has_extent, has_height,
+    )
+    scene_ids = {cell: cell.strip() for cell in set(cols[0])}
+    distinct = sorted(set(scene_ids.values()))
+    if len(distinct) == 1:
+        return {distinct[0]: table}
+    rank = {scene_id: k for k, scene_id in enumerate(distinct)}
+    cell_rank = {cell: rank[scene_id] for cell, scene_id in scene_ids.items()}
+    scene_of = np.fromiter(map(cell_rank.__getitem__, cols[0]), dtype=np.intp, count=n)
+    order = np.argsort(scene_of, kind="stable")
+    bounds = np.searchsorted(scene_of[order], np.arange(len(distinct) + 1)).tolist()
+    return {sid: table._make(col[order[lo:hi]] for col in table) for sid, lo, hi in zip(distinct, bounds, bounds[1:])}
+
+
+def _read_canonical(table_text: str) -> dict[str, _CsvColumns]:
+    """Scenes by scene_id: the column read, or the row loop where it declines."""
+    groups = _read_canonical_columns(table_text)
+    if groups is None:
+        groups = {scene_id: _rows_to_columns(rows) for scene_id, rows in _read_canonical_rows(table_text).items()}
+    return groups
 
 
 def _agent_tracks(agent_ids: Sequence, frames: Sequence[int], lines: Sequence[int]) -> tuple:
@@ -211,32 +328,34 @@ def _agent_tracks(agent_ids: Sequence, frames: Sequence[int], lines: Sequence[in
     if np.any(ts < 0):
         row = int(np.argmax(ts < 0))
         raise ParseError(f"line {lines[row]}: frame {frames[row]} is more than 2**63 - 1 frames after {frames.min()}")
-    ids, agent = np.unique(np.array(agent_ids, dtype=object), return_inverse=True)
+    ids = sorted(set(agent_ids))
+    rank = dict(zip(ids, range(len(ids))))
+    agent = np.fromiter(map(rank.__getitem__, agent_ids), dtype=np.intp, count=len(frames))
     order = np.lexsort((ts, agent))
     agent, ts = agent[order], ts[order]
     repeats = 1 + np.flatnonzero((agent[1:] == agent[:-1]) & (ts[1:] == ts[:-1]))
     repeat = int(repeats[0]) if repeats.size else len(order)
     offsets = np.searchsorted(agent, np.arange(len(ids) + 1))
-    return ids.tolist(), order, ts, offsets, int(np.append(agent, len(ids))[repeat]), repeat
+    return ids, order, ts, offsets, int(np.append(agent, len(ids))[repeat]), repeat
 
 
-def _build_scene(scene_id: str, raw_rows: list[tuple], meta: SceneMetaRecord) -> SceneFrame:
-    lines, agent_ids, types, frames, x, y, z, heading, length, width, height = zip(*raw_rows)
-    ids, order, ts, offsets, repeat_agent, repeat = _agent_tracks(agent_ids, frames, lines)
+def _build_scene(scene_id: str, cols: _CsvColumns, meta: SceneMetaRecord) -> SceneFrame:
+    ids, order, ts, offsets, repeat_agent, repeat = _agent_tracks(cols.agent_ids, cols.frames, cols.lines)
     # An agent's extent comes from its first row (in frame order) that has one.
-    has_extent = np.array([v is not None for v in length], dtype=bool)[order]
-    first_with = np.minimum.reduceat(np.where(has_extent, np.arange(len(order)), len(order)), offsets[:-1])
+    first_with = np.minimum.reduceat(np.where(cols.has_extent[order], np.arange(len(order)), len(order)), offsets[:-1])
     extent_rows = np.append(order, -1)[first_with]
     # Agents are checked in order, a repeated frame before the extent.
-    extents = [None if r < 0 else Extent(length[r], width[r], height[r]) for r in extent_rows[:repeat_agent].tolist()]
+    extents = [
+        None if r < 0 else Extent(float(cols.length[r]), float(cols.width[r]), float(cols.height[r]) if cols.has_height[r] else None)
+        for r in extent_rows[:repeat_agent].tolist()
+    ]
     if repeat_agent < len(ids):
-        raise ParseError(f"agent {ids[repeat_agent]}: non-monotone frames (duplicate frame {frames[order[repeat]]})")
-    headings_given = all(h is not None for h in heading)
+        raise ParseError(f"agent {ids[repeat_agent]}: non-monotone frames (duplicate frame {cols.frames[order[repeat]]})")
+    headings_given = bool(cols.has_heading.all())
     first, last, columns = complete_tracks(
-        offsets, ts, np.array(x)[order], np.array(y)[order], np.array(z)[order], meta.dt,
-        np.array(heading, dtype=np.float64)[order] if headings_given else None,
+        offsets, ts, cols.x[order], cols.y[order], cols.z[order], meta.dt, cols.heading[order] if headings_given else None
     )
-    agents = [AgentMetadata(agent_id, types[r], extent, f, l) for agent_id, r, extent, f, l
+    agents = [AgentMetadata(agent_id, cols.types[r], extent, f, l) for agent_id, r, extent, f, l
               in zip(ids, order[offsets[:-1]].tolist(), extents, first.tolist(), last.tolist())]
     return SceneFrame(
         scene_id, meta.dataset_tag(), meta.location, float(meta.dt), int(last.max()) + 1, agents, columns, not headings_given
@@ -244,9 +363,13 @@ def _build_scene(scene_id: str, raw_rows: list[tuple], meta: SceneMetaRecord) ->
 
 
 def parse_canonical_csv_many(table_text: str, meta: SceneMetaRecord) -> list[SceneFrame]:
-    """Parse a canonical CSV that may hold several scenes (grouped by scene_id)."""
-    groups = _read_canonical_rows(table_text)
-    return [_build_scene(scene_id, rows, meta) for scene_id, rows in sorted(groups.items())]
+    """Parse a canonical CSV that may hold several scenes (grouped by scene_id).
+
+    A plain text (no quote or CR, no blank line, 11 cells on every line, each
+    converting as the schema asks) is read a column at a time; any other text
+    is read by the row loop, which reports every malformed line, the first in
+    file order, with the same message either way."""
+    return [_build_scene(scene_id, cols, meta) for scene_id, cols in sorted(_read_canonical(table_text).items())]
 
 
 def parse_canonical_csv(table_text: str, meta: SceneMetaRecord) -> SceneFrame:
@@ -254,13 +377,14 @@ def parse_canonical_csv(table_text: str, meta: SceneMetaRecord) -> SceneFrame:
 
     Rows may arrive in any order (they are re-sorted); duplicate frames for an
     agent are rejected. Velocities and accelerations are always derived from
-    positions; headings are kept only when every row provides one.
+    positions; headings are kept only when every row provides one. The text
+    is read as parse_canonical_csv_many reads it.
     """
-    groups = _read_canonical_rows(table_text)
+    groups = _read_canonical(table_text)
     if len(groups) != 1:
         raise ParseError(f"expected a single scene, found scene_ids {sorted(groups)}")
-    scene_id, rows = next(iter(groups.items()))
-    return _build_scene(scene_id, rows, meta)
+    scene_id, cols = next(iter(groups.items()))
+    return _build_scene(scene_id, cols, meta)
 
 
 def write_canonical_csv(scene: SceneFrame, observed_only: bool = False) -> str:

@@ -79,22 +79,35 @@ _LIGHT_STATUSES = {m.value: m for m in TrafficLightStatus}
 # Geometry primitives
 # ---------------------------------------------------------------------------
 
-def _encode_points(points: np.ndarray) -> bytes:
-    """First point as 3 little-endian f64, then per-point 3xf32 deltas.
+def _encode_polylines(polylines: Sequence[np.ndarray]) -> list[bytes]:
+    """Each (n, 3) float64 polyline as its first point in 3 little-endian f64,
+    then per further point 3xf32 deltas.
 
     Deltas are taken against the decoder's running reconstruction (not the
-    original previous point) so quantization error never accumulates.
-    """
-    out = bytearray(struct.pack("<3d", float(points[0, 0]), float(points[0, 1]), float(points[0, 2])))
-    prev = [float(points[0, 0]), float(points[0, 1]), float(points[0, 2])]
-    for k in range(1, len(points)):
-        deltas = []
-        for j in range(3):
-            d = float(np.float32(points[k, j] - prev[j]))
-            deltas.append(d)
-            prev[j] = prev[j] + d
-        out += struct.pack("<3f", *deltas)
-    return bytes(out)
+    original previous point) so quantization error never accumulates. Step k
+    encodes point k of every polyline longer than k at once, by the float
+    operations of a per-point loop, so the bytes are the same."""
+    counts = np.array([len(p) for p in polylines], dtype=np.int64)
+    if not len(counts):
+        return []
+    pts = np.concatenate(polylines)
+    start = np.cumsum(counts) - counts
+    order = np.argsort(-counts, kind="stable")  # longest first: the polylines still stepping are a prefix
+    first, sizes = start[order], counts[order]
+    prev = pts[first]
+    deltas = np.zeros((len(pts), 3), dtype="<f4")
+    for k in range(1, int(sizes[0])):
+        m = int(np.count_nonzero(sizes > k))
+        rows = first[:m] + k
+        deltas[rows] = pts[rows] - prev[:m]
+        prev[:m] += deltas[rows]
+    # Polyline i takes units start + i to start + i + n: its base, then its deltas.
+    units = np.empty((len(pts) + len(counts), 12), dtype=np.uint8)
+    units[np.arange(len(pts)) + np.repeat(np.arange(len(counts)), counts) + 1] = deltas.view(np.uint8)
+    base = start + np.arange(len(counts))
+    units[base[:, None] + (0, 1)] = pts[start].astype("<f8").view(np.uint8).reshape(-1, 2, 12)
+    payload, ends = units.tobytes(), (12 * np.cumsum(counts + 1)).tolist()
+    return [payload[e - 12 * (n + 1) : e] for e, n in zip(ends, counts.tolist())]
 
 
 def _decode_polylines(buf: bytes, offset: int, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,11 +177,6 @@ class Polyline:
         d = np.diff(self.xy, axis=0)
         return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
 
-    def encode(self) -> bytes:
-        if self._encoded is None:
-            self._encoded = _encode_points(self.points)
-        return self._encoded
-
     @classmethod
     def _view(cls, points: np.ndarray, encoded: bytes) -> "Polyline":
         """A decoded polyline over points already checked, without __post_init__."""
@@ -183,6 +191,8 @@ def _normalize_ring(ring) -> np.ndarray:
         raise ValueError(f"ring points must be (N, 2), got {pts.shape}")
     if len(pts) >= 2 and np.all(pts[0] == pts[-1]):
         pts = pts[:-1]
+    if len(pts) < 2:  # the map format holds no ring of fewer points
+        raise ValueError(f"ring needs at least 2 points without its closing duplicate, got {len(pts)}")
     return pts
 
 
@@ -191,7 +201,7 @@ class PolygonArea:
     """Closed region given by an exterior ring and optional hole rings.
 
     Rings are stored open (no repeated closing vertex); a closing duplicate in
-    the input is dropped.
+    the input is dropped, and a ring must keep at least 2 points.
     """
 
     exterior: np.ndarray
@@ -199,8 +209,11 @@ class PolygonArea:
     _encoded: list[bytes] | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        given = (self.exterior, *self.holes)
         self.exterior = _normalize_ring(self.exterior)
         self.holes = [_normalize_ring(h) for h in self.holes]
+        if any(len(ring) != len(raw) for ring, raw in zip(self.rings(), given)):
+            self._encoded = None  # a payload of the rings before a closing duplicate was dropped
 
     def rings(self) -> list[np.ndarray]:
         return [self.exterior, *self.holes]
@@ -596,12 +609,6 @@ class VectorMap:
 _AREA_KINDS = ("road_areas", "ped_crosswalks", "ped_walkways")
 
 
-def _encode_area(area: PolygonArea) -> bytes:
-    if area._encoded is not None:
-        return b"".join(area._encoded)
-    return b"".join(_encode_points(np.column_stack([ring, np.zeros(len(ring))])) for ring in area.rings())
-
-
 def map_serialize(vmap: VectorMap) -> bytes:
     """Canonical binary encoding; byte-identical across repeated round trips."""
     lanes_entry = []
@@ -636,13 +643,17 @@ def map_serialize(vmap: VectorMap) -> bytes:
     out += struct.pack("<I", MAP_VERSION)
     out += struct.pack("<Q", len(header_bytes))
     out += header_bytes
-    for lane_id in sorted(vmap.lanes):
-        lane = vmap.lanes[lane_id]
-        for line in (lane.centerline, lane.left_edge, lane.right_edge):
-            out += b"" if line is None else line.encode()
-    for kind in _AREA_KINDS:
-        for area in getattr(vmap, kind):
-            out += _encode_area(area)
+    # A decoded polyline or area keeps its payload; every other one is encoded here, all at once.
+    lanes = [vmap.lanes[lane_id] for lane_id in sorted(vmap.lanes)]
+    lines = [line for lane in lanes for line in (lane.centerline, lane.left_edge, lane.right_edge) if line is not None]
+    areas = [area for kind in _AREA_KINDS for area in getattr(vmap, kind)]
+    fresh = [line.points for line in lines if line._encoded is None]
+    fresh += [np.column_stack([ring, np.zeros(len(ring))]) for area in areas if area._encoded is None for ring in area.rings()]
+    blobs = iter(_encode_polylines(fresh))
+    for line in lines:
+        out += next(blobs) if line._encoded is None else line._encoded
+    for area in areas:
+        out += b"".join(area._encoded if area._encoded is not None else [next(blobs) for _ in area.rings()])
     return bytes(out)
 
 

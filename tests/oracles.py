@@ -88,6 +88,22 @@ def brute_lanes_within(vmap, points, radius):
     return out
 
 
+def reference_encode_points(points):
+    """One polyline encoded point by point and coordinate by coordinate: the
+    encoder map_serialize replaced. The first point as 3 little-endian f64,
+    then per point 3xf32 deltas against the running reconstruction."""
+    out = bytearray(struct.pack("<3d", float(points[0, 0]), float(points[0, 1]), float(points[0, 2])))
+    prev = [float(points[0, 0]), float(points[0, 1]), float(points[0, 2])]
+    for k in range(1, len(points)):
+        deltas = []
+        for j in range(3):
+            d = float(np.float32(points[k, j] - prev[j]))
+            deltas.append(d)
+            prev[j] = prev[j] + d
+        out += struct.pack("<3f", *deltas)
+    return bytes(out)
+
+
 def reference_decode_points(buf, offset, n):
     """One encoded polyline by struct and a per-polyline cumsum: the decode
     the columnar map load replaced. Returns the points and the next offset."""

@@ -89,6 +89,29 @@ class TestIngestCommand:
         assert code == 0
         assert (tmp_path / "envcache" / "toy" / "s0.tksc").exists()
 
+    def test_cache_env_var_read_at_each_call(self, tmp_path, monkeypatch):
+        csv_path, meta_path = _write_inputs(tmp_path)
+        argv = ["ingest", "--input", str(csv_path), "--format", "canonical-csv", "--meta", str(meta_path)]
+        for name in ("first", "second"):
+            monkeypatch.setenv("TRAJKIT_CACHE", str(tmp_path / name))
+            assert main(argv) == 0
+        assert (tmp_path / "first" / "toy" / "s0.tksc").exists()
+        assert (tmp_path / "second" / "toy" / "s0.tksc").exists()
+
+    def test_empty_cache_flag_exit_64_with_env_var_set(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TRAJKIT_CACHE", str(tmp_path / "envcache"))
+        csv_path, meta_path = _write_inputs(tmp_path)
+        code = main(["ingest", "--input", str(csv_path), "--format", "canonical-csv", "--meta", str(meta_path), "--cache", ""])
+        assert code == 64
+        assert not (tmp_path / "envcache").exists()
+
+    def test_oversized_csv_field_exit_2(self, tmp_path, capsys):
+        csv_path, meta_path = _write_inputs(tmp_path, rows=["s0," + "a" * 200_000 + ",vehicle,0,0.0,0.0,,,,,"])
+        code = main(["ingest", "--input", str(csv_path), "--format", "canonical-csv", "--meta", str(meta_path), "--cache", str(tmp_path / "c")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: line 2: field larger than field limit") and "Traceback" not in err
+
     def test_missing_input_exit_5(self, tmp_path):
         _, meta_path = _write_inputs(tmp_path)
         code = main(["ingest", "--input", str(tmp_path / "nope.csv"), "--format", "canonical-csv", "--meta", str(meta_path), "--cache", str(tmp_path / "c")])

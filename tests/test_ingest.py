@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -36,6 +37,7 @@ from trajkit.ingest import (
 )
 
 from conftest import random_scene, rewrite_json_header
+from test_completion import random_csv
 
 HEADER = "scene_id,agent_id,agent_type,frame,x,y,z,heading,length,width,height"
 
@@ -107,6 +109,11 @@ class TestCanonicalCsv:
     def test_extent_needs_both_dims(self):
         text = _csv(["s0,a,vehicle,0,0.0,0.0,,,4.5,,"])
         with pytest.raises(ParseError, match="extent"):
+            parse_canonical_csv(text, _meta())
+
+    def test_oversized_field_names_line(self):
+        text = _csv(["s0,a,vehicle,0,0.0,0.0,,,,,", "s0," + "b" * (csv.field_size_limit() + 1) + ",vehicle,0,0.0,0.0,,,,,"])
+        with pytest.raises(ParseError, match=r"^line 3: field larger than field limit"):
             parse_canonical_csv(text, _meta())
 
     def test_row_order_insensitive(self):
@@ -202,6 +209,111 @@ class TestCanonicalCsv:
         text = _csv(["s0,a,vehicle,9223372036854775806,0.0,0.0,,,,,", "s0,a,vehicle,9223372036854775807,1.0,0.0,,,,,"])
         scene = parse_canonical_csv(text, _meta())
         assert (scene.agents[0].first_ts, scene.agents[0].last_ts) == (0, 1)
+
+
+def _row_loop_parse(text: str, meta: SceneMetaRecord) -> list:
+    """parse_canonical_csv_many with every text read by the row loop."""
+    groups = ingest._read_canonical_rows(text)
+    return [ingest._build_scene(scene_id, ingest._rows_to_columns(rows), meta) for scene_id, rows in sorted(groups.items())]
+
+
+def _scene_bytes_or_error(parse, text: str):
+    """scene_to_bytes of every scene parse gives, or the class and message of what it raised."""
+    with np.errstate(all="ignore"):  # the random CSVs hold NaN and infinite poses
+        try:
+            return [scene_to_bytes(scene) for scene in parse(text, _meta())]
+        except (ParseError, ValueError) as exc:
+            return type(exc), str(exc)
+
+
+# Mutations of one line of a clean CSV. The first six are valid CSV the column
+# read must decline (a quote, CR or blank line); the rest break a cell or a line.
+_DECLINED = ("quoted", "quoted_comma", "crlf", "cr", "blank", "trailing_blank")
+_MUTATIONS = _DECLINED + (
+    "nul", "whitespace", "missing", "extra", "agent_type", "frame", "float", "int64", "half_extent", "over_limit",
+)
+
+
+def _mutate(rng, text: str, kind: str) -> str:
+    header, *lines = text[:-1].split("\n")
+    k = int(rng.integers(len(lines)))
+    cells = lines[k].split(",")
+    c = int(rng.integers(len(cells)))
+    if kind == "crlf":
+        return text.replace("\n", "\r\n")
+    if kind == "cr":
+        return text.replace("\n", "\r")
+    if kind == "trailing_blank":
+        return text + rng.choice(["\n", "\n \n"])
+    if kind == "blank":
+        lines.insert(k, rng.choice(["", " ", "\t"]))
+        return "\n".join([header, *lines]) + "\n"
+    if kind == "quoted":
+        cells[c] = f'"{cells[c]}"'
+    elif kind == "quoted_comma":
+        cells[1] = f'"{cells[1]},x"'
+    elif kind == "nul":
+        cells[c] += "\x00"
+    elif kind == "whitespace":
+        cells[c] = f" {cells[c]}\t"
+    elif kind == "missing":
+        del cells[c]
+    elif kind == "extra":
+        cells.insert(c, "1")
+    elif kind == "agent_type":
+        cells[2] = rng.choice(["truck", ""])
+    elif kind == "frame":
+        cells[3] = rng.choice(["1.5", "x", ""])
+    elif kind == "float":
+        cells[int(rng.integers(4, 11))] = rng.choice(["abc", "1.5e", "--1"])
+    elif kind == "int64":
+        cells[3] = rng.choice(["9223372036854775808", "-9223372036854775809"])
+    elif kind == "half_extent":
+        cells[8:10] = ["2.5", ""] if rng.random() < 0.5 else ["", "1.5"]
+    elif kind == "over_limit":
+        cells[c] = "9" * (csv.field_size_limit() + 1)
+    lines[k] = ",".join(cells)
+    return "\n".join([header, *lines]) + "\n"
+
+
+class TestColumnRead:
+    """The column read of parse_canonical_csv_many against the row loop on the
+    random CSVs of test_completion, clean and mutated: equal scene bytes or
+    the same error. The column read declines every text the row loop rejects,
+    so every read error message comes from the row loop."""
+
+    @pytest.mark.parametrize("faults", [False, True])
+    def test_clean_texts_are_read_by_columns(self, faults):
+        rng = np.random.default_rng(300 + faults)
+        for _ in range(60):
+            text = random_csv(rng, faults)
+            assert ingest._read_canonical_columns(text) is not None
+            assert _scene_bytes_or_error(parse_canonical_csv_many, text) == _scene_bytes_or_error(_row_loop_parse, text)
+
+    @pytest.mark.parametrize("kind", _MUTATIONS)
+    def test_mutated_texts_match_row_loop(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        outcomes = set()
+        for _ in range(25):
+            text = _mutate(rng, random_csv(rng, False), kind)
+            want = _scene_bytes_or_error(_row_loop_parse, text)
+            assert _scene_bytes_or_error(parse_canonical_csv_many, text) == want
+            if ingest._read_canonical_columns(text) is not None:
+                assert kind not in _DECLINED
+                ingest._read_canonical_rows(text)  # raises no read error
+            outcomes.add(isinstance(want, tuple))
+        if kind in ("missing", "extra", "agent_type", "frame", "int64", "half_extent", "over_limit"):
+            assert outcomes == {True}
+        elif kind in _DECLINED:
+            assert outcomes == {False}
+
+    def test_interleaved_scenes_split_by_columns(self):
+        rows = [f"s{k % 3},a{k % 2},vehicle,{k},{k}.0,0.0,,,,," for k in range(12)] + [" s1 ,a0,vehicle,99,1.0,0.0,,,,,"]
+        text = _csv(rows)
+        groups = ingest._read_canonical_columns(text)
+        assert sorted(groups) == ["s0", "s1", "s2"]
+        assert groups["s1"].lines.tolist() == [3, 6, 9, 12, 14]
+        assert _scene_bytes_or_error(parse_canonical_csv_many, text) == _scene_bytes_or_error(_row_loop_parse, text)
 
 
 class TestFrameText:

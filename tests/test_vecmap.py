@@ -22,7 +22,7 @@ from trajkit.vecmap import (
     point_in_polygon,
     polygon_area,
 )
-from trajkit.vecmap import _decode_points, _decode_polylines, _encode_points
+from trajkit.vecmap import _decode_points, _decode_polylines, _encode_polylines
 
 from conftest import convex_polygon, random_lane_map, rewrite_json_header, square_area, straight_lane, tiny_traffic_map
 from oracles import (
@@ -31,6 +31,7 @@ from oracles import (
     crossing_number_inside,
     fan_triangulation_area,
     reference_decode_points,
+    reference_encode_points,
     reference_in_drivable_area,
     reference_map_deserialize,
     reference_map_polylines,
@@ -68,6 +69,14 @@ class TestPolygonArea:
     def test_degenerate_ring(self):
         with pytest.raises(DegenerateRingError):
             polygon_area(PolygonArea(np.array([(0.0, 0.0), (1.0, 0.0)])))
+
+    @pytest.mark.parametrize("ring", [[(1.0, 1.0)], [(1.0, 1.0), (1.0, 1.0)], np.zeros((0, 2))])
+    def test_ring_of_fewer_than_two_points_rejected(self, ring):
+        # map_deserialize refuses a ring of fewer than 2 points, so the model holds none.
+        with pytest.raises(ValueError, match="at least 2 points"):
+            PolygonArea(np.array(ring, dtype=float))
+        with pytest.raises(ValueError, match="at least 2 points"):
+            PolygonArea(np.array([(0.0, 0.0), (4.0, 0.0), (4.0, 4.0)]), [np.array(ring, dtype=float)])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -401,21 +410,21 @@ class TestMapModel:
 class TestPointCodec:
     def test_two_point_exact(self):
         pts = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
-        dec, _, _ = _decode_points(_encode_points(pts), 0, 2)
+        dec, _, _ = _decode_points(reference_encode_points(pts), 0, 2)
         assert np.array_equal(dec, pts)
 
     def test_long_jittered_error_bound(self):
         rng = np.random.default_rng(0)
         steps = rng.uniform(-5.0, 5.0, size=(9999, 3))
         pts = np.vstack([rng.uniform(-1000, 1000, 3), steps]).cumsum(axis=0)
-        dec, _, _ = _decode_points(_encode_points(pts), 0, len(pts))
+        dec, _, _ = _decode_points(reference_encode_points(pts), 0, len(pts))
         assert np.abs(dec - pts).max() <= 1e-3
 
     def test_error_does_not_accumulate(self):
         # constant tiny steps over many points stay within one-step quantization
         pts = np.zeros((5000, 3))
         pts[:, 0] = np.cumsum(np.full(5000, 0.123456789))
-        dec, _, _ = _decode_points(_encode_points(pts), 0, len(pts))
+        dec, _, _ = _decode_points(reference_encode_points(pts), 0, len(pts))
         assert np.abs(dec - pts).max() < 1e-5
 
 
@@ -442,6 +451,17 @@ def _rich_map(rng=None) -> VectorMap:
 
 
 class TestSerialization:
+    def test_ring_closed_by_its_encoding_round_trips(self):
+        # The last vertex decodes onto the first (its f32 delta rounds 1e-30
+        # away), so the decoded ring drops it and its stored payload with it.
+        ring = np.array([(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 1e-30)])
+        data = map_serialize(VectorMap("toy:flat", [straight_lane("L1", 0.0)], road_areas=[PolygonArea(ring)]))
+        again = map_deserialize(data)
+        assert again.road_areas[0].exterior.tolist() == ring[:3].tolist()
+        reserialized = map_serialize(again)
+        assert map_deserialize(reserialized).road_areas[0].exterior.tolist() == ring[:3].tolist()
+        assert map_serialize(map_deserialize(reserialized)) == reserialized
+
     def test_round_trip_non_geometry_exact(self):
         vmap = _rich_map()
         again = map_deserialize(map_serialize(vmap))
@@ -674,6 +694,27 @@ def _map_polylines(vmap: VectorMap) -> list[np.ndarray]:
     return out
 
 
+def _bench_sized_map() -> tuple[VectorMap, np.random.Generator]:
+    """500 lanes of 20 points and 50 drivable polygons, every fifth with a
+    hole, as in the analyze benchmark; and the generator, to draw queries."""
+    rng = np.random.default_rng(11)
+    lanes, areas = [], []
+    u = np.linspace(-85.0, 85.0, 20)
+    for r in range(50):
+        cx, cy, theta = (r % 10) * 240.0 + rng.uniform(-10, 10), (r // 10) * 120.0 + rng.uniform(-10, 10), rng.uniform(-0.3, 0.3)
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        for j in range(10):
+            local = np.stack([u, (j - 4.5) * 3.5 + 0.4 * np.sin(u / 25.0 + rng.uniform(0, 6.3))], axis=1)
+            pts = np.zeros((20, 3))
+            pts[:, :2] = local @ rot.T + (cx, cy)
+            lanes.append(RoadLane(f"r{r:02d}l{j}", Polyline(pts)))
+        xs = np.linspace(-91.0, 91.0, 8)
+        ring = np.vstack([np.stack([xs, np.full(8, -19.0)], 1), np.stack([xs[::-1], np.full(8, 19.0)], 1)])
+        hole = [np.array([(-12.0, -0.9), (12.0, -0.9), (12.0, 0.9), (-12.0, 0.9)]) @ rot.T + (cx, cy)] if r % 5 == 0 else []
+        areas.append(PolygonArea(ring @ rot.T + (cx, cy), hole))
+    return VectorMap("bench:grid", lanes, road_areas=areas), rng
+
+
 class TestColumnarDecode:
     """The one-pass decoder against the per-polyline decode in oracles.py."""
 
@@ -700,7 +741,7 @@ class TestColumnarDecode:
     def test_one_polyline_case(self):
         rng = np.random.default_rng(3)
         pts = np.vstack([rng.uniform(-1e3, 1e3, 3), rng.uniform(-5, 5, (99, 3))]).cumsum(axis=0)
-        blob = b"pad" + _encode_points(pts)
+        blob = b"pad" + reference_encode_points(pts)
         dec, raw, end = _decode_points(blob, 3, 100)
         assert raw == blob[3:] and end == len(blob)
         assert dec.tobytes() == reference_decode_points(blob, 3, 100)[0].tobytes()
@@ -718,24 +759,8 @@ class TestColumnarDecode:
             map_deserialize(bytes(patched))
 
     def test_bench_sized_map_answers_match(self):
-        # 500 lanes of 20 points and 50 drivable polygons, every fifth with a
-        # hole, as in the analyze benchmark.
-        rng = np.random.default_rng(11)
-        lanes, areas = [], []
-        u = np.linspace(-85.0, 85.0, 20)
-        for r in range(50):
-            cx, cy, theta = (r % 10) * 240.0 + rng.uniform(-10, 10), (r // 10) * 120.0 + rng.uniform(-10, 10), rng.uniform(-0.3, 0.3)
-            rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-            for j in range(10):
-                local = np.stack([u, (j - 4.5) * 3.5 + 0.4 * np.sin(u / 25.0 + rng.uniform(0, 6.3))], axis=1)
-                pts = np.zeros((20, 3))
-                pts[:, :2] = local @ rot.T + (cx, cy)
-                lanes.append(RoadLane(f"r{r:02d}l{j}", Polyline(pts)))
-            xs = np.linspace(-91.0, 91.0, 8)
-            ring = np.vstack([np.stack([xs, np.full(8, -19.0)], 1), np.stack([xs[::-1], np.full(8, 19.0)], 1)])
-            hole = [np.array([(-12.0, -0.9), (12.0, -0.9), (12.0, 0.9), (-12.0, 0.9)]) @ rot.T + (cx, cy)] if r % 5 == 0 else []
-            areas.append(PolygonArea(ring @ rot.T + (cx, cy), hole))
-        data = map_serialize(VectorMap("bench:grid", lanes, road_areas=areas))
+        vmap, rng = _bench_sized_map()
+        data = map_serialize(vmap)
         got, want = map_deserialize(data), reference_map_deserialize(data)
         assert map_serialize(got) == data
         points = np.column_stack([rng.uniform(-30, 2200, 500), rng.uniform(-30, 500, 500)])
@@ -746,3 +771,34 @@ class TestColumnarDecode:
         inside = [got.point_in_drivable_area(p) for p in points]
         assert inside == [want.point_in_drivable_area(p) for p in points] == [reference_in_drivable_area(want, p) for p in points]
         assert 0 < sum(inside) < len(points)
+
+
+def _reference_payload(vmap: VectorMap) -> bytes:
+    """The geometry payload of a map encoded polyline by polyline, rings with z = 0."""
+    lines = _map_polylines(vmap)
+    return b"".join(reference_encode_points(p if p.shape[1] == 3 else np.column_stack([p, np.zeros(len(p))])) for p in lines)
+
+
+class TestOnePassEncode:
+    """map_serialize encodes every polyline at once; the per-point encoder in
+    oracles.py is the reference, byte for byte."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ["centerline", "edges", "holes", "same_length", "mixed", "nonfinite"])
+    def test_random_maps(self, kind, seed):
+        vmap = _codec_map(np.random.default_rng(2000 * seed + len(kind)), kind)
+        data = map_serialize(vmap)
+        (header_len,) = struct.unpack_from("<Q", data, 10)
+        assert data[18 + header_len :] == _reference_payload(vmap)
+
+    def test_bench_sized_map(self):
+        vmap, _ = _bench_sized_map()
+        data = map_serialize(vmap)
+        (header_len,) = struct.unpack_from("<Q", data, 10)
+        assert data[18 + header_len :] == _reference_payload(vmap)
+
+    def test_one_point_steps_and_empty(self):
+        rng = np.random.default_rng(4)
+        lines = [np.vstack([rng.uniform(-1e4, 1e4, 3), rng.uniform(-1, 1, (n - 1, 3))]).cumsum(axis=0) for n in (2, 9, 2, 30)]
+        assert _encode_polylines(lines) == [reference_encode_points(p) for p in lines]
+        assert _encode_polylines([]) == []
