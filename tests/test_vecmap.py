@@ -410,21 +410,21 @@ class TestMapModel:
 class TestPointCodec:
     def test_two_point_exact(self):
         pts = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
-        dec, _, _ = _decode_points(reference_encode_points(pts), 0, 2)
+        dec, _, _ = _decode_points(_encode_polylines([pts])[0], 0, 2)
         assert np.array_equal(dec, pts)
 
     def test_long_jittered_error_bound(self):
         rng = np.random.default_rng(0)
         steps = rng.uniform(-5.0, 5.0, size=(9999, 3))
         pts = np.vstack([rng.uniform(-1000, 1000, 3), steps]).cumsum(axis=0)
-        dec, _, _ = _decode_points(reference_encode_points(pts), 0, len(pts))
+        dec, _, _ = _decode_points(_encode_polylines([pts])[0], 0, len(pts))
         assert np.abs(dec - pts).max() <= 1e-3
 
     def test_error_does_not_accumulate(self):
         # constant tiny steps over many points stay within one-step quantization
         pts = np.zeros((5000, 3))
         pts[:, 0] = np.cumsum(np.full(5000, 0.123456789))
-        dec, _, _ = _decode_points(reference_encode_points(pts), 0, len(pts))
+        dec, _, _ = _decode_points(_encode_polylines([pts])[0], 0, len(pts))
         assert np.abs(dec - pts).max() < 1e-5
 
 
@@ -741,7 +741,7 @@ class TestColumnarDecode:
     def test_one_polyline_case(self):
         rng = np.random.default_rng(3)
         pts = np.vstack([rng.uniform(-1e3, 1e3, 3), rng.uniform(-5, 5, (99, 3))]).cumsum(axis=0)
-        blob = b"pad" + reference_encode_points(pts)
+        blob = b"pad" + _encode_polylines([pts])[0]
         dec, raw, end = _decode_points(blob, 3, 100)
         assert raw == blob[3:] and end == len(blob)
         assert dec.tobytes() == reference_decode_points(blob, 3, 100)[0].tobytes()
