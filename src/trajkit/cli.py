@@ -256,7 +256,9 @@ def main(argv=None) -> int:
         level = logging.INFO
     elif args.verbose >= 2:
         level = logging.DEBUG
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig adds the stderr handler only while the root logger has none, so the level is set here on every call.
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(level)
 
     try:
         return args.func(args)

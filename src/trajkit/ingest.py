@@ -163,18 +163,17 @@ def _read_canonical_rows(table_text: str) -> dict[str, list[tuple]]:
     The row loop: it reads any text csv.reader reads and reports every read
     error, the first in file order."""
     reader = csv.reader(io.StringIO(table_text, newline=""))
-    line_no = 0  # the last record read
     try:
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError("empty input: missing canonical header") from None
-        line_no = 1
         header = tuple(h.strip() for h in header)
         if header != CANONICAL_HEADER:
             raise ParseError(f"line 1: header {header!r} does not match canonical schema {CANONICAL_HEADER!r}")
         scenes: dict[str, list[tuple]] = {}
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num  # the physical line that ends the record; a quoted cell may hold newlines
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != len(CANONICAL_HEADER):
@@ -204,7 +203,7 @@ def _read_canonical_rows(table_text: str) -> dict[str, list[tuple]]:
                 raise ParseError(f"line {line_no}: extent needs both length and width (or neither)")
             scenes.setdefault(scene_id, []).append((line_no, agent_id, agent_type, frame, x, y, z, heading, length, width, height))
     except csv.Error as exc:  # a field longer than csv.field_size_limit()
-        raise ParseError(f"line {line_no + 1}: {exc}") from None
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
     if not scenes:
         raise ParseError("no data rows after header")
     return scenes
@@ -653,7 +652,7 @@ def scene_from_bytes(data: bytes) -> SceneFrame:
 
     try:
         return _scene_from_header(header, data, pos)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: a ts beyond int64 or infinite
         raise CacheError(f"cache header does not match the scene schema: {exc!r}") from exc
 
 
@@ -682,8 +681,10 @@ def _scene_from_header(header: dict, data: bytes, pos: int) -> SceneFrame:
 
     agents = []
     for raw in header["agents"]:
-        ext = raw["extent"]
-        extent = None if ext is None else Extent(ext[0], ext[1], ext[2])
+        extent = None
+        if raw["extent"] is not None:
+            length, width, height = raw["extent"]  # ValueError unless exactly three values
+            extent = Extent(length, width, height)
         agents.append(
             AgentMetadata(raw["agent_id"], AgentType.from_string(raw["agent_type"]), extent, int(raw["first_ts"]), int(raw["last_ts"]))
         )

@@ -16,7 +16,6 @@ from trajkit.analysis import (
     Histogram,
     _agent_counts,
     _agent_rows,
-    _offroad_counts,
     _offroad_rows,
     _rate_entry,
     obb_corners,
@@ -236,6 +235,15 @@ def reference_in_drivable_area(vmap, point):
     """``VectorMap.point_in_drivable_area`` as a scan over every drivable polygon."""
     px, py = float(point[0]), float(point[1])
     return any(reference_point_in_polygon(px, py, poly) for poly in vmap.drivable_polygons())
+
+
+def reference_offroad_counts(scene, vmap, rows):
+    """``analysis._offroad_counts`` one point at a time over the per-polygon
+    scan: the per-point loop the batch drivable-area test replaced."""
+    cols = scene.columns
+    off = np.zeros(len(cols), dtype=bool)
+    off[rows] = [not reference_in_drivable_area(vmap, (x, y)) for x, y in zip(cols.x[rows], cols.y[rows])]
+    return _agent_counts(scene, rows, off)
 
 
 def fan_triangulation_area(ring):
@@ -825,7 +833,7 @@ def reference_sim_score(state, vmap):
     real = reference_window_scene(state, simulated=False)
     offroad = None
     if vmap is not None and vmap.has_drivable_area:
-        offroad = _pooled_rate(sim, lambda s: _offroad_counts(s, vmap, _offroad_rows(s, OFFROAD_TYPES)))
+        offroad = _pooled_rate(sim, lambda s: reference_offroad_counts(s, vmap, _offroad_rows(s, OFFROAD_TYPES)))
     sc, rc = sim.columns, real.columns
     return SimMetrics(
         collision_rate=_pooled_rate(sim, reference_scene_collisions),

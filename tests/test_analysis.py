@@ -10,6 +10,9 @@ from trajkit.analysis import (
     METRIC_NAMES,
     AnalysisConfig,
     Histogram,
+    _OFFROAD_BLOCK,
+    _offroad_counts,
+    _offroad_rows,
     _scene_collisions,
     _scenes_by_dataset,
     agent_density,
@@ -33,7 +36,7 @@ from trajkit.ingest import Circle, SceneCache, StopAndGo, Straight, synth_scene
 from trajkit.kinematics import complete_track
 from trajkit.vecmap import VectorMap
 
-from conftest import random_scene, straight_lane
+from conftest import random_scene, square_area, straight_lane
 from oracles import (
     REFERENCE_METRICS,
     crossing_number_inside,
@@ -41,6 +44,7 @@ from oracles import (
     obb_overlap_by_sampling,
     reference_obb_corners,
     reference_obb_intersect,
+    reference_offroad_counts,
     reference_scene_collisions,
 )
 
@@ -719,6 +723,24 @@ class TestOffroad:
         rings = [vmap.drivable_polygons()[0].rings()[0]]
         want_any_off = any(not crossing_number_inside(x, y, rings) for x, y in zip(xs, ys))
         assert (rates["toy"]["vehicle"]["rate"] == 1.0) == want_any_off
+
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, _OFFROAD_BLOCK + 1, None])
+    def test_counts_match_per_point_reference(self, offset):
+        # _OFFROAD_BLOCK + offset random selected rows (None: every observed one), on and off
+        # bounded lanes and a road area with a hole.
+        rng = np.random.default_rng(0)
+        scene = random_scene(rng, n_agents=16, n_timesteps=120)
+        lanes = [straight_lane(f"L{k}", y, half_width=2.0) for k, y in enumerate((-30.0, -5.0, 0.0, 20.0))]
+        vmap = VectorMap("toy:flat", lanes, road_areas=[square_area(-60.0, -60.0, 50.0, holes=[[(-40.0, -40.0), (-30.0, -40.0), (-35.0, -30.0)]])])
+        rows = scene.columns.observed & _offroad_rows(scene, [str(t) for t in AgentType])
+        if offset is not None:
+            keep = rng.choice(np.flatnonzero(rows), _OFFROAD_BLOCK + offset, replace=False)
+            rows = np.zeros_like(rows)
+            rows[keep] = True
+        got, want = _offroad_counts(scene, vmap, rows), reference_offroad_counts(scene, vmap, rows)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert 0 < got[0].sum() < got[1].sum()
 
 
 class TestOffroadWithoutDrivableArea:

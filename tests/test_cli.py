@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -401,6 +402,17 @@ class TestSimReplayCommand:
 class TestUsage:
     def test_no_command_exit_64(self):
         assert main([]) == 64
+
+    def test_verbosity_is_set_on_every_call(self, tmp_path):
+        # The root logger has handlers here, as after a first call in any process: each call still sets the level.
+        map_path, root = _map_file(tmp_path), logging.getLogger()
+        before = root.level
+        try:
+            for flags, level in (([], logging.WARNING), (["-vv"], logging.DEBUG), (["-v"], logging.INFO), ([], logging.WARNING)):
+                assert main([*flags, "map", "--map", str(map_path), "stats"]) == 0
+                assert root.level == level, flags
+        finally:
+            root.setLevel(before)
 
     def test_unknown_command_exit_64(self):
         assert main(["frobnicate"]) == 64

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trajkit
 from trajkit import ingest
+from trajkit.cli import main
 from trajkit.core import AgentType, scene_validate
 from trajkit.ingest import (
     CacheChecksumError,
@@ -31,6 +33,7 @@ from trajkit.ingest import (
     parse_canonical_csv,
     parse_canonical_csv_many,
     parse_frame_text,
+    scene_from_bytes,
     scene_to_bytes,
     synth_scene,
     write_canonical_csv,
@@ -114,6 +117,11 @@ class TestCanonicalCsv:
     def test_oversized_field_names_line(self):
         text = _csv(["s0,a,vehicle,0,0.0,0.0,,,,,", "s0," + "b" * (csv.field_size_limit() + 1) + ",vehicle,0,0.0,0.0,,,,,"])
         with pytest.raises(ParseError, match=r"^line 3: field larger than field limit"):
+            parse_canonical_csv(text, _meta())
+
+    def test_error_after_a_multiline_cell_names_its_physical_line(self):
+        text = _csv(['s0,"a\nb",vehicle,0,0.0,0.0,,,,,', "s0,c,vehicle,0,zero,0.0,,,,,"])
+        with pytest.raises(ParseError, match=r"^line 4: malformed numeric cell 'zero' in column x"):
             parse_canonical_csv(text, _meta())
 
     def test_row_order_insensitive(self):
@@ -639,6 +647,78 @@ class TestConcurrentWriters:
         assert cache_load(path) == old
         assert sorted(p.name for p in (tmp_path / "dsa").iterdir()) == ["index.json", "s.tksc"]
         assert (tmp_path / "dsa" / "index.json").read_bytes() == index
+
+
+def _set_at(*keys):
+    """An edit of a .tksc JSON header that sets the value at keys."""
+    def edit(header, value):
+        for key in keys[:-1]:
+            header = header[key]
+        header[keys[-1]] = value
+    return edit
+
+
+SCENE_HEADER_EDITS = {
+    "n_rows": _set_at("n_rows"),
+    "n_timesteps": _set_at("n_timesteps"),
+    "dt": _set_at("dt"),
+    "first_ts": _set_at("agents", 0, "first_ts"),
+    "last_ts": _set_at("agents", 1, "last_ts"),
+    "extent": _set_at("agents", 0, "extent"),
+    "agent_type": _set_at("agents", 1, "agent_type"),
+    "dtype": _set_at("columns", 2, "dtype"),
+    "column_name": _set_at("columns", 3, "name"),
+    "heading_derived": _set_at("heading_derived"),
+}
+
+
+class TestSceneFormatFuzz:
+    """Corrupt .tksc files raise CacheError subclasses only, and no numpy
+    warning escapes (the suite turns warnings into errors)."""
+
+    DATA = scene_to_bytes(random_scene(np.random.default_rng(0), n_agents=3, n_timesteps=12))
+
+    @staticmethod
+    def _load(data: bytes) -> None:
+        try:
+            scene_from_bytes(data)
+        except CacheError:
+            pass
+
+    def test_every_truncation(self):
+        for cut in range(len(self.DATA)):
+            with pytest.raises(CacheError):
+                scene_from_bytes(self.DATA[:cut])
+
+    @given(st.lists(st.integers(0, 8 * len(DATA) - 1), min_size=1, max_size=3))
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    def test_bit_flips(self, bits):
+        data = bytearray(self.DATA)
+        for bit in bits:
+            data[bit // 8] ^= 1 << (bit % 8)
+        self._load(bytes(data))
+
+    @given(
+        st.sampled_from(sorted(SCENE_HEADER_EDITS)),
+        st.one_of(
+            st.integers(-3, 40), st.integers(2**62, 2**70), st.floats(), st.booleans(), st.none(),
+            st.text(max_size=3), st.lists(st.integers(0, 9), max_size=3),
+        ),
+    )
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    def test_header_edits(self, key, value):
+        # The checksum is recomputed, so only the header's own checks stand.
+        self._load(rewrite_json_header(self.DATA, lambda h: SCENE_HEADER_EDITS[key](h, value), crc=True))
+
+    def test_cli_analyze_on_a_corrupt_scene_exits_2(self, tmp_path, capsys):
+        cache = SceneCache(tmp_path / "cache")
+        path = cache.write(synth_scene(Straight(1.0), 2, 20, 0.1))
+        data = bytearray(path.read_bytes())
+        data[-30] ^= 0x10
+        path.write_bytes(bytes(data))
+        code = main(["analyze", "--cache", str(tmp_path / "cache"), "--tags", "synth", "--metrics", "speed", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2 and "CRC mismatch" in err and "Traceback" not in err
 
 
 class TestCacheHeaderSchema:

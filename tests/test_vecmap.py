@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trajkit.analysis import _OFFROAD_BLOCK
 from trajkit.vecmap import (
     DanglingLaneError,
     DegenerateRingError,
@@ -180,7 +181,8 @@ class TestLaneQueries:
             ):
                 lanes.append(RoadLane(lane_id, Polyline(np.stack([xs, ys, np.zeros(25)], axis=1))))
         vmap = VectorMap("toy:lattice", lanes)
-        assert len(vmap._index.levels) >= 3
+        n_leaves = vmap._index.lo.shape[1]
+        assert n_leaves >= 3 and len(vmap._index.walk(0.0, 0.0)[0]) < n_leaves  # a query prunes a leaf
         # Vertices, midlines between lanes and points outside the lattice.
         grid = np.arange(-2.0, 34.0)
         points = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
@@ -189,6 +191,50 @@ class TestLaneQueries:
         for radius in (0.0, 1.0, 2.0):
             for p, want in zip(points, brute_lanes_within(vmap, points, radius)):
                 assert vmap.lanes_within(p, radius) == want
+
+
+def _assert_lane_queries_match_brute_force(vmap: VectorMap, points: np.ndarray, radii) -> None:
+    for chunk in np.array_split(points, max(1, len(points) // 50)):  # the brute-force matrices stay small
+        for p, (lane, dist) in zip(chunk, brute_closest_lanes(vmap, chunk)):
+            assert vmap.closest_lane_with_distance(p) == (lane, dist), p
+        for radius in radii:
+            for p, want in zip(chunk, brute_lanes_within(vmap, chunk, radius)):
+                assert vmap.lanes_within(p, radius) == want, (p, radius)
+
+
+class TestLeafScan:
+    """The one-level leaf scan of the segment index against brute force."""
+
+    def test_thousand_leaf_lattice_with_ties(self):
+        # 40 horizontal and 40 vertical lanes of 200 unit segments, each drawn
+        # twice under different ids (one copy reversed): 32,000 segments.
+        run = np.arange(201.0)
+        lanes = []
+        for k in range(40):
+            for lane_id, xs, ys in (
+                (f"h{k:02d}", run, np.full(201, 5.0 * k)),
+                (f"a_h{k:02d}", run[::-1], np.full(201, 5.0 * k)),
+                (f"v{k:02d}", np.full(201, 5.0 * k), run),
+                (f"z_v{k:02d}", np.full(201, 5.0 * k), run),
+            ):
+                lanes.append(RoadLane(lane_id, Polyline(np.stack([xs, ys, np.zeros(201)], axis=1))))
+        vmap = VectorMap("toy:lattice", lanes)
+        assert vmap._index.lo.shape[1] >= 1000
+        rng = np.random.default_rng(11)
+        vertices = rng.integers(-3, 204, size=(150, 2)).astype(float)  # lattice vertices, crossings and points beyond
+        midlines = 2.5 + 5.0 * rng.integers(-1, 41, size=(50, 2))
+        scattered = rng.uniform(-20.0, 220.0, size=(50, 2))
+        _assert_lane_queries_match_brute_force(vmap, np.vstack([vertices, midlines, scattered]), (0.0, 1.0, 2.5))
+
+    @pytest.mark.parametrize("n_lanes", [1, 7, 23])
+    def test_padded_last_leaf(self, n_lanes):
+        rng = np.random.default_rng(n_lanes)
+        vmap = random_lane_map(rng, n_lanes=n_lanes)
+        n_segments = sum(len(lane.centerline) - 1 for lane in vmap.lanes.values())
+        assert n_segments % 16 != 0
+        vertices = np.concatenate([lane.centerline.xy for lane in vmap.lanes.values()])
+        points = np.vstack([vertices, rng.uniform(-250.0, 250.0, size=(100, 2))])
+        _assert_lane_queries_match_brute_force(vmap, points, (0.0, 5.0, 40.0))
 
 
 class TestDrivableArea:
@@ -281,6 +327,42 @@ class TestDrivableAreaEquivalence:
         assert np.array_equal(got, want), f"{np.count_nonzero(got != want)} of {len(points)} differ"
         assert 0 < got.sum() < len(points)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_batch_matches_per_point_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        vmap = _random_drivable_map(rng)
+        points = _probe_points(rng, vmap)
+        want = np.array([reference_in_drivable_area(vmap, p) for p in points])
+        assert np.array_equal(vmap.points_in_drivable_area(points), want)
+        # Non-finite points among finite ones, and (N, 3) input.
+        mixed = np.vstack([NON_FINITE_POINTS, points[:50]])
+        assert np.array_equal(vmap.points_in_drivable_area(mixed), [False] * len(NON_FINITE_POINTS) + list(want[:50]))
+        assert np.array_equal(vmap.points_in_drivable_area(np.column_stack([points, np.ones(len(points))])), want)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_batch_around_the_offroad_block_size(self, offset):
+        rng = np.random.default_rng(300 + offset)
+        vmap = _random_drivable_map(rng)
+        points = _probe_points(rng, vmap)[: _OFFROAD_BLOCK + offset]
+        assert len(points) == _OFFROAD_BLOCK + offset
+        want = [reference_in_drivable_area(vmap, p) for p in points]
+        assert vmap.points_in_drivable_area(points).tolist() == want
+
+    def test_batch_of_no_points(self):
+        vmap = _random_drivable_map(np.random.default_rng(5))
+        for empty in (np.zeros((0, 2)), np.zeros((0, 3))):
+            got = vmap.points_in_drivable_area(empty)
+            assert got.dtype == bool and got.shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(2,), (4, 1), (4, 4), (2, 2, 2)])
+    def test_batch_rejects_bad_shapes(self, shape):
+        with pytest.raises(ValueError, match="points must be"):
+            _random_drivable_map(np.random.default_rng(5)).points_in_drivable_area(np.zeros(shape))
+
+    def test_batch_on_a_map_without_area_is_unsupported(self):
+        with pytest.raises(DrivableAreaUnsupported):
+            VectorMap("toy:flat", [straight_lane("L1", 0.0)]).points_in_drivable_area(np.zeros((3, 2)))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_point_in_polygon_matches_reference(self, seed):
         rng = np.random.default_rng(100 + seed)
@@ -308,10 +390,12 @@ class TestDrivableAreaEquivalence:
         ring = np.array([(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (np.nan, 5.0), (0.0, 10.0)])
         vmap = VectorMap("toy:flat", [straight_lane("L1", 500.0)], road_areas=[PolygonArea(ring)])
         assert np.isinf(vmap._drivable._lo[:, 0]).all()
-        for p in [(5.0, 2.0), (5.0, 8.0), (10.0, 5.0), (-1.0, 5.0), (20.0, 20.0), (np.inf, 5.0), (-np.inf, 5.0)]:
-            # An infinite point meets the horizontal edge as inf * 0, as in the reference.
-            with np.errstate(invalid="ignore"):
-                assert vmap.point_in_drivable_area(p) == reference_in_drivable_area(vmap, p)
+        points = [(5.0, 2.0), (5.0, 8.0), (10.0, 5.0), (-1.0, 5.0), (20.0, 20.0), (np.inf, 5.0), (-np.inf, 5.0)]
+        # An infinite point meets the horizontal edge as inf * 0, as in the reference.
+        with np.errstate(invalid="ignore"):
+            want = [reference_in_drivable_area(vmap, p) for p in points]
+            assert [vmap.point_in_drivable_area(p) for p in points] == want
+            assert vmap.points_in_drivable_area(points).tolist() == want
 
 
 class TestNonFiniteLaneQueries:
