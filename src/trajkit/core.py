@@ -342,8 +342,8 @@ def scene_validate(scene: SceneFrame) -> list[str]:
     timestep, and the violated rule.
     """
     violations: list[str] = []
-    if not scene.dt > 0.0:
-        violations.append(f"scene {scene.scene_id}: dt {scene.dt} not positive (dt-positive)")
+    if not 0.0 < scene.dt < math.inf:
+        violations.append(f"scene {scene.scene_id}: dt {scene.dt} not finite and positive (dt-positive)")
 
     seen_ids: set[str] = set()
     for meta in scene.agents:

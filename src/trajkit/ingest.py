@@ -113,8 +113,8 @@ class SceneMetaRecord:
     split: str | None = None
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
 
     def dataset_tag(self) -> str:
         return SceneTag(self.dataset, split=self.split).render()
@@ -122,11 +122,16 @@ class SceneMetaRecord:
     @classmethod
     def from_json(cls, text: str) -> "SceneMetaRecord":
         """Record from a JSON object; ValueError names a required key that is
-        missing or a key whose value has the wrong type."""
+        missing, a key whose value has the wrong type, or a dt that is not
+        finite and > 0."""
         raw = _checked_object(json.loads(text), _META_KINDS, ("scene_id", "dt", "dataset"), "scene metadata")
+        try:
+            dt = float(raw["dt"])
+        except OverflowError:
+            raise ValueError("dt must be finite and > 0, got an integer beyond the float range") from None
         return cls(
             scene_id=raw["scene_id"],
-            dt=float(raw["dt"]),
+            dt=dt,
             location=raw.get("location", ""),
             dataset=raw["dataset"],
             split=raw.get("split") or None,
@@ -143,75 +148,9 @@ class SceneMetaRecord:
 # Canonical CSV
 # ---------------------------------------------------------------------------
 
-def _parse_float(cell: str, line_no: int, column: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise ParseError(f"line {line_no}: malformed numeric cell {cell!r} in column {column}") from None
-
-
-def _parse_optional_float(cell: str, line_no: int, column: str) -> float | None:
-    cell = cell.strip()
-    if not cell:
-        return None
-    return _parse_float(cell, line_no, column)
-
-
-def _read_canonical_rows(table_text: str) -> dict[str, list[tuple]]:
-    """Raw rows grouped by scene_id; each row is (line_no, agent_id, type, frame, x, y, z, heading, l, w, h).
-
-    The row loop: it reads any text csv.reader reads and reports every read
-    error, the first in file order."""
-    reader = csv.reader(io.StringIO(table_text, newline=""))
-    try:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty input: missing canonical header") from None
-        header = tuple(h.strip() for h in header)
-        if header != CANONICAL_HEADER:
-            raise ParseError(f"line 1: header {header!r} does not match canonical schema {CANONICAL_HEADER!r}")
-        scenes: dict[str, list[tuple]] = {}
-        for row in reader:
-            line_no = reader.line_num  # the physical line that ends the record; a quoted cell may hold newlines
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(CANONICAL_HEADER):
-                raise ParseError(f"line {line_no}: expected {len(CANONICAL_HEADER)} fields, got {len(row)}")
-            scene_id = row[0].strip()
-            agent_id = row[1].strip()
-            try:
-                agent_type = AgentType.from_string(row[2].strip())
-            except ValueError as exc:
-                raise ParseError(f"line {line_no}: {exc}") from None
-            frame_cell = row[3].strip()
-            try:
-                frame = int(frame_cell)
-            except ValueError:
-                raise ParseError(f"line {line_no}: frame {frame_cell!r} is not an integer") from None
-            if not -(2**63) <= frame < 2**63:
-                raise ParseError(f"line {line_no}: frame {frame_cell!r} does not fit in int64")
-            x = _parse_float(row[4].strip(), line_no, "x")
-            y = _parse_float(row[5].strip(), line_no, "y")
-            z = _parse_optional_float(row[6], line_no, "z")
-            z = 0.0 if z is None else z
-            heading = _parse_optional_float(row[7], line_no, "heading")
-            length = _parse_optional_float(row[8], line_no, "length")
-            width = _parse_optional_float(row[9], line_no, "width")
-            height = _parse_optional_float(row[10], line_no, "height")
-            if (length is None) != (width is None):
-                raise ParseError(f"line {line_no}: extent needs both length and width (or neither)")
-            scenes.setdefault(scene_id, []).append((line_no, agent_id, agent_type, frame, x, y, z, heading, length, width, height))
-    except csv.Error as exc:  # a field longer than csv.field_size_limit()
-        raise ParseError(f"line {reader.line_num}: {exc}") from None
-    if not scenes:
-        raise ParseError("no data rows after header")
-    return scenes
-
-
 class _CsvColumns(NamedTuple):
     """One scene's canonical CSV rows as columns, in file order. An optional
-    cell left empty reads NaN (z reads 0.0) and False in its mask."""
+    cell left blank reads NaN (z reads 0.0) and False in its mask."""
 
     lines: np.ndarray
     agent_ids: np.ndarray
@@ -229,92 +168,149 @@ class _CsvColumns(NamedTuple):
     has_height: np.ndarray
 
 
-def _rows_to_columns(rows: list[tuple]) -> _CsvColumns:
-    """The columns of one scene's rows from _read_canonical_rows."""
-    lines, agent_ids, types, frames, x, y, z, heading, length, width, height = zip(*rows)
-    values = [np.array([math.nan if v is None else v for v in col], dtype=np.float64) for col in (heading, length, width, height)]
-    given = [np.array([v is not None for v in col], dtype=bool) for col in (heading, length, height)]
-    return _CsvColumns(
-        np.array(lines), np.array(agent_ids, dtype=object), np.array(types, dtype=object), np.array(frames, dtype=np.int64),
-        np.array(x), np.array(y), np.array(z), *values, *given,
-    )
+class _CellError(Exception):
+    """A table _convert_cells rejects. The message names the first row's cell,
+    so with the row's line in front it is that row's ParseError message."""
 
 
-def _optional_column(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Values of a column, NaN where a cell is empty, and which cells are not;
-    ValueError if another cell is not a float (a blank one among them)."""
+def _read_cells(table_text: str) -> tuple[list[list[str]], np.ndarray, ParseError | None]:
+    """The 11 cell columns of the data rows, each row's line number, and the
+    read error where reading stopped (a wrong field count or a csv.Error) or
+    None; ParseError for a missing or wrong header.
+
+    A plain text (no quote or CR, the canonical header, 11 cells on every
+    further line, each within csv.field_size_limit(); a final LF ends the
+    last line) is split on LF and comma. Any other text is read by
+    csv.reader, blank lines skipped; a row's line is the physical line that
+    ends it, as a quoted cell may hold newlines."""
+    n_cells = len(CANONICAL_HEADER)
+    if '"' not in table_text and "\r" not in table_text:
+        header, _, body = table_text.partition("\n")
+        body = body[:-1] if body.endswith("\n") else body
+        rows = body.split("\n")
+        n = len(rows)
+        if (
+            tuple(h.strip() for h in header.split(",")) == CANONICAL_HEADER
+            and list(map(str.count, rows, itertools.repeat(","))).count(n_cells - 1) == n
+        ):
+            limit = csv.field_size_limit()
+            long_line = len(body) > limit and max(map(len, rows)) > limit
+            del rows
+            cells = body.replace("\n", ",").split(",")
+            if not long_line or max(map(len, cells)) <= limit:
+                return [cells[k::n_cells] for k in range(n_cells)], np.arange(2, n + 2), None
+    reader = csv.reader(io.StringIO(table_text, newline=""))
+    rows, lines, error = [], [], None
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty input: missing canonical header")
+        header = tuple(h.strip() for h in header)
+        if header != CANONICAL_HEADER:
+            raise ParseError(f"line 1: header {header!r} does not match canonical schema {CANONICAL_HEADER!r}")
+        for row in reader:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != n_cells:
+                error = ParseError(f"line {reader.line_num}: expected {n_cells} fields, got {len(row)}")
+                break
+            rows.append(row)
+            lines.append(reader.line_num)
+    except csv.Error as exc:  # a field longer than csv.field_size_limit()
+        error = ParseError(f"line {reader.line_num}: {exc}")
+    return [list(col) for col in zip(*rows)] or [[] for _ in CANONICAL_HEADER], np.array(lines, dtype=np.int64), error
+
+
+def _floats(cells: list[str], column: str) -> np.ndarray:
+    try:
+        return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+    except ValueError:
+        raise _CellError(f"malformed numeric cell {cells[0].strip()!r} in column {column}") from None
+
+
+def _optional_column(cells: list[str], column: str) -> tuple[np.ndarray, np.ndarray]:
+    """Values of a column, NaN where a cell is blank, and which cells are not."""
     given = list(map(bool, cells))
-    values = np.full(len(cells), np.nan)
+    try:
+        present = np.fromiter(map(float, itertools.compress(cells, given)), dtype=np.float64)
+    except ValueError:  # a cell of spaces or a tab is blank; strip only when a cell fails
+        cells = list(map(str.strip, cells))
+        given = list(map(bool, cells))
+        present = _floats(list(itertools.compress(cells, given)), column)
     mask = np.array(given, dtype=bool)
-    values[mask] = np.fromiter(map(float, itertools.compress(cells, given)), dtype=np.float64)
+    values = np.full(len(cells), np.nan)
+    values[mask] = present
     return values, mask
 
 
-def _read_canonical_columns(table_text: str) -> dict[str, _CsvColumns] | None:
-    """The scenes of _read_canonical_rows as columns, read without a Python
-    object per row; None where the row loop must read the text instead.
-
-    It takes a text without a quote or CR whose first line is the canonical
-    header and whose every further line holds exactly 11 cells (a final LF
-    ends the last line), each within csv.field_size_limit(), that convert as
-    the row loop converts them, with both or neither extent cell given. Any
-    other text, among them every text the row loop rejects, it declines.
-    Only the text cells are stripped: int() and float() ignore the whitespace
-    the row loop strips or fail, and a failure declines."""
-    if '"' in table_text or "\r" in table_text:
-        return None
-    header, _, body = table_text.partition("\n")
-    body = body[:-1] if body.endswith("\n") else body
-    if not body or tuple(h.strip() for h in header.split(",")) != CANONICAL_HEADER:
-        return None
-    lines = body.split("\n")
-    n, n_cells = len(lines), len(CANONICAL_HEADER)
-    if list(map(str.count, lines, itertools.repeat(","))).count(n_cells - 1) != n:
-        return None
-    limit = csv.field_size_limit()
-    long_line = len(body) > limit and max(map(len, lines)) > limit
-    del lines
-    cells = body.replace("\n", ",").split(",")
-    if long_line and max(map(len, cells)) > limit:
-        return None
-    cols = [cells[k::n_cells] for k in range(n_cells)]
-    del cells  # the columns hold every cell; release the flat list before the arrays
+def _convert_cells(cols: list[list[str]], lines: np.ndarray) -> _CsvColumns:
+    """The rows of _read_cells as one table, the text cells stripped; _CellError
+    if a cell does not convert or only one extent cell is given. A row's cells
+    are checked in schema order, the extent pair last."""
     try:
         types = {cell: AgentType.from_string(cell.strip()) for cell in set(cols[2])}
-        frames = np.fromiter(map(int, cols[3]), dtype=np.int64, count=n)  # OverflowError beyond int64
-        x, y = (np.fromiter(map(float, col), dtype=np.float64, count=n) for col in cols[4:6])
-        (z, has_z), (heading, has_heading), (length, has_extent), (width, has_width), (height, has_height) = map(
-            _optional_column, cols[6:]
-        )
-    except (ValueError, OverflowError):
-        return None
+    except ValueError as exc:
+        raise _CellError(str(exc)) from None
+    try:  # int() and float() ignore the whitespace a strip removes
+        frames = np.fromiter(map(int, cols[3]), dtype=np.int64, count=len(lines))
+    except ValueError:
+        raise _CellError(f"frame {cols[3][0].strip()!r} is not an integer") from None
+    except OverflowError:
+        raise _CellError(f"frame {cols[3][0].strip()!r} does not fit in int64") from None
+    x, y = _floats(cols[4], "x"), _floats(cols[5], "y")
+    (z, has_z), (heading, has_heading), (length, has_extent), (width, has_width), (height, has_height) = map(
+        _optional_column, cols[6:], CANONICAL_HEADER[6:]
+    )
     if not np.array_equal(has_extent, has_width):
-        return None
+        raise _CellError("extent needs both length and width (or neither)")
     z[~has_z] = 0.0
     agent_ids = {cell: cell.strip() for cell in set(cols[1])}
-    table = _CsvColumns(
-        np.arange(2, n + 2), np.array(list(map(agent_ids.__getitem__, cols[1])), dtype=object),
+    return _CsvColumns(
+        lines, np.array(list(map(agent_ids.__getitem__, cols[1])), dtype=object),
         np.array(list(map(types.__getitem__, cols[2])), dtype=object),
         frames, x, y, z, heading, length, width, height, has_heading, has_extent, has_height,
     )
+
+
+def _first_row_error(cols: list[list[str]], lines: np.ndarray) -> ParseError:
+    """The error of the first row of a table _convert_cells rejects: halve the
+    rows until that row fails alone (about 2n rows converted in all) and put
+    its line in front of the message."""
+    lo, hi = 0, len(lines)
+    while True:
+        mid = max((lo + hi) // 2, lo + 1)
+        try:
+            _convert_cells([col[lo:mid] for col in cols], lines[lo:mid])
+            lo = mid
+        except _CellError as exc:
+            if mid == lo + 1:
+                return ParseError(f"line {lines[lo]}: {exc}")
+            hi = mid
+
+
+def _read_canonical(table_text: str) -> dict[str, _CsvColumns]:
+    """Scenes by scene_id, each in file order; ParseError names the first
+    malformed line, as a bad cell before the line where reading stopped
+    wins over the read error."""
+    cols, lines, error = _read_cells(table_text)
+    try:
+        table = _convert_cells(cols, lines)
+    except _CellError:
+        raise _first_row_error(cols, lines) from None
+    if error is not None:
+        raise error
+    if not len(lines):
+        raise ParseError("no data rows after header")
     scene_ids = {cell: cell.strip() for cell in set(cols[0])}
     distinct = sorted(set(scene_ids.values()))
     if len(distinct) == 1:
         return {distinct[0]: table}
     rank = {scene_id: k for k, scene_id in enumerate(distinct)}
     cell_rank = {cell: rank[scene_id] for cell, scene_id in scene_ids.items()}
-    scene_of = np.fromiter(map(cell_rank.__getitem__, cols[0]), dtype=np.intp, count=n)
+    scene_of = np.fromiter(map(cell_rank.__getitem__, cols[0]), dtype=np.intp, count=len(lines))
     order = np.argsort(scene_of, kind="stable")
     bounds = np.searchsorted(scene_of[order], np.arange(len(distinct) + 1)).tolist()
     return {sid: table._make(col[order[lo:hi]] for col in table) for sid, lo, hi in zip(distinct, bounds, bounds[1:])}
-
-
-def _read_canonical(table_text: str) -> dict[str, _CsvColumns]:
-    """Scenes by scene_id: the column read, or the row loop where it declines."""
-    groups = _read_canonical_columns(table_text)
-    if groups is None:
-        groups = {scene_id: _rows_to_columns(rows) for scene_id, rows in _read_canonical_rows(table_text).items()}
-    return groups
 
 
 def _agent_tracks(agent_ids: Sequence, frames: Sequence[int], lines: Sequence[int]) -> tuple:
@@ -364,10 +360,10 @@ def _build_scene(scene_id: str, cols: _CsvColumns, meta: SceneMetaRecord) -> Sce
 def parse_canonical_csv_many(table_text: str, meta: SceneMetaRecord) -> list[SceneFrame]:
     """Parse a canonical CSV that may hold several scenes (grouped by scene_id).
 
-    A plain text (no quote or CR, no blank line, 11 cells on every line, each
-    converting as the schema asks) is read a column at a time; any other text
-    is read by the row loop, which reports every malformed line, the first in
-    file order, with the same message either way."""
+    A plain text (no quote or CR, no blank line, 11 cells on every line) is
+    split on LF and comma; any other text is read by csv.reader. Either way
+    the cells are converted a column at a time, and ParseError names the
+    first malformed line in file order."""
     return [_build_scene(scene_id, cols, meta) for scene_id, cols in sorted(_read_canonical(table_text).items())]
 
 

@@ -166,7 +166,7 @@ def impute_linear(
 
 def complete_tracks(
     offsets: np.ndarray, ts: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray, dt: float,
-    heading: np.ndarray | None = None, speed_floor: float = DEFAULT_SPEED_FLOOR,
+    heading: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, SceneColumns]:
     """Impute every agent's gaps and derive its kinematic state, all agents at once.
 
@@ -186,7 +186,7 @@ def complete_tracks(
     vx = derive_derivative(full["x"], dt, out_offsets)
     vy = derive_derivative(full["y"], dt, out_offsets)
     if heading is None:
-        full["heading"], _ = derive_heading(vx, vy, speed_floor, out_offsets)
+        full["heading"], _ = derive_heading(vx, vy, offsets=out_offsets)
     return first, last, SceneColumns(
         agent_index=np.repeat(np.arange(len(first)), last - first + 1), ts=full_ts, x=full["x"], y=full["y"],
         z=full["z"], vx=vx, vy=vy, ax=derive_derivative(vx, dt, out_offsets), ay=derive_derivative(vy, dt, out_offsets),
@@ -201,7 +201,6 @@ def complete_track(
     z: np.ndarray,
     dt: float,
     heading: np.ndarray | None = None,
-    speed_floor: float = DEFAULT_SPEED_FLOOR,
 ) -> tuple[int, dict[str, np.ndarray], bool]:
     """Impute one agent's gaps and derive the full kinematic state from positions.
 
@@ -211,7 +210,7 @@ def complete_track(
     it is derived from the velocities. The one-agent case of complete_tracks.
     """
     ts = np.asarray(ts, dtype=np.int64)
-    first, _, columns = complete_tracks(np.array([0, len(ts)]), ts, x, y, z, dt, heading, speed_floor)
+    first, _, columns = complete_tracks(np.array([0, len(ts)]), ts, x, y, z, dt, heading)
     return int(first[0]), {name: getattr(columns, name) for name in COLUMN_NAMES[2:]}, heading is None
 
 

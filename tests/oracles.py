@@ -5,6 +5,8 @@ library (exhaustive scans, scalar loops, dense sampling, alternative
 decompositions) so that agreement is evidence, not tautology.
 """
 
+import csv
+import io
 import json
 import math
 import struct
@@ -23,7 +25,7 @@ from trajkit.analysis import (
 )
 from trajkit.batching import STATE_DIM, AgentBatchElement, SceneBatchElement
 from trajkit.core import COLUMN_NAMES, AgentMetadata, AgentType, Extent, SceneFrame, wrap_angle
-from trajkit.ingest import ParseError, _read_canonical_rows
+from trajkit.ingest import CANONICAL_HEADER, ParseError, _CsvColumns
 from trajkit.kinematics import DEFAULT_SPEED_FLOOR, plan_resample
 from trajkit.simulation import OBS_STATE_LAYOUT, SimMetrics, SimObservation, _pooled_rate, wasserstein_1d
 from trajkit.vecmap import PolygonArea, Polyline, RoadLane, TrafficLightStatus, VectorMap
@@ -898,6 +900,86 @@ def reference_complete_track(ts, x, y, z, dt, heading=None, speed_floor=DEFAULT_
     return int(full_ts[0]), full, heading_derived
 
 
+# The canonical-CSV row loop: one Python tuple per row, each cell converted
+# and checked on its own: the reference for the library's canonical-CSV reader.
+
+def _parse_float(cell: str, line_no: int, column: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise ParseError(f"line {line_no}: malformed numeric cell {cell!r} in column {column}") from None
+
+
+def _parse_optional_float(cell: str, line_no: int, column: str) -> float | None:
+    cell = cell.strip()
+    if not cell:
+        return None
+    return _parse_float(cell, line_no, column)
+
+
+def _read_canonical_rows(table_text: str) -> dict[str, list[tuple]]:
+    """Raw rows grouped by scene_id; each row is (line_no, agent_id, type, frame, x, y, z, heading, l, w, h).
+
+    The row loop: it reads any text csv.reader reads and reports every read
+    error, the first in file order."""
+    reader = csv.reader(io.StringIO(table_text, newline=""))
+    try:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("empty input: missing canonical header") from None
+        header = tuple(h.strip() for h in header)
+        if header != CANONICAL_HEADER:
+            raise ParseError(f"line 1: header {header!r} does not match canonical schema {CANONICAL_HEADER!r}")
+        scenes: dict[str, list[tuple]] = {}
+        for row in reader:
+            line_no = reader.line_num  # the physical line that ends the record; a quoted cell may hold newlines
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(CANONICAL_HEADER):
+                raise ParseError(f"line {line_no}: expected {len(CANONICAL_HEADER)} fields, got {len(row)}")
+            scene_id = row[0].strip()
+            agent_id = row[1].strip()
+            try:
+                agent_type = AgentType.from_string(row[2].strip())
+            except ValueError as exc:
+                raise ParseError(f"line {line_no}: {exc}") from None
+            frame_cell = row[3].strip()
+            try:
+                frame = int(frame_cell)
+            except ValueError:
+                raise ParseError(f"line {line_no}: frame {frame_cell!r} is not an integer") from None
+            if not -(2**63) <= frame < 2**63:
+                raise ParseError(f"line {line_no}: frame {frame_cell!r} does not fit in int64")
+            x = _parse_float(row[4].strip(), line_no, "x")
+            y = _parse_float(row[5].strip(), line_no, "y")
+            z = _parse_optional_float(row[6], line_no, "z")
+            z = 0.0 if z is None else z
+            heading = _parse_optional_float(row[7], line_no, "heading")
+            length = _parse_optional_float(row[8], line_no, "length")
+            width = _parse_optional_float(row[9], line_no, "width")
+            height = _parse_optional_float(row[10], line_no, "height")
+            if (length is None) != (width is None):
+                raise ParseError(f"line {line_no}: extent needs both length and width (or neither)")
+            scenes.setdefault(scene_id, []).append((line_no, agent_id, agent_type, frame, x, y, z, heading, length, width, height))
+    except csv.Error as exc:  # a field longer than csv.field_size_limit()
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    if not scenes:
+        raise ParseError("no data rows after header")
+    return scenes
+
+def _rows_to_columns(rows: list[tuple]) -> _CsvColumns:
+    """The columns of one scene's rows from _read_canonical_rows."""
+    lines, agent_ids, types, frames, x, y, z, heading, length, width, height = zip(*rows)
+    values = [np.array([math.nan if v is None else v for v in col], dtype=np.float64) for col in (heading, length, width, height)]
+    given = [np.array([v is not None for v in col], dtype=bool) for col in (heading, length, height)]
+    return _CsvColumns(
+        np.array(lines), np.array(agent_ids, dtype=object), np.array(types, dtype=object), np.array(frames, dtype=np.int64),
+        np.array(x), np.array(y), np.array(z), *values, *given,
+    )
+
+
+
 def _reference_build_scene(scene_id, raw_rows, meta):
     by_agent = {}
     for row in raw_rows:
@@ -932,7 +1014,7 @@ def _reference_build_scene(scene_id, raw_rows, meta):
 
 
 def reference_parse_canonical_csv_many(table_text, meta):
-    """The per-agent build over the library's own line reader."""
+    """The per-agent build over the row loop."""
     groups = _read_canonical_rows(table_text)
     return [_reference_build_scene(scene_id, rows, meta) for scene_id, rows in sorted(groups.items())]
 
@@ -1039,8 +1121,8 @@ def reference_resample_scene(scene, desired_dt):
 
 def reference_scene_validate(scene):
     violations = []
-    if not scene.dt > 0.0:
-        violations.append(f"scene {scene.scene_id}: dt {scene.dt} not positive (dt-positive)")
+    if not 0.0 < scene.dt < math.inf:
+        violations.append(f"scene {scene.scene_id}: dt {scene.dt} not finite and positive (dt-positive)")
     seen_ids = set()
     for meta in scene.agents:
         if meta.agent_id in seen_ids:

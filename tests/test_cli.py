@@ -491,6 +491,16 @@ class TestMalformedMeta:
         assert code == 2
         assert named in capsys.readouterr().err
 
+    def test_infinite_dt_exit_2_cache_unchanged(self, workspace, capsys):
+        tmp_path, cache_dir = workspace
+        before = {p: p.read_bytes() for p in cache_dir.rglob("*") if p.is_file()}
+        csv_path, meta_path = _write_inputs(tmp_path)
+        meta_path.write_text('{"scene_id": "s0", "dt": 1e999, "location": "loc", "dataset": "synth"}')
+        code = main(["ingest", "--input", str(csv_path), "--format", "canonical-csv", "--meta", str(meta_path), "--cache", str(cache_dir)])
+        assert code == 2
+        assert "dt must be finite" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in cache_dir.rglob("*") if p.is_file()} == before
+
 
 class TestMalformedConfig:
     @pytest.mark.parametrize("config, named", [

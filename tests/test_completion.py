@@ -220,9 +220,8 @@ class TestCompletionMatchesReference:
             x, y, z = ([_value(rng, special=0.05) for _ in range(n)] for _ in range(3))
             heading = [_value(rng, 5.0, 0.05) for _ in range(n)] if rng.random() < 0.5 else None
             dt = float(rng.choice([0.1, 0.4, 1.0 / 3.0]))
-            floor = float(rng.choice([0.05, 0.0, 5.0]))
-            want = _outcome(reference_complete_track, ts, x, y, z, dt, heading, floor)
-            got = _outcome(complete_track, ts, x, y, z, dt, heading, floor)
+            want = _outcome(reference_complete_track, ts, x, y, z, dt, heading)
+            got = _outcome(complete_track, ts, x, y, z, dt, heading)
             assert got[0] == want[0] and got[2] == want[2]
             assert sorted(got[1]) == sorted(want[1])
             for name, column in want[1].items():

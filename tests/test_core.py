@@ -241,6 +241,12 @@ class TestSceneValidate:
         scene.dt = 0.0
         assert any("dt-positive" in v for v in scene_validate(scene))
 
+    @pytest.mark.parametrize("dt", [math.inf, math.nan])
+    def test_non_finite_dt(self, dt):
+        scene = _two_agent_scene()
+        scene.dt = dt
+        assert f"scene {scene.scene_id}: dt {dt} not finite and positive (dt-positive)" in scene_validate(scene)
+
     def test_lifetime_order(self):
         scene = _two_agent_scene()
         scene.agents[0].first_ts, scene.agents[0].last_ts = 4, 0

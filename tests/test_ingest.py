@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import json
 import os
@@ -40,6 +41,7 @@ from trajkit.ingest import (
 )
 
 from conftest import random_scene, rewrite_json_header
+from oracles import _read_canonical_rows, _rows_to_columns
 from test_completion import random_csv
 
 HEADER = "scene_id,agent_id,agent_type,frame,x,y,z,heading,length,width,height"
@@ -220,9 +222,18 @@ class TestCanonicalCsv:
 
 
 def _row_loop_parse(text: str, meta: SceneMetaRecord) -> list:
-    """parse_canonical_csv_many with every text read by the row loop."""
-    groups = ingest._read_canonical_rows(text)
-    return [ingest._build_scene(scene_id, ingest._rows_to_columns(rows), meta) for scene_id, rows in sorted(groups.items())]
+    """parse_canonical_csv_many with every text read by the reference row loop."""
+    groups = _read_canonical_rows(text)
+    return [ingest._build_scene(scene_id, _rows_to_columns(rows), meta) for scene_id, rows in sorted(groups.items())]
+
+
+def _split_read(text: str) -> bool:
+    """Whether the reader splits text itself, without csv.reader."""
+    calls, reader = [], csv.reader
+    with pytest.MonkeyPatch.context() as mp, contextlib.suppress(ParseError):
+        mp.setattr(csv, "reader", lambda *args, **kwargs: calls.append(args) or reader(*args, **kwargs))
+        ingest._read_cells(text)
+    return not calls
 
 
 def _scene_bytes_or_error(parse, text: str):
@@ -234,11 +245,15 @@ def _scene_bytes_or_error(parse, text: str):
             return type(exc), str(exc)
 
 
-# Mutations of one line of a clean CSV. The first six are valid CSV the column
-# read must decline (a quote, CR or blank line); the rest break a cell or a line.
+# Mutations of one line of a clean CSV. The first six are valid CSV that only
+# csv.reader reads (a quote, CR or blank line); the rest change a cell or a
+# line, and of those a wrong field count or an over-long cell also leaves the
+# text to csv.reader.
 _DECLINED = ("quoted", "quoted_comma", "crlf", "cr", "blank", "trailing_blank")
+_NOT_PLAIN = _DECLINED + ("missing", "extra", "over_limit")
 _MUTATIONS = _DECLINED + (
     "nul", "whitespace", "missing", "extra", "agent_type", "frame", "float", "int64", "half_extent", "over_limit",
+    "blank_cell",
 )
 
 
@@ -280,22 +295,23 @@ def _mutate(rng, text: str, kind: str) -> str:
         cells[8:10] = ["2.5", ""] if rng.random() < 0.5 else ["", "1.5"]
     elif kind == "over_limit":
         cells[c] = "9" * (csv.field_size_limit() + 1)
+    elif kind == "blank_cell":
+        cells[int(rng.integers(6, 11))] = rng.choice([" ", "  ", "\t", " \t "])
     lines[k] = ",".join(cells)
     return "\n".join([header, *lines]) + "\n"
 
 
 class TestColumnRead:
-    """The column read of parse_canonical_csv_many against the row loop on the
-    random CSVs of test_completion, clean and mutated: equal scene bytes or
-    the same error. The column read declines every text the row loop rejects,
-    so every read error message comes from the row loop."""
+    """The reader of parse_canonical_csv_many against the reference row loop
+    on the random CSVs of test_completion, clean and mutated: equal scene
+    bytes or the same error class and message."""
 
     @pytest.mark.parametrize("faults", [False, True])
     def test_clean_texts_are_read_by_columns(self, faults):
         rng = np.random.default_rng(300 + faults)
         for _ in range(60):
             text = random_csv(rng, faults)
-            assert ingest._read_canonical_columns(text) is not None
+            assert _split_read(text)
             assert _scene_bytes_or_error(parse_canonical_csv_many, text) == _scene_bytes_or_error(_row_loop_parse, text)
 
     @pytest.mark.parametrize("kind", _MUTATIONS)
@@ -306,22 +322,50 @@ class TestColumnRead:
             text = _mutate(rng, random_csv(rng, False), kind)
             want = _scene_bytes_or_error(_row_loop_parse, text)
             assert _scene_bytes_or_error(parse_canonical_csv_many, text) == want
-            if ingest._read_canonical_columns(text) is not None:
-                assert kind not in _DECLINED
-                ingest._read_canonical_rows(text)  # raises no read error
+            assert _split_read(text) == (kind not in _NOT_PLAIN)
             outcomes.add(isinstance(want, tuple))
         if kind in ("missing", "extra", "agent_type", "frame", "int64", "half_extent", "over_limit"):
             assert outcomes == {True}
         elif kind in _DECLINED:
             assert outcomes == {False}
+        elif kind == "blank_cell":  # a blank length or width can leave half an extent
+            assert False in outcomes
 
     def test_interleaved_scenes_split_by_columns(self):
         rows = [f"s{k % 3},a{k % 2},vehicle,{k},{k}.0,0.0,,,,," for k in range(12)] + [" s1 ,a0,vehicle,99,1.0,0.0,,,,,"]
         text = _csv(rows)
-        groups = ingest._read_canonical_columns(text)
+        groups = ingest._read_canonical(text)
         assert sorted(groups) == ["s0", "s1", "s2"]
         assert groups["s1"].lines.tolist() == [3, 6, 9, 12, 14]
         assert _scene_bytes_or_error(parse_canonical_csv_many, text) == _scene_bytes_or_error(_row_loop_parse, text)
+
+    def test_bad_cell_before_read_error_wins(self):
+        for rows, message in [
+            (["s0,a,vehicle,0,x,0.0,,,,,", "s0,a,vehicle,1,1.0,0.0,,,,"], "line 2: malformed numeric cell 'x' in column x"),
+            (["s0,a,vehicle,0,0.0,0.0,,,,,", 's0,a,"vehicle,1,1.0,0.0,,,,,'], "line 3: expected 11 fields, got 3"),
+            (["s0,a,truck,0,0.0,0.0,,,,,", "9" * (csv.field_size_limit() + 1)], "line 2: unknown agent type 'truck'"),
+            (["s0,a,vehicle,0,0.0,0.0,,,,,", "s0,a,vehicle,1,1.0,0.0,,,,,,", "s0,a,vehicle,x,1.0,0.0,,,,,"],
+             "line 3: expected 11 fields, got 12"),
+        ]:
+            text = _csv(rows)
+            want = _scene_bytes_or_error(_row_loop_parse, text)
+            assert want[0] is ParseError and want[1].startswith(message)
+            assert _scene_bytes_or_error(parse_canonical_csv_many, text) == want
+
+    def test_error_path_converts_linearly_many_rows(self, monkeypatch):
+        n = 50_000
+        rows = [f"s0,a{k % 100},vehicle,{k // 100},{k}.5,0.25,,,,," for k in range(n - 1)] + ["s0,a0,vehicle,999,1.0,0.0,,,2.5,,"]
+        text = _csv(rows)
+        with pytest.raises(ParseError) as want:
+            _read_canonical_rows(text)
+        converted = []
+        convert = ingest._convert_cells
+        monkeypatch.setattr(ingest, "_convert_cells", lambda cols, lines: converted.append(len(lines)) or convert(cols, lines))
+        with pytest.raises(ParseError) as got:
+            parse_canonical_csv_many(text, _meta())
+        assert str(got.value) == str(want.value) == f"line {n + 1}: extent needs both length and width (or neither)"
+        assert converted[0] == n and sum(converted) <= 3 * n
+        assert converted[-1] == 1 and len(converted) <= n.bit_length() + 2  # halving, not a row-by-row scan
 
 
 class TestFrameText:
@@ -505,6 +549,14 @@ class TestCache:
         again = cache.load_path(path)
         assert np.array_equal(again.columns.x, before)
         assert again == cache_load(path)
+
+    @pytest.mark.parametrize(
+        "dt", ["0", "-0.1", "1e999", "-1e999", "NaN", "1" + "0" * 400, "-1" + "0" * 400],
+        ids=["zero", "negative", "inf", "-inf", "nan", "int-beyond-float", "-int-beyond-float"],
+    )
+    def test_meta_record_rejects_dt_not_finite_and_positive(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            SceneMetaRecord.from_json(f'{{"scene_id": "s0", "dt": {dt}, "dataset": "toy"}}')
 
     def test_meta_record_json_round_trip(self):
         meta = _meta(split="train")
