@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import AgentMetadata, AgentType, SceneFrame, wrap_angle
+from .core import AgentType, SceneFrame, wrap_angle
 from .ingest import SceneCache, _checked_object
 from .kinematics import derive_derivative
 from .vecmap import VectorMap
@@ -94,7 +94,9 @@ class AnalysisConfig:
         return np.asarray(self.histogram_bins[metric], dtype=np.float64)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "offroad_types": list(self.offroad_types)}
+        """asdict(self), built field by field, with list copies of offroad_types and of each bin list."""
+        bins = {name: list(edges) for name, edges in self.histogram_bins.items()}
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "offroad_types": list(self.offroad_types), "histogram_bins": bins}
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisConfig":
@@ -143,11 +145,14 @@ class Histogram:
         if len(edges) < 2 or np.any(np.diff(edges) <= 0):
             raise ValueError("histogram edges must be strictly increasing with >= 2 entries")
         s = np.asarray(samples, dtype=np.float64)
-        s = s[np.isfinite(s)]
+        finite = np.isfinite(s)
+        s = s if finite.all() else s[finite]
         under = int(np.count_nonzero(s < edges[0]))
         over = int(np.count_nonzero(s > edges[-1]))
-        counts, _ = np.histogram(np.clip(s, edges[0], edges[-1]), bins=edges)
-        return cls(name, dataset, agent_type, edges, counts.astype(np.int64), under, over)
+        counts = np.histogram(s, bins=edges)[0].astype(np.int64)  # counts samples in [edges[0], edges[-1]]
+        counts[0] += under  # and folds the rest into the boundary bins
+        counts[-1] += over
+        return cls(name, dataset, agent_type, edges, counts, under, over)
 
 
 @dataclass
@@ -174,6 +179,15 @@ def _scenes_by_dataset(cache: SceneCache, tags: Sequence[str]) -> dict[str, list
     return out
 
 
+_TYPE_NAMES = tuple(sorted(str(t) for t in AgentType))
+_TYPE_CODE = {t: _TYPE_NAMES.index(str(t)) for t in AgentType}
+
+
+def _type_codes(scene: SceneFrame) -> np.ndarray:
+    """Per-agent index into _TYPE_NAMES (the type names, sorted)."""
+    return np.array([_TYPE_CODE[m.agent_type] for m in scene.agents], dtype=np.uint8)
+
+
 def _rate_entry(num: int, den: int) -> dict:
     return {"rate": num / den, "num": num, "den": den}
 
@@ -195,14 +209,9 @@ def agent_population(datasets: Datasets) -> dict:
             for meta in scene.agents:
                 types.setdefault(meta.agent_id, meta.agent_type)
         total = len(types)
-        counts: dict[str, int] = {}
-        for t in types.values():
-            counts[str(t)] = counts.get(str(t), 0) + 1
-        out[dataset] = {
-            "unique_agents": total,
-            "type_counts": dict(sorted(counts.items())),
-            "type_fractions": {k: v / total for k, v in sorted(counts.items())},
-        }
+        n = np.bincount(np.array([_TYPE_CODE[t] for t in types.values()], dtype=np.int64), minlength=len(_TYPE_NAMES))
+        counts = {_TYPE_NAMES[c]: int(n[c]) for c in np.flatnonzero(n)}
+        out[dataset] = {"unique_agents": total, "type_counts": counts, "type_fractions": {k: v / total for k, v in counts.items()}}
     return out
 
 
@@ -211,14 +220,6 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     change = np.ones(len(keys), dtype=bool)
     change[1:] = keys[1:] != keys[:-1]
     return np.flatnonzero(change)
-
-
-def _ts_groups(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray]:
-    """The scene's rows ordered by timestep (by agent within one timestep)
-    and the start of each timestep's run in that order."""
-    ts = scene.columns.ts
-    order = np.argsort(ts, kind="stable")
-    return order, _run_starts(ts[order])
 
 
 def _observed_runs(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -253,7 +254,8 @@ def agent_density(datasets: Datasets, cfg: AnalysisConfig) -> tuple[list[Histogr
     for dataset, scenes in sorted(datasets.items()):
         samples: list[np.ndarray] = []
         for scene in scenes:
-            order, starts = _ts_groups(scene)
+            order = np.argsort(scene.columns.ts, kind="stable")  # by timestep, by agent within one
+            starts = _run_starts(scene.columns.ts[order])
             n = np.diff(np.append(starts, len(order)))
             xs, ys = scene.columns.x[order], scene.columns.y[order]
             width = np.maximum.reduceat(xs, starts) - np.minimum.reduceat(xs, starts)
@@ -292,31 +294,26 @@ def ego_agent_distances(datasets: Datasets, cfg: AnalysisConfig, ego_id: str = "
 # Motion complexity
 # ---------------------------------------------------------------------------
 
-_TYPE_NAMES = tuple(sorted(str(t) for t in AgentType))
-_Pool = dict[str, list[np.ndarray]]  # type name -> sample arrays
-
-
-def _type_codes(scene: SceneFrame) -> np.ndarray:
-    """Per-agent index into _TYPE_NAMES (the type names, sorted)."""
-    return np.array([_TYPE_NAMES.index(str(m.agent_type)) for m in scene.agents], dtype=np.int64)
-
-
-def _pool_by_type(pool: _Pool, codes: np.ndarray, samples: np.ndarray) -> None:
-    """Append each type's share of samples to pool[type]; codes[k] is the
-    type code of samples[k]."""
-    for code in np.unique(codes):
-        pool.setdefault(_TYPE_NAMES[code], []).append(samples[codes == code])
-
-
-def _type_histograms(dataset: str, pools: dict[str, _Pool], cfg: AnalysisConfig) -> list[Histogram]:
-    """For each pooled type in sorted order, one histogram per metric of
-    pools (metric -> pool, every pool over the same types)."""
-    types = sorted(next(iter(pools.values())))
-    return [
-        Histogram.from_samples(metric, dataset, t, np.concatenate(pool[t]), cfg.edges(metric))
-        for t in types
-        for metric, pool in pools.items()
-    ]
+def _type_histograms(dataset: str, codes: list[np.ndarray], pools: dict[str, list[np.ndarray]], cfg: AnalysisConfig) -> list[Histogram]:
+    """For each type in codes, in sorted order, one histogram per metric of pools
+    (metric -> sample parts; codes holds the parts' type codes). One metric's
+    parts are joined at a time; several types are cut from one sort by code."""
+    code = np.concatenate(codes)
+    counts = np.bincount(code, minlength=len(_TYPE_NAMES))
+    present = np.flatnonzero(counts)
+    order = np.argsort(code, kind="stable") if len(present) > 1 else None
+    ends = np.cumsum(counts)[present]
+    per_metric = []
+    for metric, parts in pools.items():
+        samples = np.concatenate(parts)
+        if order is not None:
+            samples = samples[order]
+        edges = cfg.edges(metric)
+        per_metric.append([
+            Histogram.from_samples(metric, dataset, _TYPE_NAMES[c], samples[b - counts[c] : b], edges)
+            for c, b in zip(present, ends)
+        ])
+    return [h for per_type in zip(*per_metric) for h in per_type]
 
 
 def dynamics_distributions(datasets: Datasets, cfg: AnalysisConfig) -> list[Histogram]:
@@ -326,16 +323,15 @@ def dynamics_distributions(datasets: Datasets, cfg: AnalysisConfig) -> list[Hist
     """
     hists = []
     for dataset, scenes in sorted(datasets.items()):
-        pools: dict[str, _Pool] = {"speed": {}, "accel": {}, "jerk": {}}
+        codes: list[np.ndarray] = []
+        pools: dict[str, list[np.ndarray]] = {"speed": [], "accel": [], "jerk": []}
         for scene in scenes:
             cols = scene.columns
-            codes = _type_codes(scene)[cols.agent_index]
-            jx = derive_derivative(cols.ax, scene.dt, scene._agent_offsets)
-            jy = derive_derivative(cols.ay, scene.dt, scene._agent_offsets)
-            _pool_by_type(pools["speed"], codes, np.hypot(cols.vx, cols.vy))
-            _pool_by_type(pools["accel"], codes, np.hypot(cols.ax, cols.ay))
-            _pool_by_type(pools["jerk"], codes, np.hypot(jx, jy))
-        hists += _type_histograms(dataset, pools, cfg)
+            codes.append(_type_codes(scene)[cols.agent_index])
+            pools["speed"].append(np.hypot(cols.vx, cols.vy))
+            pools["accel"].append(np.hypot(cols.ax, cols.ay))
+            pools["jerk"].append(np.hypot(*(derive_derivative(a, scene.dt, scene._agent_offsets) for a in (cols.ax, cols.ay))))
+        hists += _type_histograms(dataset, codes, pools, cfg)
     return hists
 
 
@@ -365,7 +361,8 @@ def heading_deltas(datasets: Datasets, cfg: AnalysisConfig) -> list[Histogram]:
     """
     hists = []
     for dataset, scenes in sorted(datasets.items()):
-        pools: dict[str, _Pool] = {"heading_delta": {}, "heading_raw": {}}
+        codes: list[np.ndarray] = []
+        pools: dict[str, list[np.ndarray]] = {"heading_delta": [], "heading_raw": []}
         for scene in scenes:
             cols, off = scene.columns, scene._agent_offsets
             h = cols.heading
@@ -374,11 +371,24 @@ def heading_deltas(datasets: Datasets, cfg: AnalysisConfig) -> list[Histogram]:
                 dh = np.concatenate(parts) if parts else h
             else:
                 dh = wrap_angle(h - h[off[cols.agent_index]])
-            codes = _type_codes(scene)[cols.agent_index]
-            _pool_by_type(pools["heading_delta"], codes, dh)
-            _pool_by_type(pools["heading_raw"], codes, h)
-        hists += _type_histograms(dataset, pools, cfg)
+            codes.append(_type_codes(scene)[cols.agent_index])
+            pools["heading_delta"].append(dh)
+            pools["heading_raw"].append(h)
+        hists += _type_histograms(dataset, codes, pools, cfg)
     return hists
+
+
+def _run_sums(values: np.ndarray, firsts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """np.sum(values[f : f + n]) for each (f, n) of firsts and lengths, bit for
+    bit: the runs of one length are summed as the rows of one (k, n) gather,
+    and a row sum adds in np.sum's order (np.add.reduceat does not)."""
+    out = np.empty(len(firsts))
+    order = np.argsort(lengths, kind="stable")
+    starts = _run_starts(lengths[order])
+    for a, b in zip(starts, np.append(starts[1:], len(order))):
+        group = order[a:b]
+        out[group] = values[firsts[group, None] + np.arange(lengths[group[0]])].sum(axis=1)
+    return out
 
 
 def path_efficiency(datasets: Datasets, cfg: AnalysisConfig) -> tuple[list[Histogram], dict]:
@@ -390,22 +400,27 @@ def path_efficiency(datasets: Datasets, cfg: AnalysisConfig) -> tuple[list[Histo
     hists = []
     zero_path = 0
     for dataset, scenes in sorted(datasets.items()):
-        pool: _Pool = {}
+        steps, firsts, n_steps, dx, dy, codes = [], [], [], [], [], []
+        n_before = 0  # steps of the dataset's earlier scenes
         for scene in scenes:
             cols = scene.columns
             rows, starts, ends = _observed_runs(scene)
             xs, ys = cols.x[rows], cols.y[rows]
-            steps = np.hypot(np.diff(xs), np.diff(ys))
             enough = ends - starts >= 2
             lo, hi = starts[enough], ends[enough] - 1  # first and last observed row of each agent
-            # Per-agent sums: np.add.reduceat does not add in np.sum's order.
-            path = np.array([np.sum(steps[a:b]) for a, b in zip(lo, hi)])
-            direct = np.array([math.hypot(xs[b] - xs[a], ys[b] - ys[a]) for a, b in zip(lo, hi)])
-            still = path < 1e-6
-            zero_path += int(np.count_nonzero(still))
-            eff = np.where(still, 100.0, 100.0 * direct / np.where(still, 1.0, path))
-            _pool_by_type(pool, _type_codes(scene)[cols.agent_index[rows[lo]]], eff)
-        hists += _type_histograms(dataset, {"path_efficiency": pool}, cfg)
+            steps.append(np.hypot(np.diff(xs), np.diff(ys)))
+            firsts.append(lo + n_before)
+            n_before += len(steps[-1])
+            n_steps.append(hi - lo)
+            dx.append(xs[hi] - xs[lo])
+            dy.append(ys[hi] - ys[lo])
+            codes.append(_type_codes(scene)[cols.agent_index[rows[lo]]])
+        path = _run_sums(*(np.concatenate(parts) for parts in (steps, firsts, n_steps)))
+        direct = np.array(list(map(math.hypot, np.concatenate(dx).tolist(), np.concatenate(dy).tolist())), dtype=np.float64)
+        still = path < 1e-6
+        zero_path += int(np.count_nonzero(still))
+        eff = np.where(still, 100.0, 100.0 * direct / np.where(still, 1.0, path))
+        hists += _type_histograms(dataset, codes, {"path_efficiency": [eff]}, cfg)
     return hists, {"path_efficiency_zero_path_agents": zero_path}
 
 
@@ -438,11 +453,6 @@ def obb_intersect(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray | 
     return hit if hit.ndim else bool(hit)
 
 
-def _agent_rows(scene: SceneFrame, keep: Callable[[AgentMetadata], bool]) -> np.ndarray:
-    """Row mask over the rows of every agent whose metadata passes keep."""
-    return np.array([bool(keep(m)) for m in scene.agents], dtype=bool)[scene.columns.agent_index]
-
-
 def _agent_counts(scene: SceneFrame, rows: np.ndarray, events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(event rows, selected rows) per agent index; rows and events are row masks."""
     idx, n = scene.columns.agent_index, scene.n_agents
@@ -461,17 +471,15 @@ def _rates(datasets: Datasets, counts: AgentCounter, per_timestep: bool) -> dict
     """
     out: dict[str, dict] = {}
     for dataset, scenes in sorted(datasets.items()):
-        num: dict[str, int] = {}
-        den: dict[str, int] = {}
+        codes, events, selected = [], [], []
         for scene in scenes:
-            events, selected = counts(scene)
-            if not per_timestep:
-                events, selected = events > 0, selected > 0
-            for i in np.flatnonzero(selected):
-                t = str(scene.agents[i].agent_type)
-                den[t] = den.get(t, 0) + int(selected[i])
-                num[t] = num.get(t, 0) + int(events[i])
-        out[dataset] = {t: _rate_entry(num[t], den[t]) for t in sorted(den)}
+            ev, sel = counts(scene)
+            codes.append(_type_codes(scene))
+            events.append(ev if per_timestep else ev > 0)
+            selected.append(sel if per_timestep else sel > 0)
+        code = np.concatenate(codes)
+        num, den = (np.bincount(code, np.concatenate(v), len(_TYPE_NAMES)).astype(np.int64) for v in (events, selected))
+        out[dataset] = {_TYPE_NAMES[c]: _rate_entry(int(num[c]), int(den[c])) for c in np.flatnonzero(den)}
     return out
 
 
@@ -479,7 +487,7 @@ def _scene_collisions(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray]:
     """(colliding rows, rows) per agent index over the rows of extent-bearing
     agents; an agent has one row per timestep, so these count timesteps."""
     cols = scene.columns
-    rows = _agent_rows(scene, lambda m: m.extent is not None)
+    rows = np.array([m.extent is not None for m in scene.agents], dtype=bool)[cols.agent_index]
     hit = np.zeros(len(cols), dtype=bool)
     box = np.flatnonzero(rows)
     box = box[np.argsort(cols.ts[box], kind="stable")]  # by timestep: offset k pairs each box with the k-th after it there
@@ -516,8 +524,10 @@ def _scene_collisions(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _offroad_rows(scene: SceneFrame, types: Iterable[str]) -> np.ndarray:
+    """Row mask over the rows of every agent whose type name is in types."""
     allowed = set(types)
-    return _agent_rows(scene, lambda m: str(m.agent_type) in allowed)
+    by_code = np.array([t in allowed for t in _TYPE_NAMES])
+    return by_code[_type_codes(scene)][scene.columns.agent_index]
 
 
 def _offroad_counts(scene: SceneFrame, vmap: VectorMap, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -572,14 +582,8 @@ def offroad_rate(datasets: Datasets, vmap: VectorMap | None, cfg: AnalysisConfig
 # Report assembly and emission
 # ---------------------------------------------------------------------------
 
-def run_analysis(
-    cache: SceneCache,
-    tags: Sequence[str],
-    metrics: Sequence[str],
-    cfg: AnalysisConfig | None = None,
-    vmap: VectorMap | None = None,
-    ego_id: str = "ego",
-) -> MetricReport:
+def run_analysis(cache: SceneCache, tags: Sequence[str], metrics: Sequence[str], cfg: AnalysisConfig | None = None,
+                 vmap: VectorMap | None = None, ego_id: str = "ego") -> MetricReport:
     """Run the named metrics and assemble a MetricReport."""
     cfg = cfg or AnalysisConfig()
     unknown = [m for m in metrics if m not in METRIC_NAMES]
@@ -589,18 +593,19 @@ def run_analysis(
 
     wanted = set(metrics)
     datasets = _scenes_by_dataset(cache, tags)
+
+    def add(hists: list[Histogram], tallies: dict) -> None:
+        report.histograms += hists
+        report.tallies.update(tallies)
+
     if "population" in wanted:
         report.population = agent_population(datasets)
     if "simultaneous" in wanted:
         report.histograms += simultaneous_agents(datasets, cfg)
     if "density" in wanted:
-        hists, tallies = agent_density(datasets, cfg)
-        report.histograms += hists
-        report.tallies.update(tallies)
+        add(*agent_density(datasets, cfg))
     if "ego_distances" in wanted:
-        hists, tallies = ego_agent_distances(datasets, cfg, ego_id)
-        report.histograms += hists
-        report.tallies.update(tallies)
+        add(*ego_agent_distances(datasets, cfg, ego_id))
     dyn_wanted = wanted & {"speed", "accel", "jerk"}
     if dyn_wanted:
         report.histograms += [h for h in dynamics_distributions(datasets, cfg) if h.name in dyn_wanted]
@@ -609,12 +614,9 @@ def run_analysis(
     if "heading_deltas" in wanted:
         report.histograms += heading_deltas(datasets, cfg)
     if "path_efficiency" in wanted:
-        hists, tallies = path_efficiency(datasets, cfg)
-        report.histograms += hists
-        report.tallies.update(tallies)
+        add(*path_efficiency(datasets, cfg))
     if "collision" in wanted:
-        rates, tallies = collision_rate(datasets, cfg)
-        report.rates["collision"] = rates
+        report.rates["collision"], tallies = collision_rate(datasets, cfg)
         report.tallies.update(tallies)
     if "harsh_accel" in wanted:
         report.rates["harsh_accel"] = harsh_accel_rate(datasets, cfg)
@@ -637,12 +639,16 @@ def emit_report(report: MetricReport, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    for hist in sorted(report.histograms, key=lambda h: (h.name, h.dataset, h.agent_type)):
+    hists = sorted(report.histograms, key=lambda h: (h.name, h.dataset, h.agent_type))
+    bins: dict[tuple[str, bytes], list[str]] = {}  # edges -> the "lo,hi," text of each bin
+    for hist in hists:
         path = out / f"{hist.name}__{hist.dataset}__{hist.agent_type}.csv"
-        lines = ["edge_lo,edge_hi,count"]
-        for lo, hi, count in zip(hist.edges[:-1], hist.edges[1:], hist.counts):
-            lines.append(f"{lo!r},{hi!r},{int(count)}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        key = (hist.edges.dtype.str, hist.edges.tobytes())
+        if key not in bins:
+            text = list(map(repr, hist.edges))
+            bins[key] = [f"{lo},{hi}," for lo, hi in zip(text[:-1], text[1:])]
+        rows = "".join(f"{bounds}{count}\n" for bounds, count in zip(bins[key], hist.counts.tolist()))
+        path.write_text("edge_lo,edge_hi,count\n" + rows, encoding="utf-8")
         written.append(path)
 
     payload = {
@@ -653,15 +659,9 @@ def emit_report(report: MetricReport, out_dir: str | Path) -> list[Path]:
         "tallies": report.tallies,
         "unavailable": sorted(report.unavailable),
         "histograms": [
-            {
-                "name": h.name,
-                "dataset": h.dataset,
-                "agent_type": h.agent_type,
-                "n_samples": h.n_samples,
-                "n_underflow": h.n_underflow,
-                "n_overflow": h.n_overflow,
-            }
-            for h in sorted(report.histograms, key=lambda h: (h.name, h.dataset, h.agent_type))
+            {"name": h.name, "dataset": h.dataset, "agent_type": h.agent_type, "n_samples": h.n_samples,
+             "n_underflow": h.n_underflow, "n_overflow": h.n_overflow}
+            for h in hists
         ],
     }
     rates_path = out / "rates.json"

@@ -667,12 +667,20 @@ def _scene_from_header(header: dict, data: bytes, pos: int) -> SceneFrame:
     if crc_stored != crc_actual:
         raise CacheChecksumError(f"CRC mismatch: stored {crc_stored:#010x}, computed {crc_actual:#010x}")
 
+    dt = float(header["dt"])
+    if not 0.0 < dt < math.inf:
+        raise CacheError(f"cache header dt must be finite and > 0, got {dt}")
     columns: dict[str, np.ndarray] = {}
     for col in header["columns"]:
         dtype = np.dtype(col["dtype"]).newbyteorder("<")
         nbytes = n_rows * dtype.itemsize
         arr = np.frombuffer(data[pos : pos + nbytes], dtype=dtype).astype(dtype.newbyteorder("="), copy=True)
-        columns[col["name"]] = arr.astype(bool) if col["name"] == "observed" else arr
+        if col["name"] == "observed":
+            raw, arr = arr, arr.astype(bool)
+            bad = np.flatnonzero(arr != raw)  # a value other than 0 or 1 does not survive the cast
+            if len(bad):
+                raise CacheError(f"observed column holds {raw[bad[0]].item()!r} at row {bad[0]}, not 0 or 1")
+        columns[col["name"]] = arr
         pos += nbytes
 
     agents = []
@@ -688,7 +696,7 @@ def _scene_from_header(header: dict, data: bytes, pos: int) -> SceneFrame:
         scene_id=header["scene_id"],
         dataset_tag=header["dataset_tag"],
         location=header["location"],
-        dt=float(header["dt"]),
+        dt=dt,
         n_timesteps=int(header["n_timesteps"]),
         agents=agents,
         columns=SceneColumns(**columns),

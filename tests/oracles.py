@@ -17,7 +17,7 @@ from trajkit.analysis import (
     OFFROAD_TYPES,
     Histogram,
     _agent_counts,
-    _agent_rows,
+    _observed_runs,
     _offroad_rows,
     _rate_entry,
     obb_corners,
@@ -26,7 +26,7 @@ from trajkit.analysis import (
 from trajkit.batching import STATE_DIM, AgentBatchElement, SceneBatchElement
 from trajkit.core import COLUMN_NAMES, AgentMetadata, AgentType, Extent, SceneFrame, wrap_angle
 from trajkit.ingest import CANONICAL_HEADER, ParseError, _CsvColumns
-from trajkit.kinematics import DEFAULT_SPEED_FLOOR, plan_resample
+from trajkit.kinematics import DEFAULT_SPEED_FLOOR, derive_derivative, plan_resample
 from trajkit.simulation import OBS_STATE_LAYOUT, SimMetrics, SimObservation, _pooled_rate, wasserstein_1d
 from trajkit.vecmap import PolygonArea, Polyline, RoadLane, TrafficLightStatus, VectorMap
 
@@ -648,6 +648,124 @@ def reference_path_efficiency(datasets, cfg):
     return hists, {"path_efficiency_zero_path_agents": zero_path}
 
 
+# The per-scene pooling by type name, the per-agent rate walk and the
+# per-agent path sums that ``trajkit.analysis`` replaced with one pass per
+# dataset over integer type codes.
+
+_TYPE_NAMES = tuple(sorted(str(t) for t in AgentType))
+
+
+def _scene_type_codes(scene):
+    return np.array([_TYPE_NAMES.index(str(m.agent_type)) for m in scene.agents], dtype=np.int64)
+
+
+def _pool_by_type(pool, codes, samples):
+    """Append each type's share of samples to pool[type name]."""
+    for code in np.unique(codes):
+        pool.setdefault(_TYPE_NAMES[code], []).append(samples[codes == code])
+
+
+def _pooled_histograms(dataset, pools, cfg):
+    types = sorted(next(iter(pools.values())))
+    return [
+        Histogram.from_samples(metric, dataset, t, np.concatenate(pool[t]), cfg.edges(metric))
+        for t in types
+        for metric, pool in pools.items()
+    ]
+
+
+def scene_pooled_dynamics_distributions(datasets, cfg):
+    hists = []
+    for dataset, scenes in sorted(datasets.items()):
+        pools = {"speed": {}, "accel": {}, "jerk": {}}
+        for scene in scenes:
+            cols = scene.columns
+            codes = _scene_type_codes(scene)[cols.agent_index]
+            jx = derive_derivative(cols.ax, scene.dt, scene._agent_offsets)
+            jy = derive_derivative(cols.ay, scene.dt, scene._agent_offsets)
+            _pool_by_type(pools["speed"], codes, np.hypot(cols.vx, cols.vy))
+            _pool_by_type(pools["accel"], codes, np.hypot(cols.ax, cols.ay))
+            _pool_by_type(pools["jerk"], codes, np.hypot(jx, jy))
+        hists += _pooled_histograms(dataset, pools, cfg)
+    return hists
+
+
+def scene_pooled_heading_deltas(datasets, cfg):
+    hists = []
+    for dataset, scenes in sorted(datasets.items()):
+        pools = {"heading_delta": {}, "heading_raw": {}}
+        for scene in scenes:
+            cols, off = scene.columns, scene._agent_offsets
+            h = cols.heading
+            if cfg.cumulative_heading:
+                parts = [np.unwrap(h[a:b]) - h[a] for a, b in zip(off[:-1], off[1:])]
+                dh = np.concatenate(parts) if parts else h
+            else:
+                dh = wrap_angle(h - h[off[cols.agent_index]])
+            codes = _scene_type_codes(scene)[cols.agent_index]
+            _pool_by_type(pools["heading_delta"], codes, dh)
+            _pool_by_type(pools["heading_raw"], codes, h)
+        hists += _pooled_histograms(dataset, pools, cfg)
+    return hists
+
+
+def scene_pooled_path_efficiency(datasets, cfg):
+    """Path lengths by one np.sum per agent, pooled per scene."""
+    hists = []
+    zero_path = 0
+    for dataset, scenes in sorted(datasets.items()):
+        pool = {}
+        for scene in scenes:
+            cols = scene.columns
+            rows, starts, ends = _observed_runs(scene)
+            xs, ys = cols.x[rows], cols.y[rows]
+            steps = np.hypot(np.diff(xs), np.diff(ys))
+            enough = ends - starts >= 2
+            lo, hi = starts[enough], ends[enough] - 1
+            path = np.array([np.sum(steps[a:b]) for a, b in zip(lo, hi)])
+            direct = np.array([math.hypot(xs[b] - xs[a], ys[b] - ys[a]) for a, b in zip(lo, hi)])
+            still = path < 1e-6
+            zero_path += int(np.count_nonzero(still))
+            eff = np.where(still, 100.0, 100.0 * direct / np.where(still, 1.0, path))
+            _pool_by_type(pool, _scene_type_codes(scene)[cols.agent_index[rows[lo]]], eff)
+        hists += _pooled_histograms(dataset, {"path_efficiency": pool}, cfg)
+    return hists, {"path_efficiency_zero_path_agents": zero_path}
+
+
+def reference_rates(datasets, counts, per_timestep):
+    """``analysis._rates`` by a walk over every selected agent."""
+    out = {}
+    for dataset, scenes in sorted(datasets.items()):
+        num, den = {}, {}
+        for scene in scenes:
+            events, selected = counts(scene)
+            if not per_timestep:
+                events, selected = events > 0, selected > 0
+            for i in np.flatnonzero(selected):
+                t = str(scene.agents[i].agent_type)
+                den[t] = den.get(t, 0) + int(selected[i])
+                num[t] = num.get(t, 0) + int(events[i])
+        out[dataset] = {t: _rate_entry(num[t], den[t]) for t in sorted(den)}
+    return out
+
+
+def reference_histogram_counts(samples, edges):
+    """(counts, underflow, overflow) with out-of-range samples clipped into
+    the boundary bins before np.histogram, as ``Histogram.from_samples`` did."""
+    s = np.asarray(samples, dtype=np.float64)
+    s = s[np.isfinite(s)]
+    counts, _ = np.histogram(np.clip(s, edges[0], edges[-1]), bins=edges)
+    return counts, int(np.count_nonzero(s < edges[0])), int(np.count_nonzero(s > edges[-1]))
+
+
+SCENE_POOLED_METRICS = {
+    "dynamics_distributions": scene_pooled_dynamics_distributions,
+    "heading_deltas": scene_pooled_heading_deltas,
+    "path_efficiency": scene_pooled_path_efficiency,
+    "_rates": reference_rates,
+}
+
+
 def reference_obb_corners(cx, cy, yaw, length, width):
     """One box's corners by the per-box rotation ``analysis.obb_corners`` replaced."""
     hl, hw = 0.5 * length, 0.5 * width
@@ -671,7 +789,7 @@ def reference_obb_intersect(corners_a, corners_b):
 def reference_scene_collisions(scene):
     """``analysis._scene_collisions`` over timestep groups from a dict of rows."""
     cols = scene.columns
-    rows = _agent_rows(scene, lambda m: m.extent is not None)
+    rows = np.array([m.extent is not None for m in scene.agents], dtype=bool)[cols.agent_index]
     hit = np.zeros(len(cols), dtype=bool)
     radius = [0.0 if m.extent is None else 0.5 * math.hypot(m.extent.length, m.extent.width) for m in scene.agents]
     for ts_rows in _reference_rows_by_ts(scene).values():

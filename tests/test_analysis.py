@@ -1,18 +1,24 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from trajkit import analysis
+from trajkit import analysis, simulation
 from trajkit.analysis import (
     HARSH_ACCEL_DEFAULT,
     METRIC_NAMES,
     AnalysisConfig,
     Histogram,
+    MetricReport,
     _OFFROAD_BLOCK,
+    _TYPE_NAMES,
+    _agent_counts,
     _offroad_counts,
     _offroad_rows,
+    _rates,
+    _run_sums,
     _scene_collisions,
     _scenes_by_dataset,
     agent_density,
@@ -39,11 +45,13 @@ from trajkit.vecmap import VectorMap
 from conftest import random_scene, square_area, straight_lane
 from oracles import (
     REFERENCE_METRICS,
+    SCENE_POOLED_METRICS,
     crossing_number_inside,
     obb_margin,
     obb_overlap_by_sampling,
     reference_obb_corners,
     reference_obb_intersect,
+    reference_histogram_counts,
     reference_offroad_counts,
     reference_scene_collisions,
 )
@@ -86,6 +94,18 @@ class TestHistogram:
         h = Histogram.from_samples("m", "d", "all", [1.0, np.nan, np.inf, 2.0], [0.0, 5.0])
         assert h.n_samples == 2
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_counts_equal_clipped_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        edges = np.cumsum(rng.uniform(0.1, 2.0, size=int(rng.integers(2, 40))))
+        samples = rng.normal(edges.mean(), np.ptp(edges), size=int(rng.integers(0, 500)))
+        samples[rng.random(len(samples)) < 0.1] = rng.choice([np.nan, np.inf, -np.inf, edges[0], edges[-1]])
+        for bins in (edges, edges[:2]):  # one bin takes both underflow and overflow
+            h = Histogram.from_samples("m", "d", "all", samples, bins)
+            counts, under, over = reference_histogram_counts(samples, bins)
+            assert h.counts.tobytes() == counts.astype(np.int64).tobytes()
+            assert (h.n_underflow, h.n_overflow) == (under, over)
+
     def test_edges_validation(self):
         with pytest.raises(ValueError):
             Histogram.from_samples("m", "d", "all", [1.0], [0.0, 0.0, 1.0])
@@ -107,6 +127,17 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             AnalysisConfig(stationary_threshold=0.0)
+
+    @pytest.mark.parametrize("text", ["{}", '{"offroad_types": ["bicycle"], "histogram_bins": {"speed": [0, 1, 2]}}'])
+    def test_to_dict_is_asdict_without_aliasing(self, text):
+        cfg = AnalysisConfig.from_json(text)
+        before = dataclasses.asdict(cfg)
+        out = cfg.to_dict()
+        assert out == {**before, "offroad_types": list(cfg.offroad_types)}
+        out["histogram_bins"]["speed"].append(99.0)
+        out["histogram_bins"]["extra"] = [0.0, 1.0]
+        out["offroad_types"].append("unknown")
+        assert dataclasses.asdict(cfg) == before
 
 
 class TestPopulation:
@@ -860,6 +891,106 @@ class TestArrayPassEquivalence:
         assert sorted(set(calls)) == sorted(REFERENCE_METRICS)
 
 
+def _few_observed_scene(scene_id, dataset, two_rows):
+    """Agents with fewer than 2 observed rows (one row; one observed row of
+    three), and with two_rows also agents with exactly 2 observed rows."""
+    tracks = [_track([0.0], [0.0]), _track([0.0, 1.0, 2.0], [5.0, 5.0, 5.0], observed=[False, True, False])]
+    types = [AgentType.PEDESTRIAN, AgentType.BICYCLE]
+    if two_rows:
+        tracks += [_track([0.0, 1.0, 3.0, 4.0], [9.0, 9.5, 9.0, 9.0], observed=[True, False, False, True]), _track([7.0, 7.0], [1.0, 1.0])]
+        types += [AgentType.VEHICLE, AgentType.UNKNOWN]
+    return _scene_from_tracks(tracks, types, scene_id=scene_id, dataset=dataset)
+
+
+class TestTypeCodePooling:
+    """Pooling a whole dataset by type code reports, byte for byte, what the
+    per-scene pooling by type name, the per-agent rate walk and the per-agent
+    path sums in oracles.py report. The "mix" dataset holds all five types,
+    so its samples are sorted by code and cut; "few" has no agent with 2
+    observed rows, so it has no path_efficiency histogram."""
+
+    METRICS = [m for m in METRIC_NAMES if m not in ("density", "ego_distances", "simultaneous")]
+    VMAP = VectorMap("toy:flat", [straight_lane("L1", 0.0, length=200.0, half_width=3.0)])
+
+    @pytest.fixture
+    def mixed(self, tmp_path):
+        rng = np.random.default_rng(16)
+        cache = SceneCache(tmp_path / "cache")
+        scenes = [random_scene(rng, n_agents=8, n_timesteps=60, dataset="mix", scene_id=f"mix{s}") for s in range(3)]
+        scenes.append(_few_observed_scene("mix-few", "mix", two_rows=True))
+        scenes.append(_few_observed_scene("few0", "few", two_rows=False))
+        cache.write_many(scenes)
+        assert {str(m.agent_type) for s in scenes[:3] for m in s.agents} == set(_TYPE_NAMES)
+        return cache
+
+    def _emit(self, cache, cfg, out, metrics=None):
+        paths = emit_report(run_analysis(cache, ["mix", "few"], metrics or self.METRICS, cfg, vmap=self.VMAP), out)
+        return {p.name: p.read_bytes() for p in paths}
+
+    @pytest.mark.parametrize("per_timestep", [False, True])
+    @pytest.mark.parametrize("cumulative", [False, True])
+    def test_report_bytes_match_scene_pooling(self, tmp_path, monkeypatch, mixed, per_timestep, cumulative):
+        cfg = AnalysisConfig(per_timestep_rates=per_timestep, cumulative_heading=cumulative, offroad_types=("vehicle", "pedestrian"))
+        got = self._emit(mixed, cfg, tmp_path / "got")
+        with monkeypatch.context() as patch:
+            for name, fn in SCENE_POOLED_METRICS.items():
+                patch.setattr(analysis, name, fn)
+            want = self._emit(mixed, cfg, tmp_path / "want")
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name] == want[name], name
+        assert {f"speed__mix__{t}.csv" for t in _TYPE_NAMES} <= set(got)
+        assert {f"path_efficiency__mix__{t}.csv" for t in ("vehicle", "unknown")} <= set(got)
+        assert "speed__few__pedestrian.csv" in got and not any(n.startswith("path_efficiency__few") for n in got)
+        rates = json.loads(got["rates.json"])["rates"]
+        assert sorted(rates["offroad"]["mix"]) == ["pedestrian", "vehicle"]
+
+    def test_reference_is_patched_in(self, tmp_path, monkeypatch, mixed):
+        calls = []
+        for name, fn in SCENE_POOLED_METRICS.items():
+            monkeypatch.setattr(analysis, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+        run_analysis(mixed, ["mix"], self.METRICS, vmap=self.VMAP)
+        assert sorted(set(calls)) == sorted(SCENE_POOLED_METRICS)
+
+    def test_scene_order_does_not_change_the_report(self, tmp_path, monkeypatch, mixed):
+        # Population is left out: an agent id that recurs with another type
+        # counts once, as its first scene's type.
+        metrics = [m for m in METRIC_NAMES if m != "population"]
+        cfg = AnalysisConfig(per_timestep_rates=True, cumulative_heading=True)
+        forward = self._emit(mixed, cfg, tmp_path / "forward", metrics)
+        by_dataset = analysis._scenes_by_dataset
+        monkeypatch.setattr(analysis, "_scenes_by_dataset", lambda *a: {d: s[::-1] for d, s in by_dataset(*a).items()})
+        assert self._emit(mixed, cfg, tmp_path / "backward", metrics) == forward
+
+    @pytest.mark.parametrize("per_timestep", [False, True])
+    def test_rates_and_pooled_rate_match_the_agent_walk(self, monkeypatch, per_timestep):
+        rng = np.random.default_rng(17)
+        scenes = [random_scene(rng, n_agents=10, n_timesteps=50, scene_id=f"s{k}") for k in range(4)]
+        scenes.append(_few_observed_scene("few", "rand", two_rows=True))
+        counters = [
+            _scene_collisions,
+            lambda s: _offroad_counts(s, self.VMAP, s.columns.observed & _offroad_rows(s, _TYPE_NAMES)),
+            lambda s: _agent_counts(s, s.columns.observed, np.hypot(s.columns.ax, s.columns.ay) > 1.0),
+            lambda s: _agent_counts(s, s.columns.observed & (s.columns.x > 1e9), s.columns.observed),  # selects no agent
+        ]
+        reference, datasets = SCENE_POOLED_METRICS["_rates"], {"b": scenes[2:], "a": scenes[:2]}
+        for counts in counters:
+            assert _rates(datasets, counts, per_timestep) == reference(datasets, counts, per_timestep)
+        pooled = [[simulation._pooled_rate(s, c) for c in counters] for s in scenes]
+        monkeypatch.setattr(simulation, "_rates", reference)
+        assert pooled == [[simulation._pooled_rate(s, c) for c in counters] for s in scenes]
+        assert all(row[-1] is None for row in pooled)
+
+    def test_run_sums_add_in_np_sum_order(self):
+        rng = np.random.default_rng(18)
+        lengths = np.concatenate([np.arange(1, 300), [513, 1000, 4097], rng.integers(1, 40, size=200)])
+        values = rng.lognormal(0.0, 3.0, size=int(lengths.sum()) + 7)
+        firsts = rng.integers(0, len(values) - lengths + 1)
+        want = np.array([np.sum(values[f : f + n]) for f, n in zip(firsts, lengths)])
+        assert _run_sums(values, firsts, lengths).tobytes() == want.tobytes()
+        assert _run_sums(values, firsts[:0], lengths[:0]).shape == (0,)
+
+
 class TestSingleLoad:
     def test_run_analysis_resolves_once_and_loads_each_scene_once(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(4)
@@ -912,6 +1043,21 @@ class TestReport:
         lines = csvs[0].read_text().strip().splitlines()
         assert lines[0] == "edge_lo,edge_hi,count"
         assert len(lines) - 1 == len(report.histograms[0].edges) - 1
+
+    def test_csv_rows_format_each_bin(self, tmp_path):
+        # Histograms that share edges reuse one bin text; others get their own.
+        rng = np.random.default_rng(3)
+        cfg = AnalysisConfig()
+        edge_sets = [cfg.edges("speed"), cfg.edges("speed"), cfg.edges("heading_delta"), cfg.edges("accel"), np.array([0.1, 0.2])]
+        report = MetricReport(config={}, tags=[])
+        for k, edges in enumerate(edge_sets):
+            for t in ("pedestrian", "vehicle"):
+                report.histograms.append(Histogram.from_samples(f"m{k}", "d", t, rng.normal(1.0, 3.0, 200), edges))
+        for path in emit_report(report, tmp_path)[:-1]:
+            name, _, agent_type = path.stem.split("__")
+            (hist,) = [h for h in report.histograms if (h.name, h.agent_type) == (name, agent_type)]
+            rows = [f"{lo!r},{hi!r},{int(n)}" for lo, hi, n in zip(hist.edges[:-1], hist.edges[1:], hist.counts)]
+            assert path.read_text(encoding="utf-8") == "\n".join(["edge_lo,edge_hi,count", *rows]) + "\n"
 
     def test_reemit_byte_identical(self, tmp_path, cache):
         cache.write(synth_scene(Straight(5.0), 1, 20, 0.1))

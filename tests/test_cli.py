@@ -450,6 +450,19 @@ def _edit_entry(edit):
     return rewrite
 
 
+class TestMalformedSceneDt:
+    @pytest.mark.parametrize("command", ["analyze", "batch"])
+    @pytest.mark.parametrize("dt", [float("inf"), 0.0, -0.1])
+    def test_exit_2(self, workspace, capsys, command, dt):
+        tmp_path, cache_dir = workspace
+        (path,) = cache_dir.glob("*/synth-0.tksc")
+        path.write_bytes(rewrite_json_header(path.read_bytes(), lambda h: h.update(dt=dt), crc=True))
+        assert main(_CACHE_READERS[command](str(cache_dir), str(tmp_path / "out"))) == 2
+        err = capsys.readouterr().err
+        assert "dt must be finite and > 0" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
 class TestMalformedIndex:
     CASES = {
         "list": lambda index: [],

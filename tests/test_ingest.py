@@ -2,9 +2,11 @@ import contextlib
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -761,6 +763,22 @@ class TestSceneFormatFuzz:
     def test_header_edits(self, key, value):
         # The checksum is recomputed, so only the header's own checks stand.
         self._load(rewrite_json_header(self.DATA, lambda h: SCENE_HEADER_EDITS[key](h, value), crc=True))
+
+    @pytest.mark.parametrize("value", [2, 3, 128, 255])
+    @pytest.mark.parametrize("row", [0, 5, -1])
+    def test_observed_byte_other_than_0_or_1(self, row, value):
+        # observed is the last column: one u1 per row, just before the CRC.
+        n_rows = len(scene_from_bytes(self.DATA).columns)
+        data = bytearray(self.DATA[:-4])
+        data[len(data) - n_rows + row % n_rows] = value
+        data += struct.pack("<I", zlib.crc32(bytes(data)) & 0xFFFFFFFF)
+        with pytest.raises(CacheError, match=f"observed column holds {value} at row {row % n_rows}"):
+            scene_from_bytes(bytes(data))
+
+    @pytest.mark.parametrize("dt", [float("inf"), float("nan"), 0.0, -0.1])
+    def test_header_dt_not_finite_and_positive(self, dt):
+        with pytest.raises(CacheError, match="dt must be finite and > 0"):
+            scene_from_bytes(rewrite_json_header(self.DATA, lambda h: h.update(dt=dt), crc=True))
 
     def test_cli_analyze_on_a_corrupt_scene_exits_2(self, tmp_path, capsys):
         cache = SceneCache(tmp_path / "cache")
