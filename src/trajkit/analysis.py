@@ -645,7 +645,7 @@ def emit_report(report: MetricReport, out_dir: str | Path) -> list[Path]:
         path = out / f"{hist.name}__{hist.dataset}__{hist.agent_type}.csv"
         key = (hist.edges.dtype.str, hist.edges.tobytes())
         if key not in bins:
-            text = list(map(repr, hist.edges))
+            text = list(map(repr, hist.edges.tolist()))
             bins[key] = [f"{lo},{hi}," for lo, hi in zip(text[:-1], text[1:])]
         rows = "".join(f"{bounds}{count}\n" for bounds, count in zip(bins[key], hist.counts.tolist()))
         path.write_text("edge_lo,edge_hi,count\n" + rows, encoding="utf-8")

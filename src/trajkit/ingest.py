@@ -5,13 +5,12 @@ The canonical CSV is the single interchange format
 (``scene_id,agent_id,agent_type,frame,x,y,z,heading,length,width,height``);
 adapters for licensed datasets are expected to be written externally as
 converters to it. Cache files are one binary blob per scene with a CRC32
-footer plus one JSON index per dataset directory.
+footer, one directory per dataset; the directory listing is the index.
 """
 
 from __future__ import annotations
 
 import csv
-import fcntl
 import io
 import itertools
 import json
@@ -21,7 +20,6 @@ import os
 import struct
 import uuid
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -628,24 +626,31 @@ def scene_to_bytes(scene: SceneFrame) -> bytes:
     return bytes(buf)
 
 
-def scene_from_bytes(data: bytes) -> SceneFrame:
-    head_len = len(CACHE_MAGIC) + 4 + 8
-    if len(data) < head_len:
-        raise CacheTruncatedError(f"file too short ({len(data)} bytes) to hold the cache preamble")
-    if data[: len(CACHE_MAGIC)] != CACHE_MAGIC:
-        raise CacheVersionError(f"bad magic {data[:len(CACHE_MAGIC)]!r}, expected {CACHE_MAGIC!r}")
-    (version,) = struct.unpack_from("<I", data, len(CACHE_MAGIC))
+_PREAMBLE = len(CACHE_MAGIC) + 4 + 8  # magic, u32 version, u64 header length
+
+
+def _read_header(f, size: int) -> tuple[dict, int]:
+    """The JSON header of the scene file of size bytes that f reads from its
+    start, and the offset where the column payload begins; CacheError when the
+    preamble or the header does not read."""
+    preamble = f.read(_PREAMBLE)
+    if len(preamble) < _PREAMBLE:
+        raise CacheTruncatedError(f"file too short ({len(preamble)} bytes) to hold the cache preamble")
+    if preamble[: len(CACHE_MAGIC)] != CACHE_MAGIC:
+        raise CacheVersionError(f"bad magic {preamble[:len(CACHE_MAGIC)]!r}, expected {CACHE_MAGIC!r}")
+    version, header_len = struct.unpack_from("<IQ", preamble, len(CACHE_MAGIC))
     if version != CACHE_VERSION:
         raise CacheVersionError(f"unsupported cache version {version}, expected {CACHE_VERSION}")
-    (header_len,) = struct.unpack_from("<Q", data, len(CACHE_MAGIC) + 4)
-    pos = head_len + header_len
-    if len(data) < pos:
+    if size < _PREAMBLE + header_len:
         raise CacheTruncatedError("file ends inside the JSON header")
     try:
-        header = json.loads(data[head_len:pos].decode("utf-8"))
+        return json.loads(f.read(header_len).decode("utf-8")), _PREAMBLE + header_len
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CacheError(f"unreadable cache header: {exc}") from exc
 
+
+def scene_from_bytes(data: bytes) -> SceneFrame:
+    header, pos = _read_header(io.BytesIO(data), len(data))
     try:
         return _scene_from_header(header, data, pos)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: a ts beyond int64 or infinite
@@ -723,21 +728,6 @@ def _plain_name(name: str, what: str) -> str:
     return name
 
 
-def _index_entry(scene: SceneFrame, path: Path) -> dict:
-    return {"scene_id": scene.scene_id, "path": path.name, "n_agents": scene.n_agents, "n_timesteps": scene.n_timesteps}
-
-
-_ENTRY_KINDS = {"scene_id": str, "path": str, "n_agents": int, "n_timesteps": int}
-
-
-def _checked_entry(entry) -> dict:
-    """entry, if it holds each key _index_entry writes, with its type, and a
-    path that names a file inside the dataset directory."""
-    _checked_object(entry, _ENTRY_KINDS, _ENTRY_KINDS, "index entry")
-    _plain_name(entry["path"], "index path")
-    return entry
-
-
 @dataclass(frozen=True)
 class CacheEntry:
     tag: str
@@ -747,8 +737,28 @@ class CacheEntry:
     n_timesteps: int
 
 
+# Header keys an entry of SceneCache.resolve reads, and the JSON types they take.
+_ENTRY_HEADER_KINDS = {"scene_id": str, "dataset_tag": str, "location": str, "n_timesteps": int, "agents": list}
+
+
+def _header_entry(path: Path) -> CacheEntry:
+    """The entry of the scene file at path, read from its preamble and JSON
+    header alone: no payload, no CRC."""
+    try:
+        with open(path, "rb") as f:
+            header, _ = _read_header(f, os.fstat(f.fileno()).st_size)
+        _checked_object(header, _ENTRY_HEADER_KINDS, _ENTRY_HEADER_KINDS, "cache header")
+        base = SceneTag.parse(header["dataset_tag"])
+        tag = SceneTag(base.dataset, base.split, header["location"] or None)  # as SceneFrame.scene_tag renders it
+    except (CacheError, ValueError) as exc:
+        raise CacheError(f"scene file {path}: {exc}") from exc
+    return CacheEntry(tag.render(), header["scene_id"], path, len(header["agents"]), header["n_timesteps"])
+
+
 class SceneCache:
-    """Directory of cached scenes: one .tksc file per scene, one index per dataset."""
+    """Directory of cached scenes: one directory per dataset holding one
+    ``<scene_id>.tksc`` file per scene. The directory is the index: each
+    file's header carries the scene's tag, and nothing else is written."""
 
     def __init__(self, cache_dir: str | Path):
         self.cache_dir = Path(cache_dir)
@@ -757,67 +767,26 @@ class SceneCache:
     def _dataset_dir(self, dataset: str) -> Path:
         return self.cache_dir / _plain_name(dataset, "dataset")
 
-    def _index_path(self, dataset: str) -> Path:
-        return self._dataset_dir(dataset) / "index.json"
-
-    def _load_index(self, dataset: str) -> dict[str, dict[str, dict]]:
-        """Index entries by scene tag, then by scene id; CacheError when the
-        index is not shaped as _store_index writes it."""
-        path = self._index_path(dataset)
-        if not path.exists():
-            return {}
-        try:
-            raw = _checked_object(json.loads(path.read_text(encoding="utf-8")), {"scenes": dict}, (), "cache index")
-            scenes = raw.get("scenes", {})
-            _checked_object(scenes, dict.fromkeys(scenes, list), (), "cache index scenes")
-            return {render: {e["scene_id"]: _checked_entry(e) for e in entries} for render, entries in scenes.items()}
-        except ValueError as exc:
-            raise CacheError(f"malformed cache index {path}: {exc}") from exc
-
-    def _store_index(self, dataset: str, index: dict[str, dict[str, dict]]) -> None:
-        scenes = {render: [entries[scene_id] for scene_id in sorted(entries)] for render, entries in index.items()}
-        payload = json.dumps({"version": 1, "scenes": scenes}, sort_keys=True, indent=1)
-        _replace_file(self._index_path(dataset), payload.encode("utf-8"))
-
-    @contextmanager
-    def _index_lock(self, dataset: str):
-        """Exclusive lock for an index read-modify-write. It is taken on the
-        dataset directory itself: a lock file would add a file to the cache."""
-        fd = os.open(self._dataset_dir(dataset), os.O_RDONLY)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            os.close(fd)  # releases the lock
-
     def write(self, scene: SceneFrame) -> Path:
         return self.write_many([scene])[0]
 
     def write_many(self, scenes: Iterable[SceneFrame]) -> list[Path]:
-        """Write the scene files, then update each dataset's index once. Every
-        id is checked before anything is written."""
+        """Replace each scene's file atomically. Every id is checked before
+        anything is written."""
         scenes = list(scenes)
         paths = [self._dataset_dir(s.scene_tag().dataset) / f"{_plain_name(s.scene_id, 'scene id')}.tksc" for s in scenes]
         for scene, path in zip(scenes, paths):
             path.parent.mkdir(parents=True, exist_ok=True)
             _replace_file(path, scene_to_bytes(scene))
-
-        for dataset in dict.fromkeys(path.parent.name for path in paths):
-            with self._index_lock(dataset):
-                index = self._load_index(dataset)
-                for scene, path in zip(scenes, paths):
-                    if path.parent.name == dataset:
-                        index.setdefault(scene.scene_tag().render(), {})[scene.scene_id] = _index_entry(scene, path)
-                self._store_index(dataset, index)
         return paths
 
     def locate(self, scene_id: str) -> Path | None:
-        """Cached file of the scene with this id, looked up in the dataset
-        indexes; when several datasets hold it, the first in sorted order wins."""
+        """Cached file of the scene with this id, found by its file name; when
+        several datasets hold it, the first in sorted order wins."""
+        name = f"{_plain_name(scene_id, 'scene id')}.tksc"
         for ddir in sorted(p for p in self.cache_dir.iterdir() if p.is_dir()):
-            for _, entries in sorted(self._load_index(ddir.name).items()):
-                if scene_id in entries:
-                    return ddir / entries[scene_id]["path"]
+            if (ddir / name).is_file():
+                return ddir / name
         return None
 
     def load_path(self, path: str | Path) -> SceneFrame:
@@ -829,18 +798,16 @@ class SceneCache:
         return scene
 
     def resolve(self, tags: Iterable[str]) -> list[CacheEntry]:
+        """Entries of the scenes the tags select, sorted by (tag, scene id).
+        Every .tksc file of a queried dataset's directory is read, header
+        only; a file whose header names another dataset is not listed, and
+        other files (a leftover index.json, an interrupted write's .tmp) are
+        ignored. CacheError when a scene file's header does not read."""
         out: list[CacheEntry] = []
         for text in tags:
             query = SceneTag.parse(text)
-            scenes = self._load_index(query.dataset)
-            matched = []
-            for render, entries in sorted(scenes.items()):
-                if not query.matches(SceneTag.parse(render)):
-                    continue
-                for e in entries.values():
-                    matched.append(
-                        CacheEntry(render, e["scene_id"], self._dataset_dir(query.dataset) / e["path"], e["n_agents"], e["n_timesteps"])
-                    )
+            entries = map(_header_entry, sorted(self._dataset_dir(query.dataset).glob("*.tksc")))
+            matched = [e for e in entries if query.matches(SceneTag.parse(e.tag))]
             if not matched:
                 raise UnknownTagError(f"tag {text!r} matched no cached scenes")
             out.extend(matched)
@@ -852,19 +819,9 @@ class SceneCache:
         for entry in self.resolve(tags):
             yield self.load_path(entry.path)
 
-    def rebuild_index(self, dataset: str) -> None:
-        """Regenerate a dataset's index from its scene files (idempotent)."""
-        ddir = self._dataset_dir(dataset)
-        scenes: dict[str, dict[str, dict]] = {}
-        with self._index_lock(dataset):
-            for path in sorted(ddir.glob("*.tksc")):
-                scene = scene_from_bytes(path.read_bytes())
-                scenes.setdefault(scene.scene_tag().render(), {})[scene.scene_id] = _index_entry(scene, path)
-            self._store_index(dataset, scenes)
-
 
 def cache_write(scene: SceneFrame, cache_dir: str | Path) -> Path:
-    """Write one scene into the cache directory, updating its dataset index."""
+    """Write one scene's file into its dataset's directory of the cache."""
     return SceneCache(cache_dir).write(scene)
 
 

@@ -111,7 +111,7 @@ def _encode_polylines(polylines: Sequence[np.ndarray]) -> list[bytes]:
 
 
 def _decode_polylines(buf: bytes, offset: int, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of _encode_points over consecutive polylines of the given point
+    """Inverse of _encode_polylines over consecutive polylines of the given point
     counts: their points as one (P, 3) array grouped by point count, each one's
     first row, and whether it has identical consecutive points. A polyline of
     n points takes n + 1 units of 12 bytes: the f64 base two, each f32 delta one.
@@ -140,12 +140,6 @@ def _decode_polylines(buf: bytes, offset: int, counts) -> tuple[np.ndarray, np.n
             same = block[:, 1:] == block[:, :-1]
             repeats[group] = (same[..., 0] & same[..., 1] & same[..., 2]).any(axis=1)
     return pts, start, repeats
-
-
-def _decode_points(buf: bytes, offset: int, n: int) -> tuple[np.ndarray, bytes, int]:
-    """One polyline of _decode_polylines; also returns the raw slice for canonical re-encoding."""
-    end = offset + 12 * (n + 1)
-    return _decode_polylines(buf, offset, [n])[0], bytes(buf[offset:end]), end
 
 
 @dataclass(eq=False)

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -1056,8 +1058,18 @@ class TestReport:
         for path in emit_report(report, tmp_path)[:-1]:
             name, _, agent_type = path.stem.split("__")
             (hist,) = [h for h in report.histograms if (h.name, h.agent_type) == (name, agent_type)]
-            rows = [f"{lo!r},{hi!r},{int(n)}" for lo, hi, n in zip(hist.edges[:-1], hist.edges[1:], hist.counts)]
+            edges = hist.edges.tolist()
+            rows = [f"{lo!r},{hi!r},{int(n)}" for lo, hi, n in zip(edges[:-1], edges[1:], hist.counts)]
             assert path.read_text(encoding="utf-8") == "\n".join(["edge_lo,edge_hi,count", *rows]) + "\n"
+
+    def test_csv_edge_cells_parse_as_floats(self, tmp_path):
+        report = MetricReport(config={}, tags=[])
+        for k, edges in enumerate([AnalysisConfig().edges("speed"), np.array([0.1, 0.2, 1e300])]):
+            report.histograms.append(Histogram.from_samples(f"m{k}", "d", "vehicle", np.linspace(0.0, 1.0, 50), edges))
+        for path, hist in zip(emit_report(report, tmp_path)[:-1], report.histograms):
+            rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"))))[1:]
+            assert [float(lo) for lo, _, _ in rows] == hist.edges[:-1].tolist()
+            assert [float(hi) for _, hi, _ in rows] == hist.edges[1:].tolist()
 
     def test_reemit_byte_identical(self, tmp_path, cache):
         cache.write(synth_scene(Straight(5.0), 1, 20, 0.1))

@@ -1,5 +1,7 @@
+import copy
 import json
 import logging
+import shutil
 
 import numpy as np
 import pytest
@@ -359,15 +361,14 @@ class TestSimReplayCommand:
         code = main(["sim-replay", "--cache", str(cache_dir), "--scene", "ghost", "--init-ts", "0", "--steps", "5", "--out", str(tmp_path / "sim")])
         assert code == 2
 
-    def test_scene_found_through_the_index(self, workspace):
+    def test_scene_found_by_file_name(self, workspace):
         tmp_path, cache_dir = workspace
-        # A scene file that no index lists is not found.
-        (path,) = cache_dir.glob("*/synth-0.tksc")
-        stray = cache_dir / "aaa"
-        stray.mkdir()
-        (stray / "ghost.tksc").write_bytes(path.read_bytes())
-        code = main(["sim-replay", "--cache", str(cache_dir), "--scene", "ghost", "--init-ts", "0", "--steps", "5", "--out", str(tmp_path / "sim")])
-        assert code == 2
+        argv = ["sim-replay", "--cache", str(cache_dir), "--scene", "ghost", "--init-ts", "0", "--steps", "5"]
+        SceneCache(cache_dir).write(synth_scene(Straight(10.0), 1, 40, 0.1, scene_id="ghost", dataset="aaa"))
+        assert main([*argv, "--out", str(tmp_path / "sim")]) == 0
+        # A removed scene file is not found: nothing else lists it.
+        (cache_dir / "aaa" / "ghost.tksc").unlink()
+        assert main([*argv, "--out", str(tmp_path / "sim2")]) == 2
 
     def test_first_dataset_in_sorted_order_wins(self, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -433,8 +434,20 @@ class TestMalformedHeaders:
         assert main(["map", "--map", str(path), "stats"]) == 2
         assert "lanes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cut", [3, 30], ids=["in-preamble", "in-header"])
+    def test_truncated_scene_file_exit_2(self, workspace, capsys, cut):
+        # analyze reads every scene file's header of a queried dataset, so one whose tag is not queried fails too.
+        tmp_path, cache_dir = workspace
+        path = SceneCache(cache_dir).write(synth_scene(Straight(5.0), 1, 20, 0.1, scene_id="other", location="elsewhere"))
+        path.write_bytes(path.read_bytes()[:cut])
+        argv = ["analyze", "--cache", str(cache_dir), "--tags", "synth-flat", "--metrics", "speed", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "other.tksc" in err
+        assert "Traceback" not in err
 
-# Each command that reads the cache through its dataset indexes.
+
+# Each command that reads the cache.
 _CACHE_READERS = {
     "analyze": lambda cache, out: ["analyze", "--cache", cache, "--tags", "synth", "--metrics", "speed", "--out", out],
     "batch": lambda cache, out: ["batch", "--cache", cache, "--tags", "synth", "--history", "1,3", "--future", "4,4", "--out", out],
@@ -446,8 +459,12 @@ def _edit_entry(edit):
     def rewrite(index):
         (entries,) = index["scenes"].values()
         edit(entries[0])
-        return index
+        return json.dumps(index)
     return rewrite
+
+
+def _output_files(out):
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
 
 class TestMalformedSceneDt:
@@ -464,26 +481,36 @@ class TestMalformedSceneDt:
 
 
 class TestMalformedIndex:
+    """The cache no longer writes an index.json; one left in a dataset
+    directory by an older version, well formed or not, is ignored."""
+
+    OLD_INDEX = {"version": 1, "scenes": {"synth-flat": [{"scene_id": "synth-0", "path": "synth-0.tksc", "n_agents": 1, "n_timesteps": 100}]}}
     CASES = {
-        "list": lambda index: [],
-        "scenes_list": lambda index: {"scenes": []},
+        "list": lambda index: "[]",
+        "scenes_list": lambda index: '{"scenes": []}',
         "entry_without_path": _edit_entry(lambda e: e.pop("path")),
         "path_outside_cache": _edit_entry(lambda e: e.update(path="../../etc/passwd")),
+        "not_json": lambda index: "\x00not json{",
     }
 
     @pytest.mark.parametrize("command", sorted(_CACHE_READERS))
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_exit_2(self, workspace, capsys, command, case):
+    def test_changes_no_output(self, workspace, command, case):
         tmp_path, cache_dir = workspace
-        index_path = cache_dir / "synth" / "index.json"
-        index_path.write_text(json.dumps(self.CASES[case](json.loads(index_path.read_text()))))
-        assert main(_CACHE_READERS[command](str(cache_dir), str(tmp_path / "out"))) == 2
-        assert "malformed cache index" in capsys.readouterr().err
+        argv, out = _CACHE_READERS[command](str(cache_dir), str(tmp_path / "out")), tmp_path / "out"
+        assert main(argv) == 0
+        clean = _output_files(out)
+        shutil.rmtree(out)
+        (cache_dir / "synth" / "index.json").write_text(self.CASES[case](copy.deepcopy(self.OLD_INDEX)))
+        assert main(argv) == 0
+        assert _output_files(out) == clean
 
     def test_well_formed_index_still_reads(self, workspace):
         tmp_path, cache_dir = workspace
+        (cache_dir / "synth" / "index.json").write_text(json.dumps(self.OLD_INDEX))
         for command, argv in sorted(_CACHE_READERS.items()):
             assert main(argv(str(cache_dir), str(tmp_path / command))) == 0, command
+
 
 
 class TestMalformedMeta:

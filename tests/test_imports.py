@@ -22,12 +22,22 @@ print(json.dumps(sorted({{name.partition(".")[0] for name in set(sys.modules) - 
 """
 
 
-def test_trajkit_loads_only_numpy_and_the_standard_library():
+def _loaded_top_level_modules():
+    """Top-level names of the modules importing trajkit and each of its submodules loads."""
     paths = [str(Path(module.__file__).resolve().parents[1]) for module in (trajkit, numpy)]
     done = subprocess.run(
         [sys.executable, "-I", "-S", "-c", _IMPORT_ALL.format(paths=paths)], capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    loaded = set(json.loads(done.stdout))
+    return set(json.loads(done.stdout))
+
+
+def test_trajkit_loads_only_numpy_and_the_standard_library():
+    loaded = _loaded_top_level_modules()
     assert {"numpy", "trajkit"} <= loaded
     assert loaded - set(sys.stdlib_module_names) - {"numpy", "trajkit"} == set()
+
+
+def test_trajkit_loads_no_fcntl():
+    # The cache takes no file lock, so trajkit needs no POSIX-only module for one.
+    assert "fcntl" not in _loaded_top_level_modules()

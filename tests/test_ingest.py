@@ -530,14 +530,99 @@ class TestCache:
         cache.write(scene)
         assert len(cache.resolve(["dsa"])) == 1
 
-    def test_rebuild_index_idempotent(self, tmp_path):
+    def test_rewrite_under_another_location_moves_the_tag(self, tmp_path):
         cache = SceneCache(tmp_path)
-        cache.write(synth_scene(Straight(1.0), 1, 5, 0.1, scene_id="sA", dataset="dsa"))
-        cache.write(synth_scene(Straight(2.0), 1, 5, 0.1, scene_id="sB", dataset="dsa"))
-        index_path = tmp_path / "dsa" / "index.json"
-        before = index_path.read_bytes()
-        cache.rebuild_index("dsa")
-        assert index_path.read_bytes() == before
+        cache.write(synth_scene(Straight(1.0), 1, 5, 0.1, scene_id="s1", dataset="d", location="boston"))
+        path = cache.write(synth_scene(Straight(1.0), 2, 5, 0.1, scene_id="s1", dataset="d", location="pittsburgh"))
+        with pytest.raises(UnknownTagError):
+            cache.resolve(["d-boston"])
+        (entry,) = cache.resolve(["d-pittsburgh"])
+        assert (entry.tag, entry.path, entry.n_agents) == ("d-pittsburgh", path, cache_load(path).n_agents)
+        assert [e.tag for e in cache.resolve(["d"])] == ["d-pittsburgh"]
+
+    def test_entries_come_from_the_file_headers(self, tmp_path):
+        cache = SceneCache(tmp_path)
+        scenes = [
+            synth_scene(Straight(1.0), 3, 7, 0.1, scene_id="sA", dataset="dsa", location="loc1"),
+            synth_scene(Straight(1.0), 2, 9, 0.1, scene_id="sB", dataset="dsa-train", location=""),
+        ]
+        cache.write_many(scenes)
+        entries = cache.resolve(["dsa"])
+        assert [(e.tag, e.scene_id, e.n_agents, e.n_timesteps) for e in entries] == [
+            ("dsa-loc1", "sA", 3, 7), ("dsa-train", "sB", 2, 9),
+        ]
+        assert cache.resolve(["dsa-train", "dsa"]) == entries  # overlapping queries list a file once
+        for entry, scene in zip(entries, scenes):
+            assert entry.tag == scene.scene_tag().render()
+            assert entry.path == tmp_path / "dsa" / f"{scene.scene_id}.tksc"
+
+    def test_file_naming_another_dataset_is_not_listed(self, tmp_path):
+        cache = SceneCache(tmp_path)
+        path = cache.write(synth_scene(Straight(1.0), 1, 5, 0.1, scene_id="sA", dataset="dsa"))
+        (tmp_path / "dsb").mkdir()
+        (tmp_path / "dsb" / "sA.tksc").write_bytes(path.read_bytes())
+        with pytest.raises(UnknownTagError):
+            cache.resolve(["dsb"])
+        assert [e.path for e in cache.resolve(["dsa"])] == [path]
+
+    def test_other_files_are_ignored(self, tmp_path):
+        cache = SceneCache(tmp_path)
+        path = cache.write(synth_scene(Straight(1.0), 1, 5, 0.1, scene_id="sA", dataset="dsa"))
+        for name in ("index.json", f".sA.tksc.{'0' * 32}.tmp", "notes.txt"):
+            (tmp_path / "dsa" / name).write_bytes(b"\x00garbage")
+        assert [e.path for e in cache.resolve(["dsa"])] == [path]
+
+    @pytest.mark.parametrize("damage", [
+        lambda data: b"",
+        lambda data: data[:3],
+        lambda data: data[:12],
+        lambda data: data[:30],
+        lambda data: data[:10] + struct.pack("<Q", 2**62) + data[18:],
+    ], ids=["empty", "in-magic", "in-preamble", "in-header", "huge-header-length"])
+    def test_unreadable_header_raises_even_if_not_queried(self, tmp_path, damage):
+        cache = SceneCache(tmp_path)
+        cache.write(synth_scene(Straight(1.0), 1, 5, 0.1, scene_id="sA", dataset="dsa", location="loc1"))
+        path = cache.write(synth_scene(Straight(1.0), 1, 5, 0.1, scene_id="sB", dataset="dsa", location="loc2"))
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(CacheError):
+            cache.resolve(["dsa-loc1"])
+
+    def test_header_read_reads_no_payload(self, tmp_path):
+        cache = SceneCache(tmp_path)
+        path = cache.write(synth_scene(Straight(1.0), 4, 500, 0.1, scene_id="sA", dataset="dsa"))
+        data = bytearray(path.read_bytes())
+        data[-40] ^= 0xFF  # the payload and its CRC no longer agree
+        path.write_bytes(bytes(data))
+        (entry,) = cache.resolve(["dsa"])
+        assert (entry.n_agents, entry.n_timesteps) == (4, 500)
+        with pytest.raises(CacheChecksumError):
+            cache.load_path(entry.path)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda h: h.pop("dataset_tag"), "dataset_tag"),
+        (lambda h: h.update(location=None), "location"),
+        (lambda h: h.update(n_timesteps=5.0), "n_timesteps"),
+        (lambda h: h.update(agents={}), "agents"),
+        (lambda h: h.update(scene_id=7), "scene_id"),
+        (lambda h: h.update(location="a-b"), "a-b"),
+    ], ids=["no-dataset_tag", "null-location", "float-n_timesteps", "object-agents", "int-scene_id", "dash-location"])
+    def test_header_of_the_wrong_shape_raises(self, tmp_path, edit, named):
+        cache = SceneCache(tmp_path)
+        path = cache.write(synth_scene(Straight(1.0), 1, 5, 0.1, scene_id="sA", dataset="dsa"))
+        path.write_bytes(rewrite_json_header(path.read_bytes(), edit, crc=True))
+        with pytest.raises(CacheError, match=named):
+            cache.resolve(["dsa"])
+
+    def test_locate_by_file_name(self, tmp_path):
+        cache = SceneCache(tmp_path)
+        path = cache.write(synth_scene(Straight(1.0), 1, 5, 0.1, scene_id="sA", dataset="dsb"))
+        (tmp_path / "dsa").mkdir()
+        (tmp_path / "dsa" / "index.json").write_text("{}")
+        assert cache.locate("sA") == path
+        path.unlink()
+        assert cache.locate("sA") is None
+        with pytest.raises(ValueError, match="plain name"):
+            cache.locate("../sA")
 
     def test_cached_scene_is_read_only(self, tmp_path):
         cache = SceneCache(tmp_path)
@@ -594,31 +679,42 @@ class TestWriteMany:
             for k, dataset in enumerate(["dsa", "dsb", "dsa", "dsa", "dsb"])
         ]
 
-    def _count_index_writes(self, monkeypatch):
+    def _record_writes(self, monkeypatch):
         replaced = []
         real = ingest._replace_file
 
-        def counting(path, data):
-            replaced.append(path.name)
+        def recording(path, data):
+            replaced.append((path.name, data))
             real(path, data)
 
-        monkeypatch.setattr(ingest, "_replace_file", counting)
+        monkeypatch.setattr(ingest, "_replace_file", recording)
         return replaced
 
-    def test_one_index_write_per_dataset(self, tmp_path, monkeypatch):
+    def test_write_many_writes_only_the_scene_files(self, tmp_path, monkeypatch):
         one_by_one = SceneCache(tmp_path / "seq")
-        one_by_one.write(self._scenes()[3])
         for scene in self._scenes():
             one_by_one.write(scene)
-        replaced = self._count_index_writes(monkeypatch)
-        cache = SceneCache(tmp_path / "many")
-        cache.write(self._scenes()[3])
+        replaced = self._record_writes(monkeypatch)
         paths = ingest_scenes(self._scenes(), tmp_path / "many")
-        assert replaced.count("index.json") == 1 + 2
-        assert [p.name for p in paths] == [f"s{k:02d}.tksc" for k in range(5)]
-        for dataset in ("dsa", "dsb"):
-            assert (tmp_path / "many" / dataset / "index.json").read_bytes() == (tmp_path / "seq" / dataset / "index.json").read_bytes()
+        assert [p.name for p in paths] == [name for name, _ in replaced] == [f"s{k:02d}.tksc" for k in range(5)]
+        files = sorted(p.relative_to(tmp_path / "many") for p in (tmp_path / "many").rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(tmp_path / "seq") for p in (tmp_path / "seq").rglob("*") if p.is_file())
+        for rel in files:
+            assert (tmp_path / "many" / rel).read_bytes() == (tmp_path / "seq" / rel).read_bytes()
+        cache = SceneCache(tmp_path / "many")
         assert sorted(e.scene_id for e in cache.resolve(["dsa", "dsb"])) == [f"s{k:02d}" for k in range(5)]
+
+    def test_write_bytes_do_not_grow_with_the_dataset(self, tmp_path, monkeypatch):
+        big = SceneCache(tmp_path / "big")
+        big.write_many(synth_scene(Straight(1.0), 1, 3, 0.1, scene_id=f"f{k:03d}", dataset="dsa") for k in range(299))
+        scene = synth_scene(Straight(2.0), 2, 5, 0.1, scene_id="s", dataset="dsa")
+        replaced = self._record_writes(monkeypatch)
+        SceneCache(tmp_path / "small").write(scene)
+        into_small = list(replaced)
+        replaced.clear()
+        big.write(scene)
+        assert replaced == into_small == [("s.tksc", scene_to_bytes(scene))]
+        assert len(big.resolve(["dsa"])) == 300
 
     def test_invalid_scene_leaves_cache_unchanged(self, tmp_path, monkeypatch):
         cache = SceneCache(tmp_path / "cache")
@@ -626,7 +722,7 @@ class TestWriteMany:
         before = {p: p.read_bytes() for p in (tmp_path / "cache").rglob("*") if p.is_file()}
         scenes = self._scenes()
         scenes[3].dt = 0.0
-        replaced = self._count_index_writes(monkeypatch)
+        replaced = self._record_writes(monkeypatch)
         with pytest.raises(ValidationError, match="s03"):
             ingest_scenes(scenes, tmp_path / "cache")
         assert replaced == []
@@ -683,13 +779,12 @@ class TestConcurrentWriters:
         assert codes == [0, 0]
         written = sorted(f"{name}-{k:03d}" for name in names for k in range(self.N_SCENES))
         assert [e.scene_id for e in SceneCache(cache_dir).resolve(["race"])] == written
-        assert sorted(p.name for p in (cache_dir / "race").iterdir()) == sorted([f"{s}.tksc" for s in written] + ["index.json"])
+        assert sorted(p.name for p in (cache_dir / "race").iterdir()) == [f"{s}.tksc" for s in written]
 
     def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
         cache = SceneCache(tmp_path)
         old = synth_scene(Straight(1.0), 1, 5, 0.1, scene_id="s", dataset="dsa")
         path = cache.write(old)
-        index = (tmp_path / "dsa" / "index.json").read_bytes()
 
         def refuse(src, dst):
             raise OSError("disk full")
@@ -699,8 +794,8 @@ class TestConcurrentWriters:
             cache.write(synth_scene(Straight(2.0), 2, 9, 0.1, scene_id="s", dataset="dsa"))
         monkeypatch.undo()
         assert cache_load(path) == old
-        assert sorted(p.name for p in (tmp_path / "dsa").iterdir()) == ["index.json", "s.tksc"]
-        assert (tmp_path / "dsa" / "index.json").read_bytes() == index
+        assert sorted(p.name for p in (tmp_path / "dsa").iterdir()) == ["s.tksc"]
+        assert [e.n_agents for e in cache.resolve(["dsa"])] == [1]
 
 
 def _set_at(*keys):

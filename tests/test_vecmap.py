@@ -23,7 +23,7 @@ from trajkit.vecmap import (
     point_in_polygon,
     polygon_area,
 )
-from trajkit.vecmap import _decode_points, _decode_polylines, _encode_polylines
+from trajkit.vecmap import _decode_polylines, _encode_polylines
 
 from conftest import convex_polygon, random_lane_map, rewrite_json_header, square_area, straight_lane, tiny_traffic_map
 from oracles import (
@@ -494,21 +494,21 @@ class TestMapModel:
 class TestPointCodec:
     def test_two_point_exact(self):
         pts = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
-        dec, _, _ = _decode_points(_encode_polylines([pts])[0], 0, 2)
+        dec = _decode_polylines(_encode_polylines([pts])[0], 0, [2])[0]
         assert np.array_equal(dec, pts)
 
     def test_long_jittered_error_bound(self):
         rng = np.random.default_rng(0)
         steps = rng.uniform(-5.0, 5.0, size=(9999, 3))
         pts = np.vstack([rng.uniform(-1000, 1000, 3), steps]).cumsum(axis=0)
-        dec, _, _ = _decode_points(_encode_polylines([pts])[0], 0, len(pts))
+        dec = _decode_polylines(_encode_polylines([pts])[0], 0, [len(pts)])[0]
         assert np.abs(dec - pts).max() <= 1e-3
 
     def test_error_does_not_accumulate(self):
         # constant tiny steps over many points stay within one-step quantization
         pts = np.zeros((5000, 3))
         pts[:, 0] = np.cumsum(np.full(5000, 0.123456789))
-        dec, _, _ = _decode_points(_encode_polylines([pts])[0], 0, len(pts))
+        dec = _decode_polylines(_encode_polylines([pts])[0], 0, [len(pts)])[0]
         assert np.abs(dec - pts).max() < 1e-5
 
 
@@ -826,9 +826,10 @@ class TestColumnarDecode:
         rng = np.random.default_rng(3)
         pts = np.vstack([rng.uniform(-1e3, 1e3, 3), rng.uniform(-5, 5, (99, 3))]).cumsum(axis=0)
         blob = b"pad" + _encode_polylines([pts])[0]
-        dec, raw, end = _decode_points(blob, 3, 100)
-        assert raw == blob[3:] and end == len(blob)
-        assert dec.tobytes() == reference_decode_points(blob, 3, 100)[0].tobytes()
+        dec = _decode_polylines(blob, 3, [100])[0]
+        want, end = reference_decode_points(blob, 3, 100)
+        assert end == len(blob)
+        assert dec.tobytes() == want.tobytes()
 
     def test_duplicate_point_in_a_ring_loads_but_not_in_a_lane(self):
         # Only lane polylines reject identical consecutive points, as before.
