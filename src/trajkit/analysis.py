@@ -17,8 +17,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import AgentType, SceneFrame, wrap_angle
-from .ingest import SceneCache, _checked_object
+from .core import TYPE_NAMES as _TYPE_NAMES, SceneFrame, _checked_object, load_json, wrap_angle
+from .ingest import SceneCache
 from .kinematics import derive_derivative
 from .vecmap import VectorMap
 
@@ -103,7 +103,7 @@ class AnalysisConfig:
         """Config from a JSON object; unknown keys are ignored and histogram_bins
         entries override the default edges one metric at a time. ValueError
         names a field whose value has the wrong type."""
-        raw = _checked_object(json.loads(text), _CONFIG_KINDS, (), "analysis config")
+        raw = _checked_object(load_json(text), _CONFIG_KINDS, (), "analysis config")
         if not all(isinstance(t, str) for t in raw.get("offroad_types", [])):
             raise ValueError(f"analysis config key 'offroad_types' must list type names, got {raw['offroad_types']!r}")
         for name, edges in raw.get("histogram_bins", {}).items():
@@ -179,15 +179,6 @@ def _scenes_by_dataset(cache: SceneCache, tags: Sequence[str]) -> dict[str, list
     return out
 
 
-_TYPE_NAMES = tuple(sorted(str(t) for t in AgentType))
-_TYPE_CODE = {t: _TYPE_NAMES.index(str(t)) for t in AgentType}
-
-
-def _type_codes(scene: SceneFrame) -> np.ndarray:
-    """Per-agent index into _TYPE_NAMES (the type names, sorted)."""
-    return np.array([_TYPE_CODE[m.agent_type] for m in scene.agents], dtype=np.uint8)
-
-
 def _rate_entry(num: int, den: int) -> dict:
     return {"rate": num / den, "num": num, "den": den}
 
@@ -204,12 +195,12 @@ def agent_population(datasets: Datasets) -> dict:
     """
     out: dict[str, dict] = {}
     for dataset, scenes in sorted(datasets.items()):
-        types: dict[str, AgentType] = {}
+        codes: dict[str, int] = {}
         for scene in scenes:
-            for meta in scene.agents:
-                types.setdefault(meta.agent_id, meta.agent_type)
-        total = len(types)
-        n = np.bincount(np.array([_TYPE_CODE[t] for t in types.values()], dtype=np.int64), minlength=len(_TYPE_NAMES))
+            for meta, code in zip(scene.agents, scene._type_code.tolist()):
+                codes.setdefault(meta.agent_id, code)
+        total = len(codes)
+        n = np.bincount(np.array(list(codes.values()), dtype=np.int64), minlength=len(_TYPE_NAMES))
         counts = {_TYPE_NAMES[c]: int(n[c]) for c in np.flatnonzero(n)}
         out[dataset] = {"unique_agents": total, "type_counts": counts, "type_fractions": {k: v / total for k, v in counts.items()}}
     return out
@@ -327,7 +318,7 @@ def dynamics_distributions(datasets: Datasets, cfg: AnalysisConfig) -> list[Hist
         pools: dict[str, list[np.ndarray]] = {"speed": [], "accel": [], "jerk": []}
         for scene in scenes:
             cols = scene.columns
-            codes.append(_type_codes(scene)[cols.agent_index])
+            codes.append(scene._type_code[cols.agent_index])
             pools["speed"].append(np.hypot(cols.vx, cols.vy))
             pools["accel"].append(np.hypot(cols.ax, cols.ay))
             pools["jerk"].append(np.hypot(*(derive_derivative(a, scene.dt, scene._agent_offsets) for a in (cols.ax, cols.ay))))
@@ -371,7 +362,7 @@ def heading_deltas(datasets: Datasets, cfg: AnalysisConfig) -> list[Histogram]:
                 dh = np.concatenate(parts) if parts else h
             else:
                 dh = wrap_angle(h - h[off[cols.agent_index]])
-            codes.append(_type_codes(scene)[cols.agent_index])
+            codes.append(scene._type_code[cols.agent_index])
             pools["heading_delta"].append(dh)
             pools["heading_raw"].append(h)
         hists += _type_histograms(dataset, codes, pools, cfg)
@@ -414,7 +405,7 @@ def path_efficiency(datasets: Datasets, cfg: AnalysisConfig) -> tuple[list[Histo
             n_steps.append(hi - lo)
             dx.append(xs[hi] - xs[lo])
             dy.append(ys[hi] - ys[lo])
-            codes.append(_type_codes(scene)[cols.agent_index[rows[lo]]])
+            codes.append(scene._type_code[cols.agent_index[rows[lo]]])
         path = _run_sums(*(np.concatenate(parts) for parts in (steps, firsts, n_steps)))
         direct = np.array(list(map(math.hypot, np.concatenate(dx).tolist(), np.concatenate(dy).tolist())), dtype=np.float64)
         still = path < 1e-6
@@ -474,7 +465,7 @@ def _rates(datasets: Datasets, counts: AgentCounter, per_timestep: bool) -> dict
         codes, events, selected = [], [], []
         for scene in scenes:
             ev, sel = counts(scene)
-            codes.append(_type_codes(scene))
+            codes.append(scene._type_code)
             events.append(ev if per_timestep else ev > 0)
             selected.append(sel if per_timestep else sel > 0)
         code = np.concatenate(codes)
@@ -527,7 +518,7 @@ def _offroad_rows(scene: SceneFrame, types: Iterable[str]) -> np.ndarray:
     """Row mask over the rows of every agent whose type name is in types."""
     allowed = set(types)
     by_code = np.array([t in allowed for t in _TYPE_NAMES])
-    return by_code[_type_codes(scene)][scene.columns.agent_index]
+    return by_code[scene._type_code][scene.columns.agent_index]
 
 
 def _offroad_counts(scene: SceneFrame, vmap: VectorMap, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,14 +5,20 @@ agent metadata. Timesteps are integer frame indices; wall-clock time is
 ``ts * dt``. Rows are sorted by (agent_index, ts) and are contiguous over each
 agent's lifetime; interior gaps are imputed upstream and flagged
 ``observed=False``.
+
+Scene (``.tksc``) and map (``.tkmap``) files share one container, written by
+``pack_container`` and read by ``read_container``: a magic, a u32 version, a u64
+header length and a compact sorted-key JSON header, then the payload.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 import math
+import struct
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,6 +68,63 @@ class AgentType(enum.Enum):
 
 
 _AGENT_TYPES = {m.value: m for m in AgentType}
+# The type names sorted; an agent's type code is its type's index here.
+TYPE_NAMES = tuple(sorted(m.value for m in AgentType))
+_TYPE_CODE = {m: TYPE_NAMES.index(m.value) for m in AgentType}
+
+
+def load_json(text):
+    """json.loads(text); a document nested too deep for the decoder raises
+    ValueError, as every other document that does not decode does."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document nested too deep to decode") from None
+
+
+def _checked_object(raw, kinds: dict, required: Iterable[str], what: str) -> dict:
+    """raw, if it is a JSON object that holds every required key and, under
+    each key of kinds that it holds, a value of that type (true and false
+    pass only as bool); ValueError naming the key otherwise."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(raw).__name__}")
+    for key in required:
+        if key not in raw:
+            raise ValueError(f"{what} lacks the key {key!r}")
+    for key, kind in kinds.items():
+        if key in raw and (not isinstance(raw[key], kind) or isinstance(raw[key], bool) and kind is not bool):
+            raise ValueError(f"{what} key {key!r} has the wrong type: {raw[key]!r}")
+    return raw
+
+
+def pack_container(magic: bytes, version: int, header: dict) -> bytearray:
+    """The preamble (magic, u32 version, u64 header length) and the compact,
+    key-sorted JSON header of a container; the caller appends the payload."""
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return bytearray(magic + struct.pack("<IQ", version, len(text)) + text)
+
+
+def read_container(f, size: int, magic: bytes, version: int, errors: tuple) -> tuple[dict, int]:
+    """The JSON header of the container of size bytes that f reads from its
+    start, and the offset where its payload begins. errors holds the classes
+    to raise for a bad magic or version, for a file that ends too soon, and
+    for a header that does not decode."""
+    bad_format, truncated, undecodable = errors
+    preamble_len = len(magic) + 4 + 8
+    preamble = f.read(preamble_len)
+    if len(preamble) < preamble_len:
+        raise truncated(f"file too short ({len(preamble)} bytes) to hold the preamble")
+    if preamble[: len(magic)] != magic:
+        raise bad_format(f"bad magic {preamble[:len(magic)]!r}, expected {magic!r}")
+    found, header_len = struct.unpack_from("<IQ", preamble, len(magic))
+    if found != version:
+        raise bad_format(f"unsupported version {found}, expected {version}")
+    if size < preamble_len + header_len:
+        raise truncated("file ends inside the JSON header")
+    try:
+        return load_json(f.read(header_len).decode("utf-8")), preamble_len + header_len
+    except ValueError as exc:  # also UnicodeDecodeError, the int-digit limit and the nesting limit
+        raise undecodable(f"unreadable JSON header: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -218,6 +281,7 @@ class SceneFrame:
     _agent_offsets: np.ndarray = field(init=False, repr=False)
     _first_ts: np.ndarray = field(init=False, repr=False)  # (agents,) lifetime bounds
     _last_ts: np.ndarray = field(init=False, repr=False)
+    _type_code: np.ndarray = field(init=False, repr=False)  # (agents,) uint8 index into TYPE_NAMES
     _row0: np.ndarray = field(init=False, repr=False)  # row of (agent j, ts) is _row0[j] + ts
 
     def __post_init__(self):
@@ -225,6 +289,7 @@ class SceneFrame:
         self._agent_offsets = np.searchsorted(idx, np.arange(len(self.agents) + 1))
         self._first_ts = np.array([m.first_ts for m in self.agents], dtype=np.int64)
         self._last_ts = np.array([m.last_ts for m in self.agents], dtype=np.int64)
+        self._type_code = np.array([_TYPE_CODE[m.agent_type] for m in self.agents], dtype=np.uint8)
         self._row0 = self._agent_offsets[:-1] - self._first_ts
 
     @classmethod

@@ -34,6 +34,10 @@ from .core import (
     SceneColumns,
     SceneFrame,
     SceneTag,
+    _checked_object,
+    load_json,
+    pack_container,
+    read_container,
     scene_validate,
     wrap_angle,
 )
@@ -81,21 +85,6 @@ class UnknownTagError(KeyError):
     """A requested scene tag matched nothing in the cache."""
 
 
-def _checked_object(raw, kinds: dict, required: Iterable[str], what: str) -> dict:
-    """raw, if it is a JSON object that holds every required key and, under
-    each key of kinds that it holds, a value of that type (true and false
-    pass only as bool); ValueError naming the key otherwise."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(raw).__name__}")
-    for key in required:
-        if key not in raw:
-            raise ValueError(f"{what} lacks the key {key!r}")
-    for key, kind in kinds.items():
-        if key in raw and (not isinstance(raw[key], kind) or isinstance(raw[key], bool) and kind is not bool):
-            raise ValueError(f"{what} key {key!r} has the wrong type: {raw[key]!r}")
-    return raw
-
-
 # Sidecar keys and the JSON types they take; the first three are required.
 _META_KINDS = {"scene_id": str, "dt": (int, float), "dataset": str, "location": str, "split": (str, type(None))}
 
@@ -122,7 +111,7 @@ class SceneMetaRecord:
         """Record from a JSON object; ValueError names a required key that is
         missing, a key whose value has the wrong type, or a dt that is not
         finite and > 0."""
-        raw = _checked_object(json.loads(text), _META_KINDS, ("scene_id", "dt", "dataset"), "scene metadata")
+        raw = _checked_object(load_json(text), _META_KINDS, ("scene_id", "dt", "dataset"), "scene metadata")
         try:
             dt = float(raw["dt"])
         except OverflowError:
@@ -613,44 +602,20 @@ def scene_to_bytes(scene: SceneFrame) -> bytes:
         ],
         "columns": [{"name": name, "dtype": _COLUMN_DTYPES[name]} for name in COLUMN_NAMES],
     }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    buf = bytearray()
-    buf += CACHE_MAGIC
-    buf += struct.pack("<I", CACHE_VERSION)
-    buf += struct.pack("<Q", len(header_bytes))
-    buf += header_bytes
+    buf = pack_container(CACHE_MAGIC, CACHE_VERSION, header)
     for name in COLUMN_NAMES:
         arr = getattr(scene.columns, name)
         buf += np.ascontiguousarray(arr, dtype=np.dtype(_COLUMN_DTYPES[name]).newbyteorder("<")).tobytes()
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
+    buf += struct.pack("<I", zlib.crc32(buf) & 0xFFFFFFFF)
     return bytes(buf)
 
 
-_PREAMBLE = len(CACHE_MAGIC) + 4 + 8  # magic, u32 version, u64 header length
-
-
-def _read_header(f, size: int) -> tuple[dict, int]:
-    """The JSON header of the scene file of size bytes that f reads from its
-    start, and the offset where the column payload begins; CacheError when the
-    preamble or the header does not read."""
-    preamble = f.read(_PREAMBLE)
-    if len(preamble) < _PREAMBLE:
-        raise CacheTruncatedError(f"file too short ({len(preamble)} bytes) to hold the cache preamble")
-    if preamble[: len(CACHE_MAGIC)] != CACHE_MAGIC:
-        raise CacheVersionError(f"bad magic {preamble[:len(CACHE_MAGIC)]!r}, expected {CACHE_MAGIC!r}")
-    version, header_len = struct.unpack_from("<IQ", preamble, len(CACHE_MAGIC))
-    if version != CACHE_VERSION:
-        raise CacheVersionError(f"unsupported cache version {version}, expected {CACHE_VERSION}")
-    if size < _PREAMBLE + header_len:
-        raise CacheTruncatedError("file ends inside the JSON header")
-    try:
-        return json.loads(f.read(header_len).decode("utf-8")), _PREAMBLE + header_len
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CacheError(f"unreadable cache header: {exc}") from exc
+# What read_container raises for a scene file: bad magic or version, too short, header that does not decode.
+_CACHE_ERRORS = (CacheVersionError, CacheTruncatedError, CacheError)
 
 
 def scene_from_bytes(data: bytes) -> SceneFrame:
-    header, pos = _read_header(io.BytesIO(data), len(data))
+    header, pos = read_container(io.BytesIO(data), len(data), CACHE_MAGIC, CACHE_VERSION, _CACHE_ERRORS)
     try:
         return _scene_from_header(header, data, pos)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: a ts beyond int64 or infinite
@@ -668,7 +633,7 @@ def _scene_from_header(header: dict, data: bytes, pos: int) -> SceneFrame:
     if len(data) != expected:
         raise CacheTruncatedError(f"file is {len(data)} bytes, directory expects {expected}")
     (crc_stored,) = struct.unpack_from("<I", data, len(data) - 4)
-    crc_actual = zlib.crc32(data[:-4]) & 0xFFFFFFFF
+    crc_actual = zlib.crc32(memoryview(data)[:-4]) & 0xFFFFFFFF
     if crc_stored != crc_actual:
         raise CacheChecksumError(f"CRC mismatch: stored {crc_stored:#010x}, computed {crc_actual:#010x}")
 
@@ -746,7 +711,7 @@ def _header_entry(path: Path) -> CacheEntry:
     header alone: no payload, no CRC."""
     try:
         with open(path, "rb") as f:
-            header, _ = _read_header(f, os.fstat(f.fileno()).st_size)
+            header, _ = read_container(f, os.fstat(f.fileno()).st_size, CACHE_MAGIC, CACHE_VERSION, _CACHE_ERRORS)
         _checked_object(header, _ENTRY_HEADER_KINDS, _ENTRY_HEADER_KINDS, "cache header")
         base = SceneTag.parse(header["dataset_tag"])
         tag = SceneTag(base.dataset, base.split, header["location"] or None)  # as SceneFrame.scene_tag renders it

@@ -37,21 +37,18 @@ class ResamplePlan:
     factor: int
 
 
-def plan_resample(native_dt: float, desired_dt: float, tol: float = 1e-9) -> ResamplePlan:
+def plan_resample(native_dt: float, desired_dt: float) -> ResamplePlan:
+    """Identity within 1e-9 s; otherwise an upsample (native_dt the larger) or
+    downsample by the integer factor that relates the two within 1e-9 s."""
     if not (0.0 < native_dt < math.inf and 0.0 < desired_dt < math.inf):
         raise ValueError(f"timesteps must be positive and finite, got {native_dt} and {desired_dt}")
+    tol = 1e-9
     if abs(native_dt - desired_dt) <= tol:
         return ResamplePlan(native_dt, desired_dt, "identity", 1)
-    if native_dt > desired_dt:
-        ratio = native_dt / desired_dt
-        factor = round(ratio)
-        if factor >= 1 and abs(native_dt - factor * desired_dt) <= tol:
-            return ResamplePlan(native_dt, desired_dt, "upsample", factor)
-    else:
-        ratio = desired_dt / native_dt
-        factor = round(ratio)
-        if factor >= 1 and abs(desired_dt - factor * native_dt) <= tol:
-            return ResamplePlan(native_dt, desired_dt, "downsample", factor)
+    big, small = max(native_dt, desired_dt), min(native_dt, desired_dt)
+    ratio = big / small  # inf when beyond the float range, which no factor meets
+    if ratio < math.inf and abs(big - round(ratio) * small) <= tol:
+        return ResamplePlan(native_dt, desired_dt, "upsample" if native_dt > desired_dt else "downsample", round(ratio))
     raise ResampleRatioError(
         f"cannot resample dt={native_dt} to dt={desired_dt}: ratio is not a positive integer"
     )

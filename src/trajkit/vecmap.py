@@ -14,14 +14,15 @@ every polyline of a file in one pass; loaded polylines are read-only views.
 from __future__ import annotations
 
 import enum
-import json
+import io
 import logging
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from .core import pack_container, read_container
 
 log = logging.getLogger(__name__)
 
@@ -623,12 +624,7 @@ def map_serialize(vmap: VectorMap) -> bytes:
             [lane_id, ts, str(status)] for (lane_id, ts), status in vmap.traffic_light_frame.items()
         ),
     }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    out = bytearray()
-    out += MAP_MAGIC
-    out += struct.pack("<I", MAP_VERSION)
-    out += struct.pack("<Q", len(header_bytes))
-    out += header_bytes
+    out = pack_container(MAP_MAGIC, MAP_VERSION, header)
     # A decoded polyline or area keeps its payload; every other one is encoded here, all at once.
     lanes = [vmap.lanes[lane_id] for lane_id in sorted(vmap.lanes)]
     lines = [line for lane in lanes for line in (lane.centerline, lane.left_edge, lane.right_edge) if line is not None]
@@ -646,23 +642,7 @@ def map_serialize(vmap: VectorMap) -> bytes:
 def map_deserialize(data: bytes) -> VectorMap:
     """Decode map_serialize output; geometry is reconstructed within 1e-3 m and
     everything non-geometric exactly."""
-    head_len = len(MAP_MAGIC) + 4 + 8
-    if len(data) < head_len:
-        raise MapFormatError(f"file too short ({len(data)} bytes) for the map preamble")
-    if data[: len(MAP_MAGIC)] != MAP_MAGIC:
-        raise MapFormatError(f"bad magic {data[:len(MAP_MAGIC)]!r}, expected {MAP_MAGIC!r}")
-    (version,) = struct.unpack_from("<I", data, len(MAP_MAGIC))
-    if version != MAP_VERSION:
-        raise MapFormatError(f"unsupported map version {version}, expected {MAP_VERSION}")
-    (header_len,) = struct.unpack_from("<Q", data, len(MAP_MAGIC) + 4)
-    pos = head_len + header_len
-    if len(data) < pos:
-        raise MapFormatError("file ends inside the JSON directory")
-    try:
-        header = json.loads(data[head_len:pos].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MapFormatError(f"unreadable map directory: {exc}") from exc
-
+    header, pos = read_container(io.BytesIO(data), len(data), MAP_MAGIC, MAP_VERSION, (MapFormatError,) * 3)
     try:
         with np.errstate(all="ignore"):  # decoded geometry may be NaN or inf
             return _map_from_header(header, data, pos)

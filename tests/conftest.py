@@ -96,11 +96,22 @@ def rewrite_json_header(data: bytes, edit, crc: bool) -> bytes:
     u32 version, u64 header length, header, payload). With crc the blob ends
     in a CRC-32 of everything before it, which is recomputed, so the result
     still passes the checksum."""
-    head_len = 6 + 4 + 8
     (header_len,) = struct.unpack_from("<Q", data, 10)
-    header = json.loads(data[head_len : head_len + header_len])
+    header = json.loads(data[18 : 18 + header_len])
     edit(header)
-    new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    payload = data[head_len + header_len : len(data) - 4 if crc else len(data)]
+    return replace_header(data, json.dumps(header, sort_keys=True, separators=(",", ":")).encode(), crc)
+
+
+def replace_header(data: bytes, new_header: bytes, crc: bool) -> bytes:
+    """data with its JSON header replaced by the bytes new_header, which need
+    not decode; crc as for rewrite_json_header."""
+    (header_len,) = struct.unpack_from("<Q", data, 10)
+    payload = data[18 + header_len : len(data) - 4 if crc else len(data)]
     out = data[:10] + struct.pack("<Q", len(new_header)) + new_header + payload
     return out + struct.pack("<I", zlib.crc32(out) & 0xFFFFFFFF) if crc else out
+
+
+# JSON headers that do not decode although every byte is valid UTF-8: one
+# nested deeper than the decoder recurses, one holding an integer beyond
+# Python's int-digit limit.
+UNDECODABLE_HEADERS = {"deep": b"[" * 5000 + b"]" * 5000, "long-int": b'{"n_rows":' + b"1" * 5000 + b"}"}

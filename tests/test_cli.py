@@ -10,7 +10,7 @@ from trajkit.cli import main
 from trajkit.ingest import SceneCache, Straight, cache_load, synth_scene
 from trajkit.vecmap import VectorMap, map_serialize
 
-from conftest import rewrite_json_header, straight_lane
+from conftest import UNDECODABLE_HEADERS, replace_header, rewrite_json_header, straight_lane
 
 HEADER = "scene_id,agent_id,agent_type,frame,x,y,z,heading,length,width,height"
 
@@ -308,6 +308,16 @@ class TestBatchCommand:
         )
         assert code == 2
 
+    def test_resample_ratio_beyond_the_float_range_exit_2(self, workspace, capsys):
+        tmp_path, cache_dir = workspace
+        code = main(
+            ["batch", "--cache", str(cache_dir), "--tags", "synth",
+             "--history", "1,3", "--future", "4,4", "--dt", "5e-324", "--out", str(tmp_path / "b")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ratio is not a positive integer" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_batch_size_below_one_exit_64(self, workspace, size):
         tmp_path, cache_dir = workspace
@@ -434,6 +444,22 @@ class TestMalformedHeaders:
         assert main(["map", "--map", str(path), "stats"]) == 2
         assert "lanes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "sim-replay"])
+    def test_deep_scene_header_exit_2(self, workspace, capsys, command):
+        tmp_path, cache_dir = workspace
+        (path,) = cache_dir.glob("*/synth-0.tksc")
+        path.write_bytes(replace_header(path.read_bytes(), UNDECODABLE_HEADERS["deep"], crc=True))
+        assert main(_CACHE_READERS[command](str(cache_dir), str(tmp_path / "out"))) == 2
+        err = capsys.readouterr().err
+        assert "nested too deep" in err and "Traceback" not in err
+
+    def test_deep_map_directory_exit_2(self, tmp_path, capsys):
+        path = _map_file(tmp_path)
+        path.write_bytes(replace_header(path.read_bytes(), UNDECODABLE_HEADERS["deep"], crc=False))
+        assert main(["map", "--map", str(path), "stats"]) == 2
+        err = capsys.readouterr().err
+        assert "nested too deep" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("cut", [3, 30], ids=["in-preamble", "in-header"])
     def test_truncated_scene_file_exit_2(self, workspace, capsys, cut):
         # analyze reads every scene file's header of a queried dataset, so one whose tag is not queried fails too.
@@ -523,10 +549,11 @@ class TestMalformedMeta:
         ({"scene_id": 5, "dt": 0.1, "dataset": "toy"}, "scene_id"),
         ({"scene_id": "s0", "dt": 0.1, "dataset": "toy", "location": None}, "location"),
         ({"scene_id": "s0", "dt": 0.1, "dataset": "toy", "split": 3}, "split"),
+        pytest.param(UNDECODABLE_HEADERS["deep"].decode(), "nested too deep", id="deep"),  # text: json.dumps of it recurses too
     ])
     def test_exit_2_naming_the_key(self, tmp_path, capsys, meta, named):
         csv_path, meta_path = _write_inputs(tmp_path)
-        meta_path.write_text(json.dumps(meta))
+        meta_path.write_text(meta if isinstance(meta, str) else json.dumps(meta))
         code = main(["ingest", "--input", str(csv_path), "--format", "canonical-csv", "--meta", str(meta_path), "--cache", str(tmp_path / "c")])
         assert code == 2
         assert named in capsys.readouterr().err
@@ -553,11 +580,12 @@ class TestMalformedConfig:
         ({"histogram_bins": []}, "histogram_bins"),
         ({"histogram_bins": {"speed": 5}}, "histogram_bins"),
         ({"histogram_bins": {"speed": [0, "1"]}}, "histogram_bins"),
+        pytest.param(UNDECODABLE_HEADERS["deep"].decode(), "nested too deep", id="deep"),  # text: json.dumps of it recurses too
     ])
     def test_exit_2_naming_the_field(self, workspace, capsys, config, named):
         tmp_path, cache_dir = workspace
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config))
+        cfg_path.write_text(config if isinstance(config, str) else json.dumps(config))
         code = main(["analyze", "--cache", str(cache_dir), "--tags", "synth", "--metrics", "stationary", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert named in capsys.readouterr().err

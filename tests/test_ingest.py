@@ -42,7 +42,7 @@ from trajkit.ingest import (
     write_canonical_csv,
 )
 
-from conftest import random_scene, rewrite_json_header
+from conftest import UNDECODABLE_HEADERS, random_scene, replace_header, rewrite_json_header
 from oracles import _read_canonical_rows, _rows_to_columns
 from test_completion import random_csv
 
@@ -578,7 +578,8 @@ class TestCache:
         lambda data: data[:12],
         lambda data: data[:30],
         lambda data: data[:10] + struct.pack("<Q", 2**62) + data[18:],
-    ], ids=["empty", "in-magic", "in-preamble", "in-header", "huge-header-length"])
+        lambda data: replace_header(data, UNDECODABLE_HEADERS["deep"], crc=True),
+    ], ids=["empty", "in-magic", "in-preamble", "in-header", "huge-header-length", "deep-header"])
     def test_unreadable_header_raises_even_if_not_queried(self, tmp_path, damage):
         cache = SceneCache(tmp_path)
         cache.write(synth_scene(Straight(1.0), 1, 5, 0.1, scene_id="sA", dataset="dsa", location="loc1"))
@@ -874,6 +875,13 @@ class TestSceneFormatFuzz:
     def test_header_dt_not_finite_and_positive(self, dt):
         with pytest.raises(CacheError, match="dt must be finite and > 0"):
             scene_from_bytes(rewrite_json_header(self.DATA, lambda h: h.update(dt=dt), crc=True))
+
+    @pytest.mark.parametrize("header", sorted(UNDECODABLE_HEADERS))
+    def test_header_that_does_not_decode(self, tmp_path, header):
+        path = cache_write(synth_scene(Straight(1.0), 1, 5, 0.1), tmp_path)
+        path.write_bytes(replace_header(path.read_bytes(), UNDECODABLE_HEADERS[header], crc=True))
+        with pytest.raises(CacheError, match="unreadable JSON header"):
+            cache_load(path)
 
     def test_cli_analyze_on_a_corrupt_scene_exits_2(self, tmp_path, capsys):
         cache = SceneCache(tmp_path / "cache")

@@ -191,6 +191,10 @@ class TestResamplePlan:
         with pytest.raises(ResampleRatioError, match="0.1.*0.25"):
             plan_resample(0.1, 0.25)
 
+    def test_ratio_beyond_the_float_range(self):
+        with pytest.raises(ResampleRatioError, match="0.1.*5e-324"):
+            plan_resample(0.1, 5e-324)
+
 
 class TestResampleScene:
     def _line_scene(self, dt=0.5, positions=(0.0, 5.0)):

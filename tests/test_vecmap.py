@@ -25,7 +25,7 @@ from trajkit.vecmap import (
 )
 from trajkit.vecmap import _decode_polylines, _encode_polylines
 
-from conftest import convex_polygon, random_lane_map, rewrite_json_header, square_area, straight_lane, tiny_traffic_map
+from conftest import UNDECODABLE_HEADERS, convex_polygon, random_lane_map, replace_header, rewrite_json_header, square_area, straight_lane, tiny_traffic_map
 from oracles import (
     brute_closest_lanes,
     brute_lanes_within,
@@ -695,6 +695,11 @@ class TestMapFormatFuzz:
         for cut in range(len(self.DATA)):
             with pytest.raises(MapFormatError):
                 map_deserialize(self.DATA[:cut])
+
+    @pytest.mark.parametrize("header", sorted(UNDECODABLE_HEADERS))
+    def test_directory_that_does_not_decode(self, header):
+        with pytest.raises(MapFormatError, match="unreadable JSON header"):
+            map_deserialize(replace_header(self.DATA, UNDECODABLE_HEADERS[header], crc=False))
 
     @given(st.lists(st.integers(0, 8 * len(DATA) - 1), min_size=1, max_size=3))
     @settings(derandomize=True, database=None, max_examples=500, deadline=None)
