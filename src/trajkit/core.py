@@ -2,9 +2,9 @@
 
 A scene is a columnar table of per-agent, per-timestep kinematic rows plus
 agent metadata. Timesteps are integer frame indices; wall-clock time is
-``ts * dt``. Rows are sorted by (agent_index, ts) and are contiguous over each
-agent's lifetime; interior gaps are imputed upstream and flagged
-``observed=False``.
+``ts * dt``. The agents' lifetimes fix the row layout (``row_layout``): one row
+per lifetime timestep, agent by agent. Interior gaps are imputed upstream and
+flagged ``observed=False``.
 
 Scene (``.tksc``) and map (``.tkmap``) files share one container, written by
 ``pack_container`` and read by ``read_container``: a magic, a u32 version, a u64
@@ -71,6 +71,16 @@ _AGENT_TYPES = {m.value: m for m in AgentType}
 # The type names sorted; an agent's type code is its type's index here.
 TYPE_NAMES = tuple(sorted(m.value for m in AgentType))
 _TYPE_CODE = {m: TYPE_NAMES.index(m.value) for m in AgentType}
+
+
+def row_layout(first_ts, last_ts) -> tuple[np.ndarray, np.ndarray]:
+    """The agent_index and ts columns of agents with these lifetimes: a row per
+    timestep of [first_ts[k], last_ts[k]], agent by agent (none if last_ts < first_ts)."""
+    first = np.asarray(first_ts, dtype=np.int64)
+    span = np.maximum(np.asarray(last_ts, dtype=np.int64) - first + 1, 0)
+    agent = np.repeat(np.arange(len(span)), span)
+    row0 = np.cumsum(span) - span - first
+    return agent, np.arange(len(agent)) - row0[agent]
 
 
 def load_json(text):
@@ -310,30 +320,21 @@ class SceneFrame:
         """
         if len(agents) != len(tracks):
             raise ValueError("agents and tracks must be parallel")
-        parts: dict[str, list[np.ndarray]] = {name: [] for name in COLUMN_NAMES}
-        for i, (meta, track) in enumerate(zip(agents, tracks)):
-            n = meta.n_steps
-            parts["agent_index"].append(np.full(n, i, dtype=np.int64))
-            parts["ts"].append(np.arange(meta.first_ts, meta.last_ts + 1, dtype=np.int64))
-            for name in ("x", "y", "z", "vx", "vy", "ax", "ay", "heading", "observed"):
-                arr = np.asarray(track[name])
-                if len(arr) != n:
-                    raise ValueError(f"agent {meta.agent_id}: track column {name} has length {len(arr)}, expected {n}")
-                parts[name].append(arr)
-        if parts["ts"]:
-            columns = SceneColumns(**{name: np.concatenate(parts[name]) for name in COLUMN_NAMES})
-            n_timesteps = int(max(meta.last_ts for meta in agents)) + 1
-        else:
-            columns = SceneColumns(**{name: np.array([]) for name in COLUMN_NAMES})
-            n_timesteps = 0
+        for meta, track in zip(agents, tracks):
+            for name in COLUMN_NAMES[2:]:
+                if len(track[name]) != meta.n_steps:
+                    raise ValueError(f"agent {meta.agent_id}: track column {name} has length {len(track[name])}, expected {meta.n_steps}")
         return cls(
             scene_id=scene_id,
             dataset_tag=dataset_tag,
             location=location,
             dt=float(dt),
-            n_timesteps=n_timesteps,
+            n_timesteps=int(max((meta.last_ts for meta in agents), default=-1)) + 1,
             agents=list(agents),
-            columns=columns,
+            columns=SceneColumns(
+                *row_layout([m.first_ts for m in agents], [m.last_ts for m in agents]),
+                *(np.concatenate([track[name] for track in tracks]) if tracks else [] for name in COLUMN_NAMES[2:]),
+            ),
             heading_derived=heading_derived,
         )
 
@@ -441,21 +442,17 @@ def scene_validate(scene: SceneFrame) -> list[str]:
     agent, ts = idx[order], cols.ts[order]
     same = agent[1:] == agent[:-1]
     unordered = np.unique(agent[1:][same & (ts[1:] < ts[:-1])])
-    pairs, counts = np.unique(np.stack([agent, ts], axis=1), axis=0, return_counts=True)
-    present, present_ts = pairs[:, 0], pairs[:, 1]
-    inside = (present_ts >= first[present]) & (present_ts <= last[present])
-    # One slot per lifetime timestep of every agent that has rows.
+    # In-lifetime rows count into layout slots; np.unique sorts only the rare rest.
     has_rows = np.bincount(idx, minlength=scene.n_agents) > 0
-    span = np.where(has_rows, np.maximum(last - first + 1, 0), 0)
-    start = np.cumsum(span) - span
-    slot_agent = np.repeat(np.arange(scene.n_agents), span)
-    slot_ts = np.arange(len(slot_agent)) - start[slot_agent] + first[slot_agent]
-    covered = np.zeros(len(slot_agent), dtype=bool)
-    covered[start[present[inside]] + present_ts[inside] - first[present[inside]]] = True
-    no_rows = np.flatnonzero(~has_rows)
+    slot_agent, slot_ts = row_layout(first, np.where(has_rows, last, first - 1))
+    inside = (ts >= first[agent]) & (ts <= last[agent])
+    counts = np.bincount(np.searchsorted(slot_agent, agent[inside]) + ts[inside] - first[agent[inside]], minlength=len(slot_agent))
+    pairs, repeats = np.unique(np.stack([agent[~inside], ts[~inside]], axis=1), axis=0, return_counts=True)
+    outside, outside_ts = pairs.T
     found = [  # (agents, ts) per rule of _ROW_RULES; the first two rules show no ts
-        (no_rows, no_rows), (unordered, unordered), (present[counts > 1], present_ts[counts > 1]),
-        (slot_agent[~covered], slot_ts[~covered]), (present[~inside], present_ts[~inside]),
+        (np.flatnonzero(~has_rows),) * 2, (unordered, unordered),
+        (np.append(slot_agent[counts > 1], outside[repeats > 1]), np.append(slot_ts[counts > 1], outside_ts[repeats > 1])),
+        (slot_agent[counts == 0], slot_ts[counts == 0]), (outside, outside_ts),
     ]
     for a, rule, t in sorted((a, rule, t) for rule, (agents, at) in enumerate(found) for a, t in zip(agents.tolist(), at.tolist())):
         meta = scene.agents[a]

@@ -5,7 +5,10 @@ The canonical CSV is the single interchange format
 (``scene_id,agent_id,agent_type,frame,x,y,z,heading,length,width,height``);
 adapters for licensed datasets are expected to be written externally as
 converters to it. Cache files are one binary blob per scene with a CRC32
-footer, one directory per dataset; the directory listing is the index.
+footer, one directory per dataset; the directory listing is the index. A
+version-2 scene file's JSON header holds the agents' lifetimes, and its
+payload the columns x ... observed; the lifetimes give agent_index and ts
+(``core.row_layout``), so they are not stored.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .core import (
     load_json,
     pack_container,
     read_container,
+    row_layout,
     scene_validate,
     wrap_angle,
 )
@@ -49,8 +53,8 @@ log = logging.getLogger(__name__)
 CANONICAL_HEADER = ("scene_id", "agent_id", "agent_type", "frame", "x", "y", "z", "heading", "length", "width", "height")
 
 CACHE_MAGIC = b"TKSC1\x00"
-CACHE_VERSION = 1
-_COLUMN_DTYPES = {name: ("u1" if name == "observed" else "i8" if name in ("agent_index", "ts") else "f8") for name in COLUMN_NAMES}
+CACHE_VERSION = 2
+_COLUMN_DTYPES = {name: np.dtype("u1" if name == "observed" else "<f8") for name in COLUMN_NAMES[2:]}
 
 
 class ParseError(ValueError):
@@ -74,7 +78,7 @@ class CacheVersionError(CacheError):
 
 
 class CacheTruncatedError(CacheError):
-    """File shorter (or longer) than its directory says it should be."""
+    """File shorter (or longer) than its header says it should be."""
 
 
 class CacheChecksumError(CacheError):
@@ -581,7 +585,18 @@ def synth_scene(
 # Binary scene cache
 # ---------------------------------------------------------------------------
 
+def _file_layout(agents: Sequence[AgentMetadata], n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """row_layout of the agents' lifetimes once each is seen to span a timestep or more, and all n_rows; ValueError otherwise."""
+    spans = [m.last_ts - m.first_ts + 1 for m in agents]
+    if min(spans, default=1) < 1 or sum(spans) != n_rows:
+        raise ValueError(f"agent lifetimes span {sum(spans)} rows (shortest {min(spans, default=1)}), not the {n_rows} rows stored")
+    return row_layout([m.first_ts for m in agents], [m.last_ts for m in agents])
+
+
 def scene_to_bytes(scene: SceneFrame) -> bytes:
+    """The scene's file; ValueError when its rows do not follow its agents' lifetimes."""
+    if not all(map(np.array_equal, _file_layout(scene.agents, len(scene.columns)), (scene.columns.agent_index, scene.columns.ts))):
+        raise ValueError(f"scene {scene.scene_id}: rows do not follow the agents' lifetimes (one row per timestep, agent by agent)")
     header = {
         "scene_id": scene.scene_id,
         "dataset_tag": scene.dataset_tag,
@@ -600,12 +615,10 @@ def scene_to_bytes(scene: SceneFrame) -> bytes:
             }
             for m in scene.agents
         ],
-        "columns": [{"name": name, "dtype": _COLUMN_DTYPES[name]} for name in COLUMN_NAMES],
     }
     buf = pack_container(CACHE_MAGIC, CACHE_VERSION, header)
-    for name in COLUMN_NAMES:
-        arr = getattr(scene.columns, name)
-        buf += np.ascontiguousarray(arr, dtype=np.dtype(_COLUMN_DTYPES[name]).newbyteorder("<")).tobytes()
+    for name, dtype in _COLUMN_DTYPES.items():
+        buf += np.ascontiguousarray(getattr(scene.columns, name), dtype=dtype).tobytes()
     buf += struct.pack("<I", zlib.crc32(buf) & 0xFFFFFFFF)
     return bytes(buf)
 
@@ -626,12 +639,9 @@ def _scene_from_header(header: dict, data: bytes, pos: int) -> SceneFrame:
     """Decode the column payload at pos as the header directs; a header lacking
     a key or holding a wrong-typed value raises KeyError, TypeError or ValueError."""
     n_rows = int(header["n_rows"])
-    expected = pos
-    for col in header["columns"]:
-        expected += n_rows * np.dtype(col["dtype"]).itemsize
-    expected += 4
+    expected = pos + n_rows * sum(dtype.itemsize for dtype in _COLUMN_DTYPES.values()) + 4
     if len(data) != expected:
-        raise CacheTruncatedError(f"file is {len(data)} bytes, directory expects {expected}")
+        raise CacheTruncatedError(f"file is {len(data)} bytes, its header expects {expected}")
     (crc_stored,) = struct.unpack_from("<I", data, len(data) - 4)
     crc_actual = zlib.crc32(memoryview(data)[:-4]) & 0xFFFFFFFF
     if crc_stored != crc_actual:
@@ -641,17 +651,14 @@ def _scene_from_header(header: dict, data: bytes, pos: int) -> SceneFrame:
     if not 0.0 < dt < math.inf:
         raise CacheError(f"cache header dt must be finite and > 0, got {dt}")
     columns: dict[str, np.ndarray] = {}
-    for col in header["columns"]:
-        dtype = np.dtype(col["dtype"]).newbyteorder("<")
-        nbytes = n_rows * dtype.itemsize
-        arr = np.frombuffer(data[pos : pos + nbytes], dtype=dtype).astype(dtype.newbyteorder("="), copy=True)
-        if col["name"] == "observed":
-            raw, arr = arr, arr.astype(bool)
-            bad = np.flatnonzero(arr != raw)  # a value other than 0 or 1 does not survive the cast
+    for name, dtype in _COLUMN_DTYPES.items():
+        raw = np.frombuffer(data, dtype, count=n_rows, offset=pos)
+        if name == "observed":
+            bad = np.flatnonzero(raw > 1)
             if len(bad):
                 raise CacheError(f"observed column holds {raw[bad[0]].item()!r} at row {bad[0]}, not 0 or 1")
-        columns[col["name"]] = arr
-        pos += nbytes
+        columns[name] = raw.astype(bool if name == "observed" else dtype.newbyteorder("="))
+        pos += raw.nbytes
 
     agents = []
     for raw in header["agents"]:
@@ -669,7 +676,7 @@ def _scene_from_header(header: dict, data: bytes, pos: int) -> SceneFrame:
         dt=dt,
         n_timesteps=int(header["n_timesteps"]),
         agents=agents,
-        columns=SceneColumns(**columns),
+        columns=SceneColumns(*_file_layout(agents, n_rows), **columns),
         heading_derived=bool(header["heading_derived"]),
     )
 
@@ -723,7 +730,9 @@ def _header_entry(path: Path) -> CacheEntry:
 class SceneCache:
     """Directory of cached scenes: one directory per dataset holding one
     ``<scene_id>.tksc`` file per scene. The directory is the index: each
-    file's header carries the scene's tag, and nothing else is written."""
+    file's header carries the scene's tag, and nothing else is written.
+    Files of another format version raise CacheVersionError; such a cache is
+    rebuilt by ingesting its sources again."""
 
     def __init__(self, cache_dir: str | Path):
         self.cache_dir = Path(cache_dir)

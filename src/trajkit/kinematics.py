@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import COLUMN_NAMES, AgentMetadata, SceneColumns, SceneFrame, wrap_angle
+from .core import COLUMN_NAMES, AgentMetadata, SceneColumns, SceneFrame, row_layout, wrap_angle
 
 log = logging.getLogger(__name__)
 
@@ -135,14 +135,13 @@ def impute_linear(
     steps[bounds[1:-1] - 1] = 1  # from one agent to the next is no step
     if np.any(steps <= 0):
         raise ValueError("observed timesteps must be strictly increasing")
-    first = ts[bounds[:-1]]
-    length = ts[bounds[1:] - 1] - first + 1
-    row0 = np.cumsum(length) - length - first  # output row of (agent k, ts t) is row0[k] + t
-    segment = np.repeat(np.arange(len(length)), length)
+    first, last = ts[bounds[:-1]], ts[bounds[1:] - 1]
+    length = last - first + 1
+    segment, full_ts = row_layout(first, last)
     # One np.interp over all agents, output rows as abscissae: an agent's knots
     # bracket only its rows, and row differences equal timestep differences, so
     # values equal per-agent calls' (np.interp returns a knot's value exactly).
-    knots = row0[np.repeat(np.arange(len(length)), np.diff(bounds))] + ts
+    knots = np.repeat(np.cumsum(length) - length - first, np.diff(bounds)) + ts  # rows of the observed ts
     observed = np.zeros(len(segment), dtype=bool)
     observed[knots] = True
     gaps = length > np.diff(bounds)
@@ -158,7 +157,7 @@ def impute_linear(
             if name in angular:
                 arr[gaps[segment]] = wrap_angle(arr[gaps[segment]])
         full_values[name] = arr
-    return np.arange(len(segment)) - row0[segment], full_values, observed
+    return full_ts, full_values, observed
 
 
 def complete_tracks(
@@ -177,7 +176,7 @@ def complete_tracks(
     values = {"x": x, "y": y, "z": z}
     if heading is not None:
         values["heading"] = wrap_angle(np.asarray(heading, dtype=np.float64))
-    full_ts, full, observed = impute_linear(ts, values, ("heading",), offsets)
+    _, full, observed = impute_linear(ts, values, ("heading",), offsets)
     first, last = ts[offsets[:-1]], ts[np.asarray(offsets[1:]) - 1]
     out_offsets = np.concatenate([[0], np.cumsum(last - first + 1)])
     vx = derive_derivative(full["x"], dt, out_offsets)
@@ -185,7 +184,7 @@ def complete_tracks(
     if heading is None:
         full["heading"], _ = derive_heading(vx, vy, offsets=out_offsets)
     return first, last, SceneColumns(
-        agent_index=np.repeat(np.arange(len(first)), last - first + 1), ts=full_ts, x=full["x"], y=full["y"],
+        *row_layout(first, last), x=full["x"], y=full["y"],
         z=full["z"], vx=vx, vy=vy, ax=derive_derivative(vx, dt, out_offsets), ay=derive_derivative(vy, dt, out_offsets),
         heading=full["heading"], observed=observed,
     )
@@ -224,6 +223,11 @@ def resample_scene(scene: SceneFrame, desired_dt: float) -> SceneFrame:
     plan = plan_resample(scene.dt, desired_dt)
     if plan.mode == "identity":
         return scene
+    # ts * factor and ts % factor need the factor, and every ts scaled by it, within int64.
+    if max(scene.n_timesteps - 1, 1) * plan.factor > np.iinfo(np.int64).max:
+        raise ResampleRatioError(
+            f"cannot resample dt={scene.dt} to dt={desired_dt}: factor {plan.factor:.3g} over {scene.n_timesteps} timesteps overflows int64"
+        )
 
     cols = scene.columns
     # Upsampling is imputation on the finer grid, with the old rows as knots.

@@ -2,6 +2,7 @@ import copy
 import json
 import logging
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -318,6 +319,17 @@ class TestBatchCommand:
         err = capsys.readouterr().err
         assert "ratio is not a positive integer" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("dt", ["1e-300", "1e300"])
+    def test_resample_factor_beyond_int64_exit_2(self, workspace, capsys, dt):
+        tmp_path, cache_dir = workspace
+        code = main(
+            ["batch", "--cache", str(cache_dir), "--tags", "synth",
+             "--history", "1,3", "--future", "4,4", "--dt", dt, "--out", str(tmp_path / "b")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "overflows int64" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_batch_size_below_one_exit_64(self, workspace, size):
         tmp_path, cache_dir = workspace
@@ -452,6 +464,30 @@ class TestMalformedHeaders:
         assert main(_CACHE_READERS[command](str(cache_dir), str(tmp_path / "out"))) == 2
         err = capsys.readouterr().err
         assert "nested too deep" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["analyze", "batch", "sim-replay"])
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["agents"].pop(),
+        lambda h: h["agents"][0].update(first_ts=h["agents"][0]["first_ts"] + 5),
+    ], ids=["agent-dropped", "first_ts-shifted"])
+    def test_header_that_disagrees_with_the_payload_exit_2(self, workspace, capsys, command, edit):
+        tmp_path, cache_dir = workspace
+        path = SceneCache(cache_dir).write(synth_scene(Straight(10.0), 3, 100, 0.1))
+        path.write_bytes(rewrite_json_header(path.read_bytes(), edit, crc=True))
+        assert main(_CACHE_READERS[command](str(cache_dir), str(tmp_path / "out"))) == 2
+        err = capsys.readouterr().err
+        assert "agent lifetimes span" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["analyze", "batch", "sim-replay"])
+    def test_version_1_scene_file_exit_2(self, workspace, capsys, command):
+        # A version-1 file stored agent_index and ts; its preamble is all the reader looks at.
+        tmp_path, cache_dir = workspace
+        (path,) = cache_dir.glob("*/synth-0.tksc")
+        data = path.read_bytes()
+        path.write_bytes(data[:6] + struct.pack("<I", 1) + data[10:])
+        assert main(_CACHE_READERS[command](str(cache_dir), str(tmp_path / "out"))) == 2
+        err = capsys.readouterr().err
+        assert "unsupported version 1, expected 2" in err and "Traceback" not in err
 
     def test_deep_map_directory_exit_2(self, tmp_path, capsys):
         path = _map_file(tmp_path)

@@ -311,3 +311,22 @@ class TestSceneValidateMatchesReference:
         want = reference_scene_validate(bad)
         assert any("no rows" in v for v in want)
         assert scene_validate(bad) == want
+
+    @pytest.mark.parametrize("case, named", [
+        ("repeat-outside-lifetime", "duplicate row at ts 40"),
+        ("middle-agent-without-rows", "no rows for lifetime"),
+    ])
+    def test_layout_edge_cases(self, case, named):
+        scene = random_scene(np.random.default_rng(6), n_agents=3, n_timesteps=20)
+        cols = {name: np.array(c) for name, c in scene.columns.as_dict().items()}
+        if case == "repeat-outside-lifetime":
+            rows = np.sort(np.append(np.arange(len(scene.columns)), scene.rows_for_agent(1).start))
+            cols = {name: c[rows] for name, c in cols.items()}
+            cols["ts"][scene.rows_for_agent(1).start : scene.rows_for_agent(1).start + 2] = 40
+        else:
+            cols = {name: c[scene.columns.agent_index != 1] for name, c in cols.items()}
+        bad = SceneFrame(scene.scene_id, scene.dataset_tag, scene.location, scene.dt, scene.n_timesteps,
+                         scene.agents, SceneColumns(**cols), scene.heading_derived)
+        want = reference_scene_validate(bad)
+        assert any(named in v for v in want)
+        assert scene_validate(bad) == want

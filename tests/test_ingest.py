@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import trajkit
 from trajkit import ingest
 from trajkit.cli import main
-from trajkit.core import AgentType, scene_validate
+from trajkit.core import AgentType, SceneColumns, SceneFrame, scene_validate
 from trajkit.ingest import (
     CacheChecksumError,
     CacheError,
@@ -473,6 +473,26 @@ class TestCache:
             path = cache_write(scene, tmp_path)
             assert cache_load(path) == scene
 
+    def test_file_stores_nine_columns(self, tmp_path):
+        # agent_index and ts are not stored: the lifetimes in the header give them.
+        scene = random_scene(np.random.default_rng(2), n_agents=5)
+        data = cache_write(scene, tmp_path).read_bytes()
+        (header_len,) = struct.unpack_from("<Q", data, 10)
+        assert len(data) == 18 + header_len + 65 * len(scene.columns) + 4
+        assert "columns" not in json.loads(data[18 : 18 + header_len])
+
+    def test_rows_that_do_not_follow_the_lifetimes_are_not_written(self, tmp_path):
+        scene = random_scene(np.random.default_rng(3), n_agents=3)
+        cols = scene.columns.as_dict()
+        rows = scene.rows_for_agent(1)
+        ts = cols["ts"].copy()
+        ts[rows] = ts[rows][::-1]
+        bad = SceneFrame(scene.scene_id, scene.dataset_tag, scene.location, scene.dt, scene.n_timesteps,
+                         scene.agents, SceneColumns(**{**cols, "ts": ts}), scene.heading_derived)
+        with pytest.raises(ValueError, match="rows do not follow the agents' lifetimes"):
+            cache_write(bad, tmp_path)
+        assert not list(tmp_path.rglob("*.tksc"))
+
     def test_truncated_by_one_byte(self, tmp_path):
         scene = synth_scene(Straight(1.0), 1, 5, 0.1)
         path = cache_write(scene, tmp_path)
@@ -816,8 +836,7 @@ SCENE_HEADER_EDITS = {
     "last_ts": _set_at("agents", 1, "last_ts"),
     "extent": _set_at("agents", 0, "extent"),
     "agent_type": _set_at("agents", 1, "agent_type"),
-    "dtype": _set_at("columns", 2, "dtype"),
-    "column_name": _set_at("columns", 3, "name"),
+    "agent_dropped": lambda header, value: header["agents"].pop(),
     "heading_derived": _set_at("heading_derived"),
 }
 
@@ -903,9 +922,8 @@ class TestCacheHeaderSchema:
             lambda h: h.pop("location"),
             lambda h: h.pop("n_rows"),
             lambda h: h["agents"][0].pop("first_ts"),
-            lambda h: h.update(columns=7),
         ],
-        ids=["no-location", "no-n_rows", "agent-without-first_ts", "columns-not-a-list"],
+        ids=["no-location", "no-n_rows", "agent-without-first_ts"],
     )
     def test_schema_violation_raises_cache_error(self, tmp_path, edit):
         path = cache_write(synth_scene(Straight(1.0), 1, 5, 0.1), tmp_path)

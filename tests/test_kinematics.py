@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trajkit.core import scene_validate
+from trajkit.ingest import Straight, synth_scene
 from trajkit.kinematics import (
     ResampleRatioError,
     derive_derivative,
@@ -229,6 +230,13 @@ class TestResampleScene:
     def test_non_integer_ratio_rejected(self):
         with pytest.raises(ResampleRatioError):
             resample_scene(self._line_scene(dt=0.1), 0.25)
+
+    # Only factors beyond int64: a factor that fits builds its rows, without bound.
+    @pytest.mark.parametrize("n_timesteps, desired_dt", [(30, 1e-300), (30, 1e300), (1, 1e-300), (1000, 1e-17)])
+    def test_factor_beyond_int64_rejected(self, n_timesteps, desired_dt):
+        scene = synth_scene(Straight(1.0), 1, n_timesteps, 0.1)
+        with pytest.raises(ResampleRatioError, match="overflows int64"):
+            resample_scene(scene, desired_dt)
 
     def test_velocities_recomputed_at_new_dt(self):
         out = resample_scene(self._line_scene(), 0.1)
