@@ -226,7 +226,7 @@ def simultaneous_agents(datasets: Datasets, cfg: AnalysisConfig) -> list[Histogr
     lifetime timestep, so rows per timestep) and per-scene maxima."""
     hists = []
     for dataset, scenes in sorted(datasets.items()):
-        per_ts = [np.bincount(s.columns.ts, minlength=s.n_timesteps)[: s.n_timesteps] for s in scenes]
+        per_ts = [np.bincount(s.columns.ts) for s in scenes]
         maxima = [int(counts.max()) if len(counts) else 0 for counts in per_ts]
         edges = cfg.edges("simultaneous")
         hists.append(Histogram.from_samples("simultaneous_per_ts", dataset, "all", np.concatenate(per_ts), edges))

@@ -130,6 +130,14 @@ def _require_cache(args) -> SceneCache:
     return SceneCache(cache_dir)
 
 
+def _names(text: str, flag: str) -> list[str]:
+    """The names a comma-separated list flag holds; a list that names nothing is a usage error."""
+    names = [name for name in text.split(",") if name]
+    if not names:
+        raise _UsageError(f"{flag} names nothing: {text!r}")
+    return names
+
+
 def _parse_pair(text: str, flag: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -156,8 +164,8 @@ def cmd_ingest(args) -> int:
 
 def cmd_analyze(args) -> int:
     cache = _require_cache(args)
-    tags = [t for t in args.tags.split(",") if t]
-    metrics = [m for m in args.metrics.split(",") if m]
+    tags = _names(args.tags, "--tags")
+    metrics = _names(args.metrics, "--metrics")
     unknown = [m for m in metrics if m not in METRIC_NAMES]
     if unknown:
         raise _UsageError(f"unknown metric(s) {', '.join(unknown)}; valid names: {', '.join(METRIC_NAMES)}")
@@ -203,7 +211,7 @@ def cmd_batch(args) -> int:
     cache = _require_cache(args)
     if args.batch_size < 1:
         raise _UsageError("--batch-size must be >= 1")
-    tags = [t for t in args.tags.split(",") if t]
+    tags = _names(args.tags, "--tags")
     window = WindowSpec(history=_parse_pair(args.history, "--history"), future=_parse_pair(args.future, "--future"))
     index = build_index(cache, tags, centric=args.centric, window=window, filt=FilterSpec(), desired_dt=args.dt)
     manifest = export_batches(index, args.out, batch_size=args.batch_size)

@@ -2,9 +2,10 @@
 
 A scene is a columnar table of per-agent, per-timestep kinematic rows plus
 agent metadata. Timesteps are integer frame indices; wall-clock time is
-``ts * dt``. The agents' lifetimes fix the row layout (``row_layout``): one row
-per lifetime timestep, agent by agent. Interior gaps are imputed upstream and
-flagged ``observed=False``.
+``ts * dt``. The agents' lifetimes are the row layout: one row per lifetime
+timestep, agent by agent. A scene is given its nine value columns and derives
+``agent_index``, ``ts`` and ``n_timesteps`` from the lifetimes (``row_layout``).
+Interior gaps are imputed upstream and flagged ``observed=False``.
 
 Scene (``.tksc``) and map (``.tkmap``) files share one container, written by
 ``pack_container`` and read by ``read_container``: a magic, a u32 version, a u64
@@ -13,6 +14,7 @@ header length and a compact sorted-key JSON header, then the payload.
 
 from __future__ import annotations
 
+import copy
 import enum
 import json
 import math
@@ -74,10 +76,10 @@ _TYPE_CODE = {m: TYPE_NAMES.index(m.value) for m in AgentType}
 
 
 def row_layout(first_ts, last_ts) -> tuple[np.ndarray, np.ndarray]:
-    """The agent_index and ts columns of agents with these lifetimes: a row per
-    timestep of [first_ts[k], last_ts[k]], agent by agent (none if last_ts < first_ts)."""
+    """The agent_index and ts columns of agents with these lifetimes (each
+    first_ts <= last_ts): a row per timestep of [first_ts[k], last_ts[k]], agent by agent."""
     first = np.asarray(first_ts, dtype=np.int64)
-    span = np.maximum(np.asarray(last_ts, dtype=np.int64) - first + 1, 0)
+    span = np.asarray(last_ts, dtype=np.int64) - first + 1
     agent = np.repeat(np.arange(len(span)), span)
     row0 = np.cumsum(span) - span - first
     return agent, np.arange(len(agent)) - row0[agent]
@@ -239,10 +241,14 @@ class SceneTag:
 
 @dataclass
 class SceneColumns:
-    """Parallel arrays over all rows of a scene, sorted by (agent_index, ts)."""
+    """The nine value columns x ... observed, parallel arrays over a scene's
+    rows (one per lifetime timestep, agent by agent).
 
-    agent_index: np.ndarray
-    ts: np.ndarray
+    A SceneFrame holds its own shallow copy, to which it adds the layout
+    columns agent_index and ts, derived from its agents' lifetimes and
+    read-only; columns that no scene holds have them as None.
+    """
+
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
@@ -252,23 +258,22 @@ class SceneColumns:
     ay: np.ndarray
     heading: np.ndarray
     observed: np.ndarray
+    agent_index: np.ndarray | None = field(default=None, init=False, repr=False)
+    ts: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.agent_index = np.asarray(self.agent_index, dtype=np.int64)
-        self.ts = np.asarray(self.ts, dtype=np.int64)
-        for name in ("x", "y", "z", "vx", "vy", "ax", "ay", "heading"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        self.observed = np.asarray(self.observed, dtype=bool)
-        n = len(self.agent_index)
-        for name in COLUMN_NAMES:
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"column {name} has length {len(getattr(self, name))}, expected {n}")
+        for name in COLUMN_NAMES[2:]:
+            column = np.asarray(getattr(self, name), dtype=bool if name == "observed" else np.float64)
+            if len(column) != len(self.x):
+                raise ValueError(f"column {name} has length {len(column)}, expected {len(self.x)}")
+            setattr(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.agent_index)
+        return len(self.x)
 
     def as_dict(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in COLUMN_NAMES}
+        """The nine value columns by name, as SceneColumns takes them."""
+        return {name: getattr(self, name) for name in COLUMN_NAMES[2:]}
 
 
 @dataclass(eq=False)
@@ -276,15 +281,17 @@ class SceneFrame:
     """One scene: metadata, agent list, and the columnar trajectory table.
 
     ``dataset_tag`` is the dataset identity including split when present
-    (e.g. "sdd-train"); ``location`` is kept separate. Immutable by
-    convention after construction; safe for concurrent reads.
+    (e.g. "sdd-train"); ``location`` is kept separate. The agents' lifetimes
+    fix the rows: each must start at ts 0 or later and span a timestep or
+    more, and together they must span the rows of ``columns``; otherwise
+    ValueError. Immutable by convention after construction; safe for
+    concurrent reads.
     """
 
     scene_id: str
     dataset_tag: str
     location: str
     dt: float
-    n_timesteps: int
     agents: list[AgentMetadata]
     columns: SceneColumns
     heading_derived: bool = True
@@ -295,12 +302,23 @@ class SceneFrame:
     _row0: np.ndarray = field(init=False, repr=False)  # row of (agent j, ts) is _row0[j] + ts
 
     def __post_init__(self):
-        idx = self.columns.agent_index
-        self._agent_offsets = np.searchsorted(idx, np.arange(len(self.agents) + 1))
-        self._first_ts = np.array([m.first_ts for m in self.agents], dtype=np.int64)
+        # Python ints: a file's lifetimes may be near 2**62, and no row is built before they pass.
+        first = [m.first_ts for m in self.agents]
+        spans = [m.last_ts - m.first_ts + 1 for m in self.agents]
+        if min(first, default=0) < 0 or min(spans, default=1) < 1 or sum(spans) != len(self.columns):
+            raise ValueError(
+                f"agent lifetimes span {sum(spans)} rows (shortest {min(spans, default=1)}, earliest from ts {min(first, default=0)});"
+                f" each must start at ts 0 or later and span a timestep or more, and all must span the {len(self.columns)} rows"
+            )
+        self._first_ts = np.array(first, dtype=np.int64)
         self._last_ts = np.array([m.last_ts for m in self.agents], dtype=np.int64)
         self._type_code = np.array([_TYPE_CODE[m.agent_type] for m in self.agents], dtype=np.uint8)
+        self._agent_offsets = np.concatenate([[0], np.cumsum(spans, dtype=np.int64)])
         self._row0 = self._agent_offsets[:-1] - self._first_ts
+        # The layout belongs to this scene: another scene built over the same columns gets its own.
+        self.columns = copy.copy(self.columns)
+        self.columns.agent_index, self.columns.ts = row_layout(self._first_ts, self._last_ts)
+        self.columns.agent_index.flags.writeable = self.columns.ts.flags.writeable = False
 
     @classmethod
     def from_tracks(
@@ -329,18 +347,19 @@ class SceneFrame:
             dataset_tag=dataset_tag,
             location=location,
             dt=float(dt),
-            n_timesteps=int(max((meta.last_ts for meta in agents), default=-1)) + 1,
             agents=list(agents),
-            columns=SceneColumns(
-                *row_layout([m.first_ts for m in agents], [m.last_ts for m in agents]),
-                *(np.concatenate([track[name] for track in tracks]) if tracks else [] for name in COLUMN_NAMES[2:]),
-            ),
+            columns=SceneColumns(*(np.concatenate([track[name] for track in tracks]) if tracks else [] for name in COLUMN_NAMES[2:])),
             heading_derived=heading_derived,
         )
 
     @property
     def n_agents(self) -> int:
         return len(self.agents)
+
+    @property
+    def n_timesteps(self) -> int:
+        """max(last_ts) + 1, or 0 when the scene has no agents."""
+        return int(self._last_ts.max(initial=-1)) + 1
 
     def rows_for_agent(self, agent_index: int) -> slice:
         return slice(int(self._agent_offsets[agent_index]), int(self._agent_offsets[agent_index + 1]))
@@ -382,30 +401,24 @@ class SceneFrame:
             or self.dataset_tag != other.dataset_tag
             or self.location != other.location
             or self.dt != other.dt
-            or self.n_timesteps != other.n_timesteps
             or self.heading_derived != other.heading_derived
             or self.agents != other.agents
         ):
             return False
+        # Equal agents give equal layouts, so the value columns decide.
         a, b = self.columns, other.columns
-        return all(getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in COLUMN_NAMES)
-
-
-# Per-agent row rules, in the order scene_validate reports them for one agent.
-_ROW_RULES = (
-    "agent {name}: no rows for lifetime [{first}, {last}] (gap)",
-    "agent {name}: timesteps out of order (row-order)",
-    "agent {name}: duplicate row at ts {ts} (duplicate-row)",
-    "agent {name}: missing row at ts {ts} (gap)",
-    "agent {name}: row at ts {ts} outside lifetime (ts-range)",
-)
+        return all(getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in COLUMN_NAMES[2:])
 
 
 def scene_validate(scene: SceneFrame) -> list[str]:
-    """Check all SceneFrame invariants; return one description per violation.
+    """Check the invariants a SceneFrame's construction leaves open: a finite,
+    positive dt, unique agent ids, headings in (-pi, pi] and finite cells.
+    Return one description per violation.
 
-    Never raises: a malformed scene yields messages naming the agent, the
-    timestep, and the violated rule.
+    Construction already fixes the rows by the lifetimes, so no scene can hold
+    a row outside its agent's lifetime, a repeated or missing row, or an
+    inverted lifetime. Never raises: a malformed scene yields messages naming
+    the agent, the timestep, and the violated rule.
     """
     violations: list[str] = []
     if not 0.0 < scene.dt < math.inf:
@@ -416,53 +429,9 @@ def scene_validate(scene: SceneFrame) -> list[str]:
         if meta.agent_id in seen_ids:
             violations.append(f"agent {meta.agent_id}: duplicate agent_id (agent-id-unique)")
         seen_ids.add(meta.agent_id)
-        if meta.first_ts > meta.last_ts:
-            violations.append(
-                f"agent {meta.agent_id}: first_ts {meta.first_ts} > last_ts {meta.last_ts} (lifetime-order)"
-            )
 
     cols = scene.columns
-    n_rows = len(cols)
-    if n_rows == 0:
-        return violations
-
     idx = cols.agent_index
-    if idx.min() < 0 or idx.max() >= scene.n_agents:
-        violations.append(f"scene {scene.scene_id}: agent_index outside [0, {scene.n_agents}) (agent-index-range)")
-        return violations
-
-    order_ok = np.all(np.diff(idx) >= 0)
-    if not order_ok:
-        violations.append(f"scene {scene.scene_id}: rows not grouped by agent_index (row-order)")
-
-    # Per-agent row rules, linear in rows up to one stable sort by agent.
-    first = np.array([m.first_ts for m in scene.agents], dtype=np.int64)
-    last = np.array([m.last_ts for m in scene.agents], dtype=np.int64)
-    order = np.argsort(idx, kind="stable")
-    agent, ts = idx[order], cols.ts[order]
-    same = agent[1:] == agent[:-1]
-    unordered = np.unique(agent[1:][same & (ts[1:] < ts[:-1])])
-    # In-lifetime rows count into layout slots; np.unique sorts only the rare rest.
-    has_rows = np.bincount(idx, minlength=scene.n_agents) > 0
-    slot_agent, slot_ts = row_layout(first, np.where(has_rows, last, first - 1))
-    inside = (ts >= first[agent]) & (ts <= last[agent])
-    counts = np.bincount(np.searchsorted(slot_agent, agent[inside]) + ts[inside] - first[agent[inside]], minlength=len(slot_agent))
-    pairs, repeats = np.unique(np.stack([agent[~inside], ts[~inside]], axis=1), axis=0, return_counts=True)
-    outside, outside_ts = pairs.T
-    found = [  # (agents, ts) per rule of _ROW_RULES; the first two rules show no ts
-        (np.flatnonzero(~has_rows),) * 2, (unordered, unordered),
-        (np.append(slot_agent[counts > 1], outside[repeats > 1]), np.append(slot_ts[counts > 1], outside_ts[repeats > 1])),
-        (slot_agent[counts == 0], slot_ts[counts == 0]), (outside, outside_ts),
-    ]
-    for a, rule, t in sorted((a, rule, t) for rule, (agents, at) in enumerate(found) for a, t in zip(agents.tolist(), at.tolist())):
-        meta = scene.agents[a]
-        violations.append(_ROW_RULES[rule].format(name=meta.agent_id, first=meta.first_ts, last=meta.last_ts, ts=t))
-
-    if cols.ts.size and (cols.ts.min() < 0 or cols.ts.max() >= scene.n_timesteps):
-        violations.append(
-            f"scene {scene.scene_id}: ts outside [0, {scene.n_timesteps}) (ts-range)"
-        )
-
     bad_heading = ~((cols.heading > -math.pi) & (cols.heading <= math.pi))
     for row in np.nonzero(bad_heading)[0]:
         meta = scene.agents[int(idx[row])]

@@ -7,8 +7,8 @@ adapters for licensed datasets are expected to be written externally as
 converters to it. Cache files are one binary blob per scene with a CRC32
 footer, one directory per dataset; the directory listing is the index. A
 version-2 scene file's JSON header holds the agents' lifetimes, and its
-payload the columns x ... observed; the lifetimes give agent_index and ts
-(``core.row_layout``), so they are not stored.
+payload the columns x ... observed; the scene derives agent_index, ts and
+n_timesteps from the lifetimes, so none of them is stored.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .core import (
     load_json,
     pack_container,
     read_container,
-    row_layout,
     scene_validate,
     wrap_angle,
 )
@@ -343,9 +342,7 @@ def _build_scene(scene_id: str, cols: _CsvColumns, meta: SceneMetaRecord) -> Sce
     )
     agents = [AgentMetadata(agent_id, cols.types[r], extent, f, l) for agent_id, r, extent, f, l
               in zip(ids, order[offsets[:-1]].tolist(), extents, first.tolist(), last.tolist())]
-    return SceneFrame(
-        scene_id, meta.dataset_tag(), meta.location, float(meta.dt), int(last.max()) + 1, agents, columns, not headings_given
-    )
+    return SceneFrame(scene_id, meta.dataset_tag(), meta.location, float(meta.dt), agents, columns, not headings_given)
 
 
 def parse_canonical_csv_many(table_text: str, meta: SceneMetaRecord) -> list[SceneFrame]:
@@ -443,7 +440,7 @@ def parse_frame_text(text: str, meta: SceneMetaRecord) -> SceneFrame:
         offsets, ts, np.array(x)[order], np.array(y)[order], np.zeros(len(order)), meta.dt
     )
     agents = [AgentMetadata(str(a), AgentType.PEDESTRIAN, None, f, l) for a, f, l in zip(ids, first.tolist(), last.tolist())]
-    return SceneFrame(meta.scene_id, meta.dataset_tag(), meta.location, float(meta.dt), int(last.max()) + 1, agents, columns)
+    return SceneFrame(meta.scene_id, meta.dataset_tag(), meta.location, float(meta.dt), agents, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -585,24 +582,13 @@ def synth_scene(
 # Binary scene cache
 # ---------------------------------------------------------------------------
 
-def _file_layout(agents: Sequence[AgentMetadata], n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """row_layout of the agents' lifetimes once each is seen to span a timestep or more, and all n_rows; ValueError otherwise."""
-    spans = [m.last_ts - m.first_ts + 1 for m in agents]
-    if min(spans, default=1) < 1 or sum(spans) != n_rows:
-        raise ValueError(f"agent lifetimes span {sum(spans)} rows (shortest {min(spans, default=1)}), not the {n_rows} rows stored")
-    return row_layout([m.first_ts for m in agents], [m.last_ts for m in agents])
-
-
 def scene_to_bytes(scene: SceneFrame) -> bytes:
-    """The scene's file; ValueError when its rows do not follow its agents' lifetimes."""
-    if not all(map(np.array_equal, _file_layout(scene.agents, len(scene.columns)), (scene.columns.agent_index, scene.columns.ts))):
-        raise ValueError(f"scene {scene.scene_id}: rows do not follow the agents' lifetimes (one row per timestep, agent by agent)")
+    """The scene's file: its header and value columns, which its lifetimes lay out."""
     header = {
         "scene_id": scene.scene_id,
         "dataset_tag": scene.dataset_tag,
         "location": scene.location,
         "dt": scene.dt,
-        "n_timesteps": scene.n_timesteps,
         "heading_derived": scene.heading_derived,
         "n_rows": len(scene.columns),
         "agents": [
@@ -674,9 +660,8 @@ def _scene_from_header(header: dict, data: bytes, pos: int) -> SceneFrame:
         dataset_tag=header["dataset_tag"],
         location=header["location"],
         dt=dt,
-        n_timesteps=int(header["n_timesteps"]),
         agents=agents,
-        columns=SceneColumns(*_file_layout(agents, n_rows), **columns),
+        columns=SceneColumns(**columns),
         heading_derived=bool(header["heading_derived"]),
     )
 
@@ -706,11 +691,10 @@ class CacheEntry:
     scene_id: str
     path: Path
     n_agents: int
-    n_timesteps: int
 
 
 # Header keys an entry of SceneCache.resolve reads, and the JSON types they take.
-_ENTRY_HEADER_KINDS = {"scene_id": str, "dataset_tag": str, "location": str, "n_timesteps": int, "agents": list}
+_ENTRY_HEADER_KINDS = {"scene_id": str, "dataset_tag": str, "location": str, "agents": list}
 
 
 def _header_entry(path: Path) -> CacheEntry:
@@ -724,7 +708,7 @@ def _header_entry(path: Path) -> CacheEntry:
         tag = SceneTag(base.dataset, base.split, header["location"] or None)  # as SceneFrame.scene_tag renders it
     except (CacheError, ValueError) as exc:
         raise CacheError(f"scene file {path}: {exc}") from exc
-    return CacheEntry(tag.render(), header["scene_id"], path, len(header["agents"]), header["n_timesteps"])
+    return CacheEntry(tag.render(), header["scene_id"], path, len(header["agents"]))
 
 
 class SceneCache:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import COLUMN_NAMES, AgentMetadata, SceneColumns, SceneFrame, row_layout, wrap_angle
+from .core import AgentMetadata, SceneColumns, SceneFrame, row_layout, wrap_angle
 
 log = logging.getLogger(__name__)
 
@@ -167,9 +167,9 @@ def complete_tracks(
     """Impute every agent's gaps and derive its kinematic state, all agents at once.
 
     Agent k is rows offsets[k]:offsets[k + 1], with ts strictly increasing.
-    Returns (first_ts, last_ts, columns): per-agent lifetimes, and columns
-    over every lifetime timestep (agent_index k for agent k; observed False
-    on imputed rows). Velocities and accelerations come from the positions.
+    Returns (first_ts, last_ts, columns): per-agent lifetimes, and the value
+    columns over every lifetime timestep, agent by agent (observed False on
+    imputed rows). Velocities and accelerations come from the positions.
     A given ``heading`` is wrapped to (-pi, pi] and kept, interpolated along
     the shortest arc at imputed rows; otherwise headings come from velocities.
     """
@@ -184,8 +184,8 @@ def complete_tracks(
     if heading is None:
         full["heading"], _ = derive_heading(vx, vy, offsets=out_offsets)
     return first, last, SceneColumns(
-        *row_layout(first, last), x=full["x"], y=full["y"],
-        z=full["z"], vx=vx, vy=vy, ax=derive_derivative(vx, dt, out_offsets), ay=derive_derivative(vy, dt, out_offsets),
+        x=full["x"], y=full["y"], z=full["z"], vx=vx, vy=vy,
+        ax=derive_derivative(vx, dt, out_offsets), ay=derive_derivative(vy, dt, out_offsets),
         heading=full["heading"], observed=observed,
     )
 
@@ -207,7 +207,7 @@ def complete_track(
     """
     ts = np.asarray(ts, dtype=np.int64)
     first, _, columns = complete_tracks(np.array([0, len(ts)]), ts, x, y, z, dt, heading)
-    return int(first[0]), {name: getattr(columns, name) for name in COLUMN_NAMES[2:]}, heading is None
+    return int(first[0]), columns.as_dict(), heading is None
 
 
 def resample_scene(scene: SceneFrame, desired_dt: float) -> SceneFrame:
@@ -246,4 +246,4 @@ def resample_scene(scene: SceneFrame, desired_dt: float) -> SceneFrame:
     columns.observed[columns.observed] = cols.observed[keep]  # each knot keeps its source row's flag
     kept = [meta for meta, n in zip(scene.agents, kept_rows.tolist()) if n]
     agents = [AgentMetadata(m.agent_id, m.agent_type, m.extent, f, l) for m, f, l in zip(kept, first.tolist(), last.tolist())]
-    return replace(scene, dt=float(desired_dt), n_timesteps=int(last.max(initial=-1)) + 1, agents=agents, columns=columns)
+    return replace(scene, dt=float(desired_dt), agents=agents, columns=columns)

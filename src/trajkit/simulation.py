@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .analysis import OFFROAD_TYPES, AgentCounter, _offroad_counts, _offroad_rows, _rates, _scene_collisions
-from .core import AgentMetadata, SceneColumns, SceneFrame, row_layout, wrap_angle
+from .core import AgentMetadata, SceneColumns, SceneFrame, wrap_angle
 from .ingest import SceneMetaRecord, write_canonical_csv
 from .kinematics import derive_derivative
 from .vecmap import VectorMap
@@ -217,9 +217,8 @@ def _window_scene(state: SimState, simulated: bool) -> SceneFrame:
         AgentMetadata(scene.agents[j].agent_id, scene.agents[j].agent_type, scene.agents[j].extent, a, b)
         for j, a, b in zip(kept.tolist(), first.tolist(), last.tolist())
     ]
-    columns = SceneColumns(*row_layout(first, last), *np.ascontiguousarray(grid[mask].T), observed[mask])
-    n_timesteps = max((m.last_ts for m in agents), default=-1) + 1
-    return replace(scene, scene_id=f"{scene.scene_id}_sim", n_timesteps=n_timesteps, agents=agents, columns=columns, heading_derived=False)
+    columns = SceneColumns(*np.ascontiguousarray(grid[mask].T), observed[mask])
+    return replace(scene, scene_id=f"{scene.scene_id}_sim", agents=agents, columns=columns, heading_derived=False)
 
 
 def rollout_scene(state: SimState) -> SceneFrame:

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from trajkit.analysis import METRIC_NAMES
 from trajkit.cli import main
 from trajkit.ingest import SceneCache, Straight, cache_load, synth_scene
 from trajkit.vecmap import VectorMap, map_serialize
@@ -192,6 +193,16 @@ class TestAnalyzeCommand:
         assert code == 64
         assert "speed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--tags", "--metrics"])
+    @pytest.mark.parametrize("names", [",", "", ",,"])
+    def test_list_naming_nothing_exit_64(self, workspace, capsys, flag, names):
+        tmp_path, cache_dir = workspace
+        argv = {"--tags": "synth", "--metrics": "speed", flag: names}
+        code = main(["analyze", "--cache", str(cache_dir), *(a for kv in argv.items() for a in kv), "--out", str(tmp_path / "o")])
+        assert code == 64
+        assert f"{flag} names nothing" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_tag_exit_2(self, workspace):
         tmp_path, cache_dir = workspace
         code = main(["analyze", "--cache", str(cache_dir), "--tags", "nope", "--metrics", "speed", "--out", str(tmp_path / "o")])
@@ -354,6 +365,14 @@ class TestBatchCommand:
         assert code == 2
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize("names", [",", "", ",,"])
+    def test_tags_naming_nothing_exit_64(self, workspace, capsys, names):
+        tmp_path, cache_dir = workspace
+        code = main(["batch", "--cache", str(cache_dir), "--tags", names, "--history", "1,3", "--future", "4,4", "--out", str(tmp_path / "b")])
+        assert code == 64
+        assert "--tags names nothing" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
     def test_bad_window_exit_64(self, workspace):
         tmp_path, cache_dir = workspace
         code = main(
@@ -469,7 +488,8 @@ class TestMalformedHeaders:
     @pytest.mark.parametrize("edit", [
         lambda h: h["agents"].pop(),
         lambda h: h["agents"][0].update(first_ts=h["agents"][0]["first_ts"] + 5),
-    ], ids=["agent-dropped", "first_ts-shifted"])
+        lambda h: [a.update(first_ts=a["first_ts"] - 50, last_ts=a["last_ts"] - 50) for a in h["agents"]],
+    ], ids=["agent-dropped", "first_ts-shifted", "lifetimes-negative"])
     def test_header_that_disagrees_with_the_payload_exit_2(self, workspace, capsys, command, edit):
         tmp_path, cache_dir = workspace
         path = SceneCache(cache_dir).write(synth_scene(Straight(10.0), 3, 100, 0.1))
@@ -477,6 +497,21 @@ class TestMalformedHeaders:
         assert main(_CACHE_READERS[command](str(cache_dir), str(tmp_path / "out"))) == 2
         err = capsys.readouterr().err
         assert "agent lifetimes span" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("n_timesteps", [0, 5, -3, 10**6])
+    def test_header_n_timesteps_is_not_read(self, workspace, n_timesteps):
+        # The scene's n_timesteps comes from its lifetimes (ts 0 to 99 here), whatever a header stores.
+        tmp_path, cache_dir = workspace
+        (path,) = cache_dir.glob("*/synth-0.tksc")
+        analyze = ["analyze", "--cache", str(cache_dir), "--tags", "synth", "--metrics", ",".join(METRIC_NAMES), "--out"]
+        assert main([*analyze, str(tmp_path / "before")]) == 0
+        path.write_bytes(rewrite_json_header(path.read_bytes(), lambda h: h.update(n_timesteps=n_timesteps), crc=True))
+        assert main([*analyze, str(tmp_path / "after")]) == 0
+        before = sorted((tmp_path / "before").iterdir())
+        assert [p.read_bytes() for p in before] == [(tmp_path / "after" / p.name).read_bytes() for p in before]
+        replay = ["sim-replay", "--cache", str(cache_dir), "--scene", "synth-0", "--out", str(tmp_path / "sim")]
+        assert main([*replay, "--init-ts", "90", "--steps", "9"]) == 0
+        assert main([*replay, "--init-ts", "90", "--steps", "10"]) == 2
 
     @pytest.mark.parametrize("command", ["analyze", "batch", "sim-replay"])
     def test_version_1_scene_file_exit_2(self, workspace, capsys, command):

@@ -258,11 +258,11 @@ class TestCompletionMatchesReference:
 
 
 def _malformed(rng, scene):
-    """A copy of a valid scene with rows shuffled, repeated or dropped, ts
-    shifted outside a lifetime, lifetimes changed, bad headings or non-finite
-    cells, a few of these at a time."""
+    """A copy of a valid scene with rows shuffled, repeated or dropped, a
+    lifetime shifted or changed, bad headings or non-finite cells, a few of
+    these at a time; ValueError when its lifetimes no longer lay out its rows."""
     cols = {name: np.array(column) for name, column in scene.columns.as_dict().items()}
-    rows = np.arange(len(cols["ts"]))
+    rows = np.arange(len(scene.columns))
     edits = rng.choice(["shuffle", "repeat", "drop", "shift", "lifetime", "heading", "cells"], size=3)
     for edit in edits:
         if edit == "shuffle":
@@ -276,7 +276,9 @@ def _malformed(rng, scene):
     agents = [AgentMetadata(m.agent_id, m.agent_type, m.extent, m.first_ts, m.last_ts) for m in scene.agents]
     for edit in edits:
         if edit == "shift":
-            cols["ts"][rng.choice(len(rows), size=2)] += int(rng.choice([-50, 3, 200]))
+            meta = agents[int(rng.integers(len(agents)))]
+            step = int(rng.choice([-50, 3, 200]))
+            meta.first_ts, meta.last_ts = meta.first_ts + step, meta.last_ts + step
         elif edit == "lifetime":
             meta = agents[int(rng.integers(len(agents)))]
             meta.first_ts, meta.last_ts = meta.first_ts + int(rng.integers(-3, 4)), meta.last_ts + int(rng.integers(-3, 4))
@@ -285,48 +287,54 @@ def _malformed(rng, scene):
         elif edit == "cells":
             name = rng.choice(["x", "y", "z", "vx", "ay"])
             cols[name][rng.choice(len(rows), size=2)] = rng.choice([math.nan, math.inf])
-    return SceneFrame(scene.scene_id, scene.dataset_tag, scene.location, scene.dt, scene.n_timesteps,
-                      agents, SceneColumns(**cols), scene.heading_derived)
+    return SceneFrame(scene.scene_id, scene.dataset_tag, scene.location, scene.dt, agents, SceneColumns(**cols), scene.heading_derived)
+
+
+def _without_agent_rows(scene, k):
+    """The value columns of scene without agent k's rows."""
+    return SceneColumns(**{name: np.array(c)[scene.columns.agent_index != k] for name, c in scene.columns.as_dict().items()})
 
 
 class TestSceneValidateMatchesReference:
     def test_malformed_scenes(self):
+        # A scene whose lifetimes do not lay out its rows cannot be built; every other one validates as the reference does.
         rng = np.random.default_rng(500)
-        seen = set()
+        seen, outcomes = set(), set()
         for k in range(300):
             scene = random_scene(rng, n_agents=int(rng.integers(1, 6)), n_timesteps=30, scene_id=f"v{k}")
-            bad = _malformed(rng, scene)
+            try:
+                bad = _malformed(rng, scene)
+            except ValueError as exc:
+                assert "agent lifetimes span" in str(exc)
+                outcomes.add("construction error")
+                continue
             want = reference_scene_validate(bad)
             assert scene_validate(bad) == want
+            outcomes.add("validated")
             seen.update(v[v.rindex("(") :] for v in want)
-        assert {"(row-order)", "(duplicate-row)", "(gap)", "(ts-range)", "(heading-range)", "(non-finite)"} <= seen
+        assert outcomes == {"construction error", "validated"}
+        assert {"(heading-range)", "(non-finite)"} <= seen
 
     def test_agent_without_rows_and_inverted_lifetime(self):
         scene = random_scene(np.random.default_rng(5), n_agents=3, n_timesteps=20)
-        cols = {name: np.array(c)[scene.columns.agent_index != 1] for name, c in scene.columns.as_dict().items()}
+        with pytest.raises(ValueError, match="agent lifetimes span"):
+            SceneFrame(scene.scene_id, scene.dataset_tag, scene.location, scene.dt, scene.agents, _without_agent_rows(scene, 1))
         agents = [AgentMetadata(m.agent_id, m.agent_type, m.extent, m.first_ts, m.last_ts) for m in scene.agents]
         agents[2].first_ts, agents[2].last_ts = agents[2].last_ts, agents[2].first_ts
-        bad = SceneFrame(scene.scene_id, scene.dataset_tag, scene.location, scene.dt, scene.n_timesteps,
-                         agents, SceneColumns(**cols), scene.heading_derived)
-        want = reference_scene_validate(bad)
-        assert any("no rows" in v for v in want)
-        assert scene_validate(bad) == want
+        with pytest.raises(ValueError, match="agent lifetimes span"):
+            SceneFrame(scene.scene_id, scene.dataset_tag, scene.location, scene.dt, agents, scene.columns)
 
+    # named: what a validator handed these rows with their agent_index and ts would report.
     @pytest.mark.parametrize("case, named", [
         ("repeat-outside-lifetime", "duplicate row at ts 40"),
         ("middle-agent-without-rows", "no rows for lifetime"),
     ])
     def test_layout_edge_cases(self, case, named):
         scene = random_scene(np.random.default_rng(6), n_agents=3, n_timesteps=20)
-        cols = {name: np.array(c) for name, c in scene.columns.as_dict().items()}
         if case == "repeat-outside-lifetime":
             rows = np.sort(np.append(np.arange(len(scene.columns)), scene.rows_for_agent(1).start))
-            cols = {name: c[rows] for name, c in cols.items()}
-            cols["ts"][scene.rows_for_agent(1).start : scene.rows_for_agent(1).start + 2] = 40
+            columns = SceneColumns(**{name: np.array(c)[rows] for name, c in scene.columns.as_dict().items()})
         else:
-            cols = {name: c[scene.columns.agent_index != 1] for name, c in cols.items()}
-        bad = SceneFrame(scene.scene_id, scene.dataset_tag, scene.location, scene.dt, scene.n_timesteps,
-                         scene.agents, SceneColumns(**cols), scene.heading_derived)
-        want = reference_scene_validate(bad)
-        assert any(named in v for v in want)
-        assert scene_validate(bad) == want
+            columns = _without_agent_rows(scene, 1)
+        with pytest.raises(ValueError, match="agent lifetimes span"):
+            SceneFrame(scene.scene_id, scene.dataset_tag, scene.location, scene.dt, scene.agents, columns, scene.heading_derived)

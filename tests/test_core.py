@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,9 @@ from trajkit.core import (
     scene_validate,
     wrap_angle,
 )
+from trajkit.ingest import SceneMetaRecord, parse_canonical_csv, parse_frame_text, scene_from_bytes, scene_to_bytes
+from trajkit.kinematics import resample_scene
+from trajkit.simulation import _window_scene, sim_reset, sim_step
 
 from conftest import random_scene
 
@@ -196,32 +200,15 @@ class TestSceneFrame:
 
 
 def _mutate(scene: SceneFrame, **col_overrides) -> SceneFrame:
-    cols = {name: np.array(getattr(scene.columns, name)) for name in
-            ("agent_index", "ts", "x", "y", "z", "vx", "vy", "ax", "ay", "heading", "observed")}
+    cols = {name: np.array(column) for name, column in scene.columns.as_dict().items()}
     cols.update(col_overrides)
     return SceneFrame(
-        scene.scene_id, scene.dataset_tag, scene.location, scene.dt, scene.n_timesteps,
+        scene.scene_id, scene.dataset_tag, scene.location, scene.dt,
         scene.agents, SceneColumns(**cols), scene.heading_derived,
     )
 
 
 class TestSceneValidate:
-    def test_duplicate_row(self):
-        scene = _two_agent_scene()
-        ts = np.array(scene.columns.ts)
-        ts[1] = 0  # rows 0 and 1 both at (agent 0, ts 0)
-        bad = _mutate(scene, ts=ts)
-        violations = scene_validate(bad)
-        assert any("duplicate-row" in v and "a0" in v for v in violations)
-
-    def test_gap(self):
-        scene = _two_agent_scene()
-        ts = np.array(scene.columns.ts)
-        ts[1] = 5  # agent 0 now misses ts 1 and has a row past last_ts
-        bad = _mutate(scene, ts=ts)
-        violations = scene_validate(bad)
-        assert any("missing row at ts 1" in v for v in violations)
-
     def test_heading_out_of_range(self):
         scene = _two_agent_scene()
         heading = np.array(scene.columns.heading)
@@ -248,9 +235,12 @@ class TestSceneValidate:
         assert f"scene {scene.scene_id}: dt {dt} not finite and positive (dt-positive)" in scene_validate(scene)
 
     def test_lifetime_order(self):
+        # An inverted lifetime spans no timestep, so no scene holds one.
         scene = _two_agent_scene()
-        scene.agents[0].first_ts, scene.agents[0].last_ts = 4, 0
-        assert any("lifetime-order" in v for v in scene_validate(scene))
+        agents = [dataclasses.replace(m) for m in scene.agents]
+        agents[0].first_ts, agents[0].last_ts = 4, 0
+        with pytest.raises(ValueError, match="agent lifetimes span"):
+            SceneFrame(scene.scene_id, scene.dataset_tag, scene.location, scene.dt, agents, scene.columns)
 
     def test_duplicate_agent_id(self):
         scene = _two_agent_scene()
@@ -271,3 +261,84 @@ class TestSceneValidate:
 
 def violations_of(scene):
     return scene_validate(scene)
+
+
+def _window(scene: SceneFrame) -> SceneFrame:
+    state, _ = sim_reset(scene, 5, [scene.agents[0].agent_id])
+    for _ in range(30):  # past the scene's end: the rollout outlives its source
+        state, _ = sim_step(state, {scene.agents[0].agent_id: (1.0, 2.0, 0.5)})
+    return _window_scene(state, simulated=True)
+
+
+_META = SceneMetaRecord("s0", 0.1, "nowhere", "toy")
+_BUILDERS = {
+    "from_tracks": lambda: random_scene(np.random.default_rng(11), n_agents=5, n_timesteps=30),
+    "canonical-csv": lambda: parse_canonical_csv(
+        "scene_id,agent_id,agent_type,frame,x,y,z,heading,length,width,height\n"
+        + "".join(f"s0,{a},vehicle,{f},{f}.0,{k}.0,,,,,\n" for k, (a, f) in enumerate([("b", 3), ("a", 9), ("b", 6), ("a", 4)])),
+        _META,
+    ),
+    "frame-text": lambda: parse_frame_text("10 1 0 0\n30 1 2 0\n20 2 1 1\n40 2 3 1\n", _META),
+    "decode": lambda: scene_from_bytes(scene_to_bytes(random_scene(np.random.default_rng(12), n_agents=4))),
+    "upsample": lambda: resample_scene(random_scene(np.random.default_rng(13), n_agents=4, dt=0.2), 0.1),
+    "downsample": lambda: resample_scene(random_scene(np.random.default_rng(14), n_agents=4, dt=0.1), 0.3),
+    "window": lambda: _window(random_scene(np.random.default_rng(15), n_agents=4, n_timesteps=20, gap_prob=0.0)),
+    "zero-agents": lambda: SceneFrame.from_tracks("s0", "toy", "", 0.1, [], []),
+}
+
+
+class TestSceneLayout:
+    """A scene's lifetimes are its layout: agent_index, ts and n_timesteps come from them alone."""
+
+    @pytest.mark.parametrize("builder", sorted(_BUILDERS))
+    def test_every_builder_derives_the_layout(self, builder):
+        scene = _BUILDERS[builder]()
+        cols = scene.columns
+        assert scene.n_timesteps == max((m.last_ts for m in scene.agents), default=-1) + 1
+        assert np.array_equal(cols.agent_index, np.repeat(np.arange(scene.n_agents), [m.n_steps for m in scene.agents]))
+        want_ts = [np.arange(m.first_ts, m.last_ts + 1) for m in scene.agents]
+        assert np.array_equal(cols.ts, np.concatenate(want_ts) if want_ts else [])
+        for name in ("agent_index", "ts"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(cols, name)[:] = 0
+        assert scene_validate(scene) == []
+
+    def test_columns_of_unequal_length(self):
+        with pytest.raises(ValueError, match="column heading has length 5, expected 6"):
+            SceneColumns(*(np.zeros(6) for _ in range(7)), np.zeros(5), np.ones(6, dtype=bool))
+
+    def test_late_lifetime(self):
+        columns = SceneColumns(*(np.zeros(6) for _ in range(8)), np.ones(6, dtype=bool))
+        scene = SceneFrame("s0", "toy", "", 0.1, [AgentMetadata("a", AgentType.VEHICLE, None, 2**62, 2**62 + 5)], columns)
+        assert scene.n_timesteps == 2**62 + 6 and scene.columns.ts[-1] == 2**62 + 5
+
+    def test_window_outlives_its_source(self):
+        scene = random_scene(np.random.default_rng(15), n_agents=4, n_timesteps=20, gap_prob=0.0)
+        assert _window(scene).n_timesteps == 36 > scene.n_timesteps
+
+    def test_two_scenes_over_one_columns_keep_their_layouts(self):
+        columns = SceneColumns(*(np.zeros(6) for _ in range(8)), np.ones(6, dtype=bool))
+        one = SceneFrame("s1", "toy", "", 0.1, [AgentMetadata("a", AgentType.VEHICLE, None, 0, 5)], columns)
+        two = SceneFrame("s2", "toy", "", 0.1, [AgentMetadata("a", AgentType.VEHICLE, None, 2, 3),
+                                                AgentMetadata("b", AgentType.VEHICLE, None, 7, 10)], columns)
+        assert one.columns.agent_index.tolist() == [0] * 6 and one.columns.ts.tolist() == [0, 1, 2, 3, 4, 5]
+        assert two.columns.agent_index.tolist() == [0, 0, 1, 1, 1, 1] and two.columns.ts.tolist() == [2, 3, 7, 8, 9, 10]
+        assert (one.n_timesteps, two.n_timesteps) == (6, 11)
+        assert columns.agent_index is None and columns.ts is None
+        assert one.columns.x is columns.x  # the value columns are shared, not copied
+
+    @pytest.mark.parametrize("lifetimes", [
+        [(0, 2), (1, 2)],  # 5 rows, 6 given
+        [(0, 4), (3, 2)],  # inverted: a span of 0
+        [(0, 2), (4, 6), (9, 8)],  # spans sum to the rows, one of them 0
+        [(-2, 1), (0, 1)],  # before ts 0
+        [(-50, -45)],
+        [(0, 2**62)],  # must fail before a row is built
+        [(0, 2**62 - 1)] * 4 + [(0, 5)],  # the spans sum to 6 rows in int64, 2**64 + 6 in fact
+        [],
+    ], ids=["too-few", "inverted", "empty-span", "negative-first", "negative-lifetime", "huge-span", "int64-wrapping-spans", "no-agents"])
+    def test_lifetimes_that_do_not_lay_out_the_rows(self, lifetimes):
+        columns = SceneColumns(*(np.zeros(6) for _ in range(8)), np.ones(6, dtype=bool))
+        agents = [AgentMetadata(f"a{k}", AgentType.VEHICLE, None, a, b) for k, (a, b) in enumerate(lifetimes)]
+        with pytest.raises(ValueError, match="agent lifetimes span"):
+            SceneFrame("s0", "toy", "", 0.1, agents, columns)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import trajkit
 from trajkit import ingest
 from trajkit.cli import main
-from trajkit.core import AgentType, SceneColumns, SceneFrame, scene_validate
+from trajkit.core import AgentType, scene_validate
 from trajkit.ingest import (
     CacheChecksumError,
     CacheError,
@@ -481,17 +481,17 @@ class TestCache:
         assert len(data) == 18 + header_len + 65 * len(scene.columns) + 4
         assert "columns" not in json.loads(data[18 : 18 + header_len])
 
-    def test_rows_that_do_not_follow_the_lifetimes_are_not_written(self, tmp_path):
-        scene = random_scene(np.random.default_rng(3), n_agents=3)
-        cols = scene.columns.as_dict()
-        rows = scene.rows_for_agent(1)
-        ts = cols["ts"].copy()
-        ts[rows] = ts[rows][::-1]
-        bad = SceneFrame(scene.scene_id, scene.dataset_tag, scene.location, scene.dt, scene.n_timesteps,
-                         scene.agents, SceneColumns(**{**cols, "ts": ts}), scene.heading_derived)
-        with pytest.raises(ValueError, match="rows do not follow the agents' lifetimes"):
-            cache_write(bad, tmp_path)
-        assert not list(tmp_path.rglob("*.tksc"))
+    @pytest.mark.parametrize("n_timesteps", [0, 5, -3, 100, 10**6])
+    def test_header_n_timesteps_is_not_read(self, tmp_path, n_timesteps):
+        # Files written before the scene derived n_timesteps store it; the reader ignores it.
+        scene = synth_scene(Straight(1.0), 3, 100, 0.1)
+        path = cache_write(scene, tmp_path)
+        data = path.read_bytes()
+        assert "n_timesteps" not in json.loads(data[18 : 18 + struct.unpack_from("<Q", data, 10)[0]])
+        path.write_bytes(rewrite_json_header(data, lambda h: h.update(n_timesteps=n_timesteps), crc=True))
+        again = cache_load(path)
+        assert again == scene and again.n_timesteps == 100
+        assert scene_to_bytes(again) == data
 
     def test_truncated_by_one_byte(self, tmp_path):
         scene = synth_scene(Straight(1.0), 1, 5, 0.1)
@@ -568,9 +568,7 @@ class TestCache:
         ]
         cache.write_many(scenes)
         entries = cache.resolve(["dsa"])
-        assert [(e.tag, e.scene_id, e.n_agents, e.n_timesteps) for e in entries] == [
-            ("dsa-loc1", "sA", 3, 7), ("dsa-train", "sB", 2, 9),
-        ]
+        assert [(e.tag, e.scene_id, e.n_agents) for e in entries] == [("dsa-loc1", "sA", 3), ("dsa-train", "sB", 2)]
         assert cache.resolve(["dsa-train", "dsa"]) == entries  # overlapping queries list a file once
         for entry, scene in zip(entries, scenes):
             assert entry.tag == scene.scene_tag().render()
@@ -615,18 +613,17 @@ class TestCache:
         data[-40] ^= 0xFF  # the payload and its CRC no longer agree
         path.write_bytes(bytes(data))
         (entry,) = cache.resolve(["dsa"])
-        assert (entry.n_agents, entry.n_timesteps) == (4, 500)
+        assert entry.n_agents == 4
         with pytest.raises(CacheChecksumError):
             cache.load_path(entry.path)
 
     @pytest.mark.parametrize("edit, named", [
         (lambda h: h.pop("dataset_tag"), "dataset_tag"),
         (lambda h: h.update(location=None), "location"),
-        (lambda h: h.update(n_timesteps=5.0), "n_timesteps"),
         (lambda h: h.update(agents={}), "agents"),
         (lambda h: h.update(scene_id=7), "scene_id"),
         (lambda h: h.update(location="a-b"), "a-b"),
-    ], ids=["no-dataset_tag", "null-location", "float-n_timesteps", "object-agents", "int-scene_id", "dash-location"])
+    ], ids=["no-dataset_tag", "null-location", "object-agents", "int-scene_id", "dash-location"])
     def test_header_of_the_wrong_shape_raises(self, tmp_path, edit, named):
         cache = SceneCache(tmp_path)
         path = cache.write(synth_scene(Straight(1.0), 1, 5, 0.1, scene_id="sA", dataset="dsa"))
