@@ -140,16 +140,22 @@ class Histogram:
         return int(self.counts.sum())
 
     @classmethod
-    def from_samples(cls, name: str, dataset: str, agent_type: str, samples, edges) -> "Histogram":
+    def from_samples(cls, name: str, dataset: str, agent_type: str, samples, edges, weights=None) -> "Histogram":
+        """The histogram of samples, each counted once or, with int64 weights,
+        weights[k] times."""
         edges = np.asarray(edges, dtype=np.float64)
         if len(edges) < 2 or np.any(np.diff(edges) <= 0):
             raise ValueError("histogram edges must be strictly increasing with >= 2 entries")
         s = np.asarray(samples, dtype=np.float64)
+        w = None if weights is None else np.asarray(weights, dtype=np.int64)
         finite = np.isfinite(s)
-        s = s if finite.all() else s[finite]
-        under = int(np.count_nonzero(s < edges[0]))
-        over = int(np.count_nonzero(s > edges[-1]))
-        counts = np.histogram(s, bins=edges)[0].astype(np.int64)  # counts samples in [edges[0], edges[-1]]
+        if not finite.all():
+            s, w = s[finite], None if w is None else w[finite]
+        low, high = s < edges[0], s > edges[-1]
+        under = int(np.count_nonzero(low) if w is None else w[low].sum())
+        over = int(np.count_nonzero(high) if w is None else w[high].sum())
+        # Counts samples in [edges[0], edges[-1]], exactly: int64 weights are summed as int64.
+        counts = np.histogram(s, bins=edges, weights=w)[0].astype(np.int64)
         counts[0] += under  # and folds the rest into the boundary bins
         counts[-1] += over
         return cls(name, dataset, agent_type, edges, counts, under, over)
@@ -197,8 +203,8 @@ def agent_population(datasets: Datasets) -> dict:
     for dataset, scenes in sorted(datasets.items()):
         codes: dict[str, int] = {}
         for scene in scenes:
-            for meta, code in zip(scene.agents, scene._type_code.tolist()):
-                codes.setdefault(meta.agent_id, code)
+            for agent_id, code in zip(scene.agent_ids, scene.type_code.tolist()):
+                codes.setdefault(agent_id, code)
         total = len(codes)
         n = np.bincount(np.array(list(codes.values()), dtype=np.int64), minlength=len(_TYPE_NAMES))
         counts = {_TYPE_NAMES[c]: int(n[c]) for c in np.flatnonzero(n)}
@@ -221,15 +227,27 @@ def _observed_runs(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return rows, starts, np.append(starts[1:], len(rows))
 
 
+def _alive_runs(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray]:
+    """The agents alive over each run of the scene's timesteps 0 ..
+    n_timesteps - 1 that no lifetime starts or ends inside, and the runs'
+    lengths: 2 runs per agent, some of length 0."""
+    bounds = np.concatenate([[0], scene.first_ts, scene.last_ts + 1])
+    order = np.argsort(bounds, kind="stable")
+    step = np.repeat(np.array([0, 1, -1]), [1, scene.n_agents, scene.n_agents])  # at ts 0, each start, after each end
+    return np.cumsum(step[order])[:-1], np.diff(bounds[order])
+
+
 def simultaneous_agents(datasets: Datasets, cfg: AnalysisConfig) -> list[Histogram]:
-    """Per-(scene, ts) simultaneous-agent counts (an agent has one row per
-    lifetime timestep, so rows per timestep) and per-scene maxima."""
+    """Per-(scene, ts) simultaneous-agent counts and per-scene maxima. Each
+    run of timesteps with one count is a sample weighted by its length, so
+    the work grows with the agents, not with the timesteps."""
     hists = []
     for dataset, scenes in sorted(datasets.items()):
-        per_ts = [np.bincount(s.columns.ts) for s in scenes]
-        maxima = [int(counts.max()) if len(counts) else 0 for counts in per_ts]
+        runs = [_alive_runs(s) for s in scenes]
+        maxima = [int(alive[length > 0].max(initial=0)) for alive, length in runs]
         edges = cfg.edges("simultaneous")
-        hists.append(Histogram.from_samples("simultaneous_per_ts", dataset, "all", np.concatenate(per_ts), edges))
+        alive, length = (np.concatenate(parts) for parts in zip(*runs))
+        hists.append(Histogram.from_samples("simultaneous_per_ts", dataset, "all", alive, edges, weights=length))
         hists.append(Histogram.from_samples("simultaneous_scene_max", dataset, "all", maxima, edges))
     return hists
 
@@ -267,10 +285,10 @@ def ego_agent_distances(datasets: Datasets, cfg: AnalysisConfig, ego_id: str = "
     for dataset, scenes in sorted(datasets.items()):
         samples: list[np.ndarray] = []
         for scene in scenes:
-            ego_idx = next((i for i, m in enumerate(scene.agents) if m.agent_id == ego_id), None)
-            if ego_idx is None:
+            if ego_id not in scene.agent_ids:
                 missing_ego += 1
                 continue
+            ego_idx = scene.agent_ids.index(ego_id)
             cols = scene.columns
             ego_rows, alive = scene.lifetime_rows(ego_idx, cols.ts)
             rows = np.flatnonzero(alive & (cols.agent_index != ego_idx))
@@ -318,7 +336,7 @@ def dynamics_distributions(datasets: Datasets, cfg: AnalysisConfig) -> list[Hist
         pools: dict[str, list[np.ndarray]] = {"speed": [], "accel": [], "jerk": []}
         for scene in scenes:
             cols = scene.columns
-            codes.append(scene._type_code[cols.agent_index])
+            codes.append(scene.type_code[cols.agent_index])
             pools["speed"].append(np.hypot(cols.vx, cols.vy))
             pools["accel"].append(np.hypot(cols.ax, cols.ay))
             pools["jerk"].append(np.hypot(*(derive_derivative(a, scene.dt, scene._agent_offsets) for a in (cols.ax, cols.ay))))
@@ -362,7 +380,7 @@ def heading_deltas(datasets: Datasets, cfg: AnalysisConfig) -> list[Histogram]:
                 dh = np.concatenate(parts) if parts else h
             else:
                 dh = wrap_angle(h - h[off[cols.agent_index]])
-            codes.append(scene._type_code[cols.agent_index])
+            codes.append(scene.type_code[cols.agent_index])
             pools["heading_delta"].append(dh)
             pools["heading_raw"].append(h)
         hists += _type_histograms(dataset, codes, pools, cfg)
@@ -405,7 +423,7 @@ def path_efficiency(datasets: Datasets, cfg: AnalysisConfig) -> tuple[list[Histo
             n_steps.append(hi - lo)
             dx.append(xs[hi] - xs[lo])
             dy.append(ys[hi] - ys[lo])
-            codes.append(scene._type_code[cols.agent_index[rows[lo]]])
+            codes.append(scene.type_code[cols.agent_index[rows[lo]]])
         path = _run_sums(*(np.concatenate(parts) for parts in (steps, firsts, n_steps)))
         direct = np.array(list(map(math.hypot, np.concatenate(dx).tolist(), np.concatenate(dy).tolist())), dtype=np.float64)
         still = path < 1e-6
@@ -465,7 +483,7 @@ def _rates(datasets: Datasets, counts: AgentCounter, per_timestep: bool) -> dict
         codes, events, selected = [], [], []
         for scene in scenes:
             ev, sel = counts(scene)
-            codes.append(scene._type_code)
+            codes.append(scene.type_code)
             events.append(ev if per_timestep else ev > 0)
             selected.append(sel if per_timestep else sel > 0)
         code = np.concatenate(codes)
@@ -478,11 +496,12 @@ def _scene_collisions(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray]:
     """(colliding rows, rows) per agent index over the rows of extent-bearing
     agents; an agent has one row per timestep, so these count timesteps."""
     cols = scene.columns
-    rows = np.array([m.extent is not None for m in scene.agents], dtype=bool)[cols.agent_index]
+    # Length and width of each agent; NaN for one without an extent, which no box reads.
+    dims = np.array([(m.extent.length, m.extent.width) if m.extent else (math.nan, math.nan) for m in scene.agents]).reshape(-1, 2)
+    rows = ~np.isnan(dims[:, 0])[cols.agent_index]
     hit = np.zeros(len(cols), dtype=bool)
     box = np.flatnonzero(rows)
     box = box[np.argsort(cols.ts[box], kind="stable")]  # by timestep: offset k pairs each box with the k-th after it there
-    dims = np.array([(m.extent.length, m.extent.width) if m.extent else (0.0, 0.0) for m in scene.agents]).reshape(-1, 2)
     agent, ts, x, y = cols.agent_index[box], cols.ts[box], cols.x[box], cols.y[box]
     # Validation keeps these out of cached scenes and rollouts; a scene built
     # in memory would otherwise fail inside math.cos with no agent named.
@@ -490,7 +509,7 @@ def _scene_collisions(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray]:
     if len(bad):
         k = box[bad[0]]
         raise ValueError(
-            f"agent {scene.agents[cols.agent_index[k]].agent_id!r}: non-finite heading {float(cols.heading[k])} at ts {int(cols.ts[k])}"
+            f"agent {scene.agent_ids[cols.agent_index[k]]!r}: non-finite heading {float(cols.heading[k])} at ts {int(cols.ts[k])}"
         )
     radius = 0.5 * np.array(list(map(math.hypot, *dims.T.tolist())), dtype=np.float64)[agent]
     corners = obb_corners(x, y, cols.heading[box], dims[agent, 0], dims[agent, 1])
@@ -518,7 +537,7 @@ def _offroad_rows(scene: SceneFrame, types: Iterable[str]) -> np.ndarray:
     """Row mask over the rows of every agent whose type name is in types."""
     allowed = set(types)
     by_code = np.array([t in allowed for t in _TYPE_NAMES])
-    return by_code[scene._type_code][scene.columns.agent_index]
+    return by_code[scene.type_code][scene.columns.agent_index]
 
 
 def _offroad_counts(scene: SceneFrame, vmap: VectorMap, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import AgentType, SceneFrame, SceneTag, wrap_angle
+from .core import TYPE_BY_CODE, AgentType, SceneFrame, SceneTag, wrap_angle
 from .ingest import SceneCache
 from .kinematics import resample_scene
 
@@ -140,8 +140,9 @@ class _SceneContext:
     def __post_init__(self):
         cols = self.scene.columns
         self.states = np.column_stack([cols.x, cols.y, cols.vx, cols.vy, cols.ax, cols.ay, cols.heading])
-        ids = [m.agent_id for m in self.scene.agents]
+        ids = self.scene.agent_ids
         self.id_rank = np.empty(len(ids), dtype=np.int64)
+        # Python's sort, not numpy's: a numpy string array drops trailing NULs.
         self.id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
 
 
@@ -178,6 +179,7 @@ def build_index(
     if centric not in ("agent", "scene"):
         raise ValueError(f"centric must be 'agent' or 'scene', got {centric!r}")
     filt = filt or FilterSpec()
+    allowed = np.array([t in filt.agent_types for t in TYPE_BY_CODE])  # by type code
 
     contexts: dict[tuple[str, str], _SceneContext] = {}
     triples: list[tuple[str, str, str, int, int]] = []  # (tag, scene_id, agent_id, agent_index, ts)
@@ -205,12 +207,12 @@ def build_index(
         # steps behind and f_min ahead. Imputation and resampling never
         # extrapolate, so every in-lifetime step interpolates real observations;
         # on upsampled scenes the anchors are the original (observed) frames.
-        cols, j = scene.columns, scene.columns.agent_index
-        allowed = np.array([m.agent_type in filt.agent_types for m in scene.agents], dtype=bool)
-        ok = cols.observed & allowed[j] & (cols.ts - scene._first_ts[j] >= ctx.h_min) & (scene._last_ts[j] - cols.ts >= ctx.f_min)
-        triples += [
-            (entry.tag, scene.scene_id, scene.agents[a].agent_id, a, ts) for a, ts in zip(j[ok].tolist(), cols.ts[ok].tolist())
-        ]
+        cols, j, ids = scene.columns, scene.columns.agent_index, scene.agent_ids
+        ok = (
+            cols.observed & allowed[scene.type_code][j]
+            & (cols.ts - scene.first_ts[j] >= ctx.h_min) & (scene.last_ts[j] - cols.ts >= ctx.f_min)
+        )
+        triples += [(entry.tag, scene.scene_id, ids[a], a, ts) for a, ts in zip(j[ok].tolist(), cols.ts[ok].tolist())]
 
     triples.sort(key=lambda t: (t[0], t[1], t[2], t[4]))
     if centric == "agent":
@@ -330,10 +332,10 @@ def get_batch(index: ElementIndex, indices: Iterable[int]) -> AgentBatch:
         ends = np.cumsum(per_element)
         starts = ends - per_element
         found.append((ctx, pos, el, np.arange(len(el)) - starts[el], j))
-        chosen = [ctx.scene.agents[k] for k in j.tolist()]
+        ids = [ctx.scene.agent_ids[k] for k in j.tolist()]
+        types = [TYPE_BY_CODE[c] for c in ctx.scene.type_code[j].tolist()]
         for b, lo, hi in zip(pos.tolist(), starts.tolist(), ends.tolist()):
-            neighbor_ids[b] = tuple(m.agent_id for m in chosen[lo:hi])
-            neighbor_types[b] = tuple(m.agent_type for m in chosen[lo:hi])
+            neighbor_ids[b], neighbor_types[b] = tuple(ids[lo:hi]), tuple(types[lo:hi])
 
     # Only real (element, neighbour) slots are gathered; padding stays zero.
     history, history_mask = np.empty((n, *h_shape)), np.empty((n, h_shape[0]), dtype=bool)
@@ -351,12 +353,11 @@ def get_batch(index: ElementIndex, indices: Iterable[int]) -> AgentBatch:
         future[pos], future_mask[pos] = _window(ctx, egos[pos], own, ts[:, None] + np.arange(1, ctx.f_steps + 1), origins, yaws)
 
     contexts = [index.contexts[(e[0], e[1])] for e in entries]
-    metas = [ctx.scene.agents[a] for ctx, a in zip(contexts, egos.tolist())]
     return AgentBatch(
         scene_ids=tuple(ctx.scene.scene_id for ctx in contexts),
         dataset_tags=tuple(ctx.tag for ctx in contexts),
-        agent_ids=tuple(m.agent_id for m in metas),
-        agent_types=tuple(m.agent_type for m in metas),
+        agent_ids=tuple(ctx.scene.agent_ids[a] for ctx, a in zip(contexts, egos.tolist())),
+        agent_types=tuple(TYPE_BY_CODE[ctx.scene.type_code[a]] for ctx, a in zip(contexts, egos.tolist())),
         current_ts=current_ts,
         dts=np.array([ctx.scene.dt for ctx in contexts]),
         history=history,
@@ -387,8 +388,8 @@ def _scene_element(index: ElementIndex, i: int) -> SceneBatchElement:
         dataset_tag=ctx.tag,
         current_ts=ts,
         dt=scene.dt,
-        agent_ids=tuple(scene.agents[j].agent_id for j in agent_indices),
-        agent_types=tuple(scene.agents[j].agent_type for j in agent_indices),
+        agent_ids=tuple(scene.agent_ids[j] for j in agent_indices),
+        agent_types=tuple(TYPE_BY_CODE[c] for c in scene.type_code[agents].tolist()),
         histories=hist,
         history_masks=hist_mask,
         futures=fut,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import logging
 import os
@@ -233,9 +234,7 @@ def cmd_sim_replay(args) -> int:
             f"replay window [{args.init_ts}, {end_ts}] outside scene range [0, {scene.n_timesteps})"
         )
 
-    controlled = [
-        m.agent_id for m in scene.agents if m.first_ts <= args.init_ts and m.last_ts >= end_ts
-    ]
+    controlled = list(itertools.compress(scene.agent_ids, (scene.first_ts <= args.init_ts) & (scene.last_ts >= end_ts)))
     state, _ = sim_reset(scene, args.init_ts, controlled)
     cols = scene.columns
     for ts in range(args.init_ts + 1, end_ts + 1):

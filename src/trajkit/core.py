@@ -72,7 +72,8 @@ class AgentType(enum.Enum):
 _AGENT_TYPES = {m.value: m for m in AgentType}
 # The type names sorted; an agent's type code is its type's index here.
 TYPE_NAMES = tuple(sorted(m.value for m in AgentType))
-_TYPE_CODE = {m: TYPE_NAMES.index(m.value) for m in AgentType}
+TYPE_BY_CODE = tuple(map(AgentType, TYPE_NAMES))  # the AgentType of each type code
+_TYPE_CODE = {m: code for code, m in enumerate(TYPE_BY_CODE)}
 
 
 def row_layout(first_ts, last_ts) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +157,7 @@ class Extent:
             raise ValueError(f"extent height must be > 0 when present, got {self.height}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentMetadata:
     """Identity, class, extent, and observed lifetime of one agent.
 
@@ -276,49 +277,66 @@ class SceneColumns:
         return {name: getattr(self, name) for name in COLUMN_NAMES[2:]}
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SceneFrame:
-    """One scene: metadata, agent list, and the columnar trajectory table.
+    """One scene: metadata, agent records, and the columnar trajectory table.
 
     ``dataset_tag`` is the dataset identity including split when present
     (e.g. "sdd-train"); ``location`` is kept separate. The agents' lifetimes
     fix the rows: each must start at ts 0 or later and span a timestep or
     more, and together they must span the rows of ``columns``; otherwise
-    ValueError. Immutable by convention after construction; safe for
-    concurrent reads.
+    ValueError. The scene and its agent records are frozen: construction
+    alone sets the agents (as a tuple), the read-only per-agent columns
+    ``agent_ids``, ``type_code`` (uint8 index into TYPE_NAMES), ``first_ts``
+    and ``last_ts`` (int64), and the layout; dataclasses.replace builds
+    another scene. The value columns x ... observed stay writable.
     """
 
     scene_id: str
     dataset_tag: str
     location: str
     dt: float
-    agents: list[AgentMetadata]
+    agents: tuple[AgentMetadata, ...]
     columns: SceneColumns
     heading_derived: bool = True
+    agent_ids: tuple[str, ...] = field(init=False, repr=False)
+    type_code: np.ndarray = field(init=False, repr=False)
+    first_ts: np.ndarray = field(init=False, repr=False)
+    last_ts: np.ndarray = field(init=False, repr=False)
     _agent_offsets: np.ndarray = field(init=False, repr=False)
-    _first_ts: np.ndarray = field(init=False, repr=False)  # (agents,) lifetime bounds
-    _last_ts: np.ndarray = field(init=False, repr=False)
-    _type_code: np.ndarray = field(init=False, repr=False)  # (agents,) uint8 index into TYPE_NAMES
     _row0: np.ndarray = field(init=False, repr=False)  # row of (agent j, ts) is _row0[j] + ts
 
     def __post_init__(self):
+        agents = tuple(self.agents)
         # Python ints: a file's lifetimes may be near 2**62, and no row is built before they pass.
-        first = [m.first_ts for m in self.agents]
-        spans = [m.last_ts - m.first_ts + 1 for m in self.agents]
+        first = [m.first_ts for m in agents]
+        spans = [m.last_ts - m.first_ts + 1 for m in agents]
         if min(first, default=0) < 0 or min(spans, default=1) < 1 or sum(spans) != len(self.columns):
             raise ValueError(
                 f"agent lifetimes span {sum(spans)} rows (shortest {min(spans, default=1)}, earliest from ts {min(first, default=0)});"
                 f" each must start at ts 0 or later and span a timestep or more, and all must span the {len(self.columns)} rows"
             )
-        self._first_ts = np.array(first, dtype=np.int64)
-        self._last_ts = np.array([m.last_ts for m in self.agents], dtype=np.int64)
-        self._type_code = np.array([_TYPE_CODE[m.agent_type] for m in self.agents], dtype=np.uint8)
-        self._agent_offsets = np.concatenate([[0], np.cumsum(spans, dtype=np.int64)])
-        self._row0 = self._agent_offsets[:-1] - self._first_ts
+        first_ts = np.array(first, dtype=np.int64)
+        last_ts = np.array([m.last_ts for m in agents], dtype=np.int64)
+        offsets = np.concatenate([[0], np.cumsum(spans, dtype=np.int64)])
         # The layout belongs to this scene: another scene built over the same columns gets its own.
-        self.columns = copy.copy(self.columns)
-        self.columns.agent_index, self.columns.ts = row_layout(self._first_ts, self._last_ts)
-        self.columns.agent_index.flags.writeable = self.columns.ts.flags.writeable = False
+        columns = copy.copy(self.columns)
+        columns.agent_index, columns.ts = row_layout(first_ts, last_ts)
+        derived = {
+            "agents": agents,
+            "agent_ids": tuple(m.agent_id for m in agents),
+            "type_code": np.array([_TYPE_CODE[m.agent_type] for m in agents], dtype=np.uint8),
+            "first_ts": first_ts,
+            "last_ts": last_ts,
+            "_agent_offsets": offsets,
+            "_row0": offsets[:-1] - first_ts,
+            "columns": columns,
+        }
+        for name, value in derived.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        columns.agent_index.flags.writeable = columns.ts.flags.writeable = False
 
     @classmethod
     def from_tracks(
@@ -347,7 +365,7 @@ class SceneFrame:
             dataset_tag=dataset_tag,
             location=location,
             dt=float(dt),
-            agents=list(agents),
+            agents=agents,
             columns=SceneColumns(*(np.concatenate([track[name] for track in tracks]) if tracks else [] for name in COLUMN_NAMES[2:])),
             heading_derived=heading_derived,
         )
@@ -359,7 +377,7 @@ class SceneFrame:
     @property
     def n_timesteps(self) -> int:
         """max(last_ts) + 1, or 0 when the scene has no agents."""
-        return int(self._last_ts.max(initial=-1)) + 1
+        return int(self.last_ts.max(initial=-1)) + 1
 
     def rows_for_agent(self, agent_index: int) -> slice:
         return slice(int(self._agent_offsets[agent_index]), int(self._agent_offsets[agent_index + 1]))
@@ -369,10 +387,10 @@ class SceneFrame:
 
         Relies on the contiguity invariant (one row per lifetime timestep).
         """
-        meta = self.agents[agent_index]
-        if ts < meta.first_ts or ts > meta.last_ts:
+        # .item(): a Python int compares and adds faster than a numpy scalar.
+        if not self.first_ts.item(agent_index) <= ts <= self.last_ts.item(agent_index):
             return None
-        return int(self._agent_offsets[agent_index]) + (ts - meta.first_ts)
+        return self._row0.item(agent_index) + ts
 
     def lifetime_rows(self, agents, ts) -> tuple[np.ndarray, np.ndarray]:
         """Rows of the broadcast (agent, ts) pairs, with each ts clamped into
@@ -383,11 +401,11 @@ class SceneFrame:
         callers can gather with the rows and mask the result afterwards.
         """
         agents = np.asarray(agents, dtype=np.int64)
-        clamped = np.minimum(np.maximum(ts, self._first_ts[agents]), self._last_ts[agents])
+        clamped = np.minimum(np.maximum(ts, self.first_ts[agents]), self.last_ts[agents])
         return self._row0[agents] + clamped, clamped == ts
 
     def agents_present_at(self, ts: int) -> list[int]:
-        return [i for i, meta in enumerate(self.agents) if meta.first_ts <= ts <= meta.last_ts]
+        return np.flatnonzero((self.first_ts <= ts) & (ts <= self.last_ts)).tolist()
 
     def scene_tag(self) -> SceneTag:
         base = SceneTag.parse(self.dataset_tag)
@@ -425,26 +443,24 @@ def scene_validate(scene: SceneFrame) -> list[str]:
         violations.append(f"scene {scene.scene_id}: dt {scene.dt} not finite and positive (dt-positive)")
 
     seen_ids: set[str] = set()
-    for meta in scene.agents:
-        if meta.agent_id in seen_ids:
-            violations.append(f"agent {meta.agent_id}: duplicate agent_id (agent-id-unique)")
-        seen_ids.add(meta.agent_id)
+    for agent_id in scene.agent_ids:
+        if agent_id in seen_ids:
+            violations.append(f"agent {agent_id}: duplicate agent_id (agent-id-unique)")
+        seen_ids.add(agent_id)
 
     cols = scene.columns
     idx = cols.agent_index
     bad_heading = ~((cols.heading > -math.pi) & (cols.heading <= math.pi))
     for row in np.nonzero(bad_heading)[0]:
-        meta = scene.agents[int(idx[row])]
         violations.append(
-            f"agent {meta.agent_id}: heading {float(cols.heading[row])!r} outside (-pi, pi] at ts {int(cols.ts[row])} (heading-range)"
+            f"agent {scene.agent_ids[idx[row]]}: heading {float(cols.heading[row])!r} outside (-pi, pi] at ts {int(cols.ts[row])} (heading-range)"
         )
 
     for col_name in ("x", "y", "z", "vx", "vy", "ax", "ay"):
         col = getattr(cols, col_name)
         for row in np.nonzero(~np.isfinite(col))[0]:
-            meta = scene.agents[int(idx[row])]
             violations.append(
-                f"agent {meta.agent_id}: non-finite {col_name} at ts {int(cols.ts[row])} (non-finite)"
+                f"agent {scene.agent_ids[idx[row]]}: non-finite {col_name} at ts {int(cols.ts[row])} (non-finite)"
             )
 
     return violations

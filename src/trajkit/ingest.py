@@ -330,10 +330,14 @@ def _build_scene(scene_id: str, cols: _CsvColumns, meta: SceneMetaRecord) -> Sce
     first_with = np.minimum.reduceat(np.where(cols.has_extent[order], np.arange(len(order)), len(order)), offsets[:-1])
     extent_rows = np.append(order, -1)[first_with]
     # Agents are checked in order, a repeated frame before the extent.
-    extents = [
-        None if r < 0 else Extent(float(cols.length[r]), float(cols.width[r]), float(cols.height[r]) if cols.has_height[r] else None)
-        for r in extent_rows[:repeat_agent].tolist()
-    ]
+    extents = []
+    for agent_id, r in zip(ids, extent_rows[:repeat_agent].tolist()):
+        try:
+            extents.append(
+                None if r < 0 else Extent(float(cols.length[r]), float(cols.width[r]), float(cols.height[r]) if cols.has_height[r] else None)
+            )
+        except ValueError as exc:
+            raise ParseError(f"line {cols.lines[r]}: agent {agent_id}: {exc}") from None
     if repeat_agent < len(ids):
         raise ParseError(f"agent {ids[repeat_agent]}: non-monotone frames (duplicate frame {cols.frames[order[repeat]]})")
     headings_given = bool(cols.has_heading.all())
@@ -609,6 +613,10 @@ def scene_to_bytes(scene: SceneFrame) -> bytes:
     return bytes(buf)
 
 
+# Keys of an agent entry of a scene file's header, and the JSON types they take; a
+# wrong-typed agent_type or extent fails where the decoder reads it.
+_AGENT_HEADER_KINDS = {"agent_id": str, "first_ts": int, "last_ts": int}
+
 # What read_container raises for a scene file: bad magic or version, too short, header that does not decode.
 _CACHE_ERRORS = (CacheVersionError, CacheTruncatedError, CacheError)
 
@@ -648,13 +656,14 @@ def _scene_from_header(header: dict, data: bytes, pos: int) -> SceneFrame:
 
     agents = []
     for raw in header["agents"]:
+        agent_id, first_ts, last_ts = raw["agent_id"], raw["first_ts"], raw["last_ts"]
+        if type(agent_id) is not str or type(first_ts) is not int or type(last_ts) is not int:
+            _checked_object(raw, _AGENT_HEADER_KINDS, (), "cache header agent")  # raises, naming the key
         extent = None
         if raw["extent"] is not None:
             length, width, height = raw["extent"]  # ValueError unless exactly three values
             extent = Extent(length, width, height)
-        agents.append(
-            AgentMetadata(raw["agent_id"], AgentType.from_string(raw["agent_type"]), extent, int(raw["first_ts"]), int(raw["last_ts"]))
-        )
+        agents.append(AgentMetadata(agent_id, AgentType.from_string(raw["agent_type"]), extent, first_ts, last_ts))
     return SceneFrame(
         scene_id=header["scene_id"],
         dataset_tag=header["dataset_tag"],

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import AgentMetadata, SceneColumns, SceneFrame, row_layout, wrap_angle
+from .core import SceneColumns, SceneFrame, row_layout, wrap_angle
 
 log = logging.getLogger(__name__)
 
@@ -235,15 +235,14 @@ def resample_scene(scene: SceneFrame, desired_dt: float) -> SceneFrame:
     ts = cols.ts * plan.factor if plan.mode == "upsample" else cols.ts[keep] // plan.factor
     kept_rows = np.bincount(cols.agent_index[keep], minlength=scene.n_agents)
     for i in np.flatnonzero(kept_rows == 0):
-        meta = scene.agents[i]
         log.warning(
             "agent %s dropped by downsampling: lifetime [%d, %d] has no frame on the ts%%%d grid",
-            meta.agent_id, meta.first_ts, meta.last_ts, plan.factor,
+            scene.agent_ids[i], scene.first_ts[i], scene.last_ts[i], plan.factor,
         )
     offsets = np.concatenate([[0], np.cumsum(kept_rows[kept_rows > 0])])
     heading = None if scene.heading_derived else cols.heading[keep]
     first, last, columns = complete_tracks(offsets, ts, cols.x[keep], cols.y[keep], cols.z[keep], desired_dt, heading)
     columns.observed[columns.observed] = cols.observed[keep]  # each knot keeps its source row's flag
-    kept = [meta for meta, n in zip(scene.agents, kept_rows.tolist()) if n]
-    agents = [AgentMetadata(m.agent_id, m.agent_type, m.extent, f, l) for m, f, l in zip(kept, first.tolist(), last.tolist())]
+    kept = np.flatnonzero(kept_rows).tolist()
+    agents = [replace(scene.agents[k], first_ts=f, last_ts=l) for k, f, l in zip(kept, first.tolist(), last.tolist())]
     return replace(scene, dt=float(desired_dt), agents=agents, columns=columns)

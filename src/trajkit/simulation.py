@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .analysis import OFFROAD_TYPES, AgentCounter, _offroad_counts, _offroad_rows, _rates, _scene_collisions
-from .core import AgentMetadata, SceneColumns, SceneFrame, wrap_angle
+from .core import SceneColumns, SceneFrame, wrap_angle
 from .ingest import SceneMetaRecord, write_canonical_csv
 from .kinematics import derive_derivative
 from .vecmap import VectorMap
@@ -102,20 +102,20 @@ def sim_reset(scene: SceneFrame, init_ts: int, controlled: Sequence[str]) -> tup
     if not 0 <= init_ts < scene.n_timesteps:
         raise ValueError(f"init_ts {init_ts} outside scene range [0, {scene.n_timesteps})")
     controlled = tuple(controlled)
-    by_id = {meta.agent_id: i for i, meta in enumerate(scene.agents)}
+    by_id = {agent_id: i for i, agent_id in enumerate(scene.agent_ids)}
     controlled_idx: dict[str, int] = {}
     for agent_id in controlled:
         if agent_id not in by_id:
             raise ValueError(f"controlled agent {agent_id!r} not in scene")
         if agent_id in controlled_idx:
             raise ValueError(f"controlled agent {agent_id!r} listed more than once")
-        meta = scene.agents[by_id[agent_id]]
-        if not meta.first_ts <= init_ts <= meta.last_ts:
+        i = by_id[agent_id]
+        if not scene.first_ts[i] <= init_ts <= scene.last_ts[i]:
             raise ValueError(
                 f"controlled agent {agent_id!r} not alive at init_ts {init_ts} "
-                f"(lifetime [{meta.first_ts}, {meta.last_ts}])"
+                f"(lifetime [{scene.first_ts[i]}, {scene.last_ts[i]}])"
             )
-        controlled_idx[agent_id] = by_id[agent_id]
+        controlled_idx[agent_id] = i
     # Capacity up to the scene's last timestep; sim_step grows it past that.
     poses = np.zeros((len(controlled_idx), scene.n_timesteps - init_ts + 2, 3))
     state = SimState(scene, init_ts, init_ts, controlled, controlled_idx, poses)
@@ -156,7 +156,7 @@ def sim_step(state: SimState, new_states: Mapping[str, tuple[float, float, float
 def _observe(state: SimState) -> SimObservation:
     ts = state.current_ts
     grid, _, valid = _grid(state, ts, ts, simulated=True)
-    return SimObservation(ts=ts, agent_ids=tuple(m.agent_id for m in state.scene.agents), states=grid[:, 0], valid=valid[:, 0])
+    return SimObservation(ts=ts, agent_ids=state.scene.agent_ids, states=grid[:, 0], valid=valid[:, 0])
 
 
 def _grid(state: SimState, lo: int, hi: int, simulated: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -176,7 +176,7 @@ def _grid(state: SimState, lo: int, hi: int, simulated: bool) -> tuple[np.ndarra
     rows, inside = scene.lifetime_rows(np.arange(scene.n_agents)[:, None], ts)
     if simulated:
         series = state.poses[:, lo - state.init_ts : hi - state.init_ts + 3]
-        sel = ts >= scene._first_ts[ctrl][:, None]
+        sel = ts >= scene.first_ts[ctrl][:, None]
     else:
         series = state._table[rows[ctrl]][..., [0, 1, 7]]
         sel = inside[ctrl]
@@ -213,10 +213,7 @@ def _window_scene(state: SimState, simulated: bool) -> SceneFrame:
     kept = np.flatnonzero(n)
     first = lo + mask.argmax(axis=1)[kept]
     last = first + n[kept] - 1
-    agents = [
-        AgentMetadata(scene.agents[j].agent_id, scene.agents[j].agent_type, scene.agents[j].extent, a, b)
-        for j, a, b in zip(kept.tolist(), first.tolist(), last.tolist())
-    ]
+    agents = [replace(scene.agents[j], first_ts=a, last_ts=b) for j, a, b in zip(kept.tolist(), first.tolist(), last.tolist())]
     columns = SceneColumns(*np.ascontiguousarray(grid[mask].T), observed[mask])
     return replace(scene, scene_id=f"{scene.scene_id}_sim", agents=agents, columns=columns, heading_derived=False)
 

@@ -507,6 +507,19 @@ def reference_simultaneous_agents(datasets, cfg):
     return hists
 
 
+def bincount_simultaneous_agents(datasets, cfg):
+    """simultaneous_agents as one count per timestep: the rows at each ts,
+    an agent having one row per lifetime timestep."""
+    hists = []
+    for dataset, scenes in sorted(datasets.items()):
+        per_ts = [np.bincount(s.columns.ts) for s in scenes]
+        maxima = [int(counts.max()) if len(counts) else 0 for counts in per_ts]
+        edges = cfg.edges("simultaneous")
+        hists.append(Histogram.from_samples("simultaneous_per_ts", dataset, "all", np.concatenate(per_ts), edges))
+        hists.append(Histogram.from_samples("simultaneous_scene_max", dataset, "all", maxima, edges))
+    return hists
+
+
 def reference_agent_density(datasets, cfg):
     hists = []
     skipped = 0
@@ -1121,7 +1134,10 @@ def _reference_build_scene(scene_id, raw_rows, meta):
         extent = None
         for r in rows:
             if r[8] is not None:
-                extent = Extent(r[8], r[9], r[10])
+                try:
+                    extent = Extent(r[8], r[9], r[10])
+                except ValueError as exc:
+                    raise ParseError(f"line {r[0]}: agent {agent_id}: {exc}") from None
                 break
         last_ts = first_ts + len(track["x"]) - 1
         agents.append(AgentMetadata(agent_id, rows[0][2], extent, first_ts, last_ts))

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from conftest import random_scene, square_area, straight_lane
 from oracles import (
     REFERENCE_METRICS,
     SCENE_POOLED_METRICS,
+    bincount_simultaneous_agents,
     crossing_number_inside,
     obb_margin,
     obb_overlap_by_sampling,
@@ -81,6 +83,12 @@ def _scene_from_tracks(tracks, types=None, extents=None, scene_id="s0", dataset=
         extent = extents[k] if extents else Extent(4.0, 2.0)
         agents.append(AgentMetadata(f"a{k}", agent_type, extent, 0, n - 1))
     return SceneFrame.from_tracks(scene_id, dataset, "nowhere", 0.1, agents, tracks)
+
+
+def _renamed(scene, *agent_ids):
+    """The scene with its first agents given these ids."""
+    renamed = [dataclasses.replace(m, agent_id=a) for m, a in zip(scene.agents, agent_ids)]
+    return dataclasses.replace(scene, agents=[*renamed, *scene.agents[len(renamed):]])
 
 
 class TestHistogram:
@@ -156,8 +164,7 @@ class TestPopulation:
     def test_disjoint_scenes_add(self, cache):
         s1 = _scene_from_tracks([_track([0, 1], [0, 0])], scene_id="s1")
         s2 = _scene_from_tracks([_track([0, 1], [0, 0]), _track([5, 6], [0, 0])], scene_id="s2")
-        s2.agents[0].agent_id = "b0"
-        s2.agents[1].agent_id = "b1"
+        s2 = _renamed(s2, "b0", "b1")
         cache.write(s1)
         cache.write(s2)
         assert agent_population(_scenes_by_dataset(cache, ["toy"]))["toy"]["unique_agents"] == 3
@@ -205,6 +212,45 @@ class TestSimultaneous:
         ]
         want, _ = np.histogram(counts, bins=per_ts.edges)
         assert np.array_equal(per_ts.counts, want)
+
+    @pytest.mark.parametrize("edges", [None, [0.5, 1.5, 2.5]], ids=["default", "narrow"])
+    def test_matches_bincount_form(self, edges):
+        # Lifetime-endpoint runs against one count per timestep, on 200 scenes
+        # in 20 datasets; the narrow edges fold counts into both boundary bins.
+        rng = np.random.default_rng(21)
+        cfg = AnalysisConfig()
+        if edges is not None:
+            cfg.histogram_bins["simultaneous"] = edges
+        scenes = [
+            random_scene(rng, n_agents=int(rng.integers(1, 8)), n_timesteps=int(rng.integers(3, 60)), scene_id=f"s{k}")
+            for k in range(200)
+        ]
+        scenes.append(self._scene([(3, 4), (8, 9), (8, 12)]))  # no agent at ts 0 ... 2 or 5 ... 7
+        datasets = {f"d{k:02d}": scenes[k::20] for k in range(20)}
+        got, want = simultaneous_agents(datasets, cfg), bincount_simultaneous_agents(datasets, cfg)
+        assert [(h.name, h.dataset) for h in got] == [(h.name, h.dataset) for h in want]
+        for g, w in zip(got, want):
+            assert g.counts.dtype == np.int64 and np.array_equal(g.counts, w.counts), (g.name, g.dataset)
+            assert (g.n_underflow, g.n_overflow) == (w.n_underflow, w.n_overflow)
+        per_ts = [h for h in got if h.name == "simultaneous_per_ts"]
+        assert sum(h.n_samples for h in per_ts) == sum(s.n_timesteps for s in scenes)
+
+    def test_lifetime_far_from_ts_zero(self):
+        # One agent at ts 2**45 ... 2**45 + 19: a count per timestep would need 256 TiB.
+        start = 2**45
+        scene = SceneFrame.from_tracks(
+            "s0", "toy", "nowhere", 0.1, [AgentMetadata("a0", AgentType.VEHICLE, None, start, start + 19)], [_track(np.zeros(20), np.zeros(20))]
+        )
+        tracemalloc.start()
+        try:
+            per_ts, per_max = simultaneous_agents({"toy": [scene]}, AnalysisConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert per_ts.n_samples == start + 20
+        assert (per_ts.counts[0], per_ts.counts[1]) == (start, 20)
+        assert per_max.n_samples == per_max.counts[1] == 1
+        assert peak < 1 << 20
 
 
 class TestDensity:
@@ -256,8 +302,7 @@ class TestDensity:
 
 class TestEgoDistances:
     def test_fixed_distance(self, cache):
-        scene = _scene_from_tracks([_track(np.zeros(5), np.zeros(5)), _track(np.full(5, 10.0), np.zeros(5))])
-        scene.agents[0].agent_id = "ego"
+        scene = _renamed(_scene_from_tracks([_track(np.zeros(5), np.zeros(5)), _track(np.full(5, 10.0), np.zeros(5))]), "ego")
         cache.write(scene)
         hists, tallies = ego_agent_distances(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
         h = hists[0]
@@ -266,8 +311,7 @@ class TestEgoDistances:
         assert h.counts[bin_idx] == 5
 
     def test_no_other_agents(self, cache):
-        scene = _scene_from_tracks([_track(np.zeros(5), np.zeros(5))])
-        scene.agents[0].agent_id = "ego"
+        scene = _renamed(_scene_from_tracks([_track(np.zeros(5), np.zeros(5))]), "ego")
         cache.write(scene)
         hists, _ = ego_agent_distances(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
         assert hists[0].n_samples == 0
@@ -846,9 +890,12 @@ class TestArrayPassEquivalence:
         samples = {}
         from_samples = Histogram.from_samples
 
-        def recording(name, dataset, agent_type, values, edges):
-            samples[(name, dataset, agent_type)] = np.sort(np.asarray(values, dtype=np.float64)).tobytes()
-            return from_samples(name, dataset, agent_type, values, edges)
+        def recording(name, dataset, agent_type, values, edges, weights=None):
+            values = np.asarray(values, dtype=np.float64)
+            # A sample of weight w stands for w equal samples.
+            expanded = values if weights is None else np.repeat(values, weights)
+            samples[(name, dataset, agent_type)] = np.sort(expanded).tobytes()
+            return from_samples(name, dataset, agent_type, values, edges, weights)
 
         patch.setattr(Histogram, "from_samples", recording)
         emit_report(run_analysis(cache, tags, self.METRICS, cfg, ego_id="ego"), out)

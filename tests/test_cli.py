@@ -498,6 +498,16 @@ class TestMalformedHeaders:
         err = capsys.readouterr().err
         assert "agent lifetimes span" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("agent_id", [5, None, ["a0"]])
+    def test_non_string_agent_id_exit_2(self, workspace, capsys, agent_id):
+        # Unchecked, an id of another type reaches the sort of the batch index and fails there.
+        tmp_path, cache_dir = workspace
+        path = SceneCache(cache_dir).write(synth_scene(Straight(10.0), 2, 100, 0.1))
+        path.write_bytes(rewrite_json_header(path.read_bytes(), lambda h: h["agents"][0].update(agent_id=agent_id), crc=True))
+        assert main(_CACHE_READERS["batch"](str(cache_dir), str(tmp_path / "out"))) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "key 'agent_id' has the wrong type" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("n_timesteps", [0, 5, -3, 10**6])
     def test_header_n_timesteps_is_not_read(self, workspace, n_timesteps):
         # The scene's n_timesteps comes from its lifetimes (ts 0 to 99 here), whatever a header stores.

@@ -6,6 +6,7 @@ must be equal column byte for column byte (``SceneFrame.__eq__``), and
 malformed input must raise the same class with the same message.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -140,7 +141,7 @@ class TestParsersMatchReference:
         rows = ["s,b,vehicle,1,0,0,,,,,", "s,b,vehicle,1,1,0,,,,,", "s,a,vehicle,0,0,0,,,-1,2,"]
         text = HEADER + "\n" + "\n".join(rows) + "\n"
         want = _outcome(reference_parse_canonical_csv_many, text, _meta())
-        assert want[0] is ValueError and "extent length" in want[1]
+        assert want == (ParseError, "line 4: agent a: extent length must be > 0, got -1.0")
         assert _outcome(parse_canonical_csv_many, text, _meta()) == want
 
     def test_duplicate_frame_wins_over_bad_extent_in_one_agent(self):
@@ -164,7 +165,7 @@ class TestParsersMatchReference:
         rows = ["t,a,vehicle,0,0,0,,,,,", "t,a,vehicle,0,0,0,,,,,", "s,b,vehicle,0,0,0,,,0,2,"]
         text = HEADER + "\n" + "\n".join(rows) + "\n"
         want = _outcome(reference_parse_canonical_csv_many, text, _meta())
-        assert want[0] is ValueError
+        assert want == (ParseError, "line 4: agent b: extent length must be > 0, got 0.0")
         assert _outcome(parse_canonical_csv_many, text, _meta()) == want
 
 
@@ -273,15 +274,16 @@ def _malformed(rng, scene):
         elif edit == "drop":
             rows = np.delete(rows, rng.choice(len(rows), size=min(len(rows) - 1, 3), replace=False))
     cols = {name: column[rows] for name, column in cols.items()}
-    agents = [AgentMetadata(m.agent_id, m.agent_type, m.extent, m.first_ts, m.last_ts) for m in scene.agents]
+    agents = list(scene.agents)
     for edit in edits:
         if edit == "shift":
-            meta = agents[int(rng.integers(len(agents)))]
+            k = int(rng.integers(len(agents)))
             step = int(rng.choice([-50, 3, 200]))
-            meta.first_ts, meta.last_ts = meta.first_ts + step, meta.last_ts + step
+            agents[k] = dataclasses.replace(agents[k], first_ts=agents[k].first_ts + step, last_ts=agents[k].last_ts + step)
         elif edit == "lifetime":
-            meta = agents[int(rng.integers(len(agents)))]
-            meta.first_ts, meta.last_ts = meta.first_ts + int(rng.integers(-3, 4)), meta.last_ts + int(rng.integers(-3, 4))
+            k = int(rng.integers(len(agents)))
+            first, last = agents[k].first_ts + int(rng.integers(-3, 4)), agents[k].last_ts + int(rng.integers(-3, 4))
+            agents[k] = dataclasses.replace(agents[k], first_ts=first, last_ts=last)
         elif edit == "heading":
             cols["heading"][rng.choice(len(rows), size=2)] = rng.choice([-math.pi, 4.0, math.nan])
         elif edit == "cells":
@@ -319,8 +321,7 @@ class TestSceneValidateMatchesReference:
         scene = random_scene(np.random.default_rng(5), n_agents=3, n_timesteps=20)
         with pytest.raises(ValueError, match="agent lifetimes span"):
             SceneFrame(scene.scene_id, scene.dataset_tag, scene.location, scene.dt, scene.agents, _without_agent_rows(scene, 1))
-        agents = [AgentMetadata(m.agent_id, m.agent_type, m.extent, m.first_ts, m.last_ts) for m in scene.agents]
-        agents[2].first_ts, agents[2].last_ts = agents[2].last_ts, agents[2].first_ts
+        agents = [*scene.agents[:2], dataclasses.replace(scene.agents[2], first_ts=scene.agents[2].last_ts, last_ts=scene.agents[2].first_ts)]
         with pytest.raises(ValueError, match="agent lifetimes span"):
             SceneFrame(scene.scene_id, scene.dataset_tag, scene.location, scene.dt, agents, scene.columns)
 

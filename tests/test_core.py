@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from trajkit.core import (
+    TYPE_BY_CODE,
     AgentMetadata,
     AgentType,
     Extent,
@@ -16,9 +17,20 @@ from trajkit.core import (
     scene_validate,
     wrap_angle,
 )
-from trajkit.ingest import SceneMetaRecord, parse_canonical_csv, parse_frame_text, scene_from_bytes, scene_to_bytes
+from trajkit.ingest import (
+    SceneCache,
+    SceneMetaRecord,
+    Straight,
+    cache_load,
+    cache_write,
+    parse_canonical_csv,
+    parse_frame_text,
+    scene_from_bytes,
+    scene_to_bytes,
+    synth_scene,
+)
 from trajkit.kinematics import resample_scene
-from trajkit.simulation import _window_scene, sim_reset, sim_step
+from trajkit.simulation import rollout_scene, sim_reset, sim_step
 
 from conftest import random_scene
 
@@ -186,8 +198,7 @@ class TestSceneFrame:
         assert scene.agents_present_at(6) == [1]
 
     def test_scene_tag_includes_split(self):
-        scene = _two_agent_scene()
-        scene.dataset_tag = "toy-train"
+        scene = dataclasses.replace(_two_agent_scene(), dataset_tag="toy-train")
         assert scene.scene_tag() == SceneTag("toy", split="train", location="nowhere")
 
     def test_equality_is_bitwise(self):
@@ -224,27 +235,24 @@ class TestSceneValidate:
         assert "agent a0: heading 4.0 outside (-pi, pi] at ts 0 (heading-range)" in violations_of(bad)
 
     def test_nonpositive_dt(self):
-        scene = _two_agent_scene()
-        scene.dt = 0.0
+        scene = dataclasses.replace(_two_agent_scene(), dt=0.0)
         assert any("dt-positive" in v for v in scene_validate(scene))
 
     @pytest.mark.parametrize("dt", [math.inf, math.nan])
     def test_non_finite_dt(self, dt):
-        scene = _two_agent_scene()
-        scene.dt = dt
+        scene = dataclasses.replace(_two_agent_scene(), dt=dt)
         assert f"scene {scene.scene_id}: dt {dt} not finite and positive (dt-positive)" in scene_validate(scene)
 
     def test_lifetime_order(self):
         # An inverted lifetime spans no timestep, so no scene holds one.
         scene = _two_agent_scene()
-        agents = [dataclasses.replace(m) for m in scene.agents]
-        agents[0].first_ts, agents[0].last_ts = 4, 0
+        agents = [dataclasses.replace(scene.agents[0], first_ts=4, last_ts=0), *scene.agents[1:]]
         with pytest.raises(ValueError, match="agent lifetimes span"):
             SceneFrame(scene.scene_id, scene.dataset_tag, scene.location, scene.dt, agents, scene.columns)
 
     def test_duplicate_agent_id(self):
         scene = _two_agent_scene()
-        scene.agents[1].agent_id = "a0"
+        scene = dataclasses.replace(scene, agents=[scene.agents[0], dataclasses.replace(scene.agents[1], agent_id="a0")])
         assert any("agent-id-unique" in v for v in scene_validate(scene))
 
     def test_non_finite_position(self):
@@ -267,32 +275,70 @@ def _window(scene: SceneFrame) -> SceneFrame:
     state, _ = sim_reset(scene, 5, [scene.agents[0].agent_id])
     for _ in range(30):  # past the scene's end: the rollout outlives its source
         state, _ = sim_step(state, {scene.agents[0].agent_id: (1.0, 2.0, 0.5)})
-    return _window_scene(state, simulated=True)
+    return rollout_scene(state)
 
 
 _META = SceneMetaRecord("s0", 0.1, "nowhere", "toy")
+# Each builder of a scene, given a directory it may write a cache in.
 _BUILDERS = {
-    "from_tracks": lambda: random_scene(np.random.default_rng(11), n_agents=5, n_timesteps=30),
-    "canonical-csv": lambda: parse_canonical_csv(
+    "from_tracks": lambda tmp: random_scene(np.random.default_rng(11), n_agents=5, n_timesteps=30),
+    "synth": lambda tmp: synth_scene(Straight(1.0), 3, 10, 0.1),
+    "canonical-csv": lambda tmp: parse_canonical_csv(
         "scene_id,agent_id,agent_type,frame,x,y,z,heading,length,width,height\n"
         + "".join(f"s0,{a},vehicle,{f},{f}.0,{k}.0,,,,,\n" for k, (a, f) in enumerate([("b", 3), ("a", 9), ("b", 6), ("a", 4)])),
         _META,
     ),
-    "frame-text": lambda: parse_frame_text("10 1 0 0\n30 1 2 0\n20 2 1 1\n40 2 3 1\n", _META),
-    "decode": lambda: scene_from_bytes(scene_to_bytes(random_scene(np.random.default_rng(12), n_agents=4))),
-    "upsample": lambda: resample_scene(random_scene(np.random.default_rng(13), n_agents=4, dt=0.2), 0.1),
-    "downsample": lambda: resample_scene(random_scene(np.random.default_rng(14), n_agents=4, dt=0.1), 0.3),
-    "window": lambda: _window(random_scene(np.random.default_rng(15), n_agents=4, n_timesteps=20, gap_prob=0.0)),
-    "zero-agents": lambda: SceneFrame.from_tracks("s0", "toy", "", 0.1, [], []),
+    "frame-text": lambda tmp: parse_frame_text("10 1 0 0\n30 1 2 0\n20 2 1 1\n40 2 3 1\n", _META),
+    "decode": lambda tmp: scene_from_bytes(scene_to_bytes(random_scene(np.random.default_rng(12), n_agents=4))),
+    "cache_load": lambda tmp: cache_load(cache_write(random_scene(np.random.default_rng(16), n_agents=4), tmp)),
+    "load_path": lambda tmp: SceneCache(tmp).load_path(SceneCache(tmp).write(random_scene(np.random.default_rng(17), n_agents=4))),
+    "upsample": lambda tmp: resample_scene(random_scene(np.random.default_rng(13), n_agents=4, dt=0.2), 0.1),
+    "downsample": lambda tmp: resample_scene(random_scene(np.random.default_rng(14), n_agents=4, dt=0.1), 0.3),
+    "window": lambda tmp: _window(random_scene(np.random.default_rng(15), n_agents=4, n_timesteps=20, gap_prob=0.0)),
+    "replace": lambda tmp: dataclasses.replace(random_scene(np.random.default_rng(18), n_agents=4), scene_id="s1", dt=0.2),
+    "zero-agents": lambda tmp: SceneFrame.from_tracks("s0", "toy", "", 0.1, [], []),
 }
+
+
+class TestFrozenScene:
+    """Construction is the only place a scene's agents are set: the scene and
+    its records are frozen, and its per-agent and layout columns read-only."""
+
+    @pytest.mark.parametrize("builder", sorted(_BUILDERS))
+    def test_every_builder_freezes_the_scene(self, builder, tmp_path):
+        scene = _BUILDERS[builder](tmp_path)
+        assert isinstance(scene.agents, tuple)
+        for name, value in (("agents", ()), ("dt", 1.0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(scene, name, value)
+        for meta in scene.agents:
+            for name, value in (("first_ts", meta.last_ts + 1), ("agent_id", "z")):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(meta, name, value)
+        for array in (scene.first_ts, scene.last_ts, scene.type_code, scene.columns.agent_index, scene.columns.ts,
+                      scene._agent_offsets, scene._row0):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:] = 0
+        assert scene.agent_ids == tuple(m.agent_id for m in scene.agents)
+        assert scene.type_code.dtype == np.uint8
+        assert [TYPE_BY_CODE[c] for c in scene.type_code.tolist()] == [m.agent_type for m in scene.agents]
+        assert scene.first_ts.dtype == scene.last_ts.dtype == np.int64
+        assert scene.first_ts.tolist() == [m.first_ts for m in scene.agents]
+        assert scene.last_ts.tolist() == [m.last_ts for m in scene.agents]
+
+    def test_a_lifetime_cannot_change_under_its_layout(self):
+        scene = _two_agent_scene()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scene.agents[0].first_ts, scene.agents[0].last_ts = 4, 0
+        assert scene.rows_for_agent(0) == slice(0, 5) and scene.n_timesteps == 7
 
 
 class TestSceneLayout:
     """A scene's lifetimes are its layout: agent_index, ts and n_timesteps come from them alone."""
 
     @pytest.mark.parametrize("builder", sorted(_BUILDERS))
-    def test_every_builder_derives_the_layout(self, builder):
-        scene = _BUILDERS[builder]()
+    def test_every_builder_derives_the_layout(self, builder, tmp_path):
+        scene = _BUILDERS[builder](tmp_path)
         cols = scene.columns
         assert scene.n_timesteps == max((m.last_ts for m in scene.agents), default=-1) + 1
         assert np.array_equal(cols.agent_index, np.repeat(np.arange(scene.n_agents), [m.n_steps for m in scene.agents]))

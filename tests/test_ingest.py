@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import json
 import os
 import struct
@@ -117,6 +118,20 @@ class TestCanonicalCsv:
         text = _csv(["s0,a,vehicle,0,0.0,0.0,,,4.5,,"])
         with pytest.raises(ParseError, match="extent"):
             parse_canonical_csv(text, _meta())
+
+    @pytest.mark.parametrize("cells, named", [
+        ("-1,2.0,", "extent length must be > 0, got -1.0"),
+        ("0,2.0,", "extent length must be > 0, got 0.0"),
+        ("nan,2.0,", "extent length must be > 0, got nan"),
+        ("4.5,0,", "extent width must be > 0, got 0.0"),
+        ("4.5,2.0,-1", "extent height must be > 0 when present, got -1.0"),
+    ])
+    def test_bad_extent_names_line_and_agent(self, cells, named):
+        # Agent b's extent comes from its first row in frame order that has one: line 4.
+        text = _csv(["s0,a,vehicle,0,0.0,0.0,,,4.5,2.0,", "s0,b,vehicle,1,1.0,0.0,,,,,", f"s0,b,vehicle,0,0.0,0.0,,,{cells}"])
+        with pytest.raises(ParseError) as info:
+            parse_canonical_csv(text, _meta())
+        assert str(info.value) == f"line 4: agent b: {named}"
 
     def test_oversized_field_names_line(self):
         text = _csv(["s0,a,vehicle,0,0.0,0.0,,,,,", "s0," + "b" * (csv.field_size_limit() + 1) + ",vehicle,0,0.0,0.0,,,,,"])
@@ -739,7 +754,7 @@ class TestWriteMany:
         cache.write(synth_scene(Straight(1.0), 1, 5, 0.1, scene_id="old", dataset="dsa"))
         before = {p: p.read_bytes() for p in (tmp_path / "cache").rglob("*") if p.is_file()}
         scenes = self._scenes()
-        scenes[3].dt = 0.0
+        scenes[3] = dataclasses.replace(scenes[3], dt=0.0)
         replaced = self._record_writes(monkeypatch)
         with pytest.raises(ValidationError, match="s03"):
             ingest_scenes(scenes, tmp_path / "cache")
@@ -833,6 +848,7 @@ SCENE_HEADER_EDITS = {
     "last_ts": _set_at("agents", 1, "last_ts"),
     "extent": _set_at("agents", 0, "extent"),
     "agent_type": _set_at("agents", 1, "agent_type"),
+    "agent_id": _set_at("agents", 0, "agent_id"),
     "agent_dropped": lambda header, value: header["agents"].pop(),
     "heading_derived": _set_at("heading_derived"),
 }
