@@ -11,7 +11,6 @@ from .core import (
     Extent,
     SceneFrame,
     SceneTag,
-    agent_lifetime_seconds,
     scene_validate,
     wrap_angle,
 )

@@ -339,7 +339,7 @@ def dynamics_distributions(datasets: Datasets, cfg: AnalysisConfig) -> list[Hist
             codes.append(scene.type_code[cols.agent_index])
             pools["speed"].append(np.hypot(cols.vx, cols.vy))
             pools["accel"].append(np.hypot(cols.ax, cols.ay))
-            pools["jerk"].append(np.hypot(*(derive_derivative(a, scene.dt, scene._agent_offsets) for a in (cols.ax, cols.ay))))
+            pools["jerk"].append(np.hypot(*(derive_derivative(a, scene.dt, scene.agent_offsets) for a in (cols.ax, cols.ay))))
         hists += _type_histograms(dataset, codes, pools, cfg)
     return hists
 
@@ -373,7 +373,7 @@ def heading_deltas(datasets: Datasets, cfg: AnalysisConfig) -> list[Histogram]:
         codes: list[np.ndarray] = []
         pools: dict[str, list[np.ndarray]] = {"heading_delta": [], "heading_raw": []}
         for scene in scenes:
-            cols, off = scene.columns, scene._agent_offsets
+            cols, off = scene.columns, scene.agent_offsets
             h = cols.heading
             if cfg.cumulative_heading:
                 parts = [np.unwrap(h[a:b]) - h[a] for a, b in zip(off[:-1], off[1:])]
@@ -497,7 +497,7 @@ def _scene_collisions(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray]:
     agents; an agent has one row per timestep, so these count timesteps."""
     cols = scene.columns
     # Length and width of each agent; NaN for one without an extent, which no box reads.
-    dims = np.array([(m.extent.length, m.extent.width) if m.extent else (math.nan, math.nan) for m in scene.agents]).reshape(-1, 2)
+    dims = scene.extent[:, :2]
     rows = ~np.isnan(dims[:, 0])[cols.agent_index]
     hit = np.zeros(len(cols), dtype=bool)
     box = np.flatnonzero(rows)
@@ -558,7 +558,7 @@ def collision_rate(datasets: Datasets, cfg: AnalysisConfig) -> tuple[dict, dict]
 
     Extent-less agents are excluded from numerator and denominator and tallied.
     """
-    no_extent = sum(1 for scenes in datasets.values() for scene in scenes for m in scene.agents if m.extent is None)
+    no_extent = sum(int(np.isnan(scene.extent[:, 0]).sum()) for scenes in datasets.values() for scene in scenes)
     return _rates(datasets, _scene_collisions, cfg.per_timestep_rates), {"collision_agents_without_extent": no_extent}
 
 

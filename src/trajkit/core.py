@@ -1,11 +1,12 @@
 """Canonical in-memory data model for scenes, agents, and columnar trajectory state.
 
-A scene is a columnar table of per-agent, per-timestep kinematic rows plus
-agent metadata. Timesteps are integer frame indices; wall-clock time is
-``ts * dt``. The agents' lifetimes are the row layout: one row per lifetime
-timestep, agent by agent. A scene is given its nine value columns and derives
-``agent_index``, ``ts`` and ``n_timesteps`` from the lifetimes (``row_layout``).
-Interior gaps are imputed upstream and flagged ``observed=False``.
+A scene is two column tables: one row per agent (id, type code, lifetime,
+extent) and one row per agent and lifetime timestep (the nine value columns).
+Timesteps are integer frame indices; wall-clock time is ``ts * dt``. The
+agents' lifetimes are the row layout: one row per lifetime timestep, agent by
+agent. A scene derives ``agent_index``, ``ts`` and ``n_timesteps`` from the
+lifetimes (``row_layout``), and builds its ``AgentMetadata`` records only when
+they are read. Interior gaps are imputed upstream and flagged ``observed=False``.
 
 Scene (``.tksc``) and map (``.tkmap``) files share one container, written by
 ``pack_container`` and read by ``read_container``: a magic, a u32 version, a u64
@@ -19,7 +20,8 @@ import enum
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +33,10 @@ TWO_PI = 2.0 * math.pi
 SPLIT_NAMES = frozenset({"train", "val", "test", "trainval", "mini"})
 
 COLUMN_NAMES = ("agent_index", "ts", "x", "y", "z", "vx", "vy", "ax", "ay", "heading", "observed")
+
+# The most rows a scene may hold after completion or resampling, checked before
+# any of them is allocated: about 1.1 GB of value columns.
+ROW_BUDGET = 2**24
 
 
 def wrap_angle(angle):
@@ -73,7 +79,16 @@ _AGENT_TYPES = {m.value: m for m in AgentType}
 # The type names sorted; an agent's type code is its type's index here.
 TYPE_NAMES = tuple(sorted(m.value for m in AgentType))
 TYPE_BY_CODE = tuple(map(AgentType, TYPE_NAMES))  # the AgentType of each type code
-_TYPE_CODE = {m: code for code, m in enumerate(TYPE_BY_CODE)}
+_CODE_OF_NAME = {name: code for code, name in enumerate(TYPE_NAMES)}
+
+
+def type_codes(names: Sequence[str]) -> np.ndarray:
+    """The uint8 type code of each type name; ValueError, as
+    AgentType.from_string raises it, for the first name outside the set."""
+    codes = list(map(_CODE_OF_NAME.get, names))
+    if None in codes:
+        AgentType.from_string(names[codes.index(None)])
+    return np.array(codes, dtype=np.uint8)
 
 
 def row_layout(first_ts, last_ts) -> tuple[np.ndarray, np.ndarray]:
@@ -157,6 +172,22 @@ class Extent:
             raise ValueError(f"extent height must be > 0 when present, got {self.height}")
 
 
+NO_EXTENT = (math.nan, math.nan, math.nan)  # the extent column's row of an agent without one
+
+
+def extent_row(entry) -> tuple:
+    """The extent column's row of an entry: None for no extent, or (length,
+    width, height) with height None for no height. ValueError unless the
+    entry holds three values; for a box that Extent rejects, the error Extent
+    raises (a TypeError for a value that does not compare with a float)."""
+    if entry is None:
+        return NO_EXTENT
+    length, width, height = entry  # ValueError unless exactly three values
+    if not (length > 0.0 and width > 0.0 and (height is None or height > 0.0)):
+        Extent(length, width, height)  # raises, naming the value
+    return (length, width, math.nan if height is None else height)
+
+
 @dataclass(frozen=True)
 class AgentMetadata:
     """Identity, class, extent, and observed lifetime of one agent.
@@ -176,11 +207,13 @@ class AgentMetadata:
         return self.last_ts - self.first_ts + 1
 
 
-def agent_lifetime_seconds(meta: AgentMetadata, dt: float) -> float:
-    """Observed lifetime in seconds: (last_ts - first_ts + 1) * dt."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    return meta.n_steps * dt
+def agent_columns(agents: Sequence[AgentMetadata]) -> dict:
+    """The agent table of records, by the names SceneFrame takes its columns."""
+    return dict(
+        agent_ids=[m.agent_id for m in agents], type_code=type_codes([m.agent_type.value for m in agents]),
+        first_ts=[m.first_ts for m in agents], last_ts=[m.last_ts for m in agents],
+        extent=[extent_row(None if (e := m.extent) is None else (e.length, e.width, e.height)) for m in agents],
+    )
 
 
 @dataclass(frozen=True)
@@ -269,6 +302,11 @@ class SceneColumns:
                 raise ValueError(f"column {name} has length {len(column)}, expected {len(self.x)}")
             setattr(self, name, column)
 
+    @classmethod
+    def concat(cls, tracks: Sequence[dict[str, np.ndarray]]) -> "SceneColumns":
+        """The columns of per-agent column dicts, one agent after another."""
+        return cls(*(np.concatenate([track[name] for track in tracks]) if tracks else [] for name in COLUMN_NAMES[2:]))
+
     def __len__(self) -> int:
         return len(self.x)
 
@@ -279,56 +317,67 @@ class SceneColumns:
 
 @dataclass(frozen=True, eq=False)
 class SceneFrame:
-    """One scene: metadata, agent records, and the columnar trajectory table.
+    """One scene: metadata, the agent table, and the columnar trajectory table.
 
     ``dataset_tag`` is the dataset identity including split when present
-    (e.g. "sdd-train"); ``location`` is kept separate. The agents' lifetimes
-    fix the rows: each must start at ts 0 or later and span a timestep or
-    more, and together they must span the rows of ``columns``; otherwise
-    ValueError. The scene and its agent records are frozen: construction
-    alone sets the agents (as a tuple), the read-only per-agent columns
-    ``agent_ids``, ``type_code`` (uint8 index into TYPE_NAMES), ``first_ts``
-    and ``last_ts`` (int64), and the layout; dataclasses.replace builds
-    another scene. The value columns x ... observed stay writable.
+    (e.g. "sdd-train"); ``location`` is kept separate. The agent table is the
+    columns ``agent_ids``, ``type_code`` (uint8 index into TYPE_NAMES),
+    ``first_ts`` and ``last_ts`` (int64) and ``extent`` ((A, 3) float64
+    length, width, height; a NaN row for no extent, a NaN height for none).
+    Construction checks it once: ValueError unless each lifetime starts at ts
+    0 or later, ends before ts 2**63 - 1 and spans a timestep or more, all
+    span the rows of ``columns``, and each extent row is NaN or a length and
+    width > 0 with a height > 0 or NaN. The scene is frozen and the table and
+    layout read-only; the value columns x ... observed stay writable.
+    ``agents`` is the table as AgentMetadata records, built on first read.
     """
 
     scene_id: str
     dataset_tag: str
     location: str
     dt: float
-    agents: tuple[AgentMetadata, ...]
+    agent_ids: tuple[str, ...]
+    type_code: np.ndarray
+    first_ts: np.ndarray
+    last_ts: np.ndarray
+    extent: np.ndarray
     columns: SceneColumns
     heading_derived: bool = True
-    agent_ids: tuple[str, ...] = field(init=False, repr=False)
-    type_code: np.ndarray = field(init=False, repr=False)
-    first_ts: np.ndarray = field(init=False, repr=False)
-    last_ts: np.ndarray = field(init=False, repr=False)
-    _agent_offsets: np.ndarray = field(init=False, repr=False)
+    agent_offsets: np.ndarray = field(init=False, repr=False)  # agent j holds rows agent_offsets[j]:agent_offsets[j + 1]
     _row0: np.ndarray = field(init=False, repr=False)  # row of (agent j, ts) is _row0[j] + ts
 
     def __post_init__(self):
-        agents = tuple(self.agents)
-        # Python ints: a file's lifetimes may be near 2**62, and no row is built before they pass.
-        first = [m.first_ts for m in agents]
-        spans = [m.last_ts - m.first_ts + 1 for m in agents]
-        if min(first, default=0) < 0 or min(spans, default=1) < 1 or sum(spans) != len(self.columns):
+        agent_ids = tuple(self.agent_ids)
+        n = len(agent_ids)
+        # Python ints: a file's lifetimes may lie beyond int64, and no row is built before they pass.
+        first, last = np.asarray(self.first_ts).tolist(), np.asarray(self.last_ts).tolist()
+        type_code = np.array(self.type_code, dtype=np.uint8)
+        if not len(first) == len(last) == len(type_code) == n or type_code.max(initial=0) >= len(TYPE_NAMES):
+            raise ValueError(f"agent table of {n} ids needs as many lifetimes and type codes, each below {len(TYPE_NAMES)}")
+        extent = np.array(self.extent, dtype=np.float64).reshape(n, 3)  # ValueError unless n rows of 3
+        spans = [b - a + 1 for a, b in zip(first, last)]
+        if min(first, default=0) < 0 or min(spans, default=1) < 1 or max(last, default=0) >= 2**63 - 1 or sum(spans) != len(self.columns):
             raise ValueError(
-                f"agent lifetimes span {sum(spans)} rows (shortest {min(spans, default=1)}, earliest from ts {min(first, default=0)});"
-                f" each must start at ts 0 or later and span a timestep or more, and all must span the {len(self.columns)} rows"
+                f"agent lifetimes span {sum(spans)} rows (shortest {min(spans, default=1)}, earliest from ts {min(first, default=0)},"
+                f" latest to ts {max(last, default=0)}); each must start at ts 0 or later, end before ts 2**63 - 1 and span a"
+                f" timestep or more, and all must span the {len(self.columns)} rows"
             )
-        first_ts = np.array(first, dtype=np.int64)
-        last_ts = np.array([m.last_ts for m in agents], dtype=np.int64)
+        length, width, height = extent.T
+        bad = np.flatnonzero(~(np.isnan(extent).all(axis=1) | (length > 0.0) & (width > 0.0) & ~(height <= 0.0)))
+        if len(bad):
+            raise ValueError(f"agent {agent_ids[bad[0]]}: extent {extent[bad[0]].tolist()} is neither all NaN nor a box")
+        first_ts, last_ts = np.array(first, dtype=np.int64), np.array(last, dtype=np.int64)
         offsets = np.concatenate([[0], np.cumsum(spans, dtype=np.int64)])
         # The layout belongs to this scene: another scene built over the same columns gets its own.
         columns = copy.copy(self.columns)
         columns.agent_index, columns.ts = row_layout(first_ts, last_ts)
         derived = {
-            "agents": agents,
-            "agent_ids": tuple(m.agent_id for m in agents),
-            "type_code": np.array([_TYPE_CODE[m.agent_type] for m in agents], dtype=np.uint8),
+            "agent_ids": agent_ids,
+            "type_code": type_code,
             "first_ts": first_ts,
             "last_ts": last_ts,
-            "_agent_offsets": offsets,
+            "extent": extent,
+            "agent_offsets": offsets,
             "_row0": offsets[:-1] - first_ts,
             "columns": columns,
         }
@@ -349,7 +398,7 @@ class SceneFrame:
         tracks: Sequence[dict[str, np.ndarray]],
         heading_derived: bool = True,
     ) -> "SceneFrame":
-        """Assemble a scene from per-agent column dicts aligned to [first_ts, last_ts].
+        """Assemble a scene from agent records and per-agent column dicts aligned to [first_ts, last_ts].
 
         Each track dict must hold x, y, z, vx, vy, ax, ay, heading, observed
         arrays of length ``agents[i].n_steps``.
@@ -365,14 +414,31 @@ class SceneFrame:
             dataset_tag=dataset_tag,
             location=location,
             dt=float(dt),
-            agents=agents,
-            columns=SceneColumns(*(np.concatenate([track[name] for track in tracks]) if tracks else [] for name in COLUMN_NAMES[2:])),
+            **agent_columns(agents),
+            columns=SceneColumns.concat(tracks),
             heading_derived=heading_derived,
         )
 
+    @cached_property
+    def agents(self) -> tuple[AgentMetadata, ...]:
+        """The agent table as frozen records, built on first read."""
+        extents = [None if math.isnan(length) else Extent(length, width, None if math.isnan(height) else height)
+                   for length, width, height in self.extent.tolist()]
+        types = map(TYPE_BY_CODE.__getitem__, self.type_code.tolist())
+        return tuple(map(AgentMetadata, self.agent_ids, types, extents, self.first_ts.tolist(), self.last_ts.tolist()))
+
+    def keep_agents(self, kept, first_ts, last_ts, columns: SceneColumns, **changes) -> "SceneFrame":
+        """The scene of the agents at the indices kept, in that order, with the
+        lifetimes first_ts and last_ts and the value columns columns; changes
+        set other fields, as in dataclasses.replace."""
+        kept = np.asarray(kept, dtype=np.intp)
+        ids = [self.agent_ids[k] for k in kept.tolist()]
+        return replace(self, agent_ids=ids, type_code=self.type_code[kept], first_ts=first_ts, last_ts=last_ts,
+                       extent=self.extent[kept], columns=columns, **changes)
+
     @property
     def n_agents(self) -> int:
-        return len(self.agents)
+        return len(self.agent_ids)
 
     @property
     def n_timesteps(self) -> int:
@@ -380,7 +446,7 @@ class SceneFrame:
         return int(self.last_ts.max(initial=-1)) + 1
 
     def rows_for_agent(self, agent_index: int) -> slice:
-        return slice(int(self._agent_offsets[agent_index]), int(self._agent_offsets[agent_index + 1]))
+        return slice(int(self.agent_offsets[agent_index]), int(self.agent_offsets[agent_index + 1]))
 
     def row_at(self, agent_index: int, ts: int) -> int | None:
         """Row index of (agent, ts), or None when ts is outside the lifetime.
@@ -420,10 +486,12 @@ class SceneFrame:
             or self.location != other.location
             or self.dt != other.dt
             or self.heading_derived != other.heading_derived
-            or self.agents != other.agents
+            or self.agent_ids != other.agent_ids
+            or not all(np.array_equal(getattr(self, name), getattr(other, name)) for name in ("type_code", "first_ts", "last_ts"))
+            or not np.array_equal(self.extent, other.extent, equal_nan=True)
         ):
             return False
-        # Equal agents give equal layouts, so the value columns decide.
+        # Equal lifetimes give equal layouts, so the value columns decide.
         a, b = self.columns, other.columns
         return all(getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in COLUMN_NAMES[2:])
 

@@ -31,17 +31,19 @@ import numpy as np
 
 from .core import (
     COLUMN_NAMES,
-    AgentMetadata,
+    NO_EXTENT,
+    TYPE_NAMES,
     AgentType,
-    Extent,
     SceneColumns,
     SceneFrame,
     SceneTag,
     _checked_object,
+    extent_row,
     load_json,
     pack_container,
     read_container,
     scene_validate,
+    type_codes,
     wrap_angle,
 )
 # complete_track stays importable here: the traced benchmark run (bench/spans.py) wraps it by this path.
@@ -139,8 +141,9 @@ class SceneMetaRecord:
 # ---------------------------------------------------------------------------
 
 class _CsvColumns(NamedTuple):
-    """One scene's canonical CSV rows as columns, in file order. An optional
-    cell left blank reads NaN (z reads 0.0) and False in its mask."""
+    """One scene's canonical CSV rows as columns, in file order: types holds
+    type codes. An optional cell left blank reads NaN (z reads 0.0) and False
+    in its mask."""
 
     lines: np.ndarray
     agent_ids: np.ndarray
@@ -237,8 +240,9 @@ def _convert_cells(cols: list[list[str]], lines: np.ndarray) -> _CsvColumns:
     """The rows of _read_cells as one table, the text cells stripped; _CellError
     if a cell does not convert or only one extent cell is given. A row's cells
     are checked in schema order, the extent pair last."""
+    distinct = list(set(cols[2]))
     try:
-        types = {cell: AgentType.from_string(cell.strip()) for cell in set(cols[2])}
+        types = dict(zip(distinct, type_codes([cell.strip() for cell in distinct]).tolist()))
     except ValueError as exc:
         raise _CellError(str(exc)) from None
     try:  # int() and float() ignore the whitespace a strip removes
@@ -257,7 +261,7 @@ def _convert_cells(cols: list[list[str]], lines: np.ndarray) -> _CsvColumns:
     agent_ids = {cell: cell.strip() for cell in set(cols[1])}
     return _CsvColumns(
         lines, np.array(list(map(agent_ids.__getitem__, cols[1])), dtype=object),
-        np.array(list(map(types.__getitem__, cols[2])), dtype=object),
+        np.fromiter(map(types.__getitem__, cols[2]), dtype=np.uint8, count=len(lines)),
         frames, x, y, z, heading, length, width, height, has_heading, has_extent, has_height,
     )
 
@@ -330,23 +334,27 @@ def _build_scene(scene_id: str, cols: _CsvColumns, meta: SceneMetaRecord) -> Sce
     first_with = np.minimum.reduceat(np.where(cols.has_extent[order], np.arange(len(order)), len(order)), offsets[:-1])
     extent_rows = np.append(order, -1)[first_with]
     # Agents are checked in order, a repeated frame before the extent.
-    extents = []
+    extent = []
     for agent_id, r in zip(ids, extent_rows[:repeat_agent].tolist()):
         try:
-            extents.append(
-                None if r < 0 else Extent(float(cols.length[r]), float(cols.width[r]), float(cols.height[r]) if cols.has_height[r] else None)
+            extent.append(
+                extent_row(None if r < 0 else (float(cols.length[r]), float(cols.width[r]), float(cols.height[r]) if cols.has_height[r] else None))
             )
         except ValueError as exc:
             raise ParseError(f"line {cols.lines[r]}: agent {agent_id}: {exc}") from None
     if repeat_agent < len(ids):
         raise ParseError(f"agent {ids[repeat_agent]}: non-monotone frames (duplicate frame {cols.frames[order[repeat]]})")
     headings_given = bool(cols.has_heading.all())
-    first, last, columns = complete_tracks(
-        offsets, ts, cols.x[order], cols.y[order], cols.z[order], meta.dt, cols.heading[order] if headings_given else None
+    try:
+        first, last, columns = complete_tracks(
+            offsets, ts, cols.x[order], cols.y[order], cols.z[order], meta.dt, cols.heading[order] if headings_given else None, ids
+        )
+    except ValueError as exc:  # lifetimes beyond the row budget
+        raise ParseError(str(exc)) from None
+    return SceneFrame(
+        scene_id, meta.dataset_tag(), meta.location, float(meta.dt), agent_ids=ids, type_code=cols.types[order[offsets[:-1]]],
+        first_ts=first, last_ts=last, extent=extent, columns=columns, heading_derived=not headings_given,
     )
-    agents = [AgentMetadata(agent_id, cols.types[r], extent, f, l) for agent_id, r, extent, f, l
-              in zip(ids, order[offsets[:-1]].tolist(), extents, first.tolist(), last.tolist())]
-    return SceneFrame(scene_id, meta.dataset_tag(), meta.location, float(meta.dt), agents, columns, not headings_given)
 
 
 def parse_canonical_csv_many(table_text: str, meta: SceneMetaRecord) -> list[SceneFrame]:
@@ -380,25 +388,23 @@ def write_canonical_csv(scene: SceneFrame, observed_only: bool = False) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CANONICAL_HEADER)
     cols = scene.columns
-    for i, meta in enumerate(scene.agents):
+    for i, (agent_id, code, extent) in enumerate(zip(scene.agent_ids, scene.type_code.tolist(), scene.extent.tolist())):
         sl = scene.rows_for_agent(i)
-        ext = meta.extent
+        extent_cells = ["" if math.isnan(v) else repr(v) for v in extent]  # NaN: no extent, or no height
         for row in range(sl.start, sl.stop):
             if observed_only and not cols.observed[row]:
                 continue
             writer.writerow(
                 [
                     scene.scene_id,
-                    meta.agent_id,
-                    str(meta.agent_type),
+                    agent_id,
+                    TYPE_NAMES[code],
                     int(cols.ts[row]),
                     repr(float(cols.x[row])),
                     repr(float(cols.y[row])),
                     repr(float(cols.z[row])),
                     "" if scene.heading_derived else repr(float(cols.heading[row])),
-                    "" if ext is None else repr(float(ext.length)),
-                    "" if ext is None else repr(float(ext.width)),
-                    "" if ext is None or ext.height is None else repr(float(ext.height)),
+                    *extent_cells,
                 ]
             )
     return out.getvalue()
@@ -440,11 +446,17 @@ def parse_frame_text(text: str, meta: SceneMetaRecord) -> SceneFrame:
     if repeat_agent < len(ids):
         raise ParseError(f"agent {ids[repeat_agent]}: duplicate frame")
     ts //= np.gcd.reduce(ts) or 1  # frames may skip at a fixed stride
-    first, last, columns = complete_tracks(
-        offsets, ts, np.array(x)[order], np.array(y)[order], np.zeros(len(order)), meta.dt
+    try:
+        first, last, columns = complete_tracks(
+            offsets, ts, np.array(x)[order], np.array(y)[order], np.zeros(len(order)), meta.dt, agent_ids=ids
+        )
+    except ValueError as exc:  # lifetimes beyond the row budget
+        raise ParseError(str(exc)) from None
+    return SceneFrame(
+        meta.scene_id, meta.dataset_tag(), meta.location, float(meta.dt), agent_ids=tuple(map(str, ids)),
+        type_code=type_codes([AgentType.PEDESTRIAN.value] * len(ids)), first_ts=first, last_ts=last,
+        extent=[NO_EXTENT] * len(ids), columns=columns,
     )
-    agents = [AgentMetadata(str(a), AgentType.PEDESTRIAN, None, f, l) for a, f, l in zip(ids, first.tolist(), last.tolist())]
-    return SceneFrame(meta.scene_id, meta.dataset_tag(), meta.location, float(meta.dt), agents, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +506,7 @@ class StopAndGo:
 
 SynthSpec = Straight | Circle | StopAndGo
 
-_SYNTH_EXTENT = Extent(4.0, 2.0, 1.5)
+_SYNTH_EXTENT = (4.0, 2.0, 1.5)  # length, width and height of every synthetic agent
 
 
 def _synth_agent(spec: SynthSpec, k: int, n_agents: int, n_timesteps: int, dt: float) -> dict[str, np.ndarray]:
@@ -566,19 +578,11 @@ def synth_scene(
         raise ValueError("need at least one agent and one timestep")
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    agents = [
-        AgentMetadata(f"a{k}", agent_type, _SYNTH_EXTENT, 0, n_timesteps - 1)
-        for k in range(n_agents)
-    ]
     tracks = [_synth_agent(spec, k, n_agents, n_timesteps, dt) for k in range(n_agents)]
-    return SceneFrame.from_tracks(
-        scene_id=scene_id,
-        dataset_tag=dataset,
-        location=location,
-        dt=dt,
-        agents=agents,
-        tracks=tracks,
-        heading_derived=False,
+    return SceneFrame(
+        scene_id, dataset, location, float(dt), agent_ids=[f"a{k}" for k in range(n_agents)],
+        type_code=type_codes([agent_type.value] * n_agents), first_ts=[0] * n_agents, last_ts=[n_timesteps - 1] * n_agents,
+        extent=[_SYNTH_EXTENT] * n_agents, columns=SceneColumns.concat(tracks), heading_derived=False,
     )
 
 
@@ -597,13 +601,15 @@ def scene_to_bytes(scene: SceneFrame) -> bytes:
         "n_rows": len(scene.columns),
         "agents": [
             {
-                "agent_id": m.agent_id,
-                "agent_type": str(m.agent_type),
-                "extent": None if m.extent is None else [m.extent.length, m.extent.width, m.extent.height],
-                "first_ts": m.first_ts,
-                "last_ts": m.last_ts,
+                "agent_id": agent_id,
+                "agent_type": TYPE_NAMES[code],
+                "extent": None if math.isnan(length) else [length, width, None if math.isnan(height) else height],
+                "first_ts": first_ts,
+                "last_ts": last_ts,
             }
-            for m in scene.agents
+            for agent_id, code, (length, width, height), first_ts, last_ts in zip(
+                scene.agent_ids, scene.type_code.tolist(), scene.extent.tolist(), scene.first_ts.tolist(), scene.last_ts.tolist()
+            )
         ],
     }
     buf = pack_container(CACHE_MAGIC, CACHE_VERSION, header)
@@ -614,7 +620,7 @@ def scene_to_bytes(scene: SceneFrame) -> bytes:
 
 
 # Keys of an agent entry of a scene file's header, and the JSON types they take; a
-# wrong-typed agent_type or extent fails where the decoder reads it.
+# wrong-typed agent_type or extent fails where the decoder converts it.
 _AGENT_HEADER_KINDS = {"agent_id": str, "first_ts": int, "last_ts": int}
 
 # What read_container raises for a scene file: bad magic or version, too short, header that does not decode.
@@ -654,24 +660,16 @@ def _scene_from_header(header: dict, data: bytes, pos: int) -> SceneFrame:
         columns[name] = raw.astype(bool if name == "observed" else dtype.newbyteorder("="))
         pos += raw.nbytes
 
-    agents = []
-    for raw in header["agents"]:
-        agent_id, first_ts, last_ts = raw["agent_id"], raw["first_ts"], raw["last_ts"]
-        if type(agent_id) is not str or type(first_ts) is not int or type(last_ts) is not int:
+    agents = header["agents"]
+    agent_ids = [raw["agent_id"] for raw in agents]
+    first_ts, last_ts = [raw["first_ts"] for raw in agents], [raw["last_ts"] for raw in agents]
+    if {*map(type, agent_ids)} - {str} or {*map(type, first_ts), *map(type, last_ts)} - {int}:
+        for raw in agents:
             _checked_object(raw, _AGENT_HEADER_KINDS, (), "cache header agent")  # raises, naming the key
-        extent = None
-        if raw["extent"] is not None:
-            length, width, height = raw["extent"]  # ValueError unless exactly three values
-            extent = Extent(length, width, height)
-        agents.append(AgentMetadata(agent_id, AgentType.from_string(raw["agent_type"]), extent, first_ts, last_ts))
     return SceneFrame(
-        scene_id=header["scene_id"],
-        dataset_tag=header["dataset_tag"],
-        location=header["location"],
-        dt=dt,
-        agents=agents,
-        columns=SceneColumns(**columns),
-        heading_derived=bool(header["heading_derived"]),
+        header["scene_id"], header["dataset_tag"], header["location"], dt, agent_ids=agent_ids,
+        type_code=type_codes([raw["agent_type"] for raw in agents]), first_ts=first_ts, last_ts=last_ts,
+        extent=[extent_row(raw["extent"]) for raw in agents], columns=SceneColumns(**columns), heading_derived=bool(header["heading_derived"]),
     )
 
 

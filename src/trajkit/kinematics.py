@@ -8,13 +8,15 @@ self-consistent with the position columns.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .core import SceneColumns, SceneFrame, row_layout, wrap_angle
+from .core import ROW_BUDGET, SceneColumns, SceneFrame, row_layout, wrap_angle
 
 log = logging.getLogger(__name__)
 
@@ -24,7 +26,9 @@ DEFAULT_SPEED_FLOOR = 0.05
 
 
 class ResampleRatioError(ValueError):
-    """Raised when desired_dt is not an integer multiple or divisor of native_dt."""
+    """Raised when desired_dt is not an integer multiple or divisor of native_dt,
+    or when the resampled scene's timesteps or rows would not fit (int64, or
+    the row budget)."""
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,7 @@ def impute_linear(
     values: dict[str, np.ndarray],
     angular: tuple[str, ...] = ("heading",),
     offsets: np.ndarray | None = None,
+    agent_ids: Sequence | None = None,
 ) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
     """Fill interior timestep gaps of one agent by per-axis linear interpolation.
 
@@ -126,6 +131,10 @@ def impute_linear(
     imputed rows. No extrapolation happens beyond first/last. With
     ``offsets`` (as for derive_derivative) each segment is one agent, and
     the outputs hold every agent's lifetime in turn.
+
+    ValueError, before any row is built, when the lifetimes hold more than
+    ROW_BUDGET rows; it names the agent that crosses the budget, by its entry
+    of agent_ids when given, else by its position.
     """
     ts = np.asarray(ts, dtype=np.int64)
     bounds = np.array([0, len(ts)]) if offsets is None else np.asarray(offsets, dtype=np.int64)
@@ -136,6 +145,14 @@ def impute_linear(
     if np.any(steps <= 0):
         raise ValueError("observed timesteps must be strictly increasing")
     first, last = ts[bounds[:-1]], ts[bounds[1:] - 1]
+    # Python ints: a lifetime may span more timesteps than int64 holds.
+    totals = list(itertools.accumulate(b - a + 1 for a, b in zip(first.tolist(), last.tolist())))
+    if totals and totals[-1] > ROW_BUDGET:
+        k = next(k for k, total in enumerate(totals) if total > ROW_BUDGET)
+        raise ValueError(
+            f"agent {k if agent_ids is None else agent_ids[k]}: lifetime [{first[k]}, {last[k]}] brings the scene to"
+            f" {totals[k]} rows, beyond the budget of {ROW_BUDGET} rows"
+        )
     length = last - first + 1
     segment, full_ts = row_layout(first, last)
     # One np.interp over all agents, output rows as abscissae: an agent's knots
@@ -162,7 +179,7 @@ def impute_linear(
 
 def complete_tracks(
     offsets: np.ndarray, ts: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray, dt: float,
-    heading: np.ndarray | None = None,
+    heading: np.ndarray | None = None, agent_ids: Sequence | None = None,
 ) -> tuple[np.ndarray, np.ndarray, SceneColumns]:
     """Impute every agent's gaps and derive its kinematic state, all agents at once.
 
@@ -172,11 +189,13 @@ def complete_tracks(
     imputed rows). Velocities and accelerations come from the positions.
     A given ``heading`` is wrapped to (-pi, pi] and kept, interpolated along
     the shortest arc at imputed rows; otherwise headings come from velocities.
+    Lifetimes beyond the row budget raise as in impute_linear, naming the
+    agent by agent_ids.
     """
     values = {"x": x, "y": y, "z": z}
     if heading is not None:
         values["heading"] = wrap_angle(np.asarray(heading, dtype=np.float64))
-    _, full, observed = impute_linear(ts, values, ("heading",), offsets)
+    _, full, observed = impute_linear(ts, values, ("heading",), offsets, agent_ids)
     first, last = ts[offsets[:-1]], ts[np.asarray(offsets[1:]) - 1]
     out_offsets = np.concatenate([[0], np.cumsum(last - first + 1)])
     vx = derive_derivative(full["x"], dt, out_offsets)
@@ -239,10 +258,14 @@ def resample_scene(scene: SceneFrame, desired_dt: float) -> SceneFrame:
             "agent %s dropped by downsampling: lifetime [%d, %d] has no frame on the ts%%%d grid",
             scene.agent_ids[i], scene.first_ts[i], scene.last_ts[i], plan.factor,
         )
-    offsets = np.concatenate([[0], np.cumsum(kept_rows[kept_rows > 0])])
+    kept = np.flatnonzero(kept_rows)
+    offsets = np.concatenate([[0], np.cumsum(kept_rows[kept])])
     heading = None if scene.heading_derived else cols.heading[keep]
-    first, last, columns = complete_tracks(offsets, ts, cols.x[keep], cols.y[keep], cols.z[keep], desired_dt, heading)
+    try:
+        first, last, columns = complete_tracks(
+            offsets, ts, cols.x[keep], cols.y[keep], cols.z[keep], desired_dt, heading, [scene.agent_ids[k] for k in kept.tolist()]
+        )
+    except ValueError as exc:  # lifetimes beyond the row budget
+        raise ResampleRatioError(f"cannot resample dt={scene.dt} to dt={desired_dt}: {exc}") from None
     columns.observed[columns.observed] = cols.observed[keep]  # each knot keeps its source row's flag
-    kept = np.flatnonzero(kept_rows).tolist()
-    agents = [replace(scene.agents[k], first_ts=f, last_ts=l) for k, f, l in zip(kept, first.tolist(), last.tolist())]
-    return replace(scene, dt=float(desired_dt), agents=agents, columns=columns)
+    return scene.keep_agents(kept, first, last, columns, dt=float(desired_dt))

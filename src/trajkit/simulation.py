@@ -12,7 +12,7 @@ state after it, masked invalid.
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -213,9 +213,8 @@ def _window_scene(state: SimState, simulated: bool) -> SceneFrame:
     kept = np.flatnonzero(n)
     first = lo + mask.argmax(axis=1)[kept]
     last = first + n[kept] - 1
-    agents = [replace(scene.agents[j], first_ts=a, last_ts=b) for j, a, b in zip(kept.tolist(), first.tolist(), last.tolist())]
     columns = SceneColumns(*np.ascontiguousarray(grid[mask].T), observed[mask])
-    return replace(scene, scene_id=f"{scene.scene_id}_sim", agents=agents, columns=columns, heading_derived=False)
+    return scene.keep_agents(kept, first, last, columns, scene_id=f"{scene.scene_id}_sim", heading_derived=False)
 
 
 def rollout_scene(state: SimState) -> SceneFrame:

@@ -24,7 +24,7 @@ from trajkit.analysis import (
     obb_intersect,
 )
 from trajkit.batching import STATE_DIM, AgentBatchElement, SceneBatchElement
-from trajkit.core import COLUMN_NAMES, AgentMetadata, AgentType, Extent, SceneFrame, wrap_angle
+from trajkit.core import COLUMN_NAMES, AgentMetadata, AgentType, Extent, SceneFrame, type_codes, wrap_angle
 from trajkit.ingest import CANONICAL_HEADER, ParseError, _CsvColumns
 from trajkit.kinematics import DEFAULT_SPEED_FLOOR, derive_derivative, plan_resample
 from trajkit.simulation import OBS_STATE_LAYOUT, SimMetrics, SimObservation, _pooled_rate, wasserstein_1d
@@ -694,8 +694,8 @@ def scene_pooled_dynamics_distributions(datasets, cfg):
         for scene in scenes:
             cols = scene.columns
             codes = _scene_type_codes(scene)[cols.agent_index]
-            jx = derive_derivative(cols.ax, scene.dt, scene._agent_offsets)
-            jy = derive_derivative(cols.ay, scene.dt, scene._agent_offsets)
+            jx = derive_derivative(cols.ax, scene.dt, scene.agent_offsets)
+            jy = derive_derivative(cols.ay, scene.dt, scene.agent_offsets)
             _pool_by_type(pools["speed"], codes, np.hypot(cols.vx, cols.vy))
             _pool_by_type(pools["accel"], codes, np.hypot(cols.ax, cols.ay))
             _pool_by_type(pools["jerk"], codes, np.hypot(jx, jy))
@@ -708,7 +708,7 @@ def scene_pooled_heading_deltas(datasets, cfg):
     for dataset, scenes in sorted(datasets.items()):
         pools = {"heading_delta": {}, "heading_raw": {}}
         for scene in scenes:
-            cols, off = scene.columns, scene._agent_offsets
+            cols, off = scene.columns, scene.agent_offsets
             h = cols.heading
             if cfg.cumulative_heading:
                 parts = [np.unwrap(h[a:b]) - h[a] for a, b in zip(off[:-1], off[1:])]
@@ -1105,7 +1105,7 @@ def _rows_to_columns(rows: list[tuple]) -> _CsvColumns:
     values = [np.array([math.nan if v is None else v for v in col], dtype=np.float64) for col in (heading, length, width, height)]
     given = [np.array([v is not None for v in col], dtype=bool) for col in (heading, length, height)]
     return _CsvColumns(
-        np.array(lines), np.array(agent_ids, dtype=object), np.array(types, dtype=object), np.array(frames, dtype=np.int64),
+        np.array(lines), np.array(agent_ids, dtype=object), type_codes([t.value for t in types]), np.array(frames, dtype=np.int64),
         np.array(x), np.array(y), np.array(z), *values, *given,
     )
 

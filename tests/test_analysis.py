@@ -87,8 +87,7 @@ def _scene_from_tracks(tracks, types=None, extents=None, scene_id="s0", dataset=
 
 def _renamed(scene, *agent_ids):
     """The scene with its first agents given these ids."""
-    renamed = [dataclasses.replace(m, agent_id=a) for m, a in zip(scene.agents, agent_ids)]
-    return dataclasses.replace(scene, agents=[*renamed, *scene.agents[len(renamed):]])
+    return dataclasses.replace(scene, agent_ids=(*agent_ids, *scene.agent_ids[len(agent_ids):]))
 
 
 class TestHistogram:
@@ -1067,6 +1066,20 @@ class TestSingleLoad:
         assert len(resolves) == 1
         assert sorted(loads) == paths
         assert report.unavailable == [] and "offroad" in report.rates
+
+    def test_decode_then_analysis_builds_no_agent_records(self, tmp_path, monkeypatch):
+        # Every metric reads the agent columns; the AgentMetadata records are built only when read.
+        rng = np.random.default_rng(5)
+        cache = SceneCache(tmp_path / "cache")
+        for s in range(2):
+            cache.write(_analysis_scene(rng, f"rand{s}", "rand", "ego"))
+        load_path, loaded = SceneCache.load_path, []
+        monkeypatch.setattr(SceneCache, "load_path", lambda self, path: loaded.append(load_path(self, path)) or loaded[-1])
+        vmap = VectorMap("toy:flat", [straight_lane("L1", 0.0, length=200.0, half_width=3.0)])
+        report = run_analysis(cache, ["rand"], METRIC_NAMES, vmap=vmap)
+        assert len(loaded) == 2 and "offroad" in report.rates and "collision" in report.rates
+        assert ["agents" in scene.__dict__ for scene in loaded] == [False, False]
+        assert loaded[0].agents and "agents" in loaded[0].__dict__  # built on first read, then kept
 
 
 class TestReport:

@@ -1,15 +1,24 @@
 import copy
 import json
 import logging
+import math
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trajkit
 from trajkit.analysis import METRIC_NAMES
 from trajkit.cli import main
-from trajkit.ingest import SceneCache, Straight, cache_load, synth_scene
+from trajkit.ingest import (
+    CacheError, ParseError, SceneCache, SceneMetaRecord, Straight, cache_load, parse_canonical_csv, parse_frame_text, synth_scene,
+)
+from trajkit.kinematics import ResampleRatioError, resample_scene
 from trajkit.vecmap import VectorMap, map_serialize
 
 from conftest import UNDECODABLE_HEADERS, replace_header, rewrite_json_header, straight_lane
@@ -508,6 +517,28 @@ class TestMalformedHeaders:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "key 'agent_id' has the wrong type" in err and "Traceback" not in err
 
+    def test_lifetime_ending_at_the_last_int64_timestep_exit_2(self, workspace, capsys):
+        # Its n_timesteps, 2**63, and its run of timesteps before the first start would wrap in int64.
+        tmp_path, cache_dir = workspace
+        path = SceneCache(cache_dir).write(synth_scene(Straight(10.0), 1, 20, 0.1, scene_id="late"))
+        path.write_bytes(rewrite_json_header(path.read_bytes(), lambda h: h["agents"][0].update(first_ts=2**63 - 20, last_ts=2**63 - 1), crc=True))
+        argv = ["analyze", "--cache", str(cache_dir), "--tags", "synth", "--metrics", "simultaneous", "--out", str(tmp_path / "out")]
+        with pytest.raises(CacheError, match="does not match the scene schema"):
+            cache_load(path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "end before ts 2**63 - 1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("extent", [[math.nan, 1, 1], [None, 1, 1], [1, 1, 0], [1, 2], ["a", 1, 1]],
+                             ids=["nan-length", "null-length", "zero-height", "two-values", "string-length"])
+    def test_header_extent_that_is_not_a_box_exit_2(self, workspace, capsys, extent):
+        tmp_path, cache_dir = workspace
+        (path,) = cache_dir.glob("*/synth-0.tksc")
+        path.write_bytes(rewrite_json_header(path.read_bytes(), lambda h: h["agents"][0].update(extent=extent), crc=True))
+        assert main(_CACHE_READERS["analyze"](str(cache_dir), str(tmp_path / "out"))) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "does not match the scene schema" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("n_timesteps", [0, 5, -3, 10**6])
     def test_header_n_timesteps_is_not_read(self, workspace, n_timesteps):
         # The scene's n_timesteps comes from its lifetimes (ts 0 to 99 here), whatever a header stores.
@@ -670,3 +701,72 @@ class TestMalformedConfig:
         code = main(["analyze", "--cache", str(cache_dir), "--tags", "synth", "--metrics", "stationary", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert named in capsys.readouterr().err
+
+
+# Runs trajkit's CLI with its address space capped at 1 GiB (about 0.1 GiB goes to
+# Python and numpy), so an input that asks for more fails instead of taking the
+# machine's memory.
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from trajkit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _capped_main(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(trajkit.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], capture_output=True, text=True, env=env, timeout=120)
+    return done.returncode, done.stderr
+
+
+class TestRowBudget:
+    """Completion and resampling check the rows a scene would hold against
+    core.ROW_BUDGET before allocating any: exit 2, one line naming the agent."""
+
+    def _ingest(self, tmp_path, name, text, fmt):
+        (tmp_path / name).write_text(text)
+        (tmp_path / "meta.json").write_text(json.dumps({"scene_id": "s0", "dt": 0.1, "dataset": "toy"}))
+        return _capped_main(["ingest", "--input", str(tmp_path / name), "--format", fmt, "--meta", str(tmp_path / "meta.json"),
+                             "--cache", str(tmp_path / "cache")])
+
+    def test_frame_text_gap(self, tmp_path):
+        code, err = self._ingest(tmp_path, "in.txt", "0 1 0 0\n1000000000000 1 1 1\n1 2 0 0\n", "frame-text")
+        assert code == 2 and err.splitlines() == [
+            "error: agent 1: lifetime [0, 1000000000000] brings the scene to 1000000000001 rows, beyond the budget of 16777216 rows"
+        ]
+
+    @pytest.mark.parametrize("frame", [10**9, 10**12])
+    def test_canonical_csv_gap(self, tmp_path, frame):
+        text = f"{HEADER}\ns0,b,vehicle,5,0.0,0.0,,,,,\ns0,a,vehicle,0,0.0,0.0,,,,,\ns0,a,vehicle,{frame},1.0,0.0,,,,,\n"
+        code, err = self._ingest(tmp_path, "in.csv", text, "canonical-csv")
+        assert code == 2 and err.splitlines() == [
+            f"error: agent a: lifetime [0, {frame}] brings the scene to {frame + 1} rows, beyond the budget of 16777216 rows"
+        ]
+        assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").rglob("*.tksc"))
+
+    def test_batch_resampled_by_a_tiny_dt(self, workspace):
+        # dt 0.1 to 1e-17 is an upsampling factor of 1e16, which fits int64 over the scene's 100 timesteps.
+        tmp_path, cache_dir = workspace
+        code, err = _capped_main(["batch", "--cache", str(cache_dir), "--tags", "synth", "--history", "0,1", "--future", "0,1",
+                                  "--dt", "1e-17", "--out", str(tmp_path / "out")])
+        assert code == 2 and err.splitlines() == [
+            "error: cannot resample dt=0.1 to dt=1e-17: agent a0: lifetime [0, 990000000000000000] brings the scene to"
+            " 990000000000000001 rows, beyond the budget of 16777216 rows"
+        ]
+
+    def test_library_callers_get_their_error_class(self):
+        # Each ask fails at once if the budget check is gone: 10**12 rows or more cannot be allocated.
+        meta = SceneMetaRecord("s0", 0.1, "", "toy")
+        with pytest.raises(ParseError, match="agent 1: lifetime"):
+            parse_frame_text("0 1 0 0\n1000000000000 1 1 1\n1 2 0 0\n", meta)
+        with pytest.raises(ParseError, match="agent a: lifetime"):
+            parse_canonical_csv(f"{HEADER}\ns0,a,vehicle,0,0.0,0.0,,,,,\ns0,a,vehicle,1000000000000,1.0,0.0,,,,,\n", meta)
+        with pytest.raises(ResampleRatioError, match="agent a0: lifetime"):
+            resample_scene(synth_scene(Straight(1.0), 1, 30, 0.1), 1e-17)
+
+    def test_the_budget_is_far_above_every_real_input(self, tmp_path):
+        from trajkit.core import ROW_BUDGET
+        assert ROW_BUDGET == 16777216
+        code, err = self._ingest(tmp_path, "in.txt", "0 1 0 0\n100000 1 1 1\n", "frame-text")  # 100,001 rows: completed
+        assert code == 0, err

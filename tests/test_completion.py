@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from trajkit.core import AgentMetadata, AgentType, SceneColumns, SceneFrame, scene_validate
+from trajkit.core import AgentMetadata, AgentType, SceneColumns, SceneFrame, agent_columns, scene_validate
 from trajkit.ingest import ParseError, SceneMetaRecord, parse_canonical_csv_many, parse_frame_text
 from trajkit.kinematics import complete_track, derive_heading, impute_linear, resample_scene
 
@@ -289,7 +289,10 @@ def _malformed(rng, scene):
         elif edit == "cells":
             name = rng.choice(["x", "y", "z", "vx", "ay"])
             cols[name][rng.choice(len(rows), size=2)] = rng.choice([math.nan, math.inf])
-    return SceneFrame(scene.scene_id, scene.dataset_tag, scene.location, scene.dt, agents, SceneColumns(**cols), scene.heading_derived)
+    return SceneFrame(
+        scene.scene_id, scene.dataset_tag, scene.location, scene.dt, **agent_columns(agents), columns=SceneColumns(**cols),
+        heading_derived=scene.heading_derived,
+    )
 
 
 def _without_agent_rows(scene, k):
@@ -320,10 +323,10 @@ class TestSceneValidateMatchesReference:
     def test_agent_without_rows_and_inverted_lifetime(self):
         scene = random_scene(np.random.default_rng(5), n_agents=3, n_timesteps=20)
         with pytest.raises(ValueError, match="agent lifetimes span"):
-            SceneFrame(scene.scene_id, scene.dataset_tag, scene.location, scene.dt, scene.agents, _without_agent_rows(scene, 1))
+            dataclasses.replace(scene, columns=_without_agent_rows(scene, 1))
         agents = [*scene.agents[:2], dataclasses.replace(scene.agents[2], first_ts=scene.agents[2].last_ts, last_ts=scene.agents[2].first_ts)]
         with pytest.raises(ValueError, match="agent lifetimes span"):
-            SceneFrame(scene.scene_id, scene.dataset_tag, scene.location, scene.dt, agents, scene.columns)
+            SceneFrame(scene.scene_id, scene.dataset_tag, scene.location, scene.dt, **agent_columns(agents), columns=scene.columns)
 
     # named: what a validator handed these rows with their agent_index and ts would report.
     @pytest.mark.parametrize("case, named", [
@@ -338,4 +341,4 @@ class TestSceneValidateMatchesReference:
         else:
             columns = _without_agent_rows(scene, 1)
         with pytest.raises(ValueError, match="agent lifetimes span"):
-            SceneFrame(scene.scene_id, scene.dataset_tag, scene.location, scene.dt, scene.agents, columns, scene.heading_derived)
+            dataclasses.replace(scene, columns=columns)

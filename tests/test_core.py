@@ -13,7 +13,7 @@ from trajkit.core import (
     SceneColumns,
     SceneFrame,
     SceneTag,
-    agent_lifetime_seconds,
+    agent_columns,
     scene_validate,
     wrap_angle,
 )
@@ -67,20 +67,16 @@ class TestExtent:
 class TestLifetime:
     def test_single_frame(self):
         meta = AgentMetadata("a", AgentType.VEHICLE, None, 0, 0)
-        assert agent_lifetime_seconds(meta, 0.1) == pytest.approx(0.1)
+        assert meta.n_steps * 0.1 == pytest.approx(0.1)
 
     def test_arithmetic(self):
         meta = AgentMetadata("a", AgentType.VEHICLE, None, 10, 49)
-        assert agent_lifetime_seconds(meta, 0.1) == pytest.approx(4.0)
+        assert meta.n_steps * 0.1 == pytest.approx(4.0)
 
     def test_25s_scenario_length(self):
         # 250 frames at 10 Hz spans 25 s.
         meta = AgentMetadata("a", AgentType.VEHICLE, None, 0, 249)
-        assert agent_lifetime_seconds(meta, 0.1) == pytest.approx(25.0)
-
-    def test_bad_dt(self):
-        with pytest.raises(ValueError):
-            agent_lifetime_seconds(AgentMetadata("a", AgentType.VEHICLE, None, 0, 0), 0.0)
+        assert meta.n_steps * 0.1 == pytest.approx(25.0)
 
 
 class TestWrapAngle:
@@ -213,10 +209,7 @@ class TestSceneFrame:
 def _mutate(scene: SceneFrame, **col_overrides) -> SceneFrame:
     cols = {name: np.array(column) for name, column in scene.columns.as_dict().items()}
     cols.update(col_overrides)
-    return SceneFrame(
-        scene.scene_id, scene.dataset_tag, scene.location, scene.dt,
-        scene.agents, SceneColumns(**cols), scene.heading_derived,
-    )
+    return dataclasses.replace(scene, columns=SceneColumns(**cols))
 
 
 class TestSceneValidate:
@@ -248,11 +241,11 @@ class TestSceneValidate:
         scene = _two_agent_scene()
         agents = [dataclasses.replace(scene.agents[0], first_ts=4, last_ts=0), *scene.agents[1:]]
         with pytest.raises(ValueError, match="agent lifetimes span"):
-            SceneFrame(scene.scene_id, scene.dataset_tag, scene.location, scene.dt, agents, scene.columns)
+            SceneFrame(scene.scene_id, scene.dataset_tag, scene.location, scene.dt, **agent_columns(agents), columns=scene.columns)
 
     def test_duplicate_agent_id(self):
         scene = _two_agent_scene()
-        scene = dataclasses.replace(scene, agents=[scene.agents[0], dataclasses.replace(scene.agents[1], agent_id="a0")])
+        scene = dataclasses.replace(scene, agent_ids=(scene.agent_ids[0], "a0"))
         assert any("agent-id-unique" in v for v in scene_validate(scene))
 
     def test_non_finite_position(self):
@@ -315,8 +308,8 @@ class TestFrozenScene:
             for name, value in (("first_ts", meta.last_ts + 1), ("agent_id", "z")):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(meta, name, value)
-        for array in (scene.first_ts, scene.last_ts, scene.type_code, scene.columns.agent_index, scene.columns.ts,
-                      scene._agent_offsets, scene._row0):
+        for array in (scene.first_ts, scene.last_ts, scene.type_code, scene.extent, scene.columns.agent_index, scene.columns.ts,
+                      scene.agent_offsets, scene._row0):
             with pytest.raises(ValueError, match="read-only"):
                 array[:] = 0
         assert scene.agent_ids == tuple(m.agent_id for m in scene.agents)
@@ -325,6 +318,14 @@ class TestFrozenScene:
         assert scene.first_ts.dtype == scene.last_ts.dtype == np.int64
         assert scene.first_ts.tolist() == [m.first_ts for m in scene.agents]
         assert scene.last_ts.tolist() == [m.last_ts for m in scene.agents]
+        assert scene.extent.dtype == np.float64 and scene.extent.shape == (scene.n_agents, 3)
+        rebuilt = tuple(
+            AgentMetadata(agent_id, TYPE_BY_CODE[code], None if math.isnan(l) else Extent(l, w, None if math.isnan(h) else h), a, b)
+            for agent_id, code, (l, w, h), a, b in zip(
+                scene.agent_ids, scene.type_code.tolist(), scene.extent.tolist(), scene.first_ts.tolist(), scene.last_ts.tolist()
+            )
+        )
+        assert scene.agents == rebuilt
 
     def test_a_lifetime_cannot_change_under_its_layout(self):
         scene = _two_agent_scene()
@@ -355,7 +356,7 @@ class TestSceneLayout:
 
     def test_late_lifetime(self):
         columns = SceneColumns(*(np.zeros(6) for _ in range(8)), np.ones(6, dtype=bool))
-        scene = SceneFrame("s0", "toy", "", 0.1, [AgentMetadata("a", AgentType.VEHICLE, None, 2**62, 2**62 + 5)], columns)
+        scene = SceneFrame("s0", "toy", "", 0.1, **agent_columns([AgentMetadata("a", AgentType.VEHICLE, None, 2**62, 2**62 + 5)]), columns=columns)
         assert scene.n_timesteps == 2**62 + 6 and scene.columns.ts[-1] == 2**62 + 5
 
     def test_window_outlives_its_source(self):
@@ -364,9 +365,9 @@ class TestSceneLayout:
 
     def test_two_scenes_over_one_columns_keep_their_layouts(self):
         columns = SceneColumns(*(np.zeros(6) for _ in range(8)), np.ones(6, dtype=bool))
-        one = SceneFrame("s1", "toy", "", 0.1, [AgentMetadata("a", AgentType.VEHICLE, None, 0, 5)], columns)
-        two = SceneFrame("s2", "toy", "", 0.1, [AgentMetadata("a", AgentType.VEHICLE, None, 2, 3),
-                                                AgentMetadata("b", AgentType.VEHICLE, None, 7, 10)], columns)
+        one = SceneFrame("s1", "toy", "", 0.1, **agent_columns([AgentMetadata("a", AgentType.VEHICLE, None, 0, 5)]), columns=columns)
+        two = SceneFrame("s2", "toy", "", 0.1, **agent_columns([AgentMetadata("a", AgentType.VEHICLE, None, 2, 3),
+                                                                AgentMetadata("b", AgentType.VEHICLE, None, 7, 10)]), columns=columns)
         assert one.columns.agent_index.tolist() == [0] * 6 and one.columns.ts.tolist() == [0, 1, 2, 3, 4, 5]
         assert two.columns.agent_index.tolist() == [0, 0, 1, 1, 1, 1] and two.columns.ts.tolist() == [2, 3, 7, 8, 9, 10]
         assert (one.n_timesteps, two.n_timesteps) == (6, 11)
@@ -382,9 +383,47 @@ class TestSceneLayout:
         [(0, 2**62)],  # must fail before a row is built
         [(0, 2**62 - 1)] * 4 + [(0, 5)],  # the spans sum to 6 rows in int64, 2**64 + 6 in fact
         [],
-    ], ids=["too-few", "inverted", "empty-span", "negative-first", "negative-lifetime", "huge-span", "int64-wrapping-spans", "no-agents"])
+        [(2**63 - 6, 2**63 - 1)],  # 6 rows, but n_timesteps would be 2**63
+    ], ids=["too-few", "inverted", "empty-span", "negative-first", "negative-lifetime", "huge-span", "int64-wrapping-spans", "no-agents",
+            "ends-at-int64-max"])
     def test_lifetimes_that_do_not_lay_out_the_rows(self, lifetimes):
         columns = SceneColumns(*(np.zeros(6) for _ in range(8)), np.ones(6, dtype=bool))
         agents = [AgentMetadata(f"a{k}", AgentType.VEHICLE, None, a, b) for k, (a, b) in enumerate(lifetimes)]
         with pytest.raises(ValueError, match="agent lifetimes span"):
-            SceneFrame("s0", "toy", "", 0.1, agents, columns)
+            SceneFrame("s0", "toy", "", 0.1, **agent_columns(agents), columns=columns)
+
+
+class TestAgentTable:
+    """Construction checks the agent table once: one entry per id in each
+    column, type codes in range, and extents that are boxes or all NaN."""
+
+    @staticmethod
+    def _scene(**table):
+        columns = SceneColumns(*(np.zeros(6) for _ in range(8)), np.ones(6, dtype=bool))
+        table = {"agent_ids": ["a", "b"], "type_code": [0, 4], "first_ts": [0, 1], "last_ts": [2, 3],
+                 "extent": [[4.0, 2.0, 1.5], [math.nan] * 3], **table}
+        return SceneFrame("s0", "toy", "", 0.1, **table, columns=columns)
+
+    @pytest.mark.parametrize("row", [[1.0, 2.0, math.nan], [math.nan] * 3, [math.inf, 1.0, 1.0]])
+    def test_extent_rows_that_are_boxes_or_none(self, row):
+        scene = self._scene(extent=[row, [4.0, 2.0, 1.5]])
+        assert np.array_equal(scene.extent[0], row, equal_nan=True)
+        want = None if math.isnan(row[0]) else Extent(row[0], row[1], None if math.isnan(row[2]) else row[2])
+        assert scene.agents[0].extent == want
+
+    @pytest.mark.parametrize("row", [[0.0, 2.0, 1.0], [4.0, -1.0, math.nan], [4.0, 2.0, 0.0], [4.0, 2.0, -math.inf],
+                                     [math.nan, 2.0, 1.0], [math.nan, math.nan, 1.0], [4.0, math.nan, math.nan]])
+    def test_extent_rows_that_are_neither(self, row):
+        with pytest.raises(ValueError, match=r"^agent b: extent .* is neither all NaN nor a box$"):
+            self._scene(extent=[[4.0, 2.0, 1.5], row])
+
+    @pytest.mark.parametrize("table", [
+        {"agent_ids": ["a"]}, {"type_code": [0]}, {"first_ts": [0]}, {"last_ts": [2, 3, 4]}, {"type_code": [0, 5]},
+    ], ids=["one-id", "one-type", "one-first", "three-last", "type-code-5"])
+    def test_columns_that_do_not_match_the_ids(self, table):
+        with pytest.raises(ValueError, match="agent table of"):
+            self._scene(**table)
+
+    def test_extent_of_another_shape(self):
+        with pytest.raises(ValueError, match="reshape"):
+            self._scene(extent=[[4.0, 2.0, 1.5]])

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import os
 import struct
 import subprocess
@@ -891,6 +892,21 @@ class TestSceneFormatFuzz:
     def test_header_edits(self, key, value):
         # The checksum is recomputed, so only the header's own checks stand.
         self._load(rewrite_json_header(self.DATA, lambda h: SCENE_HEADER_EDITS[key](h, value), crc=True))
+
+    @pytest.mark.parametrize("extent, error", [
+        ([math.nan, 1, 1], "ValueError('extent length must be > 0, got nan')"),
+        ([None, 1, 1], "TypeError(\"'>' not supported between instances of 'NoneType' and 'float'\")"),
+        ([1, 1, 0], "ValueError('extent height must be > 0 when present, got 0')"),
+        ([1, 1, math.nan], "ValueError('extent height must be > 0 when present, got nan')"),
+        ([1, 2], "ValueError('not enough values to unpack (expected 3, got 2)')"),
+        (["a", 1, 1], "TypeError(\"'>' not supported between instances of 'str' and 'float'\")"),
+    ], ids=["nan-length", "null-length", "zero-height", "nan-height", "two-values", "string-length"])
+    def test_header_extent_that_is_not_a_box(self, extent, error):
+        # NaN stands for "none" only inside the scene's extent column; a file says none with null.
+        data = rewrite_json_header(self.DATA, lambda h: h["agents"][1].update(extent=extent), crc=True)
+        with pytest.raises(CacheError) as info:
+            scene_from_bytes(data)
+        assert str(info.value) == f"cache header does not match the scene schema: {error}"
 
     @pytest.mark.parametrize("value", [2, 3, 128, 255])
     @pytest.mark.parametrize("row", [0, 5, -1])
