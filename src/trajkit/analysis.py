@@ -240,9 +240,13 @@ def _alive_runs(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray]:
 def simultaneous_agents(datasets: Datasets, cfg: AnalysisConfig) -> list[Histogram]:
     """Per-(scene, ts) simultaneous-agent counts and per-scene maxima. Each
     run of timesteps with one count is a sample weighted by its length, so
-    the work grows with the agents, not with the timesteps."""
+    the work grows with the agents, not with the timesteps. The weights of a
+    dataset sum to its scenes' timesteps, which must fit in int64."""
     hists = []
     for dataset, scenes in sorted(datasets.items()):
+        total = sum(scene.n_timesteps for scene in scenes)
+        if total > 2**63 - 1:
+            raise ValueError(f"dataset {dataset}: its scenes span {total} timesteps in all, more than the 2**63 - 1 a count holds")
         runs = [_alive_runs(s) for s in scenes]
         maxima = [int(alive[length > 0].max(initial=0)) for alive, length in runs]
         edges = cfg.edges("simultaneous")

@@ -101,6 +101,16 @@ def row_layout(first_ts, last_ts) -> tuple[np.ndarray, np.ndarray]:
     return agent, np.arange(len(agent)) - row0[agent]
 
 
+def _integers(values) -> list:
+    """values as a list of Python ints; ValueError if one is not an integer (a
+    bool included). An integer array passes on its dtype alone."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu") and {*map(type, values)} - {int}:
+        bad = [v for v in values if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
+        if bad:
+            raise ValueError(f"agent lifetimes span non-integer timesteps such as {bad[0]!r}: each must be an int, and a bool is not one")
+    return np.asarray(values).tolist()
+
+
 def load_json(text):
     """json.loads(text); a document nested too deep for the decoder raises
     ValueError, as every other document that does not decode does."""
@@ -349,8 +359,8 @@ class SceneFrame:
     def __post_init__(self):
         agent_ids = tuple(self.agent_ids)
         n = len(agent_ids)
-        # Python ints: a file's lifetimes may lie beyond int64, and no row is built before they pass.
-        first, last = np.asarray(self.first_ts).tolist(), np.asarray(self.last_ts).tolist()
+        # Python ints: a caller's lifetimes may lie beyond int64, and no row is built before they pass.
+        first, last = _integers(self.first_ts), _integers(self.last_ts)
         type_code = np.array(self.type_code, dtype=np.uint8)
         if not len(first) == len(last) == len(type_code) == n or type_code.max(initial=0) >= len(TYPE_NAMES):
             raise ValueError(f"agent table of {n} ids needs as many lifetimes and type codes, each below {len(TYPE_NAMES)}")

@@ -666,6 +666,7 @@ def _scene_from_header(header: dict, data: bytes, pos: int) -> SceneFrame:
     if {*map(type, agent_ids)} - {str} or {*map(type, first_ts), *map(type, last_ts)} - {int}:
         for raw in agents:
             _checked_object(raw, _AGENT_HEADER_KINDS, (), "cache header agent")  # raises, naming the key
+    first_ts, last_ts = np.array(first_ts, dtype=np.int64), np.array(last_ts, dtype=np.int64)  # ints: construction checks them by dtype
     return SceneFrame(
         header["scene_id"], header["dataset_tag"], header["location"], dt, agent_ids=agent_ids,
         type_code=type_codes([raw["agent_type"] for raw in agents]), first_ts=first_ts, last_ts=last_ts,

@@ -6,9 +6,10 @@ Centerline-only lanes contribute lane length but no drivable area; lane
 polygons exist only where both edges are given. Area totals sum polygons
 without overlap resolution and over-count where they overlap.
 
-The constructor and the decoder finalize a map from the same columns: a (P, 3)
-point array and each lane's centerline rows. The decoder fills one array with
-every polyline of a file in one pass; loaded polylines are read-only views.
+The constructor and the decoder finalize a map from the same lane table: a
+read-only (P, 3) point array, each lane's point ranges and its links. The
+decoder fills the array with every polyline of a file in one pass; lane
+records are built from the table only when ``VectorMap.lanes`` is read.
 """
 
 from __future__ import annotations
@@ -17,8 +18,11 @@ import enum
 import io
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -143,22 +147,32 @@ def _decode_polylines(buf: bytes, offset: int, counts) -> tuple[np.ndarray, np.n
     return pts, start, repeats
 
 
-@dataclass(eq=False)
+def _read_only(values) -> np.ndarray:
+    """values as a float64 array that nothing can write: the array itself if
+    it is a read-only one already, else a read-only copy."""
+    array = np.asarray(values, dtype=np.float64)
+    if array.flags.writeable:
+        array = array.copy()
+        array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class Polyline:
-    """Ordered (x, y, z) points in meters; consecutive points must differ."""
+    """Ordered (x, y, z) points in meters; consecutive points must differ.
+    The points are read-only: a writable array given is copied."""
 
     points: np.ndarray
-    _encoded: bytes | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = _read_only(self.points)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"polyline points must be (N, 3), got {pts.shape}")
         if len(pts) < 2:
             raise ValueError("polyline needs at least 2 points")
         if np.any(np.all(pts[1:] == pts[:-1], axis=1)):
             raise ValueError("polyline has identical consecutive points")
-        self.points = pts
+        object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -173,15 +187,15 @@ class Polyline:
         return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
 
     @classmethod
-    def _view(cls, points: np.ndarray, encoded: bytes) -> "Polyline":
-        """A decoded polyline over points already checked, without __post_init__."""
+    def _view(cls, points: np.ndarray) -> "Polyline":
+        """A polyline over read-only points of a map, already checked, without __post_init__."""
         line = cls.__new__(cls)
-        line.points, line._encoded = points, encoded
+        object.__setattr__(line, "points", points)
         return line
 
 
 def _normalize_ring(ring) -> np.ndarray:
-    pts = np.asarray(ring, dtype=np.float64)
+    pts = _read_only(ring)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"ring points must be (N, 2), got {pts.shape}")
     if len(pts) >= 2 and np.all(pts[0] == pts[-1]):
@@ -191,24 +205,27 @@ def _normalize_ring(ring) -> np.ndarray:
     return pts
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PolygonArea:
     """Closed region given by an exterior ring and optional hole rings.
 
     Rings are stored open (no repeated closing vertex); a closing duplicate in
-    the input is dropped, and a ring must keep at least 2 points.
+    the input is dropped, and a ring must keep at least 2 points. The area is
+    frozen, its holes a tuple and its rings read-only (a writable array given
+    is copied).
     """
 
     exterior: np.ndarray
-    holes: list[np.ndarray] = field(default_factory=list)
-    _encoded: list[bytes] | None = field(default=None, repr=False)
+    holes: tuple[np.ndarray, ...] = ()
+    _encoded: tuple[bytes, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         given = (self.exterior, *self.holes)
-        self.exterior = _normalize_ring(self.exterior)
-        self.holes = [_normalize_ring(h) for h in self.holes]
-        if any(len(ring) != len(raw) for ring, raw in zip(self.rings(), given)):
-            self._encoded = None  # a payload of the rings before a closing duplicate was dropped
+        rings = [_normalize_ring(ring) for ring in given]
+        object.__setattr__(self, "exterior", rings[0])
+        object.__setattr__(self, "holes", tuple(rings[1:]))
+        if any(len(ring) != len(raw) for ring, raw in zip(rings, given)):
+            object.__setattr__(self, "_encoded", None)  # a payload of the rings before a closing duplicate was dropped
 
     def rings(self) -> list[np.ndarray]:
         return [self.exterior, *self.holes]
@@ -306,25 +323,33 @@ def point_in_polygon(px: float, py: float, area: PolygonArea) -> bool:
 # Lanes and the map
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
+_RELATIONS = ("adjacent_left", "adjacent_right", "successors", "predecessors")
+
+
+@dataclass(frozen=True, eq=False)
 class RoadLane:
-    """A driveable lane: centerline, optional edges, and graph connectivity."""
+    """A driveable lane: centerline, optional edges, and graph connectivity.
+
+    Frozen; each relation is a frozenset of lane ids (another iterable given
+    is converted). A map's own records take their predecessors from its
+    successor links, so each link shows on both of its lanes.
+    """
 
     lane_id: str
     centerline: Polyline
     left_edge: Polyline | None = None
     right_edge: Polyline | None = None
-    adjacent_left: set[str] = field(default_factory=set)
-    adjacent_right: set[str] = field(default_factory=set)
-    successors: set[str] = field(default_factory=set)
-    predecessors: set[str] = field(default_factory=set)
+    adjacent_left: frozenset[str] = frozenset()
+    adjacent_right: frozenset[str] = frozenset()
+    successors: frozenset[str] = frozenset()
+    predecessors: frozenset[str] = frozenset()
 
-    def polygon(self) -> PolygonArea | None:
-        """Region between the edges, or None for a centerline-only lane."""
-        if self.left_edge is None or self.right_edge is None:
-            return None
-        ring = np.concatenate([self.left_edge.xy, self.right_edge.xy[::-1]])
-        return PolygonArea(ring)
+    def __post_init__(self):
+        for name in _RELATIONS:
+            ids = getattr(self, name)
+            if isinstance(ids, str):
+                raise TypeError(f"lane {self.lane_id}: {name} must be a collection of lane ids, got the string {ids!r}")
+            object.__setattr__(self, name, frozenset(ids))
 
 
 @dataclass(frozen=True)
@@ -435,12 +460,55 @@ def _finite_xy(point) -> tuple[float, float]:
     return px, py
 
 
-class VectorMap:
-    """Immutable vector map; all queries are safe to run concurrently.
+class _LaneTable(NamedTuple):
+    """Every lane of a map, in input order, and no other copy of them.
 
-    Construction finalizes the map: lane references are validated,
-    successor/predecessor symmetry is closed (with a warning when source data
-    was asymmetric), lane polygons are built, the spatial index is packed, and
+    Lane k's centerline, left edge and right edge are
+    points[lines[k, j, 0]:lines[k, j, 1]] for j = 0, 1, 2, an absent edge an
+    empty range. links holds the adjacent_left, adjacent_right and successors
+    relations, each a set of (lane, other lane) pairs; a lane's predecessors
+    are the successor links read backwards. A decoded map keeps its file as
+    payload and each line's byte range in it (line_bytes, shaped as lines),
+    so that it serializes to the same bytes.
+    """
+
+    ids: tuple[str, ...]
+    points: np.ndarray
+    lines: np.ndarray
+    links: tuple[frozenset, frozenset, frozenset]
+    payload: bytes | None = None
+    line_bytes: np.ndarray | None = None
+
+    def relations(self) -> list[dict[str, list[str]]]:
+        """Per relation of _RELATIONS, each lane's sorted list of the lanes it names."""
+        return [*map(_grouped, self.links), _grouped((b, a) for a, b in self.links[2])]
+
+
+def _links(lanes: Sequence[RoadLane], relation: str) -> frozenset[tuple[str, str]]:
+    return frozenset((lane.lane_id, other) for lane in lanes for other in getattr(lane, relation))
+
+
+def _grouped(links) -> dict[str, list[str]]:
+    """The pairs (a, b) of links as each a's sorted list of b."""
+    out: dict[str, list[str]] = {}
+    for a, b in sorted(links):
+        out.setdefault(a, []).append(b)
+    return out
+
+
+class VectorMap:
+    """Read-only vector map; all queries are safe to run concurrently.
+
+    The lanes are one table (_LaneTable) with each link stored once. ``lanes``
+    presents them as frozen RoadLane records, built on first read and then
+    kept; queries, stats and map_serialize build none. The areas are tuples
+    of frozen PolygonArea, the traffic-light frame a read-only mapping, and
+    no record or array of the caller's is changed or kept writable.
+
+    Construction finalizes the map: lane references are validated, the
+    successor links given on either side (a lane's successors, another's
+    predecessors) are merged, with a warning when source data was
+    asymmetric, lane polygons are built, the spatial index is packed, and
     the edges and bounding boxes of the drivable polygons are tabulated.
     """
 
@@ -454,64 +522,74 @@ class VectorMap:
         traffic_lights: Mapping[tuple[str, int], TrafficLightStatus] | None = None,
     ):
         lanes = list(lanes)
-        lines = [lane.centerline.points for lane in lanes]
-        n = np.array([len(line) for line in lines], dtype=np.int64)
-        columns = (np.concatenate(lines) if lines else np.zeros((0, 3)), np.cumsum(n) - n, np.cumsum(n))
-        self._finalize(map_id, lanes, (road_areas, ped_crosswalks, ped_walkways), traffic_lights, columns)
+        lines = [line for lane in lanes for line in (lane.centerline, lane.left_edge, lane.right_edge)]
+        sizes = np.array([0 if line is None else len(line) for line in lines], dtype=np.int64).reshape(-1, 3)
+        points = np.concatenate([line.points for line in lines if line is not None]) if lanes else np.zeros((0, 3))
+        points.flags.writeable = False
+        ends = np.cumsum(sizes).reshape(-1, 3)
+        links = tuple(_links(lanes, relation) for relation in _RELATIONS[:3])
+        table = _LaneTable(tuple(lane.lane_id for lane in lanes), points, np.stack([ends - sizes, ends], axis=-1), links)
+        self._finalize(map_id, table, _links(lanes, "predecessors"), (road_areas, ped_crosswalks, ped_walkways), traffic_lights)
 
-    def _finalize(self, map_id, lanes, areas, traffic_lights, centerlines) -> None:
-        """The one build of the constructor and the decoder. centerlines holds
-        columns (points, lo, hi): lane k's centerline is points[lo[k]:hi[k]]."""
+    def _finalize(self, map_id, table: _LaneTable, predecessors, areas, traffic_lights) -> None:
+        """The one build of the constructor and the decoder, from the lane
+        table and the predecessor links (lane, predecessor) given."""
         parts = map_id.split(":")
         if len(parts) != 2 or not all(parts):
             raise ValueError(f"map_id must be 'dataset:location', got {map_id!r}")
         self.map_id = map_id
-        self.lanes: dict[str, RoadLane] = {}
-        for lane in lanes:
-            if lane.lane_id in self.lanes:
-                raise ValueError(f"duplicate lane_id {lane.lane_id!r}")
-            self.lanes[lane.lane_id] = lane
-        self.road_areas, self.ped_crosswalks, self.ped_walkways = (list(kind) for kind in areas)
-        self.traffic_light_frame: dict[tuple[str, int], TrafficLightStatus] = dict(traffic_lights or {})
+        ids = table.ids
+        self._id_set = frozenset(ids)
+        if len(self._id_set) != len(ids):
+            raise ValueError(f"duplicate lane_id {next(i for i, n in Counter(ids).items() if n > 1)!r}")
+        self.road_areas, self.ped_crosswalks, self.ped_walkways = (tuple(kind) for kind in areas)
+        self.traffic_light_frame: Mapping[tuple[str, int], TrafficLightStatus] = MappingProxyType(dict(traffic_lights or {}))
 
-        self._validate_references()
-        self._close_connectivity()
-        ids = list(self.lanes)
+        self._validate_references((*table.links, predecessors))
+        left, right, successors = table.links
+        self._table = table._replace(links=(left, right, self._close_connectivity(successors, predecessors)))
         by_id = sorted(range(len(ids)), key=ids.__getitem__)
         self._lane_ids = [ids[k] for k in by_id]
-        polygons = ((lane_id, self.lanes[lane_id].polygon()) for lane_id in self._lane_ids)
-        self._lane_polygons = {lane_id: poly for lane_id, poly in polygons if poly is not None}
-        points, lo, hi = centerlines
-        self._index = self._build_index(points, lo[by_id], hi[by_id]) if ids else None
+        lines, xy = table.lines[by_id], table.points[:, :2]
+        bounded = lines[(lines[:, 1, 1] > lines[:, 1, 0]) & (lines[:, 2, 1] > lines[:, 2, 0])].tolist()
+        self._lane_polygons = tuple(PolygonArea(np.concatenate([xy[l0:l1], xy[r0:r1][::-1]])) for _, (l0, l1), (r0, r1) in bounded)
+        self._index = self._build_index(table.points, *lines[:, 0].T) if ids else None
         self._drivable = _EdgeTable(self.drivable_polygons())
 
-    def _validate_references(self) -> None:
-        for lane in self.lanes.values():
-            refs = lane.adjacent_left | lane.adjacent_right | lane.successors | lane.predecessors
-            missing = refs.difference(self.lanes)  # linear; refs - keys() scans every key
-            if missing:
-                raise DanglingLaneError(f"lane {lane.lane_id}: references to missing lanes {sorted(missing)}")
-            if lane.lane_id in refs:
-                raise ValueError(f"lane {lane.lane_id}: refers to itself")
+    def _validate_references(self, relations) -> None:
+        """relations: sets of links (lane, lane it names), checked in one pass."""
+        bad = [(lane, other) for links in relations for lane, other in links if other == lane or other not in self._id_set]
+        if bad:
+            lane, other = min(bad)
+            if other == lane:
+                raise ValueError(f"lane {lane}: refers to itself")
+            raise DanglingLaneError(f"lane {lane}: references the missing lane {other!r}")
         for (lane_id, ts), status in self.traffic_light_frame.items():
-            if lane_id not in self.lanes:
+            if lane_id not in self._id_set:
                 raise DanglingLaneError(f"traffic light record for missing lane {lane_id!r} at ts {ts}")
             if not isinstance(status, TrafficLightStatus):
                 raise ValueError(f"traffic light status must be TrafficLightStatus, got {status!r}")
 
-    def _close_connectivity(self) -> None:
-        added = 0
-        for lane in self.lanes.values():
-            for succ in lane.successors:
-                if lane.lane_id not in self.lanes[succ].predecessors:
-                    self.lanes[succ].predecessors.add(lane.lane_id)
-                    added += 1
-            for pred in lane.predecessors:
-                if lane.lane_id not in self.lanes[pred].successors:
-                    self.lanes[pred].successors.add(lane.lane_id)
-                    added += 1
+    def _close_connectivity(self, successors: frozenset, predecessors: frozenset) -> frozenset:
+        """The successor links (a, b) given on either side: b among a's
+        successors, or a among b's predecessors. Warns with the number of
+        links that one side lacked."""
+        given = frozenset((pred, lane) for lane, pred in predecessors)
+        added = len(successors ^ given)
         if added:
             log.warning("map %s: closed %d asymmetric successor/predecessor links", self.map_id, added)
+        return successors | given
+
+    @cached_property
+    def lanes(self) -> Mapping[str, RoadLane]:
+        """The lanes as frozen RoadLane records in input order, in a read-only
+        mapping built on first read and then kept. Their relations are
+        frozensets; their predecessors are the successor links read backwards."""
+        table, relations, records = self._table, self._table.relations(), {}
+        for lane_id, ranges in zip(table.ids, table.lines.tolist()):
+            center, left, right = (Polyline._view(table.points[lo:hi]) if hi > lo else None for lo, hi in ranges)
+            records[lane_id] = RoadLane(lane_id, center, left, right, *(by_lane.get(lane_id, ()) for by_lane in relations))
+        return MappingProxyType(records)
 
     @staticmethod
     def _build_index(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> _SegmentIndex:
@@ -551,7 +629,7 @@ class VectorMap:
         return {self._lane_ids[i] for i in np.unique(lane_ord[d2 <= r2])}
 
     def drivable_polygons(self) -> list[PolygonArea]:
-        return [*self.road_areas, *self._lane_polygons.values()]
+        return [*self.road_areas, *self._lane_polygons]
 
     @property
     def has_drivable_area(self) -> bool:
@@ -576,14 +654,15 @@ class VectorMap:
         return self._drivable.contains_many(xy[:, 0], xy[:, 1])
 
     def traffic_light_status(self, lane_id: str, scene_ts: int) -> TrafficLightStatus:
-        if lane_id not in self.lanes:
+        if lane_id not in self._id_set:
             raise KeyError(f"unknown lane_id {lane_id!r}")
         return self.traffic_light_frame.get((lane_id, scene_ts), TrafficLightStatus.UNKNOWN)
 
     def stats(self) -> MapStats:
-        lane_length = sum(lane.centerline.arclength() for lane in self.lanes.values())
+        points = self._table.points  # lane length is summed lane by lane, in input order
+        lane_length = sum(Polyline._view(points[lo:hi]).arclength() for lo, hi in self._table.lines[:, 0].tolist())
         road = sum(polygon_area(p) for p in self.road_areas)
-        road += sum(polygon_area(p) for p in self._lane_polygons.values())
+        road += sum(polygon_area(p) for p in self._lane_polygons)
         ped = sum(polygon_area(p) for p in self.ped_crosswalks)
         ped += sum(polygon_area(p) for p in self.ped_walkways)
         return MapStats(total_lane_length=lane_length / 1000.0, road_area=road, pedestrian_area=ped)
@@ -598,21 +677,20 @@ _AREA_KINDS = ("road_areas", "ped_crosswalks", "ped_walkways")
 
 def map_serialize(vmap: VectorMap) -> bytes:
     """Canonical binary encoding; byte-identical across repeated round trips."""
-    lanes_entry = []
-    for lane_id in sorted(vmap.lanes):
-        lane = vmap.lanes[lane_id]
-        lanes_entry.append(
-            {
-                "id": lane_id,
-                "adjacent_left": sorted(lane.adjacent_left),
-                "adjacent_right": sorted(lane.adjacent_right),
-                "successors": sorted(lane.successors),
-                "predecessors": sorted(lane.predecessors),
-                "n_center": len(lane.centerline),
-                "n_left": None if lane.left_edge is None else len(lane.left_edge),
-                "n_right": None if lane.right_edge is None else len(lane.right_edge),
-            }
-        )
+    table, relations = vmap._table, vmap._table.relations()
+    order = sorted(range(len(table.ids)), key=table.ids.__getitem__)
+    lines = table.lines[order]
+    sizes = lines[:, :, 1] - lines[:, :, 0]  # 0 for an absent edge
+    lanes_entry = [
+        {
+            "id": lane_id,
+            **{relation: by_lane.get(lane_id, []) for relation, by_lane in zip(_RELATIONS, relations)},
+            "n_center": n_center,
+            "n_left": n_left or None,
+            "n_right": n_right or None,
+        }
+        for lane_id, (n_center, n_left, n_right) in zip(vmap._lane_ids, sizes.tolist())
+    ]
     header = {
         "map_id": vmap.map_id,
         "lanes": lanes_entry,
@@ -625,15 +703,15 @@ def map_serialize(vmap: VectorMap) -> bytes:
         ),
     }
     out = pack_container(MAP_MAGIC, MAP_VERSION, header)
-    # A decoded polyline or area keeps its payload; every other one is encoded here, all at once.
-    lanes = [vmap.lanes[lane_id] for lane_id in sorted(vmap.lanes)]
-    lines = [line for lane in lanes for line in (lane.centerline, lane.left_edge, lane.right_edge) if line is not None]
+    # A decoded map keeps its lanes' payload, a decoded area its rings'; every
+    # other polyline is encoded here, lanes' all at once and areas' all at once.
+    present = sizes > 0
+    if table.payload is None:
+        out += b"".join(_encode_polylines([table.points[lo:hi] for lo, hi in lines[present].tolist()]))
+    else:
+        out += b"".join(table.payload[a:b] for a, b in table.line_bytes[order][present].tolist())
     areas = [area for kind in _AREA_KINDS for area in getattr(vmap, kind)]
-    fresh = [line.points for line in lines if line._encoded is None]
-    fresh += [np.column_stack([ring, np.zeros(len(ring))]) for area in areas if area._encoded is None for ring in area.rings()]
-    blobs = iter(_encode_polylines(fresh))
-    for line in lines:
-        out += next(blobs) if line._encoded is None else line._encoded
+    blobs = iter(_encode_polylines([np.column_stack([ring, np.zeros(len(ring))]) for area in areas if area._encoded is None for ring in area.rings()]))
     for area in areas:
         out += b"".join(area._encoded if area._encoded is not None else [next(blobs) for _ in area.rings()])
     return bytes(out)
@@ -646,54 +724,74 @@ def map_deserialize(data: bytes) -> VectorMap:
     try:
         with np.errstate(all="ignore"):  # decoded geometry may be NaN or inf
             return _map_from_header(header, data, pos)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int() of an infinite ts
+    except (KeyError, TypeError, ValueError) as exc:
         raise MapFormatError(f"map directory does not match the map schema: {exc!r}") from exc
 
 
+def _of_type(values: list, kind: type, what: str) -> list:
+    """values, if each is of exactly the type kind (so no bool passes as an
+    int); ValueError naming what otherwise."""
+    if {*map(type, values)} - {kind}:
+        bad = next(value for value in values if type(value) is not kind)
+        raise ValueError(f"map directory {what} must be a {kind.__name__}, got {bad!r}")
+    return values
+
+
 def _map_from_header(header: dict, data: bytes, pos: int) -> VectorMap:
-    """Decode the geometry payload at pos as the directory directs: every point
-    count first, then every polyline in one pass. A directory lacking a key or
-    holding a wrong-typed value raises KeyError, TypeError or ValueError."""
-    counts, centers = [], []
-    for entry in header["lanes"]:
-        centers.append(len(counts))
-        counts += [entry["n_center"], *(entry[key] for key in ("n_left", "n_right") if entry[key] is not None)]
-    n_lane_lines = len(counts)
+    """Decode the geometry payload at pos as the directory directs, reading
+    the directory one field at a time: every point count first, then every
+    polyline in one pass. A directory lacking a key or holding a wrong-typed
+    value raises KeyError, TypeError or ValueError."""
+    map_id = _of_type([header["map_id"]], str, "map_id")[0]
+    lanes = header["lanes"]
+    ids = _of_type([entry["id"] for entry in lanes], str, "lane id")
+    relations = []
+    for relation in _RELATIONS:
+        refs = _of_type([entry[relation] for entry in lanes], list, relation)
+        _of_type([other for others in refs for other in others], str, f"{relation} entry")
+        relations.append(frozenset((lane_id, other) for lane_id, others in zip(ids, refs) for other in others))
+    lights = header["traffic_lights"]
+    bad = [light for light in lights if type(light) is not list or [*map(type, light)] != [str, int, str]]
+    if bad:
+        raise ValueError(f"map directory traffic light must be a list [lane_id, ts, status] of [str, int, str], got {bad[0]!r}")
+
+    center, left, right = ([entry[key] for entry in lanes] for key in ("n_center", "n_left", "n_right"))
     area_entries = [header[kind] for kind in _AREA_KINDS]
-    for entries in area_entries:
-        for entry in entries:
-            counts += [entry["n_exterior"], *entry["n_holes"]]
-    bad = [n for n in counts if type(n) is not int or n < 2]  # bool is an int subclass, so True fails too
+    ring_counts = [n for entries in area_entries for entry in entries for n in (entry["n_exterior"], *entry["n_holes"])]
+    given = [*center, *(n for n in left + right if n is not None), *ring_counts]
+    bad = [n for n in given if type(n) is not int or n < 2]  # bool is an int subclass, so True fails too
     if bad:
         raise MapFormatError(f"bad point count {bad[0]!r}: expected an integer >= 2")
-    if counts and max(counts) > len(data):  # checked before any arithmetic can overflow
-        raise MapFormatError(f"geometry payload truncated: a polyline of {max(counts)} points in {len(data)} bytes")
+    if given and max(given) > len(data):  # checked before any arithmetic can overflow
+        raise MapFormatError(f"geometry payload truncated: a polyline of {max(given)} points in {len(data)} bytes")
+    sizes = np.array([center, [n or 0 for n in left], [n or 0 for n in right]], dtype=np.int64).T  # 0: no edge
+    present = sizes > 0
+    counts = [*sizes[present].tolist(), *ring_counts]  # payload order: each lane's lines, then each ring
     points, start, repeats = _decode_polylines(data, pos, counts)
     end = pos + 12 * (len(points) + len(counts))
     if end != len(data):
         raise MapFormatError(f"trailing bytes after geometry payload ({len(data) - end})")
+    n_lane_lines = len(counts) - len(ring_counts)
     if repeats[:n_lane_lines].any():
         raise MapFormatError("a lane polyline has identical consecutive points")
     points.flags.writeable = False
 
-    byte_end = (pos + 12 * np.cumsum(np.asarray(counts) + 1)).tolist()
-    line = iter([Polyline._view(points[a : a + n], data[e - 12 * n - 12 : e]) for a, n, e in zip(start.tolist(), counts, byte_end)])
-    lanes = []
-    for entry in header["lanes"]:
-        center = next(line)
-        left = None if entry["n_left"] is None else next(line)
-        right = None if entry["n_right"] is None else next(line)
-        refs = entry["adjacent_left"], entry["adjacent_right"], entry["successors"], entry["predecessors"]
-        lanes.append(RoadLane(entry["id"], center, left, right, set(refs[0]), set(refs[1]), set(refs[2]), set(refs[3])))
-    areas = []
+    n = np.array(counts, dtype=np.int64)
+    byte_start = pos + 12 * (np.cumsum(n + 1) - (n + 1))
+    lines, line_bytes = np.zeros((2, len(ids), 3, 2), dtype=np.int64)
+    lines[present] = np.column_stack([start, start + n])[:n_lane_lines]
+    line_bytes[present] = np.column_stack([byte_start, byte_start + 12 * (n + 1)])[:n_lane_lines]
+    rings = iter(zip(start[n_lane_lines:].tolist(), ring_counts, byte_start[n_lane_lines:].tolist()))
+    xy, areas = points[:, :2], []
     for entries in area_entries:
         areas.append([])
         for entry in entries:
-            rings = [next(line) for _ in range(1 + len(entry["n_holes"]))]
-            areas[-1].append(PolygonArea(rings[0].xy, [r.xy for r in rings[1:]], _encoded=[r._encoded for r in rings]))
+            parts = [next(rings) for _ in range(1 + len(entry["n_holes"]))]
+            views = [xy[a : a + n] for a, n, _ in parts]
+            areas[-1].append(PolygonArea(views[0], views[1:], tuple(data[b : b + 12 * (n + 1)] for _, n, b in parts)))
 
-    lights = {(lane_id, int(ts)): TrafficLightStatus.from_string(status) for lane_id, ts, status in header["traffic_lights"]}
+    table = _LaneTable(tuple(ids), points, lines, tuple(relations[:3]), data, line_bytes)
+    frame = {(lane_id, ts): TrafficLightStatus.from_string(status) for lane_id, ts, status in lights}
     vmap = VectorMap.__new__(VectorMap)
-    lo = start[centers]
-    vmap._finalize(header["map_id"], lanes, areas, lights, (points, lo, lo + np.asarray(counts)[centers]))
+    vmap._finalize(map_id, table, relations[3], areas, frame)
     return vmap

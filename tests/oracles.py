@@ -160,6 +160,24 @@ def reference_map_deserialize(data):
         return VectorMap(header["map_id"], lanes, traffic_lights=lights, **areas)
 
 
+def reference_close_connectivity(lanes):
+    """The successor/predecessor closing VectorMap did by editing its lane
+    records in place, on lanes: a dict of lane id to an object with mutable
+    sets successors and predecessors. Returns the number of links added, as
+    the closing warning counts them."""
+    added = 0
+    for lane_id, lane in lanes.items():
+        for succ in lane.successors:
+            if lane_id not in lanes[succ].predecessors:
+                lanes[succ].predecessors.add(lane_id)
+                added += 1
+        for pred in lane.predecessors:
+            if lane_id not in lanes[pred].successors:
+                lanes[pred].successors.add(lane_id)
+                added += 1
+    return added
+
+
 def crossing_number_inside(px, py, rings):
     """Scalar-loop even-odd membership with boundary counted inside."""
     crossings = 0

@@ -251,6 +251,19 @@ class TestSimultaneous:
         assert per_max.n_samples == per_max.counts[1] == 1
         assert peak < 1 << 20
 
+    def test_dataset_beyond_int64_timesteps(self):
+        # Each scene lives at ts 2**62 ... 2**62 + 5; together they span 2**63 + 12 timesteps.
+        start = 2**62
+        scenes = [
+            SceneFrame.from_tracks(f"s{k}", "toy", "nowhere", 0.1, [AgentMetadata("a0", AgentType.VEHICLE, None, start, start + 5)],
+                                   [_track(np.zeros(6), np.zeros(6))])
+            for k in range(2)
+        ]
+        with pytest.raises(ValueError, match=r"dataset toy: its scenes span 9223372036854775820 timesteps"):
+            simultaneous_agents({"toy": scenes}, AnalysisConfig())
+        per_ts, _ = simultaneous_agents({"toy": scenes[:1]}, AnalysisConfig())
+        assert per_ts.n_samples == start + 6 and (per_ts.counts[0], per_ts.counts[1]) == (start, 6)
+
 
 class TestDensity:
     def test_four_corner_square(self, cache):

@@ -529,6 +529,27 @@ class TestMalformedHeaders:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "end before ts 2**63 - 1" in err and "Traceback" not in err
 
+    def test_dataset_beyond_int64_timesteps_exit_2(self, workspace, capsys):
+        # Two valid scenes, each living at ts 2**62 ... 2**62 + 5: their per-timestep counts would wrap int64.
+        tmp_path, cache_dir = workspace
+        for k in range(2):
+            path = SceneCache(cache_dir).write(synth_scene(Straight(10.0), 1, 6, 0.1, scene_id=f"late-{k}"))
+            path.write_bytes(rewrite_json_header(path.read_bytes(), lambda h: h["agents"][0].update(first_ts=2**62, last_ts=2**62 + 5), crc=True))
+            assert cache_load(path).n_timesteps == 2**62 + 6
+        argv = ["analyze", "--cache", str(cache_dir), "--tags", "synth", "--metrics", "simultaneous", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "dataset synth: its scenes span" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [lambda h: h.update(map_id=5), lambda h: h["traffic_lights"].append(["L1", 1.5, "red"])],
+                             ids=["map_id-int", "light-ts-float"])
+    def test_map_directory_value_of_the_wrong_type_exit_2(self, tmp_path, capsys, edit):
+        path = _map_file(tmp_path)
+        path.write_bytes(rewrite_json_header(path.read_bytes(), edit, crc=False))
+        assert main(["map", "--map", str(path), "stats"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "must be a" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("extent", [[math.nan, 1, 1], [None, 1, 1], [1, 1, 0], [1, 2], ["a", 1, 1]],
                              ids=["nan-length", "null-length", "zero-height", "two-values", "string-length"])
     def test_header_extent_that_is_not_a_box_exit_2(self, workspace, capsys, extent):

@@ -384,8 +384,11 @@ class TestSceneLayout:
         [(0, 2**62 - 1)] * 4 + [(0, 5)],  # the spans sum to 6 rows in int64, 2**64 + 6 in fact
         [],
         [(2**63 - 6, 2**63 - 1)],  # 6 rows, but n_timesteps would be 2**63
+        [(0.5, 5.5)],  # 6 rows, truncated to ts 0 ... 5 if read as int64
+        [(True, 6)],  # 6 rows if True passed as 1
+        [(0, 2), (3.0, 5.0)],
     ], ids=["too-few", "inverted", "empty-span", "negative-first", "negative-lifetime", "huge-span", "int64-wrapping-spans", "no-agents",
-            "ends-at-int64-max"])
+            "ends-at-int64-max", "float-lifetime", "bool-first", "integral-floats"])
     def test_lifetimes_that_do_not_lay_out_the_rows(self, lifetimes):
         columns = SceneColumns(*(np.zeros(6) for _ in range(8)), np.ones(6, dtype=bool))
         agents = [AgentMetadata(f"a{k}", AgentType.VEHICLE, None, a, b) for k, (a, b) in enumerate(lifetimes)]
@@ -403,6 +406,16 @@ class TestAgentTable:
         table = {"agent_ids": ["a", "b"], "type_code": [0, 4], "first_ts": [0, 1], "last_ts": [2, 3],
                  "extent": [[4.0, 2.0, 1.5], [math.nan] * 3], **table}
         return SceneFrame("s0", "toy", "", 0.1, **table, columns=columns)
+
+    @pytest.mark.parametrize("first_ts", [np.array([0.0, 1.0]), np.array([False, True]), [0, np.float64(1.0)]],
+                             ids=["float-array", "bool-array", "numpy-float-entry"])
+    def test_lifetimes_that_are_not_integers(self, first_ts):
+        with pytest.raises(ValueError, match="non-integer timesteps"):
+            self._scene(first_ts=first_ts)
+
+    @pytest.mark.parametrize("first_ts", [np.array([0, 1], dtype=np.int32), np.array([0, 1], dtype=np.uint8), [np.int64(0), 1]])
+    def test_integer_lifetimes_of_any_integer_type(self, first_ts):
+        assert self._scene(first_ts=first_ts).first_ts.tolist() == [0, 1]
 
     @pytest.mark.parametrize("row", [[1.0, 2.0, math.nan], [math.nan] * 3, [math.inf, 1.0, 1.0]])
     def test_extent_rows_that_are_boxes_or_none(self, row):

@@ -1,7 +1,13 @@
-"""Standing checks on the package sources: outside core, code reads a scene's
-agent columns and public fields only. The AgentMetadata records are built on
-the first read of scene.agents, so a module that reads them, or builds one,
-pays per-agent Python that the columns avoid."""
+"""Standing checks on the package sources.
+
+Outside core, code reads a scene's agent columns and public fields only. The
+AgentMetadata records are built on the first read of scene.agents, so a module
+that reads them, or builds one, pays per-agent Python that the columns avoid.
+
+Outside vecmap, code reads a map through its queries only. The RoadLane
+records are built on the first read of vmap.lanes, so a module that reads
+them, or builds one, pays per-lane Python that the lane table avoids.
+"""
 
 import dataclasses
 import re
@@ -15,16 +21,17 @@ from trajkit.core import SceneFrame
 _PACKAGE = Path(trajkit.__file__).parent
 _PRIVATE_FIELDS = [f.name for f in dataclasses.fields(SceneFrame) if f.name.startswith("_")]
 _CORE_ONLY = re.compile("|".join([r"\.agents\b", r"\bAgentMetadata\(", *(rf"\.{name}\b" for name in _PRIVATE_FIELDS)]))
+_VECMAP_ONLY = re.compile(r"\.lanes\b|\bRoadLane\(")
 
 
-def _core_only_uses(path: Path) -> list[str]:
+def _uses(path: Path, pattern: re.Pattern) -> list[str]:
     lines = path.read_text(encoding="utf-8").splitlines()
-    return [f"{path.name}:{n}: {line.strip()}" for n, line in enumerate(lines, 1) if _CORE_ONLY.search(line)]
+    return [f"{path.name}:{n}: {line.strip()}" for n, line in enumerate(lines, 1) if pattern.search(line)]
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in _PACKAGE.glob("*.py") if p.stem != "core"))
 def test_module_reads_only_the_agent_columns(module):
-    assert _core_only_uses(_PACKAGE / f"{module}.py") == []
+    assert _uses(_PACKAGE / f"{module}.py", _CORE_ONLY) == []
 
 
 def test_the_check_sees_a_record_read():
@@ -32,3 +39,15 @@ def test_the_check_sees_a_record_read():
     assert _CORE_ONLY.search("AgentMetadata(agent_id, t, None, 0, 1)")
     assert _CORE_ONLY.search("rows = scene._row0[j] + ts")
     assert not _CORE_ONLY.search("scene.agents_present_at(ts) and header['agents']")
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in _PACKAGE.glob("*.py") if p.stem != "vecmap"))
+def test_module_reads_no_lane_record(module):
+    assert _uses(_PACKAGE / f"{module}.py", _VECMAP_ONLY) == []
+
+
+def test_the_check_sees_a_lane_record_read():
+    assert _VECMAP_ONLY.search("length = sum(lane.centerline.arclength() for lane in vmap.lanes.values())")
+    assert _VECMAP_ONLY.search("succ = vmap.lanes[lane_id].successors")
+    assert _VECMAP_ONLY.search("lane = RoadLane(lane_id, Polyline(pts))")
+    assert not _VECMAP_ONLY.search("ids = vmap.lanes_within(point, 5.0) | header['lanes']")

@@ -1,5 +1,9 @@
+import dataclasses
 import json
+import logging
 import struct
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from oracles import (
     brute_lanes_within,
     crossing_number_inside,
     fan_triangulation_area,
+    reference_close_connectivity,
     reference_decode_points,
     reference_encode_points,
     reference_in_drivable_area,
@@ -437,14 +442,12 @@ class TestMapModel:
             VectorMap("a:b:c", [])
 
     def test_dangling_reference(self):
-        lane = straight_lane("L1", 0.0)
-        lane.successors.add("missing")
+        lane = replace(straight_lane("L1", 0.0), successors={"missing"})
         with pytest.raises(DanglingLaneError):
             VectorMap("toy:flat", [lane])
 
     def test_self_reference(self):
-        lane = straight_lane("L1", 0.0)
-        lane.adjacent_left.add("L1")
+        lane = replace(straight_lane("L1", 0.0), adjacent_left={"L1"})
         with pytest.raises(ValueError):
             VectorMap("toy:flat", [lane])
 
@@ -452,11 +455,10 @@ class TestMapModel:
         rng = np.random.default_rng(3)
         for _ in range(10):
             n = int(rng.integers(2, 10))
-            lanes = [straight_lane(f"L{i}", float(i) * 5.0) for i in range(n)]
-            for lane in lanes:
-                for j in rng.choice(n, size=rng.integers(0, 3), replace=False):
-                    if f"L{j}" != lane.lane_id:
-                        lane.successors.add(f"L{j}")
+            lanes = []
+            for i in range(n):
+                successors = {f"L{j}" for j in rng.choice(n, size=rng.integers(0, 3), replace=False) if j != i}
+                lanes.append(replace(straight_lane(f"L{i}", float(i) * 5.0), successors=successors))
             vmap = VectorMap("toy:flat", lanes)
             for lane in vmap.lanes.values():
                 for succ in lane.successors:
@@ -515,13 +517,10 @@ class TestPointCodec:
 def _rich_map(rng=None) -> VectorMap:
     rng = rng or np.random.default_rng(5)
     lanes = [
-        straight_lane("L1", 0.0, half_width=2.0),
-        straight_lane("L2", 4.0, half_width=2.0),
+        replace(straight_lane("L1", 0.0, half_width=2.0), adjacent_left={"L2"}, successors={"L3"}),
+        replace(straight_lane("L2", 4.0, half_width=2.0), adjacent_right={"L1"}),
         straight_lane("L3", 20.0),
     ]
-    lanes[0].adjacent_left.add("L2")
-    lanes[1].adjacent_right.add("L1")
-    lanes[0].successors.add("L3")
     ring = convex_polygon(rng, np.array([50.0, 50.0]), 20.0)
     hole = 0.3 * (ring - ring.mean(axis=0)) + ring.mean(axis=0)
     return VectorMap(
@@ -621,13 +620,162 @@ class TestMapDirectorySchema:
             lambda h: h.pop("lanes"),
             lambda h: h.pop("traffic_lights"),
             lambda h: h["lanes"][0].pop("n_center"),
+            lambda h: h.update(map_id=5),
+            lambda h: [entry.update(id=k) for k, entry in enumerate(h["lanes"])],
+            lambda h: h["lanes"][0].update(successors="L3"),
+            lambda h: h["lanes"][1].update(adjacent_right=[1]),
+            lambda h: h["lanes"][0].update(predecessors={"L2": 1}),
+            lambda h: h["traffic_lights"][0].__setitem__(1, 1.5),
+            lambda h: h["traffic_lights"][0].__setitem__(1, True),
+            lambda h: h["traffic_lights"][0].__setitem__(1, "7"),
+            lambda h: h["traffic_lights"][0].__setitem__(0, 1),
+            lambda h: h["traffic_lights"][0].pop(),
+            lambda h: h["traffic_lights"].append("L1 3 red"),
         ],
-        ids=["no-lanes", "no-traffic_lights", "lane-without-n_center"],
+        ids=["no-lanes", "no-traffic_lights", "lane-without-n_center", "map_id-int", "lane-ids-int", "relation-string",
+             "relation-entry-int", "relation-object", "light-ts-float", "light-ts-bool", "light-ts-string", "light-lane-int",
+             "light-of-two", "light-string"],
     )
     def test_schema_violation_raises_map_format_error(self, edit):
         data = rewrite_json_header(map_serialize(_rich_map()), edit, crc=False)
         with pytest.raises(MapFormatError, match="schema"):
             map_deserialize(data)
+
+
+class TestFrozenMap:
+    """A map is a value: construction leaves the caller's records and arrays
+    alone, nothing reachable from a built or decoded map can be written, and
+    decoding and querying build no lane record."""
+
+    @staticmethod
+    def _pair():
+        a = RoadLane("A", Polyline([(0.0, -10.0, 0.0), (100.0, -10.0, 0.0)]), successors={"B"})
+        b = RoadLane("B", Polyline([(0.0, 90.0, 0.0), (100.0, 90.0, 0.0)]))
+        return a, b
+
+    def test_relations_are_frozensets_of_ids(self):
+        lane = RoadLane("A", Polyline([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]), successors=["B", "C"], predecessors=("D",))
+        assert (lane.successors, lane.predecessors, lane.adjacent_left) == (frozenset({"B", "C"}), frozenset({"D"}), frozenset())
+        with pytest.raises(TypeError, match="string"):
+            RoadLane("A", lane.centerline, successors="BC")
+
+    def test_construction_leaves_the_callers_lanes(self):
+        a, b = self._pair()
+        vmap = VectorMap("toy:flat", [a, b])
+        assert b.predecessors == frozenset() and a.successors == {"B"}
+        assert vmap.lanes["B"].predecessors == {"A"} and vmap.lanes["B"] is not b
+
+    @pytest.mark.parametrize("decoded", [False, True], ids=["constructed", "decoded"])
+    def test_relations_cannot_gain_a_dangling_link(self, decoded):
+        vmap = VectorMap("toy:flat", self._pair())
+        vmap = map_deserialize(map_serialize(vmap)) if decoded else vmap
+        with pytest.raises(AttributeError):
+            vmap.lanes["A"].successors.add("ghost")
+        assert map_deserialize(map_serialize(vmap)).lanes["A"].successors == {"B"}
+
+    @pytest.mark.parametrize("decoded", [False, True], ids=["constructed", "decoded"])
+    def test_a_record_cannot_move_a_centerline(self, decoded):
+        vmap = VectorMap("toy:flat", self._pair())
+        vmap = map_deserialize(map_serialize(vmap)) if decoded else vmap
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            vmap.lanes["A"].centerline = Polyline([(0, 50, 0), (100, 50, 0)])
+        assert vmap.closest_lane_with_distance((50, 50)) == map_deserialize(map_serialize(vmap)).closest_lane_with_distance((50, 50))
+        assert vmap.closest_lane_with_distance((50, 50)) == ("B", 40.0)
+
+    def test_the_callers_array_does_not_leak_in(self):
+        pts = np.array([(0.0, 10.0, 0.0), (100.0, 10.0, 0.0)])
+        ring = np.array([(0.0, 0.0), (4.0, 0.0), (4.0, 4.0)])
+        vmap = VectorMap("toy:flat", [RoadLane("A", Polyline(pts))], road_areas=[PolygonArea(ring)])
+        pts[:, 1] = 50.0
+        ring[:] = 100.0
+        assert vmap.lanes["A"].centerline.points[:, 1].tolist() == [10.0, 10.0]
+        assert vmap.closest_lane_with_distance((50.0, 10.0)) == ("A", 0.0)
+        assert vmap.road_areas[0].exterior.tolist() == [[0.0, 0.0], [4.0, 0.0], [4.0, 4.0]] and vmap.point_in_drivable_area((1.0, 0.5))
+
+    @pytest.mark.parametrize("decoded", [False, True], ids=["constructed", "decoded"])
+    def test_every_write_raises(self, decoded):
+        vmap = _rich_map()
+        vmap = map_deserialize(map_serialize(vmap)) if decoded else vmap
+        lane, area = vmap.lanes["L1"], vmap.road_areas[0]
+        with pytest.raises(TypeError):
+            vmap.lanes["L9"] = lane
+        with pytest.raises(TypeError):
+            vmap.traffic_light_frame[("L1", 3)] = TrafficLightStatus.RED
+        for record, name in [(lane, "lane_id"), (lane, "left_edge"), (lane, "predecessors"), (lane.centerline, "points"), (area, "holes")]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, None)
+        for relation in ("adjacent_left", "adjacent_right", "successors", "predecessors"):
+            assert type(getattr(lane, relation)) is frozenset
+        for array in (lane.centerline.points, lane.left_edge.xy, area.exterior, area.holes[0], vmap.drivable_polygons()[-1].exterior):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+        for areas in (vmap.road_areas, vmap.ped_crosswalks, vmap.ped_walkways, area.holes):
+            assert type(areas) is tuple
+
+    def test_decode_and_queries_build_no_record(self):
+        data = map_serialize(_rich_map())
+        vmap = map_deserialize(data)
+        vmap.closest_lane_with_distance((50.0, 1.0))
+        vmap.lanes_within((50.0, 1.0), 10.0)
+        vmap.points_in_drivable_area(np.array([(50.0, 1.0), (0.0, 40.0)]))
+        vmap.stats()
+        vmap.traffic_light_status("L1", 0)
+        assert map_serialize(vmap) == data
+        assert "lanes" not in vmap.__dict__
+        assert vmap.lanes is vmap.lanes  # built once, then kept
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("kind", ["edges", "mixed", "nonfinite"])
+    def test_decoded_lanes_equal_the_reference(self, kind, seed):
+        rng = np.random.default_rng(3000 * seed + len(kind))
+        lanes = list(_codec_map(rng, kind).lanes.values())
+        ids = [lane.lane_id for lane in lanes]
+        for k, lane in enumerate(lanes):  # random relations, given on both sides and asymmetric
+            picks = [set(rng.choice(ids, size=int(rng.integers(0, 3)), replace=False)) - {lane.lane_id} for _ in range(4)]
+            lanes[k] = replace(lane, **dict(zip(("adjacent_left", "adjacent_right", "successors", "predecessors"), picks)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            data = map_serialize(VectorMap("rand:codec", lanes))
+            got, want = map_deserialize(data).lanes, reference_map_deserialize(data).lanes
+        assert list(got) == list(want)
+        for lane_id, lane in got.items():
+            ref = want[lane_id]
+            for relation in ("adjacent_left", "adjacent_right", "successors", "predecessors"):
+                assert getattr(lane, relation) == getattr(ref, relation), (lane_id, relation)
+            for name in ("centerline", "left_edge", "right_edge"):
+                line, ref_line = getattr(lane, name), getattr(ref, name)
+                assert (line is None) == (ref_line is None)
+                assert line is None or line.points.tobytes() == ref_line.points.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_closing_matches_the_oracle(self, seed, caplog):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        ids = [f"L{i:02d}" for i in range(n)]
+        given = {}
+        for lane_id in ids:
+            given[lane_id] = SimpleNamespace(**{
+                relation: set(rng.choice(ids, size=int(rng.integers(0, 4)), replace=False)) - {lane_id}
+                for relation in ("successors", "predecessors")
+            })
+        before = [(set(given[lane_id].successors), set(given[lane_id].predecessors)) for lane_id in ids]
+        lanes = [replace(straight_lane(lane_id, 5.0 * k), successors=succ, predecessors=pred) for k, (lane_id, (succ, pred)) in enumerate(zip(ids, before))]
+        with caplog.at_level(logging.WARNING, logger="trajkit.vecmap"):
+            vmap = VectorMap("toy:flat", lanes)
+        added = reference_close_connectivity(given)
+        warned = [r.getMessage() for r in caplog.records if "asymmetric" in r.getMessage()]
+        assert warned == ([f"map toy:flat: closed {added} asymmetric successor/predecessor links"] if added else [])
+        for lane_id in ids:
+            assert vmap.lanes[lane_id].successors == given[lane_id].successors
+            assert vmap.lanes[lane_id].predecessors == given[lane_id].predecessors
+        assert [(lane.successors, lane.predecessors) for lane in lanes] == before
+
+    def test_stats_sum_lane_lengths_in_input_order(self):
+        vmap = _codec_map(np.random.default_rng(8), "mixed")
+        assert vmap.stats().total_lane_length == sum(lane.centerline.arclength() for lane in vmap.lanes.values()) / 1000.0
+
+    def test_500_lane_map_round_trips_byte_for_byte(self):
+        data = map_serialize(random_lane_map(np.random.default_rng(12), n_lanes=500))
+        assert map_serialize(map_deserialize(data)) == data
 
 
 def _set_count(path):
