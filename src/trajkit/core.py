@@ -108,7 +108,8 @@ def _integers(values) -> list:
         bad = [v for v in values if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
         if bad:
             raise ValueError(f"agent lifetimes span non-integer timesteps such as {bad[0]!r}: each must be an int, and a bool is not one")
-    return np.asarray(values).tolist()
+    # A list goes through int, not numpy, which reads -1 and 2**63 together as float64.
+    return values.tolist() if isinstance(values, np.ndarray) else list(map(int, values))
 
 
 def load_json(text):
@@ -185,17 +186,9 @@ class Extent:
 NO_EXTENT = (math.nan, math.nan, math.nan)  # the extent column's row of an agent without one
 
 
-def extent_row(entry) -> tuple:
-    """The extent column's row of an entry: None for no extent, or (length,
-    width, height) with height None for no height. ValueError unless the
-    entry holds three values; for a box that Extent rejects, the error Extent
-    raises (a TypeError for a value that does not compare with a float)."""
-    if entry is None:
-        return NO_EXTENT
-    length, width, height = entry  # ValueError unless exactly three values
-    if not (length > 0.0 and width > 0.0 and (height is None or height > 0.0)):
-        Extent(length, width, height)  # raises, naming the value
-    return (length, width, math.nan if height is None else height)
+def extent_row(extent: Extent | None) -> tuple:
+    """The extent column's row of an extent, or of None for no extent."""
+    return NO_EXTENT if extent is None else (extent.length, extent.width, math.nan if extent.height is None else extent.height)
 
 
 @dataclass(frozen=True)
@@ -222,7 +215,7 @@ def agent_columns(agents: Sequence[AgentMetadata]) -> dict:
     return dict(
         agent_ids=[m.agent_id for m in agents], type_code=type_codes([m.agent_type.value for m in agents]),
         first_ts=[m.first_ts for m in agents], last_ts=[m.last_ts for m in agents],
-        extent=[extent_row(None if (e := m.extent) is None else (e.length, e.width, e.height)) for m in agents],
+        extent=[extent_row(m.extent) for m in agents],
     )
 
 

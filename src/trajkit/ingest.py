@@ -6,9 +6,10 @@ The canonical CSV is the single interchange format
 adapters for licensed datasets are expected to be written externally as
 converters to it. Cache files are one binary blob per scene with a CRC32
 footer, one directory per dataset; the directory listing is the index. A
-version-2 scene file's JSON header holds the agents' lifetimes, and its
-payload the columns x ... observed; the scene derives agent_index, ts and
-n_timesteps from the lifetimes, so none of them is stored.
+version-3 scene file's JSON header holds the scene's fields and its agent
+table as one list per column, and its payload the columns x ... observed;
+the scene derives agent_index, ts and n_timesteps from the lifetimes, so
+none of them is stored.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .core import (
     NO_EXTENT,
     TYPE_NAMES,
     AgentType,
+    Extent,
     SceneColumns,
     SceneFrame,
     SceneTag,
@@ -54,7 +56,7 @@ log = logging.getLogger(__name__)
 CANONICAL_HEADER = ("scene_id", "agent_id", "agent_type", "frame", "x", "y", "z", "heading", "length", "width", "height")
 
 CACHE_MAGIC = b"TKSC1\x00"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 _COLUMN_DTYPES = {name: np.dtype("u1" if name == "observed" else "<f8") for name in COLUMN_NAMES[2:]}
 
 
@@ -338,7 +340,7 @@ def _build_scene(scene_id: str, cols: _CsvColumns, meta: SceneMetaRecord) -> Sce
     for agent_id, r in zip(ids, extent_rows[:repeat_agent].tolist()):
         try:
             extent.append(
-                extent_row(None if r < 0 else (float(cols.length[r]), float(cols.width[r]), float(cols.height[r]) if cols.has_height[r] else None))
+                extent_row(None if r < 0 else Extent(float(cols.length[r]), float(cols.width[r]), float(cols.height[r]) if cols.has_height[r] else None))
             )
         except ValueError as exc:
             raise ParseError(f"line {cols.lines[r]}: agent {agent_id}: {exc}") from None
@@ -596,21 +598,14 @@ def scene_to_bytes(scene: SceneFrame) -> bytes:
         "scene_id": scene.scene_id,
         "dataset_tag": scene.dataset_tag,
         "location": scene.location,
-        "dt": scene.dt,
+        "dt": float(scene.dt),
         "heading_derived": scene.heading_derived,
         "n_rows": len(scene.columns),
-        "agents": [
-            {
-                "agent_id": agent_id,
-                "agent_type": TYPE_NAMES[code],
-                "extent": None if math.isnan(length) else [length, width, None if math.isnan(height) else height],
-                "first_ts": first_ts,
-                "last_ts": last_ts,
-            }
-            for agent_id, code, (length, width, height), first_ts, last_ts in zip(
-                scene.agent_ids, scene.type_code.tolist(), scene.extent.tolist(), scene.first_ts.tolist(), scene.last_ts.tolist()
-            )
-        ],
+        "agent_ids": scene.agent_ids,
+        "agent_types": np.asarray(TYPE_NAMES)[scene.type_code].tolist(),
+        "first_ts": scene.first_ts.tolist(),
+        "last_ts": scene.last_ts.tolist(),
+        "extent": np.where(np.isnan(scene.extent), None, scene.extent).tolist(),
     }
     buf = pack_container(CACHE_MAGIC, CACHE_VERSION, header)
     for name, dtype in _COLUMN_DTYPES.items():
@@ -619,9 +614,35 @@ def scene_to_bytes(scene: SceneFrame) -> bytes:
     return bytes(buf)
 
 
-# Keys of an agent entry of a scene file's header, and the JSON types they take; a
-# wrong-typed agent_type or extent fails where the decoder converts it.
-_AGENT_HEADER_KINDS = {"agent_id": str, "first_ts": int, "last_ts": int}
+# The keys of a scene file's header, every one required, and the JSON types they
+# take: the agent table is one list per column, extent a row per agent with null for NaN.
+_HEADER_KINDS = {
+    "scene_id": str, "dataset_tag": str, "location": str, "dt": float, "heading_derived": bool, "n_rows": int,
+    "agent_ids": list, "agent_types": list, "first_ts": list, "last_ts": list, "extent": list,
+}
+
+
+def _read_header(header) -> SceneTag:
+    """The tag of a scene file's header. ValueError unless it holds every key
+    of _HEADER_KINDS with a value of that type, a dt finite and > 0, ids and
+    type names that are strings, no id twice, and extent rows of three
+    numbers or nulls, none NaN; SceneFrame checks lifetimes and extent boxes."""
+    _checked_object(header, _HEADER_KINDS, _HEADER_KINDS, "cache header")
+    if not 0.0 < header["dt"] < math.inf:
+        raise ValueError(f"cache header dt must be finite and > 0, got {header['dt']}")
+    for key in ("agent_ids", "agent_types"):
+        if {*map(type, header[key])} - {str}:
+            raise ValueError(f"cache header {key} holds {next(v for v in header[key] if type(v) is not str)!r}, not a string")
+    ids = header["agent_ids"]
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        raise ValueError(f"cache header agent_ids lists the agent id {next(i for i in ids if i in seen or seen.add(i))!r} more than once")
+    cells = [c for row in header["extent"] if type(row) is list and len(row) == 3 for c in row]
+    if len(cells) < 3 * len(header["extent"]) or {*map(type, cells)} - {int, float, type(None)} or any(c != c for c in cells):
+        raise ValueError("cache header extent must hold a row of three numbers or nulls per agent, none of them NaN")
+    base = SceneTag.parse(header["dataset_tag"])
+    return SceneTag(base.dataset, base.split, header["location"] or None)  # as SceneFrame.scene_tag renders it
+
 
 # What read_container raises for a scene file: bad magic or version, too short, header that does not decode.
 _CACHE_ERRORS = (CacheVersionError, CacheTruncatedError, CacheError)
@@ -631,14 +652,15 @@ def scene_from_bytes(data: bytes) -> SceneFrame:
     header, pos = read_container(io.BytesIO(data), len(data), CACHE_MAGIC, CACHE_VERSION, _CACHE_ERRORS)
     try:
         return _scene_from_header(header, data, pos)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: a ts beyond int64 or infinite
+    except (ValueError, OverflowError) as exc:  # OverflowError: an extent integer beyond the float range
         raise CacheError(f"cache header does not match the scene schema: {exc!r}") from exc
 
 
-def _scene_from_header(header: dict, data: bytes, pos: int) -> SceneFrame:
-    """Decode the column payload at pos as the header directs; a header lacking
-    a key or holding a wrong-typed value raises KeyError, TypeError or ValueError."""
-    n_rows = int(header["n_rows"])
+def _scene_from_header(header, data: bytes, pos: int) -> SceneFrame:
+    """Decode the column payload at pos as the header directs; ValueError for
+    a header that _read_header or SceneFrame refuses."""
+    _read_header(header)
+    n_rows = header["n_rows"]
     expected = pos + n_rows * sum(dtype.itemsize for dtype in _COLUMN_DTYPES.values()) + 4
     if len(data) != expected:
         raise CacheTruncatedError(f"file is {len(data)} bytes, its header expects {expected}")
@@ -647,9 +669,6 @@ def _scene_from_header(header: dict, data: bytes, pos: int) -> SceneFrame:
     if crc_stored != crc_actual:
         raise CacheChecksumError(f"CRC mismatch: stored {crc_stored:#010x}, computed {crc_actual:#010x}")
 
-    dt = float(header["dt"])
-    if not 0.0 < dt < math.inf:
-        raise CacheError(f"cache header dt must be finite and > 0, got {dt}")
     columns: dict[str, np.ndarray] = {}
     for name, dtype in _COLUMN_DTYPES.items():
         raw = np.frombuffer(data, dtype, count=n_rows, offset=pos)
@@ -660,17 +679,10 @@ def _scene_from_header(header: dict, data: bytes, pos: int) -> SceneFrame:
         columns[name] = raw.astype(bool if name == "observed" else dtype.newbyteorder("="))
         pos += raw.nbytes
 
-    agents = header["agents"]
-    agent_ids = [raw["agent_id"] for raw in agents]
-    first_ts, last_ts = [raw["first_ts"] for raw in agents], [raw["last_ts"] for raw in agents]
-    if {*map(type, agent_ids)} - {str} or {*map(type, first_ts), *map(type, last_ts)} - {int}:
-        for raw in agents:
-            _checked_object(raw, _AGENT_HEADER_KINDS, (), "cache header agent")  # raises, naming the key
-    first_ts, last_ts = np.array(first_ts, dtype=np.int64), np.array(last_ts, dtype=np.int64)  # ints: construction checks them by dtype
     return SceneFrame(
-        header["scene_id"], header["dataset_tag"], header["location"], dt, agent_ids=agent_ids,
-        type_code=type_codes([raw["agent_type"] for raw in agents]), first_ts=first_ts, last_ts=last_ts,
-        extent=[extent_row(raw["extent"]) for raw in agents], columns=SceneColumns(**columns), heading_derived=bool(header["heading_derived"]),
+        header["scene_id"], header["dataset_tag"], header["location"], header["dt"], agent_ids=header["agent_ids"],
+        type_code=type_codes(header["agent_types"]), first_ts=header["first_ts"], last_ts=header["last_ts"],
+        extent=header["extent"], columns=SceneColumns(**columns), heading_derived=header["heading_derived"],
     )
 
 
@@ -701,22 +713,16 @@ class CacheEntry:
     n_agents: int
 
 
-# Header keys an entry of SceneCache.resolve reads, and the JSON types they take.
-_ENTRY_HEADER_KINDS = {"scene_id": str, "dataset_tag": str, "location": str, "agents": list}
-
-
 def _header_entry(path: Path) -> CacheEntry:
     """The entry of the scene file at path, read from its preamble and JSON
     header alone: no payload, no CRC."""
     try:
         with open(path, "rb") as f:
             header, _ = read_container(f, os.fstat(f.fileno()).st_size, CACHE_MAGIC, CACHE_VERSION, _CACHE_ERRORS)
-        _checked_object(header, _ENTRY_HEADER_KINDS, _ENTRY_HEADER_KINDS, "cache header")
-        base = SceneTag.parse(header["dataset_tag"])
-        tag = SceneTag(base.dataset, base.split, header["location"] or None)  # as SceneFrame.scene_tag renders it
+        tag = _read_header(header)
     except (CacheError, ValueError) as exc:
         raise CacheError(f"scene file {path}: {exc}") from exc
-    return CacheEntry(tag.render(), header["scene_id"], path, len(header["agents"]))
+    return CacheEntry(tag.render(), header["scene_id"], path, len(header["agent_ids"]))
 
 
 class SceneCache:

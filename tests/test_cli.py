@@ -469,6 +469,9 @@ class TestUsage:
         assert main(["frobnicate"]) == 64
 
 
+_NOT_AN_EXTENT_ROW = "scene file {path}: cache header extent must hold a row of three numbers or nulls per agent, none of them NaN"
+
+
 class TestMalformedHeaders:
     def test_scene_header_without_location_exit_2(self, workspace, capsys):
         tmp_path, cache_dir = workspace
@@ -495,9 +498,9 @@ class TestMalformedHeaders:
 
     @pytest.mark.parametrize("command", ["analyze", "batch", "sim-replay"])
     @pytest.mark.parametrize("edit", [
-        lambda h: h["agents"].pop(),
-        lambda h: h["agents"][0].update(first_ts=h["agents"][0]["first_ts"] + 5),
-        lambda h: [a.update(first_ts=a["first_ts"] - 50, last_ts=a["last_ts"] - 50) for a in h["agents"]],
+        lambda h: [h[key].pop() for key in ("agent_ids", "agent_types", "first_ts", "last_ts", "extent")],
+        lambda h: h["first_ts"].__setitem__(0, h["first_ts"][0] + 5),
+        lambda h: h.update(first_ts=[t - 50 for t in h["first_ts"]], last_ts=[t - 50 for t in h["last_ts"]]),
     ], ids=["agent-dropped", "first_ts-shifted", "lifetimes-negative"])
     def test_header_that_disagrees_with_the_payload_exit_2(self, workspace, capsys, command, edit):
         tmp_path, cache_dir = workspace
@@ -512,16 +515,16 @@ class TestMalformedHeaders:
         # Unchecked, an id of another type reaches the sort of the batch index and fails there.
         tmp_path, cache_dir = workspace
         path = SceneCache(cache_dir).write(synth_scene(Straight(10.0), 2, 100, 0.1))
-        path.write_bytes(rewrite_json_header(path.read_bytes(), lambda h: h["agents"][0].update(agent_id=agent_id), crc=True))
+        path.write_bytes(rewrite_json_header(path.read_bytes(), lambda h: h["agent_ids"].__setitem__(0, agent_id), crc=True))
         assert main(_CACHE_READERS["batch"](str(cache_dir), str(tmp_path / "out"))) == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "key 'agent_id' has the wrong type" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and f"cache header agent_ids holds {agent_id!r}, not a string" in err and "Traceback" not in err
 
     def test_lifetime_ending_at_the_last_int64_timestep_exit_2(self, workspace, capsys):
         # Its n_timesteps, 2**63, and its run of timesteps before the first start would wrap in int64.
         tmp_path, cache_dir = workspace
         path = SceneCache(cache_dir).write(synth_scene(Straight(10.0), 1, 20, 0.1, scene_id="late"))
-        path.write_bytes(rewrite_json_header(path.read_bytes(), lambda h: h["agents"][0].update(first_ts=2**63 - 20, last_ts=2**63 - 1), crc=True))
+        path.write_bytes(rewrite_json_header(path.read_bytes(), lambda h: h.update(first_ts=[2**63 - 20], last_ts=[2**63 - 1]), crc=True))
         argv = ["analyze", "--cache", str(cache_dir), "--tags", "synth", "--metrics", "simultaneous", "--out", str(tmp_path / "out")]
         with pytest.raises(CacheError, match="does not match the scene schema"):
             cache_load(path)
@@ -534,7 +537,7 @@ class TestMalformedHeaders:
         tmp_path, cache_dir = workspace
         for k in range(2):
             path = SceneCache(cache_dir).write(synth_scene(Straight(10.0), 1, 6, 0.1, scene_id=f"late-{k}"))
-            path.write_bytes(rewrite_json_header(path.read_bytes(), lambda h: h["agents"][0].update(first_ts=2**62, last_ts=2**62 + 5), crc=True))
+            path.write_bytes(rewrite_json_header(path.read_bytes(), lambda h: h.update(first_ts=[2**62], last_ts=[2**62 + 5]), crc=True))
             assert cache_load(path).n_timesteps == 2**62 + 6
         argv = ["analyze", "--cache", str(cache_dir), "--tags", "synth", "--metrics", "simultaneous", "--out", str(tmp_path / "out")]
         assert main(argv) == 2
@@ -550,15 +553,21 @@ class TestMalformedHeaders:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "must be a" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("extent", [[math.nan, 1, 1], [None, 1, 1], [1, 1, 0], [1, 2], ["a", 1, 1]],
-                             ids=["nan-length", "null-length", "zero-height", "two-values", "string-length"])
-    def test_header_extent_that_is_not_a_box_exit_2(self, workspace, capsys, extent):
+    @pytest.mark.parametrize("extent, named", [
+        ([math.nan, 1, 1], _NOT_AN_EXTENT_ROW),
+        ([None, 1, 1], "does not match the scene schema: ValueError('agent a0: extent [nan, 1.0, 1.0] is neither"),
+        ([1, 1, 0], "does not match the scene schema: ValueError('agent a0: extent [1.0, 1.0, 0.0] is neither"),
+        ([1, 2], _NOT_AN_EXTENT_ROW),
+        (["a", 1, 1], _NOT_AN_EXTENT_ROW),
+    ], ids=["nan-length", "null-length", "zero-height", "two-values", "string-length"])
+    def test_header_extent_that_is_not_a_box_exit_2(self, workspace, capsys, extent, named):
+        # The header read that resolve makes refuses what is not three numbers or nulls; decode refuses what is no box.
         tmp_path, cache_dir = workspace
         (path,) = cache_dir.glob("*/synth-0.tksc")
-        path.write_bytes(rewrite_json_header(path.read_bytes(), lambda h: h["agents"][0].update(extent=extent), crc=True))
+        path.write_bytes(rewrite_json_header(path.read_bytes(), lambda h: h["extent"].__setitem__(0, extent), crc=True))
         assert main(_CACHE_READERS["analyze"](str(cache_dir), str(tmp_path / "out"))) == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "does not match the scene schema" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and named.format(path=path) in err and "Traceback" not in err
 
     @pytest.mark.parametrize("n_timesteps", [0, 5, -3, 10**6])
     def test_header_n_timesteps_is_not_read(self, workspace, n_timesteps):
@@ -576,15 +585,41 @@ class TestMalformedHeaders:
         assert main([*replay, "--init-ts", "90", "--steps", "10"]) == 2
 
     @pytest.mark.parametrize("command", ["analyze", "batch", "sim-replay"])
-    def test_version_1_scene_file_exit_2(self, workspace, capsys, command):
-        # A version-1 file stored agent_index and ts; its preamble is all the reader looks at.
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_version_scene_file_exit_2(self, workspace, capsys, version, command):
+        # Version 1 stored agent_index and ts, version 2 a header object per agent; the preamble is all the reader looks at.
         tmp_path, cache_dir = workspace
         (path,) = cache_dir.glob("*/synth-0.tksc")
         data = path.read_bytes()
-        path.write_bytes(data[:6] + struct.pack("<I", 1) + data[10:])
+        path.write_bytes(data[:6] + struct.pack("<I", version) + data[10:])
         assert main(_CACHE_READERS[command](str(cache_dir), str(tmp_path / "out"))) == 2
         err = capsys.readouterr().err
-        assert "unsupported version 1, expected 2" in err and "Traceback" not in err
+        assert f"unsupported version {version}, expected 3" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [("dataset_tag", 5), ("location", 7), ("dt", "0.1"), ("heading_derived", "no")])
+    def test_header_value_of_the_wrong_type_exit_2(self, workspace, capsys, key, value):
+        # sim-replay finds its file by name, so no header read by resolve stands before the decode.
+        tmp_path, cache_dir = workspace
+        (path,) = cache_dir.glob("*/synth-0.tksc")
+        path.write_bytes(rewrite_json_header(path.read_bytes(), lambda h: h.update({key: value}), crc=True))
+        with pytest.raises(CacheError, match=f"cache header key '{key}' has the wrong type"):
+            cache_load(path)
+        assert main(_CACHE_READERS["sim-replay"](str(cache_dir), str(tmp_path / "out"))) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"cache header key '{key}' has the wrong type: {value!r}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["analyze", "batch", "sim-replay"])
+    def test_repeated_agent_id_exit_2(self, workspace, capsys, command):
+        # Were the file read, analyze would count two agents of three, batch would export elements under an
+        # ambiguous id, and sim-replay would stop on a controlled agent listed twice.
+        tmp_path, cache_dir = workspace
+        path = SceneCache(cache_dir).write(synth_scene(Straight(10.0), 3, 100, 0.1))
+        path.write_bytes(rewrite_json_header(path.read_bytes(), lambda h: h["agent_ids"].__setitem__(1, "a0"), crc=True))
+        with pytest.raises(CacheError, match="agent_ids lists the agent id 'a0' more than once"):
+            cache_load(path)
+        assert main(_CACHE_READERS[command](str(cache_dir), str(tmp_path / "out"))) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "cache header agent_ids lists the agent id 'a0' more than once" in err and "Traceback" not in err
 
     def test_deep_map_directory_exit_2(self, tmp_path, capsys):
         path = _map_file(tmp_path)

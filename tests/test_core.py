@@ -417,6 +417,11 @@ class TestAgentTable:
     def test_integer_lifetimes_of_any_integer_type(self, first_ts):
         assert self._scene(first_ts=first_ts).first_ts.tolist() == [0, 1]
 
+    def test_lifetimes_beyond_int64_are_named_exactly(self):
+        # numpy reads a list holding -1 and 2**63 as float64, which would round the bounds the message names.
+        with pytest.raises(ValueError, match=r"earliest from ts -1, latest to ts 9223372036854775810\)"):
+            self._scene(first_ts=[-1, 2**63], last_ts=[2, 2**63 + 2])
+
     @pytest.mark.parametrize("row", [[1.0, 2.0, math.nan], [math.nan] * 3, [math.inf, 1.0, 1.0]])
     def test_extent_rows_that_are_boxes_or_none(self, row):
         scene = self._scene(extent=[row, [4.0, 2.0, 1.5]])

@@ -499,7 +499,7 @@ class TestCache:
 
     @pytest.mark.parametrize("n_timesteps", [0, 5, -3, 100, 10**6])
     def test_header_n_timesteps_is_not_read(self, tmp_path, n_timesteps):
-        # Files written before the scene derived n_timesteps store it; the reader ignores it.
+        # The scene derives n_timesteps from its lifetimes; a header key of that name is not read.
         scene = synth_scene(Straight(1.0), 3, 100, 0.1)
         path = cache_write(scene, tmp_path)
         data = path.read_bytes()
@@ -543,6 +543,18 @@ class TestCache:
         path.write_bytes(bytes(data))
         with pytest.raises(CacheChecksumError):
             cache_load(path)
+
+    def test_header_keys_are_the_reader_schema(self):
+        # The writer's keys and JSON types are the ones the reader checks; extent says "none" with null.
+        scene = dataclasses.replace(random_scene(np.random.default_rng(3), n_agents=3),
+                                    extent=[[4.0, 2.0, 1.5], [4.0, 2.0, math.nan], [math.nan] * 3])
+        data = scene_to_bytes(scene)
+        header = json.loads(data[18 : 18 + struct.unpack_from("<Q", data, 10)[0]])
+        assert set(header) == set(ingest._HEADER_KINDS)
+        assert all(isinstance(header[key], kind) for key, kind in ingest._HEADER_KINDS.items())
+        assert header["extent"] == [[4.0, 2.0, 1.5], [4.0, 2.0, None], [None, None, None]]
+        again = scene_from_bytes(data)
+        assert again == scene and scene_to_bytes(again) == data
 
     def test_write_is_deterministic(self):
         scene = synth_scene(Circle(5.0, 0.2), 2, 20, 0.1)
@@ -636,7 +648,7 @@ class TestCache:
     @pytest.mark.parametrize("edit, named", [
         (lambda h: h.pop("dataset_tag"), "dataset_tag"),
         (lambda h: h.update(location=None), "location"),
-        (lambda h: h.update(agents={}), "agents"),
+        (lambda h: h.update(agent_ids={}), "agent_ids"),
         (lambda h: h.update(scene_id=7), "scene_id"),
         (lambda h: h.update(location="a-b"), "a-b"),
     ], ids=["no-dataset_tag", "null-location", "object-agents", "int-scene_id", "dash-location"])
@@ -841,18 +853,23 @@ def _set_at(*keys):
     return edit
 
 
+_AGENT_KEYS = ("agent_ids", "agent_types", "first_ts", "last_ts", "extent")
+
+# Every key of a header set whole, each agent list's entry, an extent cell, an unknown key, and an agent dropped.
 SCENE_HEADER_EDITS = {
-    "n_rows": _set_at("n_rows"),
+    **{key: _set_at(key) for key in ingest._HEADER_KINDS},
+    "agent_ids[0]": _set_at("agent_ids", 0),
+    "agent_types[1]": _set_at("agent_types", 1),
+    "first_ts[0]": _set_at("first_ts", 0),
+    "last_ts[1]": _set_at("last_ts", 1),
+    "extent[0]": _set_at("extent", 0),
+    "extent[1][2]": _set_at("extent", 1, 2),
     "n_timesteps": _set_at("n_timesteps"),
-    "dt": _set_at("dt"),
-    "first_ts": _set_at("agents", 0, "first_ts"),
-    "last_ts": _set_at("agents", 1, "last_ts"),
-    "extent": _set_at("agents", 0, "extent"),
-    "agent_type": _set_at("agents", 1, "agent_type"),
-    "agent_id": _set_at("agents", 0, "agent_id"),
-    "agent_dropped": lambda header, value: header["agents"].pop(),
-    "heading_derived": _set_at("heading_derived"),
+    "agent_dropped": lambda header, value: [header[key].pop() for key in _AGENT_KEYS],
 }
+
+
+_NOT_AN_EXTENT_ROW = "ValueError('cache header extent must hold a row of three numbers or nulls per agent, none of them NaN')"
 
 
 class TestSceneFormatFuzz:
@@ -894,16 +911,16 @@ class TestSceneFormatFuzz:
         self._load(rewrite_json_header(self.DATA, lambda h: SCENE_HEADER_EDITS[key](h, value), crc=True))
 
     @pytest.mark.parametrize("extent, error", [
-        ([math.nan, 1, 1], "ValueError('extent length must be > 0, got nan')"),
-        ([None, 1, 1], "TypeError(\"'>' not supported between instances of 'NoneType' and 'float'\")"),
-        ([1, 1, 0], "ValueError('extent height must be > 0 when present, got 0')"),
-        ([1, 1, math.nan], "ValueError('extent height must be > 0 when present, got nan')"),
-        ([1, 2], "ValueError('not enough values to unpack (expected 3, got 2)')"),
-        (["a", 1, 1], "TypeError(\"'>' not supported between instances of 'str' and 'float'\")"),
+        ([math.nan, 1, 1], _NOT_AN_EXTENT_ROW),
+        ([None, 1, 1], "ValueError('agent a1: extent [nan, 1.0, 1.0] is neither all NaN nor a box')"),
+        ([1, 1, 0], "ValueError('agent a1: extent [1.0, 1.0, 0.0] is neither all NaN nor a box')"),
+        ([1, 1, math.nan], _NOT_AN_EXTENT_ROW),
+        ([1, 2], _NOT_AN_EXTENT_ROW),
+        (["a", 1, 1], _NOT_AN_EXTENT_ROW),
     ], ids=["nan-length", "null-length", "zero-height", "nan-height", "two-values", "string-length"])
     def test_header_extent_that_is_not_a_box(self, extent, error):
         # NaN stands for "none" only inside the scene's extent column; a file says none with null.
-        data = rewrite_json_header(self.DATA, lambda h: h["agents"][1].update(extent=extent), crc=True)
+        data = rewrite_json_header(self.DATA, lambda h: h["extent"].__setitem__(1, extent), crc=True)
         with pytest.raises(CacheError) as info:
             scene_from_bytes(data)
         assert str(info.value) == f"cache header does not match the scene schema: {error}"
@@ -950,7 +967,7 @@ class TestCacheHeaderSchema:
         [
             lambda h: h.pop("location"),
             lambda h: h.pop("n_rows"),
-            lambda h: h["agents"][0].pop("first_ts"),
+            lambda h: h.pop("first_ts"),
         ],
         ids=["no-location", "no-n_rows", "agent-without-first_ts"],
     )
