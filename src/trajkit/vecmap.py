@@ -19,7 +19,7 @@ import io
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -351,6 +351,17 @@ class RoadLane:
                 raise TypeError(f"lane {self.lane_id}: {name} must be a collection of lane ids, got the string {ids!r}")
             object.__setattr__(self, name, frozenset(ids))
 
+    @classmethod
+    def _record(cls, lane_id: str, centerline, left_edge, right_edge, *relations: frozenset) -> "RoadLane":
+        """A lane of a map, whose four relations are frozensets already,
+        without __init__ and __post_init__."""
+        lane = cls.__new__(cls)
+        vars(lane).update(zip(_LANE_FIELDS, (lane_id, centerline, left_edge, right_edge, *relations)))
+        return lane
+
+
+_LANE_FIELDS = tuple(f.name for f in fields(RoadLane))
+
 
 @dataclass(frozen=True)
 class MapStats:
@@ -368,26 +379,31 @@ class MapStats:
         }
 
 
-def segment_dist2(px: float, py: float, ax, ay, dx, dy, len2):
-    """Squared xy distance from a point to segments (vectorized over segments)
-    given each segment's start (ax, ay), its offset to the end (dx, dy) and
-    len2 = dx * dx + dy * dy."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = ((px - ax) * dx + (py - ay) * dy) / len2
-    t = np.where(len2 > 0.0, np.clip(t, 0.0, 1.0), 0.0)
-    qx = ax + t * dx
-    qy = ay + t * dy
-    return (px - qx) ** 2 + (py - qy) ** 2
-
-
 class _SegmentIndex:
     """Lane centerline segments in STR order (Leutenegger et al., ICDE 1997),
-    packed into leaves of _NODE_CAPACITY consecutive segments. The leaf boxes
-    are one stacked pair ``lo``/``hi`` of shape (2, L), and the segments one
-    (L, 5, _NODE_CAPACITY) block of (ax, ay, dx, dy, len2) rows beside their
-    (L, _NODE_CAPACITY) lane ordinals. The last leaf is padded with copies of
-    its own last segment; a duplicate changes neither a minimum, nor the lane
-    ordinals among ties, nor a set of lanes.
+    packed into leaves of _NODE_CAPACITY consecutive segments. The last leaf
+    is padded with copies of its own last segment; a duplicate changes
+    neither a minimum, nor the lane ordinals among ties, nor a set of lanes.
+
+    Every array holds x and y together, so each step of a query is one array
+    call for both axes:
+
+    - ``_boxes`` (4, L): the leaf boxes as rows lo_x, lo_y, -hi_x, -hi_y.
+      Less (px, py, -px, -py), they give lo - p and p - hi at once; negation
+      is exact, so the bits are those of the two separate differences.
+    - ``_segments`` (L, 5, _NODE_CAPACITY): per leaf the rows ax, ay (the
+      segment starts), dx, dy (the offsets to the ends) and the divisor
+      len2 = dx * dx + dy * dy, set to 1 where it is not positive.
+    - ``_lane_ord`` (L, _NODE_CAPACITY): each segment's lane ordinal.
+
+    len2 is not positive only where d holds a NaN, which makes the distance
+    NaN either way, or where a step under about 2e-162 m underflows it to 0.
+    Such a step lies within about 1e-146 m of the origin, since consecutive
+    doubles near x are x * 2.2e-16 apart. With the divisor 1 there, t * d is
+    0 unless |p - a| is of order 1 m or more, and at that distance moving
+    the nearest point a + t * d by at most |d| changes no bit of the
+    distance. The distance is therefore that of t = 0 with no mask;
+    tests/oracles.py::reference_walk forces t = 0 and agrees bit for bit.
 
     Both lane queries scan every leaf box in one array call and gather the
     surviving leaves' blocks in one more (`walk`); there is no level above the
@@ -401,10 +417,13 @@ class _SegmentIndex:
         seg = order[np.minimum(np.arange(n_leaves * _NODE_CAPACITY), len(order) - 1)]
         ax, ay, bx, by = (col[seg].reshape(n_leaves, _NODE_CAPACITY) for col in (ax, ay, bx, by))
         dx, dy = bx - ax, by - ay
-        self._blocks = np.stack([ax, ay, dx, dy, dx * dx + dy * dy], axis=1)
+        len2 = dx * dx + dy * dy
+        self._segments = np.stack([ax, ay, dx, dy, np.where(len2 > 0.0, len2, 1.0)], axis=1)
         self._lane_ord = lane_ord[seg].reshape(n_leaves, _NODE_CAPACITY)
-        self.lo = np.stack([np.minimum(ax, bx).min(axis=1), np.minimum(ay, by).min(axis=1)])
-        self.hi = np.stack([np.maximum(ax, bx).max(axis=1), np.maximum(ay, by).max(axis=1)])
+        self._boxes = np.stack([
+            np.minimum(ax, bx).min(axis=1), np.minimum(ay, by).min(axis=1),
+            -np.maximum(ax, bx).max(axis=1), -np.maximum(ay, by).max(axis=1),
+        ])
 
     @staticmethod
     def _str_order(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
@@ -429,20 +448,37 @@ class _SegmentIndex:
         so that rounding cannot prune a winner. Every box holds a segment no
         farther than its farthest corner, which bounds the MINMAXDIST of
         Roussopoulos, Kelley and Vincent (SIGMOD 1995) from above.
+
+        A segment's nearest point is a + t * d with t the projection of
+        p - a on d, clipped to [0, 1]; the distance is measured from it.
         """
-        p = np.array([[px], [py]])
-        below, above = self.lo - p, p - self.hi  # per axis, the signed gaps to the box's sides
+        p = np.array((px, py, -px, -py))[:, None]
+        gaps = self._boxes - p
+        below, above = gaps[:2], gaps[2:]  # per axis, the signed gaps to the box's sides
         if r2 is None:
             # The farthest corner lies max(p - lo, hi - p) = -min(below, above) away per axis;
             # fmin skips a box with a NaN side, which bounds nothing (it is never pruned).
             far = np.minimum(below, above)
             far *= far
             r2 = float(np.fmin.reduce(far[0] + far[1])) * (1.0 + 1e-9)
-        gap = np.maximum(np.maximum(below, above), 0.0)
+        gap = np.maximum(below, above)
+        np.maximum(gap, 0.0, out=gap)
         gap *= gap
-        leaves = np.flatnonzero(~(gap[0] + gap[1] > r2))
-        ax, ay, dx, dy, len2 = self._blocks[leaves].transpose(1, 0, 2)
-        return self._lane_ord[leaves], segment_dist2(px, py, ax, ay, dx, dy, len2)
+        leaves = (~(gap[0] + gap[1] > r2)).nonzero()[0]
+        seg, xy = self._segments.take(leaves, axis=0), p[:2]  # take: a gather at a third of an index's cost
+        a, d = seg[:, :2], seg[:, 2:4]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = xy - a
+            u *= d
+            t = u[:, :1] + u[:, 1:]
+            t /= seg[:, 4:]
+        np.maximum(t, 0.0, out=t)
+        np.minimum(t, 1.0, out=t)
+        q = t * d
+        q += a
+        q -= xy
+        q *= q
+        return self._lane_ord.take(leaves, axis=0), q[:, 0] + q[:, 1]
 
 
 def _expand_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -585,10 +621,11 @@ class VectorMap:
         """The lanes as frozen RoadLane records in input order, in a read-only
         mapping built on first read and then kept. Their relations are
         frozensets; their predecessors are the successor links read backwards."""
-        table, relations, records = self._table, self._table.relations(), {}
+        table, records, none = self._table, {}, frozenset()
+        relations = [{lane: frozenset(others) for lane, others in by_lane.items()} for by_lane in table.relations()]
         for lane_id, ranges in zip(table.ids, table.lines.tolist()):
-            center, left, right = (Polyline._view(table.points[lo:hi]) if hi > lo else None for lo, hi in ranges)
-            records[lane_id] = RoadLane(lane_id, center, left, right, *(by_lane.get(lane_id, ()) for by_lane in relations))
+            lines = [Polyline._view(table.points[lo:hi]) if hi > lo else None for lo, hi in ranges]
+            records[lane_id] = RoadLane._record(lane_id, *lines, *[by_lane.get(lane_id, none) for by_lane in relations])
         return MappingProxyType(records)
 
     @staticmethod
@@ -604,29 +641,40 @@ class VectorMap:
         """Lane whose centerline is nearest in the xy-plane, plus the distance.
 
         Ties break toward the lexicographically smallest lane_id. Matches a
-        brute-force scan over all segments.
+        brute-force scan over all segments. A point whose distance to every
+        lane is NaN (it overflows far out, or the lanes hold NaN coordinates)
+        raises ValueError.
         """
         if self._index is None:
             raise NoLanesError(f"map {self.map_id} has no lanes")
         px, py = _finite_xy(point)
         lane_ord, d2 = self._index.walk(px, py)
-        # fmin skips the NaN that segment_dist2 gives where far points overflow.
+        # fmin skips the NaN that walk gives where far points overflow.
         best = np.fmin.reduce(d2, axis=None)
-        return self._lane_ids[int(lane_ord[d2 == best].min())], math.sqrt(best)
+        if best != best:
+            raise ValueError(
+                f"query point ({px}, {py}): its distance to every lane is NaN "
+                "(it overflows this far out, or the lanes hold NaN coordinates)"
+            )
+        return self._lane_ids[min(lane_ord[d2 == best].tolist())], math.sqrt(best)
 
     def get_closest_lane(self, point) -> str:
         return self.closest_lane_with_distance(point)[0]
 
     def lanes_within(self, point, radius: float) -> set[str]:
-        """Lane ids whose centerline xy-distance to the point is <= radius."""
+        """Lane ids whose centerline xy-distance to the point is <= radius;
+        every lane for an infinite radius."""
         if not radius >= 0.0:
             raise ValueError(f"radius must be >= 0, got {radius}")
         px, py = _finite_xy(point)
         if self._index is None:
             return set()
+        if radius == math.inf:  # also the lanes whose distance overflows to NaN
+            return set(self._lane_ids)
         r2 = radius * radius
         lane_ord, d2 = self._index.walk(px, py, r2)
-        return {self._lane_ids[i] for i in np.unique(lane_ord[d2 <= r2])}
+        ids = self._lane_ids
+        return {ids[i] for i in set(lane_ord[d2 <= r2].tolist())}
 
     def drivable_polygons(self) -> list[PolygonArea]:
         return [*self.road_areas, *self._lane_polygons]

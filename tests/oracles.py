@@ -89,6 +89,40 @@ def brute_lanes_within(vmap, points, radius):
     return out
 
 
+def reference_segment_dist2(px: float, py: float, ax, ay, dx, dy, len2):
+    """Squared xy distance from a point to segments (vectorized over segments)
+    given each segment's start (ax, ay), its offset to the end (dx, dy) and
+    len2 = dx * dx + dy * dy, one axis at a time: the kernel the segment
+    index used before it stacked x and y."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = ((px - ax) * dx + (py - ay) * dy) / len2
+    t = np.where(len2 > 0.0, np.clip(t, 0.0, 1.0), 0.0)
+    qx = ax + t * dx
+    qy = ay + t * dy
+    return (px - qx) ** 2 + (py - qy) ** 2
+
+
+def reference_walk(index, px: float, py: float, r2: float | None = None):
+    """``vecmap._SegmentIndex.walk`` as it ran on separate leaf boxes lo/hi
+    and per-axis (ax, ay, dx, dy, len2) blocks, read back from the index's
+    stacked arrays: hi is the negation of the boxes' last two rows, len2 is
+    recomputed from the offsets. Returns the surviving leaves, their lane
+    ordinals and the squared distances."""
+    lo, hi = index._boxes[:2], -index._boxes[2:]
+    ax, ay, dx, dy = (index._segments[:, k] for k in range(4))
+    p = np.array([[px], [py]])
+    below, above = lo - p, p - hi
+    if r2 is None:
+        far = np.minimum(below, above)
+        far *= far
+        r2 = float(np.fmin.reduce(far[0] + far[1])) * (1.0 + 1e-9)
+    gap = np.maximum(np.maximum(below, above), 0.0)
+    gap *= gap
+    leaves = np.flatnonzero(~(gap[0] + gap[1] > r2))
+    ax, ay, dx, dy = ax[leaves], ay[leaves], dx[leaves], dy[leaves]
+    return leaves, index._lane_ord[leaves], reference_segment_dist2(px, py, ax, ay, dx, dy, dx * dx + dy * dy)
+
+
 def reference_encode_points(points):
     """One polyline encoded point by point and coordinate by coordinate: the
     encoder map_serialize replaced. The first point as 3 little-endian f64,
@@ -158,6 +192,19 @@ def reference_map_deserialize(data):
     lights = {(lane_id, ts): TrafficLightStatus.from_string(status) for lane_id, ts, status in header["traffic_lights"]}
     with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf geometry
         return VectorMap(header["map_id"], lanes, traffic_lights=lights, **areas)
+
+
+def reference_lane_records(vmap):
+    """``VectorMap.lanes`` built through the public RoadLane and Polyline
+    constructors (with their checks and conversions) from the map's lane
+    table, as a plain dict."""
+    table = vmap._table
+    relations = table.relations()
+    records = {}
+    for lane_id, ranges in zip(table.ids, table.lines.tolist()):
+        center, left, right = (Polyline(table.points[lo:hi]) if hi > lo else None for lo, hi in ranges)
+        records[lane_id] = RoadLane(lane_id, center, left, right, *(by_lane.get(lane_id, ()) for by_lane in relations))
+    return records
 
 
 def reference_close_connectivity(lanes):

@@ -6,7 +6,9 @@ that reads them, or builds one, pays per-agent Python that the columns avoid.
 
 Outside vecmap, code reads a map through its queries only. The RoadLane
 records are built on the first read of vmap.lanes, so a module that reads
-them, or builds one, pays per-lane Python that the lane table avoids.
+them, or builds one, pays per-lane Python that the lane table avoids. The
+segment index (vmap._index, a _SegmentIndex) is vecmap's own too: its block
+layout can change with the query kernel, so nothing else may depend on it.
 """
 
 import dataclasses
@@ -21,7 +23,7 @@ from trajkit.core import SceneFrame
 _PACKAGE = Path(trajkit.__file__).parent
 _PRIVATE_FIELDS = [f.name for f in dataclasses.fields(SceneFrame) if f.name.startswith("_")]
 _CORE_ONLY = re.compile("|".join([r"\.agents\b", r"\bAgentMetadata\(", *(rf"\.{name}\b" for name in _PRIVATE_FIELDS)]))
-_VECMAP_ONLY = re.compile(r"\.lanes\b|\bRoadLane\(")
+_VECMAP_ONLY = re.compile(r"\.lanes\b|\bRoadLane\(|\._index\b|\b_SegmentIndex\b")
 
 
 def _uses(path: Path, pattern: re.Pattern) -> list[str]:
@@ -51,3 +53,12 @@ def test_the_check_sees_a_lane_record_read():
     assert _VECMAP_ONLY.search("succ = vmap.lanes[lane_id].successors")
     assert _VECMAP_ONLY.search("lane = RoadLane(lane_id, Polyline(pts))")
     assert not _VECMAP_ONLY.search("ids = vmap.lanes_within(point, 5.0) | header['lanes']")
+
+
+def test_the_check_sees_a_segment_index_read():
+    assert _VECMAP_ONLY.search("ords, d2 = vmap._index.walk(px, py, r2)")
+    assert _VECMAP_ONLY.search("boxes = self.vmap._index._boxes")
+    assert _VECMAP_ONLY.search("from trajkit.vecmap import _SegmentIndex")
+    assert _VECMAP_ONLY.search("index = _SegmentIndex(ax, ay, bx, by, lane_ord)")
+    assert not _VECMAP_ONLY.search("index = build_index(cache, tags, centric=args.centric)")
+    assert not _VECMAP_ONLY.search("row = scene._index_of[agent_id] + self.segment_index")

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import struct
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -39,10 +40,12 @@ from oracles import (
     reference_decode_points,
     reference_encode_points,
     reference_in_drivable_area,
+    reference_lane_records,
     reference_map_deserialize,
     reference_map_polylines,
     reference_point_in_polygon,
     reference_polygon_boxes,
+    reference_walk,
 )
 
 
@@ -123,6 +126,23 @@ class TestPointInPolygon:
         assert point_in_polygon(4.0, 5.0, area)
 
 
+def _lattice_lanes(n: int, length: int, step: float) -> list[RoadLane]:
+    """n horizontal and n vertical lanes of unit segments, step apart, each
+    drawn twice under different ids (one copy reversed), so nearly every
+    query ties."""
+    run = np.arange(length + 1.0)
+    flat, lanes = np.zeros(length + 1), []
+    for k in range(n):
+        for lane_id, xs, ys in (
+            (f"h{k:02d}", run, np.full(length + 1, step * k)),
+            (f"a_h{k:02d}", run[::-1], np.full(length + 1, step * k)),
+            (f"v{k:02d}", np.full(length + 1, step * k), run),
+            (f"z_v{k:02d}", np.full(length + 1, step * k), run),
+        ):
+            lanes.append(RoadLane(lane_id, Polyline(np.stack([xs, ys, flat], axis=1))))
+    return lanes
+
+
 class TestLaneQueries:
     def test_single_lane_distance(self):
         vmap = VectorMap("toy:flat", [straight_lane("L1", 0.0)])
@@ -172,21 +192,12 @@ class TestLaneQueries:
                 assert vmap.lanes_within(p, radius) == want
 
     def test_lattice_ties_match_brute_force(self):
-        # Lanes on a 4 m integer lattice with unit vertices, each drawn twice
-        # under different ids (one copy reversed), so nearly every query ties;
-        # beside it a diagonal lane, whose boxes have empty corners.
+        # Lanes on a 4 m integer lattice with unit vertices (_lattice_lanes);
+        # beside them a diagonal lane, whose boxes have empty corners.
         run = np.arange(25.0)
-        lanes = [RoadLane("d", Polyline(np.stack([run + 28.0, 24.0 - run, np.zeros(25)], axis=1)))]
-        for k in range(7):
-            for lane_id, xs, ys in (
-                (f"h{k}", run, np.full(25, 4.0 * k)),
-                (f"a_h{k}", run[::-1], np.full(25, 4.0 * k)),
-                (f"v{k}", np.full(25, 4.0 * k), run),
-                (f"z_v{k}", np.full(25, 4.0 * k), run),
-            ):
-                lanes.append(RoadLane(lane_id, Polyline(np.stack([xs, ys, np.zeros(25)], axis=1))))
-        vmap = VectorMap("toy:lattice", lanes)
-        n_leaves = vmap._index.lo.shape[1]
+        diagonal = RoadLane("d", Polyline(np.stack([run + 28.0, 24.0 - run, np.zeros(25)], axis=1)))
+        vmap = VectorMap("toy:lattice", [diagonal, *_lattice_lanes(7, 24, 4.0)])
+        n_leaves = vmap._index._boxes.shape[1]
         assert n_leaves >= 3 and len(vmap._index.walk(0.0, 0.0)[0]) < n_leaves  # a query prunes a leaf
         # Vertices, midlines between lanes and points outside the lattice.
         grid = np.arange(-2.0, 34.0)
@@ -212,19 +223,9 @@ class TestLeafScan:
 
     def test_thousand_leaf_lattice_with_ties(self):
         # 40 horizontal and 40 vertical lanes of 200 unit segments, each drawn
-        # twice under different ids (one copy reversed): 32,000 segments.
-        run = np.arange(201.0)
-        lanes = []
-        for k in range(40):
-            for lane_id, xs, ys in (
-                (f"h{k:02d}", run, np.full(201, 5.0 * k)),
-                (f"a_h{k:02d}", run[::-1], np.full(201, 5.0 * k)),
-                (f"v{k:02d}", np.full(201, 5.0 * k), run),
-                (f"z_v{k:02d}", np.full(201, 5.0 * k), run),
-            ):
-                lanes.append(RoadLane(lane_id, Polyline(np.stack([xs, ys, np.zeros(201)], axis=1))))
-        vmap = VectorMap("toy:lattice", lanes)
-        assert vmap._index.lo.shape[1] >= 1000
+        # twice: 32,000 segments.
+        vmap = VectorMap("toy:lattice", _lattice_lanes(40, 200, 5.0))
+        assert vmap._index._boxes.shape[1] >= 1000
         rng = np.random.default_rng(11)
         vertices = rng.integers(-3, 204, size=(150, 2)).astype(float)  # lattice vertices, crossings and points beyond
         midlines = 2.5 + 5.0 * rng.integers(-1, 41, size=(50, 2))
@@ -240,6 +241,62 @@ class TestLeafScan:
         vertices = np.concatenate([lane.centerline.xy for lane in vmap.lanes.values()])
         points = np.vstack([vertices, rng.uniform(-250.0, 250.0, size=(100, 2))])
         _assert_lane_queries_match_brute_force(vmap, points, (0.0, 5.0, 40.0))
+
+
+FAR_POINTS = [(1e308, -1e308), (-1e308, 1e308), (1.7e308, 0.0), (0.0, -1.7e308), (1e200, 1e200), (1e154, -1e154)]
+
+
+class TestStackedWalk:
+    """The xy-stacked segment-index kernel against the per-axis one it
+    replaced (oracles.reference_walk): the same leaves, seen as the same lane
+    ordinals, and squared distances equal bit for bit, with no more warnings."""
+
+    @staticmethod
+    def _assert_walks_match(vmap: VectorMap, points, radii=(None, 0.0, 1.0, 10.0, float("inf"))) -> None:
+        index = vmap._index
+        for px, py in points:
+            px, py = float(px), float(py)
+            for radius in radii:  # None: the nearest search
+                r2 = None if radius is None else radius * radius
+                with warnings.catch_warnings(record=True) as want_warnings:
+                    warnings.simplefilter("always")
+                    leaves, want_ord, want_d2 = reference_walk(index, px, py, r2)
+                with warnings.catch_warnings(record=True) as got_warnings:
+                    warnings.simplefilter("always")
+                    got_ord, got_d2 = index.walk(px, py, r2)
+                where = (px, py, radius)
+                assert got_ord.shape == (len(leaves), 16), where
+                assert np.array_equal(got_ord, want_ord), where
+                assert got_d2.dtype == want_d2.dtype and got_d2.tobytes() == want_d2.tobytes(), where
+                assert len(got_warnings) <= len(want_warnings), (where, [str(w.message) for w in got_warnings])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_maps(self, seed):
+        rng = np.random.default_rng(seed)
+        vmap = random_lane_map(rng, n_lanes=int(rng.integers(1, 40)))
+        vertices = np.concatenate([lane.centerline.xy for lane in vmap.lanes.values()])
+        points = np.vstack([vertices[::3], rng.uniform(-300.0, 300.0, size=(60, 2)), FAR_POINTS])
+        self._assert_walks_match(vmap, points)
+
+    def test_tie_lattice(self):
+        vmap = VectorMap("toy:lattice", _lattice_lanes(6, 24, 4.0))
+        grid = np.arange(-2.0, 27.0, 0.5)
+        points = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
+        self._assert_walks_match(vmap, np.vstack([points, FAR_POINTS]))
+
+    def test_segment_whose_squared_length_underflows(self):
+        # A step of 1e-170 m: its squared length underflows to 0, so its
+        # divisor is 1, and the distance must still be that of t = 0.
+        tiny = RoadLane("tiny", Polyline([(0.0, 0.0, 0.0), (1e-170, -1e-170, 0.0), (3.0, -4.0, 0.0)]))
+        diagonal = RoadLane("diag", Polyline([(0.0, 0.0, 0.0), (10.0, 10.0, 0.0)]))
+        vmap = VectorMap("toy:tiny", [tiny, diagonal, straight_lane("far", 50.0)])
+        dx, dy = vmap._index._segments[:, 2], vmap._index._segments[:, 3]
+        assert (dx * dx + dy * dy == 0.0).any()
+        rng = np.random.default_rng(7)
+        near = 10.0 ** rng.uniform(-172.0, 2.0, size=(60, 1)) * rng.normal(size=(60, 2))  # from the step's own scale to metres
+        points = np.vstack([[(0.0, 0.0), (1e-170, -1e-170), (-1.0, -1.0), (3.0, -4.0)], near, rng.uniform(-20.0, 20.0, size=(40, 2))])
+        self._assert_walks_match(vmap, np.vstack([points, FAR_POINTS]))
+        _assert_lane_queries_match_brute_force(vmap, points, (0.0, 1.0, 5.0))
 
 
 class TestDrivableArea:
@@ -424,6 +481,27 @@ class TestNonFiniteLaneQueries:
     def test_infinite_radius_reaches_every_lane(self):
         vmap = VectorMap("toy:flat", [straight_lane("L1", 0.0), straight_lane("L2", 1e6)])
         assert vmap.lanes_within((5.0, 0.0), float("inf")) == {"L1", "L2"}
+
+    def test_infinite_radius_reaches_lanes_whose_distance_overflows(self):
+        diagonal = RoadLane("A", Polyline([(0.0, 0.0, 0.0), (10.0, 10.0, 0.0)]))
+        vmap = VectorMap("toy:flat", [diagonal, straight_lane("B", 20.0)])
+        assert vmap.lanes_within((1e308, -1e308), float("inf")) == {"A", "B"}
+        assert VectorMap("toy:flat", [diagonal]).lanes_within((1e308, -1e308), float("inf")) == {"A"}
+
+    @pytest.mark.parametrize(
+        "line, point, named",
+        [
+            # Every distance from this point to the diagonal lane overflows to NaN.
+            ([(0.0, 0.0, 0.0), (10.0, 10.0, 0.0)], (1e308, -1e308), r"\(1e\+308, -1e\+308\)"),
+            ([(np.nan, 0.0, 0.0), (1.0, np.nan, 0.0)], (2.0, 3.0), r"\(2\.0, 3\.0\)"),
+        ],
+        ids=["far-point", "nan-lane"],
+    )
+    def test_every_distance_nan_names_the_point(self, line, point, named):
+        vmap = VectorMap("toy:flat", [RoadLane("A", Polyline(line))])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=rf"query point {named}: its distance to every lane is NaN"):
+                vmap.closest_lane_with_distance(point)
 
     def test_far_point_skips_overflowed_distances(self):
         # From this point the diagonal lane's distance overflows to NaN, the
@@ -736,15 +814,23 @@ class TestFrozenMap:
         with np.errstate(invalid="ignore", over="ignore"):
             data = map_serialize(VectorMap("rand:codec", lanes))
             got, want = map_deserialize(data).lanes, reference_map_deserialize(data).lanes
-        assert list(got) == list(want)
-        for lane_id, lane in got.items():
-            ref = want[lane_id]
-            for relation in ("adjacent_left", "adjacent_right", "successors", "predecessors"):
-                assert getattr(lane, relation) == getattr(ref, relation), (lane_id, relation)
-            for name in ("centerline", "left_edge", "right_edge"):
-                line, ref_line = getattr(lane, name), getattr(ref, name)
-                assert (line is None) == (ref_line is None)
-                assert line is None or line.points.tobytes() == ref_line.points.tobytes()
+        _assert_same_lanes(got, want)
+
+    @pytest.mark.parametrize("decoded", [False, True], ids=["constructed", "decoded"])
+    def test_lane_records_equal_constructed_ones(self, decoded):
+        rng = np.random.default_rng(5)
+        lanes = list(_codec_map(rng, "edges").lanes.values())
+        ids = [lane.lane_id for lane in lanes]
+        for k, lane in enumerate(lanes):
+            picks = [set(rng.choice(ids, size=int(rng.integers(0, 3)), replace=False)) - {lane.lane_id} for _ in range(4)]
+            lanes[k] = replace(lane, **dict(zip(("adjacent_left", "adjacent_right", "successors", "predecessors"), picks)))
+        vmap = VectorMap("rand:codec", lanes)
+        vmap = map_deserialize(map_serialize(vmap)) if decoded else vmap
+        _assert_same_lanes(vmap.lanes, reference_lane_records(vmap))
+        for lane in vmap.lanes.values():
+            assert type(lane) is RoadLane
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                lane.successors = frozenset()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_closing_matches_the_oracle(self, seed, caplog):
@@ -776,6 +862,22 @@ class TestFrozenMap:
     def test_500_lane_map_round_trips_byte_for_byte(self):
         data = map_serialize(random_lane_map(np.random.default_rng(12), n_lanes=500))
         assert map_serialize(map_deserialize(data)) == data
+
+
+def _assert_same_lanes(got, want) -> None:
+    """The two mappings hold the same lanes in the same order: the same ids,
+    the same relations as frozensets and the same polyline bytes."""
+    assert list(got) == list(want)
+    for lane_id, lane in got.items():
+        ref = want[lane_id]
+        assert lane.lane_id == ref.lane_id == lane_id
+        for relation in ("adjacent_left", "adjacent_right", "successors", "predecessors"):
+            assert type(getattr(lane, relation)) is frozenset
+            assert getattr(lane, relation) == getattr(ref, relation), (lane_id, relation)
+        for name in ("centerline", "left_edge", "right_edge"):
+            line, ref_line = getattr(lane, name), getattr(ref, name)
+            assert (line is None) == (ref_line is None)
+            assert line is None or line.points.tobytes() == ref_line.points.tobytes()
 
 
 def _set_count(path):
