@@ -171,10 +171,11 @@ def build_index(
     """Enumerate all (scene, agent, ts) elements satisfying the window and filter.
 
     Agent-centric: one entry per qualifying (scene, agent, ts). Scene-centric:
-    one entry per (scene, ts) with at least one qualifying agent. Scenes are
-    resampled to desired_dt first when given. Entries are ordered
-    lexicographically by (dataset tag, scene, agent, ts); two builds over the
-    same cache produce identical orderings.
+    one entry per (scene, ts) with at least one qualifying agent. Scenes come
+    from cache.iter_scenes, which reads each file once, and are resampled to
+    desired_dt first when given. Entries are ordered lexicographically by
+    (dataset tag, scene, agent, ts); two builds over the same cache produce
+    identical orderings.
     """
     if centric not in ("agent", "scene"):
         raise ValueError(f"centric must be 'agent' or 'scene', got {centric!r}")
@@ -184,25 +185,24 @@ def build_index(
     contexts: dict[tuple[str, str], _SceneContext] = {}
     triples: list[tuple[str, str, str, int, int]] = []  # (tag, scene_id, agent_id, agent_index, ts)
     n_scenes = 0
-    for entry in cache.resolve(tags):
-        scene = cache.load_path(entry.path)
-        if filt.dataset_tags is not None:
-            full = scene.scene_tag()
-            if not any(SceneTag.parse(t).matches(full) for t in filt.dataset_tags):
-                continue
+    for scene in cache.iter_scenes(tags):
+        full = scene.scene_tag()
+        if filt.dataset_tags is not None and not any(SceneTag.parse(t).matches(full) for t in filt.dataset_tags):
+            continue
+        tag = full.render()
         if desired_dt is not None:
             scene = resample_scene(scene, desired_dt)
         n_scenes += 1
         dt = scene.dt
         ctx = _SceneContext(
             scene=scene,
-            tag=entry.tag,
+            tag=tag,
             h_steps=seconds_to_steps(window.history[1], dt),
             f_steps=seconds_to_steps(window.future[1], dt),
             h_min=seconds_to_steps(window.history[0], dt),
             f_min=seconds_to_steps(window.future[0], dt),
         )
-        contexts[(entry.tag, scene.scene_id)] = ctx
+        contexts[(tag, scene.scene_id)] = ctx
         # Anchors: observed rows of allowed agents whose lifetime reaches h_min
         # steps behind and f_min ahead. Imputation and resampling never
         # extrapolate, so every in-lifetime step interpolates real observations;
@@ -212,7 +212,7 @@ def build_index(
             cols.observed & allowed[scene.type_code][j]
             & (cols.ts - scene.first_ts[j] >= ctx.h_min) & (scene.last_ts[j] - cols.ts >= ctx.f_min)
         )
-        triples += [(entry.tag, scene.scene_id, ids[a], a, ts) for a, ts in zip(j[ok].tolist(), cols.ts[ok].tolist())]
+        triples += [(tag, scene.scene_id, ids[a], a, ts) for a, ts in zip(j[ok].tolist(), cols.ts[ok].tolist())]
 
     triples.sort(key=lambda t: (t[0], t[1], t[2], t[4]))
     if centric == "agent":

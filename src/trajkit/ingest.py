@@ -646,20 +646,21 @@ def _read_header(header) -> SceneTag:
 
 # What read_container raises for a scene file: bad magic or version, too short, header that does not decode.
 _CACHE_ERRORS = (CacheVersionError, CacheTruncatedError, CacheError)
+_SCHEMA_ERROR = "cache header does not match the scene schema: {!r}"
 
 
 def scene_from_bytes(data: bytes) -> SceneFrame:
     header, pos = read_container(io.BytesIO(data), len(data), CACHE_MAGIC, CACHE_VERSION, _CACHE_ERRORS)
     try:
-        return _scene_from_header(header, data, pos)
-    except (ValueError, OverflowError) as exc:  # OverflowError: an extent integer beyond the float range
-        raise CacheError(f"cache header does not match the scene schema: {exc!r}") from exc
+        _read_header(header)
+    except ValueError as exc:
+        raise CacheError(_SCHEMA_ERROR.format(exc)) from exc
+    return _scene_from_header(header, data, pos)
 
 
 def _scene_from_header(header, data: bytes, pos: int) -> SceneFrame:
-    """Decode the column payload at pos as the header directs; ValueError for
-    a header that _read_header or SceneFrame refuses."""
-    _read_header(header)
+    """Decode the column payload at pos as the header, which _read_header has
+    checked, directs; CacheError for a header SceneFrame refuses."""
     n_rows = header["n_rows"]
     expected = pos + n_rows * sum(dtype.itemsize for dtype in _COLUMN_DTYPES.values()) + 4
     if len(data) != expected:
@@ -679,11 +680,20 @@ def _scene_from_header(header, data: bytes, pos: int) -> SceneFrame:
         columns[name] = raw.astype(bool if name == "observed" else dtype.newbyteorder("="))
         pos += raw.nbytes
 
-    return SceneFrame(
-        header["scene_id"], header["dataset_tag"], header["location"], header["dt"], agent_ids=header["agent_ids"],
-        type_code=type_codes(header["agent_types"]), first_ts=header["first_ts"], last_ts=header["last_ts"],
-        extent=header["extent"], columns=SceneColumns(**columns), heading_derived=header["heading_derived"],
-    )
+    try:
+        return SceneFrame(
+            header["scene_id"], header["dataset_tag"], header["location"], header["dt"], agent_ids=header["agent_ids"],
+            type_code=type_codes(header["agent_types"]), first_ts=header["first_ts"], last_ts=header["last_ts"],
+            extent=header["extent"], columns=SceneColumns(**columns), heading_derived=header["heading_derived"],
+        )
+    except (ValueError, OverflowError) as exc:  # OverflowError: an extent integer beyond the float range
+        raise CacheError(_SCHEMA_ERROR.format(exc)) from exc
+
+
+def _read_only(scene: SceneFrame) -> SceneFrame:
+    for column in scene.columns.as_dict().values():  # the metrics of an analysis run share one loaded scene
+        column.flags.writeable = False
+    return scene
 
 
 def _replace_file(path: Path, data: bytes) -> None:
@@ -711,18 +721,6 @@ class CacheEntry:
     scene_id: str
     path: Path
     n_agents: int
-
-
-def _header_entry(path: Path) -> CacheEntry:
-    """The entry of the scene file at path, read from its preamble and JSON
-    header alone: no payload, no CRC."""
-    try:
-        with open(path, "rb") as f:
-            header, _ = read_container(f, os.fstat(f.fileno()).st_size, CACHE_MAGIC, CACHE_VERSION, _CACHE_ERRORS)
-        tag = _read_header(header)
-    except (CacheError, ValueError) as exc:
-        raise CacheError(f"scene file {path}: {exc}") from exc
-    return CacheEntry(tag.render(), header["scene_id"], path, len(header["agent_ids"]))
 
 
 class SceneCache:
@@ -762,34 +760,49 @@ class SceneCache:
         return None
 
     def load_path(self, path: str | Path) -> SceneFrame:
-        """Decode the scene file at path; every call reads it afresh."""
-        scene = scene_from_bytes(Path(path).read_bytes())
-        # Every metric of an analysis run shares one loaded scene, so none may write to its columns.
-        for column in scene.columns.as_dict().values():
-            column.flags.writeable = False
-        return scene
+        """Decode the scene file at path, read-only; every call reads it afresh."""
+        return _read_only(scene_from_bytes(Path(path).read_bytes()))
 
-    def resolve(self, tags: Iterable[str]) -> list[CacheEntry]:
-        """Entries of the scenes the tags select, sorted by (tag, scene id).
-        Every .tksc file of a queried dataset's directory is read, header
-        only; a file whose header names another dataset is not listed, and
-        other files (a leftover index.json, an interrupted write's .tmp) are
-        ignored. CacheError when a scene file's header does not read."""
-        out: list[CacheEntry] = []
+    def _select(self, tags: Iterable[str], whole: bool) -> list[tuple[SceneTag, Path, dict, bytes | None, int]]:
+        """(tag, path, header, bytes if whole else None, payload offset) of the
+        scene files the tags select, sorted by (tag, scene id), each .tksc file
+        of a queried dataset read and its header checked once. Query by query:
+        CacheError for a header that does not read, then UnknownTagError."""
+        files: dict[Path, tuple] = {}
+        selected: set[Path] = set()
         for text in tags:
             query = SceneTag.parse(text)
-            entries = map(_header_entry, sorted(self._dataset_dir(query.dataset).glob("*.tksc")))
-            matched = [e for e in entries if query.matches(SceneTag.parse(e.tag))]
+            paths = sorted(self._dataset_dir(query.dataset).glob("*.tksc"))
+            for path in (p for p in paths if p not in files):
+                try:
+                    with open(path, "rb") as f:
+                        data = f.read() if whole else None
+                        stream = io.BytesIO(data) if whole else f
+                        header, pos = read_container(stream, os.fstat(f.fileno()).st_size, CACHE_MAGIC, CACHE_VERSION, _CACHE_ERRORS)
+                    files[path] = _read_header(header), path, header, data, pos
+                except (CacheError, ValueError) as exc:
+                    raise CacheError(f"scene file {path}: {exc}") from exc
+            matched = {path for path in paths if query.matches(files[path][0])}
             if not matched:
                 raise UnknownTagError(f"tag {text!r} matched no cached scenes")
-            out.extend(matched)
-        seen: set[Path] = set()
-        unique = [e for e in out if not (e.path in seen or seen.add(e.path))]
-        return sorted(unique, key=lambda e: (e.tag, e.scene_id))
+            selected |= matched
+        return sorted((r for path, r in files.items() if path in selected), key=lambda r: (r[0].render(), r[2]["scene_id"]))
+
+    def resolve(self, tags: Iterable[str]) -> list[CacheEntry]:
+        """Entries of the scenes the tags select, sorted by (tag, scene id), read
+        from the file headers alone. A file whose header names another dataset
+        is not listed; other files (a leftover index.json, an interrupted
+        write's .tmp) are ignored."""
+        return [CacheEntry(tag.render(), header["scene_id"], path, len(header["agent_ids"]))
+                for tag, path, header, _, _ in self._select(tags, whole=False)]
 
     def iter_scenes(self, tags: Iterable[str]) -> Iterator[SceneFrame]:
-        for entry in self.resolve(tags):
-            yield self.load_path(entry.path)
+        """The scenes resolve lists, in its order and read-only as load_path's,
+        decoded from the bytes their tags were read from; a file's bytes are
+        dropped once its scene is decoded."""
+        files = self._select(tags, whole=True)[::-1]
+        while files:
+            yield _read_only(_scene_from_header(*files.pop()[2:]))
 
 
 def cache_write(scene: SceneFrame, cache_dir: str | Path) -> Path:

@@ -72,14 +72,16 @@ def derive_derivative(series: np.ndarray, dt: float, offsets: np.ndarray | None 
     s = np.asarray(series, dtype=np.float64)
     n = len(s)
     out = np.zeros(n)
-    out[1:-1] = (s[2:] - s[:-2]) / (2.0 * dt)
-    bounds = np.array([0, n]) if offsets is None else np.asarray(offsets)
-    first, last = bounds[:-1], bounds[1:] - 1
-    out[first[first == last]] = 0.0
-    long = first < last
-    first, last = first[long], last[long]
-    out[first] = (s[first + 1] - s[first]) / dt
-    out[last] = (s[last] - s[last - 1]) / dt
+    # Differences of huge values overflow to inf or NaN; scene_validate reports those, so numpy stays quiet.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[1:-1] = (s[2:] - s[:-2]) / (2.0 * dt)
+        bounds = np.array([0, n]) if offsets is None else np.asarray(offsets)
+        first, last = bounds[:-1], bounds[1:] - 1
+        out[first[first == last]] = 0.0
+        long = first < last
+        first, last = first[long], last[long]
+        out[first] = (s[first + 1] - s[first]) / dt
+        out[last] = (s[last] - s[last - 1]) / dt
     return out
 
 

@@ -438,9 +438,10 @@ class _SegmentIndex:
             out.append(chunk[np.argsort(cy[chunk], kind="stable")])
         return np.concatenate(out)
 
-    def walk(self, px: float, py: float, r2: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def walk(self, px: float, py: float, r2: float | None = None, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
         """Lane ordinals of every segment in a surviving leaf, and their
-        squared distances to the point, as two (k, _NODE_CAPACITY) arrays.
+        squared distances to the point, each distance first multiplied by
+        scale (a power of two, so exactly), as two (k, _NODE_CAPACITY) arrays.
 
         A leaf survives unless its box lies farther than r2. Given no r2 the
         scan is a nearest search: r2 is the smallest farthest-corner distance
@@ -477,6 +478,8 @@ class _SegmentIndex:
         q = t * d
         q += a
         q -= xy
+        if scale != 1.0:
+            q *= scale
         q *= q
         return self._lane_ord.take(leaves, axis=0), q[:, 0] + q[:, 1]
 
@@ -672,9 +675,11 @@ class VectorMap:
         if radius == math.inf:  # also the lanes whose distance overflows to NaN
             return set(self._lane_ids)
         r2 = radius * radius
-        lane_ord, d2 = self._index.walk(px, py, r2)
+        # Above a radius of about 1.34e154 the squares overflow: compare distances scaled by 2**-600 instead.
+        scale = 1.0 if r2 < math.inf else 2.0**-600
+        lane_ord, d2 = self._index.walk(px, py, r2, scale)
         ids = self._lane_ids
-        return {ids[i] for i in set(lane_ord[d2 <= r2].tolist())}
+        return {ids[i] for i in set(lane_ord[d2 <= (radius * scale) ** 2].tolist())}
 
     def drivable_polygons(self) -> list[PolygonArea]:
         return [*self.road_areas, *self._lane_polygons]

@@ -1,10 +1,14 @@
+import builtins
+import io
 import json
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from trajkit import ingest
 from trajkit.core import AgentMetadata, AgentType, Extent, SceneFrame
 from trajkit.ingest import SceneCache
 from trajkit.kinematics import complete_track
@@ -14,6 +18,25 @@ from trajkit.vecmap import Polyline, PolygonArea, RoadLane, TrafficLightStatus, 
 @pytest.fixture
 def cache(tmp_path):
     return SceneCache(tmp_path / "cache")
+
+
+def count_scene_file_reads(monkeypatch) -> tuple[list[Path], list[str], list[str]]:
+    """From this call on, record the path of each opening of a .tksc file,
+    and the scene id of each header ingest._read_header checks and of each
+    payload ingest._scene_from_header decodes."""
+    opened, checked, decoded = [], [], []
+    real_open, read_header, decode = io.open, ingest._read_header, ingest._scene_from_header
+
+    def counting_open(file, *args, **kwargs):
+        if str(file).endswith(".tksc"):
+            opened.append(Path(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)  # what Path.read_bytes opens with
+    monkeypatch.setattr(ingest, "_read_header", lambda header: checked.append(header["scene_id"]) or read_header(header))
+    monkeypatch.setattr(ingest, "_scene_from_header", lambda header, *rest: decoded.append(header["scene_id"]) or decode(header, *rest))
+    return opened, checked, decoded
 
 
 def random_scene(

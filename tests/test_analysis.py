@@ -45,7 +45,7 @@ from trajkit.ingest import Circle, SceneCache, StopAndGo, Straight, synth_scene
 from trajkit.kinematics import complete_track
 from trajkit.vecmap import VectorMap
 
-from conftest import random_scene, square_area, straight_lane
+from conftest import count_scene_file_reads, random_scene, square_area, straight_lane
 from oracles import (
     REFERENCE_METRICS,
     SCENE_POOLED_METRICS,
@@ -1053,31 +1053,19 @@ class TestTypeCodePooling:
 
 
 class TestSingleLoad:
-    def test_run_analysis_resolves_once_and_loads_each_scene_once(self, tmp_path, monkeypatch):
+    def test_run_analysis_reads_each_scene_file_once(self, tmp_path, monkeypatch):
+        # rand is queried twice and the mix-val scene is not selected: each file of a queried
+        # directory is opened once and its header checked once, and only selected payloads are decoded.
         rng = np.random.default_rng(4)
         cache = SceneCache(tmp_path / "cache")
-        for dataset in ("rand", "mix"):
-            for s in range(2):
-                cache.write(_analysis_scene(rng, f"{dataset}{s}", dataset, "ego"))
-        paths = sorted(e.path for e in cache.resolve(["rand", "mix"]))
-        resolve, load_path = SceneCache.resolve, SceneCache.load_path
-        resolves, loads = [], []
-
-        def counting_resolve(self, tags):
-            resolves.append(tags)
-            return resolve(self, tags)
-
-        def counting_load_path(self, path):
-            loads.append(path)
-            return load_path(self, path)
-
-        monkeypatch.setattr(SceneCache, "resolve", counting_resolve)
-        monkeypatch.setattr(SceneCache, "load_path", counting_load_path)
+        datasets = ["rand", "rand", "mix-train", "mix-val"]
+        paths = cache.write_many([_analysis_scene(rng, f"s{k}", dataset, "ego") for k, dataset in enumerate(datasets)])
+        opened, checked, decoded = count_scene_file_reads(monkeypatch)
         vmap = VectorMap("toy:flat", [straight_lane("L1", 0.0, length=200.0, half_width=3.0)])
-        report = run_analysis(cache, ["rand", "mix"], METRIC_NAMES, vmap=vmap)
-        assert len(paths) == 4
-        assert len(resolves) == 1
-        assert sorted(loads) == paths
+        report = run_analysis(cache, ["rand", "mix-train", "rand"], METRIC_NAMES, vmap=vmap)
+        assert sorted(opened) == sorted(paths)
+        assert sorted(checked) == ["s0", "s1", "s2", "s3"]
+        assert sorted(decoded) == ["s0", "s1", "s2"]
         assert report.unavailable == [] and "offroad" in report.rates
 
     def test_decode_then_analysis_builds_no_agent_records(self, tmp_path, monkeypatch):
@@ -1086,8 +1074,8 @@ class TestSingleLoad:
         cache = SceneCache(tmp_path / "cache")
         for s in range(2):
             cache.write(_analysis_scene(rng, f"rand{s}", "rand", "ego"))
-        load_path, loaded = SceneCache.load_path, []
-        monkeypatch.setattr(SceneCache, "load_path", lambda self, path: loaded.append(load_path(self, path)) or loaded[-1])
+        iter_scenes, loaded = SceneCache.iter_scenes, []
+        monkeypatch.setattr(SceneCache, "iter_scenes", lambda self, tags: (loaded.append(s) or s for s in iter_scenes(self, tags)))
         vmap = VectorMap("toy:flat", [straight_lane("L1", 0.0, length=200.0, half_width=3.0)])
         report = run_analysis(cache, ["rand"], METRIC_NAMES, vmap=vmap)
         assert len(loaded) == 2 and "offroad" in report.rates and "collision" in report.rates

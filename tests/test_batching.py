@@ -21,7 +21,7 @@ from trajkit.batching import (
 from trajkit.core import AgentMetadata, AgentType, SceneFrame
 from trajkit.ingest import SceneCache, SceneMetaRecord, Straight, UnknownTagError, parse_canonical_csv, synth_scene
 
-from conftest import random_scene
+from conftest import count_scene_file_reads, random_scene
 from oracles import enumerate_qualifying, reference_element
 
 HEADER = "scene_id,agent_id,agent_type,frame,x,y,z,heading,length,width,height"
@@ -125,6 +125,17 @@ class TestBuildIndex:
         }
         assert agent_triples == scene_triples
         assert all(len(e[3]) >= 1 for e in scene_idx.entries)
+
+    def test_reads_each_scene_file_once(self, cache, monkeypatch):
+        # rand is queried twice and the mix-val scene is not selected; the tags come from the scenes.
+        datasets = ["rand", "rand", "mix-train", "mix-val"]
+        paths = cache.write_many([synth_scene(Straight(5.0), 2, 20, 0.1, scene_id=f"s{k}", dataset=d) for k, d in enumerate(datasets)])
+        opened, checked, decoded = count_scene_file_reads(monkeypatch)
+        index = build_index(cache, ["rand", "mix-train", "rand"])
+        assert sorted(opened) == sorted(paths)
+        assert sorted(checked) == ["s0", "s1", "s2", "s3"]
+        assert sorted(decoded) == ["s0", "s1", "s2"]
+        assert sorted({(tag, sid) for tag, sid, _, _ in index.entries}) == [("mix-train-flat", "s2"), ("rand-flat", "s0"), ("rand-flat", "s1")]
 
     def test_resample_applies_before_windowing(self, cache):
         scene = synth_scene(Straight(10.0), 1, 50, 0.2)

@@ -16,7 +16,8 @@ import trajkit
 from trajkit.analysis import METRIC_NAMES
 from trajkit.cli import main
 from trajkit.ingest import (
-    CacheError, ParseError, SceneCache, SceneMetaRecord, Straight, cache_load, parse_canonical_csv, parse_frame_text, synth_scene,
+    CacheError, ParseError, SceneCache, SceneMetaRecord, Straight, cache_load, parse_canonical_csv, parse_frame_text, scene_to_bytes,
+    synth_scene,
 )
 from trajkit.kinematics import ResampleRatioError, resample_scene
 from trajkit.vecmap import VectorMap, map_serialize
@@ -89,6 +90,28 @@ class TestIngestCommand:
         meta.write_text(json.dumps({"scene_id": "e0", "dt": 0.4, "location": "univ", "dataset": "eth"}))
         code = main(["ingest", "--input", str(data), "--format", "frame-text", "--meta", str(meta), "--cache", str(tmp_path / "c")])
         assert code == 0
+
+    @pytest.mark.parametrize("warnings", ["default", "error"])
+    def test_overflowing_position_prints_the_validation_line_alone_exit_3(self, tmp_path, warnings):
+        # A velocity from a position of 1e308 overflows to inf; validation reports it and numpy warns of nothing.
+        meta = SceneMetaRecord.from_json(json.dumps({"scene_id": "s0", "dt": 0.1, "dataset": "toy"}))
+        (tmp_path / "meta.json").write_text(meta.to_json())
+        env = dict(os.environ, PYTHONPATH=str(Path(trajkit.__file__).parents[1]))
+
+        def ingest(name, text):
+            (tmp_path / f"{name}.txt").write_text(text)
+            argv = ["ingest", "--input", str(tmp_path / f"{name}.txt"), "--format", "frame-text", "--meta", str(tmp_path / "meta.json"),
+                    "--cache", str(tmp_path / name)]
+            done = subprocess.run([sys.executable, "-W", warnings, "-m", "trajkit.cli", *argv], capture_output=True, text=True, env=env, timeout=120)
+            return done.returncode, done.stderr
+
+        assert ingest("huge", "0 1 0.0 0.0\n1 1 1e308 0.0\n") == (3, (
+            "validation error: scene s0: 4 invariant violation(s): agent 1: non-finite vx at ts 0 (non-finite); agent 1: non-finite vx"
+            " at ts 1 (non-finite); agent 1: non-finite ax at ts 0 (non-finite); agent 1: non-finite ax at ts 1 (non-finite)\n"
+        ))
+        finite = "0 1 0.0 0.0\n1 1 1.5 0.25\n2 1 4.0 -1.0\n3 1 1e300 -2.0\n1 2 2.0 2.0\n3 2 2.5 1.0\n"
+        assert ingest("finite", finite) == (0, "")
+        assert (tmp_path / "finite" / "toy" / "s0.tksc").read_bytes() == scene_to_bytes(parse_frame_text(finite, meta))
 
     def test_missing_cache_flag_exit_64(self, tmp_path, monkeypatch):
         monkeypatch.delenv("TRAJKIT_CACHE", raising=False)

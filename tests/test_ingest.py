@@ -634,6 +634,47 @@ class TestCache:
         with pytest.raises(CacheError):
             cache.resolve(["dsa-loc1"])
 
+    @staticmethod
+    def _split_cache(tmp_path) -> SceneCache:
+        cache = SceneCache(tmp_path)
+        cache.write_many([
+            synth_scene(Straight(1.0), 1, 5, 0.1, scene_id="sA", dataset="dsa-train", location="loc1"),
+            synth_scene(Straight(1.0), 2, 6, 0.1, scene_id="sB", dataset="dsa-val", location="loc2"),
+            synth_scene(Straight(1.0), 3, 7, 0.1, scene_id="sC", dataset="dsa", location="loc1"),
+            synth_scene(Straight(1.0), 1, 8, 0.1, scene_id="sD", dataset="dsb", location=""),
+        ])
+        return cache
+
+    @pytest.mark.parametrize("tags", [
+        ["dsa"], ["dsa-train"], ["dsa-loc1"], ["dsa-val-loc2"], ["dsa-train", "dsa"], ["dsa-loc1", "dsa-train-loc1", "dsb"], ["dsb", "dsa-val"],
+    ], ids=["dataset", "split", "location", "split-location", "overlapping", "overlapping-location", "two-datasets"])
+    def test_iter_scenes_yields_what_resolve_lists(self, tmp_path, tags):
+        cache = self._split_cache(tmp_path)
+        entries = cache.resolve(tags)
+        scenes = list(cache.iter_scenes(tags))
+        assert [(s.scene_tag().render(), s.scene_id) for s in scenes] == [(e.tag, e.scene_id) for e in entries]
+        assert scenes == [cache.load_path(e.path) for e in entries]
+        assert not any(column.flags.writeable for s in scenes for column in s.columns.as_dict().values())
+
+    @pytest.mark.parametrize("tags", [["dsa", "dsc"], ["dsa-test", "dsa"], ["dsb", "dsa-loc3"]])
+    def test_iter_scenes_raises_unknown_tag_as_resolve_does(self, tmp_path, tags):
+        cache = self._split_cache(tmp_path)
+        with pytest.raises(UnknownTagError) as listed:
+            cache.resolve(tags)
+        with pytest.raises(UnknownTagError) as iterated:
+            next(cache.iter_scenes(tags))
+        assert str(iterated.value) == str(listed.value)
+
+    def test_broken_payload_of_another_split_does_not_stop_a_split_query(self, tmp_path):
+        cache = self._split_cache(tmp_path)
+        path = tmp_path / "dsa" / "sB.tksc"
+        data = bytearray(path.read_bytes())
+        data[-40] ^= 0xFF  # the payload and its CRC no longer agree
+        path.write_bytes(bytes(data))
+        assert [s.scene_id for s in cache.iter_scenes(["dsa-train"])] == ["sA"]
+        with pytest.raises(CacheChecksumError):
+            list(cache.iter_scenes(["dsa"]))
+
     def test_header_read_reads_no_payload(self, tmp_path):
         cache = SceneCache(tmp_path)
         path = cache.write(synth_scene(Straight(1.0), 4, 500, 0.1, scene_id="sA", dataset="dsa"))

@@ -488,6 +488,13 @@ class TestNonFiniteLaneQueries:
         assert vmap.lanes_within((1e308, -1e308), float("inf")) == {"A", "B"}
         assert VectorMap("toy:flat", [diagonal]).lanes_within((1e308, -1e308), float("inf")) == {"A"}
 
+    @pytest.mark.parametrize("radius, want", [(1e154, {"near"}), (1e200, {"near"}), (float("inf"), {"near", "far"})])
+    def test_radius_whose_square_overflows_leaves_out_farther_lanes(self, radius, want):
+        # Above a radius of about 1.34e154 its square is inf, as is the far lane's squared distance 1e600.
+        vmap = VectorMap("toy:flat", [straight_lane("near", 0.0, length=1.0), straight_lane("far", 1e300, length=1.0)])
+        with np.errstate(over="ignore"):
+            assert vmap.lanes_within((0.0, 0.0), radius) == want
+
     @pytest.mark.parametrize(
         "line, point, named",
         [
