@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import TYPE_NAMES as _TYPE_NAMES, SceneFrame, _checked_object, load_json, wrap_angle
+from .core import TYPE_NAMES as _TYPE_NAMES, SceneFrame, _checked_object, load_json, rotate, wrap_angle
 from .ingest import SceneCache
 from .kinematics import derive_derivative
 from .vecmap import VectorMap
@@ -447,9 +447,8 @@ def obb_corners(cx, cy, yaw, length, width) -> np.ndarray:
     shape = np.shape(cx) + (4, 2)
     cx, cy, yaw, hl, hw = (np.ravel(v) for v in (cx, cy, yaw, 0.5 * length, 0.5 * width))
     c, s = (np.array(list(map(f, yaw.tolist())), dtype=np.float64) for f in (math.cos, math.sin))
-    local = np.stack((-hl, -hw, -hl, hw, hl, hw, hl, -hw), axis=-1).reshape(-1, 4, 2)
-    rot_t = np.stack((c, s, -s, c), axis=-1).reshape(-1, 2, 2)
-    return (local @ rot_t + np.stack((cx, cy), axis=-1)[:, None, :]).reshape(shape)
+    x, y = rotate(np.stack((-hl, -hl, hl, hl), axis=-1), np.stack((-hw, hw, hw, -hw), axis=-1), c[:, None], s[:, None])
+    return np.stack((x + cx[:, None], y + cy[:, None]), axis=-1).reshape(shape)
 
 
 def obb_intersect(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray | bool:
@@ -457,10 +456,8 @@ def obb_intersect(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray | 
     overlap): one bool per pair of (n, 4, 2) stacks, a bool for two (4, 2)."""
     pts = np.concatenate((corners_a, corners_b), axis=-2)  # a's corners, then b's
     edges = pts[..., [1, 2, 5, 6], :] - pts[..., [0, 1, 4, 5], :]  # two edges of each box
-    axes = np.stack((-edges[..., 1], edges[..., 0]), axis=-1)
-    # One matrix-vector product per axis rounds as one box's `corners @ axis`;
-    # a matrix product over all axes (BLAS gemm, not gemv) can differ in the last bit.
-    proj = (pts[..., None, :, :] @ axes[..., None])[..., 0]  # (..., axis, corner)
+    ax, ay = -edges[..., :, None, 1], edges[..., :, None, 0]  # each edge's normal is an axis
+    proj = pts[..., None, :, 0] * ax + pts[..., None, :, 1] * ay  # (..., axis, corner)
     pa, pb = proj[..., :4], proj[..., 4:]
     hit = ~((pa.max(-1) < pb.min(-1)) | (pb.max(-1) < pa.min(-1))).any(-1)
     return hit if hit.ndim else bool(hit)

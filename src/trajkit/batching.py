@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import TYPE_BY_CODE, AgentType, SceneFrame, SceneTag, wrap_angle
+from .core import TYPE_BY_CODE, AgentType, SceneFrame, SceneTag, rotate, wrap_angle
 from .ingest import SceneCache
 from .kinematics import resample_scene
 
@@ -74,7 +74,7 @@ class AgentBatchElement:
     """One predicted agent at one timestep, in its standardized frame.
 
     ``translation``/``rotation`` map world to standardized coordinates:
-    p_std = R(-rotation) @ (p_world - translation).
+    p_std is p_world - translation rotated by -rotation.
     """
 
     scene_id: str
@@ -96,9 +96,8 @@ class AgentBatchElement:
 
     def to_world_points(self, points_std: np.ndarray) -> np.ndarray:
         """Invert the standardization for an array of (x, y) points."""
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
-        rot = np.array([[c, -s], [s, c]])
-        return points_std @ rot.T + self.translation
+        xy = rotate(points_std[..., 0], points_std[..., 1], math.cos(self.rotation), math.sin(self.rotation))
+        return np.stack(xy, axis=-1) + self.translation
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AgentBatchElement):
@@ -134,12 +133,12 @@ class _SceneContext:
     f_steps: int
     h_min: int
     f_min: int
-    states: np.ndarray = field(init=False)  # (rows, 7): x, y, vx, vy, ax, ay, heading
+    states: np.ndarray = field(init=False)  # (7, rows): x, y, vx, vy, ax, ay, heading
     id_rank: np.ndarray = field(init=False)  # (agents,): each agent's place in agent-id order
 
     def __post_init__(self):
         cols = self.scene.columns
-        self.states = np.column_stack([cols.x, cols.y, cols.vx, cols.vy, cols.ax, cols.ay, cols.heading])
+        self.states = np.stack([cols.x, cols.y, cols.vx, cols.vy, cols.ax, cols.ay, cols.heading])
         ids = self.scene.agent_ids
         self.id_rank = np.empty(len(ids), dtype=np.int64)
         # Python's sort, not numpy's: a numpy string array drops trailing NULs.
@@ -248,23 +247,17 @@ def _window(
     in that element's frame at (origins[e], yaws[e]). Slots outside an
     agent's lifetime are zero and False."""
     rows, mask = ctx.scene.lifetime_rows(agents[:, None], ts_values[element])
-    raw = ctx.states[rows]
-    # One rotation by -yaw per element from math.cos/math.sin. Each agent's
-    # (T, 2) blocks are their own matmul with the transposed matrix, as in the
-    # per-agent reference: a flattened product, a C-ordered matrix, or a
-    # one-step window inside a longer one can round differently in the last bit.
-    c, s = np.array([(math.cos(yaw), math.sin(yaw)) for yaw in yaws.tolist()]).T
-    rot_t = np.stack((c, s, -s, c), axis=-1).reshape(-1, 2, 2)[element].transpose(0, 2, 1)
-    # Column by column: a broadcast over the two-wide last axis is many times slower.
-    offset = np.empty((*mask.shape, 2))
-    for k in range(2):
-        np.subtract(raw[..., k], origins[element, k, None], out=offset[..., k])
+    # (T, K) blocks, one quantity each: an agent's cos and sin broadcast along the
+    # contiguous axis (not K short inner loops), and no temporary outgrows a block.
+    raw = ctx.states.take(rows.T, axis=1)
+    raw[:2] -= origins[element].T[:, None, :]
+    c, s = np.array([(math.cos(yaw), math.sin(yaw)) for yaw in yaws.tolist()]).T[:, element]
     state = np.empty((*mask.shape, STATE_DIM))
-    for k, xy in enumerate((offset, raw[..., 2:4], raw[..., 4:6])):
-        np.matmul(xy, rot_t, out=state[..., 2 * k : 2 * k + 2])
-    h_std = wrap_angle(raw[..., 6] - yaws[element, None])
-    state[..., 6] = np.sin(h_std)
-    state[..., 7] = np.cos(h_std)
+    out = state.T
+    for k in range(0, 6, 2):  # position, velocity and acceleration, each rotated by -yaw
+        out[k], out[k + 1] = rotate(raw[k], raw[k + 1], c, -s)
+    h_std = wrap_angle(raw[6] - yaws[element])
+    out[6], out[7] = np.sin(h_std), np.cos(h_std)
     state[~mask] = 0.0
     return state, mask
 

@@ -54,6 +54,12 @@ def wrap_angle(angle):
     return float(out) if a.ndim == 0 else out
 
 
+def rotate(x, y, c, s):
+    """(x, y) rotated by the angle whose cosine and sine are c and s, in separate
+    multiplies and adds: the bits of a BLAS matrix product depend on the CPU."""
+    return x * c - y * s, x * s + y * c
+
+
 class AgentType(enum.Enum):
     """Closed set of agent classes. Parse/print round-trips exactly."""
 

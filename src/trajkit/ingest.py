@@ -386,29 +386,19 @@ def parse_canonical_csv(table_text: str, meta: SceneMetaRecord) -> SceneFrame:
 
 def write_canonical_csv(scene: SceneFrame, observed_only: bool = False) -> str:
     """Render a scene back to canonical CSV (poses round-trip exactly)."""
+    cols = scene.columns
+    rows = cols.observed if observed_only else slice(None)
+    names = [TYPE_NAMES[code] for code in scene.type_code.tolist()]
+    extents = [["" if math.isnan(v) else repr(v) for v in e] for e in scene.extent.tolist()]  # NaN: no extent, or no height
+    heading = itertools.repeat("") if scene.heading_derived else map(repr, cols.heading[rows].tolist())
+    xyz = (map(repr, c[rows].tolist()) for c in (cols.x, cols.y, cols.z))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CANONICAL_HEADER)
-    cols = scene.columns
-    for i, (agent_id, code, extent) in enumerate(zip(scene.agent_ids, scene.type_code.tolist(), scene.extent.tolist())):
-        sl = scene.rows_for_agent(i)
-        extent_cells = ["" if math.isnan(v) else repr(v) for v in extent]  # NaN: no extent, or no height
-        for row in range(sl.start, sl.stop):
-            if observed_only and not cols.observed[row]:
-                continue
-            writer.writerow(
-                [
-                    scene.scene_id,
-                    agent_id,
-                    TYPE_NAMES[code],
-                    int(cols.ts[row]),
-                    repr(float(cols.x[row])),
-                    repr(float(cols.y[row])),
-                    repr(float(cols.z[row])),
-                    "" if scene.heading_derived else repr(float(cols.heading[row])),
-                    *extent_cells,
-                ]
-            )
+    writer.writerows(
+        [scene.scene_id, scene.agent_ids[a], names[a], ts, x, y, z, h, *extents[a]]
+        for a, ts, x, y, z, h in zip(cols.agent_index[rows].tolist(), cols.ts[rows].tolist(), *xyz, heading)
+    )
     return out.getvalue()
 
 

@@ -438,6 +438,9 @@ class _SegmentIndex:
             out.append(chunk[np.argsort(cy[chunk], kind="stable")])
         return np.concatenate(out)
 
+    # Far out, squares overflow to inf and inf - inf gives NaN. The callers
+    # expect both (a nearest search skips NaN), so numpy is not to warn.
+    @np.errstate(over="ignore", invalid="ignore")
     def walk(self, px: float, py: float, r2: float | None = None, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
         """Lane ordinals of every segment in a surviving leaf, and their
         squared distances to the point, each distance first multiplied by
@@ -468,11 +471,10 @@ class _SegmentIndex:
         leaves = (~(gap[0] + gap[1] > r2)).nonzero()[0]
         seg, xy = self._segments.take(leaves, axis=0), p[:2]  # take: a gather at a third of an index's cost
         a, d = seg[:, :2], seg[:, 2:4]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = xy - a
-            u *= d
-            t = u[:, :1] + u[:, 1:]
-            t /= seg[:, 4:]
+        u = xy - a
+        u *= d
+        t = u[:, :1] + u[:, 1:]
+        t /= seg[:, 4:]
         np.maximum(t, 0.0, out=t)
         np.minimum(t, 1.0, out=t)
         q = t * d

@@ -24,7 +24,7 @@ from trajkit.analysis import (
     obb_intersect,
 )
 from trajkit.batching import STATE_DIM, AgentBatchElement, SceneBatchElement
-from trajkit.core import COLUMN_NAMES, AgentMetadata, AgentType, Extent, SceneFrame, type_codes, wrap_angle
+from trajkit.core import COLUMN_NAMES, TYPE_NAMES, AgentMetadata, AgentType, Extent, SceneFrame, type_codes, wrap_angle
 from trajkit.ingest import CANONICAL_HEADER, ParseError, _CsvColumns
 from trajkit.kinematics import DEFAULT_SPEED_FLOOR, derive_derivative, plan_resample
 from trajkit.simulation import OBS_STATE_LAYOUT, SimMetrics, SimObservation, _pooled_rate, wasserstein_1d
@@ -435,11 +435,10 @@ def _reference_window(scene, agent_index, ts_values, origin, yaw):
             raw[mask, k] = getattr(cols, name)[idx]
         heading[mask] = cols.heading[idx]
     c, s = math.cos(yaw), math.sin(yaw)
-    rot = np.array([[c, s], [-s, c]])  # rotation by -yaw
     state = np.zeros((len(raw), STATE_DIM))
-    state[:, 0:2] = (raw[:, 0:2] - origin) @ rot.T
-    state[:, 2:4] = raw[:, 2:4] @ rot.T
-    state[:, 4:6] = raw[:, 4:6] @ rot.T
+    for k, (x, y) in enumerate(((raw[:, 0] - origin[0], raw[:, 1] - origin[1]), raw[:, 2:4].T, raw[:, 4:6].T)):
+        state[:, 2 * k] = x * c + y * s  # rotation by -yaw
+        state[:, 2 * k + 1] = y * c - x * s
     h_std = wrap_angle(heading - yaw)
     state[:, 6] = np.sin(h_std)
     state[:, 7] = np.cos(h_std)
@@ -849,8 +848,8 @@ def reference_obb_corners(cx, cy, yaw, length, width):
     hl, hw = 0.5 * length, 0.5 * width
     c, s = math.cos(yaw), math.sin(yaw)
     local = np.array([(-hl, -hw), (-hl, hw), (hl, hw), (hl, -hw)])
-    rot = np.array([[c, -s], [s, c]])
-    return local @ rot.T + (cx, cy)
+    x, y = local[:, 0], local[:, 1]
+    return np.stack((x * c - y * s + cx, x * s + y * c + cy), axis=1)
 
 
 def reference_obb_intersect(corners_a, corners_b):
@@ -858,7 +857,7 @@ def reference_obb_intersect(corners_a, corners_b):
     for corners in (corners_a, corners_b):
         edges = np.roll(corners, -1, axis=0) - corners
         for axis in np.stack([-edges[:2, 1], edges[:2, 0]], axis=1):
-            pa, pb = corners_a @ axis, corners_b @ axis
+            pa, pb = (box[:, 0] * axis[0] + box[:, 1] * axis[1] for box in (corners_a, corners_b))
             if pa.max() < pb.min() or pb.max() < pa.min():
                 return False
     return True
@@ -1216,6 +1215,35 @@ def reference_parse_canonical_csv_many(table_text, meta):
     """The per-agent build over the row loop."""
     groups = _read_canonical_rows(table_text)
     return [_reference_build_scene(scene_id, rows, meta) for scene_id, rows in sorted(groups.items())]
+
+
+def reference_write_canonical_csv(scene, observed_only=False):
+    """``ingest.write_canonical_csv`` as the row-by-row loop that its column-wise
+    writer replaced."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CANONICAL_HEADER)
+    cols = scene.columns
+    for i, (agent_id, code, extent) in enumerate(zip(scene.agent_ids, scene.type_code.tolist(), scene.extent.tolist())):
+        sl = scene.rows_for_agent(i)
+        extent_cells = ["" if math.isnan(v) else repr(v) for v in extent]  # NaN: no extent, or no height
+        for row in range(sl.start, sl.stop):
+            if observed_only and not cols.observed[row]:
+                continue
+            writer.writerow(
+                [
+                    scene.scene_id,
+                    agent_id,
+                    TYPE_NAMES[code],
+                    int(cols.ts[row]),
+                    repr(float(cols.x[row])),
+                    repr(float(cols.y[row])),
+                    repr(float(cols.z[row])),
+                    "" if scene.heading_derived else repr(float(cols.heading[row])),
+                    *extent_cells,
+                ]
+            )
+    return out.getvalue()
 
 
 def reference_parse_frame_text(text, meta):

@@ -315,6 +315,14 @@ class TestMapCommand:
         assert main(["map", "--map", str(map_path), "closest-lane", "--point", "-5"]) == 64
         assert "--point expects x,y" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("warnings", ["default", "error"])
+    def test_far_point_prints_the_answer_alone(self, tmp_path, warnings):
+        # Every squared distance from this point overflows to inf; numpy warns of none of them.
+        env = dict(os.environ, PYTHONPATH=str(Path(trajkit.__file__).parents[1]))
+        argv = ["map", "--map", str(_map_file(tmp_path)), "closest-lane", "--point", "1e308,-1e308"]
+        done = subprocess.run([sys.executable, "-W", warnings, "-m", "trajkit.cli", *argv], capture_output=True, text=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "L1 inf\n", "")
+
     @pytest.mark.parametrize("point", ["nan,0", "0,nan", "inf,0", "-inf,0", "0,inf,0"])
     def test_non_finite_point_exit_2(self, tmp_path, capsys, point):
         map_path = _map_file(tmp_path)

@@ -45,7 +45,7 @@ from trajkit.ingest import (
 )
 
 from conftest import UNDECODABLE_HEADERS, random_scene, replace_header, rewrite_json_header
-from oracles import _read_canonical_rows, _rows_to_columns
+from oracles import _read_canonical_rows, _rows_to_columns, reference_write_canonical_csv
 from test_completion import random_csv
 
 HEADER = "scene_id,agent_id,agent_type,frame,x,y,z,heading,length,width,height"
@@ -384,6 +384,24 @@ class TestColumnRead:
         assert str(got.value) == str(want.value) == f"line {n + 1}: extent needs both length and width (or neither)"
         assert converted[0] == n and sum(converted) <= 3 * n
         assert converted[-1] == 1 and len(converted) <= n.bit_length() + 2  # halving, not a row-by-row scan
+
+
+class TestWriteCanonicalCsv:
+    def test_equals_the_row_loop(self):
+        # random_csv gives scenes with and without headings, extents and heights,
+        # and some NaN and infinite poses; the ids with a comma and quotes make
+        # the writer quote them.
+        rng = np.random.default_rng(310)
+        headings = set()
+        for k in range(30):
+            with np.errstate(all="ignore"):
+                scenes = parse_canonical_csv_many(random_csv(rng, False), _meta())
+            for scene in scenes:
+                scene = dataclasses.replace(scene, agent_ids=[f'{a},"{k}"' for a in scene.agent_ids])
+                headings.add(scene.heading_derived)
+                for observed_only in (False, True):
+                    assert write_canonical_csv(scene, observed_only) == reference_write_canonical_csv(scene, observed_only)
+        assert headings == {False, True}
 
 
 class TestFrameText:

@@ -495,6 +495,11 @@ class TestNonFiniteLaneQueries:
         with np.errstate(over="ignore"):
             assert vmap.lanes_within((0.0, 0.0), radius) == want
 
+    def test_squares_that_overflow_do_not_warn(self):
+        # The far lane's squared distance is 1e600; the suite turns any numpy warning into a failure.
+        vmap = VectorMap("toy:flat", [straight_lane("near", 0.0, length=1.0), straight_lane("far", 1e300, length=1.0)])
+        assert vmap.lanes_within((0.0, 0.0), 10.0) == {"near"}
+
     @pytest.mark.parametrize(
         "line, point, named",
         [
