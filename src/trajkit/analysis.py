@@ -454,12 +454,14 @@ def obb_corners(cx, cy, yaw, length, width) -> np.ndarray:
 def obb_intersect(corners_a: np.ndarray, corners_b: np.ndarray) -> np.ndarray | bool:
     """Separating-axis test for convex quadrilaterals (touching counts as
     overlap): one bool per pair of (n, 4, 2) stacks, a bool for two (4, 2)."""
-    pts = np.concatenate((corners_a, corners_b), axis=-2)  # a's corners, then b's
-    edges = pts[..., [1, 2, 5, 6], :] - pts[..., [0, 1, 4, 5], :]  # two edges of each box
-    ax, ay = -edges[..., :, None, 1], edges[..., :, None, 0]  # each edge's normal is an axis
-    proj = pts[..., None, :, 0] * ax + pts[..., None, :, 1] * ay  # (..., axis, corner)
-    pa, pb = proj[..., :4], proj[..., 4:]
-    hit = ~((pa.max(-1) < pb.min(-1)) | (pb.max(-1) < pa.min(-1))).any(-1)
+    # Box last: x and y are (corner, ...) and the axes (4, ...), so each
+    # operation runs one inner loop over the boxes, not 4n loops of 8.
+    x, y = np.ascontiguousarray(np.concatenate((corners_a, corners_b), axis=-2).T)  # a's corners, then b's
+    ex, ey = x[[1, 2, 5, 6]] - x[[0, 1, 4, 5]], y[[1, 2, 5, 6]] - y[[0, 1, 4, 5]]  # two edges of each box
+    ax, ay = -ey[:, None], ex[:, None]  # each edge's normal is an axis
+    proj = x * ax + y * ay  # (axis, corner, ...)
+    pa, pb = proj[:, :4], proj[:, 4:]
+    hit = ~((pa.max(1) < pb.min(1)) | (pb.max(1) < pa.min(1))).any(0)
     return hit if hit.ndim else bool(hit)
 
 

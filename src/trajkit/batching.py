@@ -8,7 +8,8 @@ heading as sin/cos avoids wrap discontinuities inside padded arrays.
 
 One kernel builds agent-centric batches: ``get_batch`` fills the padded
 arrays of a whole batch array-at-a-time, and ``get_element`` is its
-one-element case. Scene-centric elements share its window gather.
+one-element case. Scene-centric elements share its window gather, and
+consecutive scene-centric elements of one scene share one gather.
 """
 
 from __future__ import annotations
@@ -16,8 +17,11 @@ from __future__ import annotations
 import io
 import json
 import math
+import struct
 import zipfile
+import zlib
 from dataclasses import dataclass, field, fields, replace
+from itertools import accumulate, groupby
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -367,35 +371,49 @@ def get_batch(index: ElementIndex, indices: Iterable[int]) -> AgentBatch:
     )
 
 
-def _scene_element(index: ElementIndex, i: int) -> SceneBatchElement:
-    tag, scene_id, ts, agent_indices = _entry(index, i)
-    ctx = index.contexts[(tag, scene_id)]
-    scene = ctx.scene
-    # One element, in the world frame: origin 0 and yaw 0 for all its agents.
-    agents = np.array(agent_indices)
-    element, origin, yaw = np.zeros(len(agents), dtype=np.int64), np.zeros((1, 2)), np.zeros(1)
-    hist, hist_mask = _window(ctx, agents, element, np.arange(ts - ctx.h_steps, ts + 1)[None], origin, yaw)
-    fut, fut_mask = _window(ctx, agents, element, np.arange(ts + 1, ts + ctx.f_steps + 1)[None], origin, yaw)
-    return SceneBatchElement(
-        scene_id=scene.scene_id,
-        dataset_tag=ctx.tag,
-        current_ts=ts,
-        dt=scene.dt,
-        agent_ids=tuple(scene.agent_ids[j] for j in agent_indices),
-        agent_types=tuple(TYPE_BY_CODE[c] for c in scene.type_code[agents].tolist()),
-        histories=hist,
-        history_masks=hist_mask,
-        futures=fut,
-        future_masks=fut_mask,
-    )
+def _scene_elements(index: ElementIndex, indices: Iterable[int]) -> list[SceneBatchElement]:
+    """The scene-centric elements at indices, in order. Each run of
+    consecutive entries of one scene shares one history and one future
+    gather over all their agents, in the world frame (origin 0, yaw 0)."""
+    out: list[SceneBatchElement] = []
+    for key, run in groupby([_entry(index, i) for i in indices], key=lambda e: e[:2]):
+        run = list(run)
+        ctx = index.contexts[key]
+        scene = ctx.scene
+        ts = np.array([e[2] for e in run])[:, None]
+        counts = [len(e[3]) for e in run]
+        agents = np.array([j for e in run for j in e[3]])
+        element, origins, yaws = np.arange(len(run)).repeat(counts), np.zeros((len(run), 2)), np.zeros(len(run))
+        hist, hist_mask = _window(ctx, agents, element, ts + np.arange(-ctx.h_steps, 1), origins, yaws)
+        fut, fut_mask = _window(ctx, agents, element, ts + np.arange(1, ctx.f_steps + 1), origins, yaws)
+        ids = [scene.agent_ids[j] for j in agents.tolist()]
+        types = [TYPE_BY_CODE[c] for c in scene.type_code[agents].tolist()]
+        ends = list(accumulate(counts))
+        for (_, _, t, _), lo, hi in zip(run, [0, *ends], ends):
+            out.append(
+                SceneBatchElement(
+                    scene_id=scene.scene_id,
+                    dataset_tag=ctx.tag,
+                    current_ts=t,
+                    dt=scene.dt,
+                    agent_ids=tuple(ids[lo:hi]),
+                    agent_types=tuple(types[lo:hi]),
+                    histories=hist[lo:hi],
+                    history_masks=hist_mask[lo:hi],
+                    futures=fut[lo:hi],
+                    future_masks=fut_mask[lo:hi],
+                )
+            )
+    return out
 
 
 def get_element(index: ElementIndex, i: int):
     """Materialize element i (AgentBatchElement or SceneBatchElement); an
-    agent-centric element is the one-element batch of get_batch, unpadded."""
+    agent-centric element is the one-element batch of get_batch, unpadded,
+    and a scene-centric one the one-element case of the export's gather."""
     if index.centric == "agent":
         return get_batch(index, [i]).unpad()[0]
-    return _scene_element(index, i)
+    return _scene_elements(index, [i])[0]
 
 
 @dataclass(eq=False)
@@ -523,15 +541,40 @@ def augment_noise(element: AgentBatchElement, sigma: float, seed: int) -> AgentB
 # Batch export (file container + manifest for downstream frameworks)
 # ---------------------------------------------------------------------------
 
+# Stored zip members dated 1980-01-01 00:00 (DOS date 33, time 0), made by
+# Unix (3) with version 2.0, mode ?rw-------: the fields zipfile.writestr
+# writes for such a ZipInfo, so identical content yields identical bytes.
+_LOCAL = struct.Struct("<4s2B4HL2L2H")
+_CENTRAL = struct.Struct("<4s4B4HL2L5H2L")
+_END = struct.Struct("<4s4H2LH")
+
+
 def _write_npz_deterministic(path: Path, arrays: dict[str, np.ndarray]) -> None:
-    # np.savez stamps zip entries with the current time; write entries with a
-    # fixed timestamp so identical content yields identical bytes.
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
-        for name in sorted(arrays):
-            buf = io.BytesIO()
-            np.lib.format.write_array(buf, np.ascontiguousarray(arrays[name]))
-            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            zf.writestr(info, buf.getvalue())
+    """Write arrays as a stored .npz, members in name order, with one write.
+
+    Raises ValueError, and writes nothing, where zipfile would switch to
+    zip64: a member's size times 1.05, or an offset, past zipfile.ZIP64_LIMIT.
+    A central entry is 16 bytes longer than its local header, less than the
+    64-byte .npy header of its member, so the offset check covers the
+    directory's size too.
+    """
+    limit = zipfile.ZIP64_LIMIT
+    local, central, offset = [], [], 0
+    for name in sorted(arrays):
+        buf = io.BytesIO()
+        np.lib.format.write_array(buf, np.ascontiguousarray(arrays[name]))
+        data, fname = buf.getvalue(), (name + ".npy").encode("ascii")
+        crc, size = zlib.crc32(data), len(data)
+        local += (_LOCAL.pack(b"PK\x03\x04", 20, 0, 0, 0, 0, 33, crc, size, size, len(fname), 0), fname, data)
+        central += (
+            _CENTRAL.pack(b"PK\x01\x02", 20, 3, 20, 0, 0, 0, 0, 33, crc, size, size, len(fname), 0, 0, 0, 0, 0o600 << 16, offset),
+            fname,
+        )
+        offset += _LOCAL.size + len(fname) + size
+        if size * 1.05 > limit or offset > limit:
+            raise ValueError(f"{path}: member {name!r} takes the archive past the {limit}-byte zip limit; lower --batch-size")
+    cd = b"".join(central)
+    path.write_bytes(b"".join((*local, cd, _END.pack(b"PK\x05\x06", 0, 0, len(arrays), len(arrays), len(cd), offset, 0))))
 
 
 def export_batches(index: ElementIndex, out_dir: str | Path, batch_size: int = 32) -> Path:
@@ -567,7 +610,7 @@ def export_batches(index: ElementIndex, out_dir: str | Path, batch_size: int = 3
                 for scene_id, agent_id, ts in zip(batch.scene_ids, batch.agent_ids, batch.current_ts.tolist())
             ]
         else:
-            elements = [_scene_element(index, i) for i in range(lo, hi)]
+            elements = _scene_elements(index, range(lo, hi))
             arrays = {
                 "histories": _pad([el.histories for el in elements], np.float32),
                 "history_masks": _pad([el.history_masks for el in elements]),

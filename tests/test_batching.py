@@ -1,5 +1,7 @@
 import dataclasses
+import io
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from trajkit.core import AgentMetadata, AgentType, SceneFrame
 from trajkit.ingest import SceneCache, SceneMetaRecord, Straight, UnknownTagError, parse_canonical_csv, synth_scene
 
 from conftest import count_scene_file_reads, random_scene
-from oracles import enumerate_qualifying, reference_element
+from oracles import enumerate_qualifying, reference_element, reference_write_npz
 
 HEADER = "scene_id,agent_id,agent_type,frame,x,y,z,heading,length,width,height"
 
@@ -478,9 +480,9 @@ class TestWindowKernelEquivalence:
         index = build_index(cache, ["rand"], centric, self.WINDOW, desired_dt=0.2)
         export_batches(index, tmp_path / "kernel", batch_size=7)
         # Export builds agent-centric batches with get_batch and scene-centric
-        # elements one at a time; the reference run swaps both for oracles.py.
+        # ones with _scene_elements; the reference run swaps both for oracles.py.
         monkeypatch.setattr(batching, "get_batch", lambda index, indices: collate([reference_element(index, i) for i in indices]))
-        monkeypatch.setattr(batching, "_scene_element", reference_element)
+        monkeypatch.setattr(batching, "_scene_elements", lambda index, indices: [reference_element(index, i) for i in indices])
         export_batches(index, tmp_path / "reference", batch_size=7)
         names = sorted(p.name for p in (tmp_path / "kernel").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "reference").iterdir())
@@ -571,3 +573,141 @@ class TestGetBatch:
         index = build_index(cache, ["rand"], "scene", self.WINDOW)
         with pytest.raises(ValueError, match="agent-centric"):
             get_batch(index, [0])
+
+
+class TestSceneElements:
+    """The per-run scene-centric gather against the per-agent reference."""
+
+    WINDOW = TestWindowKernelEquivalence.WINDOW
+
+    @pytest.mark.parametrize("desired_dt", [None, 0.2])
+    def test_batches_equal_reference_element_by_element(self, cache, desired_dt):
+        rng = np.random.default_rng(51)
+        for i in range(2):
+            cache.write(random_scene(rng, n_agents=6, n_timesteps=50, gap_prob=0.3, scene_id=f"s{i}"))
+        index = build_index(cache, ["rand"], "scene", self.WINDOW, desired_dt=desired_dt)
+        n = len(index)
+        spans_two_scenes = False
+        for size in (1, 7, n):
+            for lo in range(0, n, size):
+                indices = list(range(lo, min(lo + size, n)))
+                spans_two_scenes |= len({index.entries[i][:2] for i in indices}) == 2
+                for element, i in zip(batching._scene_elements(index, indices), indices, strict=True):
+                    _assert_same_bits(element, reference_element(index, i))
+        assert spans_two_scenes
+        # Runs broken by order: back and forth between the scenes, and repeats.
+        indices = [n - 1, 0, 1, n - 1, n - 1, 2]
+        for element, i in zip(batching._scene_elements(index, indices), indices, strict=True):
+            _assert_same_bits(element, reference_element(index, i))
+
+    def test_out_of_range_rejected(self, cache):
+        cache.write(random_scene(np.random.default_rng(52), n_agents=4, n_timesteps=40))
+        index = build_index(cache, ["rand"], "scene", self.WINDOW)
+        with pytest.raises(IndexError, match="out of range"):
+            batching._scene_elements(index, [0, len(index)])
+
+
+def _npy_size(array) -> int:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.ascontiguousarray(array))
+    return len(buf.getvalue())
+
+
+class TestNpzWriter:
+    """The one-write container writer against the zipfile loop it replaced."""
+
+    RNG = np.random.default_rng(53)
+    CASES = {
+        "export dtypes": {
+            "history": RNG.normal(size=(3, 4, 8)).astype(np.float32),
+            "history_mask": RNG.random((3, 4)) < 0.5,
+            "neighbor_counts": RNG.integers(0, 9, 3),
+        },
+        "zero-size members": {
+            "neighbor_histories": np.zeros((3, 0, 4, 8), dtype=np.float32),
+            "neighbor_masks": np.zeros((3, 0, 4), dtype=bool),
+            "neighbor_counts": np.zeros(3, dtype=np.int64),
+        },
+        "0-d member": {"rotation": np.array(1.5, dtype=np.float32)},
+        "one member": {"agent_counts": np.arange(5)},
+        "names out of insertion order": {
+            "zeta": np.ones(2, dtype=np.float32),
+            "alpha": np.zeros((2, 2), dtype=bool),
+            "Beta": np.arange(3),
+            "a_b": np.full((1, 3), -0.0, dtype=np.float32),
+            "a": np.array([True]),
+        },
+        "strided input": {"history": RNG.normal(size=(4, 6, 8)).astype(np.float32)[::2, :, ::-1]},
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bytes_equal_reference_and_load_back(self, tmp_path, case):
+        arrays = self.CASES[case]
+        got, want = tmp_path / "got.npz", tmp_path / "want.npz"
+        batching._write_npz_deterministic(got, arrays)
+        reference_write_npz(want, arrays)
+        assert got.read_bytes() == want.read_bytes()
+        with zipfile.ZipFile(got) as zf:
+            assert zf.testzip() is None
+            assert zf.namelist() == sorted(name + ".npy" for name in arrays)
+        with np.load(got, allow_pickle=False) as loaded:
+            assert sorted(loaded.files) == sorted(arrays)
+            for name, array in arrays.items():
+                # Both writers store np.ascontiguousarray(array), which is at least 1-d.
+                stored = np.ascontiguousarray(array)
+                assert (loaded[name].dtype, loaded[name].shape) == (stored.dtype, stored.shape)
+                assert loaded[name].tobytes() == stored.tobytes()
+
+    @pytest.mark.parametrize("centric", ["agent", "scene"])
+    def test_export_bytes_equal_reference_writer(self, cache, tmp_path, monkeypatch, centric):
+        # One agent alone: the agent-centric containers hold (n, 0, T, 8) neighbour histories.
+        cache.write(synth_scene(Straight(10.0), 1, 40, 0.1))
+        index = build_index(cache, ["synth"], centric, WindowSpec((0.2, 0.5), (0.2, 0.3)))
+        export_batches(index, tmp_path / "got", batch_size=7)
+        monkeypatch.setattr(batching, "_write_npz_deterministic", reference_write_npz)
+        export_batches(index, tmp_path / "want", batch_size=7)
+        names = sorted(p.name for p in (tmp_path / "got").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "want").iterdir())
+        for name in names:
+            assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+        if centric == "agent":
+            with np.load(tmp_path / "got" / "batch_00000.npz") as loaded:
+                assert loaded["neighbor_histories"].shape[1] == 0
+
+    def test_at_a_lowered_zip64_limit_bytes_equal_reference(self, tmp_path, monkeypatch):
+        arrays = self.CASES["export dtypes"]
+        reference_write_npz(tmp_path / "full.npz", arrays)
+        # The last member ends where the central directory starts: at the limit, not past it.
+        members_end = (tmp_path / "full.npz").stat().st_size - sum(46 + len(n) + 4 for n in arrays) - 22
+        monkeypatch.setattr(zipfile, "ZIP64_LIMIT", members_end)
+        batching._write_npz_deterministic(tmp_path / "got.npz", arrays)
+        reference_write_npz(tmp_path / "want.npz", arrays)
+        assert (tmp_path / "got.npz").read_bytes() == (tmp_path / "want.npz").read_bytes()
+        # One byte lower, zipfile would write a zip64 end record.
+        monkeypatch.setattr(zipfile, "ZIP64_LIMIT", members_end - 1)
+        with pytest.raises(ValueError, match="member 'neighbor_counts'"):
+            batching._write_npz_deterministic(tmp_path / "past.npz", arrays)
+        assert not (tmp_path / "past.npz").exists()
+
+    def test_member_past_a_lowered_zip64_limit_raises_and_writes_nothing(self, tmp_path, monkeypatch):
+        arrays = {"history": np.zeros((32, 31, 8), dtype=np.float32)}
+        # The archive's one member ends at the limit, but 1.05 times its size passes it,
+        # and there zipfile writes the member's local header with a zip64 extra field.
+        monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 30 + len("history.npy") + _npy_size(arrays["history"]))
+        reference_write_npz(tmp_path / "zip64.npz", arrays)
+        assert int.from_bytes((tmp_path / "zip64.npz").read_bytes()[28:30], "little") == 20
+        path = tmp_path / "batch_00000.npz"
+        with pytest.raises(ValueError, match=r"batch_00000\.npz: member 'history' .*zip limit"):
+            batching._write_npz_deterministic(path, arrays)
+        assert not path.exists()
+
+    def test_offset_past_a_lowered_zip64_limit_raises_and_writes_nothing(self, tmp_path, monkeypatch):
+        arrays = {name: np.zeros(8, dtype=np.float32) for name in ("a", "b", "c", "d")}
+        # Each member fits; the third one's end is the first past the limit.
+        local = 30 + len("a.npy") + _npy_size(arrays["a"])
+        monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 3 * local - 1)
+        path = tmp_path / "batch_00003.npz"
+        with pytest.raises(ValueError, match=r"batch_00003\.npz: member 'c' "):
+            batching._write_npz_deterministic(path, arrays)
+        assert not path.exists()
+

@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -412,6 +413,17 @@ class TestBatchCommand:
         assert code == 64
         assert "--tags names nothing" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
+
+    def test_container_past_the_zip64_limit_exit_2(self, workspace, capsys, monkeypatch):
+        tmp_path, cache_dir = workspace
+        # future, first in name order, holds 32 x 40 x 8 float32 values: 40 kB, past a 4 kB limit.
+        monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 4096)
+        out = tmp_path / "b"
+        code = main(["batch", "--cache", str(cache_dir), "--tags", "synth", "--history", "1,3", "--future", "4,4", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "member 'future'" in err and "lower --batch-size" in err
+        assert not (out / "batch_00000.npz").exists() and not (out / "manifest.json").exists()
 
     def test_bad_window_exit_64(self, workspace):
         tmp_path, cache_dir = workspace
