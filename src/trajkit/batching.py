@@ -14,13 +14,14 @@ consecutive scene-centric elements of one scene share one gather.
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import math
 import struct
 import zipfile
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import accumulate, groupby
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -135,8 +136,6 @@ class _SceneContext:
     tag: str
     h_steps: int   # padded history length H (window holds H+1 slots)
     f_steps: int
-    h_min: int
-    f_min: int
     states: np.ndarray = field(init=False)  # (7, rows): x, y, vx, vy, ax, ay, heading
     id_rank: np.ndarray = field(init=False)  # (agents,): each agent's place in agent-id order
 
@@ -196,16 +195,13 @@ def build_index(
         if desired_dt is not None:
             scene = resample_scene(scene, desired_dt)
         n_scenes += 1
-        dt = scene.dt
-        ctx = _SceneContext(
+        contexts[(tag, scene.scene_id)] = _SceneContext(
             scene=scene,
             tag=tag,
-            h_steps=seconds_to_steps(window.history[1], dt),
-            f_steps=seconds_to_steps(window.future[1], dt),
-            h_min=seconds_to_steps(window.history[0], dt),
-            f_min=seconds_to_steps(window.future[0], dt),
+            h_steps=seconds_to_steps(window.history[1], scene.dt),
+            f_steps=seconds_to_steps(window.future[1], scene.dt),
         )
-        contexts[(tag, scene.scene_id)] = ctx
+        h_min, f_min = seconds_to_steps(window.history[0], scene.dt), seconds_to_steps(window.future[0], scene.dt)
         # Anchors: observed rows of allowed agents whose lifetime reaches h_min
         # steps behind and f_min ahead. Imputation and resampling never
         # extrapolate, so every in-lifetime step interpolates real observations;
@@ -213,7 +209,7 @@ def build_index(
         cols, j, ids = scene.columns, scene.columns.agent_index, scene.agent_ids
         ok = (
             cols.observed & allowed[scene.type_code][j]
-            & (cols.ts - scene.first_ts[j] >= ctx.h_min) & (scene.last_ts[j] - cols.ts >= ctx.f_min)
+            & (cols.ts - scene.first_ts[j] >= h_min) & (scene.last_ts[j] - cols.ts >= f_min)
         )
         triples += [(tag, scene.scene_id, ids[a], a, ts) for a, ts in zip(j[ok].tolist(), cols.ts[ok].tolist())]
 
@@ -286,6 +282,14 @@ def _neighbors(ctx: _SceneContext, egos: np.ndarray, ts: np.ndarray, origins: np
     return el[order], j[order]
 
 
+def _window_shapes(shapes: list[tuple]) -> tuple:
+    """The (history, future) shape pair all elements share; ValueError on the first that differs."""
+    for h_shape, f_shape in shapes:
+        if (h_shape, f_shape) != shapes[0]:
+            raise ValueError(f"mixed window shapes: {h_shape}/{f_shape} vs {shapes[0][0]}/{shapes[0][1]}")
+    return shapes[0]
+
+
 def get_batch(index: ElementIndex, indices: Iterable[int]) -> AgentBatch:
     """Build the agent-centric batch of the elements at indices, in order.
 
@@ -303,12 +307,7 @@ def get_batch(index: ElementIndex, indices: Iterable[int]) -> AgentBatch:
     for b, (tag, scene_id, _, _) in enumerate(entries):
         groups.setdefault((tag, scene_id), []).append(b)
     ctxs = [index.contexts[key] for key in groups]
-    h_shape, f_shape = (ctxs[0].h_steps + 1, STATE_DIM), (ctxs[0].f_steps, STATE_DIM)
-    for ctx in ctxs[1:]:
-        if (ctx.h_steps + 1, STATE_DIM) != h_shape or (ctx.f_steps, STATE_DIM) != f_shape:
-            raise ValueError(
-                f"mixed window shapes: {(ctx.h_steps + 1, STATE_DIM)}/{(ctx.f_steps, STATE_DIM)} vs {h_shape}/{f_shape}"
-            )
+    h_shape, f_shape = _window_shapes([((ctx.h_steps + 1, STATE_DIM), (ctx.f_steps, STATE_DIM)) for ctx in ctxs])
 
     n = len(entries)
     egos = np.array([e[2] for e in entries], dtype=np.int64)
@@ -469,10 +468,10 @@ class AgentBatch:
         return out
 
 
-def _pad(parts: Sequence[np.ndarray], dtype=None) -> np.ndarray:
+def _pad(parts: Sequence[np.ndarray]) -> np.ndarray:
     """Stack arrays that differ only in their first dimension, zero-filling
     each up to the longest."""
-    out = np.zeros((len(parts), max(len(p) for p in parts), *parts[0].shape[1:]), dtype=dtype or parts[0].dtype)
+    out = np.zeros((len(parts), max(len(p) for p in parts), *parts[0].shape[1:]), dtype=parts[0].dtype)
     for i, p in enumerate(parts):
         out[i, : len(p)] = p
     return out
@@ -485,13 +484,7 @@ def collate(elements: Sequence[AgentBatchElement]) -> AgentBatch:
     """
     if not elements:
         raise ValueError("cannot collate an empty element list")
-    h_shape = elements[0].history.shape
-    f_shape = elements[0].future.shape
-    for el in elements:
-        if el.history.shape != h_shape or el.future.shape != f_shape:
-            raise ValueError(
-                f"mixed window shapes: {el.history.shape}/{el.future.shape} vs {h_shape}/{f_shape}"
-            )
+    _window_shapes([(el.history.shape, el.future.shape) for el in elements])
     return AgentBatch(
         scene_ids=tuple(el.scene_id for el in elements),
         dataset_tags=tuple(el.dataset_tag for el in elements),
@@ -523,18 +516,9 @@ def augment_noise(element: AgentBatchElement, sigma: float, seed: int) -> AgentB
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, 1.0, size=(element.history.shape[0], 2)) * sigma
-    history = element.history.copy()
-    history[:, 0:2] += noise * element.history_mask[:, None]
-    return replace(
-        element,
-        history=history,
-        history_mask=element.history_mask.copy(),
-        future=element.future.copy(),
-        future_mask=element.future_mask.copy(),
-        neighbor_histories=element.neighbor_histories.copy(),
-        neighbor_masks=element.neighbor_masks.copy(),
-        translation=element.translation.copy(),
-    )
+    out = copy.deepcopy(element)
+    out.history[:, 0:2] += noise * out.history_mask[:, None]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +546,7 @@ def _write_npz_deterministic(path: Path, arrays: dict[str, np.ndarray]) -> None:
     local, central, offset = [], [], 0
     for name in sorted(arrays):
         buf = io.BytesIO()
-        np.lib.format.write_array(buf, np.ascontiguousarray(arrays[name]))
+        np.lib.format.write_array(buf, np.require(arrays[name], requirements="C"))
         data, fname = buf.getvalue(), (name + ".npy").encode("ascii")
         crc, size = zlib.crc32(data), len(data)
         local += (_LOCAL.pack(b"PK\x03\x04", 20, 0, 0, 0, 0, 33, crc, size, size, len(fname), 0), fname, data)
@@ -575,6 +559,29 @@ def _write_npz_deterministic(path: Path, arrays: dict[str, np.ndarray]) -> None:
             raise ValueError(f"{path}: member {name!r} takes the archive past the {limit}-byte zip limit; lower --batch-size")
     cd = b"".join(central)
     path.write_bytes(b"".join((*local, cd, _END.pack(b"PK\x05\x06", 0, 0, len(arrays), len(arrays), len(cd), offset, 0))))
+
+
+# Container members and their dimension names, by format: the AgentBatch or padded SceneBatchElement field of each name, but agent_counts.
+_EXPORT_DIMS = {
+    "agent": {
+        "history": ["element", "time", "state"],
+        "history_mask": ["element", "time"],
+        "future": ["element", "time", "state"],
+        "future_mask": ["element", "time"],
+        "neighbor_histories": ["element", "neighbor", "time", "state"],
+        "neighbor_masks": ["element", "neighbor", "time"],
+        "neighbor_counts": ["element"],
+        "translations": ["element", "xy"],
+        "rotations": ["element"],
+    },
+    "scene": {
+        "histories": ["element", "agent", "time", "state"],
+        "history_masks": ["element", "agent", "time"],
+        "futures": ["element", "agent", "time", "state"],
+        "future_masks": ["element", "agent", "time"],
+        "agent_counts": ["element"],
+    },
+}
 
 
 def export_batches(index: ElementIndex, out_dir: str | Path, batch_size: int = 32) -> Path:
@@ -594,33 +601,19 @@ def export_batches(index: ElementIndex, out_dir: str | Path, batch_size: int = 3
         fname = f"batch_{b:05d}.npz"
         if index.centric == "agent":
             batch = get_batch(index, range(lo, hi))
-            arrays = {
-                "history": batch.history.astype(np.float32),
-                "history_mask": batch.history_mask,
-                "future": batch.future.astype(np.float32),
-                "future_mask": batch.future_mask,
-                "neighbor_histories": batch.neighbor_histories.astype(np.float32),
-                "neighbor_masks": batch.neighbor_masks,
-                "neighbor_counts": batch.neighbor_counts,
-                "translations": batch.translations.astype(np.float32),
-                "rotations": batch.rotations.astype(np.float32),
-            }
+            arrays = {name: getattr(batch, name) for name in _EXPORT_DIMS["agent"]}
             provenance = [
                 {"scene_id": scene_id, "agent_id": agent_id, "ts": ts}
                 for scene_id, agent_id, ts in zip(batch.scene_ids, batch.agent_ids, batch.current_ts.tolist())
             ]
         else:
             elements = _scene_elements(index, range(lo, hi))
-            arrays = {
-                "histories": _pad([el.histories for el in elements], np.float32),
-                "history_masks": _pad([el.history_masks for el in elements]),
-                "futures": _pad([el.futures for el in elements], np.float32),
-                "future_masks": _pad([el.future_masks for el in elements]),
-                "agent_counts": np.array([len(el.agent_ids) for el in elements], dtype=np.int64),
-            }
+            arrays = {name: _pad([getattr(el, name) for el in elements]) for name in _EXPORT_DIMS["scene"] if name != "agent_counts"}
+            arrays["agent_counts"] = np.array([len(el.agent_ids) for el in elements], dtype=np.int64)
             provenance = [
                 {"scene_id": el.scene_id, "agent_ids": list(el.agent_ids), "ts": el.current_ts} for el in elements
             ]
+        arrays = {name: arr.astype(np.float32) if arr.dtype == np.float64 else arr for name, arr in arrays.items()}
         _write_npz_deterministic(out / fname, arrays)
         batches_meta.append(
             {
@@ -630,33 +623,13 @@ def export_batches(index: ElementIndex, out_dir: str | Path, batch_size: int = 3
                 "arrays": {name: {"dtype": str(arr.dtype), "shape": list(arr.shape)} for name, arr in sorted(arrays.items())},
             }
         )
-    if index.centric == "agent":
-        array_dims = {
-            "history": ["element", "time", "state"],
-            "history_mask": ["element", "time"],
-            "future": ["element", "time", "state"],
-            "future_mask": ["element", "time"],
-            "neighbor_histories": ["element", "neighbor", "time", "state"],
-            "neighbor_masks": ["element", "neighbor", "time"],
-            "neighbor_counts": ["element"],
-            "translations": ["element", "xy"],
-            "rotations": ["element"],
-        }
-    else:
-        array_dims = {
-            "histories": ["element", "agent", "time", "state"],
-            "history_masks": ["element", "agent", "time"],
-            "futures": ["element", "agent", "time", "state"],
-            "future_masks": ["element", "agent", "time"],
-            "agent_counts": ["element"],
-        }
     manifest = {
         "format": "trajkit-batch@1",
         "centric": index.centric,
         "n_elements": len(index),
         "state_layout": list(STATE_LAYOUT),
         "state_dtype": "float32",
-        "arrays": {name: {"dims": dims} for name, dims in array_dims.items()},
+        "arrays": {name: {"dims": dims} for name, dims in _EXPORT_DIMS[index.centric].items()},
         "window": {"history_sec": list(index.window.history), "future_sec": list(index.window.future)},
         "batches": batches_meta,
     }

@@ -31,7 +31,6 @@ from .ingest import (
     parse_canonical_csv_many,
     parse_frame_text,
 )
-from .kinematics import ResampleRatioError
 from .simulation import sim_export, sim_reset, sim_score, sim_step
 from .vecmap import MapError, map_deserialize
 
@@ -139,12 +138,13 @@ def _names(text: str, flag: str) -> list[str]:
     return names
 
 
-def _parse_pair(text: str, flag: str) -> tuple[float, float]:
+def _numbers(text: str, flag: str, counts: tuple[int, ...], form: str) -> tuple[float, ...]:
+    """The numbers a comma-separated flag holds; a count not in counts or a non-number is a usage error."""
     parts = text.split(",")
-    if len(parts) != 2:
-        raise _UsageError(f"{flag} expects two comma-separated numbers, got {text!r}")
+    if len(parts) not in counts:
+        raise _UsageError(f"{flag} expects {form}, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        return tuple(float(p) for p in parts)
     except ValueError:
         raise _UsageError(f"{flag} expects numbers, got {text!r}") from None
 
@@ -188,14 +188,7 @@ def _load_map(args):
 
 def cmd_map_closest(args) -> int:
     vmap = _load_map(args)
-    parts = args.point.split(",")
-    if len(parts) not in (2, 3):
-        raise _UsageError(f"--point expects x,y[,z], got {args.point!r}")
-    try:
-        point = [float(p) for p in parts]
-    except ValueError:
-        raise _UsageError(f"--point expects numbers, got {args.point!r}") from None
-    lane_id, dist = vmap.closest_lane_with_distance(point)
+    lane_id, dist = vmap.closest_lane_with_distance(_numbers(args.point, "--point", (2, 3), "x,y[,z]"))
     print(f"{lane_id} {dist!r}")
     return EXIT_OK
 
@@ -213,7 +206,8 @@ def cmd_batch(args) -> int:
     if args.batch_size < 1:
         raise _UsageError("--batch-size must be >= 1")
     tags = _names(args.tags, "--tags")
-    window = WindowSpec(history=_parse_pair(args.history, "--history"), future=_parse_pair(args.future, "--future"))
+    pair = "two comma-separated numbers"
+    window = WindowSpec(history=_numbers(args.history, "--history", (2,), pair), future=_numbers(args.future, "--future", (2,), pair))
     index = build_index(cache, tags, centric=args.centric, window=window, filt=FilterSpec(), desired_dt=args.dt)
     manifest = export_batches(index, args.out, batch_size=args.batch_size)
     print(f"wrote {len(index)} elements to {manifest}")
@@ -251,23 +245,16 @@ def cmd_sim_replay(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    level = logging.WARNING
-    if args.verbose == 1:
-        level = logging.INFO
-    elif args.verbose >= 2:
-        level = logging.DEBUG
-    # basicConfig adds the stderr handler only while the root logger has none, so the level is set here on every call.
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
-    logging.getLogger().setLevel(level)
-
-    try:
+        args = _build_parser().parse_args(argv)
+        level = logging.WARNING
+        if args.verbose == 1:
+            level = logging.INFO
+        elif args.verbose >= 2:
+            level = logging.DEBUG
+        # basicConfig adds the stderr handler only while the root logger has none, so the level is set here on every call.
+        logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+        logging.getLogger().setLevel(level)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -278,7 +265,7 @@ def main(argv=None) -> int:
     except EmptyIndexError as exc:
         print(f"empty result: {exc}", file=sys.stderr)
         return EXIT_EMPTY
-    except (ParseError, CacheError, MapError, ResampleRatioError, UnknownTagError, ValueError) as exc:
+    except (CacheError, MapError, UnknownTagError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:

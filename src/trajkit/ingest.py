@@ -14,6 +14,7 @@ none of them is stored.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -330,6 +331,18 @@ def _agent_tracks(agent_ids: Sequence, frames: Sequence[int], lines: Sequence[in
     return ids, order, ts, offsets, int(np.append(agent, len(ids))[repeat]), repeat
 
 
+def _complete_scene(scene_id, meta, ids, type_code, extent, offsets, ts, x, y, z, heading=None) -> SceneFrame:
+    """The scene of rows ordered by agent, then frame; ParseError for a lifetime past the row budget."""
+    try:
+        first, last, columns = complete_tracks(offsets, ts, x, y, z, meta.dt, heading, ids)
+    except ValueError as exc:  # lifetimes beyond the row budget
+        raise ParseError(str(exc)) from None
+    return SceneFrame(
+        scene_id, meta.dataset_tag(), meta.location, float(meta.dt), agent_ids=ids, type_code=type_code,
+        first_ts=first, last_ts=last, extent=extent, columns=columns, heading_derived=heading is None,
+    )
+
+
 def _build_scene(scene_id: str, cols: _CsvColumns, meta: SceneMetaRecord) -> SceneFrame:
     ids, order, ts, offsets, repeat_agent, repeat = _agent_tracks(cols.agent_ids, cols.frames, cols.lines)
     # An agent's extent comes from its first row (in frame order) that has one.
@@ -346,16 +359,9 @@ def _build_scene(scene_id: str, cols: _CsvColumns, meta: SceneMetaRecord) -> Sce
             raise ParseError(f"line {cols.lines[r]}: agent {agent_id}: {exc}") from None
     if repeat_agent < len(ids):
         raise ParseError(f"agent {ids[repeat_agent]}: non-monotone frames (duplicate frame {cols.frames[order[repeat]]})")
-    headings_given = bool(cols.has_heading.all())
-    try:
-        first, last, columns = complete_tracks(
-            offsets, ts, cols.x[order], cols.y[order], cols.z[order], meta.dt, cols.heading[order] if headings_given else None, ids
-        )
-    except ValueError as exc:  # lifetimes beyond the row budget
-        raise ParseError(str(exc)) from None
-    return SceneFrame(
-        scene_id, meta.dataset_tag(), meta.location, float(meta.dt), agent_ids=ids, type_code=cols.types[order[offsets[:-1]]],
-        first_ts=first, last_ts=last, extent=extent, columns=columns, heading_derived=not headings_given,
+    heading = cols.heading[order] if cols.has_heading.all() else None
+    return _complete_scene(
+        scene_id, meta, ids, cols.types[order[offsets[:-1]]], extent, offsets, ts, cols.x[order], cols.y[order], cols.z[order], heading
     )
 
 
@@ -438,16 +444,9 @@ def parse_frame_text(text: str, meta: SceneMetaRecord) -> SceneFrame:
     if repeat_agent < len(ids):
         raise ParseError(f"agent {ids[repeat_agent]}: duplicate frame")
     ts //= np.gcd.reduce(ts) or 1  # frames may skip at a fixed stride
-    try:
-        first, last, columns = complete_tracks(
-            offsets, ts, np.array(x)[order], np.array(y)[order], np.zeros(len(order)), meta.dt, agent_ids=ids
-        )
-    except ValueError as exc:  # lifetimes beyond the row budget
-        raise ParseError(str(exc)) from None
-    return SceneFrame(
-        meta.scene_id, meta.dataset_tag(), meta.location, float(meta.dt), agent_ids=tuple(map(str, ids)),
-        type_code=type_codes([AgentType.PEDESTRIAN.value] * len(ids)), first_ts=first, last_ts=last,
-        extent=[NO_EXTENT] * len(ids), columns=columns,
+    return _complete_scene(
+        meta.scene_id, meta, tuple(map(str, ids)), type_codes([AgentType.PEDESTRIAN.value] * len(ids)), [NO_EXTENT] * len(ids),
+        offsets, ts, np.array(x)[order], np.array(y)[order], np.zeros(len(order)),
     )
 
 
@@ -705,6 +704,15 @@ def _plain_name(name: str, what: str) -> str:
     return name
 
 
+@contextlib.contextmanager
+def _naming(path: Path) -> Iterator[None]:
+    """Re-raise a CacheError as its class, or a ValueError as a CacheError, naming the scene file."""
+    try:
+        yield
+    except (CacheError, ValueError) as exc:
+        raise (type(exc) if isinstance(exc, CacheError) else CacheError)(f"scene file {path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class CacheEntry:
     tag: str
@@ -750,8 +758,9 @@ class SceneCache:
         return None
 
     def load_path(self, path: str | Path) -> SceneFrame:
-        """Decode the scene file at path, read-only; every call reads it afresh."""
-        return _read_only(scene_from_bytes(Path(path).read_bytes()))
+        """Decode the scene file at path, read-only; every call reads it afresh; a CacheError names the file."""
+        with _naming(path):
+            return _read_only(scene_from_bytes(Path(path).read_bytes()))
 
     def _select(self, tags: Iterable[str], whole: bool) -> list[tuple[SceneTag, Path, dict, bytes | None, int]]:
         """(tag, path, header, bytes if whole else None, payload offset) of the
@@ -764,14 +773,11 @@ class SceneCache:
             query = SceneTag.parse(text)
             paths = sorted(self._dataset_dir(query.dataset).glob("*.tksc"))
             for path in (p for p in paths if p not in files):
-                try:
-                    with open(path, "rb") as f:
-                        data = f.read() if whole else None
-                        stream = io.BytesIO(data) if whole else f
-                        header, pos = read_container(stream, os.fstat(f.fileno()).st_size, CACHE_MAGIC, CACHE_VERSION, _CACHE_ERRORS)
+                with _naming(path), open(path, "rb") as f:
+                    data = f.read() if whole else None
+                    stream = io.BytesIO(data) if whole else f
+                    header, pos = read_container(stream, os.fstat(f.fileno()).st_size, CACHE_MAGIC, CACHE_VERSION, _CACHE_ERRORS)
                     files[path] = _read_header(header), path, header, data, pos
-                except (CacheError, ValueError) as exc:
-                    raise CacheError(f"scene file {path}: {exc}") from exc
             matched = {path for path in paths if query.matches(files[path][0])}
             if not matched:
                 raise UnknownTagError(f"tag {text!r} matched no cached scenes")
@@ -789,10 +795,12 @@ class SceneCache:
     def iter_scenes(self, tags: Iterable[str]) -> Iterator[SceneFrame]:
         """The scenes resolve lists, in its order and read-only as load_path's,
         decoded from the bytes their tags were read from; a file's bytes are
-        dropped once its scene is decoded."""
+        dropped once its scene is decoded. A CacheError names its file."""
         files = self._select(tags, whole=True)[::-1]
         while files:
-            yield _read_only(_scene_from_header(*files.pop()[2:]))
+            with _naming(files[-1][1]):  # no local holds the bytes past the decode
+                scene = _scene_from_header(*files.pop()[2:])
+            yield _read_only(scene)
 
 
 def cache_write(scene: SceneFrame, cache_dir: str | Path) -> Path:

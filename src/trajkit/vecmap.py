@@ -253,13 +253,12 @@ class _EdgeTable:
     ``contains_many`` runs the even-odd test for many points over all polygons
     at once: one (points, polygons) box test picks the candidate pairs, their
     edges are gathered as one array of (pair, edge) rows, and one pass over
-    those rows does the boundary and crossing tests; ``contains`` is its
-    one-point case. Skipping the other polygons is exact. A point outside a
-    polygon's y-range touches and straddles none of its edges. Where
-    ``y0 <= py < y1`` the crossing abscissa ``x_at`` stays within a few ULPs
-    of the edge's x-range, far inside the margin, so a point left of the box
-    crosses every straddled edge (an even number per ring) and a point right
-    of it crosses none.
+    those rows does the boundary and crossing tests. Skipping the other
+    polygons is exact. A point outside a polygon's y-range touches and
+    straddles none of its edges. Where ``y0 <= py < y1`` the crossing
+    abscissa ``x_at`` stays within a few ULPs of the edge's x-range, far
+    inside the margin, so a point left of the box crosses every straddled
+    edge (an even number per ring) and a point right of it crosses none.
     """
 
     def __init__(self, polygons: Sequence[PolygonArea]):
@@ -309,14 +308,10 @@ class _EdgeTable:
         inside[point[np.bincount(pair[crossed], minlength=len(point)) % 2 == 1]] = True
         return inside
 
-    def contains(self, px: float, py: float) -> bool:
-        """True iff (px, py) lies in any polygon; boundary points count as inside."""
-        return bool(self.contains_many(np.array([px]), np.array([py]))[0])
-
 
 def point_in_polygon(px: float, py: float, area: PolygonArea) -> bool:
     """Even-odd membership over exterior and holes; boundary points count as inside."""
-    return _EdgeTable([area]).contains(px, py)
+    return bool(_EdgeTable([area]).contains_many(np.array([px]), np.array([py]))[0])
 
 
 # ---------------------------------------------------------------------------

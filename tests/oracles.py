@@ -531,7 +531,7 @@ def reference_write_npz(path, arrays):
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
         for name in sorted(arrays):
             buf = io.BytesIO()
-            np.lib.format.write_array(buf, np.ascontiguousarray(arrays[name]))
+            np.lib.format.write_array(buf, np.require(arrays[name], requirements="C"))
             zf.writestr(zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0)), buf.getvalue())
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import math
 import zipfile
 
@@ -422,6 +423,21 @@ class TestExport:
                     if name.endswith("masks"):
                         assert arrays[name][i, :n].any(axis=1).all()
 
+    @pytest.mark.parametrize("centric", ["agent", "scene"])
+    def test_manifest_describes_every_container(self, cache, tmp_path, centric):
+        cache.write(random_scene(np.random.default_rng(31), n_agents=4, n_timesteps=40))
+        index = build_index(cache, ["rand"], centric, WindowSpec((0.2, 0.4), (0.2, 0.3)))
+        manifest = json.loads(export_batches(index, tmp_path / "out", batch_size=5).read_text())
+        dims = {name: entry["dims"] for name, entry in manifest["arrays"].items()}
+        assert len(manifest["batches"]) > 1
+        for batch in manifest["batches"]:
+            assert sorted(batch["arrays"]) == sorted(dims)
+            with np.load(tmp_path / "out" / batch["file"], allow_pickle=False) as loaded:
+                assert sorted(loaded.files) == sorted(dims)
+                for name, record in batch["arrays"].items():
+                    assert loaded[name].ndim == len(dims[name]), name
+                    assert {"dtype": str(loaded[name].dtype), "shape": list(loaded[name].shape)} == record, name
+
     def test_batch_size_below_one_rejected(self, cache, tmp_path):
         cache.write(synth_scene(Straight(10.0), 1, 30, 0.1))
         index = build_index(cache, ["synth"], "agent", WindowSpec((0.0, 0.0), (0.0, 0.0)))
@@ -653,8 +669,8 @@ class TestNpzWriter:
         with np.load(got, allow_pickle=False) as loaded:
             assert sorted(loaded.files) == sorted(arrays)
             for name, array in arrays.items():
-                # Both writers store np.ascontiguousarray(array), which is at least 1-d.
-                stored = np.ascontiguousarray(array)
+                # Both writers store the array in C order with its own shape, 0-d included.
+                stored = np.require(array, requirements="C")
                 assert (loaded[name].dtype, loaded[name].shape) == (stored.dtype, stored.shape)
                 assert loaded[name].tobytes() == stored.tobytes()
 

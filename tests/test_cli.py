@@ -511,6 +511,24 @@ class TestUsage:
     def test_unknown_command_exit_64(self):
         assert main(["frobnicate"]) == 64
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--history", "1", "--history expects two comma-separated numbers, got '1'"),
+        ("--future", "a,b", "--future expects numbers, got 'a,b'"),
+        ("--history", "1,2,3", "--history expects two comma-separated numbers, got '1,2,3'"),
+        ("--point", "1", "--point expects x,y[,z], got '1'"),
+        ("--point", "a,b", "--point expects numbers, got 'a,b'"),
+    ])
+    def test_number_flag_messages_exit_64(self, workspace, capsys, flag, value, message):
+        tmp_path, cache_dir = workspace
+        if flag == "--point":
+            argv = ["map", "--map", str(_map_file(tmp_path)), "closest-lane", "--point", value]
+        else:
+            window = {"--history": "1,3", "--future": "4,4", flag: value}
+            argv = ["batch", "--cache", str(cache_dir), "--tags", "synth", "--history", window["--history"], "--future", window["--future"],
+                    "--out", str(tmp_path / "b")]
+        assert main(argv) == 64
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
 
 _NOT_AN_EXTENT_ROW = "scene file {path}: cache header extent must hold a row of three numbers or nulls per agent, none of them NaN"
 
@@ -638,6 +656,17 @@ class TestMalformedHeaders:
         assert main(_CACHE_READERS[command](str(cache_dir), str(tmp_path / "out"))) == 2
         err = capsys.readouterr().err
         assert f"unsupported version {version}, expected 3" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["analyze", "batch", "sim-replay"])
+    def test_corrupt_payload_names_the_scene_file_exit_2(self, workspace, capsys, command):
+        tmp_path, cache_dir = workspace
+        (path,) = cache_dir.glob("*/synth-0.tksc")
+        data = bytearray(path.read_bytes())
+        data[-40] ^= 0xFF  # the payload and its CRC no longer agree
+        path.write_bytes(bytes(data))
+        assert main(_CACHE_READERS[command](str(cache_dir), str(tmp_path / "out"))) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: scene file {path}: CRC mismatch: stored 0x")
 
     @pytest.mark.parametrize("key, value", [("dataset_tag", 5), ("location", 7), ("dt", "0.1"), ("heading_derived", "no")])
     def test_header_value_of_the_wrong_type_exit_2(self, workspace, capsys, key, value):

@@ -693,6 +693,23 @@ class TestCache:
         with pytest.raises(CacheChecksumError):
             list(cache.iter_scenes(["dsa"]))
 
+    @pytest.mark.parametrize("damage, error", [
+        (lambda data: data[:6] + struct.pack("<I", 2) + data[10:], CacheVersionError),
+        (lambda data: data[:-40] + bytes([data[-40] ^ 0xFF]) + data[-39:], CacheChecksumError),
+        (lambda data: rewrite_json_header(data, lambda h: h.update(scene_id=7), crc=True), CacheError),
+    ], ids=["version-2", "payload", "header-schema"])
+    @pytest.mark.parametrize("read", [
+        lambda cache, path: next(cache.iter_scenes(["dsa"])),
+        lambda cache, path: cache.load_path(path),
+    ], ids=["iter_scenes", "load_path"])
+    def test_a_fault_names_its_file_and_keeps_its_class(self, tmp_path, damage, error, read):
+        cache = SceneCache(tmp_path)
+        path = cache.write(synth_scene(Straight(1.0), 1, 5, 0.1, scene_id="sA", dataset="dsa"))
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(CacheError) as info:
+            read(cache, path)
+        assert type(info.value) is error and str(info.value).startswith(f"scene file {path}: ")
+
     def test_header_read_reads_no_payload(self, tmp_path):
         cache = SceneCache(tmp_path)
         path = cache.write(synth_scene(Straight(1.0), 4, 500, 0.1, scene_id="sA", dataset="dsa"))
