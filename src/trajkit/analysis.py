@@ -22,7 +22,6 @@ from .ingest import SceneCache
 from .kinematics import derive_derivative
 from .vecmap import VectorMap
 
-GRAVITY = 9.81
 HARSH_ACCEL_DEFAULT = 3.924  # 0.4 g (0.4 * 9.81); kept as a literal so the contract value is exact
 OFFROAD_TYPES = ("vehicle", "motorcycle")
 _OFFROAD_BLOCK = 256  # points per drivable-area test in _offroad_counts

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import TYPE_BY_CODE, AgentType, SceneFrame, SceneTag, rotate, wrap_angle
+from .core import TYPE_BY_CODE, AgentType, SceneFrame, rotate, wrap_angle
 from .ingest import SceneCache
 from .kinematics import resample_scene
 
@@ -64,7 +64,6 @@ class FilterSpec:
 
     agent_types: frozenset[AgentType] = frozenset(AgentType)
     max_neighbor_dist: float | None = None
-    dataset_tags: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not self.agent_types:
@@ -175,9 +174,10 @@ def build_index(
     Agent-centric: one entry per qualifying (scene, agent, ts). Scene-centric:
     one entry per (scene, ts) with at least one qualifying agent. Scenes come
     from cache.iter_scenes, which reads each file once, and are resampled to
-    desired_dt first when given. Entries are ordered lexicographically by
-    (dataset tag, scene, agent, ts); two builds over the same cache produce
-    identical orderings.
+    desired_dt first when given. Entries follow iter_scenes' (tag, scene id)
+    order, then (agent id, ts) for agent-centric and ts for scene-centric
+    entries, whose agents are in id order; two builds over the same cache
+    produce identical orderings.
     """
     if centric not in ("agent", "scene"):
         raise ValueError(f"centric must be 'agent' or 'scene', got {centric!r}")
@@ -185,17 +185,12 @@ def build_index(
     allowed = np.array([t in filt.agent_types for t in TYPE_BY_CODE])  # by type code
 
     contexts: dict[tuple[str, str], _SceneContext] = {}
-    triples: list[tuple[str, str, str, int, int]] = []  # (tag, scene_id, agent_id, agent_index, ts)
-    n_scenes = 0
+    entries: list[tuple] = []
     for scene in cache.iter_scenes(tags):
-        full = scene.scene_tag()
-        if filt.dataset_tags is not None and not any(SceneTag.parse(t).matches(full) for t in filt.dataset_tags):
-            continue
-        tag = full.render()
+        tag = scene.scene_tag().render()
         if desired_dt is not None:
             scene = resample_scene(scene, desired_dt)
-        n_scenes += 1
-        contexts[(tag, scene.scene_id)] = _SceneContext(
+        ctx = contexts[(tag, scene.scene_id)] = _SceneContext(
             scene=scene,
             tag=tag,
             h_steps=seconds_to_steps(window.history[1], scene.dt),
@@ -206,27 +201,22 @@ def build_index(
         # steps behind and f_min ahead. Imputation and resampling never
         # extrapolate, so every in-lifetime step interpolates real observations;
         # on upsampled scenes the anchors are the original (observed) frames.
-        cols, j, ids = scene.columns, scene.columns.agent_index, scene.agent_ids
+        cols, j = scene.columns, scene.columns.agent_index
         ok = (
             cols.observed & allowed[scene.type_code][j]
             & (cols.ts - scene.first_ts[j] >= h_min) & (scene.last_ts[j] - cols.ts >= f_min)
         )
-        triples += [(tag, scene.scene_id, ids[a], a, ts) for a, ts in zip(j[ok].tolist(), cols.ts[ok].tolist())]
-
-    triples.sort(key=lambda t: (t[0], t[1], t[2], t[4]))
-    if centric == "agent":
-        entries = [(tag, sid, aidx, ts) for tag, sid, _, aidx, ts in triples]
-    else:
-        grouped: dict[tuple[str, str, int], list[int]] = {}
-        for tag, sid, _, aidx, ts in triples:
-            grouped.setdefault((tag, sid, ts), []).append(aidx)
-        entries = [
-            (tag, sid, ts, tuple(idxs))
-            for (tag, sid, ts), idxs in sorted(grouped.items())
-        ]
+        j, ts = j[ok], cols.ts[ok]
+        if centric == "agent":
+            order = np.lexsort((ts, ctx.id_rank[j]))
+            entries += [(tag, scene.scene_id, a, t) for a, t in zip(j[order].tolist(), ts[order].tolist())]
+        else:
+            order = np.lexsort((ctx.id_rank[j], ts))
+            runs = groupby(zip(ts[order].tolist(), j[order].tolist()), key=lambda r: r[0])
+            entries += [(tag, scene.scene_id, t, tuple(a for _, a in run)) for t, run in runs]
     if not entries:
         raise EmptyIndexError(
-            f"no elements over {n_scenes} scene(s): window requires "
+            f"no elements over {len(contexts)} scene(s): window requires "
             f">= {window.history[0]}s observed history and >= {window.future[0]}s observed future, "
             f"allowed types {sorted(str(t) for t in filt.agent_types)}"
         )

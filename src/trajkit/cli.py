@@ -216,12 +216,12 @@ def cmd_batch(args) -> int:
 
 def cmd_sim_replay(args) -> int:
     cache = _require_cache(args)
+    if args.steps < 1:
+        raise _UsageError("--steps must be >= 1")
     path = cache.locate(args.scene)
     if path is None:
         raise ParseError(f"scene {args.scene!r} not found in cache {cache.cache_dir}")
     scene = cache.load_path(path)
-    if args.steps < 1:
-        raise _UsageError("--steps must be >= 1")
     end_ts = args.init_ts + args.steps
     if not (0 <= args.init_ts < scene.n_timesteps) or end_ts >= scene.n_timesteps:
         raise ParseError(

@@ -19,7 +19,6 @@ import csv
 import io
 import itertools
 import json
-import logging
 import math
 import os
 import struct
@@ -51,8 +50,6 @@ from .core import (
 )
 # complete_track stays importable here: the traced benchmark run (bench/spans.py) wraps it by this path.
 from .kinematics import complete_track, complete_tracks  # noqa: F401
-
-log = logging.getLogger(__name__)
 
 CANONICAL_HEADER = ("scene_id", "agent_id", "agent_type", "frame", "x", "y", "z", "heading", "length", "width", "height")
 
@@ -766,7 +763,8 @@ class SceneCache:
         """(tag, path, header, bytes if whole else None, payload offset) of the
         scene files the tags select, sorted by (tag, scene id), each .tksc file
         of a queried dataset read and its header checked once. Query by query:
-        CacheError for a header that does not read, then UnknownTagError."""
+        CacheError for a header that does not read or names a scene other than
+        the file name's stem, then UnknownTagError."""
         files: dict[Path, tuple] = {}
         selected: set[Path] = set()
         for text in tags:
@@ -778,6 +776,8 @@ class SceneCache:
                     stream = io.BytesIO(data) if whole else f
                     header, pos = read_container(stream, os.fstat(f.fileno()).st_size, CACHE_MAGIC, CACHE_VERSION, _CACHE_ERRORS)
                     files[path] = _read_header(header), path, header, data, pos
+                    if header["scene_id"] != path.stem:
+                        raise CacheError(f"header names scene {header['scene_id']!r}, not {path.stem!r}: a scene file is named <scene id>.tksc")
             matched = {path for path in paths if query.matches(files[path][0])}
             if not matched:
                 raise UnknownTagError(f"tag {text!r} matched no cached scenes")

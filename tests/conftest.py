@@ -48,6 +48,7 @@ def random_scene(
     dataset: str = "rand",
     scene_id: str = "scene-0",
     with_extent: bool = True,
+    location: str = "nowhere",
 ) -> SceneFrame:
     """Valid random scene built through the normal imputation/derivation pipeline."""
     agents = []
@@ -67,7 +68,7 @@ def random_scene(
         extent = Extent(4.0, 2.0, 1.5) if with_extent else None
         agents.append(AgentMetadata(f"a{k}", agent_type, extent, first_ts, last_ts))
         tracks.append(track)
-    return SceneFrame.from_tracks(scene_id, dataset, "nowhere", dt, agents, tracks)
+    return SceneFrame.from_tracks(scene_id, dataset, location, dt, agents, tracks)
 
 
 def random_lane_map(rng: np.random.Generator, n_lanes: int = 20, pts_per_lane: int = 12, span: float = 200.0):

@@ -24,10 +24,10 @@ from trajkit.analysis import (
     obb_corners,
     obb_intersect,
 )
-from trajkit.batching import STATE_DIM, AgentBatchElement, SceneBatchElement
-from trajkit.core import COLUMN_NAMES, TYPE_NAMES, AgentMetadata, AgentType, Extent, SceneFrame, type_codes, wrap_angle
+from trajkit.batching import STATE_DIM, AgentBatchElement, FilterSpec, SceneBatchElement, seconds_to_steps
+from trajkit.core import COLUMN_NAMES, TYPE_BY_CODE, TYPE_NAMES, AgentMetadata, AgentType, Extent, SceneFrame, type_codes, wrap_angle
 from trajkit.ingest import CANONICAL_HEADER, ParseError, _CsvColumns
-from trajkit.kinematics import DEFAULT_SPEED_FLOOR, derive_derivative, plan_resample
+from trajkit.kinematics import DEFAULT_SPEED_FLOOR, derive_derivative, plan_resample, resample_scene
 from trajkit.simulation import OBS_STATE_LAYOUT, SimMetrics, SimObservation, _pooled_rate, wasserstein_1d
 from trajkit.vecmap import PolygonArea, Polyline, RoadLane, TrafficLightStatus, VectorMap
 
@@ -418,6 +418,34 @@ def enumerate_qualifying(scene, h_min, f_min, allowed_types=None):
             if ts - h_min >= meta.first_ts and ts + f_min <= meta.last_ts:
                 triples.append((meta.agent_id, ts))
     return triples
+
+
+def reference_index_entries(cache, tags, centric, window, filt=None, desired_dt=None):
+    """``batching.build_index``'s entries by the global sort it replaced: the
+    anchors of every scene as (tag, scene id, agent id, agent index, ts),
+    sorted on (tag, scene id, agent id, ts), then for scene-centric entries
+    grouped by (tag, scene id, ts) and sorted again."""
+    filt = filt or FilterSpec()
+    allowed = np.array([t in filt.agent_types for t in TYPE_BY_CODE])
+    triples = []
+    for scene in cache.iter_scenes(tags):
+        tag = scene.scene_tag().render()
+        if desired_dt is not None:
+            scene = resample_scene(scene, desired_dt)
+        h_min, f_min = seconds_to_steps(window.history[0], scene.dt), seconds_to_steps(window.future[0], scene.dt)
+        cols, j, ids = scene.columns, scene.columns.agent_index, scene.agent_ids
+        ok = (
+            cols.observed & allowed[scene.type_code][j]
+            & (cols.ts - scene.first_ts[j] >= h_min) & (scene.last_ts[j] - cols.ts >= f_min)
+        )
+        triples += [(tag, scene.scene_id, ids[a], a, ts) for a, ts in zip(j[ok].tolist(), cols.ts[ok].tolist())]
+    triples.sort(key=lambda t: (t[0], t[1], t[2], t[4]))
+    if centric == "agent":
+        return [(tag, sid, aidx, ts) for tag, sid, _, aidx, ts in triples]
+    grouped = {}
+    for tag, sid, _, aidx, ts in triples:
+        grouped.setdefault((tag, sid, ts), []).append(aidx)
+    return [(tag, sid, ts, tuple(idxs)) for (tag, sid, ts), idxs in sorted(grouped.items())]
 
 
 def _reference_window(scene, agent_index, ts_values, origin, yaw):

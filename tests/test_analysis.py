@@ -137,6 +137,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             AnalysisConfig(stationary_threshold=0.0)
 
+    @pytest.mark.parametrize("field, message", [
+        ("harsh_accel_threshold", "harsh_accel_threshold must be > 0"),
+        ("density_min_agents", "density_min_agents must be >= 1"),
+    ])
+    def test_zero_bound_rejected(self, field, message):
+        with pytest.raises(ValueError) as info:
+            AnalysisConfig(**{field: 0})
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("text", ["{}", '{"offroad_types": ["bicycle"], "histogram_bins": {"speed": [0, 1, 2]}}'])
     def test_to_dict_is_asdict_without_aliasing(self, text):
         cfg = AnalysisConfig.from_json(text)

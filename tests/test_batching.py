@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import pickle
 import zipfile
 
 import numpy as np
@@ -25,7 +26,7 @@ from trajkit.core import AgentMetadata, AgentType, SceneFrame
 from trajkit.ingest import SceneCache, SceneMetaRecord, Straight, UnknownTagError, parse_canonical_csv, synth_scene
 
 from conftest import count_scene_file_reads, random_scene
-from oracles import enumerate_qualifying, reference_element, reference_write_npz
+from oracles import enumerate_qualifying, reference_element, reference_index_entries, reference_write_npz
 
 HEADER = "scene_id,agent_id,agent_type,frame,x,y,z,heading,length,width,height"
 
@@ -92,6 +93,12 @@ class TestBuildIndex:
                 FilterSpec(agent_types=frozenset({AgentType.VEHICLE})),
             )
 
+    def test_unknown_centric_rejected(self, cache):
+        _cached(cache, synth_scene(Straight(10.0), 1, 20, 0.1))
+        with pytest.raises(ValueError) as info:
+            build_index(cache, ["synth"], "x")
+        assert str(info.value) == "centric must be 'agent' or 'scene', got 'x'"
+
     def test_unknown_tag(self, cache):
         _cached(cache, synth_scene(Straight(10.0), 1, 20, 0.1))
         with pytest.raises(UnknownTagError):
@@ -139,6 +146,26 @@ class TestBuildIndex:
         assert sorted(checked) == ["s0", "s1", "s2", "s3"]
         assert sorted(decoded) == ["s0", "s1", "s2"]
         assert sorted({(tag, sid) for tag, sid, _, _ in index.entries}) == [("mix-train-flat", "s2"), ("rand-flat", "s0"), ("rand-flat", "s1")]
+
+    @pytest.mark.parametrize("centric", ["agent", "scene"])
+    @pytest.mark.parametrize("desired_dt", [None, 0.2])
+    def test_entries_match_the_global_sort(self, cache, centric, desired_dt):
+        # Twelve agents a0..a11 put a10 and a11 before a2 in id order, and s10 sorts before s2.
+        rng = np.random.default_rng(12)
+        for dataset, location, scene_id in [
+            ("rand-train", "boston", "s2"), ("rand-train", "boston", "s10"), ("rand-val", "pitt", "s3"), ("rand", "", "s1"),
+            ("mix-train", "pitt", "s10"), ("mix-train", "boston", "s2"), ("mix-val", "boston", "s5"),
+        ]:
+            cache.write(random_scene(rng, n_agents=12, n_timesteps=30, gap_prob=0.3, dataset=dataset, scene_id=scene_id, location=location))
+        tags, window = ["rand", "mix-train", "rand"], WindowSpec((0.2, 0.4), (0.1, 0.3))
+        index = build_index(cache, tags, centric, window, desired_dt=desired_dt)
+        want = reference_index_entries(cache, tags, centric, window, desired_dt=desired_dt)
+        assert pickle.dumps(index.entries) == pickle.dumps(want)
+        assert len({e[:2] for e in want}) == 6
+        # Id order is not table order: some scene's or timestep's run of agent indices decreases.
+        scenes = dict.fromkeys(e[:2] for e in want)
+        runs = [[e[2] for e in want if e[:2] == key] for key in scenes] if centric == "agent" else [e[3] for e in want]
+        assert any(list(run) != sorted(run) for run in runs)
 
     def test_resample_applies_before_windowing(self, cache):
         scene = synth_scene(Straight(10.0), 1, 50, 0.2)
@@ -274,6 +301,11 @@ class TestCollate:
         index = build_index(cache, ["rand"], "agent", WindowSpec((0.2, 0.6), (0.2, 0.4)))
         return [get_element(index, i) for i in range(min(n, len(index)))]
 
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError) as info:
+            collate([])
+        assert str(info.value) == "cannot collate an empty element list"
+
     def test_padding_and_masks(self, cache):
         els = self._elements(cache)
         batch = collate(els)
@@ -346,6 +378,13 @@ class TestAugmentNoise:
         index = build_index(cache, ["synth"], "agent", WindowSpec((0.2, 0.5), (0.2, 0.2)))
         el = get_element(index, 0)
         assert augment_noise(el, 0.0, 7) == el
+
+    def test_negative_sigma_rejected(self, cache):
+        cache.write(synth_scene(Straight(10.0), 2, 30, 0.1))
+        el = get_element(build_index(cache, ["synth"], "agent", WindowSpec((0.2, 0.5), (0.2, 0.2))), 0)
+        with pytest.raises(ValueError) as info:
+            augment_noise(el, -1.0, 7)
+        assert str(info.value) == "sigma must be >= 0, got -1.0"
 
     def test_same_seed_deterministic(self, cache):
         cache.write(synth_scene(Straight(10.0), 2, 30, 0.1))

@@ -449,6 +449,17 @@ class TestSimReplayCommand:
         code = main(["sim-replay", "--cache", str(cache_dir), "--scene", "synth-0", "--init-ts", "95", "--steps", "10", "--out", str(tmp_path / "sim")])
         assert code == 2
 
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_steps_below_one_exit_64_before_the_scene_is_read(self, workspace, capsys, steps):
+        tmp_path, cache_dir = workspace
+        (path,) = cache_dir.glob("*/synth-0.tksc")
+        data = bytearray(path.read_bytes())
+        data[-40] ^= 0xFF  # the payload and its CRC no longer agree
+        path.write_bytes(bytes(data))
+        argv = ["sim-replay", "--cache", str(cache_dir), "--scene", "synth-0", "--init-ts", "10", f"--steps={steps}", "--out", str(tmp_path / "sim")]
+        assert main(argv) == 64
+        assert capsys.readouterr().err == "usage error: --steps must be >= 1\n"
+
     def test_unknown_scene_exit_2(self, workspace):
         tmp_path, cache_dir = workspace
         code = main(["sim-replay", "--cache", str(cache_dir), "--scene", "ghost", "--init-ts", "0", "--steps", "5", "--out", str(tmp_path / "sim")])
@@ -541,6 +552,16 @@ class TestMalformedHeaders:
         code = main(["sim-replay", "--cache", str(cache_dir), "--scene", "synth-0", "--init-ts", "10", "--steps", "10", "--out", str(tmp_path / "sim")])
         assert code == 2
         assert "location" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "batch"])
+    def test_scene_file_not_named_by_its_scene_id_exit_2(self, workspace, capsys, command):
+        # A copy of the scene file under another name would list the scene twice.
+        tmp_path, cache_dir = workspace
+        (path,) = cache_dir.glob("*/synth-0.tksc")
+        copy = path.with_name("zz.tksc")
+        copy.write_bytes(path.read_bytes())
+        assert main(_CACHE_READERS[command](str(cache_dir), str(tmp_path / "out"))) == 2
+        assert capsys.readouterr().err == f"error: scene file {copy}: header names scene 'synth-0', not 'zz': a scene file is named <scene id>.tksc\n"
 
     def test_map_directory_without_lanes_exit_2(self, tmp_path, capsys):
         path = _map_file(tmp_path)

@@ -115,6 +115,15 @@ class TestCanonicalCsv:
         with pytest.raises(ParseError, match="header"):
             parse_canonical_csv("a,b,c\n1,2,3\n", _meta())
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty input: missing canonical header"),
+        (HEADER + "\n", "no data rows after header"),
+    ], ids=["empty", "header-only"])
+    def test_input_without_data_rows(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_canonical_csv(text, _meta())
+        assert str(info.value) == message
+
     def test_extent_needs_both_dims(self):
         text = _csv(["s0,a,vehicle,0,0.0,0.0,,,4.5,,"])
         with pytest.raises(ParseError, match="extent"):
@@ -452,6 +461,12 @@ class TestFrameText:
         with pytest.raises(ParseError, match=message):
             parse_frame_text(text, _meta())
 
+    @pytest.mark.parametrize("line", ["1", "1 1", "1 1 1.0"])
+    def test_too_few_fields_names_line(self, line):
+        with pytest.raises(ParseError) as info:
+            parse_frame_text(f"0 1 0.0 0.0\n{line}\n", _meta())
+        assert str(info.value) == f"line 2: expected at least 4 fields, got {len(line.split())}"
+
     def test_extra_fields_ignored(self):
         scene = parse_frame_text("0 1 0.0 0.0 99 98\n1 1 1.0 0.0 99 98\n", _meta())
         assert scene.n_agents == 1
@@ -628,6 +643,25 @@ class TestCache:
         with pytest.raises(UnknownTagError):
             cache.resolve(["dsb"])
         assert [e.path for e in cache.resolve(["dsa"])] == [path]
+
+    @pytest.mark.parametrize("read", [
+        lambda cache: cache.resolve(["dsa"]),
+        lambda cache: list(cache.iter_scenes(["dsa"])),
+    ], ids=["resolve", "iter_scenes"])
+    def test_file_not_named_by_its_scene_id_is_refused(self, tmp_path, read):
+        # s1.tksc, a copy of it named zz.tksc, and tmp.tksc holding another scene whose id is s1.
+        cache = SceneCache(tmp_path / "cache")
+        path = cache.write(synth_scene(Straight(1.0), 1, 5, 0.1, scene_id="s1", dataset="dsa"))
+        copy, renamed = path.with_name("zz.tksc"), path.with_name("tmp.tksc")
+        copy.write_bytes(path.read_bytes())
+        SceneCache(tmp_path / "other").write(synth_scene(Straight(2.0), 2, 5, 0.1, scene_id="s1", dataset="dsa")).rename(renamed)
+        for bad, stem in ((renamed, "tmp"), (copy, "zz")):
+            with pytest.raises(CacheError) as info:
+                read(cache)
+            assert type(info.value) is CacheError
+            assert str(info.value) == f"scene file {bad}: header names scene 's1', not {stem!r}: a scene file is named <scene id>.tksc"
+            bad.unlink()
+        assert [s.scene_id for s in cache.iter_scenes(["dsa"])] == ["s1"]
 
     def test_other_files_are_ignored(self, tmp_path):
         cache = SceneCache(tmp_path)

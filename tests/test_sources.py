@@ -13,8 +13,13 @@ layout can change with the query kernel, so nothing else may depend on it.
 No module takes a matrix product. numpy hands one to BLAS, which picks its
 kernel for the CPU at run time, and the kernels round differently; rotations
 go through core.rotate, which multiplies and adds element by element.
+
+Every module-level name a module binds by import or assignment is read in
+that module or imported from it by another module of the package; a name
+nothing reads is dead weight that still has to be kept in step.
 """
 
+import ast
 import dataclasses
 import io
 import re
@@ -102,3 +107,52 @@ def test_the_check_sees_a_matrix_product():
                  'FORMAT = "trajkit-batch@1"', "# corners @ axis, once\nx = 1\n", "class K:\n    @property\n    def f(self):\n        pass\n",
                  "inner = dot = 1"):
         assert _matrix_products(code) == [], code
+
+
+# ingest.complete_track: the traced benchmark run (bench/spans.py) wraps it by this path.
+_READ_OUTSIDE_THE_PACKAGE = frozenset({"ingest.complete_track"})
+
+
+def _unused_names(sources: dict[str, str]) -> list[str]:
+    """module.name of each name a module binds at module level by import or
+    assignment that neither that module reads nor another module of sources
+    imports from it (by a relative import or one from trajkit)."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    imported = {
+        (node.module.removeprefix("trajkit."), alias.name)
+        for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module and (node.level == 1 or node.module.startswith("trajkit."))
+        for alias in node.names
+    }
+    found = []
+    for module, tree in trees.items():
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [(alias.asname or alias.name).partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            else:
+                continue
+            found += [f"{module}.{name}" for name in bound if name not in read and (module, name) not in imported]
+    return sorted(found)
+
+
+def test_every_module_level_name_is_read():
+    # __init__ binds the package's public names, which its users read.
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in _PACKAGE.glob("*.py") if p.stem != "__init__"}
+    assert [name for name in _unused_names(sources) if name not in _READ_OUTSIDE_THE_PACKAGE] == []
+
+
+def test_the_check_sees_an_unused_name():
+    a = (
+        "from __future__ import annotations\nimport logging\nimport os.path\nimport json as codec\n"
+        "from .b import used, unused\nfrom trajkit.b import LIMIT\n"
+        "log = logging.getLogger(__name__)\nTOTAL: int = 3\nx, (y, z) = 1, (2, 3)\nrows = [0]\nrows[0] = y\n"
+        "def f():\n    return used + LIMIT + os.path.sep\n"
+    )
+    b = "used = unused = 1\nLIMIT = 2\nfrom .a import TOTAL, x\n"
+    assert _unused_names({"a": a, "b": b}) == ["a.codec", "a.log", "a.unused", "a.z", "b.TOTAL", "b.x"]

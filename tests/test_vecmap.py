@@ -58,6 +58,11 @@ class TestPolyline:
         with pytest.raises(ValueError):
             Polyline([(0, 0, 0), (0, 0, 0), (1, 0, 0)])
 
+    def test_xy_points_rejected(self):
+        with pytest.raises(ValueError) as info:
+            Polyline(np.zeros((3, 2)))
+        assert str(info.value) == "polyline points must be (N, 3), got (3, 2)"
+
     def test_arclength_xy(self):
         pl = Polyline([(0, 0, 0), (3, 4, 10)])
         assert pl.arclength() == pytest.approx(5.0)
@@ -74,6 +79,11 @@ class TestPolygonArea:
     def test_closing_vertex_dropped(self):
         ring = [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)]
         assert polygon_area(PolygonArea(np.array(ring, dtype=float))) == pytest.approx(1.0)
+
+    def test_xyz_ring_rejected(self):
+        with pytest.raises(ValueError) as info:
+            PolygonArea(np.zeros((4, 3)))
+        assert str(info.value) == "ring points must be (N, 2), got (4, 3)"
 
     def test_degenerate_ring(self):
         with pytest.raises(DegenerateRingError):
@@ -153,6 +163,9 @@ class TestLaneQueries:
         vmap = VectorMap("toy:flat", [straight_lane("L1", 0.0), straight_lane("L2", 10.0)])
         assert vmap.get_closest_lane((5.0, 4.0, 0.0)) == "L1"
         assert vmap.get_closest_lane((5.0, 6.0, 0.0)) == "L2"
+
+    def test_lanes_within_a_map_without_lanes(self):
+        assert VectorMap("toy:flat", []).lanes_within((0.0, 0.0), 5.0) == set()
 
     def test_tie_breaks_to_smaller_id(self):
         vmap = VectorMap("toy:flat", [straight_lane("B", 1.0), straight_lane("A", -1.0)])
@@ -562,6 +575,20 @@ class TestMapModel:
         assert vmap.traffic_light_status("L1", 6) is TrafficLightStatus.UNKNOWN
         with pytest.raises(KeyError):
             vmap.traffic_light_status("nope", 0)
+
+    def test_unknown_traffic_light_status_string(self):
+        with pytest.raises(ValueError) as info:
+            TrafficLightStatus.from_string("blue")
+        assert str(info.value) == "unknown traffic light status 'blue'"
+
+    @pytest.mark.parametrize("lights, error, message", [
+        ({("L9", 3): TrafficLightStatus.RED}, DanglingLaneError, "traffic light record for missing lane 'L9' at ts 3"),
+        ({("L1", 3): "red"}, ValueError, "traffic light status must be TrafficLightStatus, got 'red'"),
+    ], ids=["missing-lane", "status-string"])
+    def test_bad_traffic_light_record(self, lights, error, message):
+        with pytest.raises(error) as info:
+            VectorMap("toy:flat", [straight_lane("L1", 0.0)], traffic_lights=lights)
+        assert type(info.value) is error and str(info.value) == message
 
     def test_stats_lane_length(self):
         vmap = VectorMap("toy:flat", [straight_lane("L1", 0.0, length=500.0), straight_lane("L2", 10.0, length=500.0)])
