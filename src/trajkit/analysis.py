@@ -2,6 +2,14 @@
 nonlinearity, and self-consistency (collision / off-road / harsh acceleration)
 metrics, emitted as histogram CSVs and a scalar-rate JSON.
 
+An analysis run is one pass over the cache. run_analysis decodes a scene,
+passes it to each requested metric and drops it, so a run holds one decoded
+scene at a time. Each metric is a function of one scene that returns integer
+counts: histogram bins with underflow and overflow, per-type rate numerators
+and denominators, and tallies. run_analysis adds them up per (metric,
+dataset, type). Every sample is binned on its own, so the report does not
+depend on the order of the scenes.
+
 Rates use a per-agent "any timestep" event definition by default; a
 per-timestep variant sits behind AnalysisConfig.per_timestep_rates.
 Thresholds compare with strict inequality.
@@ -9,15 +17,16 @@ Thresholds compare with strict inequality.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import TYPE_NAMES as _TYPE_NAMES, SceneFrame, _checked_object, load_json, rotate, wrap_angle
+from .core import TYPE_NAMES as _TYPE_NAMES, SceneFrame, SceneTag, _checked_object, load_json, rotate, wrap_angle
 from .ingest import SceneCache
 from .kinematics import derive_derivative
 from .vecmap import VectorMap
@@ -143,21 +152,39 @@ class Histogram:
         """The histogram of samples, each counted once or, with int64 weights,
         weights[k] times."""
         edges = np.asarray(edges, dtype=np.float64)
-        if len(edges) < 2 or np.any(np.diff(edges) <= 0):
+        if len(edges) < 2 or (edges[1:] - edges[:-1] <= 0).any():
             raise ValueError("histogram edges must be strictly increasing with >= 2 entries")
         s = np.asarray(samples, dtype=np.float64)
         w = None if weights is None else np.asarray(weights, dtype=np.int64)
         finite = np.isfinite(s)
         if not finite.all():
             s, w = s[finite], None if w is None else w[finite]
-        low, high = s < edges[0], s > edges[-1]
-        under = int(np.count_nonzero(low) if w is None else w[low].sum())
-        over = int(np.count_nonzero(high) if w is None else w[high].sum())
-        # Counts samples in [edges[0], edges[-1]], exactly: int64 weights are summed as int64.
-        counts = np.histogram(s, bins=edges, weights=w)[0].astype(np.int64)
-        counts[0] += under  # and folds the rest into the boundary bins
-        counts[-1] += over
+        if w is None:
+            s, n = np.sort(s), len(s)
+        else:
+            order = np.argsort(s)
+            s, w = s[order], w[order]
+        # p[k]: the samples below edges[k], and p[-1] those up to edges[-1]: bin k,
+        # as in np.histogram, holds p[k + 1] - p[k]. With weights, summed weights.
+        p = s.searchsorted(edges)
+        p[-1] = s.searchsorted(edges[-1], side="right")
+        if w is not None:
+            cum = np.concatenate(([0], np.cumsum(w)))  # int64: exact
+            p, n = cum[p], cum[-1]
+        under, over = int(p[0]), int(n - p[-1])
+        p[0], p[-1] = 0, n  # fold the samples beyond the edges into the boundary bins
+        counts = p[1:] - p[:-1]
         return cls(name, dataset, agent_type, edges, counts, under, over)
+
+    def add(self, other: "Histogram") -> None:
+        """Add the counts of other, a histogram over the same edges; ValueError
+        when the total count passes 2**63 - 1."""
+        self.counts += other.counts
+        self.n_underflow += other.n_underflow
+        self.n_overflow += other.n_overflow
+        total = int(self.counts.sum())
+        if total < 0:  # the int64 sum of two totals up to 2**63 - 1 wrapped; only timestep-weighted counts come near
+            raise ValueError(f"dataset {self.dataset}: its scenes span {total + 2**64} timesteps in all, more than the 2**63 - 1 a count holds")
 
 
 @dataclass
@@ -173,42 +200,23 @@ class MetricReport:
     unavailable: list[str] = field(default_factory=list)
 
 
-Datasets = Mapping[str, Sequence[SceneFrame]]  # dataset name -> its scenes
-
-
-def _scenes_by_dataset(cache: SceneCache, tags: Sequence[str]) -> dict[str, list[SceneFrame]]:
-    """The scenes the tags select, each loaded once, grouped by dataset."""
-    out: dict[str, list[SceneFrame]] = {}
-    for scene in cache.iter_scenes(tags):
-        out.setdefault(scene.scene_tag().dataset, []).append(scene)
-    return out
-
-
 def _rate_entry(num: int, den: int) -> dict:
     return {"rate": num / den, "num": num, "den": den}
+
+
+@functools.lru_cache(maxsize=256)
+def _dataset(dataset_tag: str) -> str:
+    """The dataset of a scene's dataset_tag, as its scene_tag() gives it, parsed once per tag."""
+    return SceneTag.parse(dataset_tag).dataset
 
 
 # ---------------------------------------------------------------------------
 # Population / density / duration
 # ---------------------------------------------------------------------------
 
-def agent_population(datasets: Datasets) -> dict:
-    """Unique-agent counts and per-type proportions per dataset.
-
-    Agents are deduplicated by agent_id within a dataset, so a recurring id
-    (like a data-collection ego vehicle) counts once.
-    """
-    out: dict[str, dict] = {}
-    for dataset, scenes in sorted(datasets.items()):
-        codes: dict[str, int] = {}
-        for scene in scenes:
-            for agent_id, code in zip(scene.agent_ids, scene.type_code.tolist()):
-                codes.setdefault(agent_id, code)
-        total = len(codes)
-        n = np.bincount(np.array(list(codes.values()), dtype=np.int64), minlength=len(_TYPE_NAMES))
-        counts = {_TYPE_NAMES[c]: int(n[c]) for c in np.flatnonzero(n)}
-        out[dataset] = {"unique_agents": total, "type_counts": counts, "type_fractions": {k: v / total for k, v in counts.items()}}
-    return out
+def agent_population(scene: SceneFrame) -> dict[str, int]:
+    """The type code of each of the scene's agent ids."""
+    return dict(zip(scene.agent_ids, scene.type_code.tolist()))
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -236,204 +244,135 @@ def _alive_runs(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum(step[order])[:-1], np.diff(bounds[order])
 
 
-def simultaneous_agents(datasets: Datasets, cfg: AnalysisConfig) -> list[Histogram]:
-    """Per-(scene, ts) simultaneous-agent counts and per-scene maxima. Each
-    run of timesteps with one count is a sample weighted by its length, so
-    the work grows with the agents, not with the timesteps. The weights of a
-    dataset sum to its scenes' timesteps, which must fit in int64."""
-    hists = []
-    for dataset, scenes in sorted(datasets.items()):
-        total = sum(scene.n_timesteps for scene in scenes)
-        if total > 2**63 - 1:
-            raise ValueError(f"dataset {dataset}: its scenes span {total} timesteps in all, more than the 2**63 - 1 a count holds")
-        runs = [_alive_runs(s) for s in scenes]
-        maxima = [int(alive[length > 0].max(initial=0)) for alive, length in runs]
-        edges = cfg.edges("simultaneous")
-        alive, length = (np.concatenate(parts) for parts in zip(*runs))
-        hists.append(Histogram.from_samples("simultaneous_per_ts", dataset, "all", alive, edges, weights=length))
-        hists.append(Histogram.from_samples("simultaneous_scene_max", dataset, "all", maxima, edges))
-    return hists
+def simultaneous_agents(scene: SceneFrame, cfg: AnalysisConfig) -> list[Histogram]:
+    """The scene's simultaneous-agent count at each timestep, and its maximum.
+    Each run of timesteps with one count is a sample weighted by its length,
+    so the work grows with the agents, not with the timesteps."""
+    alive, length = _alive_runs(scene)
+    dataset, edges = _dataset(scene.dataset_tag), cfg.edges("simultaneous")
+    return [Histogram.from_samples("simultaneous_per_ts", dataset, "all", alive, edges, weights=length),
+            Histogram.from_samples("simultaneous_scene_max", dataset, "all", [alive[length > 0].max(initial=0)], edges)]
 
 
-def agent_density(datasets: Datasets, cfg: AnalysisConfig) -> tuple[list[Histogram], dict]:
-    """Agents per m^2 of their axis-aligned bounding rectangle, per (scene, ts).
+def agent_density(scene: SceneFrame, cfg: AnalysisConfig) -> tuple[list[Histogram], int]:
+    """Agents per m^2 of their axis-aligned bounding rectangle, per timestep.
 
-    Timesteps with fewer than density_min_agents agents or a degenerate
-    (zero-area) rectangle are skipped and tallied.
+    Timesteps with fewer than density_min_agents agents are skipped; those
+    with a degenerate (zero-area) rectangle are skipped and counted.
     """
-    hists = []
-    skipped = 0
-    for dataset, scenes in sorted(datasets.items()):
-        samples: list[np.ndarray] = []
-        for scene in scenes:
-            order = np.argsort(scene.columns.ts, kind="stable")  # by timestep, by agent within one
-            starts = _run_starts(scene.columns.ts[order])
-            n = np.diff(np.append(starts, len(order)))
-            xs, ys = scene.columns.x[order], scene.columns.y[order]
-            width = np.maximum.reduceat(xs, starts) - np.minimum.reduceat(xs, starts)
-            height = np.maximum.reduceat(ys, starts) - np.minimum.reduceat(ys, starts)
-            enough = n >= cfg.density_min_agents
-            n, area = n[enough], (width * height)[enough]
-            degenerate = area <= 0.0
-            skipped += int(np.count_nonzero(degenerate))
-            samples.append(n[~degenerate] / area[~degenerate])
-        hists.append(Histogram.from_samples("density", dataset, "all", np.concatenate(samples), cfg.edges("density")))
-    return hists, {"density_skipped_degenerate": skipped}
+    cols = scene.columns
+    order = np.argsort(cols.ts, kind="stable")  # by timestep, by agent within one
+    starts = _run_starts(cols.ts[order])
+    n = np.diff(np.append(starts, len(order)))
+    xs, ys = cols.x[order], cols.y[order]
+    width = np.maximum.reduceat(xs, starts) - np.minimum.reduceat(xs, starts)
+    height = np.maximum.reduceat(ys, starts) - np.minimum.reduceat(ys, starts)
+    enough = n >= cfg.density_min_agents
+    n, area = n[enough], (width * height)[enough]
+    degenerate = area <= 0.0
+    hist = Histogram.from_samples("density", _dataset(scene.dataset_tag), "all", n[~degenerate] / area[~degenerate], cfg.edges("density"))
+    return [hist], int(np.count_nonzero(degenerate))
 
 
-def ego_agent_distances(datasets: Datasets, cfg: AnalysisConfig, ego_id: str = "ego") -> tuple[list[Histogram], dict]:
-    """Euclidean xy distances from the ego agent to every other agent at shared timesteps."""
-    hists = []
-    missing_ego = 0
-    for dataset, scenes in sorted(datasets.items()):
-        samples: list[np.ndarray] = []
-        for scene in scenes:
-            if ego_id not in scene.agent_ids:
-                missing_ego += 1
-                continue
-            ego_idx = scene.agent_ids.index(ego_id)
-            cols = scene.columns
-            ego_rows, alive = scene.lifetime_rows(ego_idx, cols.ts)
-            rows = np.flatnonzero(alive & (cols.agent_index != ego_idx))
-            ego_rows = ego_rows[rows]
-            samples.append(np.hypot(cols.x[rows] - cols.x[ego_rows], cols.y[rows] - cols.y[ego_rows]))
-        pooled = np.concatenate(samples) if samples else np.zeros(0)
-        hists.append(Histogram.from_samples("ego_distance", dataset, "all", pooled, cfg.edges("ego_distance")))
-    return hists, {"ego_distance_scenes_missing_ego": missing_ego}
+def ego_agent_distances(scene: SceneFrame, cfg: AnalysisConfig, ego_id: str = "ego") -> tuple[list[Histogram], int]:
+    """Euclidean xy distances from the ego agent to every other agent at
+    shared timesteps, and 1 for a scene without the ego (no samples)."""
+    missing = ego_id not in scene.agent_ids
+    samples = np.zeros(0)
+    if not missing:
+        ego_idx = scene.agent_ids.index(ego_id)
+        cols = scene.columns
+        ego_rows, alive = scene.lifetime_rows(ego_idx, cols.ts)
+        rows = np.flatnonzero(alive & (cols.agent_index != ego_idx))
+        ego_rows = ego_rows[rows]
+        samples = np.hypot(cols.x[rows] - cols.x[ego_rows], cols.y[rows] - cols.y[ego_rows])
+    return [Histogram.from_samples("ego_distance", _dataset(scene.dataset_tag), "all", samples, cfg.edges("ego_distance"))], int(missing)
 
 
 # ---------------------------------------------------------------------------
 # Motion complexity
 # ---------------------------------------------------------------------------
 
-def _type_histograms(dataset: str, codes: list[np.ndarray], pools: dict[str, list[np.ndarray]], cfg: AnalysisConfig) -> list[Histogram]:
-    """For each type in codes, in sorted order, one histogram per metric of pools
-    (metric -> sample parts; codes holds the parts' type codes). One metric's
-    parts are joined at a time; several types are cut from one sort by code."""
-    code = np.concatenate(codes)
-    counts = np.bincount(code, minlength=len(_TYPE_NAMES))
+def _type_histograms(scene: SceneFrame, code: np.ndarray, pools: dict[str, np.ndarray], cfg: AnalysisConfig,
+                     sizes: np.ndarray | None = None) -> list[Histogram]:
+    """For each type in code, one histogram per metric of pools (metric ->
+    samples). The samples come in runs of one type, one run per entry of code:
+    sizes[k] samples (without sizes, one) of type code[k]. Several types are
+    cut from one sort by code."""
+    counts = np.bincount(code, sizes, len(_TYPE_NAMES)).astype(np.int64)
     present = np.flatnonzero(counts)
-    order = np.argsort(code, kind="stable") if len(present) > 1 else None
+    order = np.argsort(code if sizes is None else np.repeat(code, sizes), kind="stable") if len(present) > 1 else None
     ends = np.cumsum(counts)[present]
-    per_metric = []
-    for metric, parts in pools.items():
-        samples = np.concatenate(parts)
+    dataset = _dataset(scene.dataset_tag)
+    hists = []
+    for metric, samples in pools.items():
         if order is not None:
             samples = samples[order]
         edges = cfg.edges(metric)
-        per_metric.append([
-            Histogram.from_samples(metric, dataset, _TYPE_NAMES[c], samples[b - counts[c] : b], edges)
-            for c, b in zip(present, ends)
-        ])
-    return [h for per_type in zip(*per_metric) for h in per_type]
-
-
-def dynamics_distributions(datasets: Datasets, cfg: AnalysisConfig) -> list[Histogram]:
-    """Speed, |acceleration|, and |jerk| distributions per (dataset, type).
-
-    Jerk is derived on the fly by finite-differencing the acceleration columns.
-    """
-    hists = []
-    for dataset, scenes in sorted(datasets.items()):
-        codes: list[np.ndarray] = []
-        pools: dict[str, list[np.ndarray]] = {"speed": [], "accel": [], "jerk": []}
-        for scene in scenes:
-            cols = scene.columns
-            codes.append(scene.type_code[cols.agent_index])
-            pools["speed"].append(np.hypot(cols.vx, cols.vy))
-            pools["accel"].append(np.hypot(cols.ax, cols.ay))
-            pools["jerk"].append(np.hypot(*(derive_derivative(a, scene.dt, scene.agent_offsets) for a in (cols.ax, cols.ay))))
-        hists += _type_histograms(dataset, codes, pools, cfg)
+        hists += [Histogram.from_samples(metric, dataset, _TYPE_NAMES[c], samples[b - counts[c] : b], edges) for c, b in zip(present, ends)]
     return hists
 
 
-def stationary_fraction(datasets: Datasets, cfg: AnalysisConfig) -> dict:
-    """Fraction of agents whose displacement from their first observed position
-    never reaches stationary_threshold."""
-    out: dict[str, dict] = {}
-    for dataset, scenes in sorted(datasets.items()):
-        num = den = 0
-        for scene in scenes:
-            cols = scene.columns
-            rows, starts, ends = _observed_runs(scene)
-            first = np.repeat(rows[starts], ends - starts)
-            disp = np.hypot(cols.x[rows] - cols.x[first], cols.y[rows] - cols.y[first])
-            den += len(starts)
-            num += int(np.count_nonzero(np.maximum.reduceat(disp, starts) < cfg.stationary_threshold))
-        if den:
-            out[dataset] = _rate_entry(num, den)
-    return out
+def dynamics_distributions(scene: SceneFrame, accel: np.ndarray, cfg: AnalysisConfig) -> list[Histogram]:
+    """Speed, |acceleration| (accel, per row), and |jerk| distributions per type.
+
+    Jerk is derived on the fly by finite-differencing the acceleration columns.
+    """
+    cols = scene.columns
+    jerk = np.hypot(*(derive_derivative(a, scene.dt, scene.agent_offsets) for a in (cols.ax, cols.ay)))
+    pools = {"speed": np.hypot(cols.vx, cols.vy), "accel": accel, "jerk": jerk}
+    return _type_histograms(scene, scene.type_code, pools, cfg, np.diff(scene.agent_offsets))
 
 
-def heading_deltas(datasets: Datasets, cfg: AnalysisConfig) -> list[Histogram]:
+def stationary_fraction(scene: SceneFrame, cfg: AnalysisConfig) -> np.ndarray:
+    """[[agents whose displacement from their first observed position never
+    reaches stationary_threshold], [agents with an observed row]]."""
+    cols = scene.columns
+    rows, starts, ends = _observed_runs(scene)
+    first = np.repeat(rows[starts], ends - starts)
+    disp = np.hypot(cols.x[rows] - cols.x[first], cols.y[rows] - cols.y[first])
+    return np.array([[np.count_nonzero(np.maximum.reduceat(disp, starts) < cfg.stationary_threshold)], [len(starts)]])
+
+
+def heading_deltas(scene: SceneFrame, cfg: AnalysisConfig) -> list[Histogram]:
     """Heading change relative to each agent's first timestep, plus raw headings.
 
     Deltas are wrapped to (-pi, pi] by default; cfg.cumulative_heading switches
     to the unwrapped cumulative change.
     """
-    hists = []
-    for dataset, scenes in sorted(datasets.items()):
-        codes: list[np.ndarray] = []
-        pools: dict[str, list[np.ndarray]] = {"heading_delta": [], "heading_raw": []}
-        for scene in scenes:
-            cols, off = scene.columns, scene.agent_offsets
-            h = cols.heading
-            if cfg.cumulative_heading:
-                parts = [np.unwrap(h[a:b]) - h[a] for a, b in zip(off[:-1], off[1:])]
-                dh = np.concatenate(parts) if parts else h
-            else:
-                dh = wrap_angle(h - h[off[cols.agent_index]])
-            codes.append(scene.type_code[cols.agent_index])
-            pools["heading_delta"].append(dh)
-            pools["heading_raw"].append(h)
-        hists += _type_histograms(dataset, codes, pools, cfg)
-    return hists
+    cols, off = scene.columns, scene.agent_offsets
+    h = cols.heading
+    if cfg.cumulative_heading:
+        parts = [np.unwrap(h[a:b]) - h[a] for a, b in zip(off[:-1], off[1:])]
+        dh = np.concatenate(parts) if parts else h
+    else:
+        dh = wrap_angle(h - h[off[cols.agent_index]])
+    return _type_histograms(scene, scene.type_code, {"heading_delta": dh, "heading_raw": h}, cfg, np.diff(off))
 
 
 def _run_sums(values: np.ndarray, firsts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """np.sum(values[f : f + n]) for each (f, n) of firsts and lengths, bit for
-    bit: the runs of one length are summed as the rows of one (k, n) gather,
-    and a row sum adds in np.sum's order (np.add.reduceat does not)."""
-    out = np.empty(len(firsts))
-    order = np.argsort(lengths, kind="stable")
-    starts = _run_starts(lengths[order])
-    for a, b in zip(starts, np.append(starts[1:], len(order))):
-        group = order[a:b]
-        out[group] = values[firsts[group, None] + np.arange(lengths[group[0]])].sum(axis=1)
-    return out
+    bit: one np.add.reduce per run (np.add.reduceat does not add in np.sum's order)."""
+    return np.array([np.add.reduce(values[f : f + n]) for f, n in zip(firsts.tolist(), lengths.tolist())], dtype=np.float64)
 
 
-def path_efficiency(datasets: Datasets, cfg: AnalysisConfig) -> tuple[list[Histogram], dict]:
-    """100 * endpoint distance / traveled length per agent, pooled per type.
+def path_efficiency(scene: SceneFrame, cfg: AnalysisConfig) -> tuple[list[Histogram], int]:
+    """100 * endpoint distance / traveled length per agent with 2 or more
+    observed rows, per type.
 
     Agents whose observed path length is under 1e-6 m are defined stationary,
-    assigned 100%, and tallied separately.
+    assigned 100%, and counted.
     """
-    hists = []
-    zero_path = 0
-    for dataset, scenes in sorted(datasets.items()):
-        steps, firsts, n_steps, dx, dy, codes = [], [], [], [], [], []
-        n_before = 0  # steps of the dataset's earlier scenes
-        for scene in scenes:
-            cols = scene.columns
-            rows, starts, ends = _observed_runs(scene)
-            xs, ys = cols.x[rows], cols.y[rows]
-            enough = ends - starts >= 2
-            lo, hi = starts[enough], ends[enough] - 1  # first and last observed row of each agent
-            steps.append(np.hypot(np.diff(xs), np.diff(ys)))
-            firsts.append(lo + n_before)
-            n_before += len(steps[-1])
-            n_steps.append(hi - lo)
-            dx.append(xs[hi] - xs[lo])
-            dy.append(ys[hi] - ys[lo])
-            codes.append(scene.type_code[cols.agent_index[rows[lo]]])
-        path = _run_sums(*(np.concatenate(parts) for parts in (steps, firsts, n_steps)))
-        direct = np.array(list(map(math.hypot, np.concatenate(dx).tolist(), np.concatenate(dy).tolist())), dtype=np.float64)
-        still = path < 1e-6
-        zero_path += int(np.count_nonzero(still))
-        eff = np.where(still, 100.0, 100.0 * direct / np.where(still, 1.0, path))
-        hists += _type_histograms(dataset, codes, {"path_efficiency": [eff]}, cfg)
-    return hists, {"path_efficiency_zero_path_agents": zero_path}
+    cols = scene.columns
+    rows, starts, ends = _observed_runs(scene)
+    xs, ys = cols.x[rows], cols.y[rows]
+    enough = ends - starts >= 2
+    lo, hi = starts[enough], ends[enough] - 1  # first and last observed row of each agent
+    path = _run_sums(np.hypot(np.diff(xs), np.diff(ys)), lo, hi - lo)
+    direct = np.array(list(map(math.hypot, (xs[hi] - xs[lo]).tolist(), (ys[hi] - ys[lo]).tolist())), dtype=np.float64)
+    still = path < 1e-6
+    eff = np.where(still, 100.0, 100.0 * direct / np.where(still, 1.0, path))
+    return _type_histograms(scene, scene.type_code[cols.agent_index[rows[lo]]], {"path_efficiency": eff}, cfg), int(np.count_nonzero(still))
 
 
 # ---------------------------------------------------------------------------
@@ -470,28 +409,14 @@ def _agent_counts(scene: SceneFrame, rows: np.ndarray, events: np.ndarray) -> tu
     return np.bincount(idx[rows & events], minlength=n), np.bincount(idx[rows], minlength=n)
 
 
-AgentCounter = Callable[[SceneFrame], tuple[np.ndarray, np.ndarray]]
-
-
-def _rates(datasets: Datasets, counts: AgentCounter, per_timestep: bool) -> dict:
-    """{dataset: {type: entry}} from counts(scene), its per-agent (event rows, selected rows).
-
-    Agents without a selected row are left out. By default an agent counts
-    once, as an event if any of its selected rows is one ("any timestep");
-    per_timestep counts rows. Every dataset of datasets gets an entry.
-    """
-    out: dict[str, dict] = {}
-    for dataset, scenes in sorted(datasets.items()):
-        codes, events, selected = [], [], []
-        for scene in scenes:
-            ev, sel = counts(scene)
-            codes.append(scene.type_code)
-            events.append(ev if per_timestep else ev > 0)
-            selected.append(sel if per_timestep else sel > 0)
-        code = np.concatenate(codes)
-        num, den = (np.bincount(code, np.concatenate(v), len(_TYPE_NAMES)).astype(np.int64) for v in (events, selected))
-        out[dataset] = {_TYPE_NAMES[c]: _rate_entry(int(num[c]), int(den[c])) for c in np.flatnonzero(den)}
-    return out
+def _rates(scene: SceneFrame, events: np.ndarray, selected: np.ndarray, per_timestep: bool) -> np.ndarray:
+    """[[events], [selected]] per type code, from each agent's event and
+    selected row counts. By default an agent counts once, as an event if any
+    of its selected rows is one ("any timestep"); per_timestep counts rows.
+    Agents without a selected row add nothing."""
+    if not per_timestep:
+        events, selected = events > 0, selected > 0
+    return np.array([np.bincount(scene.type_code, v, len(_TYPE_NAMES)) for v in (events, selected)]).astype(np.int64)
 
 
 def _scene_collisions(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray]:
@@ -503,6 +428,8 @@ def _scene_collisions(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray]:
     rows = ~np.isnan(dims[:, 0])[cols.agent_index]
     hit = np.zeros(len(cols), dtype=bool)
     box = np.flatnonzero(rows)
+    if not len(box):
+        return _agent_counts(scene, rows, hit)
     box = box[np.argsort(cols.ts[box], kind="stable")]  # by timestep: offset k pairs each box with the k-th after it there
     agent, ts, x, y = cols.agent_index[box], cols.ts[box], cols.x[box], cols.y[box]
     # Validation keeps these out of cached scenes and rollouts; a scene built
@@ -555,90 +482,110 @@ def _offroad_counts(scene: SceneFrame, vmap: VectorMap, rows: np.ndarray) -> tup
     return _agent_counts(scene, rows, off)
 
 
-def collision_rate(datasets: Datasets, cfg: AnalysisConfig) -> tuple[dict, dict]:
-    """Fraction of extent-bearing agents whose oriented box ever intersects another's.
-
-    Extent-less agents are excluded from numerator and denominator and tallied.
-    """
-    no_extent = sum(int(np.isnan(scene.extent[:, 0]).sum()) for scenes in datasets.values() for scene in scenes)
-    return _rates(datasets, _scene_collisions, cfg.per_timestep_rates), {"collision_agents_without_extent": no_extent}
+def collision_rate(scene: SceneFrame, cfg: AnalysisConfig) -> tuple[np.ndarray, int]:
+    """Extent-bearing agents whose oriented box ever intersects another's, per
+    type (_rates), and the number of extent-less agents, which are left out."""
+    return _rates(scene, *_scene_collisions(scene), cfg.per_timestep_rates), int(np.isnan(scene.extent[:, 0]).sum())
 
 
-def harsh_accel_rate(datasets: Datasets, cfg: AnalysisConfig) -> dict:
-    """Fraction of agents exceeding the harsh-acceleration threshold at any
-    observed timestep (strict inequality at the threshold)."""
-
-    def counts(scene: SceneFrame):
-        cols = scene.columns
-        return _agent_counts(scene, cols.observed, np.hypot(cols.ax, cols.ay) > cfg.harsh_accel_threshold)
-
-    return _rates(datasets, counts, cfg.per_timestep_rates)
+def harsh_accel_rate(scene: SceneFrame, accel: np.ndarray, cfg: AnalysisConfig) -> np.ndarray:
+    """Agents whose |acceleration| (accel, per row) exceeds the harsh-acceleration
+    threshold at an observed timestep, per type (_rates)."""
+    return _rates(scene, *_agent_counts(scene, scene.columns.observed, accel > cfg.harsh_accel_threshold), cfg.per_timestep_rates)
 
 
-def offroad_rate(datasets: Datasets, vmap: VectorMap | None, cfg: AnalysisConfig) -> tuple[dict | None, dict]:
-    """Fraction of (by default) vehicles/motorcycles whose center leaves the
-    drivable area at any observed timestep. None when no map is given or it
-    has no drivable area (tallied), whatever agent types the data holds."""
-    if vmap is None:
-        return None, {}
-    if not vmap.has_drivable_area:
-        return None, {"offroad_unsupported_map": 1}
-
-    def counts(scene: SceneFrame):
-        return _offroad_counts(scene, vmap, scene.columns.observed & _offroad_rows(scene, cfg.offroad_types))
-
-    return _rates(datasets, counts, cfg.per_timestep_rates), {}
+def offroad_rate(scene: SceneFrame, vmap: VectorMap, cfg: AnalysisConfig) -> np.ndarray:
+    """Agents of cfg.offroad_types (by default vehicles and motorcycles) whose
+    center leaves the map's drivable area at an observed timestep, per type (_rates)."""
+    rows = scene.columns.observed & _offroad_rows(scene, cfg.offroad_types)
+    return _rates(scene, *_offroad_counts(scene, vmap, rows), cfg.per_timestep_rates)
 
 
 # ---------------------------------------------------------------------------
 # Report assembly and emission
 # ---------------------------------------------------------------------------
 
+# The tally each metric counts beside its histograms or rates.
+_TALLIES = {"density": "density_skipped_degenerate", "ego_distances": "ego_distance_scenes_missing_ego",
+            "path_efficiency": "path_efficiency_zero_path_agents", "collision": "collision_agents_without_extent"}
+# The rate metrics and the names of their counts' entries.
+_RATE_NAMES = {"stationary": ("all",), "collision": _TYPE_NAMES, "harsh_accel": _TYPE_NAMES, "offroad": _TYPE_NAMES}
+
+
 def run_analysis(cache: SceneCache, tags: Sequence[str], metrics: Sequence[str], cfg: AnalysisConfig | None = None,
                  vmap: VectorMap | None = None, ego_id: str = "ego") -> MetricReport:
-    """Run the named metrics and assemble a MetricReport."""
+    """Run the named metrics in one pass over the scenes the tags select and
+    assemble a MetricReport. Each scene is decoded, counted by every named
+    metric and dropped; the counts are added per (metric, dataset, type), so
+    the report does not depend on the order of the scenes. Off-road is
+    unavailable without a map that has a drivable area."""
     cfg = cfg or AnalysisConfig()
     unknown = [m for m in metrics if m not in METRIC_NAMES]
     if unknown:
         raise ValueError(f"unknown metric(s) {unknown}; valid names: {', '.join(METRIC_NAMES)}")
     report = MetricReport(config=cfg.to_dict(), tags=list(tags))
-
+    cfg = replace(cfg, histogram_bins={name: cfg.edges(name) for name in cfg.histogram_bins})  # arrays once, not per scene
     wanted = set(metrics)
-    datasets = _scenes_by_dataset(cache, tags)
+    if "offroad" in wanted and (vmap is None or not vmap.has_drivable_area):
+        wanted.remove("offroad")
+        report.unavailable.append("offroad")
+        if vmap is not None:
+            report.tallies["offroad_unsupported_map"] = 1
+    report.tallies.update({name: 0 for metric, name in _TALLIES.items() if metric in wanted})
+    hists: dict[tuple[str, str, str], Histogram] = {}
+    rates: dict[str, dict[str, np.ndarray]] = {m: {} for m in _RATE_NAMES if m in wanted}  # metric -> dataset -> counts
+    first: dict[str, dict[str, tuple]] = {}  # dataset -> agent id -> ((tag, scene id) of its first scene, type code there)
 
-    def add(hists: list[Histogram], tallies: dict) -> None:
-        report.histograms += hists
-        report.tallies.update(tallies)
+    def add(metric: str, counts: list[Histogram] | np.ndarray, tally: int = 0) -> None:
+        if metric in _TALLIES:
+            report.tallies[_TALLIES[metric]] += tally
+        if metric in rates:
+            rates[metric][dataset] = rates[metric].get(dataset, 0) + counts
+            return
+        for h in counts:
+            kept = hists.setdefault((h.name, h.dataset, h.agent_type), h)
+            if kept is not h:
+                kept.add(h)
 
-    if "population" in wanted:
-        report.population = agent_population(datasets)
-    if "simultaneous" in wanted:
-        report.histograms += simultaneous_agents(datasets, cfg)
-    if "density" in wanted:
-        add(*agent_density(datasets, cfg))
-    if "ego_distances" in wanted:
-        add(*ego_agent_distances(datasets, cfg, ego_id))
-    dyn_wanted = wanted & {"speed", "accel", "jerk"}
-    if dyn_wanted:
-        report.histograms += [h for h in dynamics_distributions(datasets, cfg) if h.name in dyn_wanted]
-    if "stationary" in wanted:
-        report.rates["stationary"] = {ds: {"all": entry} for ds, entry in stationary_fraction(datasets, cfg).items()}
-    if "heading_deltas" in wanted:
-        report.histograms += heading_deltas(datasets, cfg)
-    if "path_efficiency" in wanted:
-        add(*path_efficiency(datasets, cfg))
-    if "collision" in wanted:
-        report.rates["collision"], tallies = collision_rate(datasets, cfg)
-        report.tallies.update(tallies)
-    if "harsh_accel" in wanted:
-        report.rates["harsh_accel"] = harsh_accel_rate(datasets, cfg)
-    if "offroad" in wanted:
-        rates, tallies = offroad_rate(datasets, vmap, cfg)
-        report.tallies.update(tallies)
-        if rates is None:
-            report.unavailable.append("offroad")
-        else:
-            report.rates["offroad"] = rates
+    for scene in cache.iter_scenes(tags):
+        dataset = _dataset(scene.dataset_tag)
+        accel = np.hypot(scene.columns.ax, scene.columns.ay) if wanted & {"speed", "accel", "jerk", "harsh_accel"} else None
+        if "population" in wanted:
+            seen, key = first.setdefault(dataset, {}), (scene.scene_tag().render(), scene.scene_id)
+            for agent_id, code in agent_population(scene).items():
+                if seen.setdefault(agent_id, (key, code))[0] > key:
+                    seen[agent_id] = (key, code)
+        if "simultaneous" in wanted:
+            add("simultaneous", simultaneous_agents(scene, cfg))
+        if "density" in wanted:
+            add("density", *agent_density(scene, cfg))
+        if "ego_distances" in wanted:
+            add("ego_distances", *ego_agent_distances(scene, cfg, ego_id))
+        if wanted & {"speed", "accel", "jerk"}:
+            add("dynamics", [h for h in dynamics_distributions(scene, accel, cfg) if h.name in wanted])
+        if "stationary" in wanted:
+            add("stationary", stationary_fraction(scene, cfg))
+        if "heading_deltas" in wanted:
+            add("heading_deltas", heading_deltas(scene, cfg))
+        if "path_efficiency" in wanted:
+            add("path_efficiency", *path_efficiency(scene, cfg))
+        if "collision" in wanted:
+            add("collision", *collision_rate(scene, cfg))
+        if "harsh_accel" in wanted:
+            add("harsh_accel", harsh_accel_rate(scene, accel, cfg))
+        if "offroad" in wanted:
+            add("offroad", offroad_rate(scene, vmap, cfg))
+        del scene, accel  # before the next scene is decoded
+
+    report.histograms = sorted(hists.values(), key=lambda h: (h.name, h.dataset, h.agent_type))
+    for metric, by_dataset in rates.items():
+        names = _RATE_NAMES[metric]
+        entries = {ds: {names[c]: _rate_entry(int(num[c]), int(den[c])) for c in np.flatnonzero(den)} for ds, (num, den) in by_dataset.items()}
+        report.rates[metric] = {ds: e for ds, e in entries.items() if e or metric != "stationary"}  # stationary lists only datasets with an observed agent
+    for dataset, seen in first.items():
+        n = np.bincount(np.array([code for _, code in seen.values()], dtype=np.int64), minlength=len(_TYPE_NAMES))
+        counts = {_TYPE_NAMES[c]: int(n[c]) for c in np.flatnonzero(n)}
+        report.population[dataset] = {"unique_agents": len(seen), "type_counts": counts, "type_fractions": {k: v / len(seen) for k, v in counts.items()}}
     return report
 
 

@@ -46,11 +46,11 @@ def wrap_angle(angle):
     idempotent.
     """
     a = np.asarray(angle, dtype=np.float64)
-    in_range = (a > -math.pi) & (a <= math.pi)
-    wrapped = math.pi - np.mod(math.pi - a, TWO_PI)
+    out = a.copy()
+    far = ~((a > -math.pi) & (a <= math.pi))  # np.mod is slow: only these are wrapped
+    wrapped = math.pi - np.mod(math.pi - a[far], TWO_PI)
     # np.mod rounds the remainder of pi's successor up to 2pi, which would give -pi.
-    wrapped = np.where(wrapped == -math.pi, math.pi, wrapped)
-    out = np.where(in_range, a, wrapped)
+    out[far] = np.where(wrapped == -math.pi, math.pi, wrapped)
     return float(out) if a.ndim == 0 else out
 
 

@@ -701,6 +701,12 @@ def _plain_name(name: str, what: str) -> str:
     return name
 
 
+def _check_name(scene_id: str, path: Path) -> None:
+    """CacheError unless the scene file at path is named <scene_id>.tksc."""
+    if scene_id != path.stem:
+        raise CacheError(f"header names scene {scene_id!r}, not {path.stem!r}: a scene file is named <scene id>.tksc")
+
+
 @contextlib.contextmanager
 def _naming(path: Path) -> Iterator[None]:
     """Re-raise a CacheError as its class, or a ValueError as a CacheError, naming the scene file."""
@@ -755,9 +761,14 @@ class SceneCache:
         return None
 
     def load_path(self, path: str | Path) -> SceneFrame:
-        """Decode the scene file at path, read-only; every call reads it afresh; a CacheError names the file."""
+        """Decode the scene file at path, read-only; every call reads it afresh.
+        A CacheError names the file, and is raised for a header that names a
+        scene other than the file name's stem, as a query raises it."""
+        path = Path(path)
         with _naming(path):
-            return _read_only(scene_from_bytes(Path(path).read_bytes()))
+            scene = scene_from_bytes(path.read_bytes())
+            _check_name(scene.scene_id, path)
+            return _read_only(scene)
 
     def _select(self, tags: Iterable[str], whole: bool) -> list[tuple[SceneTag, Path, dict, bytes | None, int]]:
         """(tag, path, header, bytes if whole else None, payload offset) of the
@@ -776,8 +787,7 @@ class SceneCache:
                     stream = io.BytesIO(data) if whole else f
                     header, pos = read_container(stream, os.fstat(f.fileno()).st_size, CACHE_MAGIC, CACHE_VERSION, _CACHE_ERRORS)
                     files[path] = _read_header(header), path, header, data, pos
-                    if header["scene_id"] != path.stem:
-                        raise CacheError(f"header names scene {header['scene_id']!r}, not {path.stem!r}: a scene file is named <scene id>.tksc")
+                    _check_name(header["scene_id"], path)
             matched = {path for path in paths if query.matches(files[path][0])}
             if not matched:
                 raise UnknownTagError(f"tag {text!r} matched no cached scenes")
@@ -795,12 +805,14 @@ class SceneCache:
     def iter_scenes(self, tags: Iterable[str]) -> Iterator[SceneFrame]:
         """The scenes resolve lists, in its order and read-only as load_path's,
         decoded from the bytes their tags were read from; a file's bytes are
-        dropped once its scene is decoded. A CacheError names its file."""
+        dropped once its scene is decoded, and a scene once the next is asked
+        for. A CacheError names its file."""
         files = self._select(tags, whole=True)[::-1]
         while files:
             with _naming(files[-1][1]):  # no local holds the bytes past the decode
                 scene = _scene_from_header(*files.pop()[2:])
             yield _read_only(scene)
+            del scene  # nor the scene past the next decode
 
 
 def cache_write(scene: SceneFrame, cache_dir: str | Path) -> Path:

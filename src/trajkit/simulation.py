@@ -14,11 +14,11 @@ from __future__ import annotations
 import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .analysis import OFFROAD_TYPES, AgentCounter, _offroad_counts, _offroad_rows, _rates, _scene_collisions
+from .analysis import OFFROAD_TYPES, _offroad_counts, _offroad_rows, _scene_collisions
 from .core import SceneColumns, SceneFrame, wrap_angle
 from .ingest import SceneMetaRecord, write_canonical_csv
 from .kinematics import derive_derivative
@@ -222,12 +222,11 @@ def rollout_scene(state: SimState) -> SceneFrame:
     return _window_scene(state, simulated=True)
 
 
-def _pooled_rate(scene: SceneFrame, counts: AgentCounter) -> float | None:
-    """Any-timestep rate of counts(scene) pooled over agent types; None when
-    no agent is selected."""
-    entries = _rates({"": [scene]}, counts, per_timestep=False)[""].values()
-    den = sum(e["den"] for e in entries)
-    return sum(e["num"] for e in entries) / den if den else None
+def _pooled_rate(scene: SceneFrame, counts: Callable[[SceneFrame], tuple[np.ndarray, np.ndarray]]) -> float | None:
+    """Share of the selected agents with an event, from counts(scene), the per-agent (event rows, selected rows); None if none is."""
+    events, selected = counts(scene)
+    den = np.count_nonzero(selected)
+    return np.count_nonzero(events) / den if den else None
 
 
 def sim_score(state: SimState, vmap: VectorMap | None) -> SimMetrics:

@@ -544,8 +544,9 @@ class VectorMap:
     Construction finalizes the map: lane references are validated, the
     successor links given on either side (a lane's successors, another's
     predecessors) are merged, with a warning when source data was
-    asymmetric, lane polygons are built, the spatial index is packed, and
-    the edges and bounding boxes of the drivable polygons are tabulated.
+    asymmetric, lane polygons are built, and the edges and bounding boxes of
+    the drivable polygons are tabulated. The lane segment index is packed on
+    the first lane query.
     """
 
     def __init__(
@@ -589,7 +590,7 @@ class VectorMap:
         lines, xy = table.lines[by_id], table.points[:, :2]
         bounded = lines[(lines[:, 1, 1] > lines[:, 1, 0]) & (lines[:, 2, 1] > lines[:, 2, 0])].tolist()
         self._lane_polygons = tuple(PolygonArea(np.concatenate([xy[l0:l1], xy[r0:r1][::-1]])) for _, (l0, l1), (r0, r1) in bounded)
-        self._index = self._build_index(table.points, *lines[:, 0].T) if ids else None
+        self._centerlines = lines[:, 0]  # point rows (start, end) of each centerline, lanes in id order
         self._drivable = _EdgeTable(self.drivable_polygons())
 
     def _validate_references(self, relations) -> None:
@@ -628,11 +629,16 @@ class VectorMap:
             records[lane_id] = RoadLane._record(lane_id, *lines, *[by_lane.get(lane_id, none) for by_lane in relations])
         return MappingProxyType(records)
 
-    @staticmethod
-    def _build_index(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> _SegmentIndex:
-        """Index over the segments of the polylines points[lo[k]:hi[k]]."""
+    @cached_property
+    def _index(self) -> _SegmentIndex | None:
+        """Index over the segments of the lane centerlines, lanes in id order,
+        built on the first lane query; None for a map without lanes. Two first
+        queries at once build equal indexes, and either may be kept."""
+        if not self._lane_ids:
+            return None
+        lo, hi = self._centerlines.T
         a = _expand_ranges(lo, hi - 1)  # the first row of every segment
-        x, y = points[:, 0], points[:, 1]
+        x, y = self._table.points[:, 0], self._table.points[:, 1]
         return _SegmentIndex(x[a], y[a], x[a + 1], y[a + 1], np.repeat(np.arange(len(lo)), hi - lo - 1))
 
     # -- queries ------------------------------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 from trajkit.analysis import (
     OFFROAD_TYPES,
     Histogram,
+    MetricReport,
     _agent_counts,
     _observed_runs,
     _offroad_rows,
@@ -579,9 +580,10 @@ def reference_derivative(series, dt):
     return out
 
 
-# The analysis metrics one agent or one timestep at a time: the loops the
-# per-scene array passes of ``trajkit.analysis`` replaced. Each takes the
-# arguments of the public function it stands for.
+# The analysis metrics one agent or one timestep at a time, pooled per
+# dataset: the loops the per-scene array passes of ``trajkit.analysis``
+# replaced. Each takes ``datasets``, a mapping of dataset name to its scenes,
+# and reference_report assembles their outputs into a MetricReport.
 
 def _reference_rows_by_ts(scene):
     ts = scene.columns.ts
@@ -934,6 +936,76 @@ REFERENCE_METRICS = {
     "path_efficiency": reference_path_efficiency,
     "_scene_collisions": reference_scene_collisions,
 }
+
+
+def reference_agent_population(datasets):
+    """Unique agent ids per dataset, each with the type of the first scene,
+    in the order given, that holds it."""
+    out = {}
+    for dataset, scenes in sorted(datasets.items()):
+        types = {}
+        for scene in scenes:
+            for meta in scene.agents:
+                types.setdefault(meta.agent_id, str(meta.agent_type))
+        counts = {t: list(types.values()).count(t) for t in sorted(set(types.values()))}
+        out[dataset] = {"unique_agents": len(types), "type_counts": counts, "type_fractions": {t: n / len(types) for t, n in counts.items()}}
+    return out
+
+
+# The per-dataset functions reference_report takes by default, under the names
+# of the library functions they stand for.
+POOLED_METRICS = {
+    **REFERENCE_METRICS,
+    "agent_population": reference_agent_population,
+    "_rates": reference_rates,
+    "_offroad_counts": reference_offroad_counts,
+}
+
+
+def reference_report(cache, tags, metrics, cfg, vmap=None, ego_id="ego", **pooled):
+    """The MetricReport of per-dataset metric functions over every scene the
+    tags select, the scenes held at once and grouped by dataset, as
+    ``analysis.run_analysis`` assembled it before it became one pass over the
+    cache. pooled replaces entries of POOLED_METRICS by name."""
+    fns = {**POOLED_METRICS, **pooled}
+    datasets = {}
+    for scene in cache.iter_scenes(tags):
+        datasets.setdefault(scene.scene_tag().dataset, []).append(scene)
+    report = MetricReport(config=cfg.to_dict(), tags=list(tags))
+    wanted = set(metrics)
+
+    def rates(counts):
+        return fns["_rates"](datasets, counts, cfg.per_timestep_rates)
+
+    if "population" in wanted:
+        report.population = fns["agent_population"](datasets)
+    if "simultaneous" in wanted:
+        report.histograms += fns["simultaneous_agents"](datasets, cfg)
+    for metric, name, args in (("density", "agent_density", ()), ("ego_distances", "ego_agent_distances", (ego_id,)),
+                               ("path_efficiency", "path_efficiency", ())):
+        if metric in wanted:
+            hists, tallies = fns[name](datasets, cfg, *args)
+            report.histograms += hists
+            report.tallies.update(tallies)
+    if wanted & {"speed", "accel", "jerk"}:
+        report.histograms += [h for h in fns["dynamics_distributions"](datasets, cfg) if h.name in wanted]
+    if "heading_deltas" in wanted:
+        report.histograms += fns["heading_deltas"](datasets, cfg)
+    if "stationary" in wanted:
+        report.rates["stationary"] = {ds: {"all": entry} for ds, entry in fns["stationary_fraction"](datasets, cfg).items()}
+    if "collision" in wanted:
+        report.rates["collision"] = rates(fns["_scene_collisions"])
+        report.tallies["collision_agents_without_extent"] = sum(m.extent is None for ss in datasets.values() for s in ss for m in s.agents)
+    if "harsh_accel" in wanted:
+        report.rates["harsh_accel"] = rates(lambda s: _agent_counts(s, s.columns.observed, np.hypot(s.columns.ax, s.columns.ay) > cfg.harsh_accel_threshold))
+    if "offroad" in wanted:
+        if vmap is None or not vmap.has_drivable_area:
+            report.unavailable.append("offroad")
+            if vmap is not None:
+                report.tallies["offroad_unsupported_map"] = 1
+        else:
+            report.rates["offroad"] = rates(lambda s: fns["_offroad_counts"](s, vmap, s.columns.observed & _offroad_rows(s, cfg.offroad_types)))
+    return report
 
 
 def wasserstein_by_quantile_grid(a, b, n_grid=200001):

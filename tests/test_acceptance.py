@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trajkit.analysis import AnalysisConfig, _scenes_by_dataset, harsh_accel_rate, path_efficiency, run_analysis
+from trajkit.analysis import AnalysisConfig, run_analysis
 from trajkit.batching import WindowSpec, build_index, get_element, seconds_to_steps
 from trajkit.core import scene_validate, wrap_angle
 from trajkit.ingest import (
@@ -239,9 +239,9 @@ def test_criterion_6_threshold_constants(tmp_path):
         cache = SceneCache(tmp_path / "cache")
         cache.write(synth_scene(StopAndGo(((0.0, 5), (0.5 * GRAVITY, 10), (0.0, 25))), 1, 40, 0.1, scene_id="half-g", dataset="halfg"))
         cache.write(synth_scene(StopAndGo(((0.0, 5), (0.3 * GRAVITY, 10), (0.0, 25))), 1, 40, 0.1, scene_id="third-g", dataset="thirdg"))
-        rates = harsh_accel_rate(_scenes_by_dataset(cache, ["halfg"]), cfg)
+        rates = run_analysis(cache, ["halfg"], ["harsh_accel"], cfg).rates["harsh_accel"]
         assert rates["halfg"]["vehicle"]["rate"] == 1.0
-        rates = harsh_accel_rate(_scenes_by_dataset(cache, ["thirdg"]), cfg)
+        rates = run_analysis(cache, ["thirdg"], ["harsh_accel"], cfg).rates["harsh_accel"]
         assert rates["thirdg"]["vehicle"]["rate"] == 0.0
 
 
@@ -269,7 +269,7 @@ def test_criterion_7_metric_invariants(tmp_path):
         n, dt = 629, 0.1
         w = math.pi / ((n - 1) * dt)
         eff_cache.write(synth_scene(Circle(10.0, w), 1, n, dt))
-        hists, _ = path_efficiency(_scenes_by_dataset(eff_cache, ["synth"]), AnalysisConfig())
+        hists = run_analysis(eff_cache, ["synth"], ["path_efficiency"]).histograms
         assert hists[0].n_overflow == 0
         scene = next(iter(eff_cache.iter_scenes(["synth"])))
         sl = scene.rows_for_agent(0)

@@ -1,5 +1,7 @@
+import collections
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -20,25 +22,12 @@ from trajkit.analysis import (
     _agent_counts,
     _offroad_counts,
     _offroad_rows,
-    _rates,
     _run_sums,
     _scene_collisions,
-    _scenes_by_dataset,
-    agent_density,
-    agent_population,
-    collision_rate,
-    dynamics_distributions,
-    ego_agent_distances,
     emit_report,
-    harsh_accel_rate,
-    heading_deltas,
     obb_corners,
     obb_intersect,
-    offroad_rate,
-    path_efficiency,
     run_analysis,
-    simultaneous_agents,
-    stationary_fraction,
 )
 from trajkit.core import AgentMetadata, AgentType, Extent, SceneFrame
 from trajkit.ingest import Circle, SceneCache, StopAndGo, Straight, synth_scene
@@ -57,8 +46,15 @@ from oracles import (
     reference_obb_intersect,
     reference_histogram_counts,
     reference_offroad_counts,
+    reference_rates,
+    reference_report,
     reference_scene_collisions,
 )
+
+DYNAMICS = ["speed", "accel", "jerk"]
+# The per-scene metric functions run_analysis calls.
+SCENE_METRICS = ("agent_population", "simultaneous_agents", "agent_density", "ego_agent_distances", "dynamics_distributions",
+                 "stationary_fraction", "heading_deltas", "path_efficiency", "collision_rate", "harsh_accel_rate", "offroad_rate")
 
 def _track(x, y, heading=None, observed=None):
     n = len(x)
@@ -88,6 +84,13 @@ def _scene_from_tracks(tracks, types=None, extents=None, scene_id="s0", dataset=
 def _renamed(scene, *agent_ids):
     """The scene with its first agents given these ids."""
     return dataclasses.replace(scene, agent_ids=(*agent_ids, *scene.agent_ids[len(agent_ids):]))
+
+
+def _cache_of(path, scenes):
+    """A scene cache at path holding the scenes."""
+    cache = SceneCache(path)
+    cache.write_many(scenes)
+    return cache
 
 
 class TestHistogram:
@@ -165,7 +168,7 @@ class TestPopulation:
             types=[AgentType.VEHICLE] * 3 + [AgentType.PEDESTRIAN],
         )
         cache.write(scene)
-        pop = agent_population(_scenes_by_dataset(cache, ["toy"]))
+        pop = run_analysis(cache, ["toy"], ["population"]).population
         assert pop["toy"]["unique_agents"] == 4
         assert pop["toy"]["type_fractions"] == {"pedestrian": 0.25, "vehicle": 0.75}
 
@@ -175,14 +178,14 @@ class TestPopulation:
         s2 = _renamed(s2, "b0", "b1")
         cache.write(s1)
         cache.write(s2)
-        assert agent_population(_scenes_by_dataset(cache, ["toy"]))["toy"]["unique_agents"] == 3
+        assert run_analysis(cache, ["toy"], ["population"]).population["toy"]["unique_agents"] == 3
 
     def test_shared_id_counts_once(self, cache):
         s1 = _scene_from_tracks([_track([0, 1], [0, 0])], scene_id="s1")
         s2 = _scene_from_tracks([_track([0, 1], [0, 0])], scene_id="s2")
         cache.write(s1)
         cache.write(s2)
-        assert agent_population(_scenes_by_dataset(cache, ["toy"]))["toy"]["unique_agents"] == 1
+        assert run_analysis(cache, ["toy"], ["population"]).population["toy"]["unique_agents"] == 1
 
 
 class TestSimultaneous:
@@ -197,13 +200,13 @@ class TestSimultaneous:
 
     def test_disjoint_lifetimes(self, cache):
         cache.write(self._scene([(0, 4), (5, 9)]))
-        hists = simultaneous_agents(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
+        hists = run_analysis(cache, ["toy"], ["simultaneous"]).histograms
         per_max = next(h for h in hists if h.name == "simultaneous_scene_max")
         assert per_max.counts[1] == 1  # one scene whose max is 1
 
     def test_overlap(self, cache):
         cache.write(self._scene([(0, 4), (3, 9)]))
-        hists = simultaneous_agents(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
+        hists = run_analysis(cache, ["toy"], ["simultaneous"]).histograms
         per_max = next(h for h in hists if h.name == "simultaneous_scene_max")
         assert per_max.counts[2] == 1
 
@@ -211,7 +214,7 @@ class TestSimultaneous:
         rng = np.random.default_rng(6)
         scene = random_scene(rng, n_agents=6, n_timesteps=40)
         cache.write(scene)
-        hists = simultaneous_agents(_scenes_by_dataset(cache, ["rand"]), AnalysisConfig())
+        hists = run_analysis(cache, ["rand"], ["simultaneous"]).histograms
         per_ts = next(h for h in hists if h.name == "simultaneous_per_ts")
         # O(agents * ts) recount
         counts = [
@@ -222,7 +225,7 @@ class TestSimultaneous:
         assert np.array_equal(per_ts.counts, want)
 
     @pytest.mark.parametrize("edges", [None, [0.5, 1.5, 2.5]], ids=["default", "narrow"])
-    def test_matches_bincount_form(self, edges):
+    def test_matches_bincount_form(self, tmp_path, edges):
         # Lifetime-endpoint runs against one count per timestep, on 200 scenes
         # in 20 datasets; the narrow edges fold counts into both boundary bins.
         rng = np.random.default_rng(21)
@@ -230,12 +233,14 @@ class TestSimultaneous:
         if edges is not None:
             cfg.histogram_bins["simultaneous"] = edges
         scenes = [
-            random_scene(rng, n_agents=int(rng.integers(1, 8)), n_timesteps=int(rng.integers(3, 60)), scene_id=f"s{k}")
+            random_scene(rng, n_agents=int(rng.integers(1, 8)), n_timesteps=int(rng.integers(3, 60)), scene_id=f"s{k}", dataset=f"d{k % 20:02d}")
             for k in range(200)
         ]
-        scenes.append(self._scene([(3, 4), (8, 9), (8, 12)]))  # no agent at ts 0 ... 2 or 5 ... 7
+        # No agent at ts 0 ... 2 or 5 ... 7.
+        scenes.append(dataclasses.replace(self._scene([(3, 4), (8, 9), (8, 12)]), scene_id="s200", dataset_tag="d00"))
         datasets = {f"d{k:02d}": scenes[k::20] for k in range(20)}
-        got, want = simultaneous_agents(datasets, cfg), bincount_simultaneous_agents(datasets, cfg)
+        got = run_analysis(_cache_of(tmp_path / "cache", scenes), list(datasets), ["simultaneous"], cfg).histograms
+        want = sorted(bincount_simultaneous_agents(datasets, cfg), key=lambda h: (h.name, h.dataset))
         assert [(h.name, h.dataset) for h in got] == [(h.name, h.dataset) for h in want]
         for g, w in zip(got, want):
             assert g.counts.dtype == np.int64 and np.array_equal(g.counts, w.counts), (g.name, g.dataset)
@@ -243,15 +248,15 @@ class TestSimultaneous:
         per_ts = [h for h in got if h.name == "simultaneous_per_ts"]
         assert sum(h.n_samples for h in per_ts) == sum(s.n_timesteps for s in scenes)
 
-    def test_lifetime_far_from_ts_zero(self):
+    def test_lifetime_far_from_ts_zero(self, cache):
         # One agent at ts 2**45 ... 2**45 + 19: a count per timestep would need 256 TiB.
         start = 2**45
-        scene = SceneFrame.from_tracks(
+        cache.write(SceneFrame.from_tracks(
             "s0", "toy", "nowhere", 0.1, [AgentMetadata("a0", AgentType.VEHICLE, None, start, start + 19)], [_track(np.zeros(20), np.zeros(20))]
-        )
+        ))
         tracemalloc.start()
         try:
-            per_ts, per_max = simultaneous_agents({"toy": [scene]}, AnalysisConfig())
+            per_ts, per_max = run_analysis(cache, ["toy"], ["simultaneous"]).histograms
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -260,7 +265,7 @@ class TestSimultaneous:
         assert per_max.n_samples == per_max.counts[1] == 1
         assert peak < 1 << 20
 
-    def test_dataset_beyond_int64_timesteps(self):
+    def test_dataset_beyond_int64_timesteps(self, tmp_path):
         # Each scene lives at ts 2**62 ... 2**62 + 5; together they span 2**63 + 12 timesteps.
         start = 2**62
         scenes = [
@@ -269,8 +274,8 @@ class TestSimultaneous:
             for k in range(2)
         ]
         with pytest.raises(ValueError, match=r"dataset toy: its scenes span 9223372036854775820 timesteps"):
-            simultaneous_agents({"toy": scenes}, AnalysisConfig())
-        per_ts, _ = simultaneous_agents({"toy": scenes[:1]}, AnalysisConfig())
+            run_analysis(_cache_of(tmp_path / "both", scenes), ["toy"], ["simultaneous"])
+        per_ts, _ = run_analysis(_cache_of(tmp_path / "one", scenes[:1]), ["toy"], ["simultaneous"]).histograms
         assert per_ts.n_samples == start + 6 and (per_ts.counts[0], per_ts.counts[1]) == (start, 6)
 
 
@@ -283,7 +288,8 @@ class TestDensity:
             _track([0.0, 0.0], [10.0, 10.0]),
         ]
         cache.write(_scene_from_tracks(tracks))
-        hists, tallies = agent_density(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
+        report = run_analysis(cache, ["toy"], ["density"])
+        hists, tallies = report.histograms, report.tallies
         h = hists[0]
         # all samples are 4 agents / 100 m^2
         bin_idx = np.searchsorted(h.edges, 0.04, side="right") - 1
@@ -293,7 +299,8 @@ class TestDensity:
     def test_collinear_skipped(self, cache):
         tracks = [_track([0.0, 0.0], [0.0, 0.0]), _track([5.0, 5.0], [0.0, 0.0])]
         cache.write(_scene_from_tracks(tracks))
-        hists, tallies = agent_density(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
+        report = run_analysis(cache, ["toy"], ["density"])
+        hists, tallies = report.histograms, report.tallies
         assert hists[0].n_samples == 0
         assert tallies["density_skipped_degenerate"] == 2
 
@@ -302,7 +309,7 @@ class TestDensity:
         scene = random_scene(rng, n_agents=5, n_timesteps=30, gap_prob=0.0)
         cache.write(scene)
         cfg = AnalysisConfig()
-        hists, _ = agent_density(_scenes_by_dataset(cache, ["rand"]), cfg)
+        hists = run_analysis(cache, ["rand"], ["density"], cfg).histograms
         samples = []
         for ts in range(scene.n_timesteps):
             pts = []
@@ -325,7 +332,8 @@ class TestEgoDistances:
     def test_fixed_distance(self, cache):
         scene = _renamed(_scene_from_tracks([_track(np.zeros(5), np.zeros(5)), _track(np.full(5, 10.0), np.zeros(5))]), "ego")
         cache.write(scene)
-        hists, tallies = ego_agent_distances(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
+        report = run_analysis(cache, ["toy"], ["ego_distances"])
+        hists, tallies = report.histograms, report.tallies
         h = hists[0]
         assert h.n_samples == 5
         bin_idx = np.searchsorted(h.edges, 10.0, side="right") - 1
@@ -334,19 +342,20 @@ class TestEgoDistances:
     def test_no_other_agents(self, cache):
         scene = _renamed(_scene_from_tracks([_track(np.zeros(5), np.zeros(5))]), "ego")
         cache.write(scene)
-        hists, _ = ego_agent_distances(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
+        hists = run_analysis(cache, ["toy"], ["ego_distances"]).histograms
         assert hists[0].n_samples == 0
 
     def test_missing_ego_tallied(self, cache):
         cache.write(_scene_from_tracks([_track(np.zeros(5), np.zeros(5))]))
-        hists, tallies = ego_agent_distances(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
+        report = run_analysis(cache, ["toy"], ["ego_distances"])
+        hists, tallies = report.histograms, report.tallies
         assert tallies["ego_distance_scenes_missing_ego"] == 1
 
 
 class TestDynamics:
     def test_straight_speed(self, cache):
         cache.write(synth_scene(Straight(10.0), 1, 50, 0.1))
-        hists = dynamics_distributions(_scenes_by_dataset(cache, ["synth"]), AnalysisConfig())
+        hists = run_analysis(cache, ["synth"], DYNAMICS).histograms
         speed = next(h for h in hists if h.name == "speed" and h.agent_type == "vehicle")
         bin_idx = np.searchsorted(speed.edges, 10.0, side="right") - 1
         assert speed.counts[bin_idx] == speed.n_samples == 50
@@ -357,14 +366,14 @@ class TestDynamics:
         scene = next(iter(cache.iter_scenes(["synth"])))
         accel = np.hypot(scene.columns.ax, scene.columns.ay)
         assert np.allclose(accel, r * w * w, rtol=1e-9)
-        hists = dynamics_distributions(_scenes_by_dataset(cache, ["synth"]), AnalysisConfig())
+        hists = run_analysis(cache, ["synth"], DYNAMICS).histograms
         a_hist = next(h for h in hists if h.name == "accel")
         bin_idx = np.searchsorted(a_hist.edges, r * w * w, side="right") - 1
         assert a_hist.counts[bin_idx] == a_hist.n_samples
 
     def test_stationary_speed_zero(self, cache):
         cache.write(_scene_from_tracks([_track(np.zeros(10), np.zeros(10))]))
-        hists = dynamics_distributions(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
+        hists = run_analysis(cache, ["toy"], DYNAMICS).histograms
         speed = next(h for h in hists if h.name == "speed")
         assert speed.counts[0] == speed.n_samples == 10
 
@@ -372,26 +381,26 @@ class TestDynamics:
 class TestStationary:
     def test_all_static(self, cache):
         cache.write(_scene_from_tracks([_track(np.zeros(10), np.zeros(10)) for _ in range(3)]))
-        rates = stationary_fraction(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
-        assert rates["toy"]["rate"] == 1.0
+        rates = run_analysis(cache, ["toy"], ["stationary"]).rates["stationary"]
+        assert rates["toy"]["all"]["rate"] == 1.0
 
     def test_all_movers(self, cache):
         cache.write(synth_scene(Straight(10.0), 3, 50, 0.1))
-        rates = stationary_fraction(_scenes_by_dataset(cache, ["synth"]), AnalysisConfig())
-        assert rates["synth"]["rate"] == 0.0
-        assert rates["synth"]["den"] == 3
+        rates = run_analysis(cache, ["synth"], ["stationary"]).rates["stationary"]
+        assert rates["synth"]["all"]["rate"] == 0.0
+        assert rates["synth"]["all"]["den"] == 3
 
     def test_threshold_strict(self, cache):
         # displacement exactly 1.0 m is not < 1.0 -> not stationary
         cache.write(_scene_from_tracks([_track([0.0, 1.0], [0.0, 0.0])]))
-        rates = stationary_fraction(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
-        assert rates["toy"]["rate"] == 0.0
+        rates = run_analysis(cache, ["toy"], ["stationary"]).rates["stationary"]
+        assert rates["toy"]["all"]["rate"] == 0.0
 
 
 class TestHeadingDeltas:
     def test_straight_mover_all_zero(self, cache):
         cache.write(synth_scene(Straight(10.0), 1, 50, 0.1))
-        hists = heading_deltas(_scenes_by_dataset(cache, ["synth"]), AnalysisConfig())
+        hists = run_analysis(cache, ["synth"], ["heading_deltas"]).histograms
         dh = next(h for h in hists if h.name == "heading_delta")
         mid = np.searchsorted(dh.edges, 0.0, side="right") - 1
         assert dh.counts[mid] == dh.n_samples
@@ -425,7 +434,7 @@ class TestHeadingDeltas:
         w = (2 * math.pi) / ((n - 1) * dt)  # full loop
         cache.write(synth_scene(Circle(10.0, w), 1, n, dt))
         cfg = AnalysisConfig(cumulative_heading=True)
-        hists = heading_deltas(_scenes_by_dataset(cache, ["synth"]), cfg)
+        hists = run_analysis(cache, ["synth"], ["heading_deltas"], cfg).histograms
         dh = next(h for h in hists if h.name == "heading_delta")
         assert dh.n_overflow > 0  # cumulative delta reaches 2*pi, beyond the wrapped range
 
@@ -433,7 +442,7 @@ class TestHeadingDeltas:
 class TestPathEfficiency:
     def test_straight_line_100(self, cache):
         cache.write(synth_scene(Straight(10.0), 1, 50, 0.1))
-        hists, _ = path_efficiency(_scenes_by_dataset(cache, ["synth"]), AnalysisConfig())
+        hists = run_analysis(cache, ["synth"], ["path_efficiency"]).histograms
         h = hists[0]
         assert h.counts[-1] == h.n_samples  # last bin [99, 100]
 
@@ -454,12 +463,13 @@ class TestPathEfficiency:
         dt = 0.1
         w = 2 * math.pi / ((n - 1) * dt)
         cache.write(synth_scene(Circle(10.0, w), 1, n, dt))
-        hists, _ = path_efficiency(_scenes_by_dataset(cache, ["synth"]), AnalysisConfig())
+        hists = run_analysis(cache, ["synth"], ["path_efficiency"]).histograms
         assert hists[0].counts[0] == 1  # first bin [0, 1)
 
     def test_static_agent_defined_100(self, cache):
         cache.write(_scene_from_tracks([_track(np.zeros(10), np.zeros(10))]))
-        hists, tallies = path_efficiency(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
+        report = run_analysis(cache, ["toy"], ["path_efficiency"])
+        hists, tallies = report.histograms, report.tallies
         assert tallies["path_efficiency_zero_path_agents"] == 1
         assert hists[0].counts[-1] == 1
 
@@ -469,14 +479,14 @@ class TestPathEfficiency:
         dx, dy = 90.0 / 7.0, 26.0 / 3.0
         assert math.hypot(dx, dy) > np.hypot(dx, dy)
         cache.write(_scene_from_tracks([_track([0.0, dx], [0.0, dy])]))
-        hists, _ = path_efficiency(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
+        hists = run_analysis(cache, ["toy"], ["path_efficiency"]).histograms
         assert hists[0].n_overflow == 1
 
     def test_never_exceeds_100(self, cache):
         rng = np.random.default_rng(19)
         for i in range(5):
             cache.write(random_scene(rng, scene_id=f"s{i}"))
-        hists, _ = path_efficiency(_scenes_by_dataset(cache, ["rand"]), AnalysisConfig())
+        hists = run_analysis(cache, ["rand"], ["path_efficiency"]).histograms
         for h in hists:
             assert h.n_overflow == 0
 
@@ -531,20 +541,21 @@ class TestCollisionRate:
     def test_deep_overlap_counts(self, cache):
         tracks = [_track([0.0, 0.0], [0.0, 0.0]), _track([1.0, 1.0], [0.0, 0.0])]
         cache.write(_scene_from_tracks(tracks))
-        rates, _ = collision_rate(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
+        rates = run_analysis(cache, ["toy"], ["collision"]).rates["collision"]
         assert rates["toy"]["vehicle"]["rate"] == 1.0
 
     def test_distant_boxes_do_not(self, cache):
         tracks = [_track([0.0, 0.0], [0.0, 0.0]), _track([10.0, 10.0], [0.0, 0.0])]
         cache.write(_scene_from_tracks(tracks))
-        rates, _ = collision_rate(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
+        rates = run_analysis(cache, ["toy"], ["collision"]).rates["collision"]
         assert rates["toy"]["vehicle"]["rate"] == 0.0
 
     def test_extent_less_excluded_and_tallied(self, cache):
         tracks = [_track([0.0, 0.0], [0.0, 0.0]), _track([1.0, 1.0], [0.0, 0.0]), _track([0.5, 0.5], [0.0, 0.0])]
         scene = _scene_from_tracks(tracks, extents=[Extent(4.0, 2.0), Extent(4.0, 2.0), None])
         cache.write(scene)
-        rates, tallies = collision_rate(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig())
+        report = run_analysis(cache, ["toy"], ["collision"])
+        rates, tallies = report.rates["collision"], report.tallies
         assert rates["toy"]["vehicle"]["den"] == 2
         assert tallies["collision_agents_without_extent"] == 1
 
@@ -552,7 +563,7 @@ class TestCollisionRate:
         # overlap on both timesteps for both agents
         tracks = [_track([0.0, 0.0], [0.0, 0.0]), _track([1.0, 1.0], [0.0, 0.0])]
         cache.write(_scene_from_tracks(tracks))
-        rates, _ = collision_rate(_scenes_by_dataset(cache, ["toy"]), AnalysisConfig(per_timestep_rates=True))
+        rates = run_analysis(cache, ["toy"], ["collision"], AnalysisConfig(per_timestep_rates=True)).rates["collision"]
         entry = rates["toy"]["vehicle"]
         assert entry["den"] == 4 and entry["num"] == 4
 
@@ -764,23 +775,23 @@ class TestHarshAccel:
     def test_half_g_plateau_flagged(self, cache):
         g = 9.81
         cache.write(synth_scene(StopAndGo(((0.0, 5), (0.5 * g, 10), (0.0, 20))), 1, 35, 0.1))
-        rates = harsh_accel_rate(_scenes_by_dataset(cache, ["synth"]), AnalysisConfig())
+        rates = run_analysis(cache, ["synth"], ["harsh_accel"]).rates["harsh_accel"]
         assert rates["synth"]["vehicle"]["rate"] == 1.0
 
     def test_constant_velocity_not_flagged(self, cache):
         cache.write(synth_scene(Straight(30.0), 1, 35, 0.1))
-        rates = harsh_accel_rate(_scenes_by_dataset(cache, ["synth"]), AnalysisConfig())
+        rates = run_analysis(cache, ["synth"], ["harsh_accel"]).rates["harsh_accel"]
         assert rates["synth"]["vehicle"]["rate"] == 0.0
 
     def test_exact_threshold_not_counted(self, cache):
         cache.write(synth_scene(StopAndGo(((3.924, 10),)), 1, 20, 0.1))
-        rates = harsh_accel_rate(_scenes_by_dataset(cache, ["synth"]), AnalysisConfig())
+        rates = run_analysis(cache, ["synth"], ["harsh_accel"]).rates["harsh_accel"]
         assert rates["synth"]["vehicle"]["rate"] == 0.0
 
     def test_point_3_g_not_counted(self, cache):
         g = 9.81
         cache.write(synth_scene(StopAndGo(((0.3 * g, 10),)), 1, 20, 0.1))
-        rates = harsh_accel_rate(_scenes_by_dataset(cache, ["synth"]), AnalysisConfig())
+        rates = run_analysis(cache, ["synth"], ["harsh_accel"]).rates["harsh_accel"]
         assert rates["synth"]["vehicle"]["rate"] == 0.0
 
 
@@ -790,24 +801,24 @@ class TestOffroad:
 
     def test_in_lane_zero(self, cache):
         cache.write(synth_scene(Straight(5.0), 1, 20, 0.1))  # along y=0 inside the lane polygon
-        rates, _ = offroad_rate(_scenes_by_dataset(cache, ["synth"]), self._map(), AnalysisConfig())
+        rates = run_analysis(cache, ["synth"], ["offroad"], vmap=self._map()).rates["offroad"]
         assert rates["synth"]["vehicle"]["rate"] == 0.0
 
     def test_far_outside_counted(self, cache):
         scene = _scene_from_tracks([_track([50.0, 50.0], [50.0, 50.0])])
         cache.write(scene)
-        rates, _ = offroad_rate(_scenes_by_dataset(cache, ["toy"]), self._map(), AnalysisConfig())
+        rates = run_analysis(cache, ["toy"], ["offroad"], vmap=self._map()).rates["offroad"]
         assert rates["toy"]["vehicle"]["rate"] == 1.0
 
     def test_pedestrians_excluded_by_default(self, cache):
         scene = _scene_from_tracks([_track([50.0, 50.0], [50.0, 50.0])], types=[AgentType.PEDESTRIAN])
         cache.write(scene)
-        rates, _ = offroad_rate(_scenes_by_dataset(cache, ["toy"]), self._map(), AnalysisConfig())
+        rates = run_analysis(cache, ["toy"], ["offroad"], vmap=self._map()).rates["offroad"]
         assert rates["toy"] == {}
 
     def test_no_map_unavailable(self, cache):
         cache.write(synth_scene(Straight(5.0), 1, 20, 0.1))
-        rates, _ = offroad_rate(_scenes_by_dataset(cache, ["synth"]), None, AnalysisConfig())
+        rates = run_analysis(cache, ["synth"], ["offroad"]).rates.get("offroad")
         assert rates is None
 
     def test_corner_clipping_matches_oracle(self, cache):
@@ -817,7 +828,7 @@ class TestOffroad:
         ys = rng.uniform(-6, 6, size=30)
         tracks = [_track(xs, ys)]
         cache.write(_scene_from_tracks(tracks))
-        rates, _ = offroad_rate(_scenes_by_dataset(cache, ["toy"]), vmap, AnalysisConfig())
+        rates = run_analysis(cache, ["toy"], ["offroad"], vmap=vmap).rates["offroad"]
         rings = [vmap.drivable_polygons()[0].rings()[0]]
         want_any_off = any(not crossing_number_inside(x, y, rings) for x, y in zip(xs, ys))
         assert (rates["toy"]["vehicle"]["rate"] == 1.0) == want_any_off
@@ -850,7 +861,8 @@ class TestOffroadWithoutDrivableArea:
     @pytest.mark.parametrize("agent_type", [AgentType.PEDESTRIAN, AgentType.VEHICLE])
     def test_unavailable_and_tallied(self, cache, agent_type):
         cache.write(_scene_from_tracks([_track([50.0, 50.0], [50.0, 50.0])], types=[agent_type]))
-        assert offroad_rate(_scenes_by_dataset(cache, ["toy"]), self._map(), AnalysisConfig()) == (None, {"offroad_unsupported_map": 1})
+        report = run_analysis(cache, ["toy"], ["offroad"], vmap=self._map())
+        assert (report.rates.get("offroad"), report.tallies) == (None, {"offroad_unsupported_map": 1})
 
     def test_pedestrians_only_report_lists_offroad(self, cache):
         cache.write(_scene_from_tracks([_track([0.0, 1.0], [0.0, 0.0])], types=[AgentType.PEDESTRIAN]))
@@ -905,7 +917,7 @@ class TestArrayPassEquivalence:
 
     METRICS = [m for m in METRIC_NAMES if m != "offroad"]
 
-    def _emit(self, cache, tags, cfg, out, patch):
+    def _emit(self, analyze, cache, tags, cfg, out, patch):
         """Report files by name, and the sorted samples of every histogram
         (a sample can change in its last bit without changing a count)."""
         samples = {}
@@ -913,14 +925,14 @@ class TestArrayPassEquivalence:
 
         def recording(name, dataset, agent_type, values, edges, weights=None):
             values = np.asarray(values, dtype=np.float64)
-            # A sample of weight w stands for w equal samples.
-            expanded = values if weights is None else np.repeat(values, weights)
-            samples[(name, dataset, agent_type)] = np.sort(expanded).tobytes()
+            # A sample of weight w stands for w equal samples; run_analysis bins one scene at a time.
+            samples.setdefault((name, dataset, agent_type), []).append(values if weights is None else np.repeat(values, weights))
             return from_samples(name, dataset, agent_type, values, edges, weights)
 
         patch.setattr(Histogram, "from_samples", recording)
-        emit_report(run_analysis(cache, tags, self.METRICS, cfg, ego_id="ego"), out)
-        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}, samples
+        emit_report(analyze(cache, tags, self.METRICS, cfg, ego_id="ego"), out)
+        sorted_samples = {key: np.sort(np.concatenate(parts)).tobytes() for key, parts in samples.items()}
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}, sorted_samples
 
     @pytest.mark.parametrize("seed", range(10))
     def test_report_bytes_match_reference(self, tmp_path, monkeypatch, seed):
@@ -940,11 +952,9 @@ class TestArrayPassEquivalence:
                 )
                 tag = f"c{int(cumulative)}p{int(per_timestep)}"
                 with monkeypatch.context() as patch:
-                    got, got_samples = self._emit(cache, ["rand", "mix"], cfg, tmp_path / f"got-{tag}", patch)
+                    got, got_samples = self._emit(run_analysis, cache, ["rand", "mix"], cfg, tmp_path / f"got-{tag}", patch)
                 with monkeypatch.context() as patch:
-                    for name, fn in REFERENCE_METRICS.items():
-                        patch.setattr(analysis, name, fn)
-                    want, want_samples = self._emit(cache, ["rand", "mix"], cfg, tmp_path / f"want-{tag}", patch)
+                    want, want_samples = self._emit(reference_report, cache, ["rand", "mix"], cfg, tmp_path / f"want-{tag}", patch)
                 assert list(got) == list(want)
                 for name in want:
                     assert got[name] == want[name], (tag, name)
@@ -955,9 +965,10 @@ class TestArrayPassEquivalence:
         cache = SceneCache(tmp_path / "cache")
         cache.write(_analysis_scene(np.random.default_rng(0), "s0", "rand", "ego"))
         calls = []
-        for name, fn in REFERENCE_METRICS.items():
-            monkeypatch.setattr(analysis, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
-        run_analysis(cache, ["rand"], self.METRICS)
+        fns = {name: lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k) for name, fn in REFERENCE_METRICS.items()}
+        for name in SCENE_METRICS:
+            monkeypatch.setattr(analysis, name, lambda *a, **k: pytest.fail("the reference report ran a library metric"))
+        reference_report(cache, ["rand"], self.METRICS, AnalysisConfig(), **fns)
         assert sorted(set(calls)) == sorted(REFERENCE_METRICS)
 
 
@@ -973,9 +984,9 @@ def _few_observed_scene(scene_id, dataset, two_rows):
 
 
 class TestTypeCodePooling:
-    """Pooling a whole dataset by type code reports, byte for byte, what the
-    per-scene pooling by type name, the per-agent rate walk and the per-agent
-    path sums in oracles.py report. The "mix" dataset holds all five types,
+    """Binning each scene's samples by type code reports, byte for byte, what
+    the per-dataset pooling by type name, the per-agent rate walk and the
+    per-agent path sums in oracles.py report. The "mix" dataset holds all five types,
     so its samples are sorted by code and cut; "few" has no agent with 2
     observed rows, so it has no path_efficiency histogram."""
 
@@ -993,8 +1004,8 @@ class TestTypeCodePooling:
         assert {str(m.agent_type) for s in scenes[:3] for m in s.agents} == set(_TYPE_NAMES)
         return cache
 
-    def _emit(self, cache, cfg, out, metrics=None):
-        paths = emit_report(run_analysis(cache, ["mix", "few"], metrics or self.METRICS, cfg, vmap=self.VMAP), out)
+    def _emit(self, cache, cfg, out, metrics=None, analyze=run_analysis):
+        paths = emit_report(analyze(cache, ["mix", "few"], metrics or self.METRICS, cfg, vmap=self.VMAP), out)
         return {p.name: p.read_bytes() for p in paths}
 
     @pytest.mark.parametrize("per_timestep", [False, True])
@@ -1002,10 +1013,7 @@ class TestTypeCodePooling:
     def test_report_bytes_match_scene_pooling(self, tmp_path, monkeypatch, mixed, per_timestep, cumulative):
         cfg = AnalysisConfig(per_timestep_rates=per_timestep, cumulative_heading=cumulative, offroad_types=("vehicle", "pedestrian"))
         got = self._emit(mixed, cfg, tmp_path / "got")
-        with monkeypatch.context() as patch:
-            for name, fn in SCENE_POOLED_METRICS.items():
-                patch.setattr(analysis, name, fn)
-            want = self._emit(mixed, cfg, tmp_path / "want")
+        want = self._emit(mixed, cfg, tmp_path / "want", analyze=functools.partial(reference_report, **SCENE_POOLED_METRICS))
         assert list(got) == list(want)
         for name in want:
             assert got[name] == want[name], name
@@ -1017,38 +1025,55 @@ class TestTypeCodePooling:
 
     def test_reference_is_patched_in(self, tmp_path, monkeypatch, mixed):
         calls = []
-        for name, fn in SCENE_POOLED_METRICS.items():
-            monkeypatch.setattr(analysis, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
-        run_analysis(mixed, ["mix"], self.METRICS, vmap=self.VMAP)
+        fns = {name: lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k) for name, fn in SCENE_POOLED_METRICS.items()}
+        for name in SCENE_METRICS:
+            monkeypatch.setattr(analysis, name, lambda *a, **k: pytest.fail("the reference report ran a library metric"))
+        reference_report(mixed, ["mix"], self.METRICS, AnalysisConfig(), vmap=self.VMAP, **fns)
         assert sorted(set(calls)) == sorted(SCENE_POOLED_METRICS)
 
     def test_scene_order_does_not_change_the_report(self, tmp_path, monkeypatch, mixed):
-        # Population is left out: an agent id that recurs with another type
-        # counts once, as its first scene's type.
-        metrics = [m for m in METRIC_NAMES if m != "population"]
+        # Agent ids recur across the mix scenes with other types: population
+        # keeps each id's type in the smallest (tag, scene id), whatever the order.
+        scenes = list(mixed.iter_scenes(["mix"]))
+        types = {}
+        for scene in scenes:
+            for agent_id, code in zip(scene.agent_ids, scene.type_code.tolist()):
+                types.setdefault(agent_id, []).append(_TYPE_NAMES[code])
+        assert any(len(set(t)) > 1 for t in types.values())
         cfg = AnalysisConfig(per_timestep_rates=True, cumulative_heading=True)
-        forward = self._emit(mixed, cfg, tmp_path / "forward", metrics)
-        by_dataset = analysis._scenes_by_dataset
-        monkeypatch.setattr(analysis, "_scenes_by_dataset", lambda *a: {d: s[::-1] for d, s in by_dataset(*a).items()})
-        assert self._emit(mixed, cfg, tmp_path / "backward", metrics) == forward
+        forward = self._emit(mixed, cfg, tmp_path / "forward", METRIC_NAMES)
+        iter_scenes = SceneCache.iter_scenes
+        monkeypatch.setattr(SceneCache, "iter_scenes", lambda self, tags: reversed(list(iter_scenes(self, tags))))
+        assert next(iter(mixed.iter_scenes(["mix"]))).scene_id == scenes[-1].scene_id
+        assert self._emit(mixed, cfg, tmp_path / "backward", METRIC_NAMES) == forward
+        population = json.loads(forward["rates.json"])["population"]["mix"]
+        assert population["unique_agents"] == len(types)
+        assert population["type_counts"] == dict(collections.Counter(t[0] for t in types.values()))
 
     @pytest.mark.parametrize("per_timestep", [False, True])
-    def test_rates_and_pooled_rate_match_the_agent_walk(self, monkeypatch, per_timestep):
+    def test_rates_and_pooled_rate_match_the_agent_walk(self, tmp_path, per_timestep):
         rng = np.random.default_rng(17)
-        scenes = [random_scene(rng, n_agents=10, n_timesteps=50, scene_id=f"s{k}") for k in range(4)]
-        scenes.append(_few_observed_scene("few", "rand", two_rows=True))
-        counters = [
-            _scene_collisions,
-            lambda s: _offroad_counts(s, self.VMAP, s.columns.observed & _offroad_rows(s, _TYPE_NAMES)),
-            lambda s: _agent_counts(s, s.columns.observed, np.hypot(s.columns.ax, s.columns.ay) > 1.0),
-            lambda s: _agent_counts(s, s.columns.observed & (s.columns.x > 1e9), s.columns.observed),  # selects no agent
+        scenes = [random_scene(rng, n_agents=10, n_timesteps=50, scene_id=f"s{k}", dataset="a" if k < 2 else "b") for k in range(4)]
+        scenes.append(_few_observed_scene("few", "b", two_rows=True))
+        cache, datasets = _cache_of(tmp_path / "cache", scenes), {"b": scenes[2:], "a": scenes[:2]}
+        # Each rate metric under a config, and the per-agent counts the walk takes for it.
+        cases = [
+            ("collision", {}, _scene_collisions),
+            ("offroad", {"offroad_types": _TYPE_NAMES}, lambda s: _offroad_counts(s, self.VMAP, s.columns.observed & _offroad_rows(s, _TYPE_NAMES))),
+            ("harsh_accel", {"harsh_accel_threshold": 1.0}, lambda s: _agent_counts(s, s.columns.observed, np.hypot(s.columns.ax, s.columns.ay) > 1.0)),
+            ("offroad", {"offroad_types": ()}, lambda s: _offroad_counts(s, self.VMAP, s.columns.observed & _offroad_rows(s, ()))),  # selects no agent
         ]
-        reference, datasets = SCENE_POOLED_METRICS["_rates"], {"b": scenes[2:], "a": scenes[:2]}
-        for counts in counters:
-            assert _rates(datasets, counts, per_timestep) == reference(datasets, counts, per_timestep)
-        pooled = [[simulation._pooled_rate(s, c) for c in counters] for s in scenes]
-        monkeypatch.setattr(simulation, "_rates", reference)
-        assert pooled == [[simulation._pooled_rate(s, c) for c in counters] for s in scenes]
+        for metric, fields, counts in cases:
+            report = run_analysis(cache, ["a", "b"], [metric], AnalysisConfig(per_timestep_rates=per_timestep, **fields), vmap=self.VMAP)
+            assert report.rates[metric] == reference_rates(datasets, counts, per_timestep)
+
+        def walk(scene, counts):  # the walk's any-timestep rate over every type of one scene
+            entries = reference_rates({"": [scene]}, counts, per_timestep=False)[""].values()
+            den = sum(e["den"] for e in entries)
+            return sum(e["num"] for e in entries) / den if den else None
+
+        pooled = [[simulation._pooled_rate(s, counts) for _, _, counts in cases] for s in scenes]
+        assert pooled == [[walk(s, counts) for _, _, counts in cases] for s in scenes]
         assert all(row[-1] is None for row in pooled)
 
     def test_run_sums_add_in_np_sum_order(self):
@@ -1090,6 +1115,36 @@ class TestSingleLoad:
         assert len(loaded) == 2 and "offroad" in report.rates and "collision" in report.rates
         assert ["agents" in scene.__dict__ for scene in loaded] == [False, False]
         assert loaded[0].agents and "agents" in loaded[0].__dict__  # built on first read, then kept
+
+
+class TestOnePass:
+    def test_peak_memory_does_not_grow_with_the_scene_count(self, tmp_path):
+        # run_analysis decodes, counts and drops one scene at a time. Its traced
+        # peak, less that of draining iter_scenes over the same scenes (which holds
+        # each selected file's bytes until that file is decoded), grows by at most
+        # one scene's decoded size from 4 scenes to 32.
+        rng = np.random.default_rng(41)
+        scenes = [random_scene(rng, n_agents=16, n_timesteps=200, scene_id=f"s{k:02d}") for k in range(32)]
+        vmap = VectorMap("toy:flat", [straight_lane("L1", 0.0, length=200.0, half_width=3.0)])
+
+        def traced(fn):
+            """(peak, held at the end) of the memory traced over fn(), its result kept."""
+            tracemalloc.start()
+            try:
+                result = fn()
+                current, peak = tracemalloc.get_traced_memory()
+                del result
+                return peak, current
+            finally:
+                tracemalloc.stop()
+
+        excess = {}
+        for n in (4, 32):
+            cache = _cache_of(tmp_path / f"cache{n}", scenes[:n])
+            drained = traced(lambda: [None for _ in cache.iter_scenes(["rand"])])[0]
+            excess[n] = traced(lambda: run_analysis(cache, ["rand"], METRIC_NAMES, vmap=vmap))[0] - drained
+        one_scene = traced(lambda: cache.load_path(cache.resolve(["rand"])[-1].path))[1]
+        assert excess[32] - excess[4] <= one_scene, (excess, one_scene)
 
 
 class TestReport:

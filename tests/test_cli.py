@@ -563,6 +563,17 @@ class TestMalformedHeaders:
         assert main(_CACHE_READERS[command](str(cache_dir), str(tmp_path / "out"))) == 2
         assert capsys.readouterr().err == f"error: scene file {copy}: header names scene 'synth-0', not 'zz': a scene file is named <scene id>.tksc\n"
 
+    def test_sim_replay_of_a_file_not_named_by_its_scene_id_exit_2(self, workspace, capsys):
+        # sim-replay finds zz.tksc by its name; its header names synth-0, so the load refuses it as a query does.
+        tmp_path, cache_dir = workspace
+        (path,) = cache_dir.glob("*/synth-0.tksc")
+        copy = path.with_name("zz.tksc")
+        copy.write_bytes(path.read_bytes())
+        out = tmp_path / "sim"
+        assert main(["sim-replay", "--cache", str(cache_dir), "--scene", "zz", "--init-ts", "10", "--steps", "10", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: scene file {copy}: header names scene 'synth-0', not 'zz': a scene file is named <scene id>.tksc\n"
+        assert not out.exists()
+
     def test_map_directory_without_lanes_exit_2(self, tmp_path, capsys):
         path = _map_file(tmp_path)
         path.write_bytes(rewrite_json_header(path.read_bytes(), lambda h: h.pop("lanes"), crc=False))

@@ -17,6 +17,10 @@ go through core.rotate, which multiplies and adds element by element.
 Every module-level name a module binds by import or assignment is read in
 that module or imported from it by another module of the package; a name
 nothing reads is dead weight that still has to be kept in step.
+
+An analysis run is one pass over the cache: analysis.py reads scenes through
+one iter_scenes call, in run_analysis, and no other function of it takes a
+SceneCache, so no second path can come to hold a dataset's scenes at once.
 """
 
 import ast
@@ -156,3 +160,28 @@ def test_the_check_sees_an_unused_name():
     )
     b = "used = unused = 1\nLIMIT = 2\nfrom .a import TOTAL, x\n"
     assert _unused_names({"a": a, "b": b}) == ["a.codec", "a.log", "a.unused", "a.z", "b.TOTAL", "b.x"]
+
+
+def _cache_readers(source: str) -> tuple[int, list[str]]:
+    """(calls of an iter_scenes attribute, names of the functions with a
+    parameter annotated SceneCache or named cache) in source."""
+    tree = ast.parse(source)
+    calls = sum(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "iter_scenes" for n in ast.walk(tree))
+    takers = [
+        f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+        and any(a.arg == "cache" or (a.annotation is not None and "SceneCache" in ast.unparse(a.annotation))
+                for a in (*f.args.posonlyargs, *f.args.args, *f.args.kwonlyargs))
+    ]
+    return calls, takers
+
+
+def test_analysis_reads_the_cache_in_one_pass():
+    assert _cache_readers((_PACKAGE / "analysis.py").read_text(encoding="utf-8")) == (1, ["run_analysis"])
+
+
+def test_the_check_sees_a_second_cache_reader():
+    one_pass = "def run_analysis(cache: SceneCache, tags):\n    for scene in cache.iter_scenes(tags):\n        pass\n"
+    assert _cache_readers(one_pass) == (1, ["run_analysis"])
+    pooled = "def density(store: 'SceneCache', tags):\n    return [s for s in store.iter_scenes(tags)]\n"
+    assert _cache_readers(one_pass + pooled) == (2, ["run_analysis", "density"])
+    assert _cache_readers(one_pass + "def by_dataset(cache, tags):\n    return {}\n") == (1, ["run_analysis", "by_dataset"])

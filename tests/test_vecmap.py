@@ -222,6 +222,33 @@ class TestLaneQueries:
                 assert vmap.lanes_within(p, radius) == want
 
 
+class TestLazySegmentIndex:
+    """The lane segment index is built on the first lane query, not at map load."""
+
+    def test_decode_and_drivable_area_queries_build_no_index(self):
+        rng = np.random.default_rng(31)
+        lanes = [straight_lane(f"L{k}", y, length=80.0, half_width=2.0) for k, y in enumerate((-12.0, 0.0, 9.0))]
+        data = map_serialize(VectorMap("toy:flat", [*lanes, *random_lane_map(rng, n_lanes=6).lanes.values()],
+                                       road_areas=[square_area(-60.0, -60.0, 30.0)]))
+        points = rng.uniform(-100.0, 100.0, size=(200, 2))
+        first = map_deserialize(data)
+        nearest = [first.closest_lane_with_distance(p) for p in points]  # the index is built by the first of these
+        decoded = map_deserialize(data)
+        inside = decoded.points_in_drivable_area(points)
+        assert decoded.point_in_drivable_area(points[0]) == inside[0] and 0 < inside.sum() < len(points)
+        assert "_index" not in decoded.__dict__
+        assert [decoded.closest_lane_with_distance(p) for p in points] == nearest == brute_closest_lanes(decoded, points)
+        assert "_index" in decoded.__dict__
+        assert [decoded.lanes_within(p, 15.0) for p in points] == [first.lanes_within(p, 15.0) for p in points]
+
+    def test_map_without_lanes_has_no_index(self):
+        vmap = map_deserialize(map_serialize(VectorMap("toy:flat", [], road_areas=[square_area(0.0, 0.0, 10.0)])))
+        assert vmap.point_in_drivable_area((5.0, 5.0)) and vmap._index is None
+        assert vmap.lanes_within((0.0, 0.0), 5.0) == set()
+        with pytest.raises(NoLanesError):
+            vmap.closest_lane_with_distance((0.0, 0.0))
+
+
 def _assert_lane_queries_match_brute_force(vmap: VectorMap, points: np.ndarray, radii) -> None:
     for chunk in np.array_split(points, max(1, len(points) // 50)):  # the brute-force matrices stay small
         for p, (lane, dist) in zip(chunk, brute_closest_lanes(vmap, chunk)):
