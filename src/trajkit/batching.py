@@ -174,10 +174,10 @@ def build_index(
     Agent-centric: one entry per qualifying (scene, agent, ts). Scene-centric:
     one entry per (scene, ts) with at least one qualifying agent. Scenes come
     from cache.iter_scenes, which reads each file once, and are resampled to
-    desired_dt first when given. Entries follow iter_scenes' (tag, scene id)
-    order, then (agent id, ts) for agent-centric and ts for scene-centric
-    entries, whose agents are in id order; two builds over the same cache
-    produce identical orderings.
+    desired_dt first when given. Entries follow (tag, scene id) order, whatever
+    the order of the tags or of iter_scenes (each scene's run is sorted in once),
+    then (agent id, ts) for agent-centric and ts for scene-centric entries, whose
+    agents are in id order; two builds over the same cache give the same order.
     """
     if centric not in ("agent", "scene"):
         raise ValueError(f"centric must be 'agent' or 'scene', got {centric!r}")
@@ -185,12 +185,12 @@ def build_index(
     allowed = np.array([t in filt.agent_types for t in TYPE_BY_CODE])  # by type code
 
     contexts: dict[tuple[str, str], _SceneContext] = {}
-    entries: list[tuple] = []
+    runs: dict[tuple[str, str], list[tuple]] = {}
     for scene in cache.iter_scenes(tags):
         tag = scene.scene_tag().render()
         if desired_dt is not None:
             scene = resample_scene(scene, desired_dt)
-        ctx = contexts[(tag, scene.scene_id)] = _SceneContext(
+        ctx = contexts[tag, scene.scene_id] = _SceneContext(
             scene=scene,
             tag=tag,
             h_steps=seconds_to_steps(window.history[1], scene.dt),
@@ -209,11 +209,12 @@ def build_index(
         j, ts = j[ok], cols.ts[ok]
         if centric == "agent":
             order = np.lexsort((ts, ctx.id_rank[j]))
-            entries += [(tag, scene.scene_id, a, t) for a, t in zip(j[order].tolist(), ts[order].tolist())]
+            runs[tag, scene.scene_id] = [(tag, scene.scene_id, a, t) for a, t in zip(j[order].tolist(), ts[order].tolist())]
         else:
             order = np.lexsort((ctx.id_rank[j], ts))
-            runs = groupby(zip(ts[order].tolist(), j[order].tolist()), key=lambda r: r[0])
-            entries += [(tag, scene.scene_id, t, tuple(a for _, a in run)) for t, run in runs]
+            by_ts = groupby(zip(ts[order].tolist(), j[order].tolist()), key=lambda r: r[0])
+            runs[tag, scene.scene_id] = [(tag, scene.scene_id, t, tuple(a for _, a in run)) for t, run in by_ts]
+    entries = [entry for key in sorted(runs) for entry in runs[key]]
     if not entries:
         raise EmptyIndexError(
             f"no elements over {len(contexts)} scene(s): window requires "

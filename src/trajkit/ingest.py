@@ -26,7 +26,8 @@ import uuid
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -676,12 +677,6 @@ def _scene_from_header(header, data: bytes, pos: int) -> SceneFrame:
         raise CacheError(_SCHEMA_ERROR.format(exc)) from exc
 
 
-def _read_only(scene: SceneFrame) -> SceneFrame:
-    for column in scene.columns.as_dict().values():  # the metrics of an analysis run share one loaded scene
-        column.flags.writeable = False
-    return scene
-
-
 def _replace_file(path: Path, data: bytes) -> None:
     """Write data under a temporary name unique to this call, then rename it
     over path: readers see the old file or the new one, never a torn one."""
@@ -699,12 +694,6 @@ def _plain_name(name: str, what: str) -> str:
     if name in ("", ".", "..") or "/" in name or "\0" in name:
         raise ValueError(f"{what} {name!r} cannot name a cache file: it must be a plain name without '/'")
     return name
-
-
-def _check_name(scene_id: str, path: Path) -> None:
-    """CacheError unless the scene file at path is named <scene_id>.tksc."""
-    if scene_id != path.stem:
-        raise CacheError(f"header names scene {scene_id!r}, not {path.stem!r}: a scene file is named <scene id>.tksc")
 
 
 @contextlib.contextmanager
@@ -761,58 +750,68 @@ class SceneCache:
         return None
 
     def load_path(self, path: str | Path) -> SceneFrame:
-        """Decode the scene file at path, read-only; every call reads it afresh.
-        A CacheError names the file, and is raised for a header that names a
-        scene other than the file name's stem, as a query raises it."""
-        path = Path(path)
-        with _naming(path):
-            scene = scene_from_bytes(path.read_bytes())
-            _check_name(scene.scene_id, path)
-            return _read_only(scene)
+        """Decode the scene file at path, read-only, afresh on every call; a
+        CacheError names the file, and refuses a misnamed file as a query does."""
+        return self._read_file(Path(path), lambda tag: True)[2]
 
-    def _select(self, tags: Iterable[str], whole: bool) -> list[tuple[SceneTag, Path, dict, bytes | None, int]]:
-        """(tag, path, header, bytes if whole else None, payload offset) of the
-        scene files the tags select, sorted by (tag, scene id), each .tksc file
-        of a queried dataset read and its header checked once. Query by query:
-        CacheError for a header that does not read or names a scene other than
-        the file name's stem, then UnknownTagError."""
-        files: dict[Path, tuple] = {}
-        selected: set[Path] = set()
+    @staticmethod
+    def _read_file(path: Path, decode: Callable[[SceneTag], bool]) -> tuple[SceneTag, dict, SceneFrame | None]:
+        """(tag, header, scene if decode(tag) else None) of the scene file at path,
+        opened once: its header is read and checked, then for a scene to decode the
+        whole file is read from that same open file, so a file that a concurrent
+        writer replaces is never decoded under its old tag. A CacheError names the file."""
+        with _naming(path), open(path, "rb") as f:
+            header, pos = read_container(f, os.fstat(f.fileno()).st_size, CACHE_MAGIC, CACHE_VERSION, _CACHE_ERRORS)
+            tag = _read_header(header)
+            if header["scene_id"] != path.stem:
+                raise CacheError(f"header names scene {header['scene_id']!r}, not {path.stem!r}: a scene file is named <scene id>.tksc")
+            if not decode(tag):
+                return tag, header, None
+            f.seek(0)
+            scene = _scene_from_header(header, f.read(), pos)
+        for column in scene.columns.as_dict().values():  # the metrics of an analysis run share one loaded scene
+            column.flags.writeable = False
+        return tag, header, scene
+
+    def _walk(self, tags: Iterable[str], decode: bool) -> Iterator[tuple[SceneTag, Path, dict, SceneFrame | None]]:
+        """(tag, path, header, scene if decode else None) of each file the tags
+        select, in iter_scenes' order, each .tksc file of a queried dataset read
+        once; once a dataset is read, UnknownTagError for its first query that
+        matched none of its files."""
+        queries: dict[str, dict[str, SceneTag]] = {}
         for text in tags:
             query = SceneTag.parse(text)
-            paths = sorted(self._dataset_dir(query.dataset).glob("*.tksc"))
-            for path in (p for p in paths if p not in files):
-                with _naming(path), open(path, "rb") as f:
-                    data = f.read() if whole else None
-                    stream = io.BytesIO(data) if whole else f
-                    header, pos = read_container(stream, os.fstat(f.fileno()).st_size, CACHE_MAGIC, CACHE_VERSION, _CACHE_ERRORS)
-                    files[path] = _read_header(header), path, header, data, pos
-                    _check_name(header["scene_id"], path)
-            matched = {path for path in paths if query.matches(files[path][0])}
-            if not matched:
-                raise UnknownTagError(f"tag {text!r} matched no cached scenes")
-            selected |= matched
-        return sorted((r for path, r in files.items() if path in selected), key=lambda r: (r[0].render(), r[2]["scene_id"]))
+            queries.setdefault(query.dataset, {})[text] = query
+        for dataset, named in queries.items():
+            selects = lambda tag: any(query.matches(tag) for query in named.values())  # noqa: E731
+            read = []
+            for path in sorted(self._dataset_dir(dataset).glob("*.tksc")):
+                tag, header, scene = self._read_file(path, lambda tag: decode and selects(tag))
+                read.append(tag)
+                if selects(tag):
+                    yield tag, path, header, scene
+                del scene  # not held past the next file's decode
+            for text, query in named.items():
+                if not any(map(query.matches, read)):
+                    raise UnknownTagError(f"tag {text!r} matched no cached scenes")
 
     def resolve(self, tags: Iterable[str]) -> list[CacheEntry]:
         """Entries of the scenes the tags select, sorted by (tag, scene id), read
         from the file headers alone. A file whose header names another dataset
         is not listed; other files (a leftover index.json, an interrupted
         write's .tmp) are ignored."""
-        return [CacheEntry(tag.render(), header["scene_id"], path, len(header["agent_ids"]))
-                for tag, path, header, _, _ in self._select(tags, whole=False)]
+        return sorted((CacheEntry(tag.render(), header["scene_id"], path, len(header["agent_ids"]))
+                       for tag, path, header, _ in self._walk(tags, decode=False)), key=lambda e: (e.tag, e.scene_id))
 
     def iter_scenes(self, tags: Iterable[str]) -> Iterator[SceneFrame]:
-        """The scenes resolve lists, in its order and read-only as load_path's,
-        decoded from the bytes their tags were read from; a file's bytes are
-        dropped once its scene is decoded, and a scene once the next is asked
-        for. A CacheError names its file."""
-        files = self._select(tags, whole=True)[::-1]
-        while files:
-            with _naming(files[-1][1]):  # no local holds the bytes past the decode
-                scene = _scene_from_header(*files.pop()[2:])
-            yield _read_only(scene)
-            del scene  # nor the scene past the next decode
+        """The scenes resolve lists, read-only as load_path's, one file at a
+        time: dataset by dataset in the order the tags first name them, in
+        sorted file order within one. A selected file is decoded from the bytes
+        its tag was read from and dropped before the next file is opened; an
+        unselected one is read up to its header. A fault surfaces when the
+        iteration reaches it: a CacheError naming its file, an UnknownTagError
+        once its query's dataset is read."""
+        return map(itemgetter(3), self._walk(tags, decode=True))
 
 
 def cache_write(scene: SceneFrame, cache_dir: str | Path) -> Path:

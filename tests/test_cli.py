@@ -765,6 +765,34 @@ def _output_files(out):
     return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+class TestLateFault:
+    """The cache streams dataset by dataset, so a fault in the second tag's
+    dataset surfaces after the first tag's scenes are yielded; analyze and
+    batch drain the stream before they write, so they still write nothing."""
+
+    @staticmethod
+    def _flip_last_payload(cache_dir):
+        path = sorted((cache_dir / "late").glob("*.tksc"))[-1]
+        data = bytearray(path.read_bytes())
+        data[-40] ^= 0xFF  # the payload and its CRC no longer agree
+        path.write_bytes(bytes(data))
+        return f"error: scene file {path}: CRC mismatch: stored 0x"
+
+    @pytest.mark.parametrize("command", ["analyze", "batch"])
+    @pytest.mark.parametrize("bad", ["late-test", "late"], ids=["unknown-split", "flipped-payload"])
+    def test_exit_2_and_no_output(self, workspace, capsys, command, bad):
+        tmp_path, cache_dir = workspace
+        SceneCache(cache_dir).write_many([synth_scene(Straight(10.0), 1, 100, 0.1, scene_id=f"late-{k}", dataset="late") for k in range(2)])
+        want = self._flip_last_payload(cache_dir) if bad == "late" else "error: \"tag 'late-test' matched no cached scenes\""
+        out = tmp_path / "out"
+        argv = _CACHE_READERS[command](str(cache_dir), str(out))
+        argv[argv.index("--tags") + 1] = f"synth,{bad}"
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(want), err
+        assert not out.exists() or _output_files(out) == {}
+
+
 class TestMalformedSceneDt:
     @pytest.mark.parametrize("command", ["analyze", "batch"])
     @pytest.mark.parametrize("dt", [float("inf"), 0.0, -0.1])

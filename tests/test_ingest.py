@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -701,11 +702,17 @@ class TestCache:
         ["dsa"], ["dsa-train"], ["dsa-loc1"], ["dsa-val-loc2"], ["dsa-train", "dsa"], ["dsa-loc1", "dsa-train-loc1", "dsb"], ["dsb", "dsa-val"],
     ], ids=["dataset", "split", "location", "split-location", "overlapping", "overlapping-location", "two-datasets"])
     def test_iter_scenes_yields_what_resolve_lists(self, tmp_path, tags):
+        # iter_scenes streams dataset by dataset in the order the tags first name them, files in sorted
+        # order within one; resolve lists the same scenes sorted by (tag, scene id).
         cache = self._split_cache(tmp_path)
         entries = cache.resolve(tags)
         scenes = list(cache.iter_scenes(tags))
-        assert [(s.scene_tag().render(), s.scene_id) for s in scenes] == [(e.tag, e.scene_id) for e in entries]
-        assert scenes == [cache.load_path(e.path) for e in entries]
+        by_tag = sorted(scenes, key=lambda s: (s.scene_tag().render(), s.scene_id))
+        assert [(s.scene_tag().render(), s.scene_id) for s in by_tag] == [(e.tag, e.scene_id) for e in entries]
+        assert by_tag == [cache.load_path(e.path) for e in entries]
+        datasets = list(dict.fromkeys(tag.split("-")[0] for tag in tags))  # in the order the tags first name them
+        streamed = sorted(entries, key=lambda e: (datasets.index(e.path.parent.name), e.path))
+        assert [(s.scene_tag().render(), s.scene_id) for s in scenes] == [(e.tag, e.scene_id) for e in streamed]
         assert not any(column.flags.writeable for s in scenes for column in s.columns.as_dict().values())
 
     @pytest.mark.parametrize("tags", [["dsa", "dsc"], ["dsa-test", "dsa"], ["dsb", "dsa-loc3"]])
@@ -714,7 +721,7 @@ class TestCache:
         with pytest.raises(UnknownTagError) as listed:
             cache.resolve(tags)
         with pytest.raises(UnknownTagError) as iterated:
-            next(cache.iter_scenes(tags))
+            list(cache.iter_scenes(tags))  # raised once the query's dataset is read, not before the first scene
         assert str(iterated.value) == str(listed.value)
 
     def test_broken_payload_of_another_split_does_not_stop_a_split_query(self, tmp_path):
@@ -806,6 +813,50 @@ class TestCache:
         again = SceneMetaRecord.from_json(meta.to_json())
         assert again == meta
         assert json.loads(meta.to_json())["split"] == "train"
+
+
+class TestStreamingReader:
+    def test_draining_iter_scenes_holds_one_file_at_a_time(self, tmp_path):
+        # Each selected file is read, decoded and dropped before the next is opened,
+        # so the traced peak of a drain does not grow with the scene count.
+        rng = np.random.default_rng(41)
+        scenes = [random_scene(rng, n_agents=16, n_timesteps=200, scene_id=f"s{k:02d}") for k in range(32)]
+        peaks = {}
+        for n in (4, 32):
+            cache = SceneCache(tmp_path / f"cache{n}")
+            paths = cache.write_many(scenes[:n])
+            tracemalloc.start()
+            try:
+                for _ in cache.iter_scenes(["rand"]):
+                    pass
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        one_file = max(path.stat().st_size for path in paths)
+        assert peaks[32] - peaks[4] <= one_file, (peaks, one_file)
+
+    @pytest.mark.parametrize("read", [
+        lambda cache, path: list(cache.iter_scenes(["dsa"])),
+        lambda cache, path: [cache.load_path(path)],
+    ], ids=["iter_scenes", "load_path"])
+    def test_a_file_replaced_after_its_header_is_read_decodes_as_read(self, tmp_path, monkeypatch, read):
+        # A writer replaces s1.tksc (atomically, another location and other agents) right after its
+        # header is read: the payload comes from the file that was opened, never from the new one.
+        cache = SceneCache(tmp_path)
+        old = synth_scene(Straight(1.0), 2, 50, 0.1, scene_id="s1", dataset="dsa", location="loc1")
+        new = synth_scene(Circle(5.0, 0.2), 3, 40, 0.1, scene_id="s1", dataset="dsa", location="loc2")
+        path = cache.write(old)
+        read_header, checked = ingest._read_header, []
+
+        def replaced_after_first_read(header):
+            if not checked:
+                SceneCache(tmp_path).write(new)
+            checked.append(header["scene_id"])
+            return read_header(header)
+
+        monkeypatch.setattr(ingest, "_read_header", replaced_after_first_read)
+        assert read(cache, path) == [old]
+        assert checked == ["s1"] and cache_load(path) == new
 
 
 class TestCacheIds:

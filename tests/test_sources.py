@@ -21,6 +21,13 @@ nothing reads is dead weight that still has to be kept in step.
 An analysis run is one pass over the cache: analysis.py reads scenes through
 one iter_scenes call, in run_analysis, and no other function of it takes a
 SceneCache, so no second path can come to hold a dataset's scenes at once.
+
+SceneCache reads a scene file in one method: it opens the file once, checks
+its header and reads the payload from that same open file. A second method
+that opens a file could decode a file that a concurrent writer replaced
+under the tag its first read saw, or come to hold more than one file's
+bytes. cache_load and scene_from_bytes stay the byte-level entry points
+outside the class.
 """
 
 import ast
@@ -185,3 +192,45 @@ def test_the_check_sees_a_second_cache_reader():
     pooled = "def density(store: 'SceneCache', tags):\n    return [s for s in store.iter_scenes(tags)]\n"
     assert _cache_readers(one_pass + pooled) == (2, ["run_analysis", "density"])
     assert _cache_readers(one_pass + "def by_dataset(cache, tags):\n    return {}\n") == (1, ["run_analysis", "by_dataset"])
+
+
+# Calls that open a file for reading, or read one through a helper that does.
+_READ_CALLS = {"open", "read_bytes", "read_text", "fromfile", "memmap", "cache_load"}
+
+
+def _file_openers(source: str, cls: str = "SceneCache") -> list[str]:
+    """Names of the methods of class cls in source that open a file for
+    reading: an open call whose mode is absent or not a write-only literal,
+    or a call of another name in _READ_CALLS; nested functions count for
+    their method."""
+    def reads(call: ast.Call) -> bool:
+        name = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+        if name != "open":
+            return name in _READ_CALLS
+        mode = next((k.value for k in call.keywords if k.arg == "mode"), call.args[1] if len(call.args) > 1 else None)
+        return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str) and "r" not in mode.value and "+" not in mode.value)
+
+    (body,) = [node.body for node in ast.parse(source).body if isinstance(node, ast.ClassDef) and node.name == cls]
+    return [f.name for f in body if isinstance(f, ast.FunctionDef)
+            and any(isinstance(n, ast.Call) and reads(n) for n in ast.walk(f))]
+
+
+def test_one_method_of_the_cache_opens_a_scene_file():
+    assert _file_openers((_PACKAGE / "ingest.py").read_text(encoding="utf-8")) == ["_read_file"]
+
+
+def test_the_check_sees_a_second_opener():
+    head = (
+        "class SceneCache:\n"
+        "    def _read_file(path, decode):\n        with open(path, 'rb') as f:\n            return f.read()\n"
+        "    def write(self, path, data):\n        with open(path, mode='wb') as f:\n            f.write(data)\n"
+    )
+    tail = "def cache_load(path):\n    return scene_from_bytes(Path(path).read_bytes())\n"
+    assert _file_openers(head + tail) == ["_read_file"]
+    for name, second in (
+        ("load_path", "    def load_path(self, path):\n        return scene_from_bytes(Path(path).read_bytes())\n"),
+        ("load_path", "    def load_path(self, path):\n        return cache_load(path)\n"),
+        ("peek", "    def peek(self, path):\n        def head():\n            return io.open(path).read(18)\n        return head()\n"),
+        ("patch", "    def patch(self, path):\n        with path.open('r+b') as f:\n            f.write(b'')\n"),
+    ):
+        assert _file_openers(head + second + tail) == ["_read_file", name]
