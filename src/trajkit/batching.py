@@ -18,6 +18,7 @@ import copy
 import io
 import json
 import math
+import re
 import struct
 import zipfile
 import zlib
@@ -238,19 +239,21 @@ def _window(
     in that element's frame at (origins[e], yaws[e]). Slots outside an
     agent's lifetime are zero and False."""
     rows, mask = ctx.scene.lifetime_rows(agents[:, None], ts_values[element])
-    # (T, K) blocks, one quantity each: an agent's cos and sin broadcast along the
-    # contiguous axis (not K short inner loops), and no temporary outgrows a block.
+    # Quantity-major (STATE_DIM, T, K), one contiguous (T, K) block per quantity:
+    # an agent's cos and sin broadcast along the contiguous axis (not K short
+    # inner loops), each result is written in place, and the caller receives
+    # the (K, T, STATE_DIM) transpose as a view.
     raw = ctx.states.take(rows.T, axis=1)
     raw[:2] -= origins[element].T[:, None, :]
     c, s = np.array([(math.cos(yaw), math.sin(yaw)) for yaw in yaws.tolist()]).T[:, element]
-    state = np.empty((*mask.shape, STATE_DIM))
-    out = state.T
+    out = np.empty((STATE_DIM, *raw.shape[1:]))
     for k in range(0, 6, 2):  # position, velocity and acceleration, each rotated by -yaw
-        out[k], out[k + 1] = rotate(raw[k], raw[k + 1], c, -s)
+        rotate(raw[k], raw[k + 1], c, -s, out=(out[k], out[k + 1]))
     h_std = wrap_angle(raw[6] - yaws[element])
-    out[6], out[7] = np.sin(h_std), np.cos(h_std)
-    state[~mask] = 0.0
-    return state, mask
+    np.sin(h_std, out=out[6])
+    np.cos(h_std, out=out[7])
+    out[:, ~mask.T] = 0.0
+    return out.T, mask
 
 
 def _neighbors(ctx: _SceneContext, egos: np.ndarray, ts: np.ndarray, origins: np.ndarray, max_dist: float | None):
@@ -503,8 +506,9 @@ def augment_noise(element: AgentBatchElement, sigma: float, seed: int) -> AgentB
     The current step is included, the future is untouched, and masks are
     unchanged. Deterministic under a fixed seed.
     """
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    # An infinite sigma would make the masked-out slots NaN (inf * 0), a NaN one every slot.
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be >= 0, got {sigma}" if sigma < 0.0 else f"sigma must be finite, got {sigma}")
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, 1.0, size=(element.history.shape[0], 2)) * sigma
     out = copy.deepcopy(element)
@@ -536,11 +540,14 @@ def _write_npz_deterministic(path: Path, arrays: dict[str, np.ndarray]) -> None:
     limit = zipfile.ZIP64_LIMIT
     local, central, offset = [], [], 0
     for name in sorted(arrays):
+        arr = np.require(arrays[name], requirements="C")
         buf = io.BytesIO()
-        np.lib.format.write_array(buf, np.require(arrays[name], requirements="C"))
-        data, fname = buf.getvalue(), (name + ".npy").encode("ascii")
-        crc, size = zlib.crc32(data), len(data)
-        local += (_LOCAL.pack(b"PK\x03\x04", 20, 0, 0, 0, 0, 33, crc, size, size, len(fname), 0), fname, data)
+        np.lib.format.write_array_header_1_0(buf, np.lib.format.header_data_from_array_1_0(arr))
+        # The member is its .npy header and the array's own bytes, passed to the
+        # one join uncopied; memoryview(arr).cast("B") would reject a zero-size array.
+        head, body, fname = buf.getvalue(), arr.reshape(-1).view(np.uint8), (name + ".npy").encode("ascii")
+        crc, size = zlib.crc32(body, zlib.crc32(head)), len(head) + len(body)
+        local += (_LOCAL.pack(b"PK\x03\x04", 20, 0, 0, 0, 0, 33, crc, size, size, len(fname), 0), fname, head, body)
         central += (
             _CENTRAL.pack(b"PK\x01\x02", 20, 3, 20, 0, 0, 0, 0, 33, crc, size, size, len(fname), 0, 0, 0, 0, 0o600 << 16, offset),
             fname,
@@ -551,6 +558,9 @@ def _write_npz_deterministic(path: Path, arrays: dict[str, np.ndarray]) -> None:
     cd = b"".join(central)
     path.write_bytes(b"".join((*local, cd, _END.pack(b"PK\x05\x06", 0, 0, len(arrays), len(arrays), len(cd), offset, 0))))
 
+
+# What export_batches names a container: batch_ and a zero-padded batch number.
+_CONTAINER_NAME = re.compile(r"batch_([0-9]{5}|[1-9][0-9]{5,})\.npz")
 
 # Container members and their dimension names, by format: the AgentBatch or padded SceneBatchElement field of each name, but agent_counts.
 _EXPORT_DIMS = {
@@ -579,7 +589,18 @@ def export_batches(index: ElementIndex, out_dir: str | Path, batch_size: int = 3
     """Write all elements as f32 array containers plus a JSON manifest.
 
     Returns the manifest path. Containers are .npz files readable by
-    ``numpy.load``; dtypes and dimension names are listed in the manifest.
+    ``numpy.load``, named batch_00000.npz, batch_00001.npz, ... Any other
+    batch_NNNNN.npz in out_dir, left by an earlier export, is deleted once the
+    manifest is written; no other file there is touched.
+
+    The manifest (format ``trajkit-batch@2``, compact JSON with sorted keys)
+    gives the state layout, the window, each member's dimension names under
+    ``arrays`` and one entry per container under ``batches``: its ``file``,
+    ``n_elements``, each member's stored dtype and shape under ``arrays``, and
+    the provenance of its elements as parallel lists, one item per element:
+    ``scene_ids``, ``agent_ids`` and ``ts``. Agent-centric, ``agent_ids``
+    holds the predicted agent's id; scene-centric, the list of the element's
+    agent ids, in its agent slot order.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -593,29 +614,28 @@ def export_batches(index: ElementIndex, out_dir: str | Path, batch_size: int = 3
         if index.centric == "agent":
             batch = get_batch(index, range(lo, hi))
             arrays = {name: getattr(batch, name) for name in _EXPORT_DIMS["agent"]}
-            provenance = [
-                {"scene_id": scene_id, "agent_id": agent_id, "ts": ts}
-                for scene_id, agent_id, ts in zip(batch.scene_ids, batch.agent_ids, batch.current_ts.tolist())
-            ]
+            provenance = {"scene_ids": list(batch.scene_ids), "agent_ids": list(batch.agent_ids), "ts": batch.current_ts.tolist()}
         else:
             elements = _scene_elements(index, range(lo, hi))
             arrays = {name: _pad([getattr(el, name) for el in elements]) for name in _EXPORT_DIMS["scene"] if name != "agent_counts"}
             arrays["agent_counts"] = np.array([len(el.agent_ids) for el in elements], dtype=np.int64)
-            provenance = [
-                {"scene_id": el.scene_id, "agent_ids": list(el.agent_ids), "ts": el.current_ts} for el in elements
-            ]
+            provenance = {
+                "scene_ids": [el.scene_id for el in elements],
+                "agent_ids": [list(el.agent_ids) for el in elements],
+                "ts": [el.current_ts for el in elements],
+            }
         arrays = {name: arr.astype(np.float32) if arr.dtype == np.float64 else arr for name, arr in arrays.items()}
         _write_npz_deterministic(out / fname, arrays)
         batches_meta.append(
             {
                 "file": fname,
                 "n_elements": hi - lo,
-                "elements": provenance,
+                **provenance,
                 "arrays": {name: {"dtype": str(arr.dtype), "shape": list(arr.shape)} for name, arr in sorted(arrays.items())},
             }
         )
     manifest = {
-        "format": "trajkit-batch@1",
+        "format": "trajkit-batch@2",
         "centric": index.centric,
         "n_elements": len(index),
         "state_layout": list(STATE_LAYOUT),
@@ -625,5 +645,10 @@ def export_batches(index: ElementIndex, out_dir: str | Path, batch_size: int = 3
         "batches": batches_meta,
     }
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=1), encoding="utf-8")
+    # Compact separators and no indent keep json on its C encoder.
+    manifest_path.write_text(json.dumps(manifest, sort_keys=True, separators=(",", ":")), encoding="utf-8")
+    written = {meta["file"] for meta in batches_meta}
+    for path in out.glob("batch_*.npz"):
+        if _CONTAINER_NAME.fullmatch(path.name) and path.name not in written:
+            path.unlink()
     return manifest_path

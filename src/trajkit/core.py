@@ -54,10 +54,22 @@ def wrap_angle(angle):
     return float(out) if a.ndim == 0 else out
 
 
-def rotate(x, y, c, s):
+def rotate(x, y, c, s, out=None):
     """(x, y) rotated by the angle whose cosine and sine are c and s, in separate
-    multiplies and adds: the bits of a BLAS matrix product depend on the CPU."""
-    return x * c - y * s, x * s + y * c
+    multiplies and adds: the bits of a BLAS matrix product depend on the CPU.
+
+    With out, a pair of arrays that overlaps neither x nor y, the two results
+    are written into it, with the same bits, and out is returned.
+    """
+    if out is None:
+        return x * c - y * s, x * s + y * c
+    ox, oy = out
+    np.multiply(x, c, out=ox)
+    np.multiply(y, s, out=oy)
+    ox -= oy
+    np.multiply(y, c, out=oy)
+    oy += x * s
+    return out
 
 
 class AgentType(enum.Enum):

@@ -386,6 +386,16 @@ class TestAugmentNoise:
             augment_noise(el, -1.0, 7)
         assert str(info.value) == "sigma must be >= 0, got -1.0"
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_non_finite_sigma_rejected(self, cache, sigma):
+        # inf * a False mask slot is NaN, and NaN noise reaches every slot.
+        cache.write(synth_scene(Straight(10.0), 1, 100, 0.1))
+        el = get_element(build_index(cache, ["synth"], "agent", WindowSpec((1.0, 3.0), (4.0, 4.0))), 0)
+        assert not el.history_mask.all()
+        with pytest.raises(ValueError) as info:
+            augment_noise(el, sigma, 7)
+        assert str(info.value) == f"sigma must be finite, got {sigma}"
+
     def test_same_seed_deterministic(self, cache):
         cache.write(synth_scene(Straight(10.0), 2, 30, 0.1))
         index = build_index(cache, ["synth"], "agent", WindowSpec((0.2, 0.5), (0.2, 0.2)))
@@ -477,6 +487,32 @@ class TestExport:
                     assert loaded[name].ndim == len(dims[name]), name
                     assert {"dtype": str(loaded[name].dtype), "shape": list(loaded[name].shape)} == record, name
 
+    @pytest.mark.parametrize("centric", ["agent", "scene"])
+    def test_manifest_provenance_columns_round_trip(self, cache, tmp_path, centric):
+        rng = np.random.default_rng(37)
+        for dataset in ("rand", "rand2"):
+            for i in range(2):
+                cache.write(random_scene(rng, n_agents=5, n_timesteps=40, dataset=dataset, scene_id=f"s{i}"))
+        window = WindowSpec((0.2, 0.4), (0.2, 0.3))
+        index = build_index(cache, ["rand", "rand2"], centric, window)
+        manifest = json.loads(export_batches(index, tmp_path / "out", batch_size=6).read_text())
+        assert manifest["format"] == "trajkit-batch@2"
+        got = []
+        for batch in manifest["batches"]:
+            assert "elements" not in batch
+            for column in ("scene_ids", "agent_ids", "ts"):
+                assert len(batch[column]) == batch["n_elements"], column
+            got += zip(batch["scene_ids"], batch["agent_ids"], batch["ts"], strict=True)
+        want = []
+        for entry in reference_index_entries(cache, ["rand", "rand2"], centric, window):
+            ids = index.contexts[entry[:2]].scene.agent_ids
+            if centric == "agent":
+                want.append((entry[1], ids[entry[2]], entry[3]))
+            else:
+                want.append((entry[1], [ids[j] for j in entry[3]], entry[2]))
+        assert got == want
+        assert len({scene_id for scene_id, _, _ in got}) == 2 and len(manifest["batches"]) > 2
+
     def test_batch_size_below_one_rejected(self, cache, tmp_path):
         cache.write(synth_scene(Straight(10.0), 1, 30, 0.1))
         index = build_index(cache, ["synth"], "agent", WindowSpec((0.0, 0.0), (0.0, 0.0)))
@@ -543,6 +579,48 @@ class TestWindowKernelEquivalence:
         assert names == sorted(p.name for p in (tmp_path / "reference").iterdir())
         for name in names:
             assert (tmp_path / "kernel" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
+
+
+class TestKernelEdges:
+    """The quantity-major window kernel against oracles.py where a slip would
+    show: headings at +-pi, whose differences wrap, and agents born or dying
+    inside the window, whose slots are masked and zeroed."""
+
+    WINDOW = WindowSpec((0.0, 0.5), (0.0, 0.3))
+    NEAR_MINUS_PI = math.nextafter(-math.pi, 0.0)
+    LIFETIMES = {"a": (0, 19), "b": (5, 14), "c": (0, 9), "d": (12, 19), "e": (3, 4)}
+
+    def _edge_cache(self, cache):
+        rng = np.random.default_rng(61)
+        agents, tracks = [], []
+        for k, (agent_id, (first, last)) in enumerate(self.LIFETIMES.items()):
+            n = last - first + 1
+            agents.append(AgentMetadata(agent_id, AgentType.VEHICLE, None, first, last))
+            heading = np.where(np.arange(n) % 2 == k % 2, math.pi, self.NEAR_MINUS_PI)
+            heading[::3] = rng.uniform(-math.pi, math.pi, len(heading[::3]))
+            track = {name: rng.normal(0.0, 3.0, n) for name in ("x", "y", "z", "vx", "vy", "ax", "ay")}
+            tracks.append(dict(track, heading=heading, observed=rng.random(n) < 0.8))
+        cache.write(SceneFrame.from_tracks("s0", "edge", "nowhere", 0.1, agents, tracks))
+        return cache
+
+    def test_agent_batch_bits_equal_reference(self, cache):
+        index = build_index(self._edge_cache(cache), ["edge"], "agent", self.WINDOW)
+        indices = list(range(len(index)))
+        want = collate([reference_element(index, i) for i in indices])
+        _assert_same_bits(get_batch(index, indices), want)
+        assert not want.history_mask.all() and not want.future_mask.all()
+        assert (want.neighbor_masks.sum(axis=2) < want.neighbor_masks.shape[2])[want.neighbor_masks.any(axis=2)].any()
+        yaws = set(want.rotations.tolist())
+        assert math.pi in yaws and self.NEAR_MINUS_PI in yaws
+
+    def test_scene_elements_bits_equal_reference(self, cache):
+        index = build_index(self._edge_cache(cache), ["edge"], "scene", self.WINDOW)
+        masked = 0
+        for i in range(len(index)):
+            want = reference_element(index, i)
+            _assert_same_bits(get_element(index, i), want)
+            masked += int((~want.history_masks).sum() + (~want.future_masks).sum())
+        assert masked > 0
 
 
 class TestGetBatch:
@@ -693,6 +771,11 @@ class TestNpzWriter:
             "a": np.array([True]),
         },
         "strided input": {"history": RNG.normal(size=(4, 6, 8)).astype(np.float32)[::2, :, ::-1]},
+        "long non-contiguous members": {
+            "history": RNG.normal(size=(8, 3, 10_000)).astype(np.float32).T,
+            "history_mask": (RNG.random((10_000, 6)) < 0.5)[:, ::2],
+            "neighbor_counts": RNG.integers(0, 9, 20_000)[::2],
+        },
     }
 
     @pytest.mark.parametrize("case", list(CASES))

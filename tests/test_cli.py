@@ -345,6 +345,21 @@ class TestBatchCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["n_elements"] == 50
 
+    def test_re_export_deletes_stale_containers_only(self, workspace):
+        tmp_path, cache_dir = workspace
+        out = tmp_path / "batches"
+        argv = ["batch", "--cache", str(cache_dir), "--tags", "synth", "--history", "1,3", "--future", "4,4", "--out", str(out)]
+        assert main([*argv, "--batch-size", "4"]) == 0
+        assert len(list(out.glob("batch_*.npz"))) == 13
+        kept = ["notes.txt", "batch_1.npz", "batch_00000.npy", "batch_000001.npz", "xbatch_00005.npz"]
+        for name in kept:
+            (out / name).write_text("mine")
+        assert main([*argv, "--batch-size", "64"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [b["file"] for b in manifest["batches"]] == ["batch_00000.npz"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(["batch_00000.npz", "manifest.json", *kept])
+        assert all((out / name).read_text() == "mine" for name in kept)
+
     def test_impossible_future_exit_4(self, workspace):
         tmp_path, cache_dir = workspace
         code = main(

@@ -14,6 +14,7 @@ from trajkit.core import (
     SceneFrame,
     SceneTag,
     agent_columns,
+    rotate,
     scene_validate,
     wrap_angle,
 )
@@ -100,6 +101,17 @@ class TestWrapAngle:
     @example(float(np.nextafter(math.pi, 4.0)))
     def test_idempotent(self, angle):
         assert wrap_angle(wrap_angle(angle)) == wrap_angle(angle)
+
+
+def test_rotate_into_out_gives_the_same_bits():
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=(2, 7, 3)) * 1e3
+    yaw = rng.uniform(-math.pi, math.pi, 3)
+    c, s = np.cos(yaw), -np.sin(yaw)
+    out = np.empty((2, 7, 3))
+    pair = (out[0], out[1])
+    assert rotate(x, y, c, s, out=pair) is pair
+    assert out.tobytes() == np.stack(rotate(x, y, c, s)).tobytes()
 
 
 class TestSceneTag:

@@ -22,6 +22,10 @@ An analysis run is one pass over the cache: analysis.py reads scenes through
 one iter_scenes call, in run_analysis, and no other function of it takes a
 SceneCache, so no second path can come to hold a dataset's scenes at once.
 
+The batch manifest is encoded by json's C encoder: every json.dumps in
+batching.py passes separators= and no indent=. An indent switches json to its
+pure-Python encoder, which took five times as long on a 984-element manifest.
+
 SceneCache reads a scene file in one method: it opens the file once, checks
 its header and reads the payload from that same open file. A second method
 that opens a file could decode a file that a concurrent writer replaced
@@ -192,6 +196,32 @@ def test_the_check_sees_a_second_cache_reader():
     pooled = "def density(store: 'SceneCache', tags):\n    return [s for s in store.iter_scenes(tags)]\n"
     assert _cache_readers(one_pass + pooled) == (2, ["run_analysis", "density"])
     assert _cache_readers(one_pass + "def by_dataset(cache, tags):\n    return {}\n") == (1, ["run_analysis", "by_dataset"])
+
+
+def _slow_json_encodes(source: str) -> list[str]:
+    """Lines of source with a json.dumps (or bare dumps) call that omits
+    separators=, or passes indent= or a **mapping that may hold one: json
+    encodes those in pure Python, not with its C encoder."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "dumps":
+            keywords = {k.arg for k in node.keywords}  # None stands for a **mapping
+            if "separators" not in keywords or keywords & {"indent", None}:
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_batch_manifest_stays_on_the_c_encoder():
+    assert _slow_json_encodes((_PACKAGE / "batching.py").read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_slow_encode():
+    for code in ("json.dumps(m, sort_keys=True, indent=1)", "json.dumps(m, sort_keys=True)", "dumps(m, indent=None, separators=(',', ':'))",
+                 "json.dumps(m, separators=(',', ':'), **pretty)", "text = codec.dumps(m)"):
+        assert _slow_json_encodes(code), code
+    for code in ("json.dumps(m, sort_keys=True, separators=(',', ':'))", "dumps(m, separators=(',', ':'))", "json.loads(text)",
+                 "pickle.dump(m, f)"):
+        assert _slow_json_encodes(code) == [], code
 
 
 # Calls that open a file for reading, or read one through a helper that does.
