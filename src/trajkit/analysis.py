@@ -17,7 +17,6 @@ Thresholds compare with strict inequality.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -97,6 +96,8 @@ class AnalysisConfig:
             raise ValueError("harsh_accel_threshold must be > 0")
         if self.density_min_agents < 1:
             raise ValueError("density_min_agents must be >= 1")
+        for name, edges in self.histogram_bins.items():
+            _checked_edges(edges, f"histogram_bins {name!r}")
 
     def edges(self, metric: str) -> np.ndarray:
         return np.asarray(self.histogram_bins[metric], dtype=np.float64)
@@ -117,13 +118,19 @@ class AnalysisConfig:
         for name, edges in raw.get("histogram_bins", {}).items():
             if not isinstance(edges, list) or not all(isinstance(e, (int, float)) and not isinstance(e, bool) for e in edges):
                 raise ValueError(f"analysis config key 'histogram_bins' must map {name!r} to a list of numbers, got {edges!r}")
-        kwargs = {f.name: raw[f.name] for f in fields(cls) if f.name in raw and f.name != "histogram_bins"}
+        kwargs = {f.name: raw[f.name] for f in fields(cls) if f.name in raw}
         if "offroad_types" in kwargs:
             kwargs["offroad_types"] = tuple(kwargs["offroad_types"])
-        cfg = cls(**kwargs)
-        for name, edges in raw.get("histogram_bins", {}).items():
-            cfg.histogram_bins[name] = list(edges)
-        return cfg
+        kwargs["histogram_bins"] = {**_default_bins(), **raw.get("histogram_bins", {})}
+        return cls(**kwargs)
+
+
+def _checked_edges(values, what: str = "histogram edges") -> np.ndarray:
+    """values as float64 bin edges; ValueError naming what unless there are 2 or more, each > the one before (so no NaN)."""
+    edges = np.asarray(values, dtype=np.float64)
+    if len(edges) < 2 or not (edges[1:] > edges[:-1]).all():
+        raise ValueError(f"{what} must hold 2 or more edges, each greater than the one before, got {edges.tolist()}")
+    return edges
 
 
 @dataclass
@@ -151,9 +158,7 @@ class Histogram:
     def from_samples(cls, name: str, dataset: str, agent_type: str, samples, edges, weights=None) -> "Histogram":
         """The histogram of samples, each counted once or, with int64 weights,
         weights[k] times."""
-        edges = np.asarray(edges, dtype=np.float64)
-        if len(edges) < 2 or (edges[1:] - edges[:-1] <= 0).any():
-            raise ValueError("histogram edges must be strictly increasing with >= 2 entries")
+        edges = _checked_edges(edges)
         s = np.asarray(samples, dtype=np.float64)
         w = None if weights is None else np.asarray(weights, dtype=np.int64)
         finite = np.isfinite(s)
@@ -204,12 +209,6 @@ def _rate_entry(num: int, den: int) -> dict:
     return {"rate": num / den, "num": num, "den": den}
 
 
-@functools.lru_cache(maxsize=256)
-def _dataset(dataset_tag: str) -> str:
-    """The dataset of a scene's dataset_tag, as its scene_tag() gives it, parsed once per tag."""
-    return SceneTag.parse(dataset_tag).dataset
-
-
 # ---------------------------------------------------------------------------
 # Population / density / duration
 # ---------------------------------------------------------------------------
@@ -244,17 +243,17 @@ def _alive_runs(scene: SceneFrame) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum(step[order])[:-1], np.diff(bounds[order])
 
 
-def simultaneous_agents(scene: SceneFrame, cfg: AnalysisConfig) -> list[Histogram]:
+def simultaneous_agents(scene: SceneFrame, dataset: str, cfg: AnalysisConfig) -> list[Histogram]:
     """The scene's simultaneous-agent count at each timestep, and its maximum.
     Each run of timesteps with one count is a sample weighted by its length,
     so the work grows with the agents, not with the timesteps."""
     alive, length = _alive_runs(scene)
-    dataset, edges = _dataset(scene.dataset_tag), cfg.edges("simultaneous")
+    edges = cfg.edges("simultaneous")
     return [Histogram.from_samples("simultaneous_per_ts", dataset, "all", alive, edges, weights=length),
             Histogram.from_samples("simultaneous_scene_max", dataset, "all", [alive[length > 0].max(initial=0)], edges)]
 
 
-def agent_density(scene: SceneFrame, cfg: AnalysisConfig) -> tuple[list[Histogram], int]:
+def agent_density(scene: SceneFrame, dataset: str, cfg: AnalysisConfig) -> tuple[list[Histogram], int]:
     """Agents per m^2 of their axis-aligned bounding rectangle, per timestep.
 
     Timesteps with fewer than density_min_agents agents are skipped; those
@@ -270,11 +269,11 @@ def agent_density(scene: SceneFrame, cfg: AnalysisConfig) -> tuple[list[Histogra
     enough = n >= cfg.density_min_agents
     n, area = n[enough], (width * height)[enough]
     degenerate = area <= 0.0
-    hist = Histogram.from_samples("density", _dataset(scene.dataset_tag), "all", n[~degenerate] / area[~degenerate], cfg.edges("density"))
+    hist = Histogram.from_samples("density", dataset, "all", n[~degenerate] / area[~degenerate], cfg.edges("density"))
     return [hist], int(np.count_nonzero(degenerate))
 
 
-def ego_agent_distances(scene: SceneFrame, cfg: AnalysisConfig, ego_id: str = "ego") -> tuple[list[Histogram], int]:
+def ego_agent_distances(scene: SceneFrame, dataset: str, cfg: AnalysisConfig, ego_id: str = "ego") -> tuple[list[Histogram], int]:
     """Euclidean xy distances from the ego agent to every other agent at
     shared timesteps, and 1 for a scene without the ego (no samples)."""
     missing = ego_id not in scene.agent_ids
@@ -286,14 +285,14 @@ def ego_agent_distances(scene: SceneFrame, cfg: AnalysisConfig, ego_id: str = "e
         rows = np.flatnonzero(alive & (cols.agent_index != ego_idx))
         ego_rows = ego_rows[rows]
         samples = np.hypot(cols.x[rows] - cols.x[ego_rows], cols.y[rows] - cols.y[ego_rows])
-    return [Histogram.from_samples("ego_distance", _dataset(scene.dataset_tag), "all", samples, cfg.edges("ego_distance"))], int(missing)
+    return [Histogram.from_samples("ego_distance", dataset, "all", samples, cfg.edges("ego_distance"))], int(missing)
 
 
 # ---------------------------------------------------------------------------
 # Motion complexity
 # ---------------------------------------------------------------------------
 
-def _type_histograms(scene: SceneFrame, code: np.ndarray, pools: dict[str, np.ndarray], cfg: AnalysisConfig,
+def _type_histograms(dataset: str, code: np.ndarray, pools: dict[str, np.ndarray], cfg: AnalysisConfig,
                      sizes: np.ndarray | None = None) -> list[Histogram]:
     """For each type in code, one histogram per metric of pools (metric ->
     samples). The samples come in runs of one type, one run per entry of code:
@@ -303,7 +302,6 @@ def _type_histograms(scene: SceneFrame, code: np.ndarray, pools: dict[str, np.nd
     present = np.flatnonzero(counts)
     order = np.argsort(code if sizes is None else np.repeat(code, sizes), kind="stable") if len(present) > 1 else None
     ends = np.cumsum(counts)[present]
-    dataset = _dataset(scene.dataset_tag)
     hists = []
     for metric, samples in pools.items():
         if order is not None:
@@ -313,7 +311,7 @@ def _type_histograms(scene: SceneFrame, code: np.ndarray, pools: dict[str, np.nd
     return hists
 
 
-def dynamics_distributions(scene: SceneFrame, accel: np.ndarray, cfg: AnalysisConfig) -> list[Histogram]:
+def dynamics_distributions(scene: SceneFrame, dataset: str, accel: np.ndarray, cfg: AnalysisConfig) -> list[Histogram]:
     """Speed, |acceleration| (accel, per row), and |jerk| distributions per type.
 
     Jerk is derived on the fly by finite-differencing the acceleration columns.
@@ -321,7 +319,7 @@ def dynamics_distributions(scene: SceneFrame, accel: np.ndarray, cfg: AnalysisCo
     cols = scene.columns
     jerk = np.hypot(*(derive_derivative(a, scene.dt, scene.agent_offsets) for a in (cols.ax, cols.ay)))
     pools = {"speed": np.hypot(cols.vx, cols.vy), "accel": accel, "jerk": jerk}
-    return _type_histograms(scene, scene.type_code, pools, cfg, np.diff(scene.agent_offsets))
+    return _type_histograms(dataset, scene.type_code, pools, cfg, np.diff(scene.agent_offsets))
 
 
 def stationary_fraction(scene: SceneFrame, cfg: AnalysisConfig) -> np.ndarray:
@@ -334,7 +332,7 @@ def stationary_fraction(scene: SceneFrame, cfg: AnalysisConfig) -> np.ndarray:
     return np.array([[np.count_nonzero(np.maximum.reduceat(disp, starts) < cfg.stationary_threshold)], [len(starts)]])
 
 
-def heading_deltas(scene: SceneFrame, cfg: AnalysisConfig) -> list[Histogram]:
+def heading_deltas(scene: SceneFrame, dataset: str, cfg: AnalysisConfig) -> list[Histogram]:
     """Heading change relative to each agent's first timestep, plus raw headings.
 
     Deltas are wrapped to (-pi, pi] by default; cfg.cumulative_heading switches
@@ -347,7 +345,7 @@ def heading_deltas(scene: SceneFrame, cfg: AnalysisConfig) -> list[Histogram]:
         dh = np.concatenate(parts) if parts else h
     else:
         dh = wrap_angle(h - h[off[cols.agent_index]])
-    return _type_histograms(scene, scene.type_code, {"heading_delta": dh, "heading_raw": h}, cfg, np.diff(off))
+    return _type_histograms(dataset, scene.type_code, {"heading_delta": dh, "heading_raw": h}, cfg, np.diff(off))
 
 
 def _run_sums(values: np.ndarray, firsts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -356,7 +354,7 @@ def _run_sums(values: np.ndarray, firsts: np.ndarray, lengths: np.ndarray) -> np
     return np.array([np.add.reduce(values[f : f + n]) for f, n in zip(firsts.tolist(), lengths.tolist())], dtype=np.float64)
 
 
-def path_efficiency(scene: SceneFrame, cfg: AnalysisConfig) -> tuple[list[Histogram], int]:
+def path_efficiency(scene: SceneFrame, dataset: str, cfg: AnalysisConfig) -> tuple[list[Histogram], int]:
     """100 * endpoint distance / traveled length per agent with 2 or more
     observed rows, per type.
 
@@ -372,7 +370,7 @@ def path_efficiency(scene: SceneFrame, cfg: AnalysisConfig) -> tuple[list[Histog
     direct = np.array(list(map(math.hypot, (xs[hi] - xs[lo]).tolist(), (ys[hi] - ys[lo]).tolist())), dtype=np.float64)
     still = path < 1e-6
     eff = np.where(still, 100.0, 100.0 * direct / np.where(still, 1.0, path))
-    return _type_histograms(scene, scene.type_code[cols.agent_index[rows[lo]]], {"path_efficiency": eff}, cfg), int(np.count_nonzero(still))
+    return _type_histograms(dataset, scene.type_code[cols.agent_index[rows[lo]]], {"path_efficiency": eff}, cfg), int(np.count_nonzero(still))
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +546,7 @@ def run_analysis(cache: SceneCache, tags: Sequence[str], metrics: Sequence[str],
                 kept.add(h)
 
     for scene in cache.iter_scenes(tags):
-        dataset = _dataset(scene.dataset_tag)
+        dataset = SceneTag.parse(scene.dataset_tag).dataset
         accel = np.hypot(scene.columns.ax, scene.columns.ay) if wanted & {"speed", "accel", "jerk", "harsh_accel"} else None
         if "population" in wanted:
             seen, key = first.setdefault(dataset, {}), (scene.scene_tag().render(), scene.scene_id)
@@ -556,19 +554,19 @@ def run_analysis(cache: SceneCache, tags: Sequence[str], metrics: Sequence[str],
                 if seen.setdefault(agent_id, (key, code))[0] > key:
                     seen[agent_id] = (key, code)
         if "simultaneous" in wanted:
-            add("simultaneous", simultaneous_agents(scene, cfg))
+            add("simultaneous", simultaneous_agents(scene, dataset, cfg))
         if "density" in wanted:
-            add("density", *agent_density(scene, cfg))
+            add("density", *agent_density(scene, dataset, cfg))
         if "ego_distances" in wanted:
-            add("ego_distances", *ego_agent_distances(scene, cfg, ego_id))
+            add("ego_distances", *ego_agent_distances(scene, dataset, cfg, ego_id))
         if wanted & {"speed", "accel", "jerk"}:
-            add("dynamics", [h for h in dynamics_distributions(scene, accel, cfg) if h.name in wanted])
+            add("dynamics", [h for h in dynamics_distributions(scene, dataset, accel, cfg) if h.name in wanted])
         if "stationary" in wanted:
             add("stationary", stationary_fraction(scene, cfg))
         if "heading_deltas" in wanted:
-            add("heading_deltas", heading_deltas(scene, cfg))
+            add("heading_deltas", heading_deltas(scene, dataset, cfg))
         if "path_efficiency" in wanted:
-            add("path_efficiency", *path_efficiency(scene, cfg))
+            add("path_efficiency", *path_efficiency(scene, dataset, cfg))
         if "collision" in wanted:
             add("collision", *collision_rate(scene, cfg))
         if "harsh_accel" in wanted:

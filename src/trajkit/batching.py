@@ -598,12 +598,16 @@ def export_batches(index: ElementIndex, out_dir: str | Path, batch_size: int = 3
     ``arrays`` and one entry per container under ``batches``: its ``file``,
     ``n_elements``, each member's stored dtype and shape under ``arrays``, and
     the provenance of its elements as parallel lists, one item per element:
-    ``scene_ids``, ``agent_ids`` and ``ts``. Agent-centric, ``agent_ids``
-    holds the predicted agent's id; scene-centric, the list of the element's
-    agent ids, in its agent slot order.
+    ``scene_ids``, ``dataset_tags`` (rendered), ``agent_ids`` and ``ts``.
+    Agent-centric, ``agent_ids`` holds the predicted agent's id; scene-centric,
+    the list of the element's agent ids, in its agent slot order. Elements of
+    different window shapes (scenes of different dt) raise ValueError before
+    out_dir is created.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    ctxs = [index.contexts[key] for key in dict.fromkeys(entry[:2] for entry in index.entries)]
+    _window_shapes([((ctx.h_steps + 1, STATE_DIM), (ctx.f_steps, STATE_DIM)) for ctx in ctxs])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     batches_meta = []
@@ -614,13 +618,14 @@ def export_batches(index: ElementIndex, out_dir: str | Path, batch_size: int = 3
         if index.centric == "agent":
             batch = get_batch(index, range(lo, hi))
             arrays = {name: getattr(batch, name) for name in _EXPORT_DIMS["agent"]}
-            provenance = {"scene_ids": list(batch.scene_ids), "agent_ids": list(batch.agent_ids), "ts": batch.current_ts.tolist()}
+            provenance = {"scene_ids": batch.scene_ids, "dataset_tags": batch.dataset_tags, "agent_ids": batch.agent_ids, "ts": batch.current_ts.tolist()}
         else:
             elements = _scene_elements(index, range(lo, hi))
             arrays = {name: _pad([getattr(el, name) for el in elements]) for name in _EXPORT_DIMS["scene"] if name != "agent_counts"}
             arrays["agent_counts"] = np.array([len(el.agent_ids) for el in elements], dtype=np.int64)
             provenance = {
                 "scene_ids": [el.scene_id for el in elements],
+                "dataset_tags": [el.dataset_tag for el in elements],
                 "agent_ids": [list(el.agent_ids) for el in elements],
                 "ts": [el.current_ts for el in elements],
             }

@@ -24,7 +24,7 @@ import os
 import struct
 import uuid
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -131,10 +131,7 @@ class SceneMetaRecord:
         )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"scene_id": self.scene_id, "dt": self.dt, "location": self.location, "dataset": self.dataset, "split": self.split},
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .analysis import OFFROAD_TYPES, _offroad_counts, _offroad_rows, _scene_collisions
+from .analysis import OFFROAD_TYPES, _offroad_counts, _offroad_rows, _rates, _scene_collisions
 from .core import SceneColumns, SceneFrame, wrap_angle
 from .ingest import SceneMetaRecord, write_canonical_csv
 from .kinematics import derive_derivative
@@ -223,10 +223,9 @@ def rollout_scene(state: SimState) -> SceneFrame:
 
 
 def _pooled_rate(scene: SceneFrame, counts: Callable[[SceneFrame], tuple[np.ndarray, np.ndarray]]) -> float | None:
-    """Share of the selected agents with an event, from counts(scene), the per-agent (event rows, selected rows); None if none is."""
-    events, selected = counts(scene)
-    den = np.count_nonzero(selected)
-    return np.count_nonzero(events) / den if den else None
+    """Share of the selected agents with an event (None if none is), by _rates of counts(scene), the per-agent (event rows, selected rows)."""
+    num, den = _rates(scene, *counts(scene), False).sum(axis=1).tolist()
+    return num / den if den else None
 
 
 def sim_score(state: SimState, vmap: VectorMap | None) -> SimMetrics:

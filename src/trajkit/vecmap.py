@@ -19,7 +19,7 @@ import io
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -183,15 +183,13 @@ class Polyline:
 
     def arclength(self) -> float:
         """Length of the xy projection in meters."""
-        d = np.diff(self.xy, axis=0)
-        return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
+        return _arclength(self.points)
 
-    @classmethod
-    def _view(cls, points: np.ndarray) -> "Polyline":
-        """A polyline over read-only points of a map, already checked, without __post_init__."""
-        line = cls.__new__(cls)
-        object.__setattr__(line, "points", points)
-        return line
+
+def _arclength(points: np.ndarray) -> float:
+    """Length of the xy projection of (n, 3) points in meters."""
+    d = np.diff(points[:, :2], axis=0)
+    return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
 
 
 def _normalize_ring(ring) -> np.ndarray:
@@ -345,17 +343,6 @@ class RoadLane:
             if isinstance(ids, str):
                 raise TypeError(f"lane {self.lane_id}: {name} must be a collection of lane ids, got the string {ids!r}")
             object.__setattr__(self, name, frozenset(ids))
-
-    @classmethod
-    def _record(cls, lane_id: str, centerline, left_edge, right_edge, *relations: frozenset) -> "RoadLane":
-        """A lane of a map, whose four relations are frozensets already,
-        without __init__ and __post_init__."""
-        lane = cls.__new__(cls)
-        vars(lane).update(zip(_LANE_FIELDS, (lane_id, centerline, left_edge, right_edge, *relations)))
-        return lane
-
-
-_LANE_FIELDS = tuple(f.name for f in fields(RoadLane))
 
 
 @dataclass(frozen=True)
@@ -620,13 +607,13 @@ class VectorMap:
     @cached_property
     def lanes(self) -> Mapping[str, RoadLane]:
         """The lanes as frozen RoadLane records in input order, in a read-only
-        mapping built on first read and then kept. Their relations are
-        frozensets; their predecessors are the successor links read backwards."""
-        table, records, none = self._table, {}, frozenset()
-        relations = [{lane: frozenset(others) for lane, others in by_lane.items()} for by_lane in table.relations()]
+        mapping built on first read, through the Polyline and RoadLane
+        constructors, and then kept. Their predecessors are the successor
+        links read backwards."""
+        table, records, relations = self._table, {}, self._table.relations()
         for lane_id, ranges in zip(table.ids, table.lines.tolist()):
-            lines = [Polyline._view(table.points[lo:hi]) if hi > lo else None for lo, hi in ranges]
-            records[lane_id] = RoadLane._record(lane_id, *lines, *[by_lane.get(lane_id, none) for by_lane in relations])
+            lines = [Polyline(table.points[lo:hi]) if hi > lo else None for lo, hi in ranges]
+            records[lane_id] = RoadLane(lane_id, *lines, *[by_lane.get(lane_id, ()) for by_lane in relations])
         return MappingProxyType(records)
 
     @cached_property
@@ -716,7 +703,7 @@ class VectorMap:
 
     def stats(self) -> MapStats:
         points = self._table.points  # lane length is summed lane by lane, in input order
-        lane_length = sum(Polyline._view(points[lo:hi]).arclength() for lo, hi in self._table.lines[:, 0].tolist())
+        lane_length = sum(_arclength(points[lo:hi]) for lo, hi in self._table.lines[:, 0].tolist())
         road = sum(polygon_area(p) for p in self.road_areas)
         road += sum(polygon_area(p) for p in self._lane_polygons)
         ped = sum(polygon_area(p) for p in self.ped_crosswalks)

@@ -122,6 +122,14 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram.from_samples("m", "d", "all", [1.0], [0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("edges", [[0.0, np.nan, 10.0], [np.inf, np.inf], [-np.inf, -np.inf], [0.0, 10.0, 5.0], [1.0]])
+    def test_edges_each_greater_than_the_last(self, edges):
+        # The difference test it replaced let NaN and two equal infinities through.
+        with pytest.raises(ValueError, match="must hold 2 or more edges, each greater than the one before"):
+            Histogram.from_samples("m", "d", "all", [1.0], edges)
+        with pytest.raises(ValueError, match="histogram_bins 'speed' must hold"):
+            AnalysisConfig(histogram_bins={"speed": edges})
+
 
 class TestConfig:
     def test_defaults(self):

@@ -177,6 +177,12 @@ class TestBuildIndex:
 
 
 class TestGetElement:
+    def test_element_equality_with_another_type_is_not_implemented(self, cache):
+        cache.write(synth_scene(Straight(10.0), 2, 30, 0.1))
+        el = get_element(build_index(cache, ["synth"], "agent", WindowSpec((0.2, 0.5), (0.2, 0.2))), 0)
+        assert el.__eq__(dataclasses.asdict(el)) is NotImplemented
+        assert el != dataclasses.asdict(el) and el != "element"
+
     def test_short_history_masks_leading_slots(self, cache):
         scene = synth_scene(Straight(10.0), 1, 100, 0.1)
         _cached(cache, scene)
@@ -500,18 +506,19 @@ class TestExport:
         got = []
         for batch in manifest["batches"]:
             assert "elements" not in batch
-            for column in ("scene_ids", "agent_ids", "ts"):
+            for column in ("dataset_tags", "scene_ids", "agent_ids", "ts"):
                 assert len(batch[column]) == batch["n_elements"], column
-            got += zip(batch["scene_ids"], batch["agent_ids"], batch["ts"], strict=True)
+            got += zip(batch["dataset_tags"], batch["scene_ids"], batch["agent_ids"], batch["ts"], strict=True)
         want = []
         for entry in reference_index_entries(cache, ["rand", "rand2"], centric, window):
             ids = index.contexts[entry[:2]].scene.agent_ids
             if centric == "agent":
-                want.append((entry[1], ids[entry[2]], entry[3]))
+                want.append((entry[0], entry[1], ids[entry[2]], entry[3]))
             else:
-                want.append((entry[1], [ids[j] for j in entry[3]], entry[2]))
+                want.append((entry[0], entry[1], [ids[j] for j in entry[3]], entry[2]))
         assert got == want
-        assert len({scene_id for scene_id, _, _ in got}) == 2 and len(manifest["batches"]) > 2
+        # Both datasets hold s0 and s1: only the dataset tag tells their elements apart.
+        assert len({scene_id for _, scene_id, _, _ in got}) == 2 and len({key[:2] for key in got}) == 4 and len(manifest["batches"]) > 2
 
     def test_batch_size_below_one_rejected(self, cache, tmp_path):
         cache.write(synth_scene(Straight(10.0), 1, 30, 0.1))

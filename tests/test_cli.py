@@ -440,6 +440,19 @@ class TestBatchCommand:
         assert err.startswith("error: ") and "member 'future'" in err and "lower --batch-size" in err
         assert not (out / "batch_00000.npz").exists() and not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("size", ["1", "7", "1000"])
+    @pytest.mark.parametrize("centric", ["agent", "scene"])
+    def test_mixed_window_shapes_exit_2_before_any_file(self, tmp_path, capsys, centric, size):
+        # One window of 0..1 s is 11 steps of history at dt 0.1 and 6 at dt 0.2.
+        cache_dir, out = tmp_path / "cache", tmp_path / "b"
+        SceneCache(cache_dir).write_many([synth_scene(Straight(10.0), 2, 40, dt, scene_id=f"dt{dt}") for dt in (0.1, 0.2)])
+        code = main(["batch", "--cache", str(cache_dir), "--tags", "synth", "--centric", centric,
+                     "--history", "0,1", "--future", "0,1", "--batch-size", size, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0] == "error: mixed window shapes: (6, 8)/(5, 8) vs (11, 8)/(10, 8)", err
+        assert not out.exists()
+
     def test_bad_window_exit_64(self, workspace):
         tmp_path, cache_dir = workspace
         code = main(
@@ -904,6 +917,23 @@ class TestMalformedConfig:
         code = main(["analyze", "--cache", str(cache_dir), "--tags", "synth", "--metrics", "stationary", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metric, edges", [
+        ("speed", "[0, NaN, 10]"),
+        ("accel", "[0, 5, 5, 10]"),
+        ("jerk", "[0, 10, 5]"),  # not among the --metrics run: the config is checked whole
+        ("density", "[1.5]"),
+        ("ego_distance", "[Infinity, Infinity]"),
+    ])
+    def test_bad_bin_edges_exit_2_naming_the_metric(self, workspace, capsys, metric, edges):
+        tmp_path, cache_dir = workspace
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "o"
+        cfg_path.write_text(f'{{"histogram_bins": {{"{metric}": {edges}}}}}')
+        code = main(["analyze", "--cache", str(cache_dir), "--tags", "synth", "--metrics", "speed", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: histogram_bins '{metric}' must hold 2 or more edges"), err
+        assert not out.exists()
 
 
 # Runs trajkit's CLI with its address space capped at 1 GiB (about 0.1 GiB goes to

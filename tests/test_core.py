@@ -157,6 +157,10 @@ class TestSceneTag:
         with pytest.raises(ValueError):
             SceneTag.parse(bad)
 
+    def test_str_is_the_rendering(self):
+        assert str(SceneTag("nusc", split="mini", location="boston")) == "nusc-mini-boston"
+        assert str(SceneTag("eth")) == "eth"
+
 
 def _two_agent_scene() -> SceneFrame:
     tracks = []
@@ -216,6 +220,36 @@ class TestSceneFrame:
         assert a == b
         b.columns.x[0] += 1e-12
         assert a != b
+
+    @pytest.mark.parametrize("changes", [
+        {"scene_id": "s1"},
+        {"dataset_tag": "toy-train"},
+        {"location": "elsewhere"},
+        {"dt": 0.2},
+        {"heading_derived": False},
+        {"agent_ids": ("a0", "b1")},
+        {"type_code": [0, 1]},
+        {"first_ts": [1, 2], "last_ts": [5, 6]},  # agent a0 one step later, with the same rows
+        {"extent": [[4.0, 2.0, np.nan], [4.0, 2.5, np.nan]]},
+    ], ids=lambda changes: ",".join(changes))
+    def test_equality_compares_each_metadata_field(self, changes):
+        scene = _two_agent_scene()
+        assert scene.__eq__(dataclasses.replace(scene)) is True
+        assert scene.__eq__(dataclasses.replace(scene, **changes)) is False
+
+    def test_equality_with_another_type_is_not_implemented(self):
+        scene = _two_agent_scene()
+        assert scene.__eq__(scene.columns) is NotImplemented
+        assert scene != "s0" and scene != scene.columns
+
+    def test_from_tracks_rejects_tracks_that_do_not_fit_the_agents(self):
+        meta = AgentMetadata("a0", AgentType.VEHICLE, None, 0, 2)
+        track = {name: np.zeros(3) for name in ("x", "y", "z", "vx", "vy", "ax", "ay", "heading")} | {"observed": np.ones(3, dtype=bool)}
+        with pytest.raises(ValueError, match="^agents and tracks must be parallel$"):
+            SceneFrame.from_tracks("s0", "toy", "", 0.1, [meta], [track, track])
+        with pytest.raises(ValueError, match="^agent a0: track column vy has length 2, expected 3$"):
+            SceneFrame.from_tracks("s0", "toy", "", 0.1, [meta], [{**track, "vy": np.zeros(2)}])
+        assert SceneFrame.from_tracks("s0", "toy", "", 0.1, [meta], [track]).n_agents == 1
 
 
 def _mutate(scene: SceneFrame, **col_overrides) -> SceneFrame:

@@ -514,6 +514,20 @@ class TestSynthScene:
         with pytest.raises(ValueError):
             synth_scene(Straight(1.0), 0, 10, 0.1)
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_stop_and_go_rejects_a_non_positive_step_count(self, steps):
+        with pytest.raises(ValueError, match="segment step counts must be positive"):
+            StopAndGo(((1.0, 5), (0.0, steps)))
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan])
+    def test_non_positive_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            synth_scene(Straight(1.0), 1, 10, dt)
+
+    def test_unknown_spec_rejected(self):
+        with pytest.raises(TypeError, match="unknown synth spec 'zigzag'"):
+            synth_scene("zigzag", 1, 10, 0.1)
+
 
 class TestCache:
     def test_round_trip_bit_exact(self, tmp_path):

@@ -26,6 +26,10 @@ The batch manifest is encoded by json's C encoder: every json.dumps in
 batching.py passes separators= and no indent=. An indent switches json to its
 pure-Python encoder, which took five times as long on a 984-element manifest.
 
+Every program name that the traced benchmark run wraps (bench/spans.py,
+TARGETS) resolves: a rename or removal in the package that the benchmark
+still names fails here, not only in bench/selftest.py.
+
 SceneCache reads a scene file in one method: it opens the file once, checks
 its header and reads the payload from that same open file. A second method
 that opens a file could decode a file that a concurrent writer replaced
@@ -36,6 +40,7 @@ outside the class.
 
 import ast
 import dataclasses
+import importlib.util
 import io
 import re
 import tokenize
@@ -264,3 +269,44 @@ def test_the_check_sees_a_second_opener():
         ("patch", "    def patch(self, path):\n        with path.open('r+b') as f:\n            f.write(b'')\n"),
     ):
         assert _file_openers(head + second + tail) == ["_read_file", name]
+
+
+def _unresolved(targets) -> list[str]:
+    """module.attribute path of each target (span name, module, attribute
+    path, counter) in a trajkit module that does not resolve: the module,
+    then each dotted attribute."""
+    missing = []
+    for _, module_name, attr_path, _ in targets:
+        if not module_name.startswith("trajkit."):  # the benchmark's own modules
+            continue
+        try:
+            owner = importlib.import_module(module_name)
+        except ModuleNotFoundError:
+            missing.append(f"{module_name}.{attr_path}")
+            continue
+        for part in attr_path.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module_name}.{attr_path}")
+    return missing
+
+
+def test_every_name_the_traced_benchmark_wraps_resolves():
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert len(spans.TARGETS) > 30
+    assert _unresolved(spans.TARGETS) == []
+
+
+def test_the_check_sees_a_name_that_is_gone():
+    targets = [
+        ("kept", "trajkit.ingest", "complete_track", None),
+        ("kept", "trajkit.ingest", "SceneCache.write", None),
+        ("method", "trajkit.ingest", "SceneCache.gone", None),
+        ("class", "trajkit.vecmap", "Gone.closest_lane_with_distance", None),
+        ("module", "trajkit.gone", "run", None),
+        ("outside", "workloads", "_policy", None),
+    ]
+    assert _unresolved(targets) == ["trajkit.ingest.SceneCache.gone", "trajkit.vecmap.Gone.closest_lane_with_distance", "trajkit.gone.run"]

@@ -712,6 +712,13 @@ class TestSerialization:
             err = np.abs(again.lanes[lane_id].centerline.points - lane.centerline.points).max()
             assert err <= 1e-3
 
+    def test_map_without_lanes_or_areas_round_trips(self):
+        data = map_serialize(VectorMap("toy:empty", []))
+        again = map_deserialize(data)
+        assert (again.map_id, dict(again.lanes), again.road_areas, again.ped_crosswalks, again.ped_walkways) == ("toy:empty", {}, (), (), ())
+        assert not again.has_drivable_area and again.stats().to_dict() == {"lane_length_km": 0.0, "road_area_m2": 0, "pedestrian_area_m2": 0}
+        assert map_serialize(again) == data
+
     def test_canonical_reserialization(self):
         vmap = _rich_map()
         data = map_serialize(vmap)
