@@ -3,12 +3,13 @@ nonlinearity, and self-consistency (collision / off-road / harsh acceleration)
 metrics, emitted as histogram CSVs and a scalar-rate JSON.
 
 An analysis run is one pass over the cache. run_analysis decodes a scene,
-passes it to each requested metric and drops it, so a run holds one decoded
-scene at a time. Each metric is a function of one scene that returns integer
-counts: histogram bins with underflow and overflow, per-type rate numerators
-and denominators, and tallies. run_analysis adds them up per (metric,
-dataset, type). Every sample is binned on its own, so the report does not
-depend on the order of the scenes.
+passes it to each requested metric and drops it, so a process holds one
+decoded scene at a time. Each metric is a function of one scene that returns
+integer counts: histogram bins with underflow and overflow, per-type rate
+numerators and denominators, and tallies. run_analysis adds them up per
+(metric, dataset, type). Every sample is binned on its own, so the report
+does not depend on the order of the scenes, and a run of many files counts
+contiguous shares of them in forked workers with the same report bytes.
 
 Rates use a per-agent "any timestep" event definition by default; a
 per-timestep variant sits behind AnalysisConfig.per_timestep_rates.
@@ -17,8 +18,13 @@ Thresholds compare with strict inequality.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -27,7 +33,7 @@ import numpy as np
 
 from .core import TYPE_NAMES as _TYPE_NAMES, SceneFrame, SceneTag, _checked_object, load_json, rotate, wrap_angle
 from .ingest import SceneCache
-from .kinematics import derive_derivative
+from .kinematics import derive_derivative, unwrap_segments
 from .vecmap import VectorMap
 
 HARSH_ACCEL_DEFAULT = 3.924  # 0.4 g (0.4 * 9.81); kept as a literal so the contract value is exact
@@ -96,11 +102,14 @@ class AnalysisConfig:
             raise ValueError("harsh_accel_threshold must be > 0")
         if self.density_min_agents < 1:
             raise ValueError("density_min_agents must be >= 1")
+        unknown = sorted(set(self.histogram_bins) - set(_default_bins()))
+        if unknown:
+            raise ValueError(f"histogram_bins {unknown[0]!r} names no histogram; valid names: {', '.join(_default_bins())}")
         for name, edges in self.histogram_bins.items():
             _checked_edges(edges, f"histogram_bins {name!r}")
 
     def edges(self, metric: str) -> np.ndarray:
-        return np.asarray(self.histogram_bins[metric], dtype=np.float64)
+        return np.asanyarray(self.histogram_bins[metric], dtype=np.float64)
 
     def to_dict(self) -> dict:
         """asdict(self), built field by field, with list copies of offroad_types and of each bin list."""
@@ -125,11 +134,25 @@ class AnalysisConfig:
         return cls(**kwargs)
 
 
+class _Edges(np.ndarray):
+    """Read-only float64 bin edges, checked when they were made (_run_edges),
+    so that binning a scene takes them without checking them again."""
+
+
 def _checked_edges(values, what: str = "histogram edges") -> np.ndarray:
     """values as float64 bin edges; ValueError naming what unless there are 2 or more, each > the one before (so no NaN)."""
+    if isinstance(values, _Edges):
+        return values.view(np.ndarray)
     edges = np.asarray(values, dtype=np.float64)
     if len(edges) < 2 or not (edges[1:] > edges[:-1]).all():
         raise ValueError(f"{what} must hold 2 or more edges, each greater than the one before, got {edges.tolist()}")
+    return edges
+
+
+def _run_edges(values, what: str) -> _Edges:
+    """A checked read-only copy of values, binned without a further check."""
+    edges = _checked_edges(np.array(values, dtype=np.float64), what).view(_Edges)
+    edges.flags.writeable = False
     return edges
 
 
@@ -341,8 +364,7 @@ def heading_deltas(scene: SceneFrame, dataset: str, cfg: AnalysisConfig) -> list
     cols, off = scene.columns, scene.agent_offsets
     h = cols.heading
     if cfg.cumulative_heading:
-        parts = [np.unwrap(h[a:b]) - h[a] for a, b in zip(off[:-1], off[1:])]
-        dh = np.concatenate(parts) if parts else h
+        dh = unwrap_segments(h, off) - h[off[cols.agent_index]]
     else:
         dh = wrap_angle(h - h[off[cols.agent_index]])
     return _type_histograms(dataset, scene.type_code, {"heading_delta": dh, "heading_raw": h}, cfg, np.diff(off))
@@ -508,51 +530,62 @@ _TALLIES = {"density": "density_skipped_degenerate", "ego_distances": "ego_dista
             "path_efficiency": "path_efficiency_zero_path_agents", "collision": "collision_agents_without_extent"}
 # The rate metrics and the names of their counts' entries.
 _RATE_NAMES = {"stationary": ("all",), "collision": _TYPE_NAMES, "harsh_accel": _TYPE_NAMES, "offroad": _TYPE_NAMES}
+# Scene files per process at least: forking a worker costs about as much as counting one scene.
+_MIN_SHARE = 8
 
 
-def run_analysis(cache: SceneCache, tags: Sequence[str], metrics: Sequence[str], cfg: AnalysisConfig | None = None,
-                 vmap: VectorMap | None = None, ego_id: str = "ego") -> MetricReport:
-    """Run the named metrics in one pass over the scenes the tags select and
-    assemble a MetricReport. Each scene is decoded, counted by every named
-    metric and dropped; the counts are added per (metric, dataset, type), so
-    the report does not depend on the order of the scenes. Off-road is
-    unavailable without a map that has a drivable area."""
-    cfg = cfg or AnalysisConfig()
-    unknown = [m for m in metrics if m not in METRIC_NAMES]
-    if unknown:
-        raise ValueError(f"unknown metric(s) {unknown}; valid names: {', '.join(METRIC_NAMES)}")
-    report = MetricReport(config=cfg.to_dict(), tags=list(tags))
-    cfg = replace(cfg, histogram_bins={name: cfg.edges(name) for name in cfg.histogram_bins})  # arrays once, not per scene
-    wanted = set(metrics)
-    if "offroad" in wanted and (vmap is None or not vmap.has_drivable_area):
-        wanted.remove("offroad")
-        report.unavailable.append("offroad")
-        if vmap is not None:
-            report.tallies["offroad_unsupported_map"] = 1
-    report.tallies.update({name: 0 for metric, name in _TALLIES.items() if metric in wanted})
-    hists: dict[tuple[str, str, str], Histogram] = {}
-    rates: dict[str, dict[str, np.ndarray]] = {m: {} for m in _RATE_NAMES if m in wanted}  # metric -> dataset -> counts
-    first: dict[str, dict[str, tuple]] = {}  # dataset -> agent id -> ((tag, scene id) of its first scene, type code there)
+class _Counts:
+    """The integer counts of a run's scenes, or of one share of them:
+    histograms by (name, dataset, type), rate numerators and denominators by
+    metric and dataset, tallies, and by dataset each agent id's ((tag, scene
+    id) of its first scene, type code there). Adding them up in any order
+    gives the same counts."""
 
-    def add(metric: str, counts: list[Histogram] | np.ndarray, tally: int = 0) -> None:
+    def __init__(self, wanted: set[str]):
+        self.hists: dict[tuple[str, str, str], Histogram] = {}
+        self.rates: dict[str, dict[str, np.ndarray]] = {m: {} for m in _RATE_NAMES if m in wanted}
+        self.tallies = {name: 0 for metric, name in _TALLIES.items() if metric in wanted}
+        self.first: dict[str, dict[str, tuple]] = {}
+
+    def add(self, dataset: str, metric: str, counts: list[Histogram] | np.ndarray, tally: int = 0) -> None:
         if metric in _TALLIES:
-            report.tallies[_TALLIES[metric]] += tally
-        if metric in rates:
-            rates[metric][dataset] = rates[metric].get(dataset, 0) + counts
-            return
-        for h in counts:
-            kept = hists.setdefault((h.name, h.dataset, h.agent_type), h)
+            self.tallies[_TALLIES[metric]] += tally
+        if metric in self.rates:
+            self.rates[metric][dataset] = self.rates[metric].get(dataset, 0) + counts
+        else:
+            self.add_hists(counts)
+
+    def add_hists(self, hists: Iterable[Histogram]) -> None:
+        for h in hists:
+            kept = self.hists.setdefault((h.name, h.dataset, h.agent_type), h)
             if kept is not h:
                 kept.add(h)
 
-    for scene in cache.iter_scenes(tags):
+    def add_first(self, dataset: str, entries: Iterable[tuple[str, tuple]]) -> None:
+        seen = self.first.setdefault(dataset, {})
+        for agent_id, entry in entries:
+            if seen.setdefault(agent_id, entry)[0] > entry[0]:
+                seen[agent_id] = entry
+
+    def merge(self, other: "_Counts") -> None:
+        """Add the counts of another share of the run."""
+        for name, tally in other.tallies.items():
+            self.tallies[name] += tally
+        for metric, by_dataset in other.rates.items():
+            for dataset, counts in by_dataset.items():
+                self.add(dataset, metric, counts)
+        self.add_hists(other.hists.values())
+        for dataset, seen in other.first.items():
+            self.add_first(dataset, seen.items())
+
+    def count(self, scene: SceneFrame, wanted: set[str], cfg: AnalysisConfig, vmap: VectorMap | None, ego_id: str) -> None:
+        """Count one scene with each wanted metric."""
         dataset = SceneTag.parse(scene.dataset_tag).dataset
+        add = functools.partial(self.add, dataset)
         accel = np.hypot(scene.columns.ax, scene.columns.ay) if wanted & {"speed", "accel", "jerk", "harsh_accel"} else None
         if "population" in wanted:
-            seen, key = first.setdefault(dataset, {}), (scene.scene_tag().render(), scene.scene_id)
-            for agent_id, code in agent_population(scene).items():
-                if seen.setdefault(agent_id, (key, code))[0] > key:
-                    seen[agent_id] = (key, code)
+            key = (scene.scene_tag().render(), scene.scene_id)
+            self.add_first(dataset, ((agent_id, (key, code)) for agent_id, code in agent_population(scene).items()))
         if "simultaneous" in wanted:
             add("simultaneous", simultaneous_agents(scene, dataset, cfg))
         if "density" in wanted:
@@ -573,17 +606,200 @@ def run_analysis(cache: SceneCache, tags: Sequence[str], metrics: Sequence[str],
             add("harsh_accel", harsh_accel_rate(scene, accel, cfg))
         if "offroad" in wanted:
             add("offroad", offroad_rate(scene, vmap, cfg))
-        del scene, accel  # before the next scene is decoded
 
-    report.histograms = sorted(hists.values(), key=lambda h: (h.name, h.dataset, h.agent_type))
-    for metric, by_dataset in rates.items():
+
+def _fork_is_quiet() -> bool:
+    """Whether os.fork exists and would raise no DeprecationWarning: from
+    Python 3.12 it warns while any other thread runs in the process, as
+    numpy's BLAS pool may."""
+    if not hasattr(os, "fork"):
+        return False
+    if sys.version_info < (3, 12):
+        return True
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:  # no /proc: the threads cannot be counted as CPython counts them
+        return False
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _shares(paths: list[Path]) -> list[list[Path]]:
+    """paths cut into contiguous shares of about equal bytes, one for each
+    process that counts them: one process per CPU this one may run on, each
+    with _MIN_SHARE files or more, and a single one where forking is not quiet."""
+    n = min(_cpus(), len(paths) // _MIN_SHARE) if _fork_is_quiet() else 1
+    if n < 2:
+        return [paths]
+    ends = np.cumsum([path.stat().st_size for path in paths])
+    cuts = np.minimum(np.searchsorted(ends, ends[-1] * np.arange(1, n) / n) + 1, len(paths))
+    bounds = sorted({0, len(paths), *cuts.tolist()})
+    return [paths[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+class _ShareReads:
+    """A worker's reads of its share of a run's files: the tag of each file it
+    read, by path, and its first fault as (the file read last, the
+    exception); a fault on a file whose tag was read came from counting it."""
+
+    def __init__(self, share: list[Path]):
+        self.share = frozenset(share)
+        self.tags: dict[Path, SceneTag] = {}
+        self.fault: tuple[Path | None, Exception] | None = None
+        self.last: Path | None = None
+
+    def read(self, path: Path, decode) -> tuple | None:
+        """SceneCache._read_file for a file of the share, None for any other."""
+        if path not in self.share:
+            return None
+        self.last = path
+        got = SceneCache._read_file(path, decode)
+        self.tags[path] = got[0]
+        return got
+
+
+class _Worker:
+    """A forked process that pickles job()'s result back through a pipe and
+    leaves by os._exit, whatever job does."""
+
+    def __init__(self, job):
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                os.close(r)
+                with os.fdopen(w, "wb") as pipe:
+                    pickle.dump(job(), pipe, pickle.HIGHEST_PROTOCOL)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(w)
+        self.pid, self.fd, self.result = pid, r, None
+
+    def receive(self):
+        """job()'s result, read to the end of the pipe; the worker is then reaped."""
+        with os.fdopen(self.fd, "rb") as pipe:
+            self.fd = None
+            data = pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if not data:
+            raise RuntimeError(f"an analysis worker ended without its counts (wait status {status})")
+        self.result = pickle.loads(data)
+        return self.result
+
+    def stop(self) -> None:
+        """Kill the worker unless it was reaped, reap it and close its pipe."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+
+
+def run_analysis(cache: SceneCache, tags: Sequence[str], metrics: Sequence[str], cfg: AnalysisConfig | None = None,
+                 vmap: VectorMap | None = None, ego_id: str = "ego") -> MetricReport:
+    """Run the named metrics in one pass over the scenes the tags select and
+    assemble a MetricReport. Each scene is decoded, counted by every named
+    metric and dropped; the counts are added per (metric, dataset, type), so
+    the report does not depend on the order of the scenes. Off-road is
+    unavailable without a map that has a drivable area.
+
+    Where os.fork is at hand and quiet (_fork_is_quiet), a run of 2 *
+    _MIN_SHARE files or more is cut into contiguous shares of about equal
+    bytes, one per CPU the process may run on (_shares). One worker is forked
+    per share after the first; each counts its share and pipes its counts
+    back, while this process counts the first share. The report's bytes are
+    those of a run in one process: this process walks every file in order,
+    taking the tags the workers read in place of reading their files again,
+    so each file is opened once, and the first fault in that order is
+    raised: a file's CacheError, a count's error or an UnknownTagError once
+    its dataset is read. Every worker is reaped before the run returns or
+    raises."""
+    cfg = cfg or AnalysisConfig()
+    unknown = [m for m in metrics if m not in METRIC_NAMES]
+    if unknown:
+        raise ValueError(f"unknown metric(s) {unknown}; valid names: {', '.join(METRIC_NAMES)}")
+    report = MetricReport(config=cfg.to_dict(), tags=list(tags))
+    cfg = replace(cfg, histogram_bins={name: _run_edges(edges, f"histogram_bins {name!r}") for name, edges in cfg.histogram_bins.items()})
+    wanted = set(metrics)
+    if "offroad" in wanted and (vmap is None or not vmap.has_drivable_area):
+        wanted.remove("offroad")
+        report.unavailable.append("offroad")
+        if vmap is not None:
+            report.tallies["offroad_unsupported_map"] = 1
+    counts = _Counts(wanted)
+
+    def count(source) -> None:
+        """Count each scene of source's walk; a worker's fault in place of a scene is raised."""
+        for scene in source.iter_scenes(tags):
+            if isinstance(scene, Exception):
+                raise scene
+            if scene is not None:
+                counts.count(scene, wanted, cfg, vmap, ego_id)
+            del scene  # before the next scene is decoded
+
+    def count_share(reads: _ShareReads):
+        try:
+            count(cache.reading(reads.read))
+        except Exception as exc:
+            reads.fault = (reads.last, exc)
+        return counts, reads.tags, reads.fault
+
+    def replay(path: Path, decode) -> tuple | None:
+        """A file of a worker's share as the worker read it: its tag, and as its
+        scene None or the fault of counting it; the fault of reading it raised."""
+        worker = owners.get(path)
+        if worker is None:
+            return SceneCache._read_file(path, decode)
+        if worker.result is None:
+            counts.merge(worker.receive()[0])
+        _, read, fault = worker.result
+        if path in read:
+            return read[path], None, fault[1] if fault and fault[0] == path else None
+        if fault:
+            raise fault[1]
+        return SceneCache._read_file(path, decode)  # listed since the worker walked
+
+    shares = _shares(cache.walk_files(tags))
+    owners: dict[Path, _Worker] = {}
+    try:
+        for share in shares[1:]:
+            try:
+                worker = _Worker(functools.partial(count_share, _ShareReads(share)))
+            except OSError:  # no process to spare: this one counts the shares left
+                break
+            owners.update(dict.fromkeys(share, worker))
+        count(cache.reading(replay) if owners else cache)
+    finally:
+        for worker in set(owners.values()):
+            worker.stop()
+
+    report.tallies.update(counts.tallies)
+    report.histograms = sorted(counts.hists.values(), key=lambda h: (h.name, h.dataset, h.agent_type))
+    for metric, by_dataset in counts.rates.items():
         names = _RATE_NAMES[metric]
         entries = {ds: {names[c]: _rate_entry(int(num[c]), int(den[c])) for c in np.flatnonzero(den)} for ds, (num, den) in by_dataset.items()}
         report.rates[metric] = {ds: e for ds, e in entries.items() if e or metric != "stationary"}  # stationary lists only datasets with an observed agent
-    for dataset, seen in first.items():
+    for dataset, seen in counts.first.items():
         n = np.bincount(np.array([code for _, code in seen.values()], dtype=np.int64), minlength=len(_TYPE_NAMES))
-        counts = {_TYPE_NAMES[c]: int(n[c]) for c in np.flatnonzero(n)}
-        report.population[dataset] = {"unique_agents": len(seen), "type_counts": counts, "type_fractions": {k: v / len(seen) for k, v in counts.items()}}
+        type_counts = {_TYPE_NAMES[c]: int(n[c]) for c in np.flatnonzero(n)}
+        report.population[dataset] = {"unique_agents": len(seen), "type_counts": type_counts,
+                                      "type_fractions": {k: v / len(seen) for k, v in type_counts.items()}}
     return report
 
 

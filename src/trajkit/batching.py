@@ -276,12 +276,22 @@ def _neighbors(ctx: _SceneContext, egos: np.ndarray, ts: np.ndarray, origins: np
     return el[order], j[order]
 
 
-def _window_shapes(shapes: list[tuple]) -> tuple:
-    """The (history, future) shape pair all elements share; ValueError on the first that differs."""
-    for h_shape, f_shape in shapes:
+def _window_shapes(shapes: list[tuple], sources: list[tuple[str, str, float]]) -> tuple:
+    """The (history, future) shape pair all elements share. ValueError on the
+    first that differs, naming the first element of each of the two shapes by
+    its source: (rendered tag, scene id, dt) of its scene."""
+    for (h_shape, f_shape), (tag, scene_id, dt) in zip(shapes, sources):
         if (h_shape, f_shape) != shapes[0]:
-            raise ValueError(f"mixed window shapes: {h_shape}/{f_shape} vs {shapes[0][0]}/{shapes[0][1]}")
+            tag0, scene_id0, dt0 = sources[0]
+            raise ValueError(f"mixed window shapes: {h_shape}/{f_shape} from scene {scene_id!r} of {tag} at dt {dt}"
+                             f" vs {shapes[0][0]}/{shapes[0][1]} from scene {scene_id0!r} of {tag0} at dt {dt0}")
     return shapes[0]
+
+
+def _context_shapes(ctxs: list[_SceneContext]) -> tuple:
+    """_window_shapes of the windows of the scene contexts."""
+    return _window_shapes([((ctx.h_steps + 1, STATE_DIM), (ctx.f_steps, STATE_DIM)) for ctx in ctxs],
+                          [(ctx.tag, ctx.scene.scene_id, ctx.scene.dt) for ctx in ctxs])
 
 
 def get_batch(index: ElementIndex, indices: Iterable[int]) -> AgentBatch:
@@ -301,7 +311,7 @@ def get_batch(index: ElementIndex, indices: Iterable[int]) -> AgentBatch:
     for b, (tag, scene_id, _, _) in enumerate(entries):
         groups.setdefault((tag, scene_id), []).append(b)
     ctxs = [index.contexts[key] for key in groups]
-    h_shape, f_shape = _window_shapes([((ctx.h_steps + 1, STATE_DIM), (ctx.f_steps, STATE_DIM)) for ctx in ctxs])
+    h_shape, f_shape = _context_shapes(ctxs)
 
     n = len(entries)
     egos = np.array([e[2] for e in entries], dtype=np.int64)
@@ -478,7 +488,7 @@ def collate(elements: Sequence[AgentBatchElement]) -> AgentBatch:
     """
     if not elements:
         raise ValueError("cannot collate an empty element list")
-    _window_shapes([(el.history.shape, el.future.shape) for el in elements])
+    _window_shapes([(el.history.shape, el.future.shape) for el in elements], [(el.dataset_tag, el.scene_id, el.dt) for el in elements])
     return AgentBatch(
         scene_ids=tuple(el.scene_id for el in elements),
         dataset_tags=tuple(el.dataset_tag for el in elements),
@@ -607,7 +617,7 @@ def export_batches(index: ElementIndex, out_dir: str | Path, batch_size: int = 3
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     ctxs = [index.contexts[key] for key in dict.fromkeys(entry[:2] for entry in index.entries)]
-    _window_shapes([((ctx.h_steps + 1, STATE_DIM), (ctx.f_steps, STATE_DIM)) for ctx in ctxs])
+    _context_shapes(ctxs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     batches_meta = []

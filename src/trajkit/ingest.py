@@ -15,6 +15,7 @@ none of them is stored.
 from __future__ import annotations
 
 import contextlib
+import copy
 import csv
 import io
 import itertools
@@ -710,6 +711,15 @@ class CacheEntry:
     n_agents: int
 
 
+def _queries(tags: Iterable[str]) -> dict[str, dict[str, SceneTag]]:
+    """Each tag text parsed, grouped by its dataset in the order the tags first name them."""
+    queries: dict[str, dict[str, SceneTag]] = {}
+    for text in tags:
+        query = SceneTag.parse(text)
+        queries.setdefault(query.dataset, {})[text] = query
+    return queries
+
+
 class SceneCache:
     """Directory of cached scenes: one directory per dataset holding one
     ``<scene_id>.tksc`` file per scene. The directory is the index: each
@@ -720,6 +730,7 @@ class SceneCache:
     def __init__(self, cache_dir: str | Path):
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self._read = None  # a view's read function, set by reading()
 
     def _dataset_dir(self, dataset: str) -> Path:
         return self.cache_dir / _plain_name(dataset, "dataset")
@@ -770,26 +781,42 @@ class SceneCache:
             column.flags.writeable = False
         return tag, header, scene
 
+    def walk_files(self, tags: Iterable[str]) -> list[Path]:
+        """The .tksc files of the datasets the tags query, in the order
+        iter_scenes walks them, listed by name: none is opened."""
+        return [path for dataset in _queries(tags) for path in sorted(self._dataset_dir(dataset).glob("*.tksc"))]
+
+    def reading(self, read: Callable[[Path, Callable[[SceneTag], bool]], tuple | None]) -> SceneCache:
+        """A view of this cache whose walks (resolve, iter_scenes) take each
+        file's (tag, header, scene) from read(path, decode), called as
+        _read_file is, instead of opening the file. read returns None for a
+        file that another walk reads; a dataset with such a file gets no
+        UnknownTagError check, which the walk that sees all its files makes."""
+        view = copy.copy(self)
+        view._read = read
+        return view
+
     def _walk(self, tags: Iterable[str], decode: bool) -> Iterator[tuple[SceneTag, Path, dict, SceneFrame | None]]:
         """(tag, path, header, scene if decode else None) of each file the tags
         select, in iter_scenes' order, each .tksc file of a queried dataset read
         once; once a dataset is read, UnknownTagError for its first query that
         matched none of its files."""
-        queries: dict[str, dict[str, SceneTag]] = {}
-        for text in tags:
-            query = SceneTag.parse(text)
-            queries.setdefault(query.dataset, {})[text] = query
-        for dataset, named in queries.items():
+        read_file = self._read or self._read_file
+        for dataset, named in _queries(tags).items():
             selects = lambda tag: any(query.matches(tag) for query in named.values())  # noqa: E731
-            read = []
+            read, whole = [], True
             for path in sorted(self._dataset_dir(dataset).glob("*.tksc")):
-                tag, header, scene = self._read_file(path, lambda tag: decode and selects(tag))
+                got = read_file(path, lambda tag: decode and selects(tag))
+                if got is None:  # another walk reads this file
+                    whole = False
+                    continue
+                tag, header, scene = got
                 read.append(tag)
                 if selects(tag):
                     yield tag, path, header, scene
-                del scene  # not held past the next file's decode
+                del scene, got  # not held past the next file's decode
             for text, query in named.items():
-                if not any(map(query.matches, read)):
+                if whole and not any(map(query.matches, read)):
                     raise UnknownTagError(f"tag {text!r} matched no cached scenes")
 
     def resolve(self, tags: Iterable[str]) -> list[CacheEntry]:
@@ -807,7 +834,8 @@ class SceneCache:
         its tag was read from and dropped before the next file is opened; an
         unselected one is read up to its header. A fault surfaces when the
         iteration reaches it: a CacheError naming its file, an UnknownTagError
-        once its query's dataset is read."""
+        once its query's dataset is read. On a view made by reading(), the
+        scenes are what its read function gives for the selected files."""
         return map(itemgetter(3), self._walk(tags, decode=True))
 
 

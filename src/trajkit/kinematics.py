@@ -58,6 +58,28 @@ def plan_resample(native_dt: float, desired_dt: float) -> ResamplePlan:
     )
 
 
+def unwrap_segments(series: np.ndarray, offsets: np.ndarray, segments: np.ndarray | None = None) -> np.ndarray:
+    """A float64 copy of series with np.unwrap applied to each segment
+    series[offsets[k]:offsets[k + 1]] (of every k, or of each k in segments),
+    bit for bit as one call per segment. Segments whose lengths share a power
+    of two are padded with their last value into one (segments, width) block
+    and unwrapped along axis 1: np.unwrap works element by element but for a
+    cumsum, which adds along each row in order, so the padding after a
+    segment's values leaves them as they were."""
+    out = np.array(series, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    k = np.arange(len(offsets) - 1) if segments is None else np.asarray(segments, dtype=np.int64)
+    starts, lengths = offsets[k], offsets[k + 1] - offsets[k]
+    group = np.frexp(lengths)[1]  # floor(log2(length)) + 1
+    for g in np.unique(group).tolist():
+        first, n = starts[group == g], lengths[group == g][:, None]
+        width = np.arange(n.max())
+        rows = first[:, None] + np.minimum(width, n - 1)
+        kept = width < n
+        out[rows[kept]] = np.unwrap(out[rows], axis=1)[kept]
+    return out
+
+
 def derive_derivative(series: np.ndarray, dt: float, offsets: np.ndarray | None = None) -> np.ndarray:
     """Finite-difference derivative of a uniformly sampled series.
 
@@ -169,9 +191,7 @@ def impute_linear(
         arr = np.array(arr, dtype=np.float64)
         if gaps.any():
             if name in angular:
-                # Agent by agent: np.unwrap's cumsum must add in agent order.
-                for k in np.flatnonzero(gaps).tolist():
-                    arr[bounds[k] : bounds[k + 1]] = np.unwrap(arr[bounds[k] : bounds[k + 1]])
+                arr = unwrap_segments(arr, bounds, np.flatnonzero(gaps))
             arr = np.interp(np.arange(len(segment)), knots, arr)
             if name in angular:
                 arr[gaps[segment]] = wrap_angle(arr[gaps[segment]])

@@ -580,6 +580,18 @@ def reference_derivative(series, dt):
     return out
 
 
+def reference_unwrap_segments(series, offsets, segments=None):
+    """A float64 copy of series with np.unwrap applied to each segment
+    series[offsets[k]:offsets[k + 1]] (of every k, or of each k in segments),
+    one call per segment: the per-agent loops of ``kinematics.impute_linear``
+    and of the cumulative ``analysis.heading_deltas`` that
+    ``kinematics.unwrap_segments`` replaced."""
+    out = np.array(series, dtype=np.float64)
+    for k in range(len(offsets) - 1) if segments is None else segments:
+        out[offsets[k] : offsets[k + 1]] = np.unwrap(out[offsets[k] : offsets[k + 1]])
+    return out
+
+
 # The analysis metrics one agent or one timestep at a time, pooled per
 # dataset: the loops the per-scene array passes of ``trajkit.analysis``
 # replaced. Each takes ``datasets``, a mapping of dataset name to its scenes,

@@ -1,3 +1,4 @@
+import builtins
 import collections
 import csv
 import dataclasses
@@ -5,12 +6,16 @@ import functools
 import io
 import json
 import math
+import os
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trajkit import analysis, simulation
+from trajkit import analysis, ingest, simulation
 from trajkit.analysis import (
     HARSH_ACCEL_DEFAULT,
     METRIC_NAMES,
@@ -129,6 +134,20 @@ class TestHistogram:
             Histogram.from_samples("m", "d", "all", [1.0], edges)
         with pytest.raises(ValueError, match="histogram_bins 'speed' must hold"):
             AnalysisConfig(histogram_bins={"speed": edges})
+
+    def test_a_run_checks_each_bin_list_once(self, tmp_path, monkeypatch):
+        # run_analysis checks the config's edges as it starts; binning a scene takes them as checked.
+        rng = np.random.default_rng(7)
+        cache = _cache_of(tmp_path / "cache", [random_scene(rng, scene_id=f"s{k}") for k in range(3)])
+        cfg, checked, check = AnalysisConfig(), [], analysis._checked_edges
+        monkeypatch.setattr(analysis, "_checked_edges", lambda values, *what: checked.append(type(values)) or check(values, *what))
+        run_analysis(cache, ["rand"], METRIC_NAMES, cfg)
+        assert sum(kind is not analysis._Edges for kind in checked) == len(cfg.histogram_bins)
+        assert checked.count(analysis._Edges) > 3 * 10
+
+    def test_unknown_bins_name_rejected(self):
+        with pytest.raises(ValueError, match="histogram_bins 'sped' names no histogram; valid names: speed, accel"):
+            AnalysisConfig(histogram_bins={**AnalysisConfig().histogram_bins, "sped": [0.0, 100.0]})
 
 
 class TestConfig:
@@ -1153,6 +1172,186 @@ class TestOnePass:
             excess[n] = traced(lambda: run_analysis(cache, ["rand"], METRIC_NAMES, vmap=vmap))[0] - drained
         one_scene = traced(lambda: cache.load_path(cache.resolve(["rand"])[-1].path))[1]
         assert excess[32] - excess[4] <= one_scene, (excess, one_scene)
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestSceneParallel:
+    """A run of 2 * _MIN_SHARE scene files or more forks one worker per share
+    after the first, one share per CPU the process may run on, and reports
+    and fails as the same run in one process does."""
+
+    VMAP = VectorMap("toy:flat", [straight_lane("L1", 0.0, length=200.0, half_width=3.0)])
+    TAGS = ["pa", "pb"]
+
+    @pytest.fixture
+    def cache(self, tmp_path):
+        # 40 files, pa spanning the first shares. Agent ids a0, a1, ... recur with other types, and
+        # the tag pa-loc0 of pa20 ... pa25 puts the smallest (tag, scene id) of an id after its first file.
+        rng = np.random.default_rng(35)
+        scenes = [random_scene(rng, n_agents=int(rng.integers(3, 9)), n_timesteps=40, dataset=dataset,
+                               scene_id=f"{dataset}{k:02d}", location="loc0" if k >= 20 else "loc1")
+                  for dataset, n in zip(self.TAGS, (26, 14)) for k in range(n)]
+        return _cache_of(tmp_path / "cache", scenes)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pid that called os.fork, once per fork."""
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+        return forks
+
+    @staticmethod
+    def _cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    def _report(self, cache, out, tags=None, cfg=None):
+        paths = emit_report(run_analysis(cache, tags or self.TAGS, METRIC_NAMES, cfg, vmap=self.VMAP), out)
+        return {p.name: p.read_bytes() for p in paths}
+
+    @staticmethod
+    def _outcome(fn):
+        try:
+            fn()
+        except Exception as exc:
+            return type(exc), str(exc)
+        pytest.fail("the run raised nothing")
+
+    @pytest.mark.parametrize("cpus", [2, 3, 5])
+    def test_report_bytes_match_one_process(self, tmp_path, monkeypatch, cache, forks, cpus):
+        cfg = AnalysisConfig(cumulative_heading=True, per_timestep_rates=cpus == 3)
+        self._cpus(monkeypatch, 1)
+        want = self._report(cache, tmp_path / "one", cfg=cfg)
+        assert forks == []
+        self._cpus(monkeypatch, cpus)
+        shares = analysis._shares(cache.walk_files(self.TAGS))
+        assert len(shares) == cpus and sum(map(len, shares)) == 40
+        assert self._report(cache, tmp_path / "forked", cfg=cfg) == want
+        assert forks == [os.getpid()] * (cpus - 1)
+        assert _no_child_left()
+        # An id's type comes from the scene with its smallest (tag, scene id), in another share than its first file.
+        share_of = {path.stem: k for k, share in enumerate(shares) for path in share}
+        moved = set()
+        for dataset in self.TAGS:
+            first, smallest = {}, {}
+            for scene in cache.iter_scenes([dataset]):
+                for agent_id in scene.agent_ids:
+                    first.setdefault(agent_id, scene.scene_id)
+                    key = (scene.scene_tag().render(), scene.scene_id)
+                    smallest[agent_id] = min(smallest.get(agent_id, key), key)
+            moved |= {(dataset, a) for a in first if share_of[first[a]] != share_of[smallest[a][1]]}
+        assert moved
+
+    @pytest.mark.parametrize("tags, corrupt, uncountable", [
+        (["pa", "pb"], ["pb09", "pb12"], None),          # a flipped payload in the last share
+        (["pa", "pa-test", "pb"], ["pb03"], None),       # pa-test matches nothing, and pa is read before pb03
+        (["pa", "pb", "pb-test"], ["pa17"], None),       # a flipped payload before the unmatched query's dataset ends
+        (["pa", "pb", "pb-test"], [], "pb08"),           # a count's error in the last share
+        (["pa", "pb", "pb-test"], [], "pb13"),           # ... on the dataset's last file, before its unmatched query
+        (["pa", "pb-test"], [], None),                   # an unmatched query of a dataset a worker reads
+    ])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_the_first_fault_in_walk_order_is_raised(self, tmp_path, monkeypatch, cache, forks, tags, corrupt, uncountable, cpus):
+        for scene_id in corrupt:
+            path = cache.cache_dir / scene_id[:2] / f"{scene_id}.tksc"
+            data = bytearray(path.read_bytes())
+            data[-40] ^= 0xFF
+            path.write_bytes(bytes(data))
+        stationary = analysis.stationary_fraction
+
+        def failing(scene, cfg):
+            if scene.scene_id == uncountable:
+                raise ValueError(f"cannot count {scene.scene_id}")
+            return stationary(scene, cfg)
+
+        monkeypatch.setattr(analysis, "stationary_fraction", failing)
+        self._cpus(monkeypatch, 1)
+        want = self._outcome(lambda: self._report(cache, tmp_path / "one", tags))
+        assert forks == []
+        self._cpus(monkeypatch, cpus)
+        assert self._outcome(lambda: self._report(cache, tmp_path / "forked", tags)) == want
+        assert len(forks) == cpus - 1 and _no_child_left()
+        assert not (tmp_path / "one").exists() and not (tmp_path / "forked").exists()
+
+    def test_each_file_is_opened_and_checked_once_across_processes(self, tmp_path, monkeypatch, cache, forks):
+        log = os.open(tmp_path / "reads.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        real_open, read_header = io.open, ingest._read_header
+
+        def counting_open(file, *args, **kwargs):
+            if str(file).endswith(".tksc"):
+                os.write(log, f"open {os.getpid()} {file}\n".encode())
+            return real_open(file, *args, **kwargs)
+
+        def checking(header):
+            os.write(log, f"check {os.getpid()} {header['scene_id']}\n".encode())
+            return read_header(header)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(ingest, "_read_header", checking)
+        self._cpus(monkeypatch, 3)
+        try:
+            self._report(cache, tmp_path / "out")
+        finally:
+            os.close(log)
+        lines = [line.split(" ", 2) for line in (tmp_path / "reads.log").read_text().splitlines()]
+        opened = [name for kind, _, name in lines if kind == "open"]
+        assert sorted(opened) == sorted(str(p) for p in cache.walk_files(self.TAGS))
+        assert sorted(name for kind, _, name in lines if kind == "check") == sorted(Path(p).stem for p in opened)
+        assert len({pid for kind, pid, _ in lines if kind == "open"}) == 3 and len(forks) == 2
+
+    def test_an_interrupt_reaps_every_worker(self, monkeypatch, cache, forks):
+        parent, stationary = os.getpid(), analysis.stationary_fraction
+
+        def interrupted(scene, cfg):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return stationary(scene, cfg)
+
+        monkeypatch.setattr(analysis, "stationary_fraction", interrupted)
+        self._cpus(monkeypatch, 3)
+        with pytest.raises(KeyboardInterrupt):
+            run_analysis(cache, self.TAGS, ["stationary"])
+        assert len(forks) == 2 and _no_child_left()
+
+    def test_few_files_or_one_cpu_stay_in_one_process(self, tmp_path, monkeypatch, cache, forks):
+        self._cpus(monkeypatch, 1)
+        run_analysis(cache, self.TAGS, ["population"])
+        assert forks == []
+        self._cpus(monkeypatch, 2)
+        scenes = list(cache.iter_scenes(["pa"]))
+        for n, forked in ((2 * analysis._MIN_SHARE - 1, 0), (2 * analysis._MIN_SHARE, 1)):
+            run_analysis(_cache_of(tmp_path / f"c{n}", scenes[:n]), ["pa"], ["population"])
+            assert len(forks) == forked
+            forks.clear()
+
+    def test_no_fork_where_it_is_missing_or_would_warn(self, tmp_path, monkeypatch, cache, forks):
+        self._cpus(monkeypatch, 2)
+        want = self._report(cache, tmp_path / "want")
+        assert len(forks) == 1
+        with monkeypatch.context() as patch:
+            patch.delattr(os, "fork")
+            assert not analysis._fork_is_quiet()
+            assert self._report(cache, tmp_path / "no-fork") == want
+        # From Python 3.12, os.fork warns while another thread runs in the process.
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "version_info", (3, 12, 0, "final", 0))
+                assert not analysis._fork_is_quiet()
+                assert self._report(cache, tmp_path / "threads") == want
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and len(forks) == 1 and _no_child_left()
 
 
 class TestReport:

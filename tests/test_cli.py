@@ -450,7 +450,9 @@ class TestBatchCommand:
                      "--history", "0,1", "--future", "0,1", "--batch-size", size, "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0] == "error: mixed window shapes: (6, 8)/(5, 8) vs (11, 8)/(10, 8)", err
+        want = ("error: mixed window shapes: (6, 8)/(5, 8) from scene 'dt0.2' of synth-flat at dt 0.2"
+                " vs (11, 8)/(10, 8) from scene 'dt0.1' of synth-flat at dt 0.1")
+        assert len(err) == 1 and err[0] == want, err
         assert not out.exists()
 
     def test_bad_window_exit_64(self, workspace):
@@ -933,6 +935,16 @@ class TestMalformedConfig:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: histogram_bins '{metric}' must hold 2 or more edges"), err
+        assert not out.exists()
+
+    def test_unknown_bins_name_exit_2_naming_it(self, workspace, capsys):
+        tmp_path, cache_dir = workspace
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "o"
+        cfg_path.write_text('{"histogram_bins": {"sped": [0, 100]}}')  # a misspelt speed
+        code = main(["analyze", "--cache", str(cache_dir), "--tags", "synth", "--metrics", "speed", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: histogram_bins 'sped' names no histogram; valid names: speed,"), err
         assert not out.exists()
 
 

@@ -13,10 +13,11 @@ from trajkit.kinematics import (
     impute_linear,
     plan_resample,
     resample_scene,
+    unwrap_segments,
 )
 
 from conftest import random_scene
-from oracles import reference_derivative
+from oracles import reference_derivative, reference_impute_linear, reference_unwrap_segments
 
 
 class TestSegmentDerivative:
@@ -46,6 +47,46 @@ class TestSegmentDerivative:
         s = np.random.default_rng(2).normal(size=50)
         for n in range(6):
             assert derive_derivative(s[:n], 0.1).tobytes() == derive_derivative(s[:n], 0.1, [0, n]).tobytes()
+
+
+class TestUnwrapSegments:
+    """unwrap_segments gives the bits of one np.unwrap call per segment."""
+
+    @staticmethod
+    def _headings(rng, n):
+        # Wrapped random walks with jumps near pi, a few exact +-pi ties and huge values.
+        h = np.angle(np.exp(1j * np.cumsum(rng.normal(0.0, rng.choice([0.3, 2.0, 3.1]), size=n))))
+        h[rng.random(n) < 0.05] = rng.choice([np.pi, -np.pi])
+        h[rng.random(n) < 0.02] *= 1e6
+        return h
+
+    def test_matches_per_segment_calls(self):
+        rng = np.random.default_rng(35)
+        for _ in range(300):
+            lengths = rng.choice([1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 33, 64, 65, 200], size=int(rng.integers(1, 12)))
+            offsets = np.concatenate([[0], np.cumsum(lengths)])
+            h = self._headings(rng, int(offsets[-1]))
+            segments = None if rng.random() < 0.3 else np.flatnonzero(rng.random(len(lengths)) < 0.6)
+            got = unwrap_segments(h, offsets, segments)
+            assert got.tobytes() == reference_unwrap_segments(h, offsets, segments).tobytes()
+        assert unwrap_segments(np.zeros(0), np.array([0])).shape == (0,)
+
+    def test_impute_linear_heading_of_gapped_agents_of_mixed_lengths(self):
+        # One impute_linear call over every agent against one reference call per agent.
+        rng = np.random.default_rng(36)
+        ts_parts, h_parts, want = [], [], []
+        for n in rng.choice([2, 3, 5, 9, 17, 40, 130], size=40).tolist():
+            keep = rng.random(n) < 0.6
+            keep[0] = keep[-1] = True
+            ts = np.flatnonzero(keep) + int(rng.integers(0, 50))
+            h = self._headings(rng, len(ts))
+            ts_parts.append(ts)
+            h_parts.append(h)
+            want.append(reference_impute_linear(ts, {"heading": h})[1]["heading"])
+        offsets = np.concatenate([[0], np.cumsum([len(ts) for ts in ts_parts])])
+        _, got, observed = impute_linear(np.concatenate(ts_parts), {"heading": np.concatenate(h_parts)}, offsets=offsets)
+        assert not observed.all()
+        assert got["heading"].tobytes() == np.concatenate(want).tobytes()
 
 
 class TestDeriveDerivative:

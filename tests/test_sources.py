@@ -36,6 +36,14 @@ that opens a file could decode a file that a concurrent writer replaced
 under the tag its first read saw, or come to hold more than one file's
 bytes. cache_load and scene_from_bytes stay the byte-level entry points
 outside the class.
+
+The package forks in one place, the analysis worker, and the child branch
+of that fork ends in a finally that calls os._exit: a child that returned
+or raised into its caller would run the parent's code a second time (a
+test runner's, a benchmark's), and one that left by sys.exit would flush
+buffers and run exit handlers the parent owns. No module starts a thread or
+another process: a thread beside the fork would make Python 3.12 and later
+warn, and each worker is one the run reaps.
 """
 
 import ast
@@ -310,3 +318,106 @@ def test_the_check_sees_a_name_that_is_gone():
         ("outside", "workloads", "_policy", None),
     ]
     assert _unresolved(targets) == ["trajkit.ingest.SceneCache.gone", "trajkit.vecmap.Gone.closest_lane_with_distance", "trajkit.gone.run"]
+
+
+# Modules whose use starts a thread or a process, and os calls that start or replace a process.
+_STARTER_MODULES = frozenset({"threading", "_thread", "multiprocessing", "concurrent", "subprocess", "asyncio", "pty"})
+_STARTER_CALLS = re.compile(r"(system|popen|spawn\w*|posix_spawnp?|exec\w*|forkpty|fork)$")
+
+
+def _called_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _is_exit(stmt: ast.stmt) -> bool:
+    return (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+            and ast.unparse(stmt.value.func) == "os._exit")
+
+
+def _forks(source: str) -> list[tuple[int, bool]]:
+    """(line, child leaves by os._exit) of each os.fork call in source: the
+    call's result is bound to a name that an `if <name> == 0:` tests, and
+    that branch ends in a try whose finally ends in os._exit."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "os.fork"):
+            continue
+        # The innermost function holding the call: ast.walk reaches an outer one first.
+        owner = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.Module)) and node in ast.walk(f)][-1]
+        names = {t.id for a in ast.walk(owner) if isinstance(a, ast.Assign) and a.value is node for t in a.targets if isinstance(t, ast.Name)}
+        branches = [b.body for b in ast.walk(owner) if isinstance(b, ast.If) and isinstance(b.test, ast.Compare)
+                    and ast.unparse(b.test) in {f"{name} == 0" for name in names}]
+        ok = len(branches) == 1 and isinstance(branches[0][-1], ast.Try) and bool(branches[0][-1].finalbody) \
+            and _is_exit(branches[0][-1].finalbody[-1])
+        found.append((node.lineno, ok))
+    return sorted(found)
+
+
+def _starters(source: str) -> list[str]:
+    """Lines of source that import a module that starts threads or processes,
+    or call an os function (other than fork) that starts or replaces a process."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+            if any(m.partition(".")[0] in _STARTER_MODULES for m in modules):
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.Call) and ast.unparse(node.func).startswith("os.") and _STARTER_CALLS.match(_called_name(node) or "") \
+                and _called_name(node) != "fork":
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_one_fork_whose_child_leaves_by_os_exit():
+    forks = {p.stem: _forks(p.read_text(encoding="utf-8")) for p in _PACKAGE.glob("*.py")}
+    forks = {module: sites for module, sites in forks.items() if sites}
+    assert list(forks) == ["analysis"] and len(forks["analysis"]) == 1, forks
+    assert forks["analysis"][0][1]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in _PACKAGE.glob("*.py")))
+def test_module_starts_no_thread_or_process(module):
+    assert _starters((_PACKAGE / f"{module}.py").read_text(encoding="utf-8")) == []
+
+
+_FORKING = """
+import os
+
+class Worker:
+    def __init__(self, job):
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                job()
+                status = 0
+            finally:
+                os._exit(status)
+        self.pid = pid
+"""
+
+
+def test_the_check_sees_a_child_that_can_return():
+    assert _forks(_FORKING) == [(7, True)]
+    assert [ok for _, ok in _forks(_FORKING + "\ndef again():\n    return os.fork()\n")] == [True, False]
+    for child in (
+        "        if pid == 0:\n            job()\n            os._exit(0)\n",                       # job() may raise past the exit
+        "        if pid == 0:\n            try:\n                job()\n            finally:\n                sys.exit(0)\n",
+        "        if pid == 0:\n            try:\n                job()\n            except Exception:\n                os._exit(1)\n",
+        "        if pid != 0:\n            self.pid = pid\n",
+    ):
+        head, _, _ = _FORKING.partition("        if pid == 0:")
+        assert _forks(head + child) == [(7, False)], child
+
+
+def test_the_check_sees_a_thread_or_process_starter():
+    for code in ("import threading", "from threading import Thread", "import concurrent.futures", "from concurrent.futures import ProcessPoolExecutor",
+                 "import multiprocessing as mp", "import subprocess", "import _thread", "os.system('ls')", "os.posix_spawn(p, [p], {})",
+                 "os.execv(p, [p])", "os.spawnlp(os.P_NOWAIT, 'ls')", "os.popen('ls')", "os.forkpty()"):
+        assert _starters(code), code
+    for code in ("import os", "pid = os.fork()", "os.waitpid(pid, 0)", "os.sched_getaffinity(0)", "os.pipe()", "from os import path",
+                 "x.system = 1", "spawn(p)"):
+        assert _starters(code) == [], code
