@@ -21,17 +21,13 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
-import pickle
-import signal
-import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import TYPE_NAMES as _TYPE_NAMES, SceneFrame, SceneTag, _checked_object, load_json, rotate, wrap_angle
+from .core import TYPE_NAMES as _TYPE_NAMES, SceneFrame, SceneTag, _checked_object, _cpus, _fork_is_quiet, _Worker, load_json, rotate, wrap_angle
 from .ingest import SceneCache
 from .kinematics import derive_derivative, unwrap_segments
 from .vecmap import VectorMap
@@ -608,28 +604,6 @@ class _Counts:
             add("offroad", offroad_rate(scene, vmap, cfg))
 
 
-def _fork_is_quiet() -> bool:
-    """Whether os.fork exists and would raise no DeprecationWarning: from
-    Python 3.12 it warns while any other thread runs in the process, as
-    numpy's BLAS pool may."""
-    if not hasattr(os, "fork"):
-        return False
-    if sys.version_info < (3, 12):
-        return True
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:  # no /proc: the threads cannot be counted as CPython counts them
-        return False
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
 def _shares(paths: list[Path]) -> list[list[Path]]:
     """paths cut into contiguous shares of about equal bytes, one for each
     process that counts them: one process per CPU this one may run on, each
@@ -664,53 +638,6 @@ class _ShareReads:
         return got
 
 
-class _Worker:
-    """A forked process that pickles job()'s result back through a pipe and
-    leaves by os._exit, whatever job does."""
-
-    def __init__(self, job):
-        r, w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(r)
-            os.close(w)
-            raise
-        if pid == 0:
-            status = 1
-            try:
-                os.close(r)
-                with os.fdopen(w, "wb") as pipe:
-                    pickle.dump(job(), pipe, pickle.HIGHEST_PROTOCOL)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(w)
-        self.pid, self.fd, self.result = pid, r, None
-
-    def receive(self):
-        """job()'s result, read to the end of the pipe; the worker is then reaped."""
-        with os.fdopen(self.fd, "rb") as pipe:
-            self.fd = None
-            data = pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if not data:
-            raise RuntimeError(f"an analysis worker ended without its counts (wait status {status})")
-        self.result = pickle.loads(data)
-        return self.result
-
-    def stop(self) -> None:
-        """Kill the worker unless it was reaped, reap it and close its pipe."""
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
-
-
 def run_analysis(cache: SceneCache, tags: Sequence[str], metrics: Sequence[str], cfg: AnalysisConfig | None = None,
                  vmap: VectorMap | None = None, ego_id: str = "ego") -> MetricReport:
     """Run the named metrics in one pass over the scenes the tags select and
@@ -728,8 +655,9 @@ def run_analysis(cache: SceneCache, tags: Sequence[str], metrics: Sequence[str],
     taking the tags the workers read in place of reading their files again,
     so each file is opened once, and the first fault in that order is
     raised: a file's CacheError, a count's error or an UnknownTagError once
-    its dataset is read. Every worker is reaped before the run returns or
-    raises."""
+    its dataset is read. A worker that ends without its counts raises
+    ChildProcessError naming its exit code or signal (core._Worker). Every
+    worker is reaped before the run returns or raises."""
     cfg = cfg or AnalysisConfig()
     unknown = [m for m in metrics if m not in METRIC_NAMES]
     if unknown:

@@ -19,7 +19,11 @@ import copy
 import enum
 import json
 import math
+import os
+import pickle
+import signal
 import struct
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -553,3 +557,82 @@ def scene_validate(scene: SceneFrame) -> list[str]:
             )
 
     return violations
+
+
+# ---------------------------------------------------------------------------
+# Forked workers
+# ---------------------------------------------------------------------------
+
+
+def _fork_is_quiet() -> bool:
+    """Whether os.fork exists and would raise no DeprecationWarning: from
+    Python 3.12 it warns while any other thread runs in the process, as
+    numpy's BLAS pool may."""
+    if not hasattr(os, "fork"):
+        return False
+    if sys.version_info < (3, 12):
+        return True
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:  # no /proc: the threads cannot be counted as CPython counts them
+        return False
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+class _Worker:
+    """A forked process that pickles job()'s result back through a pipe and
+    leaves by os._exit, whatever job does or raises."""
+
+    def __init__(self, job):
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                os.close(r)
+                data = pickle.dumps(job(), pickle.HIGHEST_PROTOCOL)  # whole before a byte is sent
+                with os.fdopen(w, "wb") as pipe:
+                    pipe.write(data)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(w)
+        self.pid, self.fd, self.result = pid, r, None
+
+    def receive(self):
+        """job()'s result, read to the end of the pipe; the worker is then
+        reaped. ChildProcessError names the exit code or signal of a worker
+        that ended without sending it."""
+        with os.fdopen(self.fd, "rb") as pipe:
+            self.fd = None
+            data = pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        pid, self.pid = self.pid, None
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            how = f"exit code {code}" if code > 0 else f"signal {-code} ({signal.strsignal(-code)})"
+            raise ChildProcessError(f"worker process {pid} ended without its result: {how}")
+        self.result = pickle.loads(data)
+        return self.result
+
+    def stop(self) -> None:
+        """Kill the worker unless it was reaped, reap it and close its pipe."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None

@@ -1,6 +1,7 @@
 import builtins
 import io
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -18,6 +19,28 @@ from trajkit.vecmap import Polyline, PolygonArea, RoadLane, TrafficLightStatus, 
 @pytest.fixture
 def cache(tmp_path):
     return SceneCache(tmp_path / "cache")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid that called os.fork, once per fork."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    return forks
+
+
+def set_cpus(monkeypatch, n: int) -> None:
+    """Make os.sched_getaffinity report n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def count_scene_file_reads(monkeypatch) -> tuple[list[Path], list[str], list[str]]:

@@ -1,8 +1,13 @@
+import copy
 import dataclasses
+import errno
 import io
 import json
 import math
+import os
 import pickle
+import sys
+import threading
 import zipfile
 
 import numpy as np
@@ -22,10 +27,11 @@ from trajkit.batching import (
     get_element,
     seconds_to_steps,
 )
+from trajkit.cli import main
 from trajkit.core import AgentMetadata, AgentType, SceneFrame
 from trajkit.ingest import SceneCache, SceneMetaRecord, Straight, UnknownTagError, parse_canonical_csv, synth_scene
 
-from conftest import count_scene_file_reads, random_scene
+from conftest import count_scene_file_reads, no_child_left, random_scene, set_cpus
 from oracles import enumerate_qualifying, reference_element, reference_index_entries, reference_write_npz
 
 HEADER = "scene_id,agent_id,agent_type,frame,x,y,z,heading,length,width,height"
@@ -520,6 +526,21 @@ class TestExport:
         # Both datasets hold s0 and s1: only the dataset tag tells their elements apart.
         assert len({scene_id for _, scene_id, _, _ in got}) == 2 and len({key[:2] for key in got}) == 4 and len(manifest["batches"]) > 2
 
+    @pytest.mark.parametrize("size", [2.5, 32.0, math.inf, math.nan, "32", None])
+    def test_batch_size_not_an_integer_rejected(self, cache, tmp_path, size):
+        cache.write(synth_scene(Straight(10.0), 1, 30, 0.1))
+        index = build_index(cache, ["synth"], "agent", WindowSpec((0.0, 0.0), (0.0, 0.0)))
+        with pytest.raises(ValueError, match=f"batch_size must be an integer >= 1, got {size!r}"):
+            export_batches(index, tmp_path / "out", batch_size=size)
+        assert not (tmp_path / "out").exists()
+
+    def test_numpy_integer_batch_size_is_that_integer(self, cache, tmp_path):
+        cache.write(synth_scene(Straight(10.0), 1, 30, 0.1))
+        index = build_index(cache, ["synth"], "agent", WindowSpec((0.0, 0.0), (0.0, 0.0)))
+        export_batches(index, tmp_path / "int", batch_size=4)
+        export_batches(index, tmp_path / "np", batch_size=np.int64(4))
+        assert _tree(tmp_path / "np") == _tree(tmp_path / "int")
+
     def test_batch_size_below_one_rejected(self, cache, tmp_path):
         cache.write(synth_scene(Straight(10.0), 1, 30, 0.1))
         index = build_index(cache, ["synth"], "agent", WindowSpec((0.0, 0.0), (0.0, 0.0)))
@@ -527,6 +548,12 @@ class TestExport:
             with pytest.raises(ValueError, match="batch_size"):
                 export_batches(index, tmp_path / "out", batch_size=size)
         assert not (tmp_path / "out").exists()
+
+
+def _tree(path) -> dict:
+    """Each file's bytes by name, for the files directly in path."""
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
 
 def _assert_same_bits(got, want):
     # AgentBatchElement.__eq__ uses array_equal, which takes -0.0 == 0.0.
@@ -856,3 +883,167 @@ class TestNpzWriter:
             batching._write_npz_deterministic(path, arrays)
         assert not path.exists()
 
+
+class TestParallelExport:
+    """An export of 2 * _MIN_BATCHES batches or more forks one worker per
+    share after the first, one share per CPU the process may run on, and
+    writes and fails as the same export in one process does."""
+
+    WINDOW = ["--history", "0.2,0.4", "--future", "0.2,0.3"]
+
+    @pytest.fixture(scope="class")
+    def cache_dir(self, tmp_path_factory):
+        rng = np.random.default_rng(36)
+        cache = SceneCache(tmp_path_factory.mktemp("parallel") / "cache")
+        cache.write_many(random_scene(rng, n_agents=3, n_timesteps=70, scene_id=f"s{k:02d}") for k in range(14))
+        return cache.cache_dir
+
+    @pytest.fixture(scope="class")
+    def indices(self, cache_dir):
+        window = WindowSpec((0.2, 0.4), (0.2, 0.3))
+        return {centric: build_index(SceneCache(cache_dir), ["rand"], centric, window) for centric in ("agent", "scene")}
+
+    @staticmethod
+    def _shares(n_batches, cpus):
+        n = min(cpus, n_batches // batching._MIN_BATCHES)
+        return [range(n_batches * k // n, n_batches * (k + 1) // n) for k in range(n)]
+
+    @pytest.mark.parametrize("cpus", [2, 3, 5])
+    @pytest.mark.parametrize("batch_size", [1, 7, 32])
+    @pytest.mark.parametrize("centric", ["agent", "scene"])
+    def test_bytes_match_one_process(self, tmp_path, monkeypatch, indices, forks, centric, batch_size, cpus):
+        index = indices[centric]
+        set_cpus(monkeypatch, 1)
+        export_batches(index, tmp_path / "one", batch_size)
+        assert forks == []
+        set_cpus(monkeypatch, cpus)
+        export_batches(index, tmp_path / "forked", batch_size)
+        assert _tree(tmp_path / "forked") == _tree(tmp_path / "one")
+        shares = self._shares(-(-len(index) // batch_size), cpus)
+        assert len(shares) >= 2 and forks == [os.getpid()] * (len(shares) - 1)
+        assert no_child_left()
+
+    def _run(self, capsys, cache_dir, out, centric, batch_size):
+        """(exit code, stderr lines with out as OUT, names of the files in out) of a trajkit batch run."""
+        code = main(["batch", "--cache", str(cache_dir), "--tags", "rand", "--centric", centric, *self.WINDOW,
+                     "--batch-size", str(batch_size), "--out", str(out)])
+        return code, capsys.readouterr().err.replace(str(out), "OUT").splitlines(), sorted(p.name for p in out.iterdir())
+
+    @pytest.mark.parametrize("where", [
+        [(0, 1)],              # the caller's share
+        [(2, 0)],              # the first batch of the last worker's share
+        [(2, -1)],             # its last batch
+        [(1, 2), (2, 1)],      # two workers' shares: the first in batch order is raised
+        [(0, -1), (1, 0)],     # the caller's last batch before a worker's first
+    ])
+    @pytest.mark.parametrize("kind", ["build", "write"])
+    @pytest.mark.parametrize("centric", ["agent", "scene"])
+    def test_a_fault_gives_the_one_process_outcome(self, tmp_path, monkeypatch, capsys, cache_dir, indices, forks, centric, kind, where):
+        batch_size = 7
+        shares = self._shares(-(-len(indices[centric]) // batch_size), 3)
+        assert len(shares) == 3
+        faulty = {shares[k][i] for k, i in where}
+        if kind == "build":
+            name = "get_batch" if centric == "agent" else "_scene_elements"
+            build = getattr(batching, name)
+
+            def failing(index, indices):
+                if indices.start // batch_size in faulty:
+                    raise ValueError(f"cannot build batch {indices.start // batch_size}")
+                return build(index, indices)
+
+            monkeypatch.setattr(batching, name, failing)
+        else:
+            write = batching._write_npz_deterministic
+
+            def failing(path, arrays):
+                if int(path.stem[6:]) in faulty:  # the disk fills part way through the container
+                    path.write_bytes(b"PK\x03\x04")
+                    raise OSError(errno.ENOSPC, "No space left on device", str(path))
+                return write(path, arrays)
+
+            monkeypatch.setattr(batching, "_write_npz_deterministic", failing)
+        set_cpus(monkeypatch, 1)
+        want = self._run(capsys, cache_dir, tmp_path / "one", centric, batch_size)
+        assert forks == [] and want[0] == (2 if kind == "build" else 5) and len(want[1]) == 1
+        assert want[2] == [f"batch_{b:05d}.npz" for b in range(min(faulty) + (kind == "write"))]
+        set_cpus(monkeypatch, 3)
+        assert self._run(capsys, cache_dir, tmp_path / "forked", centric, batch_size) == want
+        assert len(forks) == 2 and no_child_left()
+
+    @pytest.mark.parametrize("centric", ["agent", "scene"])
+    def test_each_batch_is_built_once_across_processes(self, tmp_path, monkeypatch, indices, forks, centric):
+        index, batch_size = indices[centric], 5
+        log = os.open(tmp_path / "builds.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        name = "get_batch" if centric == "agent" else "_scene_elements"
+        build = getattr(batching, name)
+
+        def logged(index, indices):
+            os.write(log, f"{os.getpid()} {indices.start} {indices.stop}\n".encode())
+            return build(index, indices)
+
+        monkeypatch.setattr(batching, name, logged)
+        set_cpus(monkeypatch, 3)
+        try:
+            export_batches(index, tmp_path / "out", batch_size)
+        finally:
+            os.close(log)
+        builds = [line.split() for line in (tmp_path / "builds.log").read_text().splitlines()]
+        n_batches = -(-len(index) // batch_size)
+        assert sorted(int(lo) for _, lo, _ in builds) == [b * batch_size for b in range(n_batches)]
+        assert len({pid for pid, _, _ in builds}) == 3 and len(forks) == 2
+        # Each process builds one contiguous share, the caller the first.
+        assert [pid for pid, lo, _ in builds if lo == "0"] == [str(os.getpid())]
+
+    def test_an_interrupt_reaps_every_worker(self, tmp_path, monkeypatch, indices, forks):
+        parent, build = os.getpid(), batching.get_batch
+
+        def interrupted(index, indices):
+            if os.getpid() == parent and indices.start > 0:
+                raise KeyboardInterrupt
+            return build(index, indices)
+
+        monkeypatch.setattr(batching, "get_batch", interrupted)
+        set_cpus(monkeypatch, 3)
+        with pytest.raises(KeyboardInterrupt):
+            export_batches(indices["agent"], tmp_path / "out", 1)
+        assert len(forks) == 2 and no_child_left()
+        # The caller stopped at its batch 1: no worker's container is left.
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["batch_00000.npz"]
+
+    def test_one_cpu_or_few_batches_stay_in_one_process(self, tmp_path, monkeypatch, indices, forks):
+        set_cpus(monkeypatch, 1)
+        export_batches(indices["agent"], tmp_path / "one-cpu", 1)
+        assert forks == []
+        set_cpus(monkeypatch, 2)
+        # The benchmark's scene export writes 2 batches, and its agent export 31.
+        for n, forked in ((2, 0), (2 * batching._MIN_BATCHES - 1, 0), (2 * batching._MIN_BATCHES, 1), (31, 1)):
+            index = copy.copy(indices["agent"])
+            index.entries = index.entries[:n]
+            export_batches(index, tmp_path / f"n{n}", 1)
+            assert len(forks) == forked
+            forks.clear()
+
+    def test_no_fork_where_it_is_missing_or_would_warn(self, tmp_path, monkeypatch, indices, forks):
+        index = indices["scene"]
+        set_cpus(monkeypatch, 2)
+        export_batches(index, tmp_path / "want", 1)
+        want = _tree(tmp_path / "want")
+        assert len(forks) == 1
+        with monkeypatch.context() as patch:
+            patch.delattr(os, "fork")
+            export_batches(index, tmp_path / "no-fork", 1)
+            assert _tree(tmp_path / "no-fork") == want
+        # From Python 3.12, os.fork warns while another thread runs in the process.
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "version_info", (3, 12, 0, "final", 0))
+                export_batches(index, tmp_path / "threads", 1)
+                assert _tree(tmp_path / "threads") == want
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and len(forks) == 1 and no_child_left()

@@ -4,6 +4,7 @@ import logging
 import math
 import os
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import trajkit
+from trajkit import analysis, batching
 from trajkit.analysis import METRIC_NAMES
 from trajkit.cli import main
 from trajkit.ingest import (
@@ -23,7 +25,7 @@ from trajkit.ingest import (
 from trajkit.kinematics import ResampleRatioError, resample_scene
 from trajkit.vecmap import VectorMap, map_serialize
 
-from conftest import UNDECODABLE_HEADERS, replace_header, rewrite_json_header, straight_lane
+from conftest import UNDECODABLE_HEADERS, no_child_left, replace_header, rewrite_json_header, set_cpus, straight_lane
 
 HEADER = "scene_id,agent_id,agent_type,frame,x,y,z,heading,length,width,height"
 
@@ -1015,3 +1017,44 @@ class TestRowBudget:
         assert ROW_BUDGET == 16777216
         code, err = self._ingest(tmp_path, "in.txt", "0 1 0 0\n100000 1 1 1\n", "frame-text")  # 100,001 rows: completed
         assert code == 0, err
+
+
+def _die(how):
+    if how == "exit":
+        os._exit(7)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestWorkerDeath:
+    """A forked worker that ends without its result is an i/o error, exit 5,
+    for analyze and batch alike; no child is left behind."""
+
+    DEATHS = [("exit", "exit code 7"), ("kill", f"signal {int(signal.SIGKILL)} ")]
+
+    @pytest.mark.parametrize("how, named", DEATHS)
+    def test_analyze(self, tmp_path, monkeypatch, capsys, forks, how, named):
+        cache = SceneCache(tmp_path / "cache")
+        cache.write_many(synth_scene(Straight(10.0), 1, 30, 0.1, scene_id=f"s{k:02d}") for k in range(2 * analysis._MIN_SHARE))
+        parent, count = os.getpid(), analysis._Counts.count
+        monkeypatch.setattr(analysis._Counts, "count", lambda *args: count(*args) if os.getpid() == parent else _die(how))
+        set_cpus(monkeypatch, 2)
+        code = main(["analyze", "--cache", str(cache.cache_dir), "--tags", "synth", "--metrics", "speed", "--out", str(tmp_path / "report")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 5 and len(err) == 1 and err[0].startswith("i/o error: ") and named in err[0], err
+        assert len(forks) == 1 and no_child_left()
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("how, named", DEATHS)
+    def test_batch(self, workspace, monkeypatch, capsys, forks, how, named):
+        tmp_path, cache_dir = workspace
+        parent, build = os.getpid(), batching.get_batch
+        monkeypatch.setattr(batching, "get_batch", lambda *args: build(*args) if os.getpid() == parent else _die(how))
+        set_cpus(monkeypatch, 2)
+        out = tmp_path / "batches"
+        code = main(["batch", "--cache", str(cache_dir), "--tags", "synth", "--history", "1,3", "--future", "4,4",
+                     "--batch-size", "1", "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 5 and len(err) == 1 and err[0].startswith("i/o error: ") and named in err[0], err
+        assert len(forks) == 1 and no_child_left()
+        # The caller wrote its share, batches 0 to 24 of 50; the worker's share is gone.
+        assert sorted(p.name for p in out.iterdir()) == [f"batch_{b:05d}.npz" for b in range(25)]

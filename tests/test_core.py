@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from trajkit.core import (
     SceneColumns,
     SceneFrame,
     SceneTag,
+    _Worker,
     agent_columns,
     rotate,
     scene_validate,
@@ -33,7 +37,7 @@ from trajkit.ingest import (
 from trajkit.kinematics import resample_scene
 from trajkit.simulation import rollout_scene, sim_reset, sim_step
 
-from conftest import random_scene
+from conftest import no_child_left, random_scene
 
 
 class TestAgentType:
@@ -491,3 +495,54 @@ class TestAgentTable:
     def test_extent_of_another_shape(self):
         with pytest.raises(ValueError, match="reshape"):
             self._scene(extent=[[4.0, 2.0, 1.5]])
+
+
+def _raise(exc):
+    raise exc
+
+
+class TestWorker:
+    """core._Worker: a forked process that pipes its job's result back and
+    leaves by os._exit, whatever the job does."""
+
+    def test_result_round_trips(self):
+        result = {"entries": [{"file": "batch_00000.npz", "ts": [1, 2]}], "fault": ValueError("batch 3")}
+        worker = _Worker(lambda: result)
+        got = worker.receive()
+        assert got["entries"] == result["entries"] and type(got["fault"]) is ValueError and str(got["fault"]) == "batch 3"
+        assert worker.result is got and worker.pid is None and worker.fd is None
+        assert no_child_left()
+
+    @pytest.mark.parametrize("exc", [SystemExit(0), KeyboardInterrupt(), ValueError("job")])
+    def test_a_job_that_raises_leaves_by_os_exit(self, exc):
+        parent = os.getpid()
+        worker = _Worker(lambda: _raise(exc))
+        with pytest.raises(ChildProcessError, match=r"ended without its result: exit code 1$"):
+            worker.receive()
+        assert os.getpid() == parent and no_child_left()
+
+    def test_exit_code_and_signal_are_named(self):
+        with pytest.raises(ChildProcessError, match="exit code 7"):
+            _Worker(lambda: os._exit(7)).receive()
+        with pytest.raises(ChildProcessError, match=f"signal {int(signal.SIGKILL)} "):
+            _Worker(lambda: os.kill(os.getpid(), signal.SIGKILL)).receive()
+        assert no_child_left()
+
+    def test_stop_kills_and_reaps_a_running_worker(self):
+        worker = _Worker(lambda: time.sleep(60))
+        started = time.monotonic()
+        worker.stop()
+        assert time.monotonic() - started < 30
+        assert worker.pid is None and worker.fd is None and no_child_left()
+        worker.stop()  # a second stop does nothing
+
+    def test_forks_leave_no_descriptor_or_child(self):
+        before = len(os.listdir("/proc/self/fd"))
+        for k in range(50):
+            worker = _Worker(lambda k=k: k)
+            if k % 2:
+                assert worker.receive() == k
+            else:
+                worker.stop()
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert no_child_left()

@@ -37,7 +37,7 @@ under the tag its first read saw, or come to hold more than one file's
 bytes. cache_load and scene_from_bytes stay the byte-level entry points
 outside the class.
 
-The package forks in one place, the analysis worker, and the child branch
+The package forks in one place, core's _Worker, and the child branch
 of that fork ends in a finally that calls os._exit: a child that returned
 or raised into its caller would run the parent's code a second time (a
 test runner's, a benchmark's), and one that left by sys.exit would flush
@@ -373,8 +373,8 @@ def _starters(source: str) -> list[str]:
 def test_one_fork_whose_child_leaves_by_os_exit():
     forks = {p.stem: _forks(p.read_text(encoding="utf-8")) for p in _PACKAGE.glob("*.py")}
     forks = {module: sites for module, sites in forks.items() if sites}
-    assert list(forks) == ["analysis"] and len(forks["analysis"]) == 1, forks
-    assert forks["analysis"][0][1]
+    assert list(forks) == ["core"] and len(forks["core"]) == 1, forks
+    assert forks["core"][0][1]
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in _PACKAGE.glob("*.py")))
