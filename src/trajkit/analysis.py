@@ -9,7 +9,8 @@ integer counts: histogram bins with underflow and overflow, per-type rate
 numerators and denominators, and tallies. run_analysis adds them up per
 (metric, dataset, type). Every sample is binned on its own, so the report
 does not depend on the order of the scenes, and a run of many files counts
-contiguous shares of them in forked workers with the same report bytes.
+contiguous shares of them in forked workers with the same report bytes. The
+calling process lists the cache; a worker reads only the files listed for it.
 
 Rates use a per-agent "any timestep" event definition by default; a
 per-timestep variant sits behind AnalysisConfig.per_timestep_rates.
@@ -27,8 +28,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import TYPE_NAMES as _TYPE_NAMES, SceneFrame, SceneTag, _checked_object, _cpus, _fork_is_quiet, _Worker, load_json, rotate, wrap_angle
-from .ingest import SceneCache
+from .core import TYPE_NAMES as _TYPE_NAMES, SceneFrame, SceneTag, _checked_object, _share_count, _Worker, load_json, rotate, wrap_angle
+from .ingest import SceneCache, _queries, _selects
 from .kinematics import derive_derivative, unwrap_segments
 from .vecmap import VectorMap
 
@@ -606,9 +607,11 @@ class _Counts:
 
 def _shares(paths: list[Path]) -> list[list[Path]]:
     """paths cut into contiguous shares of about equal bytes, one for each
-    process that counts them: one process per CPU this one may run on, each
-    with _MIN_SHARE files or more, and a single one where forking is not quiet."""
-    n = min(_cpus(), len(paths) // _MIN_SHARE) if _fork_is_quiet() else 1
+    process that counts them. The file count sets how many (core._share_count):
+    one per CPU this process may run on, no more than one per _MIN_SHARE files,
+    and a single one where forking is not quiet. Bytes set where the cuts fall,
+    so a share of large files may hold fewer than _MIN_SHARE of them."""
+    n = _share_count(len(paths), _MIN_SHARE)
     if n < 2:
         return [paths]
     ends = np.cumsum([path.stat().st_size for path in paths])
@@ -617,25 +620,24 @@ def _shares(paths: list[Path]) -> list[list[Path]]:
     return [paths[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-class _ShareReads:
-    """A worker's reads of its share of a run's files: the tag of each file it
-    read, by path, and its first fault as (the file read last, the
-    exception); a fault on a file whose tag was read came from counting it."""
-
-    def __init__(self, share: list[Path]):
-        self.share = frozenset(share)
-        self.tags: dict[Path, SceneTag] = {}
-        self.fault: tuple[Path | None, Exception] | None = None
-        self.last: Path | None = None
-
-    def read(self, path: Path, decode) -> tuple | None:
-        """SceneCache._read_file for a file of the share, None for any other."""
-        if path not in self.share:
-            return None
-        self.last = path
-        got = SceneCache._read_file(path, decode)
-        self.tags[path] = got[0]
-        return got
+def _count_share(share: list[Path], tags: Sequence[str], wanted: set[str], cfg: AnalysisConfig, vmap: VectorMap | None,
+                 ego_id: str) -> tuple[_Counts, dict[Path, SceneTag], Exception | None]:
+    """A worker's job: the files of share read in order, each opened once, and
+    the scenes the tags select counted. Returns the counts, the tag of each
+    file read and counted, by path, and the first fault, which stops the job:
+    it came from the first file of share without a tag."""
+    counts, read, queries = _Counts(wanted), {}, _queries(tags)
+    try:
+        for path in share:
+            selects = functools.partial(_selects, queries[path.parent.name])  # as the walk: its directory's queries, whatever its header's dataset
+            tag, _, scene = SceneCache._read_file(path, selects)
+            if scene is not None:
+                counts.count(scene, wanted, cfg, vmap, ego_id)
+            read[path] = tag
+            del scene  # before the next scene is decoded
+    except Exception as exc:
+        return counts, read, exc
+    return counts, read, None
 
 
 def run_analysis(cache: SceneCache, tags: Sequence[str], metrics: Sequence[str], cfg: AnalysisConfig | None = None,
@@ -646,18 +648,19 @@ def run_analysis(cache: SceneCache, tags: Sequence[str], metrics: Sequence[str],
     the report does not depend on the order of the scenes. Off-road is
     unavailable without a map that has a drivable area.
 
-    Where os.fork is at hand and quiet (_fork_is_quiet), a run of 2 *
+    Where os.fork is at hand and quiet (core._fork_is_quiet), a run of 2 *
     _MIN_SHARE files or more is cut into contiguous shares of about equal
     bytes, one per CPU the process may run on (_shares). One worker is forked
-    per share after the first; each counts its share and pipes its counts
-    back, while this process counts the first share. The report's bytes are
-    those of a run in one process: this process walks every file in order,
-    taking the tags the workers read in place of reading their files again,
-    so each file is opened once, and the first fault in that order is
-    raised: a file's CacheError, a count's error or an UnknownTagError once
-    its dataset is read. A worker that ends without its counts raises
-    ChildProcessError naming its exit code or signal (core._Worker). Every
-    worker is reaped before the run returns or raises."""
+    per share after the first; it reads the files of its share alone, lists
+    no directory and pipes back its counts, tags and first fault
+    (_count_share), while this process counts the first share. The report's
+    bytes are those of a run in one process: this process walks every file
+    in order, taking the tags the workers read in place of reading their
+    files again, so each file is opened once, and the first fault in that
+    order is raised: a file's CacheError, a count's error or an
+    UnknownTagError once its dataset is read. A worker that ends without its
+    counts raises ChildProcessError naming its exit code or signal
+    (core._Worker). Every worker is reaped before the run returns or raises."""
     cfg = cfg or AnalysisConfig()
     unknown = [m for m in metrics if m not in METRIC_NAMES]
     if unknown:
@@ -672,47 +675,33 @@ def run_analysis(cache: SceneCache, tags: Sequence[str], metrics: Sequence[str],
             report.tallies["offroad_unsupported_map"] = 1
     counts = _Counts(wanted)
 
-    def count(source) -> None:
-        """Count each scene of source's walk; a worker's fault in place of a scene is raised."""
-        for scene in source.iter_scenes(tags):
-            if isinstance(scene, Exception):
-                raise scene
-            if scene is not None:
-                counts.count(scene, wanted, cfg, vmap, ego_id)
-            del scene  # before the next scene is decoded
-
-    def count_share(reads: _ShareReads):
-        try:
-            count(cache.reading(reads.read))
-        except Exception as exc:
-            reads.fault = (reads.last, exc)
-        return counts, reads.tags, reads.fault
-
-    def replay(path: Path, decode) -> tuple | None:
-        """A file of a worker's share as the worker read it: its tag, and as its
-        scene None or the fault of counting it; the fault of reading it raised."""
+    def replay(path: Path, decode) -> tuple:
+        """A file of a worker's share as the worker read it, its tag with no
+        header or scene; the worker's fault, raised at the file it came from
+        or at any later one."""
         worker = owners.get(path)
         if worker is None:
             return SceneCache._read_file(path, decode)
         if worker.result is None:
             counts.merge(worker.receive()[0])
         _, read, fault = worker.result
-        if path in read:
-            return read[path], None, fault[1] if fault and fault[0] == path else None
-        if fault:
-            raise fault[1]
-        return SceneCache._read_file(path, decode)  # listed since the worker walked
+        if path not in read:
+            raise fault
+        return read[path], None, None
 
     shares = _shares(cache.walk_files(tags))
     owners: dict[Path, _Worker] = {}
     try:
         for share in shares[1:]:
             try:
-                worker = _Worker(functools.partial(count_share, _ShareReads(share)))
+                worker = _Worker(functools.partial(_count_share, share, tags, wanted, cfg, vmap, ego_id))
             except OSError:  # no process to spare: this one counts the shares left
                 break
             owners.update(dict.fromkeys(share, worker))
-        count(cache.reading(replay) if owners else cache)
+        for scene in (cache.reading(replay) if owners else cache).iter_scenes(tags):
+            if scene is not None:
+                counts.count(scene, wanted, cfg, vmap, ego_id)
+            del scene  # before the next scene is decoded
     finally:
         for worker in set(owners.values()):
             worker.stop()

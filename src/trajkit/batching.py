@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import TYPE_BY_CODE, AgentType, SceneFrame, _cpus, _fork_is_quiet, _Worker, rotate, wrap_angle
+from .core import TYPE_BY_CODE, AgentType, SceneFrame, _share_count, _Worker, rotate, wrap_angle
 from .ingest import SceneCache
 from .kinematics import resample_scene
 
@@ -653,15 +653,15 @@ def export_batches(index: ElementIndex, out_dir: str | Path, batch_size: int = 3
     Where os.fork is at hand and quiet (core._fork_is_quiet), an export of 2 *
     _MIN_BATCHES batches or more cuts its batch numbers into contiguous shares
     of about equal count, one per CPU the process may run on, each of
-    _MIN_BATCHES batches or more. One worker is forked per share after the
-    first; each builds and writes its share's containers and pipes their
-    manifest entries back, while this process writes the first share. Every
-    container and the manifest have the bytes of an export in one process.
-    A failure raises the exception of the first batch in batch order that
-    could not be written; no manifest is written, every worker is killed and
-    reaped, and the containers numbered after that batch that a worker may
-    have written are deleted, so the files an export into an empty directory
-    leaves are those an export in one process leaves.
+    _MIN_BATCHES batches or more (core._share_count). One worker is forked
+    per share after the first; each builds and writes its share's containers
+    and pipes their manifest entries back, while this process writes the
+    first share. Every container and the manifest have the bytes of an
+    export in one process. A failure raises the exception of the first batch
+    in batch order that could not be written; no manifest is written, every
+    worker is killed and reaped, and the containers numbered after that
+    batch that a worker may have written are deleted, so the files an export
+    into an empty directory leaves are those an export in one process leaves.
     """
     if not isinstance(batch_size, numbers.Integral) or batch_size < 1:
         raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
@@ -671,7 +671,7 @@ def export_batches(index: ElementIndex, out_dir: str | Path, batch_size: int = 3
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_batches = (len(index) + batch_size - 1) // batch_size
-    n = max(1, min(_cpus(), n_batches // _MIN_BATCHES)) if _fork_is_quiet() else 1
+    n = _share_count(n_batches, _MIN_BATCHES)
     shares = [range(n_batches * k // n, n_batches * (k + 1) // n) for k in range(n)]
 
     def write(share: range) -> tuple[list[dict], Exception | None]:

@@ -586,6 +586,12 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _share_count(n_items: int, minimum: int) -> int:
+    """How many processes share n_items: one per CPU this process may run on,
+    no more than one per minimum items, and one where forking is not quiet."""
+    return max(1, min(_cpus(), n_items // minimum)) if _fork_is_quiet() else 1
+
+
 class _Worker:
     """A forked process that pickles job()'s result back through a pipe and
     leaves by os._exit, whatever job does or raises."""

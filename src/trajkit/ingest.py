@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import csv
+import functools
 import io
 import itertools
 import json
@@ -720,6 +721,11 @@ def _queries(tags: Iterable[str]) -> dict[str, dict[str, SceneTag]]:
     return queries
 
 
+def _selects(named: dict[str, SceneTag], tag: SceneTag) -> bool:
+    """Whether a query of named, the queries of one dataset by their text, selects tag."""
+    return any(query.matches(tag) for query in named.values())
+
+
 class SceneCache:
     """Directory of cached scenes: one directory per dataset holding one
     ``<scene_id>.tksc`` file per scene. The directory is the index: each
@@ -786,12 +792,12 @@ class SceneCache:
         iter_scenes walks them, listed by name: none is opened."""
         return [path for dataset in _queries(tags) for path in sorted(self._dataset_dir(dataset).glob("*.tksc"))]
 
-    def reading(self, read: Callable[[Path, Callable[[SceneTag], bool]], tuple | None]) -> SceneCache:
-        """A view of this cache whose walks (resolve, iter_scenes) take each
-        file's (tag, header, scene) from read(path, decode), called as
-        _read_file is, instead of opening the file. read returns None for a
-        file that another walk reads; a dataset with such a file gets no
-        UnknownTagError check, which the walk that sees all its files makes."""
+    def reading(self, read: Callable[[Path, Callable[[SceneTag], bool]], tuple]) -> SceneCache:
+        """A view of this cache whose walk takes each listed file's (tag,
+        header, scene) triple from read(path, decode), called as _read_file
+        is, instead of opening the file; its listing, matching and
+        UnknownTagError check are the cache's. read may give None as the
+        header, so a view serves iter_scenes only."""
         view = copy.copy(self)
         view._read = read
         return view
@@ -803,20 +809,16 @@ class SceneCache:
         matched none of its files."""
         read_file = self._read or self._read_file
         for dataset, named in _queries(tags).items():
-            selects = lambda tag: any(query.matches(tag) for query in named.values())  # noqa: E731
-            read, whole = [], True
+            selects = functools.partial(_selects, named)
+            read = []
             for path in sorted(self._dataset_dir(dataset).glob("*.tksc")):
-                got = read_file(path, lambda tag: decode and selects(tag))
-                if got is None:  # another walk reads this file
-                    whole = False
-                    continue
-                tag, header, scene = got
+                tag, header, scene = read_file(path, lambda tag: decode and selects(tag))
                 read.append(tag)
                 if selects(tag):
                     yield tag, path, header, scene
-                del scene, got  # not held past the next file's decode
+                del scene  # not held past the next file's decode
             for text, query in named.items():
-                if whole and not any(map(query.matches, read)):
+                if not any(map(query.matches, read)):
                     raise UnknownTagError(f"tag {text!r} matched no cached scenes")
 
     def resolve(self, tags: Iterable[str]) -> list[CacheEntry]:
@@ -835,7 +837,7 @@ class SceneCache:
         unselected one is read up to its header. A fault surfaces when the
         iteration reaches it: a CacheError naming its file, an UnknownTagError
         once its query's dataset is read. On a view made by reading(), the
-        scenes are what its read function gives for the selected files."""
+        scenes are those its read function gives, None where it gives none."""
         return map(itemgetter(3), self._walk(tags, decode=True))
 
 

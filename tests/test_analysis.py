@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trajkit import analysis, ingest, simulation
+from trajkit import analysis, core, ingest, simulation
 from trajkit.analysis import (
     HARSH_ACCEL_DEFAULT,
     METRIC_NAMES,
@@ -39,7 +39,7 @@ from trajkit.ingest import Circle, SceneCache, StopAndGo, Straight, synth_scene
 from trajkit.kinematics import complete_track
 from trajkit.vecmap import VectorMap
 
-from conftest import count_scene_file_reads, random_scene, square_area, straight_lane
+from conftest import count_scene_file_reads, no_child_left, random_scene, set_cpus, square_area, straight_lane
 from oracles import (
     REFERENCE_METRICS,
     SCENE_POOLED_METRICS,
@@ -1174,14 +1174,6 @@ class TestOnePass:
         assert excess[32] - excess[4] <= one_scene, (excess, one_scene)
 
 
-def _no_child_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
 class TestSceneParallel:
     """A run of 2 * _MIN_SHARE scene files or more forks one worker per share
     after the first, one share per CPU the process may run on, and reports
@@ -1200,17 +1192,6 @@ class TestSceneParallel:
                   for dataset, n in zip(self.TAGS, (26, 14)) for k in range(n)]
         return _cache_of(tmp_path / "cache", scenes)
 
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """The pid that called os.fork, once per fork."""
-        forks, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
-        return forks
-
-    @staticmethod
-    def _cpus(monkeypatch, n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
     def _report(self, cache, out, tags=None, cfg=None):
         paths = emit_report(run_analysis(cache, tags or self.TAGS, METRIC_NAMES, cfg, vmap=self.VMAP), out)
         return {p.name: p.read_bytes() for p in paths}
@@ -1226,15 +1207,15 @@ class TestSceneParallel:
     @pytest.mark.parametrize("cpus", [2, 3, 5])
     def test_report_bytes_match_one_process(self, tmp_path, monkeypatch, cache, forks, cpus):
         cfg = AnalysisConfig(cumulative_heading=True, per_timestep_rates=cpus == 3)
-        self._cpus(monkeypatch, 1)
+        set_cpus(monkeypatch, 1)
         want = self._report(cache, tmp_path / "one", cfg=cfg)
         assert forks == []
-        self._cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         shares = analysis._shares(cache.walk_files(self.TAGS))
         assert len(shares) == cpus and sum(map(len, shares)) == 40
         assert self._report(cache, tmp_path / "forked", cfg=cfg) == want
         assert forks == [os.getpid()] * (cpus - 1)
-        assert _no_child_left()
+        assert no_child_left()
         # An id's type comes from the scene with its smallest (tag, scene id), in another share than its first file.
         share_of = {path.stem: k for k, share in enumerate(shares) for path in share}
         moved = set()
@@ -1271,12 +1252,12 @@ class TestSceneParallel:
             return stationary(scene, cfg)
 
         monkeypatch.setattr(analysis, "stationary_fraction", failing)
-        self._cpus(monkeypatch, 1)
+        set_cpus(monkeypatch, 1)
         want = self._outcome(lambda: self._report(cache, tmp_path / "one", tags))
         assert forks == []
-        self._cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         assert self._outcome(lambda: self._report(cache, tmp_path / "forked", tags)) == want
-        assert len(forks) == cpus - 1 and _no_child_left()
+        assert len(forks) == cpus - 1 and no_child_left()
         assert not (tmp_path / "one").exists() and not (tmp_path / "forked").exists()
 
     def test_each_file_is_opened_and_checked_once_across_processes(self, tmp_path, monkeypatch, cache, forks):
@@ -1295,7 +1276,7 @@ class TestSceneParallel:
         monkeypatch.setattr(builtins, "open", counting_open)
         monkeypatch.setattr(io, "open", counting_open)
         monkeypatch.setattr(ingest, "_read_header", checking)
-        self._cpus(monkeypatch, 3)
+        set_cpus(monkeypatch, 3)
         try:
             self._report(cache, tmp_path / "out")
         finally:
@@ -1306,6 +1287,24 @@ class TestSceneParallel:
         assert sorted(name for kind, _, name in lines if kind == "check") == sorted(Path(p).stem for p in opened)
         assert len({pid for kind, pid, _ in lines if kind == "open"}) == 3 and len(forks) == 2
 
+    def test_only_the_caller_lists_a_directory(self, tmp_path, monkeypatch, cache, forks):
+        # A worker reads the files of its share as listed; the caller lists each queried dataset.
+        log, glob = os.open(tmp_path / "globs.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND), Path.glob
+
+        def logging_glob(path, pattern, *args, **kwargs):
+            os.write(log, f"{os.getpid()} {path}\n".encode())
+            return glob(path, pattern, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "glob", logging_glob)
+        set_cpus(monkeypatch, 3)
+        try:
+            self._report(cache, tmp_path / "out")
+        finally:
+            os.close(log)
+        listed = [line.split(" ", 1) for line in (tmp_path / "globs.log").read_text().splitlines()]
+        assert {pid for pid, _ in listed} == {str(os.getpid())} and len(forks) == 2
+        assert {name for _, name in listed} == {str(cache.cache_dir / tag) for tag in self.TAGS}
+
     def test_an_interrupt_reaps_every_worker(self, monkeypatch, cache, forks):
         parent, stationary = os.getpid(), analysis.stationary_fraction
 
@@ -1315,16 +1314,16 @@ class TestSceneParallel:
             return stationary(scene, cfg)
 
         monkeypatch.setattr(analysis, "stationary_fraction", interrupted)
-        self._cpus(monkeypatch, 3)
+        set_cpus(monkeypatch, 3)
         with pytest.raises(KeyboardInterrupt):
             run_analysis(cache, self.TAGS, ["stationary"])
-        assert len(forks) == 2 and _no_child_left()
+        assert len(forks) == 2 and no_child_left()
 
     def test_few_files_or_one_cpu_stay_in_one_process(self, tmp_path, monkeypatch, cache, forks):
-        self._cpus(monkeypatch, 1)
+        set_cpus(monkeypatch, 1)
         run_analysis(cache, self.TAGS, ["population"])
         assert forks == []
-        self._cpus(monkeypatch, 2)
+        set_cpus(monkeypatch, 2)
         scenes = list(cache.iter_scenes(["pa"]))
         for n, forked in ((2 * analysis._MIN_SHARE - 1, 0), (2 * analysis._MIN_SHARE, 1)):
             run_analysis(_cache_of(tmp_path / f"c{n}", scenes[:n]), ["pa"], ["population"])
@@ -1332,12 +1331,12 @@ class TestSceneParallel:
             forks.clear()
 
     def test_no_fork_where_it_is_missing_or_would_warn(self, tmp_path, monkeypatch, cache, forks):
-        self._cpus(monkeypatch, 2)
+        set_cpus(monkeypatch, 2)
         want = self._report(cache, tmp_path / "want")
         assert len(forks) == 1
         with monkeypatch.context() as patch:
             patch.delattr(os, "fork")
-            assert not analysis._fork_is_quiet()
+            assert not core._fork_is_quiet()
             assert self._report(cache, tmp_path / "no-fork") == want
         # From Python 3.12, os.fork warns while another thread runs in the process.
         stop = threading.Event()
@@ -1346,12 +1345,12 @@ class TestSceneParallel:
         try:
             with monkeypatch.context() as patch:
                 patch.setattr(sys, "version_info", (3, 12, 0, "final", 0))
-                assert not analysis._fork_is_quiet()
+                assert not core._fork_is_quiet()
                 assert self._report(cache, tmp_path / "threads") == want
         finally:
             stop.set()
             thread.join(timeout=10)
-        assert not thread.is_alive() and len(forks) == 1 and _no_child_left()
+        assert not thread.is_alive() and len(forks) == 1 and no_child_left()
 
 
 class TestReport:

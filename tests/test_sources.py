@@ -44,6 +44,10 @@ test runner's, a benchmark's), and one that left by sys.exit would flush
 buffers and run exit handlers the parent owns. No module starts a thread or
 another process: a thread beside the fork would make Python 3.12 and later
 warn, and each worker is one the run reaps.
+
+How many processes share a run's work is decided in core alone
+(core._share_count): no other module calls _cpus or _fork_is_quiet, or
+counts CPUs itself, so analysis and batch export fork by one rule.
 """
 
 import ast
@@ -421,3 +425,28 @@ def test_the_check_sees_a_thread_or_process_starter():
     for code in ("import os", "pid = os.fork()", "os.waitpid(pid, 0)", "os.sched_getaffinity(0)", "os.pipe()", "from os import path",
                  "x.system = 1", "spawn(p)"):
         assert _starters(code) == [], code
+
+
+# Calls that decide how many processes share a run's work.
+_SHARE_RULE_CALLS = frozenset({"_cpus", "_fork_is_quiet", "sched_getaffinity", "cpu_count"})
+
+
+def _share_rule_calls(source: str) -> list[str]:
+    """Lines of source that call a name of _SHARE_RULE_CALLS, bare or as an attribute."""
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and _called_name(node) in _SHARE_RULE_CALLS]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in _PACKAGE.glob("*.py") if p.stem != "core"))
+def test_only_core_sizes_the_shares(module):
+    assert _share_rule_calls((_PACKAGE / f"{module}.py").read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_second_share_rule():
+    for code in ("n = min(_cpus(), len(paths) // _MIN_SHARE) if _fork_is_quiet() else 1", "n = core._cpus()",
+                 "if not core._fork_is_quiet():\n    n = 1\n", "n = len(os.sched_getaffinity(0))", "n = os.cpu_count() or 1"):
+        assert _share_rule_calls(code), code
+    assert len(_share_rule_calls("n = min(_cpus(), len(paths) // 8) if _fork_is_quiet() else 1")) == 2
+    for code in ("n = _share_count(len(paths), _MIN_SHARE)", "from .core import _cpus, _fork_is_quiet", "quiet = _fork_is_quiet",
+                 "cpus = record['cpus']"):
+        assert _share_rule_calls(code) == [], code
